@@ -27,10 +27,10 @@ It is simultaneously the equivalence guard for the refactor:
    reproduce the serial path bit for bit and at least match its runtime
    (within ``STREAM_SLACK`` for timer noise).
 
-Per-kernel spmm timings (scipy dispatch vs ``SparseOp`` vs the batched-ELL
-numpy core vs numba when installed) are printed and, together with the
-engine timings, written to the machine-readable ``BENCH_training.json``
-perf record (see ``perf_record.py``) that CI uploads.
+Per-kernel spmm timings (scipy dispatch vs ``SparseOp``) are printed and,
+together with the engine timings, written to the machine-readable
+``BENCH_training.json`` perf record (see ``perf_record.py``) that CI
+uploads.
 
 Run standalone::
 
@@ -69,7 +69,7 @@ from repro.linkpred import (
     score_stream,
 )
 from repro.linkpred.trainer import _evaluate
-from repro.nn import SparseOp, Tensor, concat, dtype_scope, numba_available, spmm_scope
+from repro.nn import SparseOp, Tensor, concat, dtype_scope
 
 BENCHMARK = "c2670"
 SCALE = 1.0
@@ -415,23 +415,12 @@ def kernel_timings(dataset):
     rows = {}
     rows["scipy @ (dispatch)"] = _time(lambda: matrix @ dense)
     rows["scipy .T @ (dispatch)"] = _time(lambda: matrix.T @ dense)
-    with spmm_scope("scipy"):
-        rows["SparseOp.matmul out="] = _time(lambda: op.matmul(dense, out=out))
-        rows["SparseOp.matmul_t out="] = _time(lambda: op.matmul_t(dense, out=out))
-    with spmm_scope("ell"):
-        op.prepare()
-        rows["ELL numpy matmul"] = _time(lambda: op.matmul(dense, out=out))
-        rows["ELL numpy matmul_t"] = _time(lambda: op.matmul_t(dense, out=out))
-        parity = np.array_equal(op.matmul(dense), matrix @ dense)
-    if numba_available():
-        with spmm_scope("numba"):
-            rows["ELL numba matmul"] = _time(lambda: op.matmul(dense, out=out))
+    rows["SparseOp.matmul out="] = _time(lambda: op.matmul(dense, out=out))
+    rows["SparseOp.matmul_t out="] = _time(lambda: op.matmul_t(dense, out=out))
     info = {
         "n_rows": int(matrix.shape[0]),
         "nnz": int(matrix.nnz),
-        "ell_width": int(op.ell.width),
         "dense_cols": 32,
-        "ell_parity_exact": bool(parity),
     }
     return rows, info
 
@@ -472,8 +461,7 @@ def test_float32_epoch_speedup_and_streamed_scoring():
         width = max(len(k) for k in rows)
         print(
             f"  spmm kernels on one batch "
-            f"(N={info['n_rows']}, nnz={info['nnz']}, "
-            f"ELL width {info['ell_width']}, 32 columns):"
+            f"(N={info['n_rows']}, nnz={info['nnz']}, 32 columns):"
         )
         for name, micros in rows.items():
             print(f"    {name:<{width}}  {micros:8.1f} us")
@@ -571,69 +559,7 @@ def test_float32_epoch_speedup_and_streamed_scoring():
     )
 
 
-def numba_parity_slice():
-    """The ``REPRO_SPMM=numba`` parity slice CI runs when numba installs.
-
-    Trains the same fixed-seed workload under the scipy and the numba
-    backend in both dtypes and asserts **bit-identical** loss curves
-    (the backends accumulate every output row in storage order — see
-    ``tests/nn/test_sparse.py`` for the kernel-level guarantee; this is
-    the end-to-end one, through the real JIT kernels).
-
-    Skips with a visible notice — mirrored into the CI job summary —
-    when numba is not importable, because ``REPRO_SPMM=numba`` would
-    silently fall back to the ``ell`` kernels and the "parity" would not
-    test numba at all.
-    """
-    if not numba_available():
-        notice = (
-            "bench_spmm: NOTICE — numba is not importable; skipping the "
-            "REPRO_SPMM=numba parity slice (the numba backend would fall "
-            "back to the ell kernels, proving nothing)"
-        )
-        print(notice)
-        summary = os.environ.get("GITHUB_STEP_SUMMARY")
-        if summary:
-            with open(summary, "a", encoding="utf-8") as handle:
-                handle.write(f"### numba spmm parity slice\n\n_{notice}_\n")
-        return False
-
-    for dtype in (np.float64, np.float32):
-        with dtype_scope(dtype):
-            _, dataset = build_attack_inputs()
-            with spmm_scope("scipy"):
-                _, reference, _, _ = run_current(dataset)
-            with spmm_scope("numba"):
-                _, history, _, _ = run_current(dataset)
-        assert history.train_loss == reference.train_loss, (
-            f"numba backend diverged from scipy in {np.dtype(dtype).name} "
-            "(train loss)"
-        )
-        assert history.val_loss == reference.val_loss, (
-            f"numba backend diverged from scipy in {np.dtype(dtype).name} "
-            "(val loss)"
-        )
-        print(
-            f"  numba == scipy loss curves in {np.dtype(dtype).name} "
-            f"({len(history.train_loss)} epochs, bitwise)"
-        )
-    summary = os.environ.get("GITHUB_STEP_SUMMARY")
-    if summary:
-        with open(summary, "a", encoding="utf-8") as handle:
-            handle.write(
-                "### numba spmm parity slice\n\nnumba kernels matched the "
-                "scipy backend bit for bit in float64 and float32.\n"
-            )
-    return True
-
-
 if __name__ == "__main__":
-    import sys
-
-    if "--numba-parity" in sys.argv:
-        numba_parity_slice()
-        print("bench_spmm --numba-parity: OK")
-    else:
-        test_float64_parity()
-        test_float32_epoch_speedup_and_streamed_scoring()
-        print("bench_spmm: OK")
+    test_float64_parity()
+    test_float32_epoch_speedup_and_streamed_scoring()
+    print("bench_spmm: OK")

@@ -32,9 +32,7 @@ def main() -> None:
     print(f"locked BENCH netlist: {len(bench_text.splitlines())} lines")
 
     # 4. ... and runs MuxLink on it (oracle-less!).  Enclosing subgraphs
-    # are extracted through the batched CSR pipeline; set ``n_workers=4``
-    # to stream extraction through a multiprocessing pool on big designs
-    # (the dataset is bit-identical for any worker count).
+    # are extracted through the batched CSR pipeline.
     #
     # Training runs on the cached-batch engine (repro.linkpred.Trainer):
     # every normalized operator and feature block is built once per split,
@@ -55,7 +53,6 @@ def main() -> None:
             patience=10,       # stop early if validation stalls
             log_every=5,       # progress line every 5 epochs
         ),
-        n_workers=0,
     )
     result = run_muxlink(locked.circuit, config)
     best = result.history.best_epoch

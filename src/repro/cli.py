@@ -5,7 +5,6 @@ Usage examples::
     python -m repro.cli generate c1355 --scale 0.3 -o c1355.bench
     python -m repro.cli lock c1355.bench --scheme dmux --key-size 16 -o locked.bench
     python -m repro.cli attack locked.bench --epochs 20 --h 3
-    python -m repro.cli attack locked.bench --workers 4   # parallel extraction
     python -m repro.cli figures --jobs 4                  # pooled fig7-fig10
     python -m repro.cli figures --figures 7 9 --scale smoke
     python -m repro.cli saam locked.bench
@@ -14,10 +13,9 @@ Usage examples::
     python -m repro.cli hd original.bench recovered.bench
 
 ``attack`` runs subgraph extraction through the batched CSR pipeline
-(:mod:`repro.linkpred.subgraph`); ``--workers N`` streams it through N
-``multiprocessing`` workers — results are identical for any worker count.
-Training runs on the cached-batch float32 engine
-(:class:`repro.linkpred.Trainer`); ``--patience`` enables early stopping,
+(:mod:`repro.linkpred.subgraph`), in-process.  Training runs on the
+cached-batch float32 engine (:class:`repro.linkpred.Trainer`);
+``--patience`` enables early stopping,
 ``--checkpoint``/``--resume`` persist and restore the full training state,
 and ``--dtype float64`` (or ``REPRO_DTYPE``) restores the float64 runtime.
 
@@ -108,16 +106,10 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    from repro.experiments.common import resolve_worker_count
-
     if args.dtype:
         import repro.nn as nn
 
         nn.set_default_dtype(args.dtype)
-    if args.spmm:
-        import repro.nn as nn
-
-        nn.set_spmm_backend(args.spmm)
     circuit, key = load_bench(args.netlist)
     config = MuxLinkConfig(
         h=args.h,
@@ -140,12 +132,8 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             kfac_cov_every=args.kfac_cov_every,
             kfac_max_dim=args.kfac_max_dim,
             grad_shards=args.grad_shards,
-            n_train_workers=resolve_worker_count(
-                args.train_workers, "train_workers"
-            ),
         ),
         seed=args.seed,
-        n_workers=resolve_worker_count(args.workers, "workers"),
         score_prefetch=args.score_prefetch,
     )
     if args.serve:
@@ -194,13 +182,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     )
 
     scale = scale_by_name(args.scale) if args.scale else active_scale()
-    if args.train_workers is not None:
-        # Execution-only knob: sharded-gradient training results are
-        # bit-identical for any worker count, so this never invalidates
-        # cached artifacts.
-        from dataclasses import replace
-
-        scale = replace(scale, n_train_workers=args.train_workers)
     drivers = {
         7: (run_fig7, format_fig7),
         8: (run_fig8, format_fig8),
@@ -612,10 +593,6 @@ def _cmd_leaderboard(args: argparse.Namespace) -> int:
     )
 
     scale = scale_by_name(args.scale) if args.scale else active_scale()
-    if args.train_workers is not None:
-        from dataclasses import replace
-
-        scale = replace(scale, n_train_workers=args.train_workers)
     print(f"scale={scale.name} jobs={args.jobs if args.jobs is not None else 'env'}")
     with ExperimentRunner(
         jobs=args.jobs,
@@ -699,12 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--workers",
-        default=0,
-        help="subgraph-extraction worker processes (0 = in-process; "
-        "'auto' = the measured policy, currently in-process)",
-    )
     p.add_argument(
         "--patience",
         type=int,
@@ -791,23 +762,10 @@ def build_parser() -> argparse.ArgumentParser:
         "reduction order of the loss curve)",
     )
     p.add_argument(
-        "--train-workers",
-        default=1,
-        help="processes executing the gradient shards (pure execution "
-        "knob; results identical for any worker count; 'auto' = the "
-        "measured policy, currently serial)",
-    )
-    p.add_argument(
         "--dtype",
         choices=("float32", "float64"),
         default=None,
         help="numeric runtime (default float32; also via REPRO_DTYPE)",
-    )
-    p.add_argument(
-        "--spmm",
-        choices=("scipy", "ell", "numba"),
-        default=None,
-        help="sparse kernel family (default scipy; also via REPRO_SPMM)",
     )
     p.add_argument(
         "--score-prefetch",
@@ -856,13 +814,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment preset (default: REPRO_EXPERIMENT_SCALE or ci)",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--train-workers",
-        default=None,
-        help="processes executing gradient shards during training "
-        "(default: REPRO_TRAIN_WORKERS or the preset; 'auto' = the "
-        "measured policy; results identical for any worker count)",
-    )
     p.add_argument(
         "--store",
         default=None,
@@ -1246,12 +1197,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment preset (default: REPRO_EXPERIMENT_SCALE or ci)",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--train-workers",
-        default=None,
-        help="processes executing gradient shards during training "
-        "(default: REPRO_TRAIN_WORKERS or the preset)",
-    )
     p.add_argument(
         "--store",
         default=None,

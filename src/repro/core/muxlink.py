@@ -46,15 +46,11 @@ class MuxLinkConfig:
         train: GNN training hyper-parameters.
         use_drnl / use_gate_types: feature ablation switches.
         seed: sampling seed.
-        n_workers: subgraph-extraction worker processes (``<= 1`` runs
-            in-process; results are identical either way).
         score_prefetch: candidate scoring runs as a streamed pipeline —
             target-subgraph extraction overlaps GNN forwards with at most
             this many batches in flight (``<= 0`` restores the serial
             extract-everything-then-score path; likelihoods are identical
-            either way).  Applies only when ``n_workers <= 1``: with a
-            worker pool, extraction forks from the main thread over all
-            candidates at once instead.
+            either way).
     """
 
     h: int = 3
@@ -66,7 +62,6 @@ class MuxLinkConfig:
     use_gate_types: bool = True
     use_degree: bool = True
     seed: int = 0
-    n_workers: int = 0
     score_prefetch: int = 2
 
 
@@ -154,7 +149,6 @@ def run_muxlink(
         use_drnl=config.use_drnl,
         use_gate_types=config.use_gate_types,
         use_degree=config.use_degree,
-        n_workers=config.n_workers,
     )
     runtime["sampling"] = time.perf_counter() - start
 
@@ -167,15 +161,11 @@ def run_muxlink(
     runtime["training"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    if config.score_prefetch > 0 and config.n_workers <= 1:
+    if config.score_prefetch > 0:
         # Streamed pipeline: a producer thread extracts/featurizes the
         # candidate subgraphs chunk by chunk while this thread scores the
         # previous batches (bounded prefetch).  The batch partition — and
         # therefore every likelihood — is identical to the serial path.
-        # With n_workers > 1 the serial path below runs instead:
-        # multiprocessing pools must fork from the main thread (forking
-        # from the producer while BLAS runs here is a deadlock hazard),
-        # and one pool over all candidates beats a pool per chunk.
         target_examples: list = []
 
         def chunks():
@@ -191,9 +181,7 @@ def run_muxlink(
             prefetch=config.score_prefetch,
         )
     else:
-        target_examples = build_target_examples(
-            graph, dataset, n_workers=config.n_workers
-        )
+        target_examples = build_target_examples(graph, dataset)
         likelihoods = score_examples(
             model, [t.example for t in target_examples], config.train.batch_size
         )

@@ -52,45 +52,7 @@ __all__ = [
     "lock_with",
     "attack_benchmark",
     "format_records",
-    "resolve_worker_count",
 ]
-
-#: What ``auto`` resolves to for the per-attack execution knobs.
-#:
-#: Measured policy, not a guess (24-core host; ``BENCH_training.json``
-#: sections ``bench_extract_score`` and ``bench_train_workers``):
-#: subgraph-extraction worker pools never reach break-even — 0.24x at
-#: smoke scale rising only to 0.93x on the full-size 30k-link ITC
-#: pipeline — and pooled gradient shards run ~4x slower per epoch than
-#: serial (342ms → 1490ms with 2 workers), because per-step payload
-#: shipping dominates at this model size.  ``auto`` therefore picks the
-#: in-process fast path for both knobs *regardless of core count*: the
-#: break-even floor sits beyond every measured configuration.  Cores pay
-#: off one level up, at the job grid — ``repro figures --jobs auto``
-#: fans whole attack cells out, and the spool/socket bus fans them
-#: across processes or hosts.
-AUTO_WORKER_COUNTS = {"workers": 0, "train_workers": 1}
-
-
-def resolve_worker_count(value: int | str, kind: str = "workers") -> int:
-    """Resolve an ``auto``-capable worker-count knob to a concrete int.
-
-    *kind* is ``"workers"`` (subgraph extraction) or ``"train_workers"``
-    (gradient-shard executors).  Integers and numeric strings pass
-    through; ``"auto"`` applies the measured policy above.
-    """
-    if kind not in AUTO_WORKER_COUNTS:
-        raise KeyError(
-            f"unknown worker knob {kind!r}; choose from "
-            f"{sorted(AUTO_WORKER_COUNTS)}"
-        )
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text == "auto":
-            return AUTO_WORKER_COUNTS[kind]
-        value = int(text)
-    return int(value)
-
 
 @dataclass(frozen=True)
 class ExperimentScale:
@@ -110,10 +72,6 @@ class ExperimentScale:
             :class:`repro.linkpred.TrainConfig` (``None`` = train the full
             epoch budget, the paper's behaviour).
         hd_patterns: random patterns for Hamming-distance runs.
-        n_workers: subgraph-extraction worker processes passed to
-            :class:`MuxLinkConfig` (overridable via ``REPRO_WORKERS``;
-            ``"auto"`` applies the measured policy in
-            :data:`AUTO_WORKER_COUNTS`).
         score_prefetch: in-flight batch budget of the streamed
             extract→score pipeline passed to :class:`MuxLinkConfig`
             (overridable via ``REPRO_SCORE_PREFETCH``; ``0`` = serial).
@@ -123,11 +81,9 @@ class ExperimentScale:
         grad_shards: gradient shards per optimizer step (semantic, like
             ``optimizer`` — it fixes the reduction order of the loss
             curve and is folded into the config token).
-        n_train_workers: processes executing those shards
-            (overridable via ``REPRO_TRAIN_WORKERS``; pure execution
-            knob, normalized out of the config token — results are
-            bit-identical for any worker count; ``"auto"`` applies the
-            measured policy in :data:`AUTO_WORKER_COUNTS`).
+
+    Each attack runs as one in-process path; cores are spent one level
+    up, on the job grid (``repro figures --jobs`` and the bus).
     """
 
     name: str
@@ -143,11 +99,9 @@ class ExperimentScale:
     learning_rate: float = 1e-3
     patience: int | None = None
     hd_patterns: int = 10_000
-    n_workers: int | str = 0
     score_prefetch: int = 2
     optimizer: str = "adam"
     grad_shards: int = 1
-    n_train_workers: int | str = 1
 
     def benchmarks(self) -> tuple[tuple[str, float, tuple[int, ...]], ...]:
         """``(name, scale, key_sizes)`` for every included benchmark."""
@@ -161,15 +115,8 @@ class ExperimentScale:
         return tuple(rows)
 
     def attack_config(self, seed: int = 0) -> MuxLinkConfig:
-        workers = resolve_worker_count(
-            os.environ.get("REPRO_WORKERS", self.n_workers), "workers"
-        )
         prefetch = int(
             os.environ.get("REPRO_SCORE_PREFETCH", self.score_prefetch)
-        )
-        train_workers = resolve_worker_count(
-            os.environ.get("REPRO_TRAIN_WORKERS", self.n_train_workers),
-            "train_workers",
         )
         return MuxLinkConfig(
             h=self.h,
@@ -181,10 +128,8 @@ class ExperimentScale:
                 seed=seed,
                 optimizer=self.optimizer,
                 grad_shards=self.grad_shards,
-                n_train_workers=train_workers,
             ),
             seed=seed,
-            n_workers=workers,
             score_prefetch=prefetch,
         )
 

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.nn import Workspace, default_dtype
-from repro.nn.sparse import BlockEll, SparseOp, csr_from_parts, spmm_backend
+from repro.nn.sparse import SparseOp, csr_from_parts
 
 __all__ = [
     "GraphExample",
@@ -139,9 +139,9 @@ class GraphBatch:
         """The cached block-sparse engine view of ``norm_adj``.
 
         Built once per batch and shared by every forward/backward pass, so
-        CSR/ELL format conversions never repeat per layer per step (see
+        format conversions never repeat per layer per step (see
         :mod:`repro.nn.sparse`).  :class:`BatchAssembler` pre-seeds this
-        with stitched per-example layouts.
+        with the operator over its stitched CSR arrays.
         """
         return SparseOp.from_csr(self.norm_adj)
 
@@ -212,8 +212,7 @@ class BatchAssembler:
     __slots__ = (
         "dtype", "sizes", "labels",
         "_data", "_indices", "_indptr_tail", "_nnz", "_features",
-        "_flat_features", "_node_starts", "_feature_cols",
-        "_ell_blocks", "_ell_t_blocks", "_scratch",
+        "_flat_features", "_node_starts", "_feature_cols", "_scratch",
     )
 
     def __init__(self, examples: Sequence[GraphExample]):
@@ -228,10 +227,6 @@ class BatchAssembler:
         self._indptr_tail: list[np.ndarray] = []
         self._nnz = np.empty(len(examples), dtype=np.int64)
         feature_blocks: list[np.ndarray] = []
-        # Per-example batched-ELL blocks, built on first use under the
-        # ell/numba spmm backends (see _ensure_ell_blocks).
-        self._ell_blocks: list[BlockEll] | None = None
-        self._ell_t_blocks: list[BlockEll] | None = None
         self._scratch = Workspace()
         for i, example in enumerate(examples):
             operator = normalized_adjacency(example.n_nodes, example.edges)
@@ -284,52 +279,6 @@ class BatchAssembler:
     def __len__(self) -> int:
         return len(self._data)
 
-    def _ensure_ell_blocks(self) -> None:
-        """Build every example's ELL (and transposed-ELL) block once.
-
-        Only the ell/numba backends need the layout; under the scipy
-        backend the assembler never pays for it.  Once built, any shuffled
-        batch's ELL operator is stitched from these blocks by pure array
-        copies — the layout cost is once per split, like the CSR parts.
-        """
-        if self._ell_blocks is not None:
-            return
-        self._ell_blocks = []
-        self._ell_t_blocks = []
-        for i, size in enumerate(self.sizes):
-            indptr = np.concatenate([[0], self._indptr_tail[i]])
-            block = csr_from_parts(
-                self._data[i], self._indices[i], indptr, (int(size), int(size))
-            )
-            self._ell_blocks.append(BlockEll.from_csr(block))
-            self._ell_t_blocks.append(BlockEll.from_csr(block.T.tocsr()))
-
-    def _stitch_ell(
-        self,
-        blocks: list[BlockEll],
-        index_order: np.ndarray,
-        offsets: np.ndarray,
-        total: int,
-    ) -> BlockEll:
-        """Fuse per-example ELL blocks into one block-diagonal layout.
-
-        Identical to ``BlockEll.from_csr`` over the assembled operator:
-        both pack each row's entries in CSR order and zero-pad to the
-        widest row of the batch.
-        """
-        width = max((blocks[i].width for i in index_order), default=0)
-        indices = np.zeros((total, width), dtype=np.int64)
-        values = np.zeros((total, width), dtype=self.dtype)
-        row = 0
-        for i, node_off in zip(index_order, offsets[:-1]):
-            block = blocks[i]
-            n_i, w_i = block.indices.shape
-            if w_i:
-                np.add(block.indices, node_off, out=indices[row : row + n_i, :w_i])
-                values[row : row + n_i, :w_i] = block.values
-            row += n_i
-        return BlockEll(indices, values, (total, total))
-
     def assemble(
         self, index_order: Sequence[int], reuse_buffers: bool = False
     ) -> GraphBatch:
@@ -339,8 +288,7 @@ class BatchAssembler:
         ``np.repeat`` per array instead of a per-example add), the scipy
         matrix is built through the unchecked constructor, and the
         resulting :class:`GraphBatch` carries a pre-seeded
-        :class:`~repro.nn.sparse.SparseOp` — stitched from the per-example
-        ELL blocks when the active spmm backend wants that layout.
+        :class:`~repro.nn.sparse.SparseOp` over the same arrays.
 
         With ``reuse_buffers=True`` the operator/feature arrays live in
         assembler-owned scratch slots recycled call to call: the returned
@@ -381,14 +329,6 @@ class BatchAssembler:
         indptr[1:] += np.repeat(nnz_offsets[:-1], sizes)
         norm_adj = csr_from_parts(data, indices, indptr, (total, total))
         operator = SparseOp(data, indices, indptr, (total, total), csr=norm_adj)
-        if spmm_backend() in ("ell", "numba"):
-            self._ensure_ell_blocks()
-            operator._ell = self._stitch_ell(
-                self._ell_blocks, index_order, offsets, total
-            )
-            operator._ell_t = self._stitch_ell(
-                self._ell_t_blocks, index_order, offsets, total
-            )
         # Stacked node rows of the selected examples, as flat-arena
         # positions: one range-gather replaces a per-example concatenate.
         row_positions = np.arange(total, dtype=np.int64) + np.repeat(
@@ -439,11 +379,6 @@ class BatchCache:
             build_batch(examples[start : start + batch_size])
             for start in range(0, len(examples), batch_size)
         ]
-        # Prebuild whatever layout the active spmm backend wants (ELL under
-        # ell/numba) so repeated evaluation/scoring epochs touch no
-        # conversions at all — once per split, like the batches themselves.
-        for batch in self.batches:
-            batch.operator.prepare()
 
     def __len__(self) -> int:
         return len(self.batches)

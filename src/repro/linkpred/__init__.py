@@ -4,8 +4,7 @@ The data path is fully vectorized: :class:`AttackGraph` stores its
 adjacency as flat CSR arrays, :func:`extract_enclosing_subgraphs` expands
 all BFS frontiers of a batch of target pairs together over those arrays
 (reusing distance maps across pairs that share an endpoint), and
-:func:`build_link_dataset` featurizes whole splits array-at-a-time —
-optionally fanned out over a ``multiprocessing`` pool via ``n_workers``.
+:func:`build_link_dataset` featurizes whole splits array-at-a-time.
 """
 
 from repro.linkpred.dataset import (

@@ -9,9 +9,7 @@ Subgraphs are extracted through the batched CSR pipeline
 (:func:`repro.linkpred.subgraph.extract_enclosing_subgraphs`) and
 featurized array-at-a-time: the label / gate-type / degree vectors of the
 whole split are concatenated, one-hot encoded with a single scatter each,
-and split back into per-example views.  Pass ``n_workers > 1`` to stream
-extraction through a ``multiprocessing`` pool (deterministic: workers
-process contiguous chunks and results are reassembled in order).
+and split back into per-example views.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from repro.linkpred.graph import AttackGraph, MuxTarget
 from repro.linkpred.sampling import LinkSample
 from repro.linkpred.subgraph import (
     EnclosingSubgraph,
-    extract_enclosing_subgraph,
     extract_enclosing_subgraphs,
 )
 from repro.netlist import NUM_GATE_FEATURES
@@ -42,53 +39,6 @@ __all__ = [
 
 
 _MAX_DEGREE_FEATURE = 8
-
-# Worker-process state: the graph is shipped once per worker through the
-# pool initializer instead of once per task.
-_WORKER_GRAPH: AttackGraph | None = None
-_WORKER_H: int = 0
-
-
-def _init_worker(graph: AttackGraph, h: int) -> None:
-    global _WORKER_GRAPH, _WORKER_H
-    _WORKER_GRAPH = graph
-    _WORKER_H = h
-
-
-def _extract_chunk(pairs: list[tuple[int, int]]) -> list[EnclosingSubgraph]:
-    assert _WORKER_GRAPH is not None
-    return extract_enclosing_subgraphs(_WORKER_GRAPH, pairs, _WORKER_H)
-
-
-def _extract_pairs(
-    graph: AttackGraph,
-    pairs: list[tuple[int, int]],
-    h: int,
-    n_workers: int = 0,
-) -> list[EnclosingSubgraph]:
-    """Extract subgraphs for *pairs*, optionally across a worker pool.
-
-    Results are always in input order; ``n_workers <= 1`` runs in-process.
-    Chunks are contiguous so endpoint-sharing pairs (both candidates of a
-    MUX arrive back to back) still hit the per-chunk BFS cache.
-    """
-    if n_workers and n_workers > 1 and len(pairs) > 1:
-        import multiprocessing
-
-        workers = min(n_workers, len(pairs))
-        chunk_size = max(1, -(-len(pairs) // (workers * 4)))
-        if chunk_size % 2:  # keep (d0, load)/(d1, load) pairs together
-            chunk_size += 1
-        chunks = [
-            pairs[start : start + chunk_size]
-            for start in range(0, len(pairs), chunk_size)
-        ]
-        with multiprocessing.get_context().Pool(
-            workers, initializer=_init_worker, initargs=(graph, h)
-        ) as pool:
-            results = pool.map(_extract_chunk, chunks)
-        return [sub for chunk in results for sub in chunk]
-    return extract_enclosing_subgraphs(graph, pairs, h)
 
 
 def _features(
@@ -170,7 +120,6 @@ def build_link_dataset(
     use_drnl: bool = True,
     use_gate_types: bool = True,
     use_degree: bool = True,
-    n_workers: int = 0,
 ) -> LinkDataset:
     """Extract and featurize enclosing subgraphs for every sampled link.
 
@@ -179,15 +128,14 @@ def build_link_dataset(
         sample: sampled train/validation links.
         h: enclosing-subgraph hop count.
         use_drnl / use_gate_types / use_degree: feature ablation switches.
-        n_workers: extraction worker processes (``<= 1`` = in-process).
     """
     links = [(u, v, label, True) for u, v, label in sample.train]
     links += [(u, v, label, False) for u, v, label in sample.validation]
     if not links:
         raise TrainingError("no links to build a dataset from")
 
-    subgraphs = _extract_pairs(
-        graph, [(u, v) for u, v, _, _ in links], h, n_workers
+    subgraphs = extract_enclosing_subgraphs(
+        graph, [(u, v) for u, v, _, _ in links], h
     )
     max_label = max(
         1, max(int(s.labels.max(initial=0)) for s in subgraphs)
@@ -242,7 +190,6 @@ def iter_target_examples(
     graph: AttackGraph,
     dataset: LinkDataset,
     chunk_size: int | None = None,
-    n_workers: int = 0,
 ) -> Iterator[list[TargetExample]]:
     """Yield both candidate links of every key MUX, extracted lazily.
 
@@ -257,13 +204,6 @@ def iter_target_examples(
     MUX stay in one chunk — they share the ``load`` endpoint, and the
     per-chunk BFS cache dedupes that distance map between them.
     ``None`` extracts everything in one chunk.
-
-    With ``n_workers > 1`` each chunk spins up (and tears down) its own
-    multiprocessing pool, so worker extraction only pays off with large
-    chunks — pass ``chunk_size=None`` (or thousands) for that combination.
-    Pools must be forked from the main thread: do not drive a
-    worker-backed iterator from :func:`repro.linkpred.score_stream`'s
-    producer thread (``run_muxlink`` streams only when ``n_workers <= 1``).
     """
     records = [
         (target, select_value, driver, load)
@@ -277,11 +217,8 @@ def iter_target_examples(
     chunk_size += chunk_size % 2
     for start in range(0, len(records), chunk_size):
         chunk = records[start : start + chunk_size]
-        subgraphs = _extract_pairs(
-            graph,
-            [(driver, load) for _, _, driver, load in chunk],
-            dataset.h,
-            n_workers,
+        subgraphs = extract_enclosing_subgraphs(
+            graph, [(driver, load) for _, _, driver, load in chunk], dataset.h
         )
         features = _features_batch(
             subgraphs,
@@ -308,7 +245,7 @@ def iter_target_examples(
 
 
 def build_target_examples(
-    graph: AttackGraph, dataset: LinkDataset, n_workers: int = 0
+    graph: AttackGraph, dataset: LinkDataset
 ) -> list[TargetExample]:
     """Featurize both candidate links of every key MUX.
 
@@ -320,6 +257,6 @@ def build_target_examples(
     """
     return [
         example
-        for chunk in iter_target_examples(graph, dataset, n_workers=n_workers)
+        for chunk in iter_target_examples(graph, dataset)
         for example in chunk
     ]

@@ -1,32 +1,17 @@
-"""Codec-backed data-parallel training (gradient-sharded epochs).
+"""Gradient-sharded training epochs.
 
-The semantic unit is the **shard**, not the worker: a
-:class:`DataParallelTrainer` splits every optimizer step's shuffled batch
-into ``config.grad_shards`` fixed contiguous shards, runs
-forward/backward per shard, and combines the per-shard mean-loss
-gradients as ``g = Σ_s (n_s / n) g_s`` in ascending shard order.  That
-reduction — and the per-``(epoch, step, shard)`` dropout streams spawned
-from the trainer seed's :class:`~numpy.random.SeedSequence` — fixes every
-bit of the trajectory as a function of the *configuration*.
-``config.n_train_workers`` then only decides which process executes each
-shard:
-
-* ``n_train_workers == 1`` runs the shards in-process, sequentially, on
-  the coordinator's own model;
-* ``n_train_workers > 1`` spawns a process pool whose workers each hold
-  a private :class:`~repro.gnn.BatchAssembler` over the training split
-  and a private model replica.  Per step the coordinator ships its
-  weights + shard index lists (round-robin, shard ``s`` to worker
-  ``s % W``) as one :func:`repro.store.codec.dumps` message per worker,
-  and receives codec-encoded gradients, losses and K-FAC curvature
-  statistics back.
-
-Both paths produce bit-identical float64 (and float32) loss curves — the
-artifact store exploits exactly this by normalizing ``n_train_workers``
-out of the config token while folding ``grad_shards`` in.
+A :class:`DataParallelTrainer` splits every optimizer step's shuffled
+batch into ``config.grad_shards`` fixed contiguous shards, runs
+forward/backward per shard in-process, and combines the per-shard
+mean-loss gradients as ``g = Σ_s (n_s / n) g_s`` in ascending shard
+order.  That reduction — and the per-``(epoch, step, shard)`` dropout
+streams spawned from the trainer seed's
+:class:`~numpy.random.SeedSequence` — fixes every bit of the trajectory
+as a function of the *configuration*; the artifact store folds
+``grad_shards`` into the config token.
 
 Checkpoints need nothing beyond the serial trainer's payload: the
-coordinator's dropout stream is never consumed (shard streams are
+trainer's own dropout stream is never consumed (shard streams are
 re-derived from ``(seed, epoch, step, shard)``), so resume is
 bit-identical through the ordinary :class:`~repro.linkpred.trainer.Trainer`
 machinery.
@@ -34,21 +19,15 @@ machinery.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gnn import BatchAssembler, DGCNN, GraphExample
-from repro.linkpred.dataset import LinkDataset
-from repro.linkpred.trainer import TrainConfig, Trainer
-from repro.nn import CurvatureCollector, collecting, default_dtype, set_default_dtype
+from repro.gnn import BatchAssembler, DGCNN
+from repro.linkpred.trainer import Trainer
+from repro.nn import CurvatureCollector, collecting
 
 __all__ = ["DataParallelTrainer", "shard_dropout_rng"]
-
-_INIT_KIND = "train-worker-init"
-_STEP_KIND = "train-shard-step"
-_GRAD_KIND = "train-shard-grads"
 
 
 def shard_dropout_rng(
@@ -57,10 +36,10 @@ def shard_dropout_rng(
     """The dropout stream of one ``(epoch, step, shard)`` cell.
 
     Spawned from the trainer seed's :class:`~numpy.random.SeedSequence`
-    (itself derived from the experiment cell's spawned sequence), so any
-    process — coordinator or worker, whatever the worker count — derives
-    the identical stream without coordination.  ``seed + 1`` keeps the
-    entropy root distinct from the shuffle stream's ``default_rng(seed)``.
+    (itself derived from the experiment cell's spawned sequence), so the
+    stream depends only on the cell, never on what ran before it.
+    ``seed + 1`` keeps the entropy root distinct from the shuffle stream's
+    ``default_rng(seed)``.
     """
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed + 1, spawn_key=(epoch, step, shard))
@@ -69,36 +48,12 @@ def shard_dropout_rng(
 
 @dataclass
 class _ShardResult:
-    """One shard's contribution, in coordinator-ready form."""
+    """One shard's contribution to a step."""
 
     n: int
     loss: float
     grads: list[np.ndarray]
     curvature: list[tuple[np.ndarray, np.ndarray, int] | None] | None
-
-
-def _encode_examples(examples: list[GraphExample]) -> list[dict]:
-    return [
-        {
-            "n_nodes": int(e.n_nodes),
-            "edges": np.asarray(e.edges),
-            "features": np.asarray(e.features),
-            "label": int(e.label),
-        }
-        for e in examples
-    ]
-
-
-def _decode_examples(payload: list[dict]) -> list[GraphExample]:
-    return [
-        GraphExample(
-            n_nodes=int(e["n_nodes"]),
-            edges=e["edges"],
-            features=e["features"],
-            label=int(e["label"]),
-        )
-        for e in payload
-    ]
 
 
 def _run_shard(
@@ -111,12 +66,7 @@ def _run_shard(
     shard: int,
     indices: np.ndarray,
 ) -> _ShardResult:
-    """Forward/backward one shard on *model*; harvest grads (+curvature).
-
-    The one sharded-math kernel — the in-process path and the worker
-    processes both run exactly this, which is what makes the worker
-    count a pure execution knob.
-    """
+    """Forward/backward one shard on *model*; harvest grads (+curvature)."""
     model.dropout.rng = shard_dropout_rng(seed, epoch, step, shard)
     model.zero_grad()
     batch = assembler.assemble(indices, reuse_buffers=True)
@@ -137,83 +87,6 @@ def _run_shard(
     )
 
 
-# ---------------------------------------------------------------------------
-# Worker process side.  One module-global worker per process, built by the
-# pool initializer from a codec message; ``fork`` and ``spawn`` start
-# methods both work (the payload travels as plain bytes).
-# ---------------------------------------------------------------------------
-_WORKER: "_ShardWorker | None" = None
-
-
-class _ShardWorker:
-    def __init__(self, init: dict):
-        # Match the coordinator's runtime dtype: with a ``fork`` start
-        # method the child inherits it anyway, but under ``spawn`` (or a
-        # coordinator inside ``dtype_scope``) the fresh interpreter would
-        # silently run float32 and break the bit-identity contract.
-        set_default_dtype(np.dtype(str(init["dtype"])))
-        self.seed = int(init["seed"])
-        examples = _decode_examples(init["examples"])
-        self.assembler = BatchAssembler(examples)
-        self.model = DGCNN(
-            in_features=int(init["feature_width"]),
-            k=int(init["k"]),
-            seed=self.seed,
-        )
-        max_dim = init.get("kfac_max_dim") or None
-        self.collector = (
-            CurvatureCollector(self.model, max_dim=max_dim)
-            if init["collect_curvature"]
-            else None
-        )
-
-    def run(self, task: dict) -> dict:
-        self.model.load_state_dict(list(task["params"]))
-        self.model.train()
-        epoch, step = int(task["epoch"]), int(task["step"])
-        # The coordinator decides per step whether curvature statistics
-        # are due (cov_every amortization) — workers just obey.
-        collector = self.collector if task["collect"] else None
-        shards_out = []
-        for entry in task["shards"]:
-            shard = int(entry["shard"])
-            result = _run_shard(
-                self.model, self.assembler, collector,
-                self.seed, epoch, step, shard, entry["indices"],
-            )
-            shards_out.append(
-                {
-                    "shard": shard,
-                    "n": result.n,
-                    "loss": result.loss,
-                    "grads": result.grads,
-                    "curvature": (
-                        None
-                        if result.curvature is None
-                        else [
-                            None if c is None else {"a": c[0], "g": c[1], "n": c[2]}
-                            for c in result.curvature
-                        ]
-                    ),
-                }
-            )
-        return {"shards": shards_out}
-
-
-def _init_worker(blob: bytes) -> None:
-    global _WORKER
-    from repro.store import codec
-
-    _WORKER = _ShardWorker(codec.loads(blob, kind=_INIT_KIND))
-
-
-def _worker_run(blob: bytes) -> bytes:
-    from repro.store import codec
-
-    assert _WORKER is not None, "worker used before initialization"
-    return codec.dumps(_WORKER.run(codec.loads(blob, kind=_STEP_KIND)), kind=_GRAD_KIND)
-
-
 class DataParallelTrainer(Trainer):
     """Gradient-sharded :class:`~repro.linkpred.trainer.Trainer`.
 
@@ -224,11 +97,6 @@ class DataParallelTrainer(Trainer):
     :func:`~repro.linkpred.trainer.make_trainer`, which routes
     ``grad_shards == 1`` configs to the serial engine.
     """
-
-    def __init__(self, dataset: LinkDataset, config: TrainConfig = TrainConfig()):
-        super().__init__(dataset, config)
-        self._n_workers = min(config.n_train_workers, config.grad_shards)
-        self._pool: ProcessPoolExecutor | None = None
 
     # ---------------------------------------------------------------- kernel
     def _train_step(self, indices: np.ndarray, step_index: int) -> float:
@@ -241,14 +109,7 @@ class DataParallelTrainer(Trainer):
             self.preconditioner is not None
             and self.preconditioner.wants_statistics()
         )
-        if self._n_workers > 1 and len(shards) > 1:
-            results = self._run_shards_pool(
-                self.epoch, step_index, shards, collect
-            )
-        else:
-            results = self._run_shards_local(
-                self.epoch, step_index, shards, collect
-            )
+        results = self._run_shards_local(self.epoch, step_index, shards, collect)
 
         n_total = int(sum(result.n for result in results))
         combined: list[np.ndarray] | None = None
@@ -287,94 +148,6 @@ class DataParallelTrainer(Trainer):
                 for shard, indices in enumerate(shards)
             ]
         finally:
-            # The coordinator's own dropout stream stays unconsumed, so
-            # checkpoints carry the same state the pool path would write.
+            # The trainer's own dropout stream stays unconsumed, so
+            # checkpoints carry only the serial trainer's state.
             self.model.dropout.rng = saved_rng
-
-    def _run_shards_pool(
-        self, epoch: int, step: int, shards: list[np.ndarray], collect: bool
-    ) -> list[_ShardResult]:
-        from repro.store import codec
-
-        pool = self._ensure_pool()
-        per_worker: list[list[dict]] = [[] for _ in range(self._n_workers)]
-        for shard, indices in enumerate(shards):
-            per_worker[shard % self._n_workers].append(
-                {"shard": shard, "indices": np.asarray(indices)}
-            )
-        params = self.model.state_dict()
-        futures = []
-        for worker_shards in per_worker:
-            if not worker_shards:
-                continue
-            blob = codec.dumps(
-                {
-                    "epoch": epoch,
-                    "step": step,
-                    "collect": collect,
-                    "params": params,
-                    "shards": worker_shards,
-                },
-                kind=_STEP_KIND,
-            )
-            futures.append(pool.submit(_worker_run, blob))
-        by_shard: dict[int, _ShardResult] = {}
-        for future in futures:
-            reply = codec.loads(future.result(), kind=_GRAD_KIND)
-            for entry in reply["shards"]:
-                curvature = entry["curvature"]
-                by_shard[int(entry["shard"])] = _ShardResult(
-                    n=int(entry["n"]),
-                    loss=float(entry["loss"]),
-                    grads=list(entry["grads"]),
-                    curvature=(
-                        None
-                        if curvature is None
-                        else [
-                            None if c is None else (c["a"], c["g"], int(c["n"]))
-                            for c in curvature
-                        ]
-                    ),
-                )
-        return [by_shard[shard] for shard in range(len(shards))]
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            from repro.store import codec
-
-            blob = codec.dumps(
-                {
-                    "seed": self.config.seed,
-                    "dtype": str(default_dtype()),
-                    "feature_width": self.dataset.feature_width,
-                    "k": self.model.k,
-                    "collect_curvature": self.preconditioner is not None,
-                    "kfac_max_dim": self.config.kfac_max_dim,
-                    "examples": _encode_examples(self.dataset.train),
-                },
-                kind=_INIT_KIND,
-            )
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._n_workers,
-                initializer=_init_worker,
-                initargs=(blob,),
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the worker pool down (recreated lazily if fit again)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def fit(self, until_epoch: int | None = None):
-        try:
-            return super().fit(until_epoch)
-        finally:
-            self.close()
-
-    def __del__(self):  # best-effort: fit() already closes on every exit
-        try:
-            self.close()
-        except Exception:
-            pass

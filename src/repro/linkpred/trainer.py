@@ -103,10 +103,6 @@ class TrainConfig:
             size, reduced in shard order), so the trajectory depends on
             it but on nothing about how the shards are executed.  ``1``
             is exactly the single-batch formulation.
-        n_train_workers: *execution* knob — how many processes the
-            shards of a step are distributed over (capped at
-            ``grad_shards``).  Any value produces bit-identical results,
-            so the artifact store normalizes it out of the config token.
         checkpoint_path: where :class:`Trainer` persists its state.
         checkpoint_every: save a checkpoint every N epochs (``0`` = only
             the final one; ignored without ``checkpoint_path``).
@@ -129,7 +125,6 @@ class TrainConfig:
     kfac_cov_every: int = 1
     kfac_max_dim: int = 0
     grad_shards: int = 1
-    n_train_workers: int = 1
     checkpoint_path: str | None = None
     checkpoint_every: int = 0
     resume: bool = False
@@ -149,10 +144,6 @@ class TrainConfig:
         if self.kfac_max_dim < 0:
             raise ValueError(
                 f"kfac_max_dim must be >= 0, got {self.kfac_max_dim}"
-            )
-        if self.n_train_workers < 1:
-            raise ValueError(
-                f"n_train_workers must be >= 1, got {self.n_train_workers}"
             )
 
 
@@ -703,11 +694,9 @@ def make_trainer(dataset: LinkDataset, config: TrainConfig = TrainConfig()):
     """Build the right training engine for *config*.
 
     ``grad_shards == 1`` (the default) is the serial :class:`Trainer` —
-    the exact historical formulation, whatever ``n_train_workers`` says
-    (one shard cannot be distributed).  ``grad_shards > 1`` returns a
+    the exact historical formulation.  ``grad_shards > 1`` returns a
     :class:`~repro.linkpred.parallel.DataParallelTrainer`, whose
-    trajectory is a function of the shard count alone: the worker count
-    only changes which process executes each shard.
+    trajectory is a function of the shard count.
     """
     if config.grad_shards > 1:
         from repro.linkpred.parallel import DataParallelTrainer

@@ -5,12 +5,9 @@ Runtime dtype policy: float32 by default, switchable to float64 via the
 :func:`dtype_scope` (gradient checks need float64).  Inference paths run
 under :func:`no_grad` to skip tape recording entirely.
 
-Sparse kernel policy: the graph convolutions run on the block-sparse
-engine in :mod:`repro.nn.sparse`; ``REPRO_SPMM`` (or
-:func:`set_spmm_backend` / :func:`spmm_scope`) selects the kernel family —
-``scipy`` (default), ``ell`` (batched-ELL numpy) or ``numba`` (JIT, falls
-back to ``ell`` when numba is missing).  All backends are bit-identical
-in float64.
+Sparse kernel policy: the graph convolutions run on scipy's C CSR
+kernels through :class:`~repro.nn.sparse.SparseOp`, bit-identical to
+``csr @ dense``.
 """
 
 from repro.nn.curvature import CurvatureCollector, collecting, record, tap_active
@@ -33,16 +30,7 @@ from repro.nn.functional import (
 )
 from repro.nn.layers import Conv1d, Dropout, GraphConv, Linear, Module
 from repro.nn.optim import KFAC, SGD, Adam
-from repro.nn.sparse import (
-    BlockEll,
-    SparseOp,
-    as_sparse_op,
-    csr_from_parts,
-    numba_available,
-    set_spmm_backend,
-    spmm_backend,
-    spmm_scope,
-)
+from repro.nn.sparse import SparseOp, as_sparse_op, csr_from_parts
 from repro.nn.tensor import (
     Tensor,
     Workspace,
@@ -79,14 +67,9 @@ __all__ = [
     "sortpool_conv",
     "stack_columns",
     "gather_rows",
-    "BlockEll",
     "SparseOp",
     "as_sparse_op",
     "csr_from_parts",
-    "numba_available",
-    "spmm_backend",
-    "set_spmm_backend",
-    "spmm_scope",
     "segment_sum",
     "segment_mean",
     "segment_max",

@@ -298,8 +298,8 @@ def graph_conv(
     """Fused DGCNN graph convolution ``tanh( A (H W) )`` (paper Eq. 4).
 
     One autograd node instead of three (matmul → spmm → tanh), with the
-    sparse products running through the block-sparse engine
-    (:mod:`repro.nn.sparse`): the operator's CSR/ELL layouts are cached on
+    sparse products running through the sparse engine
+    (:mod:`repro.nn.sparse`): the operator's scipy view is cached on
     the :class:`~repro.nn.sparse.SparseOp`, so passing a batch's cached
     operator (``GraphBatch.operator``) converts formats once per batch
     instead of once per layer per step, and the backward transpose product
@@ -326,8 +326,8 @@ def graph_conv(
             from the GEMM only in floating-point summation order.
 
     Bit-identical to the unfused scipy composition — the same kernels run
-    in the same order under every ``REPRO_SPMM`` backend (the
-    ``feature_cols`` shortcut reorders the ``H W`` summation and is opt-in).
+    in the same order (the ``feature_cols`` shortcut reorders the ``H W``
+    summation and is opt-in).
     """
     from repro.nn.sparse import as_sparse_op
 

@@ -1,51 +1,24 @@
-"""Block-sparse spmm engine for the DGCNN's normalized graph operators.
+"""Sparse spmm engine for the DGCNN's normalized graph operators.
 
 The training/inference hot path multiplies one block-diagonal
 ``D^-1 (A + I)`` operator per batch against dense node matrices, four
 layers forward and four transposed products backward, every step.  This
-module owns that product.  It provides
+module owns that product through :class:`SparseOp`, the operator wrapper
+the batcher hands to the network.  It caches the scipy view so format
+conversion happens **once per batch**, never once per layer per step,
+and its :meth:`~SparseOp.matmul` / :meth:`~SparseOp.matmul_t` kernels
+accept preallocated outputs so steady-state training allocates nothing.
 
-* :class:`SparseOp` — the operator wrapper the batcher hands to the
-  network.  It caches every derived form (CSR arrays, the batched-ELL
-  layout, the transposed ELL layout) so format conversion happens **once
-  per batch**, never once per layer per step, and its
-  :meth:`~SparseOp.matmul` / :meth:`~SparseOp.matmul_t` kernels accept
-  preallocated outputs so steady-state training allocates nothing.
-* :class:`BlockEll` — a batched-ELL layout: the many small,
-  similar-degree per-example blocks of a batch operator are packed into
-  two padded row-major ``(n_rows, width)`` arrays (column indices and
-  values, padded with index 0 / value 0).  The regular layout is what a
-  JIT row-parallel kernel wants; it is also how the per-example blocks of
-  a :class:`~repro.gnn.BatchAssembler` stitch into a shuffled batch by
-  pure array copies.
-* a **kernel registry** selected by ``REPRO_SPMM`` (or
-  :func:`set_spmm_backend` / :func:`spmm_scope`):
-
-  - ``scipy`` (default) — scipy's C CSR kernel, invoked directly through
-    ``scipy.sparse._sparsetools`` with a preallocated output, skipping the
-    ``__matmul__`` dispatch/validation layer.  The transposed product runs
-    the CSC kernel **on the same CSR arrays** (CSR of ``A`` is CSC of
-    ``A^T``), so no transpose is ever materialized.
-  - ``ell`` — the batched-ELL layout with a vectorized numpy core.  Pure
-    numpy, no private-API use; slower than the C kernel at the paper's
-    feature widths, it exists as the portable reference and as the layout
-    the JIT path consumes.
-  - ``numba`` — the batched-ELL layout compiled with numba (row-parallel
-    ``prange``).  Falls back to ``ell`` with a warning when numba is not
-    installed.
-
-Every kernel accumulates each output row in the operator's storage order,
-so all backends produce **bit-identical** results in float64 (and, on
-every platform tested, in float32 as well); the parity suite in
-``tests/nn/test_sparse.py`` enforces this.
+Both products call scipy's C CSR kernel directly through
+``scipy.sparse._sparsetools`` with a preallocated output, skipping the
+``__matmul__`` dispatch/validation layer.  The transposed product runs
+the CSC kernel **on the same CSR arrays** (CSR of ``A`` is CSC of
+``A^T``), so no transpose is ever materialized.  Results are
+**bit-identical** to ``csr @ dense`` / ``csr.T @ dense``; the parity
+suite in ``tests/nn/test_sparse.py`` enforces this.
 """
 
 from __future__ import annotations
-
-import os
-import warnings
-from contextlib import contextmanager
-from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,70 +31,7 @@ except ImportError:  # pragma: no cover - scipy always ships it today
     _sparsetools = None
     _HAVE_SPARSETOOLS = False
 
-__all__ = [
-    "BlockEll",
-    "SparseOp",
-    "as_sparse_op",
-    "csr_from_parts",
-    "spmm_backend",
-    "set_spmm_backend",
-    "spmm_scope",
-    "numba_available",
-]
-
-_BACKENDS = ("scipy", "ell", "numba")
-
-
-def numba_available() -> bool:
-    """Whether the numba JIT backend can actually run."""
-    try:
-        import numba  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
-
-
-def _resolve_backend(name: str) -> str:
-    name = name.lower()
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"unsupported spmm backend {name!r}; choose from {_BACKENDS}"
-        )
-    if name == "numba" and not numba_available():
-        warnings.warn(
-            "REPRO_SPMM=numba requested but numba is not installed; "
-            "falling back to the numpy batched-ELL backend",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return "ell"
-    return name
-
-
-_active_backend: str = _resolve_backend(os.environ.get("REPRO_SPMM", "scipy"))
-
-
-def spmm_backend() -> str:
-    """The active spmm kernel family (``scipy`` / ``ell`` / ``numba``)."""
-    return _active_backend
-
-
-def set_spmm_backend(name: str) -> None:
-    """Switch the spmm kernel family at runtime (see module docstring)."""
-    global _active_backend
-    _active_backend = _resolve_backend(name)
-
-
-@contextmanager
-def spmm_scope(name: str) -> Iterator[None]:
-    """Temporarily switch the spmm backend (restores on exit)."""
-    previous = _active_backend
-    set_spmm_backend(name)
-    try:
-        yield
-    finally:
-        set_spmm_backend(previous)
+__all__ = ["SparseOp", "as_sparse_op", "csr_from_parts"]
 
 
 def csr_from_parts(
@@ -145,115 +55,17 @@ def csr_from_parts(
     return matrix
 
 
-# ---------------------------------------------------------------- ELL layout
-class BlockEll:
-    """Padded row-major ELL storage of a sparse operator.
-
-    ``indices``/``values`` are ``(n_rows, width)`` with ``width`` the
-    maximum row population; row entries keep CSR order and the tail is
-    padded with index 0 / value 0 (a zero-valued tap against any valid
-    row contributes exactly ``+0.0``, so padding never changes results).
-    """
-
-    __slots__ = ("indices", "values", "shape")
-
-    def __init__(
-        self, indices: np.ndarray, values: np.ndarray, shape: tuple[int, int]
-    ):
-        self.indices = indices
-        self.values = values
-        self.shape = shape
-
-    @property
-    def width(self) -> int:
-        return self.indices.shape[1]
-
-    @classmethod
-    def from_csr(cls, matrix: sp.csr_matrix) -> "BlockEll":
-        """Pack a CSR matrix into ELL form (one vectorized scatter)."""
-        indptr = matrix.indptr
-        counts = np.diff(indptr)
-        n_rows = matrix.shape[0]
-        width = int(counts.max()) if counts.size else 0
-        if width == 0 or matrix.nnz == 0:
-            empty = np.zeros((n_rows, 0))
-            return cls(
-                empty.astype(np.int64),
-                empty.astype(matrix.data.dtype),
-                matrix.shape,
-            )
-        taps = np.arange(width)
-        pos = np.minimum(indptr[:-1, None] + taps[None, :], matrix.nnz - 1)
-        mask = taps[None, :] < counts[:, None]
-        indices = np.where(mask, matrix.indices[pos], 0).astype(np.int64)
-        values = np.where(mask, matrix.data[pos], 0).astype(
-            matrix.data.dtype, copy=False
-        )
-        return cls(indices, values, matrix.shape)
-
-    def matmul(self, dense: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``A @ dense`` through the active ELL kernel (numpy or numba)."""
-        if out is None:
-            out = np.empty((self.shape[0], dense.shape[1]), dtype=dense.dtype)
-        if self.width == 0:
-            out[...] = 0.0
-            return out
-        if _active_backend == "numba":
-            _numba_ell_matmul()(self.indices, self.values, dense, out)
-            return out
-        # Tap-by-tap accumulation reproduces the CSR kernel's per-row
-        # left-to-right summation order exactly — bit-identical results in
-        # every dtype.  (einsum would be marginally faster but reorders the
-        # reduction for narrow operands, losing bitwise parity.)
-        values = self.values
-        if values.dtype != dense.dtype:
-            values = values.astype(dense.dtype)
-        np.multiply(dense[self.indices[:, 0]], values[:, 0, None], out=out)
-        for tap in range(1, self.width):
-            out += values[:, tap, None] * dense[self.indices[:, tap]]
-        return out
-
-
-_NUMBA_KERNEL = None
-
-
-def _numba_ell_matmul():
-    """Compile (once) and return the row-parallel numba ELL kernel."""
-    global _NUMBA_KERNEL
-    if _NUMBA_KERNEL is None:
-        import numba
-
-        @numba.njit(parallel=True, fastmath=False, cache=False)
-        def ell_matmul(indices, values, dense, out):  # pragma: no cover - JIT
-            n_rows, width = indices.shape
-            n_cols = dense.shape[1]
-            for i in numba.prange(n_rows):
-                for c in range(n_cols):
-                    out[i, c] = 0.0
-                for j in range(width):
-                    v = values[i, j]
-                    k = indices[i, j]
-                    for c in range(n_cols):
-                        out[i, c] += v * dense[k, c]
-
-        _NUMBA_KERNEL = ell_matmul
-    return _NUMBA_KERNEL
-
-
 # ------------------------------------------------------------- the operator
 class SparseOp:
     """A sparse operator with cached layouts and zero-overhead kernels.
 
-    Wraps one ``D^-1 (A + I)`` (or any CSR) matrix.  All derived forms —
-    the scipy matrix, the batched-ELL layout, the transposed-ELL layout —
-    are built at most once and cached, so the four graph-convolution
-    layers of a forward/backward pass share one conversion instead of
+    Wraps one ``D^-1 (A + I)`` (or any CSR) matrix.  The scipy view is
+    built at most once and cached, so the four graph-convolution layers
+    of a forward/backward pass share one conversion instead of
     re-deriving formats per call.
     """
 
-    __slots__ = (
-        "shape", "data", "indices", "indptr", "_csr", "_ell", "_ell_t",
-    )
+    __slots__ = ("shape", "data", "indices", "indptr", "_csr")
 
     def __init__(
         self,
@@ -268,8 +80,6 @@ class SparseOp:
         self.indices = indices
         self.indptr = indptr
         self._csr = csr
-        self._ell: BlockEll | None = None
-        self._ell_t: BlockEll | None = None
 
     @classmethod
     def from_csr(cls, matrix: sp.spmatrix) -> "SparseOp":
@@ -301,32 +111,6 @@ class SparseOp:
             )
         return self._csr
 
-    @property
-    def ell(self) -> BlockEll:
-        """The batched-ELL layout (built lazily, cached)."""
-        if self._ell is None:
-            self._ell = BlockEll.from_csr(self.csr)
-        return self._ell
-
-    @property
-    def ell_t(self) -> BlockEll:
-        """ELL layout of the transposed operator (built lazily, cached)."""
-        if self._ell_t is None:
-            self._ell_t = BlockEll.from_csr(self.csr.T.tocsr())
-        return self._ell_t
-
-    def prepare(self, backend: str | None = None) -> "SparseOp":
-        """Prebuild the layouts *backend* needs (default: the active one).
-
-        Batch caches call this once per split so no forward pass ever pays
-        a conversion.  Returns ``self`` for chaining.
-        """
-        backend = backend or _active_backend
-        if backend in ("ell", "numba"):
-            self.ell
-            self.ell_t
-        return self
-
     # ------------------------------------------------------------- kernels
     def _fast_path(self, dense: np.ndarray, out: np.ndarray | None) -> bool:
         return (
@@ -339,10 +123,8 @@ class SparseOp:
     def matmul(self, dense: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``A @ dense`` into *out* (allocated when ``None``).
 
-        Bit-identical to ``self.csr @ dense`` under every backend.
+        Bit-identical to ``self.csr @ dense``.
         """
-        if _active_backend != "scipy":
-            return self.ell.matmul(dense, out=out)
         if not self._fast_path(dense, out):
             result = self.csr @ dense
             if out is None:
@@ -367,12 +149,10 @@ class SparseOp:
     def matmul_t(self, dense: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``A.T @ dense`` into *out* — no transpose is ever materialized.
 
-        The CSR arrays of ``A`` *are* the CSC arrays of ``A^T``, so the
-        scipy backend runs the CSC kernel on the original arrays;
-        bit-identical to ``self.csr.T @ dense``.
+        The CSR arrays of ``A`` *are* the CSC arrays of ``A^T``, so this
+        runs the CSC kernel on the original arrays; bit-identical to
+        ``self.csr.T @ dense``.
         """
-        if _active_backend != "scipy":
-            return self.ell_t.matmul(dense, out=out)
         if not self._fast_path(dense, out):
             result = self.csr.T @ dense
             if out is None:

@@ -95,14 +95,14 @@ def config_token(config) -> str:
 
     The post-processing ``threshold`` is normalized out (Fig. 9 rescales
     a cached result without retraining) and so are the pure execution
-    knobs — ``n_workers``, ``score_prefetch``, ``n_train_workers``,
-    checkpoint/log plumbing — which are guaranteed not to move a single
-    bit of the result.  The numeric runtime dtype *is* folded in
-    (float32 and float64 runs are different artifacts), and so are the
-    optimizer choice and the gradient shard count: both change the
-    training trajectory.  The K-FAC hyper-parameters appear only when
-    the optimizer is ``"kfac"`` — under Adam they are inert, and keying
-    on inert knobs would split identical results across addresses.
+    knobs — ``score_prefetch``, checkpoint/log plumbing — which are
+    guaranteed not to move a single bit of the result.  The numeric
+    runtime dtype *is* folded in (float32 and float64 runs are different
+    artifacts), and so are the optimizer choice and the gradient shard
+    count: both change the training trajectory.  The K-FAC
+    hyper-parameters appear only when the optimizer is ``"kfac"`` — under
+    Adam they are inert, and keying on inert knobs would split identical
+    results across addresses.
     """
     from repro.nn import default_dtype
 

@@ -15,7 +15,6 @@ from repro.bus import (
     resolve_bus,
 )
 from repro.experiments import SMOKE_SCALE, make_cell
-from repro.experiments.common import resolve_worker_count
 from repro.experiments.runner import AttackJob
 
 
@@ -173,23 +172,6 @@ def test_resolve_bus_names_and_errors(tmp_path, monkeypatch):
     assert isinstance(bus, SpoolBus)
     passthrough = LocalBus()
     assert resolve_bus(passthrough) is passthrough
-
-
-def test_auto_worker_policy_resolves_in_process(monkeypatch):
-    # Measured on this 24-core host: extraction pools and pooled gradient
-    # shards never break even, so `auto` must pick the in-process path.
-    assert resolve_worker_count("auto", "workers") == 0
-    assert resolve_worker_count("auto", "train_workers") == 1
-    assert resolve_worker_count("3", "workers") == 3
-    assert resolve_worker_count(2, "train_workers") == 2
-    with pytest.raises(KeyError):
-        resolve_worker_count(1, "nope")
-
-    monkeypatch.setenv("REPRO_WORKERS", "auto")
-    monkeypatch.setenv("REPRO_TRAIN_WORKERS", "auto")
-    config = SMOKE_SCALE.attack_config(seed=0)
-    assert config.n_workers == 0
-    assert config.train.n_train_workers == 1
 
 
 # ---------------------------------------------------------------------------

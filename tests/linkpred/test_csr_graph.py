@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 
 from repro.benchgen import benchmark_names, load_benchmark, random_netlist
 from repro.linkpred import (
-    build_link_dataset,
-    build_target_examples,
     extract_attack_graph,
     extract_enclosing_subgraph,
     extract_enclosing_subgraphs,
@@ -151,25 +149,3 @@ def test_batched_extraction_validates_input():
     with pytest.raises(ValueError):
         extract_enclosing_subgraphs(graph, [(0, 1)], h=0)
     assert extract_enclosing_subgraphs(graph, [], h=2) == []
-
-
-# ------------------------------------------------------------ worker pool
-def test_dataset_identical_across_worker_counts():
-    graph = locked_graph(seed=7, key_size=8, n_gates=160)
-    sample = sample_links(graph, max_links=80, seed=7)
-    serial = build_link_dataset(graph, sample, h=2, n_workers=0)
-    pooled = build_link_dataset(graph, sample, h=2, n_workers=2)
-    assert serial.max_label == pooled.max_label
-    assert serial.feature_width == pooled.feature_width
-    for a, b in zip(
-        serial.train + serial.validation, pooled.train + pooled.validation
-    ):
-        assert a.n_nodes == b.n_nodes
-        assert a.label == b.label
-        np.testing.assert_array_equal(a.edges, b.edges)
-        np.testing.assert_array_equal(a.features, b.features)
-    targets_serial = build_target_examples(graph, serial)
-    targets_pooled = build_target_examples(graph, serial, n_workers=2)
-    for a, b in zip(targets_serial, targets_pooled):
-        assert a.select_value == b.select_value
-        np.testing.assert_array_equal(a.example.features, b.example.features)

@@ -1,6 +1,5 @@
-"""Data-parallel training tests: the grad_shards/n_train_workers split —
-sharded trajectories are a function of the shard count alone, worker
-count is a pure execution knob (bit-identical curves and weights)."""
+"""Data-parallel training tests: sharded trajectories are a function of
+the shard count alone, and one shard is exactly the serial trainer."""
 
 import numpy as np
 import pytest
@@ -31,12 +30,9 @@ def assert_same_run(a, b):
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
-def test_make_trainer_routes_on_grad_shards_not_workers():
+def test_make_trainer_routes_on_grad_shards():
     dataset = toy_dataset()
     assert type(make_trainer(dataset, cfg())) is SerialTrainer
-    # One shard cannot be distributed: worker count alone never engages
-    # the data-parallel engine.
-    assert type(make_trainer(dataset, cfg(n_train_workers=4))) is SerialTrainer
     assert isinstance(
         make_trainer(dataset, cfg(grad_shards=2)), DataParallelTrainer
     )
@@ -45,8 +41,6 @@ def test_make_trainer_routes_on_grad_shards_not_workers():
 def test_config_validation():
     with pytest.raises(ValueError):
         cfg(grad_shards=0)
-    with pytest.raises(ValueError):
-        cfg(n_train_workers=0)
     with pytest.raises(ValueError):
         cfg(optimizer="sgd")
 
@@ -67,39 +61,14 @@ def test_shard_dropout_rng_is_deterministic_and_distinct():
 
 
 # ---------------------------------------------------------------------------
-# worker-count invariance (the headline contract)
+# sharded trajectories
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("optimizer", ["adam", "kfac"])
-def test_serial_and_pooled_shards_are_bit_identical(optimizer):
-    """n_train_workers ∈ {1, 2} over fixed grad_shards: same float
-    trajectory, same weights, bit for bit."""
-    run_one = make_trainer(
-        toy_dataset(), cfg(grad_shards=2, n_train_workers=1, optimizer=optimizer)
-    ).fit()
-    run_two = make_trainer(
-        toy_dataset(), cfg(grad_shards=2, n_train_workers=2, optimizer=optimizer)
-    ).fit()
-    assert_same_run(run_one, run_two)
-
-
 def test_single_shard_matches_serial_trainer_exactly():
     """grad_shards=1 through the factory IS the serial engine: identical
     object type and identical trajectory to a plain Trainer."""
     serial = Trainer(toy_dataset(), cfg()).fit()
-    routed = make_trainer(toy_dataset(), cfg(n_train_workers=3)).fit()
+    routed = make_trainer(toy_dataset(), cfg()).fit()
     assert_same_run(serial, routed)
-
-
-def test_sharded_loss_is_float64_stable_across_workers():
-    """Loss curves compared as float64 — the acceptance criterion's
-    formulation — across worker counts."""
-    curves = []
-    for workers in (1, 2):
-        _, history = make_trainer(
-            toy_dataset(), cfg(grad_shards=3, n_train_workers=workers)
-        ).fit()
-        curves.append(np.asarray(history.train_loss, dtype=np.float64))
-    np.testing.assert_array_equal(curves[0], curves[1])
 
 
 def test_more_shards_than_examples_in_a_batch():
@@ -107,7 +76,7 @@ def test_more_shards_than_examples_in_a_batch():
     deterministically (no NaNs, no division by zero)."""
     # 36 train examples, batch 10 -> final batch of 6 with 8 shards.
     _, history = make_trainer(
-        toy_dataset(), cfg(grad_shards=8, n_train_workers=2)
+        toy_dataset(), cfg(grad_shards=8)
     ).fit()
     assert np.isfinite(history.train_loss).all()
 
@@ -116,32 +85,17 @@ def test_more_shards_than_examples_in_a_batch():
 # checkpoint interop
 # ---------------------------------------------------------------------------
 def test_sharded_checkpoint_resume_is_bit_identical(tmp_path):
-    path = str(tmp_path / "ck.npz")
-    config = cfg(grad_shards=2, epochs=4)
-    full = make_trainer(toy_dataset(), config).fit()
+    """Shard dropout streams are re-derived, never persisted, so a resumed
+    sharded run (Adam or K-FAC) matches the uninterrupted one bit for bit."""
+    for optimizer in ("adam", "kfac"):
+        path = str(tmp_path / f"ck-{optimizer}.npz")
+        config = cfg(grad_shards=2, epochs=4, optimizer=optimizer)
+        full = make_trainer(toy_dataset(), config).fit()
 
-    partial = make_trainer(toy_dataset(), config)
-    partial.fit(until_epoch=2)
-    partial.save_checkpoint(path)
+        partial = make_trainer(toy_dataset(), config)
+        partial.fit(until_epoch=2)
+        partial.save_checkpoint(path)
 
-    resumed = make_trainer(toy_dataset(), config)
-    resumed.load_checkpoint(path)
-    assert_same_run(full, resumed.fit())
-
-
-def test_sharded_checkpoint_is_worker_count_portable(tmp_path):
-    """A checkpoint written under the pool resumes in-process (and vice
-    versa) bit-identically: the coordinator's RNG streams are the only
-    ones persisted, and shard streams are re-derived."""
-    path = str(tmp_path / "ck.npz")
-    config_pool = cfg(grad_shards=2, n_train_workers=2, epochs=4)
-    config_local = cfg(grad_shards=2, n_train_workers=1, epochs=4)
-    full = make_trainer(toy_dataset(), config_local).fit()
-
-    partial = make_trainer(toy_dataset(), config_pool)
-    partial.fit(until_epoch=2)
-    partial.save_checkpoint(path)
-
-    resumed = make_trainer(toy_dataset(), config_local)
-    resumed.load_checkpoint(path)
-    assert_same_run(full, resumed.fit())
+        resumed = make_trainer(toy_dataset(), config)
+        resumed.load_checkpoint(path)
+        assert_same_run(full, resumed.fit())

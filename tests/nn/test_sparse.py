@@ -1,11 +1,13 @@
-"""Parity and gradient tests for the block-sparse spmm engine.
+"""Parity and gradient tests for the sparse spmm engine.
 
-Every backend (``scipy``, ``ell``, and ``numba`` when installed) must be
-**bit-identical** to the plain scipy composition in float64; in float32
-the kernels are order-exact by construction, and the documented guarantee
-is agreement within ``rtol=1e-6`` (in practice the parity is bitwise
-there too).  Fixtures cover the block shapes the batcher produces: empty
-graphs, isolated nodes, degree-skewed stars and random batches.
+:class:`SparseOp` must be **bit-identical** to the plain scipy
+composition in float64; in float32 the kernels are order-exact by
+construction, and the documented guarantee is agreement within
+``rtol=1e-6`` (in practice the parity is bitwise there too).  Both ways
+an operator is built are covered — from a scipy matrix (``scipy``) and
+stitched from per-example arrays by :class:`BatchAssembler`
+(``assembled``).  Fixtures cover the block shapes the batcher produces:
+empty graphs, isolated nodes, degree-skewed stars and random batches.
 
 The module-level ``float64_runtime`` fixture (see ``conftest.py``) keeps
 the gradient checks in float64.
@@ -15,9 +17,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.gnn import BatchAssembler, BatchCache, GraphExample, build_batch
+from repro.gnn import BatchAssembler, GraphExample, build_batch
 from repro.nn import (
-    BlockEll,
     SparseOp,
     Tensor,
     Workspace,
@@ -26,15 +27,11 @@ from repro.nn import (
     dtype_scope,
     gather_stack,
     graph_conv,
-    numba_available,
-    set_spmm_backend,
-    spmm_backend,
-    spmm_scope,
     stack_columns,
 )
 from repro.nn.tensor import concat
 
-BACKENDS = ["scipy", "ell"] + (["numba"] if numba_available() else [])
+SOURCES = ["scipy", "assembled"]
 
 
 def _example(rng, n, kind="random"):
@@ -54,7 +51,21 @@ def _example(rng, n, kind="random"):
     return GraphExample(n, edges, features, label=int(rng.integers(0, 2)))
 
 
-def parity_operators(rng):
+def batch_operator(source, examples):
+    """``(operator, csr)`` of *examples* fused into one batch.
+
+    ``scipy`` wraps the :func:`build_batch` matrix; ``assembled`` is the
+    operator :class:`BatchAssembler` stitches for a shuffled order.
+    """
+    if source == "scipy":
+        matrix = build_batch(examples).norm_adj
+        return SparseOp.from_csr(matrix), matrix.tocsr()
+    order = np.random.default_rng(len(examples)).permutation(len(examples))
+    batch = BatchAssembler(examples).assemble(order)
+    return batch.operator, batch.norm_adj.tocsr()
+
+
+def parity_operators(rng, source="scipy"):
     """Operators exercising every block shape the batcher can produce."""
     singles = [
         _example(rng, 1, "empty"),
@@ -63,85 +74,59 @@ def parity_operators(rng):
         _example(rng, 41, "star"),
         _example(rng, 12),
     ]
-    ops = [build_batch([e]).norm_adj for e in singles]
-    mixed = build_batch(singles + [_example(rng, int(rng.integers(2, 30))) for _ in range(6)])
-    ops.append(mixed.norm_adj)
-    return ops
+    mixed = singles + [_example(rng, int(rng.integers(2, 30))) for _ in range(6)]
+    return [batch_operator(source, [e]) for e in singles] + [
+        batch_operator(source, mixed)
+    ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_matmul_parity_float64_bitwise(backend):
+@pytest.mark.parametrize("source", SOURCES)
+def test_matmul_parity_float64_bitwise(source):
     rng = np.random.default_rng(0)
-    for matrix in parity_operators(rng):
+    for op, matrix in parity_operators(rng, source):
         dense = rng.standard_normal((matrix.shape[0], 5))
-        reference = matrix.tocsr() @ dense
-        reference_t = matrix.tocsr().T @ dense
-        op = SparseOp.from_csr(matrix)
-        with spmm_scope(backend):
-            assert np.array_equal(op.matmul(dense), reference)
-            assert np.array_equal(op.matmul_t(dense), reference_t)
-            # preallocated outputs, including strided destinations
-            out = np.empty_like(reference)
-            assert np.array_equal(op.matmul(dense, out=out), reference)
-            wide = np.empty((matrix.shape[0], 10))
-            view = wide[:, 2:7]
-            op.matmul(dense, out=view)
-            assert np.array_equal(view, reference)
+        reference = matrix @ dense
+        reference_t = matrix.T @ dense
+        assert np.array_equal(op.matmul(dense), reference)
+        assert np.array_equal(op.matmul_t(dense), reference_t)
+        # preallocated outputs, including strided destinations
+        out = np.empty_like(reference)
+        assert np.array_equal(op.matmul(dense, out=out), reference)
+        wide = np.empty((matrix.shape[0], 10))
+        view = wide[:, 2:7]
+        op.matmul(dense, out=view)
+        assert np.array_equal(view, reference)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_matmul_parity_float32(backend):
+@pytest.mark.parametrize("source", SOURCES)
+def test_matmul_parity_float32(source):
     """float32 guarantee: rtol 1e-6 (order-exact kernels are bitwise)."""
     rng = np.random.default_rng(1)
     with dtype_scope(np.float32):
-        for matrix in parity_operators(rng):
+        for op, matrix in parity_operators(rng, source):
             dense = rng.standard_normal((matrix.shape[0], 5)).astype(np.float32)
-            reference = matrix.tocsr() @ dense
-            reference_t = matrix.tocsr().T @ dense
-            op = SparseOp.from_csr(matrix)
-            with spmm_scope(backend):
-                np.testing.assert_allclose(
-                    op.matmul(dense), reference, rtol=1e-6, atol=1e-7
-                )
-                np.testing.assert_allclose(
-                    op.matmul_t(dense), reference_t, rtol=1e-6, atol=1e-7
-                )
+            np.testing.assert_allclose(
+                op.matmul(dense), matrix @ dense, rtol=1e-6, atol=1e-7
+            )
+            np.testing.assert_allclose(
+                op.matmul_t(dense), matrix.T @ dense, rtol=1e-6, atol=1e-7
+            )
 
 
 def test_single_column_dense_parity():
     """The 1-channel layer's shape — where reduction reorders once bit."""
     rng = np.random.default_rng(2)
-    for matrix in parity_operators(rng):
+    for op, matrix in parity_operators(rng):
         dense = rng.standard_normal((matrix.shape[0], 1))
-        op = SparseOp.from_csr(matrix)
-        with spmm_scope("ell"):
-            assert np.array_equal(op.matmul(dense), matrix.tocsr() @ dense)
-
-
-def test_blockell_layout():
-    rng = np.random.default_rng(3)
-    matrix = build_batch([_example(rng, 41, "star")]).norm_adj.tocsr()
-    ell = BlockEll.from_csr(matrix)
-    counts = np.diff(matrix.indptr)
-    assert ell.width == counts.max()
-    # padded tails carry index 0 / value 0
-    taps = np.arange(ell.width)[None, :]
-    pad = taps >= counts[:, None]
-    assert (ell.values[pad] == 0).all()
-    assert (ell.indices[pad] == 0).all()
-    # stored entries keep CSR order
-    row = int(np.argmax(counts))
-    start, stop = matrix.indptr[row], matrix.indptr[row + 1]
-    assert np.array_equal(ell.indices[row, : stop - start], matrix.indices[start:stop])
+        assert np.array_equal(op.matmul(dense), matrix @ dense)
+        assert np.array_equal(op.matmul_t(dense), matrix.T @ dense)
 
 
 def test_empty_operator():
     op = SparseOp.from_csr(sp.csr_matrix((3, 3)))
     dense = np.arange(6.0).reshape(3, 2)
-    for backend in BACKENDS:
-        with spmm_scope(backend):
-            assert np.array_equal(op.matmul(dense), np.zeros((3, 2)))
-            assert np.array_equal(op.matmul_t(dense), np.zeros((3, 2)))
+    assert np.array_equal(op.matmul(dense), np.zeros((3, 2)))
+    assert np.array_equal(op.matmul_t(dense), np.zeros((3, 2)))
 
 
 def test_csr_from_parts_matches_checked_constructor():
@@ -161,9 +146,7 @@ def test_as_sparse_op_passthrough_and_caching():
     matrix = build_batch([_example(rng, 9)]).norm_adj
     op = as_sparse_op(matrix)
     assert as_sparse_op(op) is op
-    assert op.ell is op.ell  # cached
-    assert op.ell_t is op.ell_t
-    assert op.csr is op.csr
+    assert op.csr is op.csr  # cached
 
 
 def test_graph_batch_operator_cached_and_preseeded():
@@ -174,56 +157,6 @@ def test_graph_batch_operator_cached_and_preseeded():
     assembler = BatchAssembler(examples)
     assembled = assembler.assemble(np.arange(len(examples)))
     assert "operator" in assembled.__dict__  # pre-seeded, not rebuilt
-
-
-@pytest.mark.parametrize("backend", ["ell"] + (["numba"] if numba_available() else []))
-def test_assembler_stitched_ell_matches_from_csr(backend):
-    """Per-example ELL blocks stitched once per split == per-batch build."""
-    rng = np.random.default_rng(7)
-    examples = [
-        _example(rng, int(rng.integers(2, 25)), kind)
-        for kind in ("random", "star", "empty", "random", "isolated", "random")
-    ]
-    with spmm_scope(backend):
-        assembler = BatchAssembler(examples)
-        order = rng.permutation(len(examples))
-        batch = assembler.assemble(order)
-        op = batch.operator
-        assert op._ell is not None  # stitched at assemble time
-        dense = rng.standard_normal((batch.n_nodes, 3))
-        assert np.array_equal(op.matmul(dense), batch.norm_adj.tocsr() @ dense)
-        assert np.array_equal(
-            op.matmul_t(dense), batch.norm_adj.tocsr().T @ dense
-        )
-
-
-def test_batch_cache_prepares_operators():
-    rng = np.random.default_rng(8)
-    examples = [_example(rng, int(rng.integers(3, 15))) for _ in range(7)]
-    with spmm_scope("ell"):
-        cache = BatchCache(examples, batch_size=3)
-        for batch in cache:
-            assert batch.operator._ell is not None
-            assert batch.operator._ell_t is not None
-
-
-def test_backend_selection_and_scope():
-    previous = spmm_backend()
-    with spmm_scope("ell"):
-        assert spmm_backend() == "ell"
-        with spmm_scope("scipy"):
-            assert spmm_backend() == "scipy"
-        assert spmm_backend() == "ell"
-    assert spmm_backend() == previous
-    with pytest.raises(ValueError):
-        set_spmm_backend("cusparse")
-
-
-@pytest.mark.skipif(numba_available(), reason="numba installed; no fallback")
-def test_numba_fallback_warns():
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        with spmm_scope("numba"):
-            assert spmm_backend() == "ell"
 
 
 # ---------------------------------------------------------------- gradients
@@ -242,49 +175,50 @@ def _num_grad(fn, array, eps=1e-6):
     return grad
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_graph_conv_gradients(backend):
-    """Analytic spmm backward vs central differences, per backend."""
+@pytest.mark.parametrize("source", SOURCES)
+def test_graph_conv_gradients(source):
+    """Analytic spmm backward vs central differences, per operator source."""
     rng = np.random.default_rng(9)
-    batch = build_batch(
-        [_example(rng, 6), _example(rng, 9, "star"), _example(rng, 3, "empty")]
+    op, matrix = batch_operator(
+        source,
+        [_example(rng, 6), _example(rng, 9, "star"), _example(rng, 3, "empty")],
     )
-    op = SparseOp.from_csr(batch.norm_adj)
-    h0 = rng.standard_normal((batch.n_nodes, 4))
+    n_nodes = matrix.shape[0]
+    h0 = rng.standard_normal((n_nodes, 4))
     w0 = rng.standard_normal((4, 3))
-    seed_grad = rng.standard_normal((batch.n_nodes, 3))
+    seed_grad = rng.standard_normal((n_nodes, 3))
 
-    with spmm_scope(backend):
-        h = Tensor(h0.copy(), requires_grad=True)
-        w = Tensor(w0.copy(), requires_grad=True)
-        out = graph_conv(op, h, w, workspace=Workspace())
-        out.backward(seed_grad)
+    h = Tensor(h0.copy(), requires_grad=True)
+    w = Tensor(w0.copy(), requires_grad=True)
+    out = graph_conv(op, h, w, workspace=Workspace())
+    out.backward(seed_grad)
 
-        def value(href=h0, wref=w0):
-            z = np.tanh(batch.norm_adj.tocsr() @ (href @ wref))
-            return float((z * seed_grad).sum())
+    def value(href=h0, wref=w0):
+        z = np.tanh(matrix @ (href @ wref))
+        return float((z * seed_grad).sum())
 
-        num_h = _num_grad(lambda: value(), h0)
-        num_w = _num_grad(lambda: value(), w0)
+    num_h = _num_grad(lambda: value(), h0)
+    num_w = _num_grad(lambda: value(), w0)
     np.testing.assert_allclose(h.grad, num_h, rtol=1e-6, atol=1e-8)
     np.testing.assert_allclose(w.grad, num_w, rtol=1e-6, atol=1e-8)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_graph_conv_backward_bit_matches_scipy_composition(backend):
+@pytest.mark.parametrize("source", SOURCES)
+def test_graph_conv_backward_bit_matches_scipy_composition(source):
     """The fused kernel's gradients equal the unfused scipy chain, bitwise."""
     rng = np.random.default_rng(10)
-    batch = build_batch([_example(rng, 11), _example(rng, 17, "star")])
-    matrix = batch.norm_adj.tocsr()
-    h0 = rng.standard_normal((batch.n_nodes, 5))
+    op, matrix = batch_operator(
+        source, [_example(rng, 11), _example(rng, 17, "star")]
+    )
+    n_nodes = matrix.shape[0]
+    h0 = rng.standard_normal((n_nodes, 5))
     w0 = rng.standard_normal((5, 2))
-    seed_grad = rng.standard_normal((batch.n_nodes, 2))
+    seed_grad = rng.standard_normal((n_nodes, 2))
 
-    with spmm_scope(backend):
-        h = Tensor(h0, requires_grad=True)
-        w = Tensor(w0, requires_grad=True)
-        out = graph_conv(batch.operator, h, w, workspace=Workspace())
-        out.backward(seed_grad)
+    h = Tensor(h0, requires_grad=True)
+    w = Tensor(w0, requires_grad=True)
+    out = graph_conv(op, h, w, workspace=Workspace())
+    out.backward(seed_grad)
 
     # reference: explicit composition with scipy kernels
     z = np.tanh(matrix @ (h0 @ w0))

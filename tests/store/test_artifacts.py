@@ -158,7 +158,6 @@ def test_config_token_normalizes_threshold_and_execution_knobs():
     base = MuxLinkConfig(h=2, seed=3, train=TrainConfig(epochs=5))
     same = [
         MuxLinkConfig(h=2, seed=3, train=TrainConfig(epochs=5), threshold=0.5),
-        MuxLinkConfig(h=2, seed=3, train=TrainConfig(epochs=5), n_workers=8),
         MuxLinkConfig(h=2, seed=3, train=TrainConfig(epochs=5), score_prefetch=0),
         MuxLinkConfig(
             h=2,
@@ -180,14 +179,8 @@ def test_config_token_normalizes_threshold_and_execution_knobs():
         assert config_token(config) != config_token(base)
 
 
-def test_config_token_normalizes_train_workers_but_not_shards():
+def test_config_token_tracks_grad_shards():
     base = MuxLinkConfig(h=2, seed=3, train=TrainConfig(epochs=5))
-    # Worker count is pure execution: results are bit-identical for any
-    # value, so it must not fracture the artifact pool.
-    workers = MuxLinkConfig(
-        h=2, seed=3, train=TrainConfig(epochs=5, n_train_workers=8)
-    )
-    assert config_token(workers) == config_token(base)
     # The shard count fixes the gradient reduction order — semantic.
     sharded = MuxLinkConfig(
         h=2, seed=3, train=TrainConfig(epochs=5, grad_shards=2)
@@ -242,3 +235,35 @@ def test_store_keys_are_stable_hex(locked):
     assert lkey != lock_store_key(digest, "D-MUX", 64, 124)
     assert lkey != lock_store_key(digest, "D-MUX", 32, 123)
     assert lkey != lock_store_key(digest, "Symmetric-MUX", 64, 123)
+
+
+def test_store_address_is_pinned():
+    """The literal token and key of one fixed config never move.
+
+    Any change that re-keys the store (a renamed field, a knob folded in
+    or dropped, a new serialization) fails here, because existing
+    artifacts would silently stop hitting.  Bump ``ARTIFACT_VERSION`` and
+    these literals together when a re-key is intended.
+    """
+    import repro.nn as nn
+
+    config = MuxLinkConfig(
+        h=2,
+        seed=3,
+        train=TrainConfig(
+            epochs=5, learning_rate=1e-3, grad_shards=2, optimizer="kfac"
+        ),
+    )
+    with nn.dtype_scope(np.float32):
+        token = config_token(config)
+        key = attack_store_key("0" * 64, config)
+    assert token == (
+        '{"dtype":"float32","h":2,"max_train_links":100000,"seed":3,'
+        '"train":{"batch_size":50,"epochs":5,"grad_shards":2,'
+        '"kfac":{"cov_every":1,"damping":0.001,"ema_decay":0.95,'
+        '"inv_every":10,"max_dim":0},"learning_rate":0.001,"lr_decay":1.0,'
+        '"lr_decay_every":0,"optimizer":"kfac","patience":null,"seed":0,'
+        '"sortpool_percentile":0.6},"use_degree":true,"use_drnl":true,'
+        '"use_gate_types":true,"v":2,"val_fraction":0.1}'
+    )
+    assert key == "4d7e69147d51f907dc606ddf4e7d82bc577f6c5bca50d7936495f3c940e963d2"
