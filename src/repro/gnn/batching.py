@@ -4,13 +4,16 @@ A minibatch of enclosing subgraphs is assembled into one block-diagonal
 sparse operator ``D^-1 (A + I)`` plus a stacked node-feature matrix, so the
 graph convolutions of the whole batch run as a single sparse-dense product.
 
-The expensive part of batching — normalizing adjacencies (scipy coo/csr
-constructions) and one-hot feature stacking — is paid **once per split**:
+Every operator is built by :func:`normalized_blocks`, which normalizes all
+the graphs of a list in one vectorized array pass over their concatenated,
+offset edge arrays.  That work and the feature stacking are paid **once
+per split**:
 
 * :class:`BatchCache` prebuilds a fixed partition of a split (used for
   validation and scoring, whose composition never changes), and
-* :class:`BatchAssembler` precomputes every example's normalized operator
-  and feature block once, then assembles *any* shuffled index order into
+* :class:`BatchAssembler` builds every example's normalized operator in
+  one :func:`normalized_blocks` pass and keeps per-example views of it
+  plus the feature blocks, then assembles *any* shuffled index order into
   block-diagonal :class:`GraphBatch` es by pure array stitching — the
   per-epoch cost of a shuffling training loop drops to ``concatenate``
   calls, bit-identical to rebuilding from scratch.
@@ -38,6 +41,7 @@ __all__ = [
     "BatchAssembler",
     "build_batch",
     "normalized_adjacency",
+    "normalized_blocks",
 ]
 
 
@@ -69,26 +73,76 @@ class GraphExample:
             raise ValueError("edge endpoint out of range")
 
 
+def _sorted_unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of *keys* and how often each occurs.
+
+    One explicit sort: ``np.unique`` takes a hash-based path in numpy 2
+    that is several times slower on these integer keys.
+    """
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    return keys[starts], np.diff(np.append(starts, keys.size))
+
+
+def normalized_blocks(
+    sizes: Sequence[int], edges: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR ``(data, indices, indptr)`` of the block-diagonal ``D^-1 (A + I)``.
+
+    Graph ``i`` has ``sizes[i]`` nodes and the undirected edge array
+    ``edges[i]`` (``(E, 2)``, or ``(0,)`` when empty); its block sits at
+    the prefix-sum node offset.  Every graph is built in one array pass
+    over the concatenated, offset edges (paper Eq. 4): duplicate and
+    reversed edges collapse to weight 1, a self-loop edge collapses to 1
+    *before* ``+ I`` (diagonal weight 2), column indices are sorted within
+    each row, and the row normalization runs in float64 (exact degree
+    reciprocals) before the cast to the runtime default dtype.  Indices
+    and indptr are int64.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    total = int(offsets[-1])
+    pairs = [np.reshape(e, (-1, 2)) for e in edges]
+    stacked = np.concatenate(pairs + [np.empty((0, 2), np.int64)]).astype(
+        np.int64, copy=False
+    )
+    stacked += np.repeat(offsets[:-1], [len(p) for p in pairs])[:, None]
+    heads, tails = stacked[:, 0], stacked[:, 1]
+    # Row-major keys: sorting them sorts by row, then column.  Edge keys
+    # are deduplicated first, so a self-loop edge adds exactly 1 to its
+    # diagonal entry and ``+ I`` the other 1.
+    edge_keys, _ = _sorted_unique(
+        np.concatenate([heads * total + tails, tails * total + heads])
+    )
+    keys, counts = _sorted_unique(
+        np.concatenate([edge_keys, np.arange(total) * (total + 1)])
+    )
+    rows, indices = np.divmod(keys, total)
+    data = counts.astype(np.float64)
+    degree = np.bincount(rows, weights=data, minlength=total)
+    data /= degree[rows]
+    row_nnz = np.bincount(rows, minlength=total)
+    indptr = np.concatenate([[0], np.cumsum(row_nnz)])
+    return data.astype(default_dtype(), copy=False), indices, indptr
+
+
+def _spans(bounds: np.ndarray) -> list[tuple[int, int]]:
+    """``(start, stop)`` pairs of consecutive prefix-sum *bounds*."""
+    bounds = bounds.tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def normalized_adjacency(n_nodes: int, edges: np.ndarray) -> sp.csr_matrix:
     """Build ``D^-1 (A + I)`` for one undirected graph (paper Eq. 4).
 
-    The operator is assembled in float64 (exact degree reciprocals match
-    the seed implementation bit for bit in float64 mode) and cast to the
-    runtime default dtype.
+    The single-graph case of :func:`normalized_blocks`, as a scipy CSR
+    matrix in the runtime default dtype.
     """
-    if edges.size:
-        rows = np.concatenate([edges[:, 0], edges[:, 1]])
-        cols = np.concatenate([edges[:, 1], edges[:, 0]])
-        data = np.ones(len(rows))
-        adj = sp.coo_matrix((data, (rows, cols)), shape=(n_nodes, n_nodes))
-        adj = adj.tocsr()
-        adj.data[:] = 1.0  # collapse duplicate edges
-    else:
-        adj = sp.csr_matrix((n_nodes, n_nodes))
-    adj = adj + sp.identity(n_nodes, format="csr")
-    degree = np.asarray(adj.sum(axis=1)).ravel()
-    adj.data /= np.repeat(degree, np.diff(adj.indptr))
-    return adj.astype(default_dtype(), copy=False)
+    return sp.csr_matrix(
+        normalized_blocks([n_nodes], [edges]), shape=(n_nodes, n_nodes)
+    )
 
 
 @dataclass(frozen=True)
@@ -149,9 +203,8 @@ class GraphBatch:
 def build_batch(examples: Sequence[GraphExample]) -> GraphBatch:
     """Fuse *examples* into one :class:`GraphBatch`.
 
-    The block-diagonal ``D^-1 (A + I)`` operator is assembled directly from
-    the concatenated (offset) edge arrays with a single ``sp.coo_matrix``
-    call — no per-example sparse matrices, no ``sp.block_diag``.  Operator
+    The block-diagonal ``D^-1 (A + I)`` operator comes from one
+    :func:`normalized_blocks` pass over all the examples.  Operator
     data and features are stored in the runtime default dtype so forward
     passes never re-cast.
     """
@@ -167,26 +220,12 @@ def build_batch(examples: Sequence[GraphExample]) -> GraphBatch:
     sizes = np.array([e.n_nodes for e in examples])
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     labels = np.array([e.label for e in examples], dtype=np.int64)
-
     total = int(offsets[-1])
-    shifted = [
-        e.edges + off for e, off in zip(examples, offsets) if e.edges.size
-    ]
-    if shifted:
-        stacked = np.concatenate(shifted)
-        rows = np.concatenate([stacked[:, 0], stacked[:, 1]])
-        cols = np.concatenate([stacked[:, 1], stacked[:, 0]])
-        adj = sp.coo_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(total, total)
-        ).tocsr()
-        adj.data[:] = 1.0  # collapse duplicate edges
-    else:
-        adj = sp.csr_matrix((total, total))
-    adj = adj + sp.identity(total, format="csr")
-    degree = np.asarray(adj.sum(axis=1)).ravel()
-    adj.data /= np.repeat(degree, np.diff(adj.indptr))
     return GraphBatch(
-        norm_adj=adj.astype(dtype, copy=False),
+        norm_adj=sp.csr_matrix(
+            normalized_blocks(sizes, [e.edges for e in examples]),
+            shape=(total, total),
+        ),
         features=features,
         node_offsets=offsets,
         labels=labels,
@@ -196,17 +235,19 @@ def build_batch(examples: Sequence[GraphExample]) -> GraphBatch:
 class BatchAssembler:
     """Per-example batch components built once; batches stitched on demand.
 
-    For every example the normalized operator ``D^-1 (A + I)`` (CSR data /
-    indices / indptr arrays) and the feature block are computed exactly
-    once, at construction.  :meth:`assemble` then fuses any index order
-    into a block-diagonal :class:`GraphBatch` with plain ``concatenate``
-    calls — no coo/dedup/degree work ever runs again, and the result is
-    bit-identical to :func:`build_batch` over the same examples (the
-    block-diagonal operator decomposes exactly into per-example blocks).
+    The normalized operators ``D^-1 (A + I)`` of all examples are built
+    exactly once, at construction, in a single :func:`normalized_blocks`
+    pass; every example keeps views of its CSR data / block-local indices /
+    indptr and of its feature block.  :meth:`assemble` then fuses any index
+    order into a block-diagonal :class:`GraphBatch` with plain
+    ``concatenate`` calls — no dedup/degree work ever runs again, and the
+    result is bit-identical to :func:`build_batch` over the same examples
+    (the block-diagonal operator decomposes exactly into per-example
+    blocks).
 
     This is what lets the trainer keep the paper's example-level shuffle
-    (fresh batch composition every epoch) while paying scipy costs only
-    once per split.
+    (fresh batch composition every epoch) while paying the operator build
+    only once per split.
     """
 
     __slots__ = (
@@ -222,37 +263,36 @@ class BatchAssembler:
         self.dtype = default_dtype()
         self.sizes = np.array([e.n_nodes for e in examples], dtype=np.int64)
         self.labels = np.array([e.label for e in examples], dtype=np.int64)
-        self._data: list[np.ndarray] = []
-        self._indices: list[np.ndarray] = []
-        self._indptr_tail: list[np.ndarray] = []
-        self._nnz = np.empty(len(examples), dtype=np.int64)
-        feature_blocks: list[np.ndarray] = []
-        self._scratch = Workspace()
-        for i, example in enumerate(examples):
-            operator = normalized_adjacency(example.n_nodes, example.edges)
-            self._data.append(operator.data)
-            self._indices.append(operator.indices.astype(np.int64, copy=False))
-            self._indptr_tail.append(
-                operator.indptr[1:].astype(np.int64, copy=False)
-            )
-            self._nnz[i] = operator.nnz
-            feature_blocks.append(
-                example.features.astype(self.dtype, copy=False)
-            )
-        # One flat feature arena; per-example entries are views into it, so
-        # a shuffled batch's feature matrix is one range gather instead of
-        # a 50-array concatenate, at no extra memory.
+        # Every operator in one vectorized pass; the per-example entries
+        # are views into it, with block-local column indices and indptr.
         self._node_starts = np.concatenate(
             [[0], np.cumsum(self.sizes)]
         ).astype(np.int64)
-        if feature_blocks:
-            self._flat_features = np.concatenate(feature_blocks)
+        data, indices, indptr = normalized_blocks(
+            self.sizes, [e.edges for e in examples]
+        )
+        nnz_starts = indptr[self._node_starts]
+        self._nnz = np.diff(nnz_starts)
+        indices -= np.repeat(self._node_starts[:-1], self._nnz)
+        indptr_tail = indptr[1:] - np.repeat(nnz_starts[:-1], self.sizes)
+        nnz_spans = _spans(nnz_starts)
+        node_spans = _spans(self._node_starts)
+        self._data = [data[a:b] for a, b in nnz_spans]
+        self._indices = [indices[a:b] for a, b in nnz_spans]
+        self._indptr_tail = [indptr_tail[a:b] for a, b in node_spans]
+        self._scratch = Workspace()
+        # One flat feature arena; per-example entries are views into it, so
+        # a shuffled batch's feature matrix is one range gather instead of
+        # a 50-array concatenate, at no extra memory.
+        if examples:
+            self._flat_features = np.concatenate(
+                [e.features for e in examples],
+                dtype=self.dtype,
+                casting="same_kind",
+            )
         else:
             self._flat_features = np.empty((0, 0), dtype=self.dtype)
-        self._features: list[np.ndarray] = [
-            self._flat_features[self._node_starts[i] : self._node_starts[i + 1]]
-            for i in range(len(examples))
-        ]
+        self._features = [self._flat_features[a:b] for a, b in node_spans]
         self._feature_cols = self._detect_onehot_columns()
 
     def _detect_onehot_columns(self) -> np.ndarray | None:

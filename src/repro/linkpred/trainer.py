@@ -10,7 +10,7 @@ The engine is built for throughput:
   feature block is built exactly once per split
   (:class:`~repro.gnn.BatchAssembler`); the per-epoch shuffle then
   assembles batches by pure array stitching, so epochs 2..N run none of
-  the coo/dedup/degree scipy work.  The trajectory is bit-identical to
+  the dedup/degree operator work.  The trajectory is bit-identical to
   the seed per-epoch rebuild at equal dtype.  Validation and scoring
   iterate fixed prebuilt batches (:class:`~repro.gnn.BatchCache`).
 * **float32 runtime** — see the dtype policy in :mod:`repro.nn`
@@ -183,21 +183,38 @@ def _iter_batches(
             yield build_batch(examples[start : start + batch_size])
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of *values*, ties sharing their average rank.
+
+    Equal to scipy's ``rankdata(values)`` bit for bit: every rank is
+    the exact half-integer ``(start + end + 1) / 2`` of its tie group in
+    the stable sort order.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # Compare neighbours rather than ``np.diff``: ``inf - inf`` is NaN.
+    new_group = np.concatenate([[True], ordered[1:] != ordered[:-1]])
+    starts = np.flatnonzero(new_group)
+    ends = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def _roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
     """ROC AUC via the Mann-Whitney rank statistic (average-tie ranks).
 
     ``nan`` for single-class label sets — with tiny validation splits a
-    class can be absent, and a fake 0.5 would poison best-epoch logic.
+    class can be absent, and a fake 0.5 would poison best-epoch logic —
+    and, like scipy's ``rankdata``, when any score is NaN.
     """
-    from scipy.stats import rankdata
-
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=np.float64)
     n_pos = int((labels == 1).sum())
     n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    if n_pos == 0 or n_neg == 0 or np.isnan(scores).any():
         return float("nan")
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     pos_rank_sum = float(ranks[labels == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -245,7 +262,7 @@ def score_examples(
     Like :func:`_evaluate`, an optional prebuilt *cache* (a
     :class:`~repro.gnn.BatchCache` over the same examples) skips batch
     construction entirely — repeated scoring of a fixed split then pays
-    the scipy/stacking cost exactly once, at cache build.
+    the operator/stacking cost exactly once, at cache build.
     """
     n = cache.n_examples if cache is not None else len(examples)
     if n == 0:

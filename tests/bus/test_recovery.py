@@ -137,6 +137,12 @@ def test_sigkilled_worker_lease_is_reaped_and_job_completed(tmp_path):
     finally:
         victim.wait(timeout=30)
     assert spool.leased_keys(), "lease should still be held by the corpse"
+    # Let the corpse's lease go stale before any peer exists: the
+    # coordinator's first poll then reaps it while the survivor is still
+    # starting up.  Otherwise a survivor that finishes its own job before
+    # the lease expires can win the reap race, and the coordinator's
+    # requeue counter never sees the reap.
+    time.sleep(_STALE + 0.5)
 
     survivor = _start_worker(spool.root, store.root)
     bus = SpoolBus(spool, store, poll=0.1, timeout=90)
