@@ -6,8 +6,9 @@ two key sizes -> 8 unique attacks) through three execution paths:
 * **serial**  — ``ExperimentRunner(jobs=0)``, the reproducible baseline;
 * **spool**   — ``WORKERS`` real ``repro worker`` processes draining a
   spool directory, coordinator adopting results from the shared store;
-* **socket**  — the same workers connected to the coordinator's
-  embedded TCP queue (no shared filesystem in the job path).
+* **socket**  — the same workers started with ``--serve-addr`` and
+  connected to the coordinator's in-process serve endpoint (no shared
+  filesystem in the job path).
 
 All three paths must produce **bit-identical** record fingerprints
 (asserted).  Wall-clock per path plus the coordinator's pure bus
@@ -173,7 +174,7 @@ def test_bus_fanout_speedup_and_overhead():
 
         socket_store = ArtifactStore(tmp / "store-socket")
         bus = SocketBus(poll=0.05, timeout=600)
-        workers = _start_workers(["--bus-addr", bus.address])
+        workers = _start_workers(["--serve-addr", bus.address])
         try:
             runner = ExperimentRunner(store=socket_store, bus=bus)
             socket_fp, socket_s = _timed_run(runner, cells)

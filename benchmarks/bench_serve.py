@@ -1,33 +1,24 @@
-"""Attack-as-a-service bench: pipelined serving vs per-job dispatch.
+"""Attack-as-a-service bench: the pipelined fleet, warm and cold requests.
 
-Three measurements on one 32-job small-job grid — a **lock-seed sweep**
-(one smoke cell relocked under 32 seeds, the error-bar workload the
-runner fans out) in the regime where PR 7 measured the per-job
-SocketBus at 0.53x: sub-second jobs where dispatch overhead is a
-visible wall-clock fraction.  Uniform job durations make the
-comparison sharp: with identical circuits on every worker, scheduling
-luck cancels and the measured gap is exactly the per-job dispatch cost
-that pipelining removes (the worker's done -> lease -> reply gap,
-and the coordinator's done-processing blocking the next lease):
+One 32-job small-job grid — a **lock-seed sweep** (one smoke cell
+relocked under 32 seeds, the error-bar workload the runner fans out) —
+in the regime where per-job dispatch overhead is a visible wall-clock
+fraction: sub-second, uniform jobs.  Two paths run it:
 
 * **serial** — ``execute_job`` in-process, the reproducible baseline;
-* **socket** — :class:`~repro.bus.SocketBus` + ``WORKERS`` worker
-  processes, one lease round-trip per job (the PR 7 path);
-* **serve**  — an :class:`~repro.serve.AttackServer` with the same
-  worker fleet connected as persistent **pipelined** connections
+* **serve**  — an :class:`~repro.serve.AttackServer` with ``WORKERS``
+  worker processes connected as persistent **pipelined** connections
   (``--serve-addr``, depth 2): the next job is already buffered in each
-  worker's socket when the current one finishes.
+  worker's socket when the current one finishes.  ``repro figures --bus
+  socket`` runs this same loop in-process.
 
-All three must be **bit-identical** (asserted, timing aside).  The bench
+Both must be **bit-identical** (asserted, timing aside).  The bench
 then measures the *warm* path — p50/p95 latency and requests/s of
 repeated result fetches against the live server — and one **cold
 process**: a fresh ``repro attack --serve`` CLI invocation against the
 warm server, which pays interpreter + import startup for every request.
 The serving layer's pitch is exactly that ratio, and the
 ``REPRO_BENCH_SERVE_MIN_WARM_ADVANTAGE`` gate (default 10) enforces it.
-
-``REPRO_BENCH_SERVE_REQUIRE_WIN=0`` disarms the serve-beats-socket
-assertion on hosts too small for a 4-worker fleet.
 
 Run standalone::
 
@@ -51,7 +42,6 @@ import time
 
 from perf_record import update_record
 from repro.benchgen import load_benchmark
-from repro.bus import SocketBus
 from repro.client import ServeClient
 from repro.core import MuxLinkConfig
 from repro.linkpred import TrainConfig
@@ -60,7 +50,6 @@ from repro.experiments.common import lock_with
 from repro.experiments.runner import execute_job
 from repro.netlist import dump_bench
 from repro.serve import AttackServer
-from repro.store import ArtifactStore
 
 WORKERS = int(os.environ.get("REPRO_BENCH_SERVE_WORKERS", "4"))
 PIPELINE = int(os.environ.get("REPRO_BENCH_SERVE_PIPELINE", "2"))
@@ -70,9 +59,6 @@ WARM_REQUESTS = int(os.environ.get("REPRO_BENCH_SERVE_WARM_REQUESTS", "50"))
 MIN_WARM_ADVANTAGE = float(
     os.environ.get("REPRO_BENCH_SERVE_MIN_WARM_ADVANTAGE", "10")
 )
-#: Require the pipelined serve path to beat the per-job socket bus on
-#: the small-job grid (1 disarms with "0").
-REQUIRE_WIN = os.environ.get("REPRO_BENCH_SERVE_REQUIRE_WIN", "1") != "0"
 
 #: Lock-seed sweep width: one smoke cell relocked under this many
 #: seeds — smoke-sized work items where per-job dispatch overhead is a
@@ -136,7 +122,7 @@ def _grid_jobs():
     return jobs
 
 
-def test_serve_pipeline_beats_per_job_socket_and_warm_is_instant():
+def test_serve_pipeline_and_warm_is_instant():
     cores = os.cpu_count()
     jobs = _grid_jobs()
     assert len(jobs) == SWEEP_SEEDS
@@ -153,30 +139,6 @@ def test_serve_pipeline_beats_per_job_socket_and_warm_is_instant():
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
 
-        # --- socket: one lease round-trip per job --------------------------
-        # The coordinator persists every artifact, exactly as the serve
-        # loop does — both timed sections end with all results durable
-        # in a store (fingerprinting stays outside the clock for both).
-        socket_store = ArtifactStore(tmp / "store-socket")
-        bus = SocketBus(poll=0.05, timeout=600)
-        workers = _start_workers(["--bus-addr", bus.address])
-        try:
-            start = time.perf_counter()
-            socket_results = []
-            for job, payload, persisted in bus.run(list(jobs)):
-                if not persisted:
-                    socket_store.put(job.artifact_kind, job.store_key, payload)
-                socket_results.append((job, payload))
-            socket_s = time.perf_counter() - start
-        finally:
-            _stop_workers(workers)
-            bus.close()
-        socket_fp = {
-            job.store_key: _fingerprint(payload)
-            for job, payload in socket_results
-        }
-        assert socket_fp == reference, "socket results diverged from serial"
-
         # --- serve: persistent pipelined connections -----------------------
         server = AttackServer(
             "127.0.0.1:0", tmp / "store", poll=0.05, log=lambda *a: None
@@ -188,10 +150,9 @@ def test_serve_pipeline_beats_per_job_socket_and_warm_is_instant():
         )
         client = ServeClient(server.address)
         try:
-            # Timed to the same endpoint as the socket path: every
-            # artifact persisted in the coordinator's store.  Artifact
-            # download is a separate serving concern, measured by the
-            # warm-latency loop below.
+            # Timed until every artifact is persisted in the server's
+            # store.  Artifact download is a separate serving concern,
+            # measured by the warm-latency loop below.
             start = time.perf_counter()
             for job in jobs:
                 client.submit_job(job, wait=False)
@@ -271,13 +232,9 @@ def test_serve_pipeline_beats_per_job_socket_and_warm_is_instant():
             f"CLI predictions diverged: {served_key} vs {local_key}"
         )
 
-    socket_speedup = serial_s / socket_s
     serve_speedup = serial_s / serve_s
     warm_advantage = cold_process_s / warm_p50
-    print(
-        f"  socket: {socket_s:.1f}s ({socket_speedup:.2f}x)   "
-        f"serve: {serve_s:.1f}s ({serve_speedup:.2f}x)"
-    )
+    print(f"  serve: {serve_s:.1f}s ({serve_speedup:.2f}x)")
     print(
         f"  warm: p50 {warm_p50 * 1000:.1f}ms  p95 {warm_p95 * 1000:.1f}ms  "
         f"{warm_rps:.0f} req/s   cold process: {cold_process_s:.1f}s "
@@ -293,10 +250,6 @@ def test_serve_pipeline_beats_per_job_socket_and_warm_is_instant():
             "cores": cores,
             "serial_s": round(serial_s, 2),
             "serial_s_per_job": round(serial_s / len(jobs), 3),
-            "socket": {
-                "seconds": round(socket_s, 2),
-                "speedup": round(socket_speedup, 2),
-            },
             "serve": {
                 "seconds": round(serve_s, 2),
                 "speedup": round(serve_speedup, 2),
@@ -318,13 +271,8 @@ def test_serve_pipeline_beats_per_job_socket_and_warm_is_instant():
             f"warm serving only {warm_advantage:.1f}x faster than a cold "
             f"`repro attack` process; needs >= {MIN_WARM_ADVANTAGE}x"
         )
-    if REQUIRE_WIN:
-        assert serve_s < socket_s, (
-            f"pipelined serve ({serve_s:.1f}s) did not beat the per-job "
-            f"socket bus ({socket_s:.1f}s) on the small-job grid"
-        )
 
 
 if __name__ == "__main__":
-    test_serve_pipeline_beats_per_job_socket_and_warm_is_instant()
+    test_serve_pipeline_and_warm_is_instant()
     print("bench_serve: OK")

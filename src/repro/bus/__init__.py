@@ -3,8 +3,10 @@
 See :mod:`repro.bus.protocol` for the seam contract, and the three
 backends: :class:`~repro.bus.local.LocalBus` (in-process / pool),
 :class:`~repro.bus.spool.SpoolBus` (shared spool directory + N
-``repro worker`` processes) and :class:`~repro.bus.socketbus.SocketBus`
-(stdlib TCP queue).
+``repro worker --bus-dir`` processes; needs no server, only a shared
+filesystem) and :class:`~repro.bus.socketbus.SocketBus` (an in-process
+``repro serve`` endpoint that ``repro worker --serve-addr`` processes
+connect to).
 """
 
 from repro.bus.local import LocalBus
@@ -37,7 +39,7 @@ from repro.bus.protocol import (
     job_artifact_kind,
     resolve_bus,
 )
-from repro.bus.socketbus import SocketBus, parse_address, serve_spool
+from repro.bus.socketbus import SocketBus
 from repro.bus.spool import SpoolBus, SpoolDir
 from repro.bus.threads import limit_blas_threads
 from repro.bus.worker import WorkerStats, run_worker
@@ -75,8 +77,6 @@ __all__ = [
     "decode_job",
     "encode_job",
     "limit_blas_threads",
-    "parse_address",
     "resolve_bus",
     "run_worker",
-    "serve_spool",
 ]

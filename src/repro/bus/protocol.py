@@ -9,8 +9,9 @@ dedupes it against its caches, and hands the surviving *unique* jobs to a
 * :class:`~repro.bus.spool.SpoolBus` — a filesystem spool directory
   shared with N independent ``repro worker`` processes (any host that
   mounts the directory and the artifact store).
-* :class:`~repro.bus.socketbus.SocketBus` — a stdlib TCP queue embedded
-  in the coordinator; workers connect with ``repro worker --bus-addr``.
+* :class:`~repro.bus.socketbus.SocketBus` — a ``repro serve`` endpoint
+  embedded in the coordinator; workers connect with ``repro worker
+  --serve-addr``.
 
 The exchange format is fixed by the scheduler boundary PR 5 built:
 a job travels as ``{store_key, circuit payload, config dict}`` and a

@@ -1,241 +1,39 @@
-"""Stdlib TCP job bus: a length-prefixed codec-frame queue.
+"""``repro figures --bus socket``: the grid runs on an in-process server.
 
-Wire protocol (every frame is a 4-byte big-endian length followed by a
-:func:`repro.store.codec.dumps` blob of kind ``bus-message``):
-
-========  =========================  =========================================
-sender    message                    meaning
-========  =========================  =========================================
-worker    ``{op: lease}``            request one job
-server    ``{op: job, key, attempt,  here is one (the *same* payload shape a
-          job}``                     spool file carries)
-server    ``{op: empty}``            nothing queued; poll again in a moment
-worker    ``{op: done, key,          job finished; ``result`` is the encoded
-          result}``                  attack artifact
-worker    ``{op: failed, key,        job raised; traceback attached
-          traceback}``
-========  =========================  =========================================
-
-Two servers speak it:
-
-* :class:`SocketBus` — embedded in the coordinator (``repro figures
-  --bus socket``): the listening socket lives on the bus object, and the
-  selector loop runs *inside* :meth:`SocketBus.run` while a grid is in
-  flight.  Results come back over the wire, so socket workers need no
-  shared filesystem at all.
-* :func:`serve_spool` — the standalone ``repro serve-bus`` broker: it
-  leases jobs from a :class:`~repro.bus.spool.SpoolDir` on behalf of
-  TCP-connected workers (heartbeating the leases while the connection
-  lives), writes returned artifacts into the store, and requeues the
-  job when a connection dies mid-execution.  It bridges a spool to
-  workers that cannot mount the directory.
-
-A worker death is detected as a connection EOF/reset: the in-flight job
-returns to the queue with its attempt count bumped, and a job that burns
-``max_attempts`` attempts raises :class:`~repro.bus.protocol.BusError`
-carrying the last traceback (the socket-mode quarantine).
+:class:`SocketBus` owns an :class:`~repro.serve.AttackServer` bound to
+the bus address; workers connect to it with ``repro worker --serve-addr
+ADDR`` and ship results back over the wire, so they need no shared
+filesystem.  There is no thread and no loopback client:
+:meth:`SocketBus.run` submits the grid through the server's own submit
+path and turns the server loop itself, one
+:meth:`~repro.serve.AttackServer.step` at a time.  Requeues, attempt
+budgets and liveness fail-over are the server's.
 """
 
 from __future__ import annotations
 
-import selectors
-import socket
+import tempfile
 import time
 from collections import deque
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterator
 
 from repro.bus.protocol import (
-    BUS_MESSAGE_KIND,
     DEFAULT_POLL,
     BusError,
     JobBus,
     RetryPolicy,
     encode_job,
 )
-from repro.store import codec
-from repro.store.codec import CodecError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.bus.spool import SpoolDir
     from repro.experiments.runner import AttackJob
-    from repro.store import ArtifactStore
 
-__all__ = ["SocketBus", "parse_address", "recv_message", "send_message", "serve_spool"]
-
-_LEN_BYTES = 4
-#: Frames above this are refused outright — a desynced or hostile peer
-#: must not make the server allocate gigabytes.
-MAX_FRAME = 512 * 1024 * 1024
-
-
-def parse_address(text: str) -> tuple[str, int]:
-    """``"host:port"`` → ``(host, port)`` (bare ``":port"`` = localhost)."""
-    host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit() and text != "":
-        if text.isdigit():  # bare port
-            return "127.0.0.1", int(text)
-        raise BusError(f"malformed bus address {text!r}; expected host:port")
-    return host or "127.0.0.1", int(port)
-
-
-def send_message(sock: socket.socket, payload: dict) -> None:
-    """Write one framed codec message (blocking until fully sent)."""
-    blob = codec.dumps(payload, kind=BUS_MESSAGE_KIND)
-    sock.sendall(len(blob).to_bytes(_LEN_BYTES, "big") + blob)
-
-
-def recv_message(sock: socket.socket) -> dict | None:
-    """Read one framed message from a blocking socket; ``None`` on EOF."""
-    header = _recv_exact(sock, _LEN_BYTES)
-    if header is None:
-        return None
-    length = int.from_bytes(header, "big")
-    if length > MAX_FRAME:
-        raise BusError(f"oversized bus frame ({length} bytes)")
-    blob = _recv_exact(sock, length)
-    if blob is None:
-        return None
-    return codec.loads(blob, kind=BUS_MESSAGE_KIND)
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-class _Connection:
-    """One worker link on the server side: recv buffer + execution state."""
-
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        self.buffer = b""
-        self.executing: tuple[str, int] | None = None  # (key, attempt)
-
-    def feed(self) -> list[dict] | None:
-        """Drain readable bytes into complete frames; ``None`` = gone."""
-        try:
-            data = self.sock.recv(1 << 20)
-        except BlockingIOError:  # pragma: no cover - spurious readiness
-            return []
-        except OSError:
-            return None
-        if not data:
-            return None
-        self.buffer += data
-        messages = []
-        while len(self.buffer) >= _LEN_BYTES:
-            length = int.from_bytes(self.buffer[:_LEN_BYTES], "big")
-            if length > MAX_FRAME:
-                return None  # desynced peer; drop the connection
-            if len(self.buffer) < _LEN_BYTES + length:
-                break
-            blob = self.buffer[_LEN_BYTES : _LEN_BYTES + length]
-            self.buffer = self.buffer[_LEN_BYTES + length :]
-            try:
-                messages.append(codec.loads(blob, kind=BUS_MESSAGE_KIND))
-            except CodecError:
-                return None
-        return messages
-
-    def send(self, payload: dict) -> bool:
-        try:
-            send_message(self.sock, payload)
-            return True
-        except OSError:
-            return False
-
-
-class _Server:
-    """Selector plumbing shared by :class:`SocketBus` and the spool broker.
-
-    *read_timeout* bounds every blocking operation on an accepted
-    connection (``sendall`` of a job frame to a wedged peer, a reply
-    read) — before it, one hung worker socket could block the
-    coordinator forever.  A timeout surfaces as ``OSError`` on the
-    operation, which the callers already treat as a dead connection.
-    """
-
-    def __init__(
-        self, address: str, read_timeout: float | None = None
-    ) -> None:
-        host, port = parse_address(address)
-        self._listener = socket.create_server((host, port), backlog=128)
-        self._listener.setblocking(False)
-        self.read_timeout = read_timeout
-        self.selector = selectors.DefaultSelector()
-        self.selector.register(self._listener, selectors.EVENT_READ)
-        self.connections: dict[socket.socket, _Connection] = {}
-        bound = self._listener.getsockname()
-        self.address = f"{bound[0]}:{bound[1]}"
-
-    def _accepted(self, sock: socket.socket) -> bool:
-        """Hook consulted on every accept; ``False`` drops the peer.
-
-        The base server accepts everything; the serve front-end
-        (:mod:`repro.serve`) overrides this to honor the
-        ``serve.accept_drop`` fault site — the peer sees an immediate
-        EOF and must reconnect on its retry schedule.
-        """
-        return True
-
-    def poll(self, timeout: float) -> list[tuple[_Connection, list[dict] | None]]:
-        """One select cycle → ``(connection, messages-or-EOF)`` events."""
-        events = []
-        for key, _ in self.selector.select(timeout=timeout):
-            sock = key.fileobj
-            if sock is self._listener:
-                try:
-                    conn_sock, _ = self._listener.accept()
-                except OSError:  # pragma: no cover - racing close
-                    continue
-                if not self._accepted(conn_sock):
-                    try:
-                        conn_sock.close()
-                    except OSError:  # pragma: no cover
-                        pass
-                    continue
-                # settimeout(None) == setblocking(True); a finite value
-                # keeps blocking semantics but bounds each operation.
-                conn_sock.settimeout(self.read_timeout)
-                connection = _Connection(conn_sock)
-                self.connections[conn_sock] = connection
-                self.selector.register(conn_sock, selectors.EVENT_READ)
-            else:
-                connection = self.connections[sock]
-                events.append((connection, connection.feed()))
-        return events
-
-    def drop(self, connection: _Connection) -> None:
-        try:
-            self.selector.unregister(connection.sock)
-        except (KeyError, ValueError):  # pragma: no cover - already gone
-            pass
-        self.connections.pop(connection.sock, None)
-        try:
-            connection.sock.close()
-        except OSError:  # pragma: no cover
-            pass
-
-    def close(self) -> None:
-        for connection in list(self.connections.values()):
-            self.drop(connection)
-        try:
-            self.selector.unregister(self._listener)
-        except (KeyError, ValueError):  # pragma: no cover
-            pass
-        self._listener.close()
-        self.selector.close()
+__all__ = ["SocketBus"]
 
 
 class SocketBus(JobBus):
-    """Coordinator-embedded TCP queue (``repro figures --bus socket``)."""
+    """Coordinator-embedded serve endpoint (``repro figures --bus socket``)."""
 
     name = "socket"
 
@@ -248,266 +46,98 @@ class SocketBus(JobBus):
         liveness: float | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
+        from repro.serve import AttackServer
+
         super().__init__()
-        self.retry = retry if retry is not None else RetryPolicy.from_env()
-        self._server = _Server(
-            address, read_timeout=self.retry.read_timeout
-        )
-        self.address = self._server.address
-        self.poll = float(poll)
+        retry = retry if retry is not None else RetryPolicy.from_env()
         self.max_attempts = int(
-            self.retry.max_attempts if max_attempts is None else max_attempts
+            retry.max_attempts if max_attempts is None else max_attempts
         )
         self.timeout = timeout
         self.liveness = float(liveness) if liveness else None
+        # The runner keeps its own caches and store: the server's store
+        # is private scratch, and its memory tier is off.
+        self._scratch = tempfile.TemporaryDirectory(prefix="repro-socketbus-")
+        self._server = AttackServer(
+            address,
+            self._scratch.name,
+            max_attempts=self.max_attempts,
+            liveness=self.liveness,
+            poll=poll,
+            cache_entries=0,
+            retry=retry,
+            log=lambda *_: None,
+        )
+        self.address = self._server.address
 
     def run(
         self, jobs: "list[AttackJob]"
     ) -> "Iterator[tuple[AttackJob, dict, bool]]":
+        server = self._server
         t0 = time.perf_counter()
+        # This bus waits on its own server like a client connection
+        # would; the frames it is sent queue up here.
+        frames: deque[dict] = deque()
+        sink = SimpleNamespace(send=frames.append)
         waiting = {job.store_key: job for job in jobs}
-        queue: deque[tuple[str, int]] = deque((key, 0) for key in waiting)
-        encoded = {job.store_key: encode_job(job) for job in jobs}
+        for key, job in waiting.items():
+            server.submit(sink, key, encode_job(job), wait=True)
         self.stats.submitted += len(jobs)
         self.stats.submit_seconds += time.perf_counter() - t0
 
+        failed_over_before = server.stats.failed_over
+        announced = False
         last_progress = time.monotonic()
         while waiting:
-            events = self._server.poll(self.poll)
+            active = server.step()
             t0 = time.perf_counter()
-            for connection, messages in events:
-                if messages is None:  # worker vanished (EOF / reset)
-                    self._requeue(connection, queue, waiting)
-                    self._server.drop(connection)
+            self._sync_stats()
+            if not announced and server.stats.failed_over > failed_over_before:
+                announced = True
+                print(
+                    f"bus[{self.name}]: no worker progress for "
+                    f"{self.liveness:.0f}s — failing {len(waiting)} job(s) "
+                    "over to in-process execution"
+                )
+            while frames:
+                frame = frames.popleft()
+                if frame["op"] != "result" or frame["key"] not in waiting:
                     continue
-                for message in messages:
-                    op = message.get("op")
-                    if op == "lease":
-                        self._dispatch(connection, queue, encoded)
-                    elif op == "done":
-                        key = str(message["key"])
-                        connection.executing = None
-                        if key in waiting:
-                            job = waiting.pop(key)
-                            self.stats.completed += 1
-                            self.stats.adopt_seconds += (
-                                time.perf_counter() - t0
-                            )
-                            yield job, message["result"], False
-                            t0 = time.perf_counter()
-                    elif op == "failed":
-                        key = str(message["key"])
-                        # connection.executing is the only record of this
-                        # attempt's count — read it before clearing, or a
-                        # deterministic crasher resets to attempt 0 every
-                        # round and never reaches quarantine.
-                        attempt = None
-                        if (
-                            connection.executing is not None
-                            and connection.executing[0] == key
-                        ):
-                            attempt = connection.executing[1]
-                        connection.executing = None
-                        self._record_failure(
-                            key,
-                            str(message.get("traceback", "")),
-                            queue,
-                            waiting,
-                            attempt,
-                        )
+                if not frame["ok"]:
+                    raise BusError(
+                        f"job {frame['key'][:12]}… failed "
+                        f"{self.max_attempts} time(s) over the socket bus; "
+                        f"last worker traceback:\n{frame['error']}"
+                    )
+                job = waiting.pop(frame["key"])
+                self.stats.completed += 1
+                self.stats.adopt_seconds += time.perf_counter() - t0
+                yield job, frame["result"], False
+                t0 = time.perf_counter()
             self.stats.adopt_seconds += time.perf_counter() - t0
-            if not waiting:
-                break
-            # A connection mid-job counts as progress: a legitimately
-            # long training run produces no frames while it computes,
-            # and must trip neither the timeout nor the fail-over.
-            busy = any(
-                c.executing is not None
-                for c in self._server.connections.values()
-            )
             now = time.monotonic()
-            if events or busy:
+            # A job executing anywhere counts as progress: a legitimately
+            # long training run produces no frames while it computes.
+            if active or server.busy:
                 last_progress = now
-                continue
-            quiet = now - last_progress
-            if self.timeout is not None and quiet > self.timeout:
+            elif (
+                self.timeout is not None
+                and now - last_progress > self.timeout
+            ):
                 raise BusError(
                     f"socket bus made no progress for {self.timeout:.0f}s — "
                     f"{len(waiting)} job(s) outstanding, "
-                    f"{len(self._server.connections)} worker connection(s); "
-                    f"point workers at `repro worker --bus-addr "
+                    f"{len(server.workers)} worker connection(s); "
+                    f"point workers at `repro worker --serve-addr "
                     f"{self.address}`"
                 )
-            if self.liveness is not None and quiet > self.liveness:
-                # Graceful degradation: every worker is gone (dead
-                # connections requeued their jobs, none are executing).
-                # Finish the grid in-process instead of hanging.
-                remaining = list(waiting.values())
-                queue.clear()
-                waiting.clear()
-                yield from self._failover(
-                    remaining,
-                    f"no worker progress for {self.liveness:.0f}s",
-                )
-                return
 
-    def _dispatch(
-        self,
-        connection: _Connection,
-        queue: deque[tuple[str, int]],
-        encoded: dict[str, dict],
-    ) -> None:
-        if connection.executing is not None:
-            return  # protocol misuse: one job per connection at a time
-        if not queue:
-            connection.send({"op": "empty"})
-            return
-        key, attempt = queue.popleft()
-        connection.executing = (key, attempt)
-        if not connection.send(
-            {"op": "job", "key": key, "attempt": attempt, "job": encoded[key]}
-        ):
-            connection.executing = None
-            queue.appendleft((key, attempt))
-
-    def _requeue(
-        self,
-        connection: _Connection,
-        queue: deque[tuple[str, int]],
-        waiting: dict,
-    ) -> None:
-        if connection.executing is None:
-            return
-        key, attempt = connection.executing
-        connection.executing = None
-        if key not in waiting:
-            return
-        self._record_failure(
-            key, "worker connection lost mid-job", queue, waiting, attempt
-        )
-
-    def _record_failure(
-        self,
-        key: str,
-        error: str,
-        queue: deque[tuple[str, int]],
-        waiting: dict,
-        attempt: int | None = None,
-    ) -> None:
-        if key not in waiting:
-            return
-        if attempt is None:
-            attempt = 0
-            for queued_key, queued_attempt in queue:  # pragma: no cover
-                if queued_key == key:
-                    attempt = queued_attempt
-        next_attempt = attempt + 1
-        if next_attempt >= self.max_attempts:
-            self.stats.quarantined += 1
-            raise BusError(
-                f"job {key[:12]}… failed {next_attempt} time(s) over the "
-                f"socket bus; last worker traceback:\n{error}"
-            )
-        self.stats.requeues += 1
-        queue.append((key, next_attempt))
+    def _sync_stats(self) -> None:
+        served = self._server.stats
+        self.stats.requeues = served.requeues
+        self.stats.quarantined = served.failed
+        self.stats.failed_over = served.failed_over
 
     def close(self) -> None:
         self._server.close()
-
-
-def serve_spool(
-    spool: "SpoolDir",
-    address: str,
-    store: "ArtifactStore",
-    poll: float = DEFAULT_POLL,
-    idle_timeout: float | None = None,
-    max_jobs: int | None = None,
-    retry: RetryPolicy | None = None,
-    log=print,
-) -> dict:
-    """``repro serve-bus``: bridge a spool directory to TCP workers.
-
-    Leases are taken from the spool on behalf of each connected worker
-    and heartbeaten while the connection lives, so spool-side reapers
-    see a socket-proxied job as alive exactly as long as its worker is.
-    Returned artifacts land in *store*; a dropped connection releases
-    the lease back to pending (bounded by the spool's attempt budget).
-    Runs until *idle_timeout* seconds pass with nothing queued, nothing
-    executing and no connections (``None`` = forever), or *max_jobs*
-    results have been written.
-    """
-    retry = retry if retry is not None else RetryPolicy.from_env()
-    server = _Server(address, read_timeout=retry.read_timeout)
-    log(f"serve-bus: {server.address} over spool {spool.root}")
-    stats = {"served": 0, "completed": 0, "failed": 0, "requeued": 0}
-    last_activity = time.monotonic()
-    try:
-        while True:
-            spool.reap_stale()
-            events = server.poll(poll)
-            executing = [
-                c for c in server.connections.values() if c.executing
-            ]
-            for connection in executing:
-                spool.heartbeat(connection.executing[0])
-            if events:
-                last_activity = time.monotonic()
-            for connection, messages in events:
-                if messages is None:
-                    if connection.executing is not None:
-                        key, _ = connection.executing
-                        spool.release(key, "worker connection lost mid-job")
-                        stats["requeued"] += 1
-                    server.drop(connection)
-                    continue
-                for message in messages:
-                    op = message.get("op")
-                    if op == "lease":
-                        leased = spool.lease()
-                        if leased is None:
-                            connection.send({"op": "empty"})
-                            continue
-                        key, payload = leased
-                        connection.executing = (key, int(payload["attempt"]))
-                        stats["served"] += 1
-                        if not connection.send(
-                            {
-                                "op": "job",
-                                "key": key,
-                                "attempt": int(payload["attempt"]),
-                                "job": payload["job"],
-                            }
-                        ):
-                            connection.executing = None
-                            spool.release(key, "worker connection lost")
-                    elif op == "done":
-                        key = str(message["key"])
-                        store.put(
-                            str(message.get("kind", "attacks")),
-                            key,
-                            message["result"],
-                        )
-                        spool.complete(key)
-                        connection.executing = None
-                        stats["completed"] += 1
-                        log(f"serve-bus: completed {key[:12]}…")
-                    elif op == "failed":
-                        key = str(message["key"])
-                        connection.executing = None
-                        stats["failed"] += 1
-                        if spool.fail(key, str(message.get("traceback", ""))):
-                            log(f"serve-bus: quarantined {key[:12]}…")
-            if max_jobs is not None and stats["completed"] >= max_jobs:
-                break
-            if (
-                idle_timeout is not None
-                and not server.connections
-                and not spool.pending_keys()
-                and time.monotonic() - last_activity > idle_timeout
-            ):
-                break
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        pass
-    finally:
-        server.close()
-    return stats
+        self._scratch.cleanup()

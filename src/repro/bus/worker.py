@@ -1,8 +1,8 @@
 """The ``repro worker`` loop: lease, execute, publish, repeat.
 
 A worker is a plain process started with either a spool directory
-(``repro worker --bus-dir SPOOL --store STORE``) or a coordinator
-address (``repro worker --bus-addr HOST:PORT``).  It knows nothing
+(``repro worker --bus-dir SPOOL --store STORE``) or a serve address
+(``repro worker --serve-addr HOST:PORT``).  It knows nothing
 about figures or grids — it executes
 :func:`~repro.experiments.runner.execute_job` on whatever the bus
 hands it (MuxLink attack jobs and baseline-attack jobs alike), one job
@@ -14,9 +14,12 @@ at a time:
   the store is completed without recomputation (the warm-store path),
   and crash recovery is entirely passive: if this process is SIGKILLed
   mid-job the heartbeat stops and any peer reaps the lease.
-* **socket mode** — hold one connection to the coordinator (or
-  ``repro serve-bus`` broker), request jobs, ship results back over the
-  wire.  The server treats a dropped connection as this worker's death.
+* **serve mode** — hold one persistent connection to a ``repro serve``
+  endpoint (standalone, or the one a ``--bus socket`` coordinator runs),
+  execute the jobs it pushes, ship results back over the wire.  The
+  server treats a dropped connection as this worker's death and
+  requeues whatever it had in flight.  This is the only worker loop
+  that speaks TCP.
 
 Workers may start before or after the coordinator, and several may race
 over one spool — the lease protocol makes the outcome identical either
@@ -133,7 +136,6 @@ class _Heartbeat:
 
 def run_worker(
     bus_dir: "str | os.PathLike | None" = None,
-    bus_addr: str | None = None,
     serve_addr: str | None = None,
     store: "ArtifactStore | str | os.PathLike | None" = None,
     poll: float = DEFAULT_POLL,
@@ -149,9 +151,9 @@ def run_worker(
 ) -> WorkerStats:
     """Run the worker loop until idle for *idle_timeout* seconds.
 
-    Exactly one of *bus_dir* (spool mode, requires *store*), *bus_addr*
-    (socket mode) or *serve_addr* (persistent pipelined connection to a
-    ``repro serve`` front end) must be given.  ``idle_timeout=None``
+    Exactly one of *bus_dir* (spool mode, requires *store*) or
+    *serve_addr* (persistent pipelined connection to a ``repro serve``
+    endpoint) must be given.  ``idle_timeout=None``
     runs forever (the daemon deployment); *max_jobs* bounds how many
     jobs this process executes (useful in tests and crash drills).
 
@@ -166,15 +168,12 @@ def run_worker(
     (``REPRO_BUS_LEASE_BATCH``, default 1).  *pipeline* (serve mode) is
     the in-flight window this worker advertises to the server.
 
-    *retry* is the socket/serve-mode connect/read policy (timeouts +
+    *retry* is the serve-mode connect/read policy (timeouts +
     the reconnect backoff schedule); default
     :meth:`RetryPolicy.from_env`.
     """
-    chosen = [x for x in (bus_dir, bus_addr, serve_addr) if x is not None]
-    if len(chosen) != 1:
-        raise BusError(
-            "worker needs exactly one of bus_dir, bus_addr or serve_addr"
-        )
+    if (bus_dir is None) == (serve_addr is None):
+        raise BusError("worker needs exactly one of bus_dir or serve_addr")
     if blas_threads is None:
         raw = os.environ.get(BLAS_THREADS_ENV, "").strip()
         blas_threads = int(raw) if raw else DEFAULT_WORKER_BLAS_THREADS
@@ -196,21 +195,12 @@ def run_worker(
             lease_batch=max(1, lease_batch),
             log=log,
         )
-    if serve_addr is not None:
-        return _run_serve_worker(
-            serve_addr,
-            poll=poll,
-            idle_timeout=idle_timeout,
-            max_jobs=max_jobs,
-            pipeline=max(1, pipeline),
-            retry=retry,
-            log=log,
-        )
-    return _run_socket_worker(
-        bus_addr,
+    return _run_serve_worker(
+        serve_addr,
         poll=poll,
         idle_timeout=idle_timeout,
         max_jobs=max_jobs,
+        pipeline=max(1, pipeline),
         retry=retry,
         log=log,
     )
@@ -333,135 +323,6 @@ def _execute_leased(
 
 
 # ---------------------------------------------------------------------------
-# Socket mode
-# ---------------------------------------------------------------------------
-def _run_socket_worker(
-    bus_addr: str,
-    *,
-    poll: float,
-    idle_timeout: float | None,
-    max_jobs: int | None,
-    retry: RetryPolicy,
-    log,
-) -> WorkerStats:
-    import errno
-
-    from repro.bus.socketbus import parse_address, recv_message, send_message
-    from repro.experiments.runner import execute_job
-
-    host, port = parse_address(bus_addr)
-    stats = WorkerStats()
-    idle_since = time.monotonic()
-    conn: socket.socket | None = None
-    connect_attempt = 0
-    log(f"worker[{os.getpid()}]: socket bus {host}:{port}")
-    try:
-        while True:
-            if (
-                idle_timeout is not None
-                and time.monotonic() - idle_since > idle_timeout
-            ):
-                break
-            if conn is None:
-                try:
-                    if faults.fire("socket.connect_refused"):
-                        raise OSError(
-                            errno.ECONNREFUSED,
-                            "injected fault socket.connect_refused",
-                        )
-                    conn = socket.create_connection(
-                        (host, port), timeout=retry.connect_timeout
-                    )
-                    conn.settimeout(retry.read_timeout)
-                    connect_attempt = 0
-                except OSError:
-                    # Coordinator not up yet (workers may legally start
-                    # first) — retry on the policy backoff schedule,
-                    # floored at the poll interval so a zero-delay
-                    # policy cannot busy-spin on a closed port.
-                    connect_attempt += 1
-                    time.sleep(max(retry.delay(connect_attempt), poll))
-                    continue
-            try:
-                send_message(conn, {"op": "lease"})
-                if faults.fire("socket.read_timeout"):
-                    raise socket.timeout(
-                        "injected fault socket.read_timeout"
-                    )
-                message = recv_message(conn)
-            except OSError:
-                message = None
-            if message is None:  # server went away; reconnect
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-                conn = None
-                time.sleep(poll)
-                continue
-            if message.get("op") == "empty":
-                time.sleep(poll)
-                continue
-            if message.get("op") != "job":  # pragma: no cover - bad server
-                continue
-            idle_since = time.monotonic()
-            key = str(message["key"])
-            if faults.fire("socket.frame_eof"):
-                # Drop the connection mid-frame: the server sees EOF on
-                # a connection with an executing job and requeues it.
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-                conn = None
-                continue
-            try:
-                job = decode_job(message["job"])
-                _test_delay()
-                _mid_job_faults()
-                artifact = execute_job(job)
-            except Exception:
-                stats.failed += 1
-                reply = {
-                    "op": "failed",
-                    "key": key,
-                    "traceback": traceback.format_exc(),
-                }
-            else:
-                stats.executed += 1
-                reply = {
-                    "op": "done",
-                    "key": key,
-                    # The broker persists the result under this store
-                    # kind (a plain coordinator ignores it).
-                    "kind": getattr(job, "artifact_kind", "attacks"),
-                    "result": artifact,
-                }
-                log(f"worker[{os.getpid()}]: completed {key[:12]}…")
-            try:
-                send_message(conn, reply)
-            except OSError:
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-                conn = None  # server will requeue; nothing else to do
-            if (
-                max_jobs is not None
-                and stats.executed + stats.skipped >= max_jobs
-            ):
-                break
-    finally:
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-    log(f"worker[{os.getpid()}]: done ({stats.summary()})")
-    return stats
-
-
-# ---------------------------------------------------------------------------
 # Serve mode — persistent pipelined connection to `repro serve`
 # ---------------------------------------------------------------------------
 def _run_serve_worker(
@@ -476,18 +337,19 @@ def _run_serve_worker(
 ) -> WorkerStats:
     """Announce, then execute **pushed** jobs off one long connection.
 
-    Unlike socket mode there is no lease round-trip: the server keeps up
-    to *pipeline* job frames in flight, so the next job is already
-    sitting in this socket's buffer when the current one finishes.  A
-    dropped connection (server restart, injected ``serve.accept_drop``)
-    reconnects on the retry backoff; the server requeues whatever this
-    worker had in flight.
+    There is no lease round-trip: the server keeps up to *pipeline* job
+    frames in flight, so the next job is already sitting in this
+    socket's buffer when the current one finishes.  A dropped connection
+    (server restart, injected ``serve.accept_drop``,
+    ``socket.read_timeout`` or ``socket.frame_eof``) reconnects on the
+    retry backoff; the server requeues whatever this worker had in
+    flight.
     """
     import errno
     import select
 
-    from repro.bus.socketbus import parse_address, recv_message, send_message
     from repro.experiments.runner import execute_job
+    from repro.wire import parse_address, recv_message, send_message
 
     host, port = parse_address(serve_addr)
     stats = WorkerStats()
@@ -497,13 +359,22 @@ def _run_serve_worker(
     log(
         f"worker[{os.getpid()}]: serve {host}:{port} (pipeline {pipeline})"
     )
+
+    def hang_up() -> None:
+        # The server requeues whatever this connection had in flight.
+        nonlocal conn
+        if conn is not None:
+            try:
+                conn.close()
+            except OSError:  # pragma: no cover
+                pass
+            conn = None
+
     try:
-        while True:
-            if (
-                idle_timeout is not None
-                and time.monotonic() - idle_since > idle_timeout
-            ):
-                break
+        while (
+            idle_timeout is None
+            or time.monotonic() - idle_since <= idle_timeout
+        ):
             if conn is None:
                 try:
                     if faults.fire("socket.connect_refused"):
@@ -520,12 +391,10 @@ def _run_serve_worker(
                         {"op": "hello", "role": "worker", "pipeline": pipeline},
                     )
                 except OSError:
-                    if conn is not None:
-                        try:
-                            conn.close()
-                        except OSError:  # pragma: no cover
-                            pass
-                        conn = None
+                    # The server may legally start after its workers:
+                    # retry on the policy backoff, floored at the poll
+                    # interval so a zero-delay policy cannot busy-spin.
+                    hang_up()
                     connect_attempt += 1
                     time.sleep(max(retry.delay(connect_attempt), poll))
                     continue
@@ -538,21 +407,22 @@ def _run_serve_worker(
                 ready, _, _ = select.select([conn], [], [], poll)
                 if not ready:
                     continue
+                if faults.fire("socket.read_timeout"):
+                    raise socket.timeout("injected fault socket.read_timeout")
                 message = recv_message(conn)
             except OSError:
                 message = None
             if message is None:  # server went away; reconnect
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-                conn = None
+                hang_up()
                 time.sleep(poll)
                 continue
             if message.get("op") != "job":  # pragma: no cover - bad server
                 continue
             idle_since = time.monotonic()
             key = str(message["key"])
+            if faults.fire("socket.frame_eof"):
+                hang_up()  # mid-protocol, holding the pushed job
+                continue
             try:
                 job = decode_job(message["job"])
                 _test_delay()
@@ -570,28 +440,17 @@ def _run_serve_worker(
                 reply = {
                     "op": "done",
                     "key": key,
-                    "kind": getattr(job, "artifact_kind", "attacks"),
+                    "kind": job.artifact_kind,
                     "result": artifact,
                 }
                 log(f"worker[{os.getpid()}]: completed {key[:12]}…")
             try:
                 send_message(conn, reply)
             except OSError:
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-                conn = None  # server requeues its in-flight window
-            if (
-                max_jobs is not None
-                and stats.executed + stats.skipped >= max_jobs
-            ):
+                hang_up()
+            if max_jobs is not None and stats.executed >= max_jobs:
                 break
     finally:
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
+        hang_up()
     log(f"worker[{os.getpid()}]: done ({stats.summary()})")
     return stats

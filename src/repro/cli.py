@@ -32,10 +32,10 @@ verify`` administers it.
 
 ``--bus`` swaps the execution backend under ``figures``: ``local``
 (default, this host), ``spool`` (a shared spool directory drained by N
-``repro worker --bus-dir`` processes) or ``socket`` (a TCP queue served
-from the coordinator; workers connect with ``repro worker --bus-addr``).
-``repro serve-bus`` bridges a spool directory to socket workers that
-cannot mount it.  Results are bit-identical across all backends::
+``repro worker --bus-dir`` processes) or ``socket`` (the coordinator
+runs an in-process ``repro serve`` endpoint on ``--bus-addr``; workers
+connect with ``repro worker --serve-addr``).  Results are bit-identical
+across all backends::
 
     python -m repro.cli worker --bus-dir /tmp/spool --store /tmp/store &
     python -m repro.cli worker --bus-dir /tmp/spool --store /tmp/store &
@@ -143,11 +143,8 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         from repro.client import ServeClient
         from repro.core.muxlink import rescore_key
 
-        client = ServeClient(args.serve)
-        try:
+        with ServeClient(args.serve) as client:
             result = client.attack(circuit, config)
-        finally:
-            client.close()
         predicted = rescore_key(result, config.threshold)
     else:
         from repro.store import resolve_store
@@ -168,7 +165,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.experiments import (
-        ExperimentRunner,
         active_scale,
         format_fig7,
         format_fig8,
@@ -188,56 +184,72 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         9: (run_fig9, format_fig9),
         10: (run_fig10, format_fig10),
     }
-    print(f"scale={scale.name} jobs={args.jobs if args.jobs is not None else 'env'}")
-    with ExperimentRunner(
-        jobs=args.jobs,
-        store=args.store,
-        bus=args.bus,
-        bus_dir=args.bus_dir,
-        bus_addr=args.bus_addr,
-        liveness=args.liveness,
-    ) as runner:
-        if runner.store is not None:
-            print(f"store={runner.store.root}")
-        if runner.bus.name != "local":
-            print(f"bus={runner.bus.name}", end="")
-            address = getattr(runner.bus, "address", None)
-            if address is not None:
-                print(f" addr={address}", end="")
-            print()
+    runner = _open_runner(args, scale)
+    if runner is None:
+        return 2
+    with runner:
         for figure in args.figures:
             run, fmt = drivers[figure]
             print()
             print(fmt(run(scale=scale, seed=args.seed, runner=runner)))
-        print()
-        print(f"runner: {runner.stats.summary()}")
-        if runner.bus.name != "local":
-            print(f"bus[{runner.bus.name}]: {runner.bus.stats.summary()}")
-        if runner.store is not None:
-            print(f"store: {runner.store.stats.summary()}")
+        _print_runner_summary(runner)
     return 0
+
+
+def _open_runner(args: argparse.Namespace, scale):
+    """The ``figures``/``leaderboard`` runner, or ``None`` after an error.
+
+    A bad ``--bus-addr`` (or any other bus/store misconfiguration)
+    prints ``error: …`` instead of a traceback.
+    """
+    from repro.errors import ReproError
+    from repro.experiments import ExperimentRunner
+
+    jobs = args.jobs if args.jobs is not None else "env"
+    print(f"scale={scale.name} jobs={jobs}")
+    try:
+        runner = ExperimentRunner(
+            jobs=args.jobs,
+            store=args.store,
+            bus=args.bus,
+            bus_dir=args.bus_dir,
+            bus_addr=args.bus_addr,
+            liveness=args.liveness,
+        )
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    if runner.store is not None:
+        print(f"store={runner.store.root}")
+    if runner.bus.name != "local":
+        address = getattr(runner.bus, "address", None)
+        suffix = f" addr={address}" if address is not None else ""
+        print(f"bus={runner.bus.name}{suffix}")
+    return runner
+
+
+def _print_runner_summary(runner) -> None:
+    print()
+    print(f"runner: {runner.stats.summary()}")
+    if runner.bus.name != "local":
+        print(f"bus[{runner.bus.name}]: {runner.bus.stats.summary()}")
+    if runner.store is not None:
+        print(f"store: {runner.store.stats.summary()}")
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
     import os
 
-    from repro.bus import (
-        BUS_ADDR_ENV,
-        BUS_DIR_ENV,
-        SERVE_ADDR_ENV,
-        BusError,
-        run_worker,
-    )
+    from repro.bus import BUS_DIR_ENV, SERVE_ADDR_ENV, run_worker
+    from repro.errors import ReproError
 
     bus_dir = args.bus_dir or os.environ.get(BUS_DIR_ENV, "").strip() or None
-    bus_addr = args.bus_addr or os.environ.get(BUS_ADDR_ENV, "").strip() or None
     serve_addr = (
         args.serve_addr or os.environ.get(SERVE_ADDR_ENV, "").strip() or None
     )
     try:
         stats = run_worker(
             bus_dir=bus_dir,
-            bus_addr=bus_addr,
             serve_addr=serve_addr,
             store=args.store,
             poll=args.poll,
@@ -249,7 +261,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             lease_batch=args.lease_batch,
             pipeline=args.pipeline,
         )
-    except BusError as exc:
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"worker: {stats.summary()}")
@@ -257,11 +269,10 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import os
     import subprocess
 
-    from repro.bus.protocol import SERVE_ADDR_ENV
-    from repro.serve import AttackServer, ServeError
+    from repro.errors import ReproError
+    from repro.serve import AttackServer
 
     try:
         server = AttackServer(
@@ -272,7 +283,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             poll=args.poll,
             cache_entries=args.cache_entries,
         )
-    except ServeError as exc:
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # Readiness line first (benches and CI parse the bound address from
@@ -284,8 +295,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         flush=True,
     )
     workers: list[subprocess.Popen] = []
-    env = dict(os.environ)
-    env[SERVE_ADDR_ENV] = server.address
     try:
         for _ in range(args.workers):
             workers.append(
@@ -302,8 +311,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         str(args.pipeline),
                         "--poll",
                         str(args.poll),
-                    ],
-                    env=env,
+                    ]
                 )
             )
         stats = server.serve_forever(
@@ -320,42 +328,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 proc.kill()
     print(f"serve: {stats.summary()}")
     print(f"serve: store {server.store.stats.summary()}")
-    return 0
-
-
-def _cmd_serve_bus(args: argparse.Namespace) -> int:
-    from repro.bus import BusError, SpoolDir, serve_spool
-    from repro.store import resolve_store
-
-    store = resolve_store(args.store)
-    if store is None:
-        print(
-            "error: serve-bus needs the shared artifact store — pass "
-            "--store DIR or set REPRO_STORE",
-            file=sys.stderr,
-        )
-        return 2
-    spool = SpoolDir(
-        args.bus_dir,
-        stale_after=args.stale_after,
-        max_attempts=args.max_attempts,
-    )
-    try:
-        stats = serve_spool(
-            spool,
-            args.bus_addr,
-            store,
-            poll=args.poll,
-            idle_timeout=args.idle_timeout,
-            max_jobs=args.max_jobs,
-        )
-    except BusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"serve-bus: served={stats['served']} completed={stats['completed']} "
-        f"failed={stats['failed']} requeued={stats['requeued']}"
-    )
     return 0
 
 
@@ -585,7 +557,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_leaderboard(args: argparse.Namespace) -> int:
     from repro.experiments import (
-        ExperimentRunner,
         active_scale,
         format_leaderboard,
         run_leaderboard,
@@ -593,23 +564,10 @@ def _cmd_leaderboard(args: argparse.Namespace) -> int:
     )
 
     scale = scale_by_name(args.scale) if args.scale else active_scale()
-    print(f"scale={scale.name} jobs={args.jobs if args.jobs is not None else 'env'}")
-    with ExperimentRunner(
-        jobs=args.jobs,
-        store=args.store,
-        bus=args.bus,
-        bus_dir=args.bus_dir,
-        bus_addr=args.bus_addr,
-        liveness=args.liveness,
-    ) as runner:
-        if runner.store is not None:
-            print(f"store={runner.store.root}")
-        if runner.bus.name != "local":
-            print(f"bus={runner.bus.name}", end="")
-            address = getattr(runner.bus, "address", None)
-            if address is not None:
-                print(f" addr={address}", end="")
-            print()
+    runner = _open_runner(args, scale)
+    if runner is None:
+        return 2
+    with runner:
         rows = run_leaderboard(
             scale=scale,
             seed=args.seed,
@@ -620,12 +578,7 @@ def _cmd_leaderboard(args: argparse.Namespace) -> int:
         )
         print()
         print(format_leaderboard(rows))
-        print()
-        print(f"runner: {runner.stats.summary()}")
-        if runner.bus.name != "local":
-            print(f"bus[{runner.bus.name}]: {runner.bus.stats.summary()}")
-        if runner.store is not None:
-            print(f"store: {runner.store.stats.summary()}")
+        _print_runner_summary(runner)
     return 0
 
 
@@ -647,6 +600,52 @@ def _cmd_hd(args: argparse.Namespace) -> int:
     hd = hamming_distance(a, b, n_patterns=args.patterns, seed=args.seed)
     print(f"HD = {hd:.4%} over {args.patterns} patterns")
     return 0
+
+
+def _add_runner_args(p: argparse.ArgumentParser, store_help: str) -> None:
+    """The runner/bus options ``figures`` and ``leaderboard`` share."""
+    p.add_argument(
+        "--jobs",
+        type=lambda v: v if v.strip().lower() == "auto" else int(v),
+        default=None,
+        help="attack worker processes; 'auto' = all cores "
+        "(default: REPRO_JOBS, serial when unset)",
+    )
+    p.add_argument(
+        "--scale",
+        choices=("smoke", "ci", "paper"),
+        default=None,
+        help="experiment preset (default: REPRO_EXPERIMENT_SCALE or ci)",
+    )
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--store", default=None, help=store_help)
+    p.add_argument(
+        "--bus",
+        choices=("local", "spool", "socket"),
+        default=None,
+        help="job execution backend (default: REPRO_BUS or local); "
+        "results are bit-identical across backends",
+    )
+    p.add_argument(
+        "--bus-dir",
+        default=None,
+        help="spool directory for --bus spool (default: REPRO_BUS_DIR)",
+    )
+    p.add_argument(
+        "--bus-addr",
+        default=None,
+        help="bind address for --bus socket, host:port; workers connect "
+        "with `repro worker --serve-addr` (default: REPRO_BUS_ADDR or an "
+        "ephemeral localhost port)",
+    )
+    p.add_argument(
+        "--liveness",
+        type=float,
+        default=None,
+        help="seconds of distributed-bus silence before pending jobs "
+        "fail over to in-process execution (default: REPRO_BUS_LIVENESS "
+        "or 300; 0 disables fail-over)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -800,68 +799,22 @@ def build_parser() -> argparse.ArgumentParser:
         default=(7, 8, 9, 10),
         help="which figures to regenerate (default: all four)",
     )
-    p.add_argument(
-        "--jobs",
-        type=lambda v: v if v.strip().lower() == "auto" else int(v),
-        default=None,
-        help="attack worker processes; 'auto' = all cores "
-        "(default: REPRO_JOBS, serial when unset)",
-    )
-    p.add_argument(
-        "--scale",
-        choices=("smoke", "ci", "paper"),
-        default=None,
-        help="experiment preset (default: REPRO_EXPERIMENT_SCALE or ci)",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--store",
-        default=None,
-        help="persistent artifact store directory; reruns resume with "
+    _add_runner_args(
+        p,
+        store_help="persistent artifact store directory; reruns resume with "
         "zero lock/train jobs (default: REPRO_STORE, no store when unset)",
-    )
-    p.add_argument(
-        "--bus",
-        choices=("local", "spool", "socket"),
-        default=None,
-        help="job execution backend (default: REPRO_BUS or local); "
-        "results are bit-identical across backends",
-    )
-    p.add_argument(
-        "--bus-dir",
-        default=None,
-        help="spool directory for --bus spool (default: REPRO_BUS_DIR)",
-    )
-    p.add_argument(
-        "--bus-addr",
-        default=None,
-        help="bind address for --bus socket, host:port (default: "
-        "REPRO_BUS_ADDR or an ephemeral localhost port)",
-    )
-    p.add_argument(
-        "--liveness",
-        type=float,
-        default=None,
-        help="seconds of distributed-bus silence before pending jobs "
-        "fail over to in-process execution (default: REPRO_BUS_LIVENESS "
-        "or 300; 0 disables fail-over)",
     )
     p.set_defaults(func=_cmd_figures)
 
     p = sub.add_parser(
         "worker",
-        help="execute attack jobs from a spool directory or socket bus",
+        help="execute attack jobs from a spool directory or a serve endpoint",
     )
     p.add_argument(
         "--bus-dir",
         default=None,
         help="spool directory to lease jobs from (default: REPRO_BUS_DIR); "
         "requires --store",
-    )
-    p.add_argument(
-        "--bus-addr",
-        default=None,
-        help="coordinator/broker address host:port (default: REPRO_BUS_ADDR)",
     )
     p.add_argument(
         "--store",
@@ -909,8 +862,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--serve-addr",
         default=None,
-        help="`repro serve` endpoint to hold a persistent pipelined "
-        "connection to (default: REPRO_SERVE_ADDR)",
+        help="`repro serve` endpoint (or `--bus socket` coordinator) to "
+        "hold a persistent pipelined connection to (default: "
+        "REPRO_SERVE_ADDR)",
     )
     p.add_argument(
         "--pipeline",
@@ -956,48 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep each drill's spool/store work directory for autopsy",
     )
     p.set_defaults(func=_cmd_chaos)
-
-    p = sub.add_parser(
-        "serve-bus",
-        help="serve a spool directory to socket workers over TCP",
-    )
-    p.add_argument(
-        "--bus-dir",
-        required=True,
-        help="spool directory to serve jobs from",
-    )
-    p.add_argument(
-        "--bus-addr",
-        default="127.0.0.1:0",
-        help="bind address host:port (default: ephemeral localhost port)",
-    )
-    p.add_argument(
-        "--store",
-        default=None,
-        help="shared artifact store results are written to "
-        "(default: REPRO_STORE)",
-    )
-    p.add_argument("--poll", type=float, default=0.25)
-    p.add_argument(
-        "--stale-after",
-        type=float,
-        default=30.0,
-        help="spool leases with no heartbeat for this long are reaped",
-    )
-    p.add_argument("--max-attempts", type=int, default=3)
-    p.add_argument(
-        "--idle-timeout",
-        type=float,
-        default=None,
-        help="exit after this many fully idle seconds (default: run forever)",
-    )
-    p.add_argument(
-        "--max-jobs",
-        type=int,
-        default=None,
-        help="exit after this many completed jobs",
-    )
-    p.set_defaults(func=_cmd_serve_bus)
 
     p = sub.add_parser(
         "serve",
@@ -1183,52 +1095,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="extra locked copies SWEEP trains on (attacked copy is "
         "always copy 0, shared with the MuxLink grid)",
     )
-    p.add_argument(
-        "--jobs",
-        type=lambda v: v if v.strip().lower() == "auto" else int(v),
-        default=None,
-        help="attack worker processes; 'auto' = all cores "
-        "(default: REPRO_JOBS, serial when unset)",
-    )
-    p.add_argument(
-        "--scale",
-        choices=("smoke", "ci", "paper"),
-        default=None,
-        help="experiment preset (default: REPRO_EXPERIMENT_SCALE or ci)",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--store",
-        default=None,
-        help="persistent artifact store directory; shared with "
+    _add_runner_args(
+        p,
+        store_help="persistent artifact store directory; shared with "
         "'figures' — a leaderboard over a fig7-warmed store re-locks "
         "and re-attacks nothing (default: REPRO_STORE)",
-    )
-    p.add_argument(
-        "--bus",
-        choices=("local", "spool", "socket"),
-        default=None,
-        help="job execution backend (default: REPRO_BUS or local); "
-        "results are bit-identical across backends",
-    )
-    p.add_argument(
-        "--bus-dir",
-        default=None,
-        help="spool directory for --bus spool (default: REPRO_BUS_DIR)",
-    )
-    p.add_argument(
-        "--bus-addr",
-        default=None,
-        help="bind address for --bus socket, host:port (default: "
-        "REPRO_BUS_ADDR or an ephemeral localhost port)",
-    )
-    p.add_argument(
-        "--liveness",
-        type=float,
-        default=None,
-        help="seconds of distributed-bus silence before pending jobs "
-        "fail over to in-process execution (default: REPRO_BUS_LIVENESS "
-        "or 300; 0 disables fail-over)",
     )
     p.set_defaults(func=_cmd_leaderboard)
 

@@ -22,8 +22,6 @@ helpers wrap a one-shot client for scripts.
 
 from __future__ import annotations
 
-import socket
-import threading
 import time
 from typing import TYPE_CHECKING, Any
 
@@ -36,6 +34,7 @@ from repro.store.artifacts import (
     decode_baseline_artifact,
     encode_circuit,
 )
+from repro.wire import Channel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core import MuxLinkConfig, MuxLinkResult
@@ -61,76 +60,17 @@ class ServeClient:
     def __init__(
         self, address: str, retry: RetryPolicy | None = None
     ) -> None:
-        from repro.bus.socketbus import parse_address
-
-        self.host, self.port = parse_address(address)
-        self.address = f"{self.host}:{self.port}"
-        self.retry = retry if retry is not None else RetryPolicy.from_env()
-        self._sock: socket.socket | None = None
-        self._lock = threading.RLock()
-
-    # -- wire ----------------------------------------------------------------
-    def _ensure(self) -> socket.socket:
-        if self._sock is None:
-            sock = socket.create_connection(
-                (self.host, self.port), timeout=self.retry.connect_timeout
-            )
-            sock.settimeout(self.retry.read_timeout)
-            self._sock = sock
-        return self._sock
-
-    def _drop(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover
-                pass
-            self._sock = None
+        self._channel = Channel(address, retry=retry, name="serve")
+        self.address = self._channel.address
 
     def close(self) -> None:
-        with self._lock:
-            self._drop()
+        self._channel.close()
 
-    def _exchange(
-        self,
-        payload: dict,
-        expect: tuple[str, ...],
-        expect_key: str | None = None,
-    ) -> dict:
-        """Send one frame, read frames until an expected op arrives.
+    def __enter__(self) -> "ServeClient":
+        return self
 
-        *expect_key* additionally matches the reply's ``key`` field —
-        a retried ``wait`` can leave duplicate/stale result frames in
-        the stream, and they must never satisfy a later exchange.
-        """
-        from repro.bus.socketbus import recv_message, send_message
-
-        def _attempt() -> dict:
-            with self._lock:
-                try:
-                    sock = self._ensure()
-                    send_message(sock, payload)
-                    while True:
-                        reply = recv_message(sock)
-                        if reply is None:
-                            self._drop()
-                            raise OSError("serve connection closed")
-                        if reply.get("op") in expect and (
-                            expect_key is None
-                            or str(reply.get("key", "")) == expect_key
-                        ):
-                            return reply
-                        # e.g. an unsolicited result frame for an
-                        # earlier fire-and-forget submit: ignore.
-                except OSError:
-                    self._drop()
-                    raise
-
-        return self.retry.call(
-            _attempt,
-            retry_on=(OSError,),
-            describe=f"serve {payload.get('op')}",
-        )
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- request construction ------------------------------------------------
     @staticmethod
@@ -155,7 +95,7 @@ class ServeClient:
         With ``wait=True`` the server follows the accept frame with the
         result frame once available; collect it with :meth:`result`.
         """
-        reply = self._exchange(
+        return self._channel.exchange(
             {
                 "op": "submit",
                 "key": job.store_key,
@@ -165,7 +105,6 @@ class ServeClient:
             ("accepted",),
             expect_key=job.store_key,
         )
-        return reply
 
     def submit(
         self, circuit, config: "MuxLinkConfig", wait: bool = False
@@ -193,7 +132,7 @@ class ServeClient:
         )
         while True:
             try:
-                reply = self._exchange(
+                reply = self._channel.exchange(
                     {"op": "wait", "key": key, "kind": kind},
                     ("result",),
                     expect_key=key,
@@ -232,15 +171,16 @@ class ServeClient:
 
     def stats(self) -> dict:
         """The server's :class:`~repro.serve.server.ServeStats` counters."""
-        return self._exchange({"op": "stats"}, ("stats",))["stats"]
+        return self._channel.exchange({"op": "stats"}, ("stats",))["stats"]
 
     def ping(self) -> bool:
-        return self._exchange({"op": "ping"}, ("pong",)).get("op") == "pong"
+        reply = self._channel.exchange({"op": "ping"}, ("pong",))
+        return reply.get("op") == "pong"
 
     def shutdown(self) -> None:
         """Ask the server to exit its loop (used by benches and CI)."""
         try:
-            self._exchange({"op": "shutdown"}, ("bye",))
+            self._channel.exchange({"op": "shutdown"}, ("bye",))
         except OSError:  # pragma: no cover - server died before replying
             pass
         self.close()
@@ -251,26 +191,17 @@ class ServeClient:
 # ---------------------------------------------------------------------------
 def submit(address: str, circuit, config) -> tuple[str, str]:
     """Fire-and-forget submit; returns ``(store_key, status)``."""
-    client = ServeClient(address)
-    try:
+    with ServeClient(address) as client:
         return client.submit(circuit, config)
-    finally:
-        client.close()
 
 
 def result(address: str, key: str, kind: str = "attacks", timeout=None):
     """Fetch (blocking) the decoded artifact for a submitted key."""
-    client = ServeClient(address)
-    try:
+    with ServeClient(address) as client:
         return client.result(key, kind=kind, timeout=timeout)
-    finally:
-        client.close()
 
 
 def predict_key(address: str, circuit, config) -> str:
     """Submit + wait + rescore: the one-call served key prediction."""
-    client = ServeClient(address)
-    try:
+    with ServeClient(address) as client:
         return client.predict_key(circuit, config)
-    finally:
-        client.close()

@@ -2,10 +2,11 @@
 
 A *drill* is one end-to-end proof of the robustness contract: arm a
 :class:`~repro.faults.FaultPlan`, run the Fig. 7 smoke grid through the
-real topology the plan targets (worker subprocesses over a spool, a TCP
-worker against a :class:`~repro.bus.SocketBus`, or the in-process store
-path), and assert that the resulting records and rendered table are
-**bit-identical** to a clean serial run.  Faults that were injected but
+real topology the plan targets (worker subprocesses over a spool, a
+``--serve-addr`` worker against a :class:`~repro.bus.SocketBus` — the
+in-process serve endpoint — or the in-process store path), and assert
+that the resulting records and rendered table are **bit-identical** to
+a clean serial run.  Faults that were injected but
 recovered from must be invisible in the science; only the recovery
 counters (requeues, fail-overs, write retries) may differ.
 
@@ -36,8 +37,9 @@ __all__ = ["DRILL_TOPOLOGY", "DrillOutcome", "run_chaos"]
 
 #: Which execution topology exercises each named plan.  ``spool`` and
 #: ``socket`` drills run real worker subprocesses (the plan travels via
-#: ``REPRO_FAULT_PLAN``); ``local`` drills arm the plan in-process and
-#: exercise the store write/read path; the ``serve`` drill runs a real
+#: ``REPRO_FAULT_PLAN``; the socket worker is the pipelined serve
+#: loop); ``local`` drills arm the plan in-process and exercise the
+#: store write/read path; the ``serve`` drill runs a real
 #: ``repro serve`` process (pipelined workers + remote store) and gates
 #: on bit-identical artifact payloads rather than figure tables.
 DRILL_TOPOLOGY: dict[str, str] = {
@@ -131,16 +133,15 @@ def _worker_env(plan: FaultPlan | None) -> dict:
     return env
 
 
-def _spawn_spool_worker(
-    spool_root, store_root, plan: FaultPlan | None
+def _spawn_worker(
+    args: "list[str]", plan: FaultPlan | None
 ) -> subprocess.Popen:
+    """A ``repro worker`` subprocess running under *plan*."""
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "worker",
-            "--bus-dir", str(spool_root),
-            "--store", str(store_root),
+            *args,
             "--poll", "0.1",
-            "--stale-after", str(_DRILL_STALE),
             "--idle-timeout", "60",
         ],
         env=_worker_env(plan),
@@ -150,18 +151,16 @@ def _spawn_spool_worker(
     )
 
 
-def _spawn_socket_worker(address: str, plan: FaultPlan | None) -> subprocess.Popen:
-    return subprocess.Popen(
+def _spawn_spool_worker(
+    spool_root, store_root, plan: FaultPlan | None
+) -> subprocess.Popen:
+    return _spawn_worker(
         [
-            sys.executable, "-m", "repro.cli", "worker",
-            "--bus-addr", address,
-            "--poll", "0.1",
-            "--idle-timeout", "60",
+            "--bus-dir", str(spool_root),
+            "--store", str(store_root),
+            "--stale-after", str(_DRILL_STALE),
         ],
-        env=_worker_env(plan),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
+        plan,
     )
 
 
@@ -302,7 +301,7 @@ def _drill_socket(
     from repro.experiments.runner import ExperimentRunner
 
     bus = SocketBus(poll=0.1, timeout=240)
-    worker = _spawn_socket_worker(bus.address, plan)
+    worker = _spawn_worker(["--serve-addr", bus.address], plan)
     runner = ExperimentRunner(jobs=0, store=workdir / "store", bus=bus)
     try:
         records = runner.run(reference.cells)

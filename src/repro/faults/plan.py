@@ -1,7 +1,7 @@
 """Seeded, deterministic fault injection for the bus/store/worker stack.
 
 A :class:`FaultPlan` arms a set of named **sites** — fixed points in the
-production code (``repro.store.codec``, the spool, the socket worker)
+production code (``repro.store.codec``, the spool, the serve worker)
 that consult :func:`fire` on every pass.  When no plan is active the
 check is a dict lookup against an empty map: the production hot path
 pays nothing.  When a plan *is* active, each armed site fires a bounded,
@@ -59,9 +59,9 @@ FAULT_SITES = {
     ),
     "store.write_enospc": "codec dump raises ENOSPC before writing a byte",
     "store.read_corrupt": "codec load reports an existing file as corrupt",
-    "socket.connect_refused": "worker connect() to the bus is refused",
-    "socket.read_timeout": "worker bus read raises a timeout",
-    "socket.frame_eof": "worker drops its connection mid-protocol (EOF)",
+    "socket.connect_refused": "serve worker connect() is refused",
+    "socket.read_timeout": "serve worker frame read raises a timeout",
+    "socket.frame_eof": "serve worker hangs up holding a pushed job (EOF)",
     "spool.lease_race": "lease() loses the pending->leased rename race",
     "spool.heartbeat_stall": "the lease heartbeat thread stops beating",
     "worker.crash_after_n": "worker os._exit(137)s mid-job (SIGKILL-alike)",

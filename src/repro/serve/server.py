@@ -1,8 +1,7 @@
 """``repro serve`` — the long-running attack-as-a-service front end.
 
-One selector loop (reusing the :class:`repro.bus.socketbus._Server`
-plumbing and the length-prefixed codec frames of the job bus) owns three
-kinds of peers on a single listening port:
+One selector loop (the :mod:`repro.wire` plumbing and length-prefixed
+codec frames) owns three kinds of peers on a single listening port:
 
 * **clients** (:class:`repro.client.ServeClient`) submit content-keyed
   requests: ``{op: submit, key, job, wait}`` where *key* is exactly the
@@ -14,47 +13,56 @@ kinds of peers on a single listening port:
   ``{op: hello, role: worker, pipeline: N}`` and then receive **pushed**
   ``{op: job, ...}`` frames, up to *pipeline* in flight per connection —
   the worker executes serially, but the next job is already buffered in
-  its socket when the current one finishes, so the lease round-trip of
-  the per-job :class:`~repro.bus.socketbus.SocketBus` disappears.
+  its socket when the current one finishes, so no lease round-trip sits
+  between two jobs.
 * **remote stores** (:class:`repro.store.remote.RemoteStore`) read and
   write raw artifact blobs (``store-get`` / ``store-put`` /
   ``store-has``) against the server's on-disk
   :class:`~repro.store.ArtifactStore`, so workers and clients on other
   hosts need no shared filesystem.
 
+The same loop is the coordinator of ``repro figures --bus socket``:
+:class:`~repro.bus.SocketBus` owns an :class:`AttackServer`, submits its
+grid in-process and drives :meth:`AttackServer.step` itself.
+
 The warm path is three tiers: an in-memory LRU of decoded result
 payloads, then the on-disk store, then scheduling.  An identical request
 already executing **coalesces** — K clients asking for one key train it
-exactly once and all receive the result frame.  Failure semantics follow
-the bus: a failed attempt requeues until ``max_attempts``, a dead worker
-connection requeues its whole in-flight window, and a worker fleet
-silent for longer than the liveness deadline fails queued jobs over to
-in-process execution (one at a time, on a helper thread) instead of
-hanging clients forever.
+exactly once and all receive the result frame.  Failure semantics: a
+failed attempt requeues until ``max_attempts``, a dead worker
+connection requeues its whole in-flight window, and once queued work has
+waited the liveness deadline with no worker progress (only a worker
+``hello``, ``done`` or ``failed`` counts) the queue fails over to
+in-process execution — back to back, on a helper thread — instead of
+hanging clients forever.  A malformed frame drops its connection, never
+the server.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import threading
 import time
 import traceback
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from repro import faults
+import numpy as np
+
 from repro.bus.protocol import (
     DEFAULT_LIVENESS,
     DEFAULT_MAX_ATTEMPTS,
     DEFAULT_PIPELINE,
     DEFAULT_POLL,
+    JOB_ARTIFACT_KINDS,
     RetryPolicy,
     decode_job,
     job_artifact_kind,
 )
-from repro.bus.socketbus import _Connection, _Server
 from repro.errors import ReproError
 from repro.store import ArtifactStore, resolve_store
+from repro.wire import _Connection, _Server
 
 __all__ = ["AttackServer", "ServeError", "ServeStats"]
 
@@ -89,19 +97,7 @@ class ServeStats:
     store_puts: int = 0
 
     def as_payload(self) -> dict:
-        return {
-            "requests": self.requests,
-            "memory_hits": self.memory_hits,
-            "store_hits": self.store_hits,
-            "coalesced": self.coalesced,
-            "scheduled": self.scheduled,
-            "completed": self.completed,
-            "failed": self.failed,
-            "requeues": self.requeues,
-            "failed_over": self.failed_over,
-            "store_gets": self.store_gets,
-            "store_puts": self.store_puts,
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         text = (
@@ -116,11 +112,55 @@ class ServeStats:
         return text
 
 
-class _ServeListener(_Server):
-    """The serve socket front end: accepts honor ``serve.accept_drop``."""
+def _is_name(value) -> bool:
+    """A store kind or key: a short token that cannot leave its directory."""
+    return (
+        isinstance(value, str)
+        and re.fullmatch(r"[\w-]{1,128}", value, re.ASCII) is not None
+    )
 
-    def _accepted(self, sock) -> bool:
-        return faults.fire("serve.accept_drop") is None
+
+def _is_job(job) -> bool:
+    """An encoded job payload of a known kind."""
+    kind = job.get("kind", "attack") if isinstance(job, dict) else None
+    return isinstance(kind, str) and kind in JOB_ARTIFACT_KINDS
+
+
+#: Fields each op must carry, and the check each must pass.
+_REQUIRED = {
+    "submit": {"key": _is_name, "job": _is_job},
+    "wait": {"key": _is_name},
+    "done": {"key": _is_name, "result": lambda r: isinstance(r, dict)},
+    "failed": {"key": _is_name},
+    "store-has": {"kind": _is_name, "key": _is_name},
+    "store-get": {"kind": _is_name, "key": _is_name},
+    "store-put": {
+        "kind": _is_name,
+        "key": _is_name,
+        "blob": lambda blob: isinstance(blob, np.ndarray),
+    },
+}
+#: Optional fields, checked on any op that carries them.
+_OPTIONAL = {
+    "kind": _is_name,
+    "pipeline": lambda n: isinstance(n, (int, np.integer)),
+}
+
+
+def _malformed(message) -> bool:
+    """Whether a decoded frame lacks (or mistypes) a field its op needs."""
+    if not isinstance(message, dict) or not isinstance(message.get("op"), str):
+        return True
+    required = _REQUIRED.get(message["op"], {})
+    if any(
+        name not in message or not check(message[name])
+        for name, check in required.items()
+    ):
+        return True
+    return any(
+        name in message and not check(message[name])
+        for name, check in _OPTIONAL.items()
+    )
 
 
 @dataclass
@@ -132,7 +172,7 @@ class _Request:
     kind: str  # artifact store kind the result lands under
     attempt: int = 0
     failing_over: bool = False
-    waiters: list[_Connection] = field(default_factory=list)
+    waiters: list = field(default_factory=list)  # anything with send()
 
 
 @dataclass
@@ -165,7 +205,7 @@ class AttackServer:
             )
         self.store = resolved
         self.retry = retry if retry is not None else RetryPolicy.from_env()
-        self._server = _ServeListener(
+        self._server = _Server(
             address, read_timeout=self.retry.read_timeout
         )
         self.address = self._server.address
@@ -184,6 +224,7 @@ class AttackServer:
         self._inbox: deque = deque()  # fail-over thread -> loop
         self._inbox_lock = threading.Lock()
         self._failover_busy = False
+        self._last_progress = time.monotonic()  # the liveness clock
         self._stop = False
 
     # -- the loop ------------------------------------------------------------
@@ -200,32 +241,10 @@ class AttackServer:
         are test/bench conveniences, the daemon deployment uses neither.
         """
         last_activity = time.monotonic()
-        last_progress = last_activity
         try:
             while not self._stop:
-                events = self._server.poll(self.poll)
-                for connection, messages in events:
-                    if messages is None:
-                        self._disconnect(connection)
-                        continue
-                    for message in messages:
-                        self._handle(connection, message)
-                self._drain_inbox()
-                self._pump()
-                now = time.monotonic()
-                busy = self._failover_busy or any(
-                    link.inflight for link in self.workers.values()
-                )
-                if events or busy:
-                    last_activity = last_progress = now
-                elif self.queue:
-                    if (
-                        self.liveness is not None
-                        and now - last_progress > self.liveness
-                    ):
-                        self._start_failover()
-                else:
-                    last_progress = now
+                if self.step() or self.busy:
+                    last_activity = time.monotonic()
                 if (
                     max_requests is not None
                     and self.stats.requests >= max_requests
@@ -235,21 +254,66 @@ class AttackServer:
                 if (
                     idle_timeout is not None
                     and not self.requests
-                    and now - last_activity > idle_timeout
+                    and time.monotonic() - last_activity > idle_timeout
                 ):
                     break
         except KeyboardInterrupt:  # pragma: no cover - interactive stop
             pass
         return self.stats
 
+    def step(self) -> bool:
+        """One loop turn: read frames, settle, dispatch, check liveness.
+
+        Returns whether any peer sent a frame (or hung up) this turn.
+        The liveness clock only runs while queued work waits on an idle
+        fleet; once it expires, the queue fails over job after job
+        until a worker says ``hello``, ``done`` or ``failed``.
+        """
+        events = self._server.poll(self.poll)
+        for connection, messages in events:
+            if messages is None:
+                self._disconnect(connection)
+                continue
+            for message in messages:
+                if _malformed(message):
+                    self._disconnect(connection)
+                    break
+                self._handle(connection, message)
+        self._drain_inbox()
+        self._pump()
+        now = time.monotonic()
+        working = any(link.inflight for link in self.workers.values())
+        if not self.queue or working:
+            self._last_progress = now
+        elif (
+            self.liveness is not None
+            and now - self._last_progress > self.liveness
+        ):
+            self._start_failover()
+        return bool(events)
+
+    @property
+    def busy(self) -> bool:
+        """A job is executing somewhere (a worker or the fail-over thread)."""
+        return self._failover_busy or any(
+            link.inflight for link in self.workers.values()
+        )
+
     def close(self) -> None:
         self._server.close()
 
     # -- message dispatch ----------------------------------------------------
     def _handle(self, connection: _Connection, message: dict) -> None:
-        op = message.get("op")
+        op = message["op"]
+        if op in ("hello", "done", "failed"):
+            self._last_progress = time.monotonic()  # the fleet is alive
         if op == "submit":
-            self._handle_submit(connection, message)
+            self.submit(
+                connection,
+                message["key"],
+                message["job"],
+                wait=bool(message.get("wait", False)),
+            )
         elif op == "wait":
             self._handle_wait(connection, message)
         elif op == "hello":
@@ -262,11 +326,11 @@ class AttackServer:
         elif op == "done":
             self._handle_done(connection, message)
         elif op == "failed":
-            key = str(message["key"])
+            key = message["key"]
             self._worker_settled(connection, key)
             self._fail_attempt(key, str(message.get("traceback", "")))
         elif op == "store-has":
-            kind, key = str(message["kind"]), str(message["key"])
+            kind, key = message["kind"], message["key"]
             connection.send(
                 {"op": "store-has", "key": key, "has": self.store.has(kind, key)}
             )
@@ -283,42 +347,40 @@ class AttackServer:
             self._stop = True
         # unknown ops are ignored: wire compatibility over strictness
 
-    def _handle_submit(self, connection: _Connection, message: dict) -> None:
-        key = str(message["key"])
-        wait = bool(message.get("wait", False))
-        job_payload = message["job"]
-        kind = job_artifact_kind(
-            str(job_payload.get("kind", "attack"))
-            if isinstance(job_payload, dict)
-            else "attack"
-        )
+    def submit(self, waiter, key: str, job: dict, wait: bool = False) -> None:
+        """Take one request: answer it warm, coalesce it, or queue it.
+
+        *waiter* is anything with a ``send(frame)`` method — a
+        client connection, or :class:`~repro.bus.SocketBus`'s in-process
+        sink.  It gets the ``accepted`` frame now and, with *wait*, the
+        ``result`` frame once the artifact exists.
+        """
+        kind = job_artifact_kind(str(job.get("kind", "attack")))
         self.stats.requests += 1
         payload = self._lookup(kind, key)
         if payload is not None:
-            connection.send({"op": "accepted", "key": key, "status": "hit"})
+            waiter.send({"op": "accepted", "key": key, "status": "hit"})
             if wait:
-                self._send_result(connection, key, kind, payload)
+                self._send_result(waiter, key, kind, payload)
             return
         request = self.requests.get(key)
         if request is not None:
             self.stats.coalesced += 1
             if wait:
-                request.waiters.append(connection)
-            connection.send(
-                {"op": "accepted", "key": key, "status": "coalesced"}
-            )
+                request.waiters.append(waiter)
+            waiter.send({"op": "accepted", "key": key, "status": "coalesced"})
             return
-        request = _Request(key=key, job=job_payload, kind=kind)
+        request = _Request(key=key, job=job, kind=kind)
         if wait:
-            request.waiters.append(connection)
+            request.waiters.append(waiter)
         self.requests[key] = request
         self.queue.append(key)
         self.stats.scheduled += 1
-        connection.send({"op": "accepted", "key": key, "status": "queued"})
+        waiter.send({"op": "accepted", "key": key, "status": "queued"})
 
     def _handle_wait(self, connection: _Connection, message: dict) -> None:
-        key = str(message["key"])
-        kind = str(message.get("kind", "attacks"))
+        key = message["key"]
+        kind = message.get("kind", "attacks")
         payload = self._lookup(kind, key, count_request=False)
         if payload is not None:
             self._send_result(connection, key, kind, payload)
@@ -337,7 +399,7 @@ class AttackServer:
         )
 
     def _handle_done(self, connection: _Connection, message: dict) -> None:
-        key = str(message["key"])
+        key = message["key"]
         self._worker_settled(connection, key)
         request = self.requests.get(key)
         if request is None:
@@ -345,9 +407,7 @@ class AttackServer:
         self._complete(key, message["result"])
 
     def _handle_store_get(self, connection: _Connection, message: dict) -> None:
-        import numpy as np
-
-        kind, key = str(message["kind"]), str(message["key"])
+        kind, key = message["kind"], message["key"]
         self.stats.store_gets += 1
         try:
             blob = self.store.path_for(kind, key).read_bytes()
@@ -370,7 +430,7 @@ class AttackServer:
     def _handle_store_put(self, connection: _Connection, message: dict) -> None:
         from repro.store import codec
 
-        kind, key = str(message["kind"]), str(message["key"])
+        kind, key = message["kind"], message["key"]
         self.stats.store_puts += 1
         blob = message["blob"]
         try:
@@ -528,12 +588,13 @@ class AttackServer:
 
     # -- graceful degradation ------------------------------------------------
     def _start_failover(self) -> None:
-        """No live fleet and the liveness deadline passed: degrade.
+        """No worker progress within the liveness deadline: degrade.
 
         One queued key at a time executes on a helper thread (so the
         loop keeps answering pings, submits and store ops) and settles
-        through the inbox.  A worker fleet coming back mid-fail-over
-        simply picks up the rest of the queue.
+        through the inbox; the next starts as soon as it does.  A worker
+        fleet coming back mid-fail-over resets the deadline and picks up
+        the rest of the queue.
         """
         if self._failover_busy or not self.queue:
             return

@@ -14,24 +14,24 @@ touching the network.
 Failure semantics mirror the local store: a corrupt blob warns and reads
 as a miss (the caller recomputes and rewrites), transient socket errors
 retry on the shared :class:`~repro.faults.RetryPolicy` backoff with a
-fresh connection per attempt, and the ``remote_store.read_timeout``
-fault site injects exactly the mid-read timeout the chaos drill needs.
+fresh connection per attempt (one :class:`repro.wire.Channel`), and the
+``remote_store.read_timeout`` fault site injects exactly the mid-read
+timeout the chaos drill needs.
 """
 
 from __future__ import annotations
 
-import socket
-import threading
 import os
+import threading
 import warnings
 from collections import OrderedDict
 from typing import Any
 
-from repro import faults
 from repro.errors import ReproError
 from repro.faults.retry import RetryPolicy
 from repro.store import StoreStats, codec
 from repro.store.codec import CodecError
+from repro.wire import Channel
 
 __all__ = ["RemoteStore", "RemoteStoreError"]
 
@@ -41,7 +41,7 @@ DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 
 
 class RemoteStoreError(ReproError):
-    """The remote store endpoint misbehaved (bad reply, refused write)."""
+    """The remote store endpoint refused a write."""
 
 
 class RemoteStore:
@@ -53,11 +53,8 @@ class RemoteStore:
         retry: RetryPolicy | None = None,
         cache_bytes: int | None = None,
     ) -> None:
-        from repro.bus.socketbus import parse_address
-
-        self.host, self.port = parse_address(address)
-        self.root = f"remote://{self.host}:{self.port}"
-        self.retry = retry if retry is not None else RetryPolicy.from_env()
+        self._channel = Channel(address, retry=retry, name="remote store")
+        self.root = f"remote://{self._channel.address}"
         self.stats = StoreStats()
         if cache_bytes is None:
             raw = os.environ.get(REMOTE_CACHE_ENV, "").strip()
@@ -65,67 +62,21 @@ class RemoteStore:
         self._cache_budget = int(cache_bytes)
         self._cache: OrderedDict[tuple[str, str], bytes] = OrderedDict()
         self._cache_bytes = 0
-        self._sock: socket.socket | None = None
         self._lock = threading.RLock()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RemoteStore({self.root!r})"
 
-    # -- wire ----------------------------------------------------------------
-    def _ensure(self) -> socket.socket:
-        if self._sock is None:
-            sock = socket.create_connection(
-                (self.host, self.port), timeout=self.retry.connect_timeout
-            )
-            sock.settimeout(self.retry.read_timeout)
-            self._sock = sock
-        return self._sock
-
-    def _drop(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover
-                pass
-            self._sock = None
-
     def close(self) -> None:
-        with self._lock:
-            self._drop()
+        self._channel.close()
 
     def _round_trip(self, payload: dict, expect: str) -> dict:
         """One request/reply exchange, reconnect-and-retried on OSError."""
-        from repro.bus.socketbus import recv_message, send_message
-
-        def _attempt() -> dict:
-            with self._lock:
-                try:
-                    sock = self._ensure()
-                    send_message(sock, payload)
-                    if faults.fire("remote_store.read_timeout"):
-                        raise socket.timeout(
-                            "injected fault remote_store.read_timeout"
-                        )
-                    reply = recv_message(sock)
-                except OSError:
-                    self._drop()
-                    raise
-                if reply is None:
-                    # EOF mid-request (server restarted, accept dropped):
-                    # indistinguishable from a socket error — retry.
-                    self._drop()
-                    raise OSError("remote store connection closed")
-            if reply.get("op") != expect:
-                raise RemoteStoreError(
-                    f"remote store sent {reply.get('op')!r}, "
-                    f"expected {expect!r}"
-                )
-            return reply
-
-        return self.retry.call(
-            _attempt,
-            retry_on=(OSError,),
-            describe=f"remote store {payload.get('op')}",
+        return self._channel.exchange(
+            payload,
+            (expect,),
+            expect_key=payload["key"],
+            fault_site="remote_store.read_timeout",
         )
 
     # -- blob cache ----------------------------------------------------------

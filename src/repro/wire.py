@@ -1,0 +1,285 @@
+"""The TCP wire shared by ``repro serve``, its workers and its clients.
+
+Every frame is a 4-byte big-endian length followed by a
+:func:`repro.store.codec.dumps` blob of kind ``bus-message`` — a dict
+with an ``op`` field (the op table lives in :mod:`repro.serve.server`).
+This module holds the pieces both ends need:
+
+* the framing (:func:`send_message` / :func:`recv_message`) and
+  :func:`parse_address`;
+* the server-side selector plumbing (:class:`_Server`,
+  :class:`_Connection`) the :class:`~repro.serve.AttackServer` loop runs
+  on;
+* :class:`Channel`, the client side: one lazily (re)connected
+  request/reply link, retried on the shared
+  :class:`~repro.faults.RetryPolicy` — what
+  :class:`~repro.client.ServeClient` and
+  :class:`~repro.store.remote.RemoteStore` talk through.
+"""
+
+from __future__ import annotations
+
+import selectors
+import socket
+import threading
+
+from repro import faults
+from repro.bus.protocol import BUS_MESSAGE_KIND, BusError
+from repro.faults.retry import RetryPolicy
+from repro.store import codec
+from repro.store.codec import CodecError
+
+__all__ = [
+    "MAX_FRAME",
+    "Channel",
+    "parse_address",
+    "recv_message",
+    "send_message",
+]
+
+_LEN_BYTES = 4
+#: Frames above this are refused outright — a desynced or hostile peer
+#: must not make the server allocate gigabytes.
+MAX_FRAME = 512 * 1024 * 1024
+
+
+def parse_address(text: str) -> tuple[str, int]:
+    """``"host:port"`` → ``(host, port)`` (bare ``":port"`` = localhost)."""
+    host, _, port = text.rpartition(":")
+    if not (port.isascii() and port.isdigit()):
+        raise BusError(f"malformed address {text!r}; expected host:port")
+    if int(port) > 65535:
+        raise BusError(f"port {port} of address {text!r} is outside 0-65535")
+    return host or "127.0.0.1", int(port)
+
+
+def send_message(sock: socket.socket, payload: dict) -> None:
+    """Write one framed codec message (blocking until fully sent)."""
+    blob = codec.dumps(payload, kind=BUS_MESSAGE_KIND)
+    sock.sendall(len(blob).to_bytes(_LEN_BYTES, "big") + blob)
+
+
+def recv_message(sock: socket.socket) -> dict | None:
+    """Read one framed message from a blocking socket; ``None`` on EOF."""
+    header = _recv_exact(sock, _LEN_BYTES)
+    if header is None:
+        return None
+    length = int.from_bytes(header, "big")
+    if length > MAX_FRAME:
+        raise BusError(f"oversized bus frame ({length} bytes)")
+    blob = _recv_exact(sock, length)
+    if blob is None:
+        return None
+    return codec.loads(blob, kind=BUS_MESSAGE_KIND)
+
+
+def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
+    chunks = []
+    remaining = n
+    while remaining:
+        chunk = sock.recv(min(remaining, 1 << 20))
+        if not chunk:
+            return None
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(chunks)
+
+
+class _Connection:
+    """One peer link on the server side: recv buffer + frame splitting."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.buffer = b""
+
+    def feed(self) -> list[dict] | None:
+        """Drain readable bytes into complete frames; ``None`` = gone."""
+        try:
+            data = self.sock.recv(1 << 20)
+        except BlockingIOError:  # pragma: no cover - spurious readiness
+            return []
+        except OSError:
+            return None
+        if not data:
+            return None
+        self.buffer += data
+        messages = []
+        while len(self.buffer) >= _LEN_BYTES:
+            length = int.from_bytes(self.buffer[:_LEN_BYTES], "big")
+            if length > MAX_FRAME:
+                return None  # desynced peer; drop the connection
+            if len(self.buffer) < _LEN_BYTES + length:
+                break
+            blob = self.buffer[_LEN_BYTES : _LEN_BYTES + length]
+            self.buffer = self.buffer[_LEN_BYTES + length :]
+            try:
+                messages.append(codec.loads(blob, kind=BUS_MESSAGE_KIND))
+            except CodecError:
+                return None
+        return messages
+
+    def send(self, payload: dict) -> bool:
+        try:
+            send_message(self.sock, payload)
+            return True
+        except OSError:
+            return False
+
+
+class _Server:
+    """Listening socket + selector over :class:`_Connection` peers.
+
+    *read_timeout* bounds every blocking operation on an accepted
+    connection (``sendall`` of a job frame to a wedged peer, a reply
+    read) — before it, one hung worker socket could block the
+    server forever.  A timeout surfaces as ``OSError`` on the
+    operation, which the callers already treat as a dead connection.
+    """
+
+    def __init__(
+        self, address: str, read_timeout: float | None = None
+    ) -> None:
+        host, port = parse_address(address)
+        self._listener = socket.create_server((host, port), backlog=128)
+        self._listener.setblocking(False)
+        self.read_timeout = read_timeout
+        self.selector = selectors.DefaultSelector()
+        self.selector.register(self._listener, selectors.EVENT_READ)
+        self.connections: dict[socket.socket, _Connection] = {}
+        bound = self._listener.getsockname()
+        self.address = f"{bound[0]}:{bound[1]}"
+
+    def poll(self, timeout: float) -> list[tuple[_Connection, list[dict] | None]]:
+        """One select cycle → ``(connection, messages-or-EOF)`` events."""
+        events = []
+        for key, _ in self.selector.select(timeout=timeout):
+            sock = key.fileobj
+            if sock is self._listener:
+                try:
+                    conn_sock, _ = self._listener.accept()
+                except OSError:  # pragma: no cover - racing close
+                    continue
+                if faults.fire("serve.accept_drop"):
+                    # The peer sees an immediate EOF and must reconnect
+                    # on its retry schedule.
+                    try:
+                        conn_sock.close()
+                    except OSError:  # pragma: no cover
+                        pass
+                    continue
+                # settimeout(None) == setblocking(True); a finite value
+                # keeps blocking semantics but bounds each operation.
+                conn_sock.settimeout(self.read_timeout)
+                connection = _Connection(conn_sock)
+                self.connections[conn_sock] = connection
+                self.selector.register(conn_sock, selectors.EVENT_READ)
+            else:
+                connection = self.connections[sock]
+                events.append((connection, connection.feed()))
+        return events
+
+    def drop(self, connection: _Connection) -> None:
+        try:
+            self.selector.unregister(connection.sock)
+        except (KeyError, ValueError):  # pragma: no cover - already gone
+            pass
+        self.connections.pop(connection.sock, None)
+        try:
+            connection.sock.close()
+        except OSError:  # pragma: no cover
+            pass
+
+    def close(self) -> None:
+        for connection in list(self.connections.values()):
+            self.drop(connection)
+        try:
+            self.selector.unregister(self._listener)
+        except (KeyError, ValueError):  # pragma: no cover
+            pass
+        self._listener.close()
+        self.selector.close()
+
+
+class Channel:
+    """One persistent request/reply connection to a ``repro serve`` endpoint.
+
+    Thread-safe (one exchange at a time).  A socket error or EOF drops
+    the connection, and :meth:`exchange` reconnects and retries on the
+    *retry* backoff — which also absorbs the server's injected
+    ``serve.accept_drop``.
+    """
+
+    def __init__(
+        self,
+        address: str,
+        retry: RetryPolicy | None = None,
+        name: str = "serve",
+    ) -> None:
+        self.host, self.port = parse_address(address)
+        self.address = f"{self.host}:{self.port}"
+        self.retry = retry if retry is not None else RetryPolicy.from_env()
+        self.name = name
+        self._sock: socket.socket | None = None
+        self._lock = threading.RLock()
+
+    def _drop(self) -> None:
+        if self._sock is not None:
+            try:
+                self._sock.close()
+            except OSError:  # pragma: no cover
+                pass
+            self._sock = None
+
+    def close(self) -> None:
+        with self._lock:
+            self._drop()
+
+    def exchange(
+        self,
+        payload: dict,
+        expect: tuple[str, ...],
+        expect_key: str | None = None,
+        fault_site: str | None = None,
+    ) -> dict:
+        """Send one frame, read frames until an expected op arrives.
+
+        *expect_key* additionally matches the reply's ``key`` field —
+        a retried ``wait`` can leave duplicate/stale result frames in
+        the stream, and they must never satisfy a later exchange.
+        *fault_site*, when armed, injects a read timeout between the
+        send and the read.
+        """
+
+        def _attempt() -> dict:
+            with self._lock:
+                try:
+                    if self._sock is None:
+                        sock = socket.create_connection(
+                            (self.host, self.port),
+                            timeout=self.retry.connect_timeout,
+                        )
+                        sock.settimeout(self.retry.read_timeout)
+                        self._sock = sock
+                    send_message(self._sock, payload)
+                    if fault_site is not None and faults.fire(fault_site):
+                        raise socket.timeout(f"injected fault {fault_site}")
+                    while True:
+                        reply = recv_message(self._sock)
+                        if reply is None:
+                            raise OSError(f"{self.name} connection closed")
+                        if reply.get("op") in expect and (
+                            expect_key is None
+                            or str(reply.get("key", "")) == expect_key
+                        ):
+                            return reply
+                        # e.g. an unsolicited result frame for an
+                        # earlier fire-and-forget submit: ignore.
+                except OSError:
+                    self._drop()
+                    raise
+
+        return self.retry.call(
+            _attempt,
+            retry_on=(OSError,),
+            describe=f"{self.name} {payload.get('op')}",
+        )

@@ -6,11 +6,11 @@ import os
 import pytest
 
 from repro.bus import BusError, SpoolDir, encode_job
-from repro.bus.socketbus import parse_address
 from repro.cli import main
 from repro.experiments import SMOKE_SCALE, make_cell
 from repro.experiments.runner import AttackJob
 from repro.store import ArtifactStore
+from repro.wire import parse_address
 
 
 def _age(path, days: float) -> None:

@@ -77,6 +77,38 @@ def test_socket_bus_fails_over_when_no_worker_ever_connects(capsys):
     assert "failing 1 job(s) over" in capsys.readouterr().out
 
 
+def test_socket_bus_fails_the_queue_over_back_to_back():
+    """Once the liveness deadline passes with no worker, the queued jobs
+    fail over one after another — not one deadline per job."""
+    import time
+
+    from repro.client import ServeClient
+
+    cell = fig7_cells(SMOKE_SCALE, seed=0)[0]
+    base = load_benchmark(cell.benchmark, scale=cell.circuit_scale)
+    jobs = [
+        ServeClient.job_for(
+            lock_with(cell.scheme, base, key_size=cell.key_size, seed=seed)
+            .circuit,
+            cell.config,
+        )
+        for seed in range(6)
+    ]
+    liveness = 1.0
+    # A poll well under one job's runtime: the loop sees every fail-over
+    # in flight, so a clock reset by it would cost a deadline per job.
+    bus = SocketBus(poll=0.01, timeout=60, liveness=liveness)
+    try:
+        start = time.monotonic()
+        results = list(bus.run(jobs))
+        elapsed = time.monotonic() - start
+    finally:
+        bus.close()
+    assert len(results) == 6
+    assert bus.stats.failed_over == 6
+    assert elapsed < 2 * liveness, f"fail-over took {elapsed:.2f}s"
+
+
 def test_timeout_still_raises_before_liveness_when_smaller(tmp_path):
     # An operator who sets a hard timeout below the liveness deadline
     # asked for an error, not a silent degradation.

@@ -4,8 +4,8 @@ The acceptance contract of the job bus: ``repro figures --figures
 7 8 9 10 --scale smoke`` produces byte-identical figure tables whether
 the attack jobs execute serially in the coordinator (``--bus local``),
 in two independent ``repro worker`` processes draining a spool directory
-(``--bus spool``), or in two workers connected over TCP
-(``--bus socket``).  Wall-clock columns are masked — a distributed run
+(``--bus spool``), or in two ``--serve-addr`` workers connected over
+TCP to the coordinator's in-process serve endpoint (``--bus socket``).  Wall-clock columns are masked — a distributed run
 measures its own runtimes — but every computed value must match.
 """
 
@@ -111,7 +111,7 @@ def test_figure_tables_bit_identical_across_buses(tmp_path):
 
     # --- socket: two workers over TCP, no shared spool ------------------
     addr = f"127.0.0.1:{_free_port()}"
-    workers = [_start_worker(["--bus-addr", addr]) for _ in range(2)]
+    workers = [_start_worker(["--serve-addr", addr]) for _ in range(2)]
     try:
         sock = _figures_cli(
             [

@@ -8,8 +8,9 @@ The robustness contract of the distributed buses:
 * a deterministically crashing job burns its attempt budget and lands in
   quarantine with the traceback persisted; the coordinator surfaces that
   traceback instead of looping forever;
-* a socket worker that drops its connection mid-job has the job requeued
-  and completed by a healthy worker.
+* a ``--serve-addr`` worker that drops its connection to a socket-bus
+  coordinator mid-job has the job requeued and completed by a healthy
+  worker.
 """
 
 import os
@@ -26,7 +27,6 @@ import pytest
 import repro
 from repro.benchgen import load_benchmark
 from repro.bus import BusError, SocketBus, SpoolBus, SpoolDir, run_worker
-from repro.bus.socketbus import recv_message, send_message
 from repro.bus.worker import TEST_DELAY_ENV
 from repro.experiments import (
     SMOKE_SCALE,
@@ -44,6 +44,7 @@ from repro.store import (
     circuit_digest,
     encode_circuit,
 )
+from repro.wire import recv_message, send_message
 
 _SRC_ROOT = str(pathlib.Path(repro.__file__).resolve().parents[1])
 _STALE = 1.5
@@ -207,9 +208,9 @@ def test_poisoned_job_quarantines_with_persisted_traceback(tmp_path):
 
 def test_socket_poisoned_job_quarantines_with_traceback():
     """Socket-mode twin of the spool poisoned-job test: a job that
-    deterministically crashes must burn its attempt budget — the server
-    reads the attempt off the connection before clearing it — and raise
-    the last shipped worker traceback, not requeue at attempt 0 forever."""
+    deterministically crashes on a real serve worker must burn its
+    attempt budget and raise the last shipped worker traceback, not
+    requeue at attempt 0 forever."""
     cell = fig7_cells(SMOKE_SCALE, seed=0)[0]
     poisoned = AttackJob(
         store_key="f" * 16,
@@ -220,7 +221,7 @@ def test_socket_poisoned_job_quarantines_with_traceback():
     worker = threading.Thread(
         target=run_worker,
         kwargs=dict(
-            bus_addr=bus.address,
+            serve_addr=bus.address,
             poll=0.05,
             idle_timeout=5.0,
             log=lambda *a: None,
@@ -242,8 +243,9 @@ def test_socket_poisoned_job_quarantines_with_traceback():
 
 
 def test_socket_connection_drop_requeues_to_healthy_worker(tmp_path):
-    """A socket worker that vanishes mid-job (connection EOF) has its job
-    requeued; a healthy worker completes it and results match serial."""
+    """A worker that vanishes mid-job (connection EOF) has its job
+    requeued; a healthy serve worker completes it and results match
+    serial."""
     cells = fig7_cells(SMOKE_SCALE, seed=0)[:1]
     reference = [
         record_fingerprint(r) for r in ExperimentRunner(jobs=0).run(cells)
@@ -253,16 +255,19 @@ def test_socket_connection_drop_requeues_to_healthy_worker(tmp_path):
     host, port = bus.address.rsplit(":", 1)
 
     def flaky_then_healthy():
-        # Flaky worker: lease a job, then hang up without finishing it.
+        # Flaky worker: take one pushed job, then hang up without
+        # finishing it.
         import socket as socketlib
 
         with socketlib.create_connection((host, int(port))) as conn:
-            send_message(conn, {"op": "lease"})
+            send_message(
+                conn, {"op": "hello", "role": "worker", "pipeline": 1}
+            )
             message = recv_message(conn)
             assert message["op"] == "job"
         # Healthy worker: runs the real loop until the job is done.
         run_worker(
-            bus_addr=bus.address,
+            serve_addr=bus.address,
             poll=0.05,
             idle_timeout=20.0,
             max_jobs=1,

@@ -16,9 +16,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import faults
-from repro.bus.socketbus import parse_address, recv_message, send_message
 from repro.client import ServeClient
 from repro.experiments import SMOKE_SCALE, make_cell
 from repro.experiments.runner import AttackJob, execute_job
@@ -26,9 +27,13 @@ from repro.faults import FaultPlan, FaultSite, RetryPolicy
 from repro.serve import AttackServer, ServeError
 from repro.store import resolve_store
 from repro.store.remote import RemoteStore
+from repro.wire import parse_address, recv_message, send_message
 
 _FAST = RetryPolicy(base_delay=0.01, max_delay=0.05, connect_timeout=5.0,
                     read_timeout=20.0)
+#: A dead server loop fails a probe in seconds, not minutes.
+_PROBE = RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.05,
+                     connect_timeout=2.0, read_timeout=2.0)
 
 
 @pytest.fixture
@@ -227,6 +232,99 @@ def test_accept_drop_is_absorbed_by_client_retry(server):
         assert faults.fired_counts() == {"serve.accept_drop": 1}
     finally:
         faults.deactivate()
+
+
+# Random frames: every op the server knows (bar ``shutdown``) plus an
+# unknown one, with fields drawn from well-typed, mistyped and hostile
+# values — path-escaping keys included.
+_FRAME_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=8),
+    st.sampled_from(["a" * 16, "attacks", "../up", "", "x" * 300]),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "x"]), st.text(max_size=6)),
+    st.builds(lambda n: np.zeros(n, dtype=np.uint8), st.integers(0, 4)),
+)
+_FRAMES = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "op": st.sampled_from(
+                ["submit", "wait", "hello", "done", "failed", "store-has",
+                 "store-get", "store-put", "stats", "ping", "bogus"]
+            )
+        },
+        optional={
+            name: _FRAME_VALUES
+            for name in ("key", "kind", "job", "wait", "pipeline",
+                         "result", "traceback", "blob")
+        },
+    ),
+    st.dictionaries(st.sampled_from(["op", "key"]), _FRAME_VALUES),
+    st.lists(st.integers(), max_size=3),
+    st.text(max_size=5),
+)
+
+
+def test_malformed_frames_never_kill_the_server(server):
+    """Whatever a peer sends, the loop survives: it still answers
+    ``ping`` and still serves a real submit end to end."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(frame=_FRAMES)
+    def fire(frame):
+        peer = _Peer(server.address)
+        peer.send(frame)
+        peer.close()
+        client = ServeClient(server.address, retry=_PROBE)
+        try:
+            assert client.ping()
+        finally:
+            client.close()
+
+    fire()
+    client = _Peer(server.address)
+    key = "e" * 16
+    assert client.submit(_job(key), wait=True) == "queued"
+    worker = _Peer(server.address).hello(pipeline=4)
+    while True:  # random submits may have queued jobs ahead of ours
+        pushed = worker.recv()
+        worker.send({"op": "done", "key": pushed["key"], "kind": "attacks",
+                     "result": {"x": 1}})
+        if pushed["key"] == key:
+            break
+    frame = client.recv()
+    assert frame["op"] == "result" and frame["ok"] and frame["key"] == key
+    worker.close()
+    client.close()
+
+
+_BAD_ADDRESSES = ["", "host:", "host:abc", ":70000", "nonsense"]
+
+
+@pytest.mark.parametrize("address", _BAD_ADDRESSES)
+def test_bad_address_is_a_typed_error(address, tmp_path, capsys):
+    from repro.bus import BusError
+    from repro.cli import main
+
+    with pytest.raises(BusError):
+        parse_address(address)
+    argv = ["serve", "--addr", address, "--store", str(tmp_path),
+            "--workers", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    if address:  # an empty flag falls back to the default address
+        for argv in (
+            ["worker", "--serve-addr", address],
+            ["figures", "--scale", "smoke", "--bus", "socket",
+             "--bus-addr", address],
+            ["leaderboard", "--scale", "smoke", "--bus", "socket",
+             "--bus-addr", address],
+        ):
+            assert main(argv) == 2, argv
+            assert "error: " in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
