@@ -61,14 +61,10 @@ from repro.store import ArtifactStore, resolve_store
 # import: measured zero cost on these workloads (BENCH_training.json
 # ``bench_bus``), and REPRO_BLAS_THREADS overrides for users who want
 # BLAS parallelism more than reproducibility.
-from repro.bus.protocol import BLAS_THREADS_ENV as _BLAS_THREADS_ENV
 from repro.bus.threads import limit_blas_threads as _limit_blas_threads
+from repro.settings import setting as _setting
 
-import os as _os
-
-_raw = _os.environ.get(_BLAS_THREADS_ENV, "").strip()
-_limit_blas_threads(int(_raw) if _raw else 1)
-del _raw
+_limit_blas_threads(_setting("REPRO_BLAS_THREADS"))
 
 __version__ = "1.0.0"
 

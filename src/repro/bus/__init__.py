@@ -11,13 +11,7 @@ connect to).
 
 from repro.bus.local import LocalBus
 from repro.bus.protocol import (
-    BLAS_THREADS_ENV,
-    BUS_ADDR_ENV,
-    BUS_DIR_ENV,
-    BUS_ENV,
     BUS_JOB_KIND,
-    BUS_LEASE_BATCH_ENV,
-    BUS_LIVENESS_ENV,
     BUS_MESSAGE_KIND,
     BUS_QUARANTINE_KIND,
     DEFAULT_LEASE_BATCH,
@@ -28,7 +22,6 @@ from repro.bus.protocol import (
     DEFAULT_STALE_AFTER,
     DEFAULT_WORKER_BLAS_THREADS,
     JOB_ARTIFACT_KINDS,
-    SERVE_ADDR_ENV,
     BusError,
     BusStats,
     JobBus,
@@ -45,17 +38,10 @@ from repro.bus.threads import limit_blas_threads
 from repro.bus.worker import WorkerStats, run_worker
 
 __all__ = [
-    "BLAS_THREADS_ENV",
-    "BUS_ADDR_ENV",
-    "BUS_DIR_ENV",
-    "BUS_ENV",
     "BUS_JOB_KIND",
-    "BUS_LEASE_BATCH_ENV",
-    "BUS_LIVENESS_ENV",
     "BUS_MESSAGE_KIND",
     "BUS_QUARANTINE_KIND",
     "JOB_ARTIFACT_KINDS",
-    "SERVE_ADDR_ENV",
     "BusError",
     "job_artifact_kind",
     "BusStats",

@@ -35,16 +35,14 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import ReproError
 from repro.faults.retry import RetryPolicy
+from repro.settings import setting
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.experiments.runner import AttackJob
     from repro.store import ArtifactStore
 
 __all__ = [
-    "BLAS_THREADS_ENV",
     "BUS_JOB_KIND",
-    "BUS_LEASE_BATCH_ENV",
-    "BUS_LIVENESS_ENV",
     "BUS_MESSAGE_KIND",
     "BUS_QUARANTINE_KIND",
     "DEFAULT_LEASE_BATCH",
@@ -52,7 +50,6 @@ __all__ = [
     "DEFAULT_PIPELINE",
     "DEFAULT_WORKER_BLAS_THREADS",
     "JOB_ARTIFACT_KINDS",
-    "SERVE_ADDR_ENV",
     "BusError",
     "BusStats",
     "JobBus",
@@ -69,19 +66,6 @@ BUS_JOB_KIND = "bus-job"
 BUS_QUARANTINE_KIND = "bus-quarantine"
 BUS_MESSAGE_KIND = "bus-message"
 
-#: Environment knobs shared by the CLI entry points.
-BUS_ENV = "REPRO_BUS"
-BUS_DIR_ENV = "REPRO_BUS_DIR"
-BUS_ADDR_ENV = "REPRO_BUS_ADDR"
-BUS_POLL_ENV = "REPRO_BUS_POLL"
-BUS_STALE_ENV = "REPRO_BUS_STALE"
-BUS_MAX_ATTEMPTS_ENV = "REPRO_BUS_MAX_ATTEMPTS"
-BUS_TIMEOUT_ENV = "REPRO_BUS_TIMEOUT"
-BUS_LIVENESS_ENV = "REPRO_BUS_LIVENESS"
-BUS_LEASE_BATCH_ENV = "REPRO_BUS_LEASE_BATCH"
-BLAS_THREADS_ENV = "REPRO_BLAS_THREADS"
-SERVE_ADDR_ENV = "REPRO_SERVE_ADDR"
-
 #: A lease with no heartbeat for this many seconds is presumed dead and
 #: returns to pending (the holder was SIGKILLed / lost power / vanished).
 DEFAULT_STALE_AFTER = 30.0
@@ -96,11 +80,11 @@ DEFAULT_POLL = 0.25
 #: instead of hanging a figure run on a dead worker fleet.  ``timeout``
 #: (raise) still wins when set tighter; 0/None disables fail-over.
 DEFAULT_LIVENESS = 300.0
-#: Workers cap their OpenBLAS pool at this many threads.  The attack
-#: jobs are single-core (pinning BLAS to 1 thread leaves serial runtime
-#: unchanged — measured in BENCH_training.json ``bench_bus``), while
-#: concurrent workers each waking a cores-wide spin pool double per-job
-#: wall-clock.  ``repro worker --blas-threads 0`` opts out.
+#: Local pool workers cap their OpenBLAS pool at this many threads.  The
+#: attack jobs are single-core (pinning BLAS to 1 thread leaves serial
+#: runtime unchanged — measured in BENCH_training.json ``bench_bus``),
+#: while concurrent workers each waking a cores-wide spin pool double
+#: per-job wall-clock.
 DEFAULT_WORKER_BLAS_THREADS = 1
 #: How many leases a spool worker claims per directory scan.  1 keeps
 #: the PR-9 chaos-drill semantics (one held lease, one heartbeat); the
@@ -275,16 +259,6 @@ def decode_job(payload: dict):
 # ---------------------------------------------------------------------------
 # Resolution — one scheme for the CLI, the runner and the benches
 # ---------------------------------------------------------------------------
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    return float(raw) if raw else default
-
-
-def _env_optional_float(name: str) -> float | None:
-    raw = os.environ.get(name, "").strip()
-    return float(raw) if raw else None
-
-
 def resolve_bus(
     bus: "JobBus | str | None" = None,
     *,
@@ -292,8 +266,8 @@ def resolve_bus(
     store: "ArtifactStore | None" = None,
     bus_dir: "str | os.PathLike | None" = None,
     bus_addr: str | None = None,
-    poll: float | None = None,
-    stale_after: float | None = None,
+    poll: float = DEFAULT_POLL,
+    stale_after: float = DEFAULT_STALE_AFTER,
     max_attempts: int | None = None,
     timeout: float | None = None,
     liveness: float | None = None,
@@ -302,37 +276,24 @@ def resolve_bus(
     """Build the configured bus backend.
 
     *bus* is a backend name (``local`` / ``spool`` / ``socket``), an
-    existing :class:`JobBus` (passed through), or ``None`` — which
-    consults ``REPRO_BUS`` and falls back to ``local``.  ``spool`` needs
-    a directory (*bus_dir* / ``REPRO_BUS_DIR``) **and** a shared
-    artifact store (results travel through it); ``socket`` needs a bind
-    address (*bus_addr* / ``REPRO_BUS_ADDR``, default an ephemeral
-    localhost port).
+    existing :class:`JobBus` (passed through), or ``None`` — the
+    ``REPRO_BUS`` setting (:mod:`repro.settings`, default ``local``).
+    ``spool`` needs a directory (*bus_dir*, else ``REPRO_BUS_DIR``)
+    **and** a shared artifact store (results travel through it);
+    ``socket`` binds *bus_addr* (else ``REPRO_BUS_ADDR``, default an
+    ephemeral localhost port).
 
     *liveness* is the graceful-degradation deadline (seconds of total
     silence before remaining jobs fail over to in-process execution;
-    ``REPRO_BUS_LIVENESS``, default :data:`DEFAULT_LIVENESS`, ``0``
-    disables).  *retry* carries the backoff/timeout policy the
-    distributed backends share (``REPRO_RETRY_*`` when unset).
+    ``None`` means :data:`DEFAULT_LIVENESS`, ``0`` disables).  *retry*
+    carries the backoff/timeout policy the distributed backends share.
     """
     if isinstance(bus, JobBus):
         return bus
-    name = (bus or os.environ.get(BUS_ENV, "") or "local").strip().lower()
-    poll = _env_float(BUS_POLL_ENV, DEFAULT_POLL) if poll is None else poll
-    stale_after = (
-        _env_float(BUS_STALE_ENV, DEFAULT_STALE_AFTER)
-        if stale_after is None
-        else stale_after
-    )
-    retry = RetryPolicy.from_env() if retry is None else retry
-    max_attempts = (
-        int(_env_float(BUS_MAX_ATTEMPTS_ENV, retry.max_attempts))
-        if max_attempts is None
-        else max_attempts
-    )
-    timeout = _env_optional_float(BUS_TIMEOUT_ENV) if timeout is None else timeout
+    name = setting("REPRO_BUS", bus).strip().lower()
+    retry = RetryPolicy() if retry is None else retry
     if liveness is None:
-        liveness = _env_float(BUS_LIVENESS_ENV, DEFAULT_LIVENESS)
+        liveness = DEFAULT_LIVENESS
     if name == "local":
         from repro.bus.local import LocalBus
 
@@ -340,11 +301,11 @@ def resolve_bus(
     if name == "spool":
         from repro.bus.spool import SpoolBus, SpoolDir
 
-        bus_dir = bus_dir or os.environ.get(BUS_DIR_ENV, "").strip()
+        bus_dir = setting("REPRO_BUS_DIR", bus_dir)
         if not bus_dir:
             raise BusError(
                 "spool bus needs a directory: pass --bus-dir or set "
-                f"{BUS_DIR_ENV}"
+                "REPRO_BUS_DIR"
             )
         if store is None:
             raise BusError(
@@ -352,7 +313,11 @@ def resolve_bus(
                 "through it): pass --store or set REPRO_STORE"
             )
         spool = SpoolDir(
-            bus_dir, stale_after=stale_after, max_attempts=max_attempts
+            bus_dir,
+            stale_after=stale_after,
+            max_attempts=(
+                retry.max_attempts if max_attempts is None else max_attempts
+            ),
         )
         return SpoolBus(
             spool,
@@ -365,9 +330,8 @@ def resolve_bus(
     if name == "socket":
         from repro.bus.socketbus import SocketBus
 
-        bus_addr = bus_addr or os.environ.get(BUS_ADDR_ENV, "").strip()
         return SocketBus(
-            bus_addr or "127.0.0.1:0",
+            setting("REPRO_BUS_ADDR", bus_addr),
             poll=poll,
             max_attempts=max_attempts,
             timeout=timeout,

@@ -49,7 +49,7 @@ class SocketBus(JobBus):
         from repro.serve import AttackServer
 
         super().__init__()
-        retry = retry if retry is not None else RetryPolicy.from_env()
+        retry = retry if retry is not None else RetryPolicy()
         self.max_attempts = int(
             retry.max_attempts if max_attempts is None else max_attempts
         )

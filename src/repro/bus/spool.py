@@ -382,7 +382,7 @@ class SpoolBus(JobBus):
         self.timeout = timeout
         # Graceful-degradation deadline: None/0 disables fail-over.
         self.liveness = float(liveness) if liveness else None
-        self.retry = retry if retry is not None else RetryPolicy.from_env()
+        self.retry = retry if retry is not None else RetryPolicy()
 
     def run(
         self, jobs: "list[AttackJob]"

@@ -38,13 +38,10 @@ from typing import TYPE_CHECKING
 
 from repro import faults
 from repro.bus.protocol import (
-    BLAS_THREADS_ENV,
-    BUS_LEASE_BATCH_ENV,
     DEFAULT_LEASE_BATCH,
     DEFAULT_PIPELINE,
     DEFAULT_POLL,
     DEFAULT_STALE_AFTER,
-    DEFAULT_WORKER_BLAS_THREADS,
     BusError,
     RetryPolicy,
     decode_job,
@@ -56,11 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.store import ArtifactStore
 
 __all__ = ["WorkerStats", "run_worker"]
-
-#: Test hook: seconds to sleep between taking a lease and executing it.
-#: Lets the worker-death tests SIGKILL a worker that *definitely* holds a
-#: lease without racing a fast smoke-scale attack.  Unset in real use.
-TEST_DELAY_ENV = "REPRO_BUS_TEST_DELAY"
 
 
 @dataclass
@@ -76,12 +68,6 @@ class WorkerStats:
             f"executed={self.executed} skipped={self.skipped} "
             f"failed={self.failed}"
         )
-
-
-def _test_delay() -> None:
-    raw = os.environ.get(TEST_DELAY_ENV, "").strip()
-    if raw:
-        time.sleep(float(raw))
 
 
 def _mid_job_faults() -> None:
@@ -144,7 +130,7 @@ def run_worker(
     idle_timeout: float | None = None,
     max_jobs: int | None = None,
     blas_threads: int | None = None,
-    lease_batch: int | None = None,
+    lease_batch: int = DEFAULT_LEASE_BATCH,
     pipeline: int = DEFAULT_PIPELINE,
     retry: RetryPolicy | None = None,
     log=print,
@@ -153,36 +139,31 @@ def run_worker(
 
     Exactly one of *bus_dir* (spool mode, requires *store*) or
     *serve_addr* (persistent pipelined connection to a ``repro serve``
-    endpoint) must be given.  ``idle_timeout=None``
-    runs forever (the daemon deployment); *max_jobs* bounds how many
-    jobs this process executes (useful in tests and crash drills).
+    endpoint) must be given; ``repro worker`` fills them from
+    ``REPRO_BUS_DIR`` / ``REPRO_SERVE_ADDR`` when its flags are absent,
+    and *store* falls back to ``REPRO_STORE`` (see
+    :mod:`repro.settings`).  ``idle_timeout=None`` runs forever (the
+    daemon deployment); *max_jobs* bounds how many jobs this process
+    executes (useful in tests and crash drills).
 
-    *blas_threads* caps the OpenBLAS pool for this process (default 1,
-    ``REPRO_BLAS_THREADS`` to override, 0 to leave BLAS alone): the
-    jobs are single-core, and a fleet of workers each waking a
-    cores-wide BLAS spin pool oversubscribes the host and doubles
-    per-job wall-clock.
+    *blas_threads* re-caps the OpenBLAS pool for this process (0
+    leaves BLAS alone).  ``None`` keeps the pin ``import repro``
+    applied from ``REPRO_BLAS_THREADS`` (default 1): the jobs are
+    single-core, and a fleet of workers each waking a cores-wide BLAS
+    spin pool oversubscribes the host and doubles per-job wall-clock.
 
     *lease_batch* (spool mode) claims up to that many jobs per
-    directory scan, amortizing the sorted-scan overhead on small jobs
-    (``REPRO_BUS_LEASE_BATCH``, default 1).  *pipeline* (serve mode) is
-    the in-flight window this worker advertises to the server.
+    directory scan, amortizing the sorted-scan overhead on small jobs.
+    *pipeline* (serve mode) is the in-flight window this worker
+    advertises to the server.
 
-    *retry* is the serve-mode connect/read policy (timeouts +
-    the reconnect backoff schedule); default
-    :meth:`RetryPolicy.from_env`.
+    *retry* is the serve-mode connect/read policy (timeouts + the
+    reconnect backoff schedule); default ``RetryPolicy()``.
     """
     if (bus_dir is None) == (serve_addr is None):
         raise BusError("worker needs exactly one of bus_dir or serve_addr")
-    if blas_threads is None:
-        raw = os.environ.get(BLAS_THREADS_ENV, "").strip()
-        blas_threads = int(raw) if raw else DEFAULT_WORKER_BLAS_THREADS
-    limit_blas_threads(blas_threads)
-    if retry is None:
-        retry = RetryPolicy.from_env()
-    if lease_batch is None:
-        raw = os.environ.get(BUS_LEASE_BATCH_ENV, "").strip()
-        lease_batch = int(raw) if raw else DEFAULT_LEASE_BATCH
+    if blas_threads is not None:
+        limit_blas_threads(blas_threads)
     if bus_dir is not None:
         return _run_spool_worker(
             bus_dir,
@@ -201,7 +182,7 @@ def run_worker(
         idle_timeout=idle_timeout,
         max_jobs=max_jobs,
         pipeline=max(1, pipeline),
-        retry=retry,
+        retry=RetryPolicy() if retry is None else retry,
         log=log,
     )
 
@@ -305,7 +286,6 @@ def _execute_leased(
     try:
         job = decode_job(payload["job"])
         with _Heartbeat(spool, [key, *(held_keys or [])], heartbeat_every):
-            _test_delay()
             _mid_job_faults()
             artifact = execute_job(job)
         store.put(artifact_kind, key, artifact)
@@ -425,7 +405,6 @@ def _run_serve_worker(
                 continue
             try:
                 job = decode_job(message["job"])
-                _test_delay()
                 _mid_job_faults()
                 artifact = execute_job(job)
             except Exception:

@@ -48,6 +48,12 @@ a fleet of pipelined workers; ``repro attack --serve HOST:PORT`` (or
 :mod:`repro.client`) submits content-keyed requests to it, and
 ``--store remote://HOST:PORT`` points any store consumer at its
 artifact pool with no shared filesystem.
+
+Every ``REPRO_*`` environment variable the package reads is declared
+once in :mod:`repro.settings`; a flag beats its variable, and ``repro
+config`` prints each variable with the value in effect and where it
+came from.  A malformed value, like any other :class:`ReproError`,
+ends the command with ``error: …`` and exit status 2.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ import sys
 from repro.attacks import saam_attack, scope_attack
 from repro.benchgen import benchmark_names, load_benchmark
 from repro.core import MuxLinkConfig, run_muxlink, score_key
+from repro.errors import ReproError
 from repro.linkpred import TrainConfig
 from repro.locking import (
     apply_key,
@@ -67,6 +74,7 @@ from repro.locking import (
     lock_xor,
 )
 from repro.netlist import dump_bench, load_bench
+from repro.settings import SETTINGS, setting, setting_source
 from repro.sim import hamming_distance
 
 _SCHEMES = {
@@ -174,20 +182,16 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         run_fig8,
         run_fig9,
         run_fig10,
-        scale_by_name,
     )
 
-    scale = scale_by_name(args.scale) if args.scale else active_scale()
+    scale = active_scale(args.scale)
     drivers = {
         7: (run_fig7, format_fig7),
         8: (run_fig8, format_fig8),
         9: (run_fig9, format_fig9),
         10: (run_fig10, format_fig10),
     }
-    runner = _open_runner(args, scale)
-    if runner is None:
-        return 2
-    with runner:
+    with _open_runner(args, scale) as runner:
         for figure in args.figures:
             run, fmt = drivers[figure]
             print()
@@ -197,28 +201,19 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _open_runner(args: argparse.Namespace, scale):
-    """The ``figures``/``leaderboard`` runner, or ``None`` after an error.
-
-    A bad ``--bus-addr`` (or any other bus/store misconfiguration)
-    prints ``error: …`` instead of a traceback.
-    """
-    from repro.errors import ReproError
+    """The ``figures``/``leaderboard`` runner, with its banner printed."""
     from repro.experiments import ExperimentRunner
 
     jobs = args.jobs if args.jobs is not None else "env"
     print(f"scale={scale.name} jobs={jobs}")
-    try:
-        runner = ExperimentRunner(
-            jobs=args.jobs,
-            store=args.store,
-            bus=args.bus,
-            bus_dir=args.bus_dir,
-            bus_addr=args.bus_addr,
-            liveness=args.liveness,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+    runner = ExperimentRunner(
+        jobs=args.jobs,
+        store=args.store,
+        bus=args.bus,
+        bus_dir=args.bus_dir,
+        bus_addr=args.bus_addr,
+        liveness=args.liveness,
+    )
     if runner.store is not None:
         print(f"store={runner.store.root}")
     if runner.bus.name != "local":
@@ -238,32 +233,21 @@ def _print_runner_summary(runner) -> None:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    import os
+    from repro.bus import run_worker
 
-    from repro.bus import BUS_DIR_ENV, SERVE_ADDR_ENV, run_worker
-    from repro.errors import ReproError
-
-    bus_dir = args.bus_dir or os.environ.get(BUS_DIR_ENV, "").strip() or None
-    serve_addr = (
-        args.serve_addr or os.environ.get(SERVE_ADDR_ENV, "").strip() or None
+    stats = run_worker(
+        bus_dir=setting("REPRO_BUS_DIR", args.bus_dir),
+        serve_addr=setting("REPRO_SERVE_ADDR", args.serve_addr),
+        store=args.store,
+        poll=args.poll,
+        stale_after=args.stale_after,
+        max_attempts=args.max_attempts,
+        idle_timeout=args.idle_timeout,
+        max_jobs=args.max_jobs,
+        blas_threads=args.blas_threads,
+        lease_batch=args.lease_batch,
+        pipeline=args.pipeline,
     )
-    try:
-        stats = run_worker(
-            bus_dir=bus_dir,
-            serve_addr=serve_addr,
-            store=args.store,
-            poll=args.poll,
-            stale_after=args.stale_after,
-            max_attempts=args.max_attempts,
-            idle_timeout=args.idle_timeout,
-            max_jobs=args.max_jobs,
-            blas_threads=args.blas_threads,
-            lease_batch=args.lease_batch,
-            pipeline=args.pipeline,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(f"worker: {stats.summary()}")
     return 0
 
@@ -271,21 +255,16 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import subprocess
 
-    from repro.errors import ReproError
     from repro.serve import AttackServer
 
-    try:
-        server = AttackServer(
-            args.addr,
-            args.store,
-            max_attempts=args.max_attempts,
-            liveness=args.liveness,
-            poll=args.poll,
-            cache_entries=args.cache_entries,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    server = AttackServer(
+        args.addr,
+        args.store,
+        max_attempts=args.max_attempts,
+        liveness=args.liveness,
+        poll=args.poll,
+        cache_entries=args.cache_entries,
+    )
     # Readiness line first (benches and CI parse the bound address from
     # it — the listening socket is already open at this point).
     print(
@@ -334,10 +313,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     # Lazy import: repro.faults.chaos drives repro.experiments, which the
     # faults package itself must never pull in at import time.
-    from repro.experiments import active_scale, scale_by_name
+    from repro.experiments import active_scale
     from repro.faults.chaos import run_chaos
 
-    scale = scale_by_name(args.scale) if args.scale else active_scale()
+    scale = active_scale(args.scale)
     try:
         outcomes = run_chaos(
             args.plan, scale=scale, seed=args.seed, keep=args.keep
@@ -414,14 +393,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"  {'total':<12}{total_count:>8} artifact(s) {total_size:>14} bytes")
         return 0
     if args.cache_command == "gc":
-        import os
-
-        from repro.bus import BUS_DIR_ENV, SpoolDir
+        from repro.bus import SpoolDir
 
         protect: set[str] = set()
-        bus_dir = (
-            args.bus_dir or os.environ.get(BUS_DIR_ENV, "").strip() or None
-        )
+        bus_dir = setting("REPRO_BUS_DIR", args.bus_dir)
         if bus_dir is not None:
             # Never collect an artifact a spool job is about to produce
             # or a coordinator is about to adopt.
@@ -509,7 +484,6 @@ def _cmd_scope(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.attacks import BaselineConfig
-    from repro.errors import AttackError
     from repro.locking.common import LockedCircuit
 
     circuit, key = load_bench(args.netlist)
@@ -540,13 +514,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         margin=args.margin,
         ridge=args.ridge,
     )
-    try:
-        report = _baseline_report(
-            circuit, config, train=tuple(train), store=args.store
-        )
-    except AttackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = _baseline_report(
+        circuit, config, train=tuple(train), store=args.store
+    )
     print(f"SWEEP key guess: {report.predicted_key}")
     if key:
         metrics = score_key(report.predicted_key, key)
@@ -560,14 +530,10 @@ def _cmd_leaderboard(args: argparse.Namespace) -> int:
         active_scale,
         format_leaderboard,
         run_leaderboard,
-        scale_by_name,
     )
 
-    scale = scale_by_name(args.scale) if args.scale else active_scale()
-    runner = _open_runner(args, scale)
-    if runner is None:
-        return 2
-    with runner:
+    scale = active_scale(args.scale)
+    with _open_runner(args, scale) as runner:
         rows = run_leaderboard(
             scale=scale,
             seed=args.seed,
@@ -602,49 +568,58 @@ def _cmd_hd(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_config(args: argparse.Namespace) -> int:
+    for name, knob in SETTINGS.items():
+        value = setting(name)
+        shown = "-" if value is None else str(value)
+        print(f"{name:<24}{shown:<14}{setting_source(name):<9}{knob.doc}")
+    return 0
+
+
+def _knob_flag(
+    p: argparse.ArgumentParser, flag: str, knob: str, help: str, **kwargs
+) -> None:
+    """Add *flag*, which overrides setting *knob*; its help names both."""
+    default = SETTINGS[knob].default
+    fallback = knob if default is None else f"{knob} or {default}"
+    p.add_argument(
+        flag, default=None, help=f"{help} (default: {fallback})", **kwargs
+    )
+
+
 def _add_runner_args(p: argparse.ArgumentParser, store_help: str) -> None:
     """The runner/bus options ``figures`` and ``leaderboard`` share."""
-    p.add_argument(
-        "--jobs",
+    _knob_flag(
+        p, "--jobs", "REPRO_JOBS",
+        "attack worker processes; 'auto' = all cores, 0 = serial",
         type=lambda v: v if v.strip().lower() == "auto" else int(v),
-        default=None,
-        help="attack worker processes; 'auto' = all cores "
-        "(default: REPRO_JOBS, serial when unset)",
     )
-    p.add_argument(
-        "--scale",
+    _knob_flag(
+        p, "--scale", "REPRO_EXPERIMENT_SCALE", "experiment preset",
         choices=("smoke", "ci", "paper"),
-        default=None,
-        help="experiment preset (default: REPRO_EXPERIMENT_SCALE or ci)",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--store", default=None, help=store_help)
-    p.add_argument(
-        "--bus",
+    _knob_flag(p, "--store", "REPRO_STORE", store_help)
+    _knob_flag(
+        p, "--bus", "REPRO_BUS",
+        "job execution backend; results are bit-identical across backends",
         choices=("local", "spool", "socket"),
-        default=None,
-        help="job execution backend (default: REPRO_BUS or local); "
-        "results are bit-identical across backends",
     )
-    p.add_argument(
-        "--bus-dir",
-        default=None,
-        help="spool directory for --bus spool (default: REPRO_BUS_DIR)",
+    _knob_flag(
+        p, "--bus-dir", "REPRO_BUS_DIR", "spool directory for --bus spool"
     )
-    p.add_argument(
-        "--bus-addr",
-        default=None,
-        help="bind address for --bus socket, host:port; workers connect "
-        "with `repro worker --serve-addr` (default: REPRO_BUS_ADDR or an "
-        "ephemeral localhost port)",
+    _knob_flag(
+        p, "--bus-addr", "REPRO_BUS_ADDR",
+        "bind address for --bus socket, host:port (port 0 = ephemeral); "
+        "workers connect with `repro worker --serve-addr`",
     )
     p.add_argument(
         "--liveness",
         type=float,
         default=None,
         help="seconds of distributed-bus silence before pending jobs "
-        "fail over to in-process execution (default: REPRO_BUS_LIVENESS "
-        "or 300; 0 disables fail-over)",
+        "fail over to in-process execution (default: 300; 0 disables "
+        "fail-over)",
     )
 
 
@@ -760,11 +735,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="gradient shards per optimizer step (semantic: fixes the "
         "reduction order of the loss curve)",
     )
-    p.add_argument(
-        "--dtype",
+    _knob_flag(
+        p, "--dtype", "REPRO_DTYPE", "numeric runtime",
         choices=("float32", "float64"),
-        default=None,
-        help="numeric runtime (default float32; also via REPRO_DTYPE)",
     )
     p.add_argument(
         "--score-prefetch",
@@ -773,11 +746,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="batches in flight in the streamed extract+score pipeline "
         "(0 = serial extract-then-score; results identical)",
     )
-    p.add_argument(
-        "--store",
-        default=None,
-        help="artifact store directory: cache this attack by netlist "
-        "digest + config hash (default: REPRO_STORE, no store when unset)",
+    _knob_flag(
+        p, "--store", "REPRO_STORE",
+        "artifact store directory: cache this attack by netlist digest "
+        "+ config hash",
     )
     p.add_argument(
         "--serve",
@@ -802,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runner_args(
         p,
         store_help="persistent artifact store directory; reruns resume with "
-        "zero lock/train jobs (default: REPRO_STORE, no store when unset)",
+        "zero lock/train jobs",
     )
     p.set_defaults(func=_cmd_figures)
 
@@ -810,16 +782,12 @@ def build_parser() -> argparse.ArgumentParser:
         "worker",
         help="execute attack jobs from a spool directory or a serve endpoint",
     )
-    p.add_argument(
-        "--bus-dir",
-        default=None,
-        help="spool directory to lease jobs from (default: REPRO_BUS_DIR); "
-        "requires --store",
+    _knob_flag(
+        p, "--bus-dir", "REPRO_BUS_DIR",
+        "spool directory to lease jobs from; requires --store",
     )
-    p.add_argument(
-        "--store",
-        default=None,
-        help="shared artifact store for spool mode (default: REPRO_STORE)",
+    _knob_flag(
+        p, "--store", "REPRO_STORE", "shared artifact store for spool mode"
     )
     p.add_argument(
         "--poll",
@@ -851,20 +819,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="exit after handling this many jobs",
     )
-    p.add_argument(
-        "--blas-threads",
+    _knob_flag(
+        p, "--blas-threads", "REPRO_BLAS_THREADS",
+        "re-cap this worker's OpenBLAS pool; 0 leaves BLAS alone, unset "
+        "keeps the pin `import repro` applied",
         type=int,
-        default=None,
-        help="cap this worker's OpenBLAS pool (default: 1 — jobs are "
-        "single-core and concurrent workers oversubscribe otherwise; "
-        "REPRO_BLAS_THREADS overrides; 0 leaves BLAS alone)",
     )
-    p.add_argument(
-        "--serve-addr",
-        default=None,
-        help="`repro serve` endpoint (or `--bus socket` coordinator) to "
-        "hold a persistent pipelined connection to (default: "
-        "REPRO_SERVE_ADDR)",
+    _knob_flag(
+        p, "--serve-addr", "REPRO_SERVE_ADDR",
+        "`repro serve` endpoint (or `--bus socket` coordinator) to hold a "
+        "persistent pipelined connection to",
     )
     p.add_argument(
         "--pipeline",
@@ -876,10 +840,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--lease-batch",
         type=int,
-        default=None,
+        default=1,
         help="spool mode: claim up to N pending jobs per directory scan "
-        "(default: REPRO_BUS_LEASE_BATCH or 1; amortizes scan overhead "
-        "on small jobs)",
+        "(amortizes scan overhead on small jobs)",
     )
     p.set_defaults(func=_cmd_worker)
 
@@ -897,11 +860,9 @@ def build_parser() -> argparse.ArgumentParser:
         "socket-flaky, torn-store, enospc, heartbeat-stall, lease-race, "
         "all-workers-die, serve-flaky",
     )
-    p.add_argument(
-        "--scale",
+    _knob_flag(
+        p, "--scale", "REPRO_EXPERIMENT_SCALE", "experiment preset",
         choices=("smoke", "ci", "paper"),
-        default=None,
-        help="experiment preset (default: REPRO_EXPERIMENT_SCALE or ci)",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -921,11 +882,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="127.0.0.1:0",
         help="bind address host:port (default: ephemeral localhost port)",
     )
-    p.add_argument(
-        "--store",
-        default=None,
-        help="artifact store directory the server owns — also the "
-        "backing of remote:// stores (default: REPRO_STORE)",
+    _knob_flag(
+        p, "--store", "REPRO_STORE",
+        "artifact store directory the server owns — also the backing of "
+        "remote:// stores",
     )
     p.add_argument(
         "--workers",
@@ -977,11 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "cache", help="administer a persistent artifact store"
     )
-    p.add_argument(
-        "--store",
-        default=None,
-        help="store directory (default: REPRO_STORE)",
-    )
+    _knob_flag(p, "--store", "REPRO_STORE", "store directory")
     cache_sub = p.add_subparsers(dest="cache_command", required=True)
     cache_sub.add_parser("ls", help="list artifacts (kind, bytes, key)")
     stats_p = cache_sub.add_parser(
@@ -1001,11 +957,10 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="keep artifacts read or written within this many days",
     )
-    gc_p.add_argument(
-        "--bus-dir",
-        default=None,
-        help="spool directory whose pending/leased jobs' artifacts are "
-        "never collected (default: REPRO_BUS_DIR; unset = no protection)",
+    _knob_flag(
+        gc_p, "--bus-dir", "REPRO_BUS_DIR",
+        "spool directory whose pending/leased jobs' artifacts are never "
+        "collected",
     )
     verify_p = cache_sub.add_parser(
         "verify", help="decode every artifact; report (and drop) corrupt ones"
@@ -1019,11 +974,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("saam", help="run the SAAM structural attack")
     p.add_argument("netlist")
-    p.add_argument(
-        "--store",
-        default=None,
-        help="shared artifact store; the report is keyed like runner "
-        "jobs (default: REPRO_STORE, no store when unset)",
+    _knob_flag(
+        p, "--store", "REPRO_STORE",
+        "shared artifact store; the report is keyed like runner jobs",
     )
     p.set_defaults(func=_cmd_saam)
 
@@ -1031,11 +984,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("netlist")
     p.add_argument("--undecided", choices=("coin", "x"), default="x")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--store",
-        default=None,
-        help="shared artifact store; the report is keyed like runner "
-        "jobs (default: REPRO_STORE, no store when unset)",
+    _knob_flag(
+        p, "--store", "REPRO_STORE",
+        "shared artifact store; the report is keyed like runner jobs",
     )
     p.set_defaults(func=_cmd_scope)
 
@@ -1055,11 +1006,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--undecided", choices=("coin", "x"), default="x")
     p.add_argument("--ridge", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--store",
-        default=None,
-        help="shared artifact store; the report is keyed like runner "
-        "jobs (default: REPRO_STORE, no store when unset)",
+    _knob_flag(
+        p, "--store", "REPRO_STORE",
+        "shared artifact store; the report is keyed like runner jobs",
     )
     p.set_defaults(func=_cmd_sweep)
 
@@ -1099,7 +1048,7 @@ def build_parser() -> argparse.ArgumentParser:
         p,
         store_help="persistent artifact store directory; shared with "
         "'figures' — a leaderboard over a fig7-warmed store re-locks "
-        "and re-attacks nothing (default: REPRO_STORE)",
+        "and re-attacks nothing",
     )
     p.set_defaults(func=_cmd_leaderboard)
 
@@ -1116,12 +1065,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_hd)
 
+    p = sub.add_parser(
+        "config",
+        help="print every REPRO_* environment knob, its value in effect "
+        "and where that value came from",
+    )
+    p.set_defaults(func=_cmd_config)
+
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

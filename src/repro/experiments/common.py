@@ -10,7 +10,8 @@ Three parameter presets exist for every experiment:
   K up to 512, 100 epochs).  Same code path, hours of runtime.
 
 Set the environment variable ``REPRO_EXPERIMENT_SCALE=paper`` (or
-``smoke``) to switch the benches to another preset.
+``smoke``) to switch the benches to another preset; any other value is
+a :class:`~repro.settings.SettingsError`, never a silent fallback.
 
 Figure grids execute through the pooled, cache-aware engine in
 :mod:`repro.experiments.runner`: ``REPRO_JOBS=N`` (or ``repro figures
@@ -25,7 +26,6 @@ on the cell identity rather than grid order.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.core import MuxLinkConfig
@@ -39,6 +39,7 @@ from repro.locking import (
     lock_symmetric,
 )
 from repro.netlist import Circuit
+from repro.settings import setting
 
 __all__ = [
     "ExperimentScale",
@@ -74,7 +75,7 @@ class ExperimentScale:
         hd_patterns: random patterns for Hamming-distance runs.
         score_prefetch: in-flight batch budget of the streamed
             extract→score pipeline passed to :class:`MuxLinkConfig`
-            (overridable via ``REPRO_SCORE_PREFETCH``; ``0`` = serial).
+            (``0`` = serial; results are identical either way).
         optimizer: training optimizer — ``"adam"`` or ``"kfac"``
             (K-FAC-preconditioned Adam); a *semantic* knob, part of the
             artifact identity.
@@ -115,9 +116,6 @@ class ExperimentScale:
         return tuple(rows)
 
     def attack_config(self, seed: int = 0) -> MuxLinkConfig:
-        prefetch = int(
-            os.environ.get("REPRO_SCORE_PREFETCH", self.score_prefetch)
-        )
         return MuxLinkConfig(
             h=self.h,
             threshold=self.threshold,
@@ -130,7 +128,7 @@ class ExperimentScale:
                 grad_shards=self.grad_shards,
             ),
             seed=seed,
-            score_prefetch=prefetch,
+            score_prefetch=self.score_prefetch,
         )
 
 
@@ -190,10 +188,9 @@ def scale_by_name(name: str) -> ExperimentScale:
         raise KeyError(f"unknown scale {name!r}; choose from {sorted(SCALES)}")
 
 
-def active_scale() -> ExperimentScale:
-    """Preset selected via ``REPRO_EXPERIMENT_SCALE`` (default: CI)."""
-    name = os.environ.get("REPRO_EXPERIMENT_SCALE", "ci").lower()
-    return SCALES.get(name, CI_SCALE)
+def active_scale(name: str | None = None) -> ExperimentScale:
+    """Preset *name*, else ``REPRO_EXPERIMENT_SCALE``, else CI."""
+    return scale_by_name(setting("REPRO_EXPERIMENT_SCALE", name))
 
 
 _LOCKERS = {

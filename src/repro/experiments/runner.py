@@ -66,6 +66,7 @@ from repro.experiments.common import (
 )
 from repro.locking import LockedCircuit
 from repro.netlist import Circuit
+from repro.settings import parse_jobs, setting
 from repro.store import (
     ArtifactStore,
     attack_store_key,
@@ -110,10 +111,9 @@ def resolve_jobs(jobs: int | str | None = None) -> int:
     ``0`` and ``1`` both mean *serial in-process* (the reproducible
     single-core default); ``"auto"`` maps to :func:`os.cpu_count`.
     """
-    if jobs is None:
-        jobs = os.environ.get("REPRO_JOBS", "0") or "0"
+    jobs = setting("REPRO_JOBS", jobs)
     if isinstance(jobs, str):
-        jobs = os.cpu_count() or 1 if jobs.strip().lower() == "auto" else int(jobs)
+        jobs = parse_jobs(jobs)
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
     return int(jobs)

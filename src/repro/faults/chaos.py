@@ -530,8 +530,8 @@ def run_chaos(
     """Run one drill per named plan; return their outcomes.
 
     Every drill compares against one shared clean serial run of the
-    Fig. 7 grid at *scale* (default: the active experiment scale, i.e.
-    smoke unless ``REPRO_SCALE`` says otherwise).  Work directories are
+    Fig. 7 grid at *scale* (default: the active experiment scale,
+    ``REPRO_EXPERIMENT_SCALE`` or ``ci``).  Work directories are
     deleted unless *keep*.
     """
     from repro.experiments.common import active_scale

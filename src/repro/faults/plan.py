@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ReproError
+from repro.settings import setting
 
 __all__ = [
     "FAULT_PLAN_ENV",
@@ -271,7 +272,7 @@ def _ensure_env_plan() -> None:
     if _env_checked:
         return
     _env_checked = True
-    raw = os.environ.get(FAULT_PLAN_ENV, "").strip()
+    raw = setting(FAULT_PLAN_ENV)
     if raw:
         activate(FaultPlan.loads(raw))
 

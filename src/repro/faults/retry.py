@@ -19,24 +19,10 @@ fleet is a handful of workers, not a million clients.)
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from dataclasses import dataclass, replace
 
-__all__ = [
-    "RETRY_ATTEMPTS_ENV",
-    "RETRY_BASE_DELAY_ENV",
-    "RETRY_CONNECT_TIMEOUT_ENV",
-    "RETRY_MAX_DELAY_ENV",
-    "RETRY_READ_TIMEOUT_ENV",
-    "RetryPolicy",
-]
-
-RETRY_ATTEMPTS_ENV = "REPRO_RETRY_ATTEMPTS"
-RETRY_BASE_DELAY_ENV = "REPRO_RETRY_BASE_DELAY"
-RETRY_MAX_DELAY_ENV = "REPRO_RETRY_MAX_DELAY"
-RETRY_CONNECT_TIMEOUT_ENV = "REPRO_RETRY_CONNECT_TIMEOUT"
-RETRY_READ_TIMEOUT_ENV = "REPRO_RETRY_READ_TIMEOUT"
+__all__ = ["RetryPolicy"]
 
 
 @dataclass(frozen=True)
@@ -78,25 +64,6 @@ class RetryPolicy:
             raise ValueError("delays must be >= 0")
         if self.multiplier < 1.0:
             raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-
-    @classmethod
-    def from_env(cls, **overrides) -> "RetryPolicy":
-        """Policy from ``REPRO_RETRY_*`` knobs; explicit *overrides* win."""
-        env: dict = {}
-        raw = os.environ.get(RETRY_ATTEMPTS_ENV, "").strip()
-        if raw:
-            env["max_attempts"] = int(raw)
-        for field_name, env_name in (
-            ("base_delay", RETRY_BASE_DELAY_ENV),
-            ("max_delay", RETRY_MAX_DELAY_ENV),
-            ("connect_timeout", RETRY_CONNECT_TIMEOUT_ENV),
-            ("read_timeout", RETRY_READ_TIMEOUT_ENV),
-        ):
-            raw = os.environ.get(env_name, "").strip()
-            if raw:
-                env[field_name] = float(raw)
-        env.update(overrides)
-        return cls(**env)
 
     def with_attempts(self, max_attempts: int | None) -> "RetryPolicy":
         """This policy with a different attempt budget (``None`` = keep)."""

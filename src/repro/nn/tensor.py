@@ -30,12 +30,13 @@ closures and keep no intermediate arrays alive.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
+
+from repro.settings import setting
 
 __all__ = [
     "Tensor",
@@ -54,12 +55,7 @@ __all__ = [
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
-_env_dtype = os.environ.get("REPRO_DTYPE", "float32").lower()
-if _env_dtype not in _DTYPES:
-    raise ValueError(
-        f"unsupported REPRO_DTYPE {_env_dtype!r}; choose float32 or float64"
-    )
-_default_dtype: np.dtype = np.dtype(_DTYPES[_env_dtype])
+_default_dtype: np.dtype = np.dtype(_DTYPES[setting("REPRO_DTYPE")])
 
 _grad_enabled: bool = True
 

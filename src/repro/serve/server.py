@@ -204,7 +204,7 @@ class AttackServer:
                 "(it *is* the remote end of remote:// stores)"
             )
         self.store = resolved
-        self.retry = retry if retry is not None else RetryPolicy.from_env()
+        self.retry = retry if retry is not None else RetryPolicy()
         self._server = _Server(
             address, read_timeout=self.retry.read_timeout
         )

@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.faults import RetryPolicy
+from repro.settings import setting
 from repro.store import codec
 from repro.store.artifacts import (
     attack_store_key,
@@ -85,9 +86,6 @@ __all__ = [
 #: On-disk layout version.  Bumping it makes existing entries invisible
 #: (they live under the old ``v<N>`` directory), not fatal.
 SCHEMA_VERSION = 1
-
-#: Environment variable pointing runners / benches / the CLI at a store.
-STORE_ENV = "REPRO_STORE"
 
 #: Store-path prefix selecting the network-backed store:
 #: ``remote://host:port`` opens a :class:`repro.store.remote.RemoteStore`
@@ -157,7 +155,7 @@ class ArtifactStore:
     ):
         self.root = Path(root)
         self.schema = int(schema)
-        self.retry = retry if retry is not None else RetryPolicy.from_env()
+        self.retry = retry if retry is not None else RetryPolicy()
         self.stats = StoreStats()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -361,8 +359,9 @@ def resolve_store(
 ) -> ArtifactStore | None:
     """Resolve a store argument: instance, path, or the environment.
 
-    ``None`` consults ``REPRO_STORE`` (empty/unset means *no store*), a
-    string/path opens that directory, ``remote://host:port`` opens a
+    ``None`` or a blank string consults the ``REPRO_STORE`` setting
+    (unset means *no store*), a string/path opens that directory,
+    ``remote://host:port`` opens a
     :class:`~repro.store.remote.RemoteStore` against a ``repro serve``
     process, and an :class:`ArtifactStore` passes through — the scheme
     every entry point shares
@@ -371,14 +370,10 @@ def resolve_store(
     """
     if isinstance(store, ArtifactStore):
         return store
+    store = setting("REPRO_STORE", store)
     if store is None:
-        env = os.environ.get(STORE_ENV, "").strip()
-        store = env if env else None
-        if store is None:
-            return None
-    text = os.fspath(store).strip()
-    if not text:
         return None
+    text = os.fspath(store).strip()
     if text.startswith(REMOTE_SCHEME):
         # Late import: repro.store.remote pulls in the bus wire helpers,
         # which import this module back.

@@ -8,8 +8,8 @@ wire format is the job bus framing (4-byte length + codec blob), and the
 blobs themselves are byte-for-byte the npz images the server's on-disk
 store holds — content addressing makes that exchange trivially cachable,
 so the client keeps an LRU of raw blob bytes (capped by total size,
-``REPRO_REMOTE_CACHE_BYTES``) and a warm ``get`` decodes locally without
-touching the network.
+*cache_bytes*, default :data:`DEFAULT_CACHE_BYTES`) and a warm ``get``
+decodes locally without touching the network.
 
 Failure semantics mirror the local store: a corrupt blob warns and reads
 as a miss (the caller recomputes and rewrites), transient socket errors
@@ -21,7 +21,6 @@ timeout the chaos drill needs.
 
 from __future__ import annotations
 
-import os
 import threading
 import warnings
 from collections import OrderedDict
@@ -36,7 +35,6 @@ from repro.wire import Channel
 __all__ = ["RemoteStore", "RemoteStoreError"]
 
 #: Client-side blob-cache budget (total raw bytes).
-REMOTE_CACHE_ENV = "REPRO_REMOTE_CACHE_BYTES"
 DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 
 
@@ -51,14 +49,11 @@ class RemoteStore:
         self,
         address: str,
         retry: RetryPolicy | None = None,
-        cache_bytes: int | None = None,
+        cache_bytes: int = DEFAULT_CACHE_BYTES,
     ) -> None:
         self._channel = Channel(address, retry=retry, name="remote store")
         self.root = f"remote://{self._channel.address}"
         self.stats = StoreStats()
-        if cache_bytes is None:
-            raw = os.environ.get(REMOTE_CACHE_ENV, "").strip()
-            cache_bytes = int(raw) if raw else DEFAULT_CACHE_BYTES
         self._cache_budget = int(cache_bytes)
         self._cache: OrderedDict[tuple[str, str], bytes] = OrderedDict()
         self._cache_bytes = 0

@@ -217,7 +217,7 @@ class Channel:
     ) -> None:
         self.host, self.port = parse_address(address)
         self.address = f"{self.host}:{self.port}"
-        self.retry = retry if retry is not None else RetryPolicy.from_env()
+        self.retry = retry if retry is not None else RetryPolicy()
         self.name = name
         self._sock: socket.socket | None = None
         self._lock = threading.RLock()

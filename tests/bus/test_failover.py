@@ -11,6 +11,7 @@ import pytest
 
 from repro.benchgen import load_benchmark
 from repro.bus import (
+    DEFAULT_LIVENESS,
     BusError,
     BusStats,
     SocketBus,
@@ -163,22 +164,9 @@ def test_runner_threads_liveness_to_the_bus(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_BUS", "spool")
     monkeypatch.setenv("REPRO_BUS_DIR", str(tmp_path / "spool"))
     monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
-    runner = ExperimentRunner(liveness=7.5)
-    try:
-        assert runner.bus.liveness == 7.5
-    finally:
-        runner.close()
-
-
-def test_resolve_bus_liveness_env_default(tmp_path, monkeypatch):
-    from repro.bus import BUS_LIVENESS_ENV, DEFAULT_LIVENESS, resolve_bus
-
-    store = ArtifactStore(tmp_path / "store")
-    bus = resolve_bus("spool", store=store, bus_dir=tmp_path / "spool")
-    assert bus.liveness == DEFAULT_LIVENESS
-    monkeypatch.setenv(BUS_LIVENESS_ENV, "12.5")
-    bus = resolve_bus("spool", store=store, bus_dir=tmp_path / "spool")
-    assert bus.liveness == 12.5
-    monkeypatch.setenv(BUS_LIVENESS_ENV, "0")
-    bus = resolve_bus("spool", store=store, bus_dir=tmp_path / "spool")
-    assert bus.liveness is None
+    for liveness, expected in ((7.5, 7.5), (0, None), (None, DEFAULT_LIVENESS)):
+        runner = ExperimentRunner(liveness=liveness)
+        try:
+            assert runner.bus.liveness == expected
+        finally:
+            runner.close()

@@ -27,7 +27,6 @@ import pytest
 import repro
 from repro.benchgen import load_benchmark
 from repro.bus import BusError, SocketBus, SpoolBus, SpoolDir, run_worker
-from repro.bus.worker import TEST_DELAY_ENV
 from repro.experiments import (
     SMOKE_SCALE,
     ExperimentRunner,
@@ -38,6 +37,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import lock_with
 from repro.experiments.runner import AttackJob
+from repro.faults import FAULT_PLAN_ENV, FaultPlan, FaultSite
 from repro.store import (
     ArtifactStore,
     attack_store_key,
@@ -77,14 +77,17 @@ def _pending_jobs(cells) -> list[AttackJob]:
     return list(jobs.values())
 
 
-def _start_worker(spool_dir, store_dir, delay: float | None = None):
+def _start_worker(spool_dir, store_dir, stall: float | None = None):
     env = {
         "PATH": "/usr/bin:/bin",
         "PYTHONPATH": _SRC_ROOT,
         "PYTHONHASHSEED": "0",
     }
-    if delay is not None:
-        env[TEST_DELAY_ENV] = str(delay)
+    if stall is not None:
+        plan = FaultPlan(
+            "stall", (FaultSite("worker.slow_factor", times=1, param=stall),)
+        )
+        env[FAULT_PLAN_ENV] = plan.dumps()
     return subprocess.Popen(
         [
             sys.executable,
@@ -126,9 +129,9 @@ def test_sigkilled_worker_lease_is_reaped_and_job_completed(tmp_path):
 
         assert spool.enqueue(job.store_key, encode_job(job))
 
-    # The victim leases a job and then sleeps inside the heartbeat scope
-    # (the REPRO_BUS_TEST_DELAY hook); SIGKILL stops its heartbeat dead.
-    victim = _start_worker(spool.root, store.root, delay=60.0)
+    # The victim leases a job and then stalls inside the heartbeat scope
+    # (the worker.slow_factor fault site); SIGKILL stops its heartbeat dead.
+    victim = _start_worker(spool.root, store.root, stall=60.0)
     try:
         deadline = time.monotonic() + 60
         while not spool.leased_keys():

@@ -35,6 +35,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import format_records
 from repro.locking import DMUX_SCHEME, SYMMETRIC_SCHEME
+from repro.settings import SettingsError
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +57,10 @@ def test_scale_presets_and_env(monkeypatch):
     assert active_scale() is PAPER_SCALE
     monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "smoke")
     assert active_scale() is SMOKE_SCALE
+    assert active_scale("paper") is PAPER_SCALE  # explicit beats the env
+    monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "smok")
+    with pytest.raises(SettingsError, match="REPRO_EXPERIMENT_SCALE='smok'"):
+        active_scale()  # a typo never falls back to CI
 
 
 def test_scale_by_name():

@@ -1,15 +1,10 @@
-"""RetryPolicy: deterministic backoff, attempt caps, env knobs."""
+"""RetryPolicy: deterministic backoff and attempt caps."""
 
 import errno
 
 import pytest
 
 from repro.faults import RetryPolicy
-from repro.faults.retry import (
-    RETRY_ATTEMPTS_ENV,
-    RETRY_BASE_DELAY_ENV,
-    RETRY_READ_TIMEOUT_ENV,
-)
 
 
 def test_delay_schedule_is_exponential_and_capped():
@@ -91,17 +86,6 @@ def test_call_does_not_retry_unlisted_exceptions():
     with pytest.raises(KeyError):
         policy.call(typo)
     assert len(calls) == 1
-
-
-def test_from_env_and_overrides(monkeypatch):
-    monkeypatch.setenv(RETRY_ATTEMPTS_ENV, "7")
-    monkeypatch.setenv(RETRY_BASE_DELAY_ENV, "0.5")
-    monkeypatch.setenv(RETRY_READ_TIMEOUT_ENV, "42")
-    policy = RetryPolicy.from_env()
-    assert policy.max_attempts == 7
-    assert policy.base_delay == 0.5
-    assert policy.read_timeout == 42.0
-    assert RetryPolicy.from_env(max_attempts=2).max_attempts == 2  # override
 
 
 def test_with_attempts():
