@@ -264,7 +264,7 @@ class Pr2Assembler(BatchAssembler):
         from repro.gnn import GraphBatch
 
         return GraphBatch(
-            norm_adj=norm_adj,
+            operator=SparseOp.from_csr(norm_adj),
             features=features,
             node_offsets=offsets,
             labels=self.labels[index_order],

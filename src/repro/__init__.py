@@ -60,8 +60,10 @@ from repro.store import ArtifactStore, resolve_store
 # contract every backend is held to.  Pin the pool to one thread at
 # import: measured zero cost on these workloads (BENCH_training.json
 # ``bench_bus``), and REPRO_BLAS_THREADS overrides for users who want
-# BLAS parallelism more than reproducibility.
-from repro.bus.threads import limit_blas_threads as _limit_blas_threads
+# BLAS parallelism more than reproducibility.  The imports above have
+# loaded numpy, and with it the OpenBLAS the pin finds; ``repro.blas``
+# is a stdlib-only leaf, so pinning does not load the job bus.
+from repro.blas import limit_blas_threads as _limit_blas_threads
 from repro.settings import setting as _setting
 
 _limit_blas_threads(_setting("REPRO_BLAS_THREADS"))

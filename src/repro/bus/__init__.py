@@ -9,6 +9,7 @@ filesystem) and :class:`~repro.bus.socketbus.SocketBus` (an in-process
 connect to).
 """
 
+from repro.blas import limit_blas_threads
 from repro.bus.local import LocalBus
 from repro.bus.protocol import (
     BUS_JOB_KIND,
@@ -34,7 +35,6 @@ from repro.bus.protocol import (
 )
 from repro.bus.socketbus import SocketBus
 from repro.bus.spool import SpoolBus, SpoolDir
-from repro.bus.threads import limit_blas_threads
 from repro.bus.worker import WorkerStats, run_worker
 
 __all__ = [

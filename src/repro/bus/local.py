@@ -15,8 +15,8 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import TYPE_CHECKING, Iterator
 
+from repro.blas import limit_blas_threads
 from repro.bus.protocol import DEFAULT_WORKER_BLAS_THREADS, JobBus
-from repro.bus.threads import limit_blas_threads
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.runner import AttackJob

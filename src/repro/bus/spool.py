@@ -104,6 +104,22 @@ class SpoolDir:
     def quarantined_keys(self) -> list[str]:
         return self._keys(self.quarantine_dir)
 
+    def attempts(self) -> dict[str, int]:
+        """Attempt counter of every pending or leased job, by key.
+
+        A counter above 0 means the job was requeued, whichever process
+        reaped or failed it.  A file that moves mid-scan is skipped.
+        """
+        seen: dict[str, int] = {}
+        for directory in (self.pending_dir, self.leased_dir):
+            for path in directory.glob("*.npz"):
+                try:
+                    attempt = int(codec.load(path, kind=BUS_JOB_KIND)["attempt"])
+                except (FileNotFoundError, CodecError):
+                    continue
+                seen[path.stem] = max(seen.get(path.stem, 0), attempt)
+        return seen
+
     def referenced_keys(self) -> set[str]:
         """Store keys of in-flight jobs — ``repro cache gc`` must keep these.
 

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro import faults
+from repro.blas import limit_blas_threads
 from repro.bus.protocol import (
     DEFAULT_LEASE_BATCH,
     DEFAULT_PIPELINE,
@@ -47,7 +48,6 @@ from repro.bus.protocol import (
     decode_job,
 )
 from repro.bus.spool import SpoolDir
-from repro.bus.threads import limit_blas_threads
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.store import ArtifactStore

@@ -64,16 +64,17 @@ import sys
 from repro.attacks import saam_attack, scope_attack
 from repro.benchgen import benchmark_names, load_benchmark
 from repro.core import MuxLinkConfig, run_muxlink, score_key
-from repro.errors import ReproError
+from repro.errors import BenchFormatError, ReproError
 from repro.linkpred import TrainConfig
 from repro.locking import (
     apply_key,
+    key_inputs_of,
     lock_dmux,
     lock_naive_mux,
     lock_symmetric,
     lock_xor,
 )
-from repro.netlist import dump_bench, load_bench
+from repro.netlist import Circuit, dump_bench, load_bench
 from repro.settings import SETTINGS, setting, setting_source
 from repro.sim import hamming_distance
 
@@ -83,6 +84,22 @@ _SCHEMES = {
     "naive-mux": lock_naive_mux,
     "xor": lock_xor,
 }
+
+
+def _load_locked(path) -> tuple[Circuit, str | None]:
+    """``load_bench``, plus a check that a stored key fits the key inputs.
+
+    The key is only scored after the attack, so a misfit one must fail
+    here as a typed error rather than as a traceback after training.
+    """
+    circuit, key = load_bench(path)
+    n_key_inputs = len(key_inputs_of(circuit))
+    if key is not None and len(key) != n_key_inputs:
+        raise BenchFormatError(
+            f"{path}: stored key has {len(key)} bit(s) but the netlist has "
+            f"{n_key_inputs} key input(s)"
+        )
+    return circuit, key
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -118,7 +135,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         import repro.nn as nn
 
         nn.set_default_dtype(args.dtype)
-    circuit, key = load_bench(args.netlist)
+    circuit, key = _load_locked(args.netlist)
     config = MuxLinkConfig(
         h=args.h,
         threshold=args.threshold,
@@ -455,7 +472,7 @@ def _baseline_report(circuit, config, train=(), store=None):
 def _cmd_saam(args: argparse.Namespace) -> int:
     from repro.attacks import BaselineConfig
 
-    circuit, key = load_bench(args.netlist)
+    circuit, key = _load_locked(args.netlist)
     report = _baseline_report(
         circuit, BaselineConfig(attack="saam"), store=args.store
     )
@@ -469,7 +486,7 @@ def _cmd_saam(args: argparse.Namespace) -> int:
 def _cmd_scope(args: argparse.Namespace) -> int:
     from repro.attacks import BaselineConfig
 
-    circuit, key = load_bench(args.netlist)
+    circuit, key = _load_locked(args.netlist)
     config = BaselineConfig(
         attack="scope", undecided=args.undecided, seed=args.seed
     )
@@ -486,10 +503,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.attacks import BaselineConfig
     from repro.locking.common import LockedCircuit
 
-    circuit, key = load_bench(args.netlist)
+    circuit, key = _load_locked(args.netlist)
     train = []
     for path in args.train:
-        train_circuit, train_key = load_bench(path)
+        train_circuit, train_key = _load_locked(path)
         if not train_key:
             print(
                 f"error: training netlist {path} carries no '#key' "

@@ -241,41 +241,41 @@ def _drill_spool(
     if all_die:
         victims.append(_spawn_spool_worker(spool.root, store.root, plan))
     helpers: list[subprocess.Popen] = []
+    if shared:
+        helpers.append(_spawn_spool_worker(spool.root, store.root, plan))
     stop = threading.Event()
+    #: Highest attempt counter seen per job.  Helpers call reap_stale()
+    #: too, so the coordinator's own ``bus.stats.requeues`` misses every
+    #: lease a helper reaped first; the spool's counters see them all.
+    attempts: dict[str, int] = {}
 
-    def _spawn_helper_on_first_lease() -> None:
+    def _watch() -> None:
         # The victim must win a lease before a healthy peer enters the
         # race, or a 2-job smoke grid can finish without ever touching
         # the armed worker.  A crashed victim leaves its lease behind,
         # so "leased/ is non-empty" covers both the stall and the crash.
+        spawn_helper = not all_die and not shared
         while not stop.is_set():
-            if spool.leased_keys():
-                helpers.append(
-                    _spawn_spool_worker(spool.root, store.root, None)
-                )
-                return
+            if spawn_helper and spool.leased_keys():
+                helpers.append(_spawn_spool_worker(spool.root, store.root, None))
+                spawn_helper = False
+            for key, attempt in spool.attempts().items():
+                attempts[key] = max(attempts.get(key, 0), attempt)
             time.sleep(0.05)
 
-    watcher = None
-    if not all_die and not shared:
-        watcher = threading.Thread(
-            target=_spawn_helper_on_first_lease, daemon=True
-        )
-        watcher.start()
-    elif shared:
-        helpers.append(_spawn_spool_worker(spool.root, store.root, plan))
+    watcher = threading.Thread(target=_watch, daemon=True)
+    watcher.start()
 
     runner = ExperimentRunner(jobs=0, store=store, bus=bus)
     try:
         records = runner.run(reference.cells)
     finally:
         stop.set()
-        if watcher is not None:
-            watcher.join(timeout=10)
+        watcher.join(timeout=10)
         outputs = [_reap_worker(p) for p in victims + helpers]
         runner.close()
     _count_fired(outputs, outcome.injected)
-    outcome.requeues = bus.stats.requeues
+    outcome.requeues = max(bus.stats.requeues, sum(attempts.values()))
     outcome.failed_over = bus.stats.failed_over
     outcome.write_retries = store.stats.write_retries
     outcome.store_discards = store.stats.errors

@@ -26,13 +26,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.nn import Workspace, default_dtype
-from repro.nn.sparse import SparseOp, csr_from_parts
+from repro.nn.sparse import SparseOp
+
+if TYPE_CHECKING:  # pragma: no cover
+    import scipy.sparse as sp
 
 __all__ = [
     "GraphExample",
@@ -138,8 +140,10 @@ def normalized_adjacency(n_nodes: int, edges: np.ndarray) -> sp.csr_matrix:
     """Build ``D^-1 (A + I)`` for one undirected graph (paper Eq. 4).
 
     The single-graph case of :func:`normalized_blocks`, as a scipy CSR
-    matrix in the runtime default dtype.
+    matrix in the runtime default dtype (imports ``scipy.sparse``).
     """
+    import scipy.sparse as sp
+
     return sp.csr_matrix(
         normalized_blocks([n_nodes], [edges]), shape=(n_nodes, n_nodes)
     )
@@ -152,9 +156,14 @@ class GraphBatch:
     ``graph_ids`` and ``segment_positions`` are the SortPooling order
     bases: they depend only on the batch layout, so they are computed
     lazily once and reused by every forward pass over this batch.
+
+    ``operator`` is the block-diagonal ``D^-1 (A + I)`` as a
+    :class:`~repro.nn.sparse.SparseOp`, shared by every forward/backward
+    pass over the batch, so format conversions never repeat per layer per
+    step.
     """
 
-    norm_adj: sp.csr_matrix
+    operator: SparseOp
     features: np.ndarray
     node_offsets: np.ndarray  # (B + 1,) prefix sums
     labels: np.ndarray  # (B,)
@@ -188,16 +197,10 @@ class GraphBatch:
         """Rank of each row within its graph's contiguous block, ``(N,)``."""
         return np.arange(self.n_nodes) - self.node_offsets[self.graph_ids]
 
-    @cached_property
-    def operator(self) -> SparseOp:
-        """The cached block-sparse engine view of ``norm_adj``.
-
-        Built once per batch and shared by every forward/backward pass, so
-        format conversions never repeat per layer per step (see
-        :mod:`repro.nn.sparse`).  :class:`BatchAssembler` pre-seeds this
-        with the operator over its stitched CSR arrays.
-        """
-        return SparseOp.from_csr(self.norm_adj)
+    @property
+    def norm_adj(self) -> sp.csr_matrix:
+        """The operator as a scipy CSR matrix (built lazily, cached)."""
+        return self.operator.csr
 
 
 def build_batch(examples: Sequence[GraphExample]) -> GraphBatch:
@@ -222,9 +225,9 @@ def build_batch(examples: Sequence[GraphExample]) -> GraphBatch:
     labels = np.array([e.label for e in examples], dtype=np.int64)
     total = int(offsets[-1])
     return GraphBatch(
-        norm_adj=sp.csr_matrix(
-            normalized_blocks(sizes, [e.edges for e in examples]),
-            shape=(total, total),
+        operator=SparseOp(
+            *normalized_blocks(sizes, [e.edges for e in examples]),
+            (total, total),
         ),
         features=features,
         node_offsets=offsets,
@@ -325,10 +328,9 @@ class BatchAssembler:
         """Fuse the examples selected by *index_order* into one batch.
 
         The CSR arrays are concatenated once and shifted in bulk (one
-        ``np.repeat`` per array instead of a per-example add), the scipy
-        matrix is built through the unchecked constructor, and the
-        resulting :class:`GraphBatch` carries a pre-seeded
-        :class:`~repro.nn.sparse.SparseOp` over the same arrays.
+        ``np.repeat`` per array instead of a per-example add) and the
+        resulting :class:`GraphBatch` carries a
+        :class:`~repro.nn.sparse.SparseOp` over them.
 
         With ``reuse_buffers=True`` the operator/feature arrays live in
         assembler-owned scratch slots recycled call to call: the returned
@@ -367,8 +369,6 @@ class BatchAssembler:
             [self._indptr_tail[i] for i in index_order], out=indptr[1:]
         )
         indptr[1:] += np.repeat(nnz_offsets[:-1], sizes)
-        norm_adj = csr_from_parts(data, indices, indptr, (total, total))
-        operator = SparseOp(data, indices, indptr, (total, total), csr=norm_adj)
         # Stacked node rows of the selected examples, as flat-arena
         # positions: one range-gather replaces a per-example concatenate.
         row_positions = np.arange(total, dtype=np.int64) + np.repeat(
@@ -389,21 +389,19 @@ class BatchAssembler:
             if self._feature_cols is not None
             else None
         )
-        batch = GraphBatch(
-            norm_adj=norm_adj,
+        return GraphBatch(
+            operator=SparseOp(data, indices, indptr, (total, total)),
             features=features,
             node_offsets=offsets,
             labels=self.labels[index_order],
             feature_onehot=feature_onehot,
         )
-        batch.__dict__["operator"] = operator
-        return batch
 
 
 class BatchCache:
     """A split partitioned into fixed, prebuilt :class:`GraphBatch` chunks.
 
-    Construction pays the scipy/stacking cost exactly once; afterwards the
+    Construction pays the operator/stacking cost exactly once; afterwards the
     trainer iterates the cached batches directly, so validation and
     scoring epochs touch no constructors at all.
     """

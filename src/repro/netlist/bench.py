@@ -16,6 +16,7 @@ Gate-name synonyms accepted on input: ``INV``/``NOT``, ``BUFF``/``BUF``.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from pathlib import Path
 
 from repro.errors import BenchFormatError
@@ -55,6 +56,12 @@ def parse_bench(text: str, name: str = "circuit") -> tuple[Circuit, str | None]:
         ``(circuit, key)`` where *key* is the string from a ``#key=`` comment
         (``None`` when absent).  Gate order in the file need not be
         topological; definitions are resolved after reading the whole file.
+
+    Raises:
+        ReproError: a :class:`BenchFormatError` for malformed text, cyclic
+            or undriven nets and duplicate gate definitions; a
+            :class:`NetlistError` for structural faults (arity, duplicate
+            inputs, undriven outputs).
     """
     inputs: list[str] = []
     outputs: list[str] = []
@@ -91,10 +98,8 @@ def parse_bench(text: str, name: str = "circuit") -> tuple[Circuit, str | None]:
     # Definitions may be out of topological order; add in dependency order.
     pending = {out: (gt, args) for out, gt, args in gate_defs}
     if len(pending) != len(gate_defs):
-        dupes = sorted(
-            {out for out, _, _ in gate_defs}
-            - {out for out in dict.fromkeys(o for o, _, _ in gate_defs)}
-        )
+        counts = Counter(out for out, _, _ in gate_defs)
+        dupes = sorted(out for out, n in counts.items() if n > 1)
         raise BenchFormatError(f"duplicate gate definitions: {dupes!r}")
     while pending:
         progressed = False

@@ -299,11 +299,10 @@ def graph_conv(
 
     One autograd node instead of three (matmul → spmm → tanh), with the
     sparse products running through the sparse engine
-    (:mod:`repro.nn.sparse`): the operator's scipy view is cached on
-    the :class:`~repro.nn.sparse.SparseOp`, so passing a batch's cached
-    operator (``GraphBatch.operator``) converts formats once per batch
-    instead of once per layer per step, and the backward transpose product
-    never materializes ``A^T``.
+    (:mod:`repro.nn.sparse`): passing a batch's operator
+    (``GraphBatch.operator``) runs scipy's C kernels on its raw CSR arrays
+    with no per-layer format conversion, and the backward transpose
+    product never materializes ``A^T``.
 
     Args:
         norm_adj: the normalized operator — a

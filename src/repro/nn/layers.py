@@ -144,9 +144,9 @@ class GraphConv(Module):
     Computes ``H' = tanh( D^-1 (A + I) H W )`` through the fused
     :func:`repro.nn.functional.graph_conv` kernel; the normalized operator
     ``D^-1 (A + I)`` is precomputed by the batcher and passed as a constant
-    — ideally a cached :class:`~repro.nn.sparse.SparseOp`
-    (``GraphBatch.operator``) so layers share one format conversion per
-    batch.  ``out``/``workspace`` forward straight to the kernel (see
+    — ideally the batch's :class:`~repro.nn.sparse.SparseOp`
+    (``GraphBatch.operator``), so layers share one operator per batch.
+    ``out``/``workspace`` forward straight to the kernel (see
     :func:`repro.nn.functional.graph_conv`).
     """
 

@@ -4,34 +4,70 @@ The training/inference hot path multiplies one block-diagonal
 ``D^-1 (A + I)`` operator per batch against dense node matrices, four
 layers forward and four transposed products backward, every step.  This
 module owns that product through :class:`SparseOp`, the operator wrapper
-the batcher hands to the network.  It caches the scipy view so format
-conversion happens **once per batch**, never once per layer per step,
-and its :meth:`~SparseOp.matmul` / :meth:`~SparseOp.matmul_t` kernels
-accept preallocated outputs so steady-state training allocates nothing.
+the batcher hands to the network.  Its :meth:`~SparseOp.matmul` /
+:meth:`~SparseOp.matmul_t` kernels run on the raw CSR arrays, so no
+format conversion happens per layer per step, and accept preallocated
+outputs so steady-state training allocates nothing.
 
-Both products call scipy's C CSR kernel directly through
-``scipy.sparse._sparsetools`` with a preallocated output, skipping the
+Both products call scipy's C CSR kernel directly through its
+``_sparsetools`` extension with a preallocated output, skipping the
 ``__matmul__`` dispatch/validation layer.  The transposed product runs
 the CSC kernel **on the same CSR arrays** (CSR of ``A`` is CSC of
 ``A^T``), so no transpose is ever materialized.  Results are
 **bit-identical** to ``csr @ dense`` / ``csr.T @ dense``; the parity
 suite in ``tests/nn/test_sparse.py`` enforces this.
+
+The extension is loaded by file path (:func:`load_sparsetools`), so the
+attack path never runs ``scipy/sparse/__init__.py`` and its array-API
+layer.  ``scipy.sparse`` itself is imported only when a scipy view is
+asked for (:attr:`SparseOp.csr`, :func:`csr_from_parts`) or a product
+falls off the fast path.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import scipy.sparse as sp
+import importlib.machinery
+import importlib.util
+import os
+from typing import TYPE_CHECKING
 
-try:  # scipy's C kernels; private but stable since 2008.  Guarded anyway.
+import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover
+    import scipy.sparse as sp
+
+__all__ = ["SparseOp", "as_sparse_op", "csr_from_parts", "load_sparsetools"]
+
+
+def load_sparsetools():
+    """scipy's ``_sparsetools`` C extension, without importing ``scipy.sparse``.
+
+    The extension is self-contained (it needs only numpy's C API), so it
+    is loaded straight from the installed ``scipy`` package under the
+    private name ``repro.nn._sparsetools``.  When the file is not there
+    or will not load, this falls back to the ordinary import.
+    """
+    spec = importlib.util.find_spec("scipy")
+    for location in spec.submodule_search_locations if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(location, "sparse", "_sparsetools" + suffix)
+            if not os.path.isfile(path):
+                continue
+            try:
+                loader = importlib.machinery.ExtensionFileLoader(
+                    "repro.nn._sparsetools", path
+                )
+                return loader.create_module(
+                    importlib.util.spec_from_loader(loader.name, loader)
+                )
+            except ImportError:
+                break
     from scipy.sparse import _sparsetools
 
-    _HAVE_SPARSETOOLS = True
-except ImportError:  # pragma: no cover - scipy always ships it today
-    _sparsetools = None
-    _HAVE_SPARSETOOLS = False
+    return _sparsetools
 
-__all__ = ["SparseOp", "as_sparse_op", "csr_from_parts"]
+
+_sparsetools = load_sparsetools()
 
 
 def csr_from_parts(
@@ -45,8 +81,11 @@ def csr_from_parts(
     ``csr_matrix.__init__`` runs ``check_format`` plus index-dtype scans —
     ~50x the cost of the construction itself — on arrays the batcher just
     built and knows are canonical.  Callers must guarantee CSR invariants
-    (monotone indptr, in-range indices, matching lengths).
+    (monotone indptr, in-range indices, matching lengths).  Imports
+    ``scipy.sparse`` on first call.
     """
+    import scipy.sparse as sp
+
     matrix = sp.csr_matrix.__new__(sp.csr_matrix)
     matrix.data = data
     matrix.indices = indices
@@ -59,10 +98,9 @@ def csr_from_parts(
 class SparseOp:
     """A sparse operator with cached layouts and zero-overhead kernels.
 
-    Wraps one ``D^-1 (A + I)`` (or any CSR) matrix.  The scipy view is
-    built at most once and cached, so the four graph-convolution layers
-    of a forward/backward pass share one conversion instead of
-    re-deriving formats per call.
+    Wraps the CSR arrays of one ``D^-1 (A + I)`` (or any CSR) matrix.
+    The kernels run on those arrays directly; the scipy view
+    (:attr:`csr`) is built only on request, at most once.
     """
 
     __slots__ = ("shape", "data", "indices", "indptr", "_csr")
@@ -88,16 +126,6 @@ class SparseOp:
             matrix.data, matrix.indices, matrix.indptr, matrix.shape, matrix
         )
 
-    @classmethod
-    def from_parts(
-        cls,
-        data: np.ndarray,
-        indices: np.ndarray,
-        indptr: np.ndarray,
-        shape: tuple[int, int],
-    ) -> "SparseOp":
-        return cls(data, indices, indptr, shape)
-
     @property
     def nnz(self) -> int:
         return len(self.data)
@@ -114,8 +142,7 @@ class SparseOp:
     # ------------------------------------------------------------- kernels
     def _fast_path(self, dense: np.ndarray, out: np.ndarray | None) -> bool:
         return (
-            _HAVE_SPARSETOOLS
-            and dense.flags.c_contiguous
+            dense.flags.c_contiguous
             and dense.dtype == self.data.dtype
             and (out is None or out.flags.c_contiguous)
         )

@@ -31,12 +31,14 @@ closures and keep no intermediate arrays alive.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.settings import setting
+
+if TYPE_CHECKING:  # pragma: no cover
+    import scipy.sparse as sp
 
 __all__ = [
     "Tensor",
