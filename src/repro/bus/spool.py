@@ -1,6 +1,8 @@
 """Filesystem spool-directory job bus.
 
-Layout (all codec npz files, atomic same-dir tmp + rename writes)::
+Layout (all :mod:`repro.store.codec` files, atomic same-dir tmp + rename
+writes; a spool written before codec 2 does not decode, so drain it
+before upgrading)::
 
     <spool>/pending/<store_key>.npz      # enqueued job, waiting for a lease
     <spool>/leased/<store_key>.npz       # claimed; mtime is the heartbeat

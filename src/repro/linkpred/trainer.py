@@ -369,7 +369,9 @@ def score_stream(
 #: reported as unreadable, not silently migrated.
 #: Version 3 adds the optimizer name, the K-FAC preconditioner state and
 #: the per-epoch validation AUC; version-2 checkpoints still load (the
-#: preconditioner cold-starts, ``val_auc`` backfills empty).
+#: preconditioner cold-starts, ``val_auc`` backfills empty).  The
+#: container moved from npz archives to the flat codec (codec 2) without
+#: a version bump here: an npz-era checkpoint is reported as unreadable.
 _CHECKPOINT_VERSION = 3
 _LEGACY_CHECKPOINT_VERSIONS = frozenset({2})
 _CHECKPOINT_KIND = "trainer-checkpoint"
@@ -592,7 +594,7 @@ class Trainer:
         except codec.CodecError as exc:
             raise TrainingError(
                 f"unreadable checkpoint {path!r} — corrupt, or written by "
-                f"the pre-npz pickle format ({exc})"
+                f"an older container format, pickle or npz ({exc})"
             ) from exc
         version = payload.get("version")
         if (

@@ -234,15 +234,30 @@ def max_pool1d(x: Tensor, size: int, stride: int | None = None) -> Tensor:
         out = np.take_along_axis(windows, arg[..., None], axis=3)[..., 0]
 
     def backward(grad: np.ndarray) -> None:
+        if size == 2 and stride == 2:
+            # Each window routes its gradient to whichever tap won the max.
+            # AND-ing the gradient's bit pattern with an all-ones/all-zeros
+            # mask copies it exactly (a -0.0 gradient stays -0.0, a losing
+            # tap gets +0.0, as a masked store into zeros would), and one
+            # interleaving stack beats two masked stores into strided views.
+            grad = np.asarray(grad, dtype=x.data.dtype)
+            bits = np.dtype(f"u{grad.itemsize}")
+            keep = arg.astype(bits)
+            np.negative(keep, out=keep)  # True -> all ones
+            pattern = grad.view(bits)
+            pairs = np.stack((pattern & ~keep, pattern & keep), axis=-1)
+            pairs = pairs.view(grad.dtype).reshape(batch, channels, 2 * t_out)
+            if 2 * t_out == length:
+                x._accumulate_owned(pairs)
+            else:  # an odd length's last column feeds no window
+                gx = np.zeros(x.data.shape, dtype=x.data.dtype)
+                gx[:, :, : 2 * t_out] = pairs
+                x._accumulate_owned(gx)
+            return
         # Always C-ordered (zeros_like would inherit an F-ordered layout,
         # breaking the flat-index scatter below).
         gx = np.zeros(x.data.shape, dtype=x.data.dtype)
-        if size == 2 and stride == 2:
-            # Two masked stores instead of flat-index arithmetic: each
-            # window routes its gradient to whichever tap won the max.
-            np.copyto(gx[:, :, 0 : 2 * t_out : 2], grad, where=~arg)
-            np.copyto(gx[:, :, 1 : 2 * t_out : 2], grad, where=arg)
-        elif stride >= size:
+        if stride >= size:
             # Non-overlapping windows (the DGCNN case): every input
             # position feeds at most one window, so the scatter is a
             # direct flat-index assignment — no ufunc.at.

@@ -6,10 +6,13 @@ Layout::
 
 where *key* is a sha256 content address (see
 :mod:`repro.store.artifacts` for how lock and attack keys are derived)
-and every file is a versioned npz archive written by
-:mod:`repro.store.codec`.  The schema version is part of the path, so a
+and every file is a versioned flat codec blob written by
+:mod:`repro.store.codec` (the ``.npz`` suffix is historical: schema 1
+files were npz archives).  The schema version is part of the path, so a
 schema bump simply stops *seeing* old entries — they are never
-misdecoded, and ``repro cache gc`` reclaims them by age.
+misdecoded, and ``repro cache gc`` reclaims them by age.  Schema 2 is
+the flat codec; keys did not move, so a v1 store recomputes each entry
+once under ``v2/`` while ``v1/`` waits for ``gc``.
 
 Operational properties:
 
@@ -84,8 +87,9 @@ __all__ = [
 ]
 
 #: On-disk layout version.  Bumping it makes existing entries invisible
-#: (they live under the old ``v<N>`` directory), not fatal.
-SCHEMA_VERSION = 1
+#: (they live under the old ``v<N>`` directory), not fatal.  2: the flat
+#: codec replaced npz archives.
+SCHEMA_VERSION = 2
 
 #: Store-path prefix selecting the network-backed store:
 #: ``remote://host:port`` opens a :class:`repro.store.remote.RemoteStore`

@@ -3,7 +3,11 @@
 Every frame is a 4-byte big-endian length followed by a
 :func:`repro.store.codec.dumps` blob of kind ``bus-message`` — a dict
 with an ``op`` field (the op table lives in :mod:`repro.serve.server`).
-This module holds the pieces both ends need:
+The blob is the flat codec layout the store writes to disk, so arrays
+(a result frame's likelihoods and DGCNN weights) decode as views into
+one buffer.  A length above :data:`MAX_FRAME` or a blob the codec
+rejects (:class:`~repro.store.codec.CodecError`) drops that peer, never
+the server.  This module holds the pieces both ends need:
 
 * the framing (:func:`send_message` / :func:`recv_message`) and
   :func:`parse_address`;

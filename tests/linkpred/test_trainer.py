@@ -296,7 +296,7 @@ def test_score_stream_propagates_producer_errors():
 
 
 def test_checkpoint_is_a_codec_artifact_not_pickle(tmp_path):
-    """Checkpoints ride the shared repro.store codec: numpy-loadable,
+    """Checkpoints ride the shared repro.store codec: raw numpy arrays,
     never unpickled, and legacy pickle files are rejected cleanly."""
     import pickle
 
@@ -309,7 +309,7 @@ def test_checkpoint_is_a_codec_artifact_not_pickle(tmp_path):
     t = Trainer(toy_dataset(), CFG)
     t.fit(until_epoch=1)
     t.save_checkpoint(path)
-    # The file is a plain npz archive (no pickled objects inside) ...
+    # The file is a codec artifact (no pickled objects inside) ...
     payload = codec.load(path, kind="trainer-checkpoint")
     assert payload["epoch"] == 1
     assert isinstance(payload["model_state"][0], np.ndarray)

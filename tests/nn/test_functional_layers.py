@@ -74,6 +74,34 @@ def test_max_pool1d_forward_and_grad():
     )
 
 
+def _copyto_pool_grad(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Reference size-2 backward: two masked stores into a zero buffer."""
+    t_out = x.shape[-1] // 2
+    arg = x[:, :, 1 : 2 * t_out : 2] > x[:, :, 0 : 2 * t_out : 2]
+    gx = np.zeros(x.shape, dtype=x.dtype)
+    np.copyto(gx[:, :, 0 : 2 * t_out : 2], grad, where=~arg)
+    np.copyto(gx[:, :, 1 : 2 * t_out : 2], grad, where=arg)
+    return gx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("length", [8, 9, 2, 3])
+def test_max_pool1d_size2_grad_bit_identical_to_masked_stores(dtype, length):
+    """Ties go to the first tap, negative and -0.0 gradients land exactly,
+    losing taps hold +0.0 and an odd length's last column stays zero."""
+    rng = np.random.default_rng(length)
+    x = rng.integers(-2, 3, size=(3, 4, length)).astype(dtype)  # many ties
+    t_out = length // 2
+    grad = rng.standard_normal((3, 4, t_out)).astype(dtype)
+    grad[0, 0, :] = -0.0
+    grad[1] = -np.abs(grad[1])
+    t = Tensor(x, requires_grad=True, dtype=dtype)
+    max_pool1d(t, 2, 2).backward(grad)
+    expected = _copyto_pool_grad(x, grad)
+    assert t.grad.dtype == expected.dtype and t.grad.shape == expected.shape
+    assert t.grad.tobytes() == expected.tobytes()
+
+
 def test_max_pool1d_grad_numeric():
     x = RNG.normal(size=(2, 2, 7))
     check_grad(lambda xx: max_pool1d(xx, 3, 2).sum(), x)

@@ -13,6 +13,7 @@ job and asserts the served artifact is bit-identical to a serial
 import socket as socketlib
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,14 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import faults
+from repro.bus.protocol import BUS_MESSAGE_KIND
 from repro.client import ServeClient
 from repro.experiments import SMOKE_SCALE, make_cell
 from repro.experiments.runner import AttackJob, execute_job
 from repro.faults import FaultPlan, FaultSite, RetryPolicy
 from repro.serve import AttackServer, ServeError
-from repro.store import resolve_store
+from repro.store import codec, resolve_store
 from repro.store.remote import RemoteStore
-from repro.wire import parse_address, recv_message, send_message
+from repro.wire import MAX_FRAME, parse_address, recv_message, send_message
 
 _FAST = RetryPolicy(base_delay=0.01, max_delay=0.05, connect_timeout=5.0,
                     read_timeout=20.0)
@@ -299,6 +301,84 @@ def test_malformed_frames_never_kill_the_server(server):
     assert frame["op"] == "result" and frame["ok"] and frame["key"] == key
     worker.close()
     client.close()
+
+
+def _hung_up(sock: socketlib.socket) -> bool:
+    """Whether the server closed this connection (EOF, not a timeout)."""
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+def _assert_serving(address: str) -> None:
+    client = ServeClient(address, retry=_PROBE)
+    try:
+        assert client.ping()
+    finally:
+        client.close()
+
+
+def _frame(blob: bytes) -> bytes:
+    return len(blob).to_bytes(4, "big") + blob
+
+
+def _crafted_frame(monkeypatch, crafted: str) -> bytes:
+    """A frame in the codec's own format whose manifest is hostile."""
+    with monkeypatch.context() as patch:
+        if crafted == "list-manifest":
+            patch.setattr(codec, "json", SimpleNamespace(dumps=lambda *a, **k: "[7]"))
+        else:
+            tree = {"array-ref": {"__array__": 7}, "tuple": {"__tuple__": 5}}
+            patch.setattr(codec, "_flatten", lambda payload, arrays: tree[crafted])
+        return _frame(codec.dumps(None, kind=BUS_MESSAGE_KIND))
+
+
+@pytest.mark.parametrize("crafted", ["array-ref", "tuple", "list-manifest"])
+def test_crafted_frame_drops_only_its_connection(server, monkeypatch, crafted):
+    """A decodable-looking frame with a dangling array reference, a
+    non-list tuple or a non-object manifest is a CodecError: the server
+    hangs up on that peer and keeps answering everyone else."""
+    peer = _Peer(server.address)
+    peer.sock.settimeout(5)
+    peer.sock.sendall(_crafted_frame(monkeypatch, crafted))
+    assert _hung_up(peer.sock)
+    peer.close()
+    _assert_serving(server.address)
+
+
+_PING = _frame(codec.dumps({"op": "ping"}, kind=BUS_MESSAGE_KIND))
+_WIRE = st.one_of(
+    # random bytes, then a close
+    st.binary(max_size=64).map(lambda junk: (junk, False)),
+    # half a frame, then a close
+    st.integers(1, len(_PING) - 1).map(lambda cut: (_PING[:cut], False)),
+    # a valid length prefix with garbage behind it: dropped
+    st.binary(min_size=1, max_size=64).map(lambda junk: (_frame(junk), True)),
+    # a length prefix above MAX_FRAME: dropped before any body arrives
+    st.integers(MAX_FRAME + 1, 2**32 - 1).map(
+        lambda n: (n.to_bytes(4, "big"), True)
+    ),
+)
+
+
+def test_wire_fuzz_never_kills_the_server(server):
+    """Bytes that are not frames cost the sender its connection, never
+    the server: a fresh client is answered after every attempt."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_WIRE)
+    def fire(case):
+        data, dropped = case
+        peer = _Peer(server.address)
+        peer.sock.settimeout(5)
+        peer.sock.sendall(data)
+        if dropped:
+            assert _hung_up(peer.sock)
+        peer.close()
+        _assert_serving(server.address)
+
+    fire()
 
 
 _BAD_ADDRESSES = ["", "host:", "host:abc", ":70000", "nonsense"]

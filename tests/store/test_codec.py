@@ -168,3 +168,20 @@ def test_object_dtype_arrays_rejected_at_write(tmp_path):
     with pytest.raises(CodecError, match="object-dtype"):
         codec.dump({"a": ragged}, tmp_path / "a.npz", kind="test")
     assert list(tmp_path.iterdir()) == []  # nothing half-written
+
+
+def test_wire_frames_and_store_files_never_touch_npz(tmp_path, monkeypatch):
+    """numpy imports zipfile at startup, so a sys.modules check would
+    prove nothing: make the npz entry points raise instead."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the codec must not go through npz")
+
+    for name in ("load", "save", "savez", "savez_compressed"):
+        monkeypatch.setattr(np, name, forbidden)
+    payload = {"op": "result", "result": {"l0": np.arange(3.0)}, "s": np.int8(4)}
+    back = codec.loads(codec.dumps(payload, kind="bus-message"), kind="bus-message")
+    np.testing.assert_array_equal(back["result"]["l0"], payload["result"]["l0"])
+    path = tmp_path / "a.npz"
+    codec.dump(payload, path, kind="attacks")
+    assert codec.load(path, kind="attacks")["s"] == np.int8(4)
