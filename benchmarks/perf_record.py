@@ -5,7 +5,7 @@ Every bench appends its section to one JSON document —
 ``REPRO_BENCH_RECORD`` environment variable — which CI uploads as a build
 artifact and which a snapshot of lives at the repo root, seeding the
 cross-PR performance trajectory.  Sections are merged read-modify-write
-so several benches (bench_training, bench_spmm, bench_kfac) can
+so several benches (bench_training, bench_spmm) can
 contribute to one record within a CI job.
 
 Schema 2: a section is no longer overwritten per run.  Each holds::

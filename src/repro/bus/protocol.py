@@ -229,31 +229,73 @@ def encode_job(job) -> dict:
     return payload
 
 
+def _field_problems(cls, fields, what: str) -> list[str]:
+    """Every way *fields* is not exactly the fields of dataclass *cls*."""
+    if not isinstance(fields, dict):
+        return [f"{what} is a {type(fields).__name__}, not a mapping"]
+    expected = {f.name for f in dataclasses.fields(cls)}
+    return [
+        f"unknown {what} field {name!r}" for name in sorted(set(fields) - expected)
+    ] + [
+        f"missing {what} field {name!r}" for name in sorted(expected - set(fields))
+    ]
+
+
 def decode_job(payload: dict):
+    """Inverse of :func:`encode_job`.
+
+    Raises :class:`BusError` naming every unknown or missing config field.
+    Jobs carry ``dataclasses.asdict`` of their config, so a payload
+    encoded by another version of the code fails here, once, rather than
+    as a ``TypeError`` in every worker attempt, or with a missing field
+    silently taking its default.
+    """
+    if not isinstance(payload, dict):
+        raise BusError(f"undecodable job: a {type(payload).__name__}")
+    absent = [n for n in ("store_key", "circuit", "config") if n not in payload]
+    if absent:
+        raise BusError(f"undecodable job: missing {', '.join(absent)}")
     kind = payload.get("kind", "attack")
+    config = payload["config"]
     if kind == "baseline":
         from repro.attacks.baseline import BaselineConfig
         from repro.experiments.runner import BaselineJob
 
-        return BaselineJob(
+        problems = _field_problems(BaselineConfig, config, "BaselineConfig")
+    elif kind == "attack":
+        from repro.core import MuxLinkConfig
+        from repro.experiments.runner import AttackJob
+        from repro.linkpred import TrainConfig
+
+        problems = _field_problems(MuxLinkConfig, config, "MuxLinkConfig")
+        if isinstance(config, dict) and "train" in config:
+            problems += _field_problems(
+                TrainConfig, config["train"], "TrainConfig"
+            )
+    else:
+        raise BusError(f"unknown job kind {kind!r} in payload")
+    if problems:
+        raise BusError(
+            f"undecodable job ({'; '.join(problems)}); was it encoded by "
+            "another version of repro?"
+        )
+    try:
+        if kind == "baseline":
+            return BaselineJob(
+                store_key=payload["store_key"],
+                circuit=payload["circuit"],
+                config=BaselineConfig(**config),
+                train=tuple(payload.get("train") or ()),
+            )
+        return AttackJob(
             store_key=payload["store_key"],
             circuit=payload["circuit"],
-            config=BaselineConfig(**payload["config"]),
-            train=tuple(payload.get("train") or ()),
+            config=MuxLinkConfig(
+                **{**config, "train": TrainConfig(**config["train"])}
+            ),
         )
-    if kind != "attack":
-        raise BusError(f"unknown job kind {kind!r} in payload")
-    from repro.core import MuxLinkConfig
-    from repro.experiments.runner import AttackJob
-    from repro.linkpred import TrainConfig
-
-    config = dict(payload["config"])
-    config["train"] = TrainConfig(**config["train"])
-    return AttackJob(
-        store_key=payload["store_key"],
-        circuit=payload["circuit"],
-        config=MuxLinkConfig(**config),
-    )
+    except (ReproError, TypeError, ValueError) as exc:
+        raise BusError(f"undecodable job: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

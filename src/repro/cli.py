@@ -150,13 +150,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             checkpoint_every=args.checkpoint_every,
             resume=args.resume,
             log_every=args.log_every,
-            optimizer=args.optimizer,
-            kfac_damping=args.kfac_damping,
-            kfac_ema_decay=args.kfac_ema_decay,
-            kfac_inv_every=args.kfac_inv_every,
-            kfac_cov_every=args.kfac_cov_every,
-            kfac_max_dim=args.kfac_max_dim,
-            grad_shards=args.grad_shards,
         ),
         seed=args.seed,
         score_prefetch=args.score_prefetch,
@@ -270,6 +263,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import signal
     import subprocess
 
     from repro.serve import AttackServer
@@ -290,6 +284,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"pipeline {args.pipeline})",
         flush=True,
     )
+    # SIGTERM stops the loop like a `shutdown` op, so the finally below
+    # still terminates the worker processes instead of orphaning them.
+    signal.signal(signal.SIGTERM, lambda *_: server.stop())
     workers: list[subprocess.Popen] = []
     try:
         for _ in range(args.workers):
@@ -706,51 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="print training progress every N epochs (0 = silent)",
-    )
-    p.add_argument(
-        "--optimizer",
-        choices=("adam", "kfac"),
-        default="adam",
-        help="training optimizer: plain Adam or K-FAC-preconditioned Adam",
-    )
-    p.add_argument(
-        "--kfac-damping",
-        type=float,
-        default=1e-3,
-        help="K-FAC Tikhonov damping added to the Kronecker factors",
-    )
-    p.add_argument(
-        "--kfac-ema-decay",
-        type=float,
-        default=0.95,
-        help="EMA decay of the K-FAC curvature factor running averages",
-    )
-    p.add_argument(
-        "--kfac-inv-every",
-        type=int,
-        default=10,
-        help="recompute the damped factor inverses every N optimizer steps",
-    )
-    p.add_argument(
-        "--kfac-cov-every",
-        type=int,
-        default=1,
-        help="collect curvature statistics every N optimizer steps "
-        "(larger values amortize the collection cost)",
-    )
-    p.add_argument(
-        "--kfac-max-dim",
-        type=int,
-        default=0,
-        help="skip preconditioning for factor dimensions beyond this "
-        "(0 = no cap; capped layers keep their raw gradient)",
-    )
-    p.add_argument(
-        "--grad-shards",
-        type=int,
-        default=1,
-        help="gradient shards per optimizer step (semantic: fixes the "
-        "reduction order of the loss curve)",
     )
     _knob_flag(
         p, "--dtype", "REPRO_DTYPE", "numeric runtime",

@@ -112,10 +112,16 @@ class ServeClient:
         """Submit an attack request; returns ``(store_key, status)``.
 
         *status* is ``hit`` (artifact already warm), ``coalesced``
-        (identical request already training) or ``queued``.
+        (identical request already training) or ``queued``.  A job the
+        server cannot decode raises :class:`ServeError` with its reason.
         """
         job = self.job_for(circuit, config)
         reply = self.submit_job(job, wait=wait)
+        if reply.get("status") == "rejected":
+            raise ServeError(
+                f"serve request {job.store_key[:12]}… rejected:\n"
+                f"{reply.get('error')}"
+            )
         return job.store_key, str(reply.get("status", ""))
 
     def result(

@@ -154,9 +154,7 @@ def run_muxlink(
 
     start = time.perf_counter()
     # The trainer owns batch caching, early stopping, LR scheduling and
-    # checkpoint/resume; all knobs arrive through ``config.train``
-    # (make_trainer picks the serial or gradient-sharded engine, and the
-    # K-FAC preconditioner when configured).
+    # checkpoint/resume; all knobs arrive through ``config.train``.
     model, history = make_trainer(dataset, config.train).fit()
     runtime["training"] = time.perf_counter() - start
 

@@ -76,12 +76,6 @@ class ExperimentScale:
         score_prefetch: in-flight batch budget of the streamed
             extract→score pipeline passed to :class:`MuxLinkConfig`
             (``0`` = serial; results are identical either way).
-        optimizer: training optimizer — ``"adam"`` or ``"kfac"``
-            (K-FAC-preconditioned Adam); a *semantic* knob, part of the
-            artifact identity.
-        grad_shards: gradient shards per optimizer step (semantic, like
-            ``optimizer`` — it fixes the reduction order of the loss
-            curve and is folded into the config token).
 
     Each attack runs as one in-process path; cores are spent one level
     up, on the job grid (``repro figures --jobs`` and the bus).
@@ -101,8 +95,6 @@ class ExperimentScale:
     patience: int | None = None
     hd_patterns: int = 10_000
     score_prefetch: int = 2
-    optimizer: str = "adam"
-    grad_shards: int = 1
 
     def benchmarks(self) -> tuple[tuple[str, float, tuple[int, ...]], ...]:
         """``(name, scale, key_sizes)`` for every included benchmark."""
@@ -124,8 +116,6 @@ class ExperimentScale:
                 learning_rate=self.learning_rate,
                 patience=self.patience,
                 seed=seed,
-                optimizer=self.optimizer,
-                grad_shards=self.grad_shards,
             ),
             seed=seed,
             score_prefetch=self.score_prefetch,

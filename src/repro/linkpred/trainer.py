@@ -44,7 +44,7 @@ from repro.gnn import (
     choose_sortpool_k,
 )
 from repro.linkpred.dataset import LinkDataset
-from repro.nn import KFAC, Adam, default_dtype
+from repro.nn import Adam, default_dtype
 
 __all__ = [
     "TrainConfig",
@@ -79,30 +79,6 @@ class TrainConfig:
         lr_decay: multiplicative LR decay factor.
         lr_decay_every: apply ``lr_decay`` every this many epochs
             (``0`` disables scheduling).
-        optimizer: ``"adam"`` (the paper's update rule) or ``"kfac"``
-            (K-FAC-preconditioned Adam — second-order curvature fixes the
-            gradient direction, Adam keeps the per-parameter scaling).
-            A *semantic* knob: it changes the trajectory and therefore
-            the artifact identity.
-        kfac_damping: Tikhonov damping λ of the Kronecker factor
-            inverses (``"kfac"`` only).
-        kfac_ema_decay: EMA decay of the curvature factors.
-        kfac_inv_every: recompute the damped exact inverses every this
-            many steps.
-        kfac_cov_every: collect curvature statistics every this many
-            steps (``1`` = every step; larger values amortize the
-            collection cost, the EMA factors coast in between).
-        kfac_max_dim: skip preconditioning for blocks whose factor
-            dimension exceeds this (``0`` = no cap).  The widest block —
-            the first dense layer — costs an order of magnitude more to
-            invert than all others combined; capped blocks keep their
-            raw gradient.
-        grad_shards: per-step gradient shard count — another *semantic*
-            knob: each optimizer step averages this many fixed
-            contiguous shards of the shuffled batch (weighted by shard
-            size, reduced in shard order), so the trajectory depends on
-            it but on nothing about how the shards are executed.  ``1``
-            is exactly the single-batch formulation.
         checkpoint_path: where :class:`Trainer` persists its state.
         checkpoint_every: save a checkpoint every N epochs (``0`` = only
             the final one; ignored without ``checkpoint_path``).
@@ -118,33 +94,10 @@ class TrainConfig:
     patience: int | None = None
     lr_decay: float = 1.0
     lr_decay_every: int = 0
-    optimizer: str = "adam"
-    kfac_damping: float = 1e-3
-    kfac_ema_decay: float = 0.95
-    kfac_inv_every: int = 10
-    kfac_cov_every: int = 1
-    kfac_max_dim: int = 0
-    grad_shards: int = 1
     checkpoint_path: str | None = None
     checkpoint_every: int = 0
     resume: bool = False
     log_every: int = 0
-
-    def __post_init__(self) -> None:
-        if self.optimizer not in ("adam", "kfac"):
-            raise ValueError(
-                f"optimizer must be 'adam' or 'kfac', got {self.optimizer!r}"
-            )
-        if self.grad_shards < 1:
-            raise ValueError(f"grad_shards must be >= 1, got {self.grad_shards}")
-        if self.kfac_cov_every < 1:
-            raise ValueError(
-                f"kfac_cov_every must be >= 1, got {self.kfac_cov_every}"
-            )
-        if self.kfac_max_dim < 0:
-            raise ValueError(
-                f"kfac_max_dim must be >= 0, got {self.kfac_max_dim}"
-            )
 
 
 @dataclass
@@ -367,9 +320,10 @@ def score_stream(
 #: the same bit-identical resume guarantee, minus pickle's
 #: arbitrary-code-on-load hazard).  Version-1 pickle checkpoints are
 #: reported as unreadable, not silently migrated.
-#: Version 3 adds the optimizer name, the K-FAC preconditioner state and
-#: the per-epoch validation AUC; version-2 checkpoints still load (the
-#: preconditioner cold-starts, ``val_auc`` backfills empty).  The
+#: Version 3 adds the per-epoch validation AUC; version-2 checkpoints
+#: still load (``val_auc`` backfills empty).  Older version-3 files also
+#: carry ``optimizer_name`` and ``preconditioner_state`` (from the removed
+#: second-order optimizer); readers ignore both.  The
 #: container moved from npz archives to the flat codec (codec 2) without
 #: a version bump here: an npz-era checkpoint is reported as unreadable.
 _CHECKPOINT_VERSION = 3
@@ -408,16 +362,6 @@ class Trainer:
             in_features=dataset.feature_width, k=k, seed=config.seed
         )
         self.optimizer = Adam(self.model.parameters(), lr=config.learning_rate)
-        self.preconditioner: KFAC | None = None
-        if config.optimizer == "kfac":
-            self.preconditioner = KFAC(
-                self.model,
-                damping=config.kfac_damping,
-                ema_decay=config.kfac_ema_decay,
-                inv_every=config.kfac_inv_every,
-                cov_every=config.kfac_cov_every,
-                max_block_dim=config.kfac_max_dim or None,
-            )
         self.rng = np.random.default_rng(config.seed)
         self.history = TrainHistory()
         self.epoch = 0
@@ -469,12 +413,8 @@ class Trainer:
         epoch_loss = 0.0
         n_batches = 0
         order = self.rng.permutation(len(self.train_assembler))
-        for step_index, start in enumerate(
-            range(0, len(order), config.batch_size)
-        ):
-            epoch_loss += self._train_step(
-                order[start : start + config.batch_size], step_index
-            )
+        for start in range(0, len(order), config.batch_size):
+            epoch_loss += self._train_step(order[start : start + config.batch_size])
             n_batches += 1
         self.history.train_loss.append(epoch_loss / max(n_batches, 1))
 
@@ -509,29 +449,17 @@ class Trainer:
                 f"  ({seconds:.2f}s)"
             )
 
-    def _train_step(self, indices: np.ndarray, step_index: int) -> float:
-        """One optimizer step over the batch *indices*; returns the loss.
+    def _train_step(self, indices: np.ndarray) -> float:
+        """One Adam step over the batch *indices*; returns the loss.
 
-        The serial formulation: assemble, forward, backward (under the
-        curvature tap when K-FAC is configured), precondition, step.
-        :class:`~repro.linkpred.parallel.DataParallelTrainer` overrides
-        this with the sharded formulation — everything around it
-        (shuffle, evaluation, checkpointing) is shared.
+        Assemble, forward, backward, step.
         """
         # One batch in flight at a time, so the assembler's recycled
         # scratch buffers are safe (reuse_buffers contract).
         batch = self.train_assembler.assemble(indices, reuse_buffers=True)
         self.optimizer.zero_grad()
         loss = self.model.loss(batch)
-        if self.preconditioner is not None:
-            if self.preconditioner.wants_statistics():
-                with self.preconditioner.collecting():
-                    loss.backward()
-            else:
-                loss.backward()
-            self.preconditioner.step()
-        else:
-            loss.backward()
+        loss.backward()
         self.optimizer.step()
         return loss.item()
 
@@ -557,12 +485,6 @@ class Trainer:
             "model_state": self.model.state_dict(),
             "best_state": [a.copy() for a in self._best_state],
             "optimizer_state": self.optimizer.state_dict(),
-            "optimizer_name": self.config.optimizer,
-            "preconditioner_state": (
-                None
-                if self.preconditioner is None
-                else self.preconditioner.state_dict()
-            ),
             "lr": self.optimizer.lr,
             "shuffle_rng_state": self.rng.bit_generator.state,
             "dropout_rng_state": self.model.dropout.rng.bit_generator.state,
@@ -646,21 +568,10 @@ class Trainer:
             raise TrainingError(
                 f"checkpoint {path!r} does not fit this model: {exc}"
             ) from exc
-        # An optimizer swap across the checkpoint boundary is allowed
-        # (Adam moments transfer; it is the same underlying update rule):
-        # resuming an Adam checkpoint with K-FAC enabled cold-starts the
-        # preconditioner, and preconditioner state from a K-FAC
-        # checkpoint is ignored by an Adam resume.  Loaded first — it
-        # validates its own block shapes, and nothing else may have been
-        # mutated if that fails.
-        preconditioner_state = payload.get("preconditioner_state")
-        if self.preconditioner is not None and preconditioner_state is not None:
-            try:
-                self.preconditioner.load_state_dict(preconditioner_state)
-            except ValueError as exc:
-                raise TrainingError(
-                    f"checkpoint {path!r} does not fit this model: {exc}"
-                ) from exc
+        # A v3 checkpoint from a second-order-optimizer run of older
+        # code also carries ``optimizer_name`` and
+        # ``preconditioner_state``; both are ignored, so it resumes as
+        # plain Adam from the same moments.
         self.epoch = int(payload["epoch"])
         self.model.load_state_dict(payload["model_state"])
         self._best_state = [a.copy() for a in payload["best_state"]]
@@ -710,17 +621,11 @@ class Trainer:
 
 
 def make_trainer(dataset: LinkDataset, config: TrainConfig = TrainConfig()):
-    """Build the right training engine for *config*.
+    """Build the :class:`Trainer` that :func:`run_muxlink` trains with.
 
-    ``grad_shards == 1`` (the default) is the serial :class:`Trainer` —
-    the exact historical formulation.  ``grad_shards > 1`` returns a
-    :class:`~repro.linkpred.parallel.DataParallelTrainer`, whose
-    trajectory is a function of the shard count.
+    Kept as a named seam: ``perfbench/spans.py`` patches
+    ``repro.core.muxlink.make_trainer`` to time operator assembly.
     """
-    if config.grad_shards > 1:
-        from repro.linkpred.parallel import DataParallelTrainer
-
-        return DataParallelTrainer(dataset, config)
     return Trainer(dataset, config)
 
 
@@ -729,12 +634,11 @@ def train_link_predictor(
 ) -> tuple[DGCNN, TrainHistory]:
     """Train a DGCNN on *dataset*, restoring the best-validation weights.
 
-    Thin compatibility wrapper over :func:`make_trainer` (which adds
-    early stopping, LR scheduling, checkpoint/resume, the K-FAC
-    preconditioner and gradient sharding — all reachable through the
-    :class:`TrainConfig` fields).
+    Thin compatibility wrapper over :class:`Trainer` (which adds early
+    stopping, LR scheduling and checkpoint/resume, all reachable through
+    the :class:`TrainConfig` fields).
 
     Returns:
         ``(model, history)``; the model is in eval mode.
     """
-    return make_trainer(dataset, config).fit()
+    return Trainer(dataset, config).fit()

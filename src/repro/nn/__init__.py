@@ -10,7 +10,6 @@ kernels through :class:`~repro.nn.sparse.SparseOp`, bit-identical to
 ``csr @ dense``.
 """
 
-from repro.nn.curvature import CurvatureCollector, collecting, record, tap_active
 from repro.nn.functional import (
     conv1d,
     dropout,
@@ -29,7 +28,7 @@ from repro.nn.functional import (
     stack_columns,
 )
 from repro.nn.layers import Conv1d, Dropout, GraphConv, Linear, Module
-from repro.nn.optim import KFAC, SGD, Adam
+from repro.nn.optim import SGD, Adam
 from repro.nn.sparse import SparseOp, as_sparse_op, csr_from_parts
 from repro.nn.tensor import (
     Tensor,
@@ -83,10 +82,5 @@ __all__ = [
     "Dropout",
     "GraphConv",
     "Adam",
-    "KFAC",
     "SGD",
-    "CurvatureCollector",
-    "collecting",
-    "record",
-    "tap_active",
 ]

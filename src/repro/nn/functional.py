@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.curvature import record as _record_curvature
-from repro.nn.curvature import tap_active as _tap_active
 from repro.nn.tensor import Tensor, Workspace, is_grad_enabled
 
 __all__ = [
@@ -110,9 +108,6 @@ def conv1d(
         # grad: (batch, c_out, t_out) -> channel-major (c_out, batch * t_out)
         nonlocal released
         g_f = np.ascontiguousarray(grad.transpose(1, 0, 2)).reshape(c_out, -1)
-        if _tap_active():
-            # Before the im2col buffer is released: cols is workspace-owned.
-            _record_curvature(weight, cols.T, g_f.T, bias)
         if bias.requires_grad:
             bias._accumulate_owned(g_f.sum(axis=1))
         if weight.requires_grad:
@@ -159,8 +154,6 @@ def _conv1d_flat(
     def backward(grad: np.ndarray) -> None:
         # grad: (batch, c_out, t_out) -> flat (batch * t_out, c_out)
         g2 = np.ascontiguousarray(grad.transpose(0, 2, 1)).reshape(-1, c_out)
-        if _tap_active():
-            _record_curvature(weight, windows, g2, bias)
         if bias.requires_grad:
             bias._accumulate_owned(g2.sum(axis=0))
         if weight.requires_grad:
@@ -187,16 +180,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     forward is the same two ufunc/GEMM calls, and the backward produces
     ``dW = xᵀ grad``, ``db = grad.sum(axis=0)`` (what ``_unbroadcast``
     reduces the add gradient to for a 1-D bias) and ``dx = grad Wᵀ``.
-    Being a single node also gives the curvature tap its dense-layer
-    ``(acts, grad_out)`` pair.
     """
     if x.ndim != 2:
         raise ValueError(f"expected (batch, in_features) input, got {x.shape}")
     out = x.data @ weight.data + bias.data
 
     def backward(grad: np.ndarray) -> None:
-        if _tap_active():
-            _record_curvature(weight, x.data, grad, bias)
         if bias.requires_grad:
             bias._accumulate_owned(grad.sum(axis=0))
         if weight.requires_grad:
@@ -399,11 +388,6 @@ def graph_conv(
             if workspace is not None
             else None,
         )
-        if _tap_active():
-            # The layer is linear in W with input H and back-propagated
-            # pre-activation gradient A^T g' (= ga): dW = H^T ga, so
-            # (H, ga) is exactly the layer's effective curvature pair.
-            _record_curvature(weight, h.data, ga)
         if weight.requires_grad:
             weight._accumulate_owned(h.data.T @ ga)
         if h.requires_grad:
@@ -539,10 +523,6 @@ def sortpool_conv(
     def backward(grad: np.ndarray) -> None:
         # grad: (B, c_out, k) -> row-major (B * k, c_out)
         g2 = np.ascontiguousarray(grad.transpose(0, 2, 1)).reshape(rows, c_out)
-        if _tap_active():
-            # The pooled H^{1:L} matrix the fusion avoids is the layer's
-            # input; assemble it only on K-FAC runs.
-            _record_curvature(weight, np.hstack(gathered), g2, bias)
         if bias.requires_grad:
             bias._accumulate_owned(g2.sum(axis=0))
         if weight.requires_grad:

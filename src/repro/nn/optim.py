@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.curvature import KFAC
 from repro.nn.tensor import Tensor
 
-__all__ = ["Adam", "KFAC", "SGD"]
+__all__ = ["Adam", "SGD"]
 
 
 class SGD:

@@ -56,6 +56,7 @@ from repro.bus.protocol import (
     DEFAULT_PIPELINE,
     DEFAULT_POLL,
     JOB_ARTIFACT_KINDS,
+    BusError,
     RetryPolicy,
     decode_job,
     job_artifact_kind,
@@ -299,6 +300,10 @@ class AttackServer:
             link.inflight for link in self.workers.values()
         )
 
+    def stop(self) -> None:
+        """Leave :meth:`serve_forever` after the current loop turn."""
+        self._stop = True
+
     def close(self) -> None:
         self._server.close()
 
@@ -344,11 +349,12 @@ class AttackServer:
             connection.send({"op": "pong"})
         elif op == "shutdown":
             connection.send({"op": "bye"})
-            self._stop = True
+            self.stop()
         # unknown ops are ignored: wire compatibility over strictness
 
     def submit(self, waiter, key: str, job: dict, wait: bool = False) -> None:
-        """Take one request: answer it warm, coalesce it, or queue it.
+        """Take one request: answer it warm, coalesce it, queue it, or
+        reject it (status ``rejected``) when the job does not decode.
 
         *waiter* is anything with a ``send(frame)`` method — a
         client connection, or :class:`~repro.bus.SocketBus`'s in-process
@@ -369,6 +375,21 @@ class AttackServer:
             if wait:
                 request.waiters.append(waiter)
             waiter.send({"op": "accepted", "key": key, "status": "coalesced"})
+            return
+        # Decoded once, on the miss path only: a job this version cannot
+        # run fails now with the BusError text, never queued or retried.
+        try:
+            decode_job(job)
+        except BusError as exc:
+            self.stats.failed += 1
+            waiter.send(
+                {"op": "accepted", "key": key, "status": "rejected",
+                 "error": str(exc)}
+            )
+            if wait:
+                waiter.send(
+                    {"op": "result", "key": key, "ok": False, "error": str(exc)}
+                )
             return
         request = _Request(key=key, job=job, kind=kind)
         if wait:

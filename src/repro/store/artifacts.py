@@ -62,8 +62,8 @@ __all__ = [
 
 #: Bump when the payload layouts below change incompatibly.  Folded into
 #: every content key, so a format change invalidates (rather than
-#: misreads) existing entries.  Version 2: the config token grew the
-#: optimizer choice (plus its K-FAC knobs) and the gradient shard count,
+#: misreads) existing entries.  Version 2: the config token grew two
+#: training-engine entries (now constants, see :func:`config_token`),
 #: and attack histories carry the per-epoch validation AUC.
 ARTIFACT_VERSION = 2
 
@@ -98,11 +98,7 @@ def config_token(config) -> str:
     knobs — ``score_prefetch``, checkpoint/log plumbing — which are
     guaranteed not to move a single bit of the result.  The numeric
     runtime dtype *is* folded in (float32 and float64 runs are different
-    artifacts), and so are the optimizer choice and the gradient shard
-    count: both change the training trajectory.  The K-FAC
-    hyper-parameters appear only when the optimizer is ``"kfac"`` — under
-    Adam they are inert, and keying on inert knobs would split identical
-    results across addresses.
+    artifacts).
     """
     from repro.nn import default_dtype
 
@@ -116,17 +112,10 @@ def config_token(config) -> str:
         "patience": train.patience,
         "lr_decay": train.lr_decay,
         "lr_decay_every": train.lr_decay_every,
-        "optimizer": train.optimizer,
-        "grad_shards": train.grad_shards,
+        # Constants of the one training engine, kept so no stored key moves.
+        "optimizer": "adam",
+        "grad_shards": 1,
     }
-    if train.optimizer == "kfac":
-        train_token["kfac"] = {
-            "damping": train.kfac_damping,
-            "ema_decay": train.kfac_ema_decay,
-            "inv_every": train.kfac_inv_every,
-            "cov_every": train.kfac_cov_every,
-            "max_dim": train.kfac_max_dim,
-        }
     return json.dumps(
         {
             "v": ARTIFACT_VERSION,
@@ -187,8 +176,7 @@ def baseline_config_token(config) -> str:
     and ridge.  ``undecided`` changes the report for SCOPE/SWEEP, and
     the coin ``seed`` is folded in **only** when ``undecided="coin"`` —
     under ``"x"`` the seed is inert, and keying on inert knobs would
-    split identical reports across addresses (same rule as the K-FAC
-    sub-token in :func:`config_token`).
+    split identical reports across addresses.
     """
     attack = config.attack
     knobs: dict[str, Any] = {}

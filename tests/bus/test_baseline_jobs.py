@@ -79,6 +79,48 @@ def test_decode_rejects_unknown_kind():
         decode_job(payload)
 
 
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda c: c.update(knob=1), "unknown BaselineConfig field 'knob'"),
+        (lambda c: c.pop("seed"), "missing BaselineConfig field 'seed'"),
+        (lambda c: c.update(attack="mystery"), "unknown baseline attack"),
+    ],
+    ids=["unknown-field", "missing-field", "bad-value"],
+)
+def test_decode_rejects_undecodable_baseline_config(edit, match):
+    payload = encode_job(_baseline_job())
+    edit(payload["config"])
+    with pytest.raises(BusError, match=match):
+        decode_job(payload)
+
+
+def test_decode_rejects_undecodable_attack_config():
+    from repro.experiments import SMOKE_SCALE, make_cell
+    from repro.experiments.runner import AttackJob
+
+    cell = make_cell(SMOKE_SCALE, "c1355", 0.1, "D-MUX", 6, seed=0)
+    payload = encode_job(
+        AttackJob(store_key="a" * 16, circuit={}, config=cell.config)
+    )
+    payload["config"]["train"]["grad_shards"] = 2
+    del payload["config"]["train"]["epochs"]
+    del payload["config"]["h"]
+    with pytest.raises(BusError) as info:
+        decode_job(payload)
+    for problem in (
+        "unknown TrainConfig field 'grad_shards'",
+        "missing TrainConfig field 'epochs'",
+        "missing MuxLinkConfig field 'h'",
+    ):
+        assert problem in str(info.value)
+    payload["config"] = [1, 2]
+    with pytest.raises(BusError, match="MuxLinkConfig is a list, not a mapping"):
+        decode_job(payload)
+    with pytest.raises(BusError, match="missing store_key"):
+        decode_job({"config": {}, "circuit": {}})
+
+
 def test_execute_job_dispatches_on_kind():
     job = _baseline_job()
     via_dispatch = decode_baseline_artifact(execute_job(job))

@@ -325,79 +325,43 @@ def test_checkpoint_is_a_codec_artifact_not_pickle(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# optimizer swap / K-FAC checkpointing (checkpoint format v3)
+# checkpoint compatibility (checkpoint format v3)
 # ---------------------------------------------------------------------------
-KFAC_CFG = TrainConfig(
-    epochs=6, learning_rate=3e-3, batch_size=10, seed=3,
-    optimizer="kfac", kfac_inv_every=2,
-)
+def test_kfac_era_checkpoint_resumes_under_adam(tmp_path):
+    """A v3 checkpoint written by a K-FAC run of older code carries
+    ``optimizer_name`` and ``preconditioner_state``; both are ignored and
+    the run resumes as plain Adam."""
+    from repro.store import codec
 
-
-def test_kfac_trainer_is_deterministic_and_diverges_from_adam():
-    m1, h1 = Trainer(toy_dataset(), KFAC_CFG).fit()
-    m2, h2 = Trainer(toy_dataset(), KFAC_CFG).fit()
-    assert h1.train_loss == h2.train_loss
-    for a, b in zip(m1.state_dict(), m2.state_dict()):
-        np.testing.assert_array_equal(a, b)
-    # The preconditioner changes the trajectory: it is a semantic knob.
-    _, h_adam = Trainer(toy_dataset(), CFG).fit()
-    assert h1.train_loss != h_adam.train_loss
-
-
-def test_kfac_checkpoint_resume_is_bit_identical(tmp_path):
-    """v3 checkpoints carry the preconditioner state: straight run ==
-    run 3 epochs, checkpoint, reload, run the rest — under K-FAC."""
-    path = str(tmp_path / "ck.npz")
-    m_full, h_full = Trainer(toy_dataset(), KFAC_CFG).fit()
-
-    partial = Trainer(toy_dataset(), KFAC_CFG)
-    partial.fit(until_epoch=3)
-    partial.save_checkpoint(path)
-
-    resumed = Trainer(toy_dataset(), KFAC_CFG)
-    resumed.load_checkpoint(path)
-    assert resumed.preconditioner.t == partial.preconditioner.t
-    m_res, h_res = resumed.fit()
-    assert h_res.train_loss == h_full.train_loss
-    assert h_res.val_auc == h_full.val_auc
-    for a, b in zip(m_res.state_dict(), m_full.state_dict()):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_adam_checkpoint_resumes_with_kfac_enabled(tmp_path):
-    """Optimizer swap across the checkpoint boundary: an Adam checkpoint
-    resumes under K-FAC (moments transfer, preconditioner cold-starts)."""
     path = str(tmp_path / "ck.npz")
     t = Trainer(toy_dataset(), CFG)
     t.fit(until_epoch=3)
     t.save_checkpoint(path)
 
-    resumed = Trainer(toy_dataset(), KFAC_CFG)
-    resumed.load_checkpoint(path)
-    assert resumed.epoch == 3
-    assert resumed.preconditioner.t == 0  # cold start
-    _, history = resumed.fit()
-    assert history.epochs_run == KFAC_CFG.epochs
-
-
-def test_kfac_checkpoint_resumes_under_adam(tmp_path):
-    """The reverse swap: preconditioner state in the checkpoint is
-    ignored by an Adam resume instead of raising."""
-    path = str(tmp_path / "ck.npz")
-    t = Trainer(toy_dataset(), KFAC_CFG)
-    t.fit(until_epoch=3)
-    t.save_checkpoint(path)
+    payload = codec.load(path, kind="trainer-checkpoint")
+    assert payload["version"] == 3
+    payload["optimizer_name"] = "kfac"
+    payload["preconditioner_state"] = {
+        "t": 9,
+        "n_updates": [9, 9],
+        "dirty": False,
+        "blocks": [
+            {"A": np.eye(2), "G": np.eye(3), "A_inv": None, "G_inv": None}
+        ],
+    }
+    kfac_era = str(tmp_path / "kfac.npz")
+    codec.dump(payload, kfac_era, kind="trainer-checkpoint")
 
     resumed = Trainer(toy_dataset(), CFG)
-    resumed.load_checkpoint(path)
-    assert resumed.preconditioner is None
+    resumed.load_checkpoint(kfac_era)
+    assert resumed.epoch == 3
     _, history = resumed.fit()
     assert history.epochs_run == CFG.epochs
 
 
 def test_legacy_v2_checkpoint_still_loads(tmp_path):
-    """A version-2 payload (no optimizer name, no preconditioner state,
-    no val_auc) loads: the AUC history backfills empty."""
+    """A version-2 payload (no val_auc) loads: the AUC history backfills
+    empty."""
     from repro.store import codec
 
     path = str(tmp_path / "ck.npz")
@@ -407,8 +371,8 @@ def test_legacy_v2_checkpoint_still_loads(tmp_path):
 
     payload = codec.load(path, kind="trainer-checkpoint")
     payload["version"] = 2
-    del payload["optimizer_name"]
-    del payload["preconditioner_state"]
+    payload.pop("optimizer_name", None)
+    payload.pop("preconditioner_state", None)
     del payload["history"]["val_auc"]
     legacy = str(tmp_path / "legacy.npz")
     codec.dump(payload, legacy, kind="trainer-checkpoint")
@@ -444,23 +408,3 @@ def test_checkpoint_with_mismatched_shapes_raises_cleanly(tmp_path):
     assert fresh.epoch == 0
     for a, b in zip(fresh.model.state_dict(), untouched):
         np.testing.assert_array_equal(a, b)
-
-
-def test_checkpoint_with_mismatched_kfac_state_raises_cleanly(tmp_path):
-    from repro.errors import TrainingError
-    from repro.store import codec
-
-    path = str(tmp_path / "ck.npz")
-    t = Trainer(toy_dataset(), KFAC_CFG)
-    t.fit(until_epoch=1)
-    t.save_checkpoint(path)
-
-    payload = codec.load(path, kind="trainer-checkpoint")
-    payload["preconditioner_state"]["blocks"][0]["A"] = np.eye(2)
-    broken = str(tmp_path / "broken.npz")
-    codec.dump(payload, broken, kind="trainer-checkpoint")
-
-    fresh = Trainer(toy_dataset(), KFAC_CFG)
-    with pytest.raises(TrainingError, match="does not fit this model"):
-        fresh.load_checkpoint(broken)
-    assert fresh.epoch == 0

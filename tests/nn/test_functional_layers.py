@@ -13,6 +13,7 @@ from repro.nn import (
     SGD,
     Tensor,
     conv1d,
+    linear,
     log_softmax,
     max_pool1d,
     softmax,
@@ -215,3 +216,71 @@ def test_module_parameter_discovery_and_state_dict():
     assert any(p.data.any() for p in net.parameters())
     with pytest.raises(ValueError):
         net.load_state_dict(state[:-1])
+
+
+def test_linear_functional_matches_composed_ops():
+    rng = np.random.default_rng(3)
+    w_data = rng.normal(size=(5, 4))
+    b_data = rng.normal(size=4)
+    x_data = rng.normal(size=(7, 5))
+
+    x1 = Tensor(x_data.copy())
+    w1 = Tensor(w_data.copy(), requires_grad=True)
+    b1 = Tensor(b_data.copy(), requires_grad=True)
+    out1 = linear(x1, w1, b1)
+    out1.sum().backward()
+
+    x2 = Tensor(x_data.copy())
+    w2 = Tensor(w_data.copy(), requires_grad=True)
+    b2 = Tensor(b_data.copy(), requires_grad=True)
+    out2 = x2 @ w2 + b2
+    out2.sum().backward()
+
+    np.testing.assert_array_equal(out1.data, out2.data)
+    np.testing.assert_array_equal(w1.grad, w2.grad)
+    np.testing.assert_array_equal(b1.grad, b2.grad)
+
+
+def test_linear_rejects_non_2d_input():
+    w = Tensor(np.zeros((3, 2)), requires_grad=True)
+    b = Tensor(np.zeros(2), requires_grad=True)
+    with pytest.raises(ValueError):
+        linear(Tensor(np.zeros(3)), w, b)
+
+
+# ---------------------------------------------------------------------------
+# Adam state validation: clear errors instead of broadcast failures half-way
+# through an arena write
+# ---------------------------------------------------------------------------
+class TwoLayer(Module):
+    """Linear -> relu -> Linear, enough structure for block discovery."""
+
+    def __init__(self, seed=0):
+        rng = np.random.default_rng(seed)
+        self.fc1 = Linear(5, 7, rng)
+        self.fc2 = Linear(7, 2, rng)
+
+    def __call__(self, x):
+        return self.fc2(self.fc1(x).relu())
+
+
+def test_adam_load_state_rejects_wrong_moment_count():
+    model = TwoLayer()
+    adam = Adam(model.parameters(), lr=1e-3)
+    state = adam.state_dict()
+    state["m"] = state["m"][:-1]
+    with pytest.raises(ValueError, match="moment arrays"):
+        adam.load_state_dict(state)
+
+
+def test_adam_load_state_rejects_wrong_moment_shape_before_mutation():
+    model = TwoLayer()
+    adam = Adam(model.parameters(), lr=1e-3)
+    state = adam.state_dict()
+    for m in state["m"]:
+        m += 1.0  # recognizable values that must NOT land
+    state["v"][-1] = np.zeros((9, 9))
+    with pytest.raises(ValueError, match="parameter 3"):
+        adam.load_state_dict(state)
+    for m in adam.state_dict()["m"]:
+        np.testing.assert_array_equal(m, np.zeros_like(m))

@@ -10,7 +10,11 @@ job and asserts the served artifact is bit-identical to a serial
 :func:`execute_job` run.
 """
 
+import pathlib
+import signal
 import socket as socketlib
+import subprocess
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -20,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import faults
 from repro.bus.protocol import BUS_MESSAGE_KIND
 from repro.client import ServeClient
@@ -212,6 +217,117 @@ def test_dead_worker_connection_requeues_its_window(server):
     assert server.stats.requeues == 1
     relief.close()
     client.close()
+
+
+def _undecodable(edit) -> dict:
+    """An encoded job whose ``train`` dict another version could send."""
+    from repro.bus.protocol import encode_job
+
+    payload = encode_job(_job())
+    edit(payload["config"]["train"])
+    return payload
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (
+            lambda train: train.update(grad_shards=2),
+            "unknown TrainConfig field 'grad_shards'",
+        ),
+        (
+            lambda train: train.pop("epochs"),
+            "missing TrainConfig field 'epochs'",
+        ),
+    ],
+    ids=["removed-field", "missing-field"],
+)
+def test_undecodable_job_is_rejected_without_a_worker_attempt(
+    server, edit, field
+):
+    """A job this version cannot decode gets an immediate terminal
+    BusError result: never queued, never pushed to a worker, retried
+    zero times — and the server keeps serving."""
+    worker = _Peer(server.address).hello(pipeline=1)
+    client = _Peer(server.address)
+    key = "d" * 16
+    client.send(
+        {"op": "submit", "key": key, "job": _undecodable(edit), "wait": True}
+    )
+    accepted = client.recv()
+    assert accepted["op"] == "accepted" and accepted["status"] == "rejected"
+    assert field in accepted["error"]
+    frame = client.recv()
+    assert frame["op"] == "result" and frame["key"] == key
+    assert not frame["ok"] and field in frame["error"]
+    assert "undecodable job" in frame["error"]
+
+    worker.sock.settimeout(0.5)
+    with pytest.raises(socketlib.timeout):
+        worker.recv()
+    assert server.stats.scheduled == 0 and server.stats.requeues == 0
+    assert server.stats.failed == 1
+    assert key not in server.requests and not server.queue
+    _assert_serving(server.address)
+    worker.close()
+    client.close()
+
+
+def test_client_raises_the_rejection_reason(server, monkeypatch):
+    """A client whose jobs the server cannot decode gets a ServeError
+    with the BusError text, not a misleading "never submitted"."""
+    import repro.client as client_module
+    from repro.benchgen import load_benchmark
+    from repro.bus.protocol import encode_job
+
+    def encode_with_removed_field(job):
+        payload = encode_job(job)
+        payload["config"]["train"]["grad_shards"] = 1
+        return payload
+
+    monkeypatch.setattr(client_module, "encode_job", encode_with_removed_field)
+    client = ServeClient(server.address, retry=_FAST)
+    with pytest.raises(ServeError, match="unknown TrainConfig field 'grad_shards'"):
+        client.attack(load_benchmark("c1355", scale=0.1), _job().config)
+    client.close()
+    assert server.stats.scheduled == 0
+
+
+def test_sigterm_stops_serve_and_reaps_its_workers(tmp_path):
+    """SIGTERM leaves the loop like a ``shutdown`` op: the server still
+    terminates its worker processes.  They share its stdout, so EOF on
+    that pipe means no worker outlived the server."""
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-u", "-m", "repro.cli", "serve",
+            "--addr", "127.0.0.1:0", "--store", str(tmp_path / "store"),
+            "--workers", "1", "--poll", "0.05",
+        ],
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    connected = threading.Event()
+
+    def wait_for_worker() -> None:
+        for line in proc.stdout:
+            if "worker connected" in line:
+                connected.set()
+                return
+
+    try:
+        reader = threading.Thread(target=wait_for_worker, daemon=True)
+        reader.start()
+        reader.join(timeout=60)
+        assert connected.is_set(), "the serve worker never connected"
+        proc.send_signal(signal.SIGTERM)
+        output, _ = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 0, output
+    assert "serve: requests=0" in output
 
 
 def test_wait_for_unknown_key_fails_fast(server):
