@@ -14,8 +14,9 @@ fraction: sub-second, uniform jobs.  Two paths run it:
 
 Both must be **bit-identical** (asserted, timing aside).  The bench
 then measures the *warm* path — p50/p95 latency and requests/s of
-repeated result fetches against the live server — and one **cold
-process**: a fresh ``repro attack --serve`` CLI invocation against the
+repeated :meth:`ServeClient.attack` hits (key first: one job-less
+request, one cached result frame) against the live server — and one
+**cold process**: a fresh ``repro attack --serve`` CLI invocation against the
 warm server, which pays interpreter + import startup for every request.
 The serving layer's pitch is exactly that ratio, and the
 ``REPRO_BENCH_SERVE_MIN_WARM_ADVANTAGE`` gate (default 10) enforces it.
@@ -112,19 +113,27 @@ def _fingerprint(payload: dict):
     return canon({k: v for k, v in payload.items() if k != "runtime_seconds"})
 
 
-def _grid_jobs():
+def _grid_requests():
+    """``(circuit, config, job)`` per lock seed of the sweep."""
     cell = fig7_cells(SMOKE_SCALE, seed=0)[0]
     base = load_benchmark(cell.benchmark, scale=cell.circuit_scale)
-    jobs = []
+    requests = []
     for seed in range(SWEEP_SEEDS):
         locked = lock_with(cell.scheme, base, key_size=cell.key_size, seed=seed)
-        jobs.append(ServeClient.job_for(locked.circuit, cell.config))
-    return jobs
+        requests.append(
+            (
+                locked.circuit,
+                cell.config,
+                ServeClient.job_for(locked.circuit, cell.config),
+            )
+        )
+    return requests
 
 
 def test_serve_pipeline_and_warm_is_instant():
     cores = os.cpu_count()
-    jobs = _grid_jobs()
+    requests = _grid_requests()
+    jobs = [job for _, _, job in requests]
     assert len(jobs) == SWEEP_SEEDS
 
     start = time.perf_counter()
@@ -173,11 +182,11 @@ def test_serve_pipeline_and_warm_is_instant():
             assert server.stats.requeues == 0 and server.stats.failed == 0
 
             # --- warm serving: repeated fetches against the live server ----
-            warm_key = jobs[0].store_key
+            warm_circuit, warm_config, _ = requests[0]
             latencies = []
             for _ in range(WARM_REQUESTS):
                 start = time.perf_counter()
-                client.result(warm_key, timeout=60)
+                client.attack(warm_circuit, warm_config)
                 latencies.append(time.perf_counter() - start)
             warm_p50 = statistics.median(latencies)
             warm_p95 = statistics.quantiles(latencies, n=20)[-1]
@@ -255,6 +264,7 @@ def test_serve_pipeline_and_warm_is_instant():
                 "speedup": round(serve_speedup, 2),
             },
             "warm": {
+                "path": "ServeClient.attack",
                 "requests": WARM_REQUESTS,
                 "p50_ms": round(warm_p50 * 1000, 2),
                 "p95_ms": round(warm_p95 * 1000, 2),

@@ -4,10 +4,11 @@ Boots a real ``repro serve`` process (server + worker fleet in one
 command), submits the 8-cell smoke fig7 grid through
 :class:`repro.client.ServeClient`, and compares every served artifact —
 fetched back through :class:`repro.store.RemoteStore` — against an
-in-process ``execute_job`` reference, wall-clock aside.  A second
-submission pass must answer ``hit`` for every key without scheduling
-anything (the warm path), and the throughput of both passes is printed
-for the job summary.  Exits non-zero on any divergence.
+in-process ``execute_job`` reference, wall-clock aside.  A second pass
+asks for every key through :meth:`ServeClient.attack` — the job-less,
+key-first warm path: each hit must decode to the reference artifact and
+schedule nothing.  The throughput of both passes and the warm-hit p50
+are printed for the job summary.  Exits non-zero on any divergence.
 
 Usage: ``check_serve.py [--workers N]``.
 """
@@ -18,6 +19,7 @@ import argparse
 import os
 import pathlib
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -32,6 +34,7 @@ from repro.client import ServeClient  # noqa: E402
 from repro.experiments import SMOKE_SCALE, fig7_cells  # noqa: E402
 from repro.experiments.common import lock_with  # noqa: E402
 from repro.experiments.runner import execute_job  # noqa: E402
+from repro.store import encode_attack_artifact  # noqa: E402
 from repro.store.remote import RemoteStore  # noqa: E402
 
 _READY = re.compile(r"serve: listening on (\S+) ")
@@ -52,7 +55,8 @@ def _fingerprint(payload):
     return canon({k: v for k, v in payload.items() if k != "runtime_seconds"})
 
 
-def _smoke_jobs():
+def _smoke_requests():
+    """``(circuit, config, job)`` for every cell of the widened smoke grid."""
     # Smoke sizing, widened to 2 benchmarks x 2 schemes x 2 key sizes so
     # the fleet actually shares a queue (the bare smoke grid is 2 cells).
     scale = replace(
@@ -61,14 +65,20 @@ def _smoke_jobs():
         iscas=("c1355", "c1908"),
         iscas_keys=(6, 8),
     )
-    jobs = []
+    requests = []
     for cell in fig7_cells(scale, seed=0):
         base = load_benchmark(cell.benchmark, scale=cell.circuit_scale)
         locked = lock_with(
             cell.scheme, base, key_size=cell.key_size, seed=cell.lock_seed
         )
-        jobs.append(ServeClient.job_for(locked.circuit, cell.config))
-    return jobs
+        requests.append(
+            (
+                locked.circuit,
+                cell.config,
+                ServeClient.job_for(locked.circuit, cell.config),
+            )
+        )
+    return requests
 
 
 def main(argv: list[str]) -> int:
@@ -76,7 +86,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args(argv[1:])
 
-    jobs = _smoke_jobs()
+    requests = _smoke_requests()
+    jobs = [job for _, _, job in requests]
     print(f"serve-ci: {len(jobs)} smoke jobs, {args.workers} workers")
     reference = {job.store_key: _fingerprint(execute_job(job)) for job in jobs}
 
@@ -142,23 +153,33 @@ def main(argv: list[str]) -> int:
                     )
                     return 1
 
-                start = time.perf_counter()
-                for job in jobs:
-                    reply = client.submit_job(job, wait=False)
-                    if reply.get("status") != "hit":
+                before = client.stats()
+                latencies = []
+                for circuit, config, job in requests:
+                    start = time.perf_counter()
+                    hit = client.attack(circuit, config)
+                    latencies.append(time.perf_counter() - start)
+                    if (
+                        _fingerprint(encode_attack_artifact(hit))
+                        != reference[job.store_key]
+                    ):
                         sys.stderr.write(
-                            f"warm resubmit of {job.store_key[:12]}… was "
-                            f"{reply.get('status')!r}, expected 'hit'\n"
+                            f"warm hit on {job.store_key[:12]}… decoded "
+                            "to another artifact than the serial run\n"
                         )
                         return 1
-                    client.result(job.store_key, timeout=60)
-                warm_s = time.perf_counter() - start
+                warm_s = sum(latencies)
 
                 stats = client.stats()
                 print(
                     f"serve-ci: cold {len(jobs)} jobs in {cold_s:.1f}s "
-                    f"({len(jobs) / cold_s:.1f} jobs/s), warm refetch in "
+                    f"({len(jobs) / cold_s:.1f} jobs/s), warm hits in "
                     f"{warm_s:.2f}s ({len(jobs) / warm_s:.0f} req/s)"
+                )
+                print(
+                    "serve-ci: warm hit p50 "
+                    f"{1000 * statistics.median(latencies):.2f}ms "
+                    "(ServeClient.attack, key first)"
                 )
                 print(
                     f"serve-ci: scheduled={stats['scheduled']} "
@@ -167,6 +188,17 @@ def main(argv: list[str]) -> int:
                     f"memory_hits={stats['memory_hits']} "
                     f"store_hits={stats['store_hits']}"
                 )
+                rescheduled = stats["scheduled"] - before["scheduled"]
+                hits = sum(
+                    stats[tier] - before[tier]
+                    for tier in ("memory_hits", "store_hits")
+                )
+                if rescheduled or hits != len(jobs):
+                    sys.stderr.write(
+                        f"the warm pass scheduled {rescheduled} job(s) and "
+                        f"hit {hits} of {len(jobs)} keys\n"
+                    )
+                    return 1
                 if stats["failed"] or stats["scheduled"] != len(jobs):
                     sys.stderr.write(
                         "server scheduled/failed counters off: "

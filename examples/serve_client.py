@@ -5,8 +5,9 @@ two pre-warmed pipelined workers in a single command — then drives it
 as a client:
 
 1. :class:`~repro.client.ServeClient` submits a locked circuit by
-   **content key**; the first request trains (``queued``), the repeat
-   answers from the warm cache (``hit``) in milliseconds;
+   **content key**; the first request trains (``queued``), and a warm
+   :meth:`~repro.client.ServeClient.attack` asks by key alone and gets
+   the cached result frame back in milliseconds;
 2. identical requests submitted while the first is still training
    **coalesce** onto the same computation — K clients, one training;
 3. :class:`~repro.store.remote.RemoteStore` (the ``remote://host:port``
@@ -76,11 +77,12 @@ def main() -> None:
                 f"  trained in {time.perf_counter() - start:.1f}s, "
                 f"predicted key {result.predicted_key}"
             )
+            # attack() asks by key first: a warm key's result frame is
+            # the whole reply, and the netlist never goes over the wire.
             start = time.perf_counter()
-            _, status = client.submit(locked.circuit, config)
-            client.result(key, timeout=60)
+            client.attack(locked.circuit, config)
             print(
-                f"  resubmit -> {status} in "
+                f"  warm attack (one key-only exchange) in "
                 f"{(time.perf_counter() - start) * 1000:.1f}ms"
             )
 

@@ -8,6 +8,13 @@ is bit-identical to ``repro attack`` by construction, a key the server
 already holds returns without training, and an identical request in
 flight coalesces.
 
+:meth:`ServeClient.attack` (and :meth:`~ServeClient.predict_key`) ask
+**by key first**: a job-less submit that a warm server answers with the
+result frame alone, in one exchange and without shipping the netlist.
+Only a cold key (``need-job``) makes the client encode and send the
+job, then wait for the result.  A result that does not decode into its
+artifact raises :class:`~repro.serve.ServeError` naming the key.
+
 Typical use (see ``examples/serve_client.py``)::
 
     from repro.client import ServeClient
@@ -149,18 +156,24 @@ class ServeClient:
                         f"no result for {key[:12]}… within {timeout:.0f}s"
                     )
                 continue
-            if not reply.get("ok"):
-                raise ServeError(
-                    f"serve request {key[:12]}… failed:\n"
-                    f"{reply.get('error')}"
-                )
-            payload = reply["result"]
-            decoder = _DECODERS.get(str(reply.get("kind", kind)))
-            return decoder(payload) if decoder else payload
+            return _decoded(reply, key, kind)
 
     def attack(self, circuit, config: "MuxLinkConfig") -> "MuxLinkResult":
-        """Submit + wait: the served equivalent of ``run_muxlink``."""
-        key, _ = self.submit(circuit, config, wait=False)
+        """The served equivalent of ``run_muxlink``, asked by key first.
+
+        A warm key comes back in one exchange; a key in flight is waited
+        for; a cold one is submitted with its job, then waited for.
+        """
+        key = self.predict_store_key(circuit, config)
+        reply = self._channel.exchange(
+            {"op": "submit", "key": key, "kind": "attacks"},
+            ("accepted", "result"),
+            expect_key=key,
+        )
+        if reply["op"] == "result":
+            return _decoded(reply, key, "attacks")
+        if reply.get("status") == "need-job":
+            self.submit(circuit, config)
         return self.result(key, kind="attacks")
 
     def predict_key(self, circuit, config: "MuxLinkConfig") -> str:
@@ -190,6 +203,28 @@ class ServeClient:
         except OSError:  # pragma: no cover - server died before replying
             pass
         self.close()
+
+
+def _decoded(reply: dict, key: str, kind: str) -> Any:
+    """The artifact a ``result`` frame carries, decoded by its kind.
+
+    A failed request or a payload that is not its artifact raises
+    :class:`ServeError` naming the key, never a decoder traceback.
+    """
+    if not reply.get("ok"):
+        raise ServeError(
+            f"serve request {key[:12]}… failed:\n{reply.get('error')}"
+        )
+    payload = reply.get("result")
+    decoder = _DECODERS.get(str(reply.get("kind", kind)))
+    if decoder is None:
+        return payload
+    try:
+        return decoder(payload)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ServeError(
+            f"served artifact {key[:12]}… does not decode: {exc!r}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------

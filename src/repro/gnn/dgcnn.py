@@ -72,6 +72,9 @@ class DGCNN(Module):
         dense_units: hidden dense-layer width.
         dropout: dropout rate before the output layer.
         seed: parameter-initialization / dropout seed.
+        init: draw the initial weights from *seed*; ``False`` leaves
+            them at zero for :meth:`load_state_dict` (see
+            :meth:`from_state`).
     """
 
     def __init__(
@@ -83,10 +86,11 @@ class DGCNN(Module):
         dense_units: int = 128,
         dropout: float = 0.5,
         seed: int = 0,
+        init: bool = True,
     ):
         if k < MIN_SORTPOOL_K:
             raise ValueError(f"k must be >= {MIN_SORTPOOL_K}, got {k}")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if init else None
         self.k = k
         self.gc_layers = [
             GraphConv(cin, cout, rng)
@@ -110,6 +114,20 @@ class DGCNN(Module):
         self.dropout = Dropout(dropout, np.random.default_rng(seed + 1))
         self.fc2 = Linear(dense_units, 2, rng)
         self.training = True
+
+    @classmethod
+    def from_state(
+        cls, in_features: int, k: int, state: list[np.ndarray]
+    ) -> "DGCNN":
+        """A trained model rebuilt from :meth:`state_dict` arrays (eval mode).
+
+        Draws no random init — the weights are loaded, not overwritten —
+        and checks every shape as :meth:`load_state_dict` does.
+        """
+        model = cls(in_features, k, init=False)
+        model.load_state_dict(state)
+        model.eval()
+        return model
 
     # ------------------------------------------------------------ plumbing
     def _sortpool_indices(self, last_layer: np.ndarray, batch: GraphBatch) -> np.ndarray:

@@ -3,7 +3,9 @@
 Parameters are created in the runtime default dtype (float32 unless
 ``REPRO_DTYPE``/:func:`repro.nn.set_default_dtype` says otherwise);
 ``load_state_dict`` casts incoming arrays to each parameter's dtype so
-checkpoints round-trip across dtype modes.
+checkpoints round-trip across dtype modes.  A layer built with
+``rng=None`` draws nothing: its weights start at zero, for a
+``load_state_dict`` to fill.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.functional import conv1d, dropout, graph_conv, linear
-from repro.nn.tensor import Tensor, Workspace
+from repro.nn.tensor import Tensor, Workspace, default_dtype
 
 __all__ = ["Module", "Linear", "Conv1d", "Dropout", "GraphConv"]
 
@@ -76,7 +78,9 @@ class Module:
             param.data = np.asarray(data, dtype=param.data.dtype).copy()
 
 
-def _glorot(rng: np.random.Generator, *shape: int) -> np.ndarray:
+def _glorot(rng: np.random.Generator | None, *shape: int) -> np.ndarray:
+    if rng is None:
+        return np.zeros(shape, dtype=default_dtype())
     fan_in, fan_out = shape[-1], shape[0]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
@@ -85,7 +89,10 @@ def _glorot(rng: np.random.Generator, *shape: int) -> np.ndarray:
 class Linear(Module):
     """Fully connected layer ``y = x @ W + b``."""
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
+    def __init__(
+        self, in_features: int, out_features: int,
+        rng: np.random.Generator | None,
+    ):
         self.weight = Tensor(
             _glorot(rng, in_features, out_features), requires_grad=True
         )
@@ -107,14 +114,16 @@ class Conv1d(Module):
         in_channels: int,
         out_channels: int,
         kernel_size: int,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         stride: int = 1,
     ):
-        scale = np.sqrt(2.0 / (in_channels * kernel_size))
-        self.weight = Tensor(
-            rng.normal(0.0, scale, size=(out_channels, in_channels, kernel_size)),
-            requires_grad=True,
-        )
+        shape = (out_channels, in_channels, kernel_size)
+        if rng is None:
+            weight = np.zeros(shape, dtype=default_dtype())
+        else:
+            scale = np.sqrt(2.0 / (in_channels * kernel_size))
+            weight = rng.normal(0.0, scale, size=shape)
+        self.weight = Tensor(weight, requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
         self.stride = stride
         self._workspace = Workspace()
@@ -150,7 +159,10 @@ class GraphConv(Module):
     :func:`repro.nn.functional.graph_conv`).
     """
 
-    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator):
+    def __init__(
+        self, in_channels: int, out_channels: int,
+        rng: np.random.Generator | None,
+    ):
         self.weight = Tensor(
             _glorot(rng, in_channels, out_channels), requires_grad=True
         )

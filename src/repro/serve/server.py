@@ -4,11 +4,19 @@ One selector loop (the :mod:`repro.wire` plumbing and length-prefixed
 codec frames) owns three kinds of peers on a single listening port:
 
 * **clients** (:class:`repro.client.ServeClient`) submit content-keyed
-  requests: ``{op: submit, key, job, wait}`` where *key* is exactly the
+  requests: ``{op: submit, key, job?, wait}`` where *key* is exactly the
   runner's :func:`~repro.store.artifacts.attack_store_key` address and
-  *job* is the :func:`~repro.bus.protocol.encode_job` payload.  The
-  server answers ``{op: accepted, status}`` immediately and a
-  ``{op: result, ...}`` frame when the artifact exists (``wait=True``).
+  the optional *job* is the :func:`~repro.bus.protocol.encode_job`
+  payload.  A submit **without** a job asks by key alone (``kind``, the
+  artifact kind, defaults to ``attacks``): a warm key is answered by its
+  ``{op: result, ...}`` frame and nothing else, a key in flight by
+  ``{op: accepted, status: coalesced}`` and a cold key by ``{op:
+  accepted, status: need-job}`` — nothing is queued or counted, and the
+  client submits again with the job.  A submit **with** a job is
+  answered ``{op: accepted, status}`` at once (``hit``, ``coalesced``,
+  ``queued`` or ``rejected``) and, with ``wait=True``, by the ``result``
+  frame when the artifact exists.  ``{op: wait, key, kind}`` subscribes
+  to that frame without submitting.
 * **workers** (``repro worker --serve-addr``) announce themselves with
   ``{op: hello, role: worker, pipeline: N}`` and then receive **pushed**
   ``{op: job, ...}`` frames, up to *pipeline* in flight per connection —
@@ -25,8 +33,11 @@ The same loop is the coordinator of ``repro figures --bus socket``:
 :class:`~repro.bus.SocketBus` owns an :class:`AttackServer`, submits its
 grid in-process and drives :meth:`AttackServer.step` itself.
 
-The warm path is three tiers: an in-memory LRU of decoded result
-payloads, then the on-disk store, then scheduling.  An identical request
+The warm path is three tiers: an in-memory LRU of **encoded** ``result``
+frames (a memory hit is one ``sendall``), then the on-disk store (a
+store hit decodes the file and encodes its frame once, into the LRU),
+then scheduling.  The in-process :class:`~repro.bus.SocketBus` sink is
+the one waiter that receives result frames decoded.  An identical request
 already executing **coalesces** — K clients asking for one key train it
 exactly once and all receive the result frame.  Failure semantics: a
 failed attempt requeues until ``max_attempts``, a dead worker
@@ -63,11 +74,11 @@ from repro.bus.protocol import (
 )
 from repro.errors import ReproError
 from repro.store import ArtifactStore, resolve_store
-from repro.wire import _Connection, _Server
+from repro.wire import _Connection, _Server, decode_frame, encode_frame
 
 __all__ = ["AttackServer", "ServeError", "ServeStats"]
 
-#: In-memory result-cache size (decoded artifact payloads).
+#: In-memory result-cache size (encoded ``result`` frames).
 DEFAULT_CACHE_ENTRIES = 256
 
 
@@ -82,7 +93,9 @@ class ServeStats:
     ``scheduled`` counts *unique* jobs that went to the worker fleet —
     the coalescing tests assert ``scheduled == 1`` while ``requests``
     counts every client submit, and ``memory_hits + store_hits`` are the
-    warm tiers that answered without touching the fleet.
+    warm tiers that answered without touching the fleet.  A job-less
+    submit of a cold key (answered ``need-job``) counts nowhere; the
+    submit with the job that follows it counts once.
     """
 
     requests: int = 0
@@ -129,7 +142,7 @@ def _is_job(job) -> bool:
 
 #: Fields each op must carry, and the check each must pass.
 _REQUIRED = {
-    "submit": {"key": _is_name, "job": _is_job},
+    "submit": {"key": _is_name},
     "wait": {"key": _is_name},
     "done": {"key": _is_name, "result": lambda r: isinstance(r, dict)},
     "failed": {"key": _is_name},
@@ -143,6 +156,7 @@ _REQUIRED = {
 }
 #: Optional fields, checked on any op that carries them.
 _OPTIONAL = {
+    "job": _is_job,
     "kind": _is_name,
     "pipeline": lambda n: isinstance(n, (int, np.integer)),
 }
@@ -162,6 +176,22 @@ def _malformed(message) -> bool:
         name in message and not check(message[name])
         for name, check in _OPTIONAL.items()
     )
+
+
+def _result(key: str, kind: str, payload: dict) -> dict:
+    """The ``result`` frame of a settled artifact."""
+    return {
+        "op": "result", "key": key, "ok": True, "kind": kind, "result": payload
+    }
+
+
+def _deliver(waiter, frame: bytes) -> None:
+    """Send an encoded result frame to a connection as is, or decoded to
+    an in-process sink (:class:`~repro.bus.SocketBus`)."""
+    if isinstance(waiter, _Connection):
+        waiter.send_frame(frame)
+    else:
+        waiter.send(decode_frame(frame))
 
 
 @dataclass
@@ -220,7 +250,7 @@ class AttackServer:
         self.requests: dict[str, _Request] = {}
         self.queue: deque[str] = deque()  # keys awaiting dispatch
         self.workers: dict[_Connection, _WorkerLink] = {}
-        self._cache: OrderedDict[tuple[str, str], dict] = OrderedDict()
+        self._cache: OrderedDict[tuple[str, str], bytes] = OrderedDict()
         self._cache_entries = int(cache_entries)
         self._inbox: deque = deque()  # fail-over thread -> loop
         self._inbox_lock = threading.Lock()
@@ -312,7 +342,11 @@ class AttackServer:
         op = message["op"]
         if op in ("hello", "done", "failed"):
             self._last_progress = time.monotonic()  # the fleet is alive
-        if op == "submit":
+        if op == "submit" and "job" not in message:
+            self._submit_key(
+                connection, message["key"], message.get("kind", "attacks")
+            )
+        elif op == "submit":
             self.submit(
                 connection,
                 message["key"],
@@ -363,11 +397,11 @@ class AttackServer:
         """
         kind = job_artifact_kind(str(job.get("kind", "attack")))
         self.stats.requests += 1
-        payload = self._lookup(kind, key)
-        if payload is not None:
+        frame = self._lookup(kind, key)
+        if frame is not None:
             waiter.send({"op": "accepted", "key": key, "status": "hit"})
             if wait:
-                self._send_result(waiter, key, kind, payload)
+                _deliver(waiter, frame)
             return
         request = self.requests.get(key)
         if request is not None:
@@ -399,12 +433,36 @@ class AttackServer:
         self.stats.scheduled += 1
         waiter.send({"op": "accepted", "key": key, "status": "queued"})
 
+    def _submit_key(
+        self, connection: _Connection, key: str, kind: str
+    ) -> None:
+        """A job-less submit: one exchange for a warm key.
+
+        Warm: the cached ``result`` frame is the whole reply.  In flight:
+        ``coalesced`` (the client then waits).  Cold: ``need-job``,
+        counted nowhere — the client's submit with the job counts.
+        """
+        frame = self._lookup(kind, key)
+        if frame is not None:
+            self.stats.requests += 1
+            connection.send_frame(frame)
+        elif key in self.requests:
+            self.stats.requests += 1
+            self.stats.coalesced += 1
+            connection.send(
+                {"op": "accepted", "key": key, "status": "coalesced"}
+            )
+        else:
+            connection.send(
+                {"op": "accepted", "key": key, "status": "need-job"}
+            )
+
     def _handle_wait(self, connection: _Connection, message: dict) -> None:
         key = message["key"]
         kind = message.get("kind", "attacks")
-        payload = self._lookup(kind, key, count_request=False)
-        if payload is not None:
-            self._send_result(connection, key, kind, payload)
+        frame = self._lookup(kind, key, count_request=False)
+        if frame is not None:
+            connection.send_frame(frame)
             return
         request = self.requests.get(key)
         if request is not None:
@@ -467,24 +525,29 @@ class AttackServer:
     # -- warm tiers ----------------------------------------------------------
     def _lookup(
         self, kind: str, key: str, count_request: bool = True
-    ) -> dict | None:
-        """Memory tier, then store tier; ``None`` = genuinely cold."""
-        cached = self._cache.get((kind, key))
-        if cached is not None:
+    ) -> bytes | None:
+        """A warm key's encoded ``result`` frame; ``None`` = genuinely cold.
+
+        Memory tier first, then the store tier, whose hit is encoded
+        once and kept in the memory tier.
+        """
+        frame = self._cache.get((kind, key))
+        if frame is not None:
             self._cache.move_to_end((kind, key))
             if count_request:
                 self.stats.memory_hits += 1
-            return cached
+            return frame
         payload = self.store.get(kind, key) if self.store.has(kind, key) else None
         if payload is None:
             return None  # miss, or corrupt (store warned); recompute
         if count_request:
             self.stats.store_hits += 1
-        self._cache_put(kind, key, payload)
-        return payload
+        frame = encode_frame(_result(key, kind, payload))
+        self._cache_put(kind, key, frame)
+        return frame
 
-    def _cache_put(self, kind: str, key: str, payload: dict) -> None:
-        self._cache[(kind, key)] = payload
+    def _cache_put(self, kind: str, key: str, frame: bytes) -> None:
+        self._cache[(kind, key)] = frame
         self._cache.move_to_end((kind, key))
         while len(self._cache) > self._cache_entries:
             self._cache.popitem(last=False)
@@ -563,10 +626,17 @@ class AttackServer:
         if request is None:
             return
         self.store.put(request.kind, key, payload)
-        self._cache_put(request.kind, key, payload)
         self.stats.completed += 1
+        result = _result(key, request.kind, payload)
+        frame = None
         for waiter in request.waiters:
-            self._send_result(waiter, key, request.kind, payload)
+            if isinstance(waiter, _Connection):
+                frame = frame or encode_frame(result)
+                waiter.send_frame(frame)
+            else:
+                waiter.send(result)
+        if self._cache_entries:
+            self._cache_put(request.kind, key, frame or encode_frame(result))
         self.log(f"serve: completed {key[:12]}…")
 
     def _fail_attempt(self, key: str, error: str) -> None:
@@ -593,19 +663,6 @@ class AttackServer:
             self.stats.requeues += 1
             if key not in self.queue:
                 self.queue.append(key)
-
-    def _send_result(
-        self, connection: _Connection, key: str, kind: str, payload: dict
-    ) -> None:
-        connection.send(
-            {
-                "op": "result",
-                "key": key,
-                "ok": True,
-                "kind": kind,
-                "result": payload,
-            }
-        )
 
     # -- graceful degradation ------------------------------------------------
     def _start_failover(self) -> None:

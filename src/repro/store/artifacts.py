@@ -411,9 +411,9 @@ def decode_attack_artifact(payload: dict):
     model = None
     if "model" in payload:
         spec = payload["model"]
-        model = DGCNN(in_features=int(spec["in_features"]), k=int(spec["k"]))
-        model.load_state_dict(list(spec["state"]))
-        model.eval()
+        model = DGCNN.from_state(
+            int(spec["in_features"]), int(spec["k"]), list(spec["state"])
+        )
     return MuxLinkResult(
         predicted_key=payload["predicted_key"],
         scored=scored,

@@ -9,7 +9,8 @@ one buffer.  A length above :data:`MAX_FRAME` or a blob the codec
 rejects (:class:`~repro.store.codec.CodecError`) drops that peer, never
 the server.  This module holds the pieces both ends need:
 
-* the framing (:func:`send_message` / :func:`recv_message`) and
+* the framing (:func:`encode_frame` / :func:`decode_frame`,
+  :func:`send_message` / :func:`recv_message`) and
   :func:`parse_address`;
 * the server-side selector plumbing (:class:`_Server`,
   :class:`_Connection`) the :class:`~repro.serve.AttackServer` loop runs
@@ -36,6 +37,8 @@ from repro.store.codec import CodecError
 __all__ = [
     "MAX_FRAME",
     "Channel",
+    "decode_frame",
+    "encode_frame",
     "parse_address",
     "recv_message",
     "send_message",
@@ -57,10 +60,20 @@ def parse_address(text: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
+def encode_frame(payload: dict) -> bytes:
+    """One framed codec message: length prefix + blob, ready to send."""
+    blob = codec.dumps(payload, kind=BUS_MESSAGE_KIND)
+    return len(blob).to_bytes(_LEN_BYTES, "big") + blob
+
+
+def decode_frame(frame: bytes) -> dict:
+    """The message an :func:`encode_frame` frame carries."""
+    return codec.loads(frame[_LEN_BYTES:], kind=BUS_MESSAGE_KIND)
+
+
 def send_message(sock: socket.socket, payload: dict) -> None:
     """Write one framed codec message (blocking until fully sent)."""
-    blob = codec.dumps(payload, kind=BUS_MESSAGE_KIND)
-    sock.sendall(len(blob).to_bytes(_LEN_BYTES, "big") + blob)
+    sock.sendall(encode_frame(payload))
 
 
 def recv_message(sock: socket.socket) -> dict | None:
@@ -90,11 +103,16 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
 
 
 class _Connection:
-    """One peer link on the server side: recv buffer + frame splitting."""
+    """One peer link on the server side: recv buffer + frame splitting.
+
+    Received bytes append to one ``bytearray`` and complete frames are
+    read from an offset, so a frame costs time linear in its size however
+    many ``recv`` calls it arrives in.
+    """
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self.buffer = b""
+        self.buffer = bytearray()
 
     def feed(self) -> list[dict] | None:
         """Drain readable bytes into complete frames; ``None`` = gone."""
@@ -106,25 +124,35 @@ class _Connection:
             return None
         if not data:
             return None
-        self.buffer += data
+        buffer = self.buffer
+        buffer += data
         messages = []
-        while len(self.buffer) >= _LEN_BYTES:
-            length = int.from_bytes(self.buffer[:_LEN_BYTES], "big")
+        start = 0
+        while len(buffer) - start >= _LEN_BYTES:
+            length = int.from_bytes(buffer[start : start + _LEN_BYTES], "big")
             if length > MAX_FRAME:
                 return None  # desynced peer; drop the connection
-            if len(self.buffer) < _LEN_BYTES + length:
+            end = start + _LEN_BYTES + length
+            if len(buffer) < end:
                 break
-            blob = self.buffer[_LEN_BYTES : _LEN_BYTES + length]
-            self.buffer = self.buffer[_LEN_BYTES + length :]
             try:
-                messages.append(codec.loads(blob, kind=BUS_MESSAGE_KIND))
+                messages.append(
+                    codec.loads(buffer[start + _LEN_BYTES : end],
+                                kind=BUS_MESSAGE_KIND)
+                )
             except CodecError:
                 return None
+            start = end
+        del buffer[:start]  # at most one partial frame stays behind
         return messages
 
     def send(self, payload: dict) -> bool:
+        return self.send_frame(encode_frame(payload))
+
+    def send_frame(self, frame: bytes) -> bool:
+        """Write an already encoded frame (see :func:`encode_frame`)."""
         try:
-            send_message(self.sock, payload)
+            self.sock.sendall(frame)
             return True
         except OSError:
             return False

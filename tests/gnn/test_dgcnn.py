@@ -109,3 +109,16 @@ def test_deterministic_given_seed():
     a = DGCNN(in_features=4, k=10, seed=7)
     b = DGCNN(in_features=4, k=10, seed=7)
     np.testing.assert_array_equal(a(batch).data, b(batch).data)
+
+
+def test_from_state_restores_weights_and_checks_shapes():
+    trained = DGCNN(in_features=4, k=10, seed=3)
+    state = trained.state_dict()
+    rebuilt = DGCNN.from_state(4, 10, state)
+    assert not rebuilt.training
+    for ours, theirs in zip(rebuilt.state_dict(), state):
+        np.testing.assert_array_equal(ours, theirs)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        DGCNN.from_state(5, 10, state)
+    with pytest.raises(ValueError, match="arrays"):
+        DGCNN.from_state(4, 10, state[:-1])

@@ -293,6 +293,177 @@ def test_client_raises_the_rejection_reason(server, monkeypatch):
     assert server.stats.scheduled == 0
 
 
+def _settle(srv: AttackServer, worker: _Peer, result: dict) -> str:
+    """Act as the worker for one pushed job: answer it with *result*,
+    and wait until the server has settled it."""
+    pushed = worker.recv()
+    assert pushed is not None and pushed["op"] == "job"
+    completed = srv.stats.completed
+    worker.send({"op": "done", "key": pushed["key"], "kind": "attacks",
+                 "result": result})
+    deadline = time.monotonic() + 10
+    while srv.stats.completed == completed and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return pushed["key"]
+
+
+def _ask(peer: _Peer, key: str) -> dict:
+    """A job-less submit and its one reply."""
+    peer.send({"op": "submit", "key": key})
+    reply = peer.recv()
+    assert reply is not None
+    return reply
+
+
+def _counts(srv: AttackServer) -> tuple:
+    stats = srv.stats
+    return (stats.requests, stats.memory_hits, stats.store_hits,
+            stats.coalesced, stats.scheduled)
+
+
+def test_jobless_submit_answers_cold_in_flight_and_warm(tmp_path):
+    """Cold: ``need-job``, counted nowhere.  In flight: ``coalesced``.
+    Warm: the result frame alone, from the memory tier or the store."""
+    srv = AttackServer("127.0.0.1:0", tmp_path / "store", poll=0.02,
+                       cache_entries=1, log=lambda *a: None)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        client = _Peer(srv.address)
+        first, second = _job("a" * 16), _job("b" * 16)
+        cold = _ask(client, first.store_key)
+        assert (cold["op"], cold["status"]) == ("accepted", "need-job")
+        assert _counts(srv) == (0, 0, 0, 0, 0) and not srv.requests
+
+        assert client.submit(first, wait=False) == "queued"
+        assert _counts(srv) == (1, 0, 0, 0, 1)
+        in_flight = _ask(client, first.store_key)
+        assert (in_flight["op"], in_flight["status"]) == ("accepted", "coalesced")
+        assert _counts(srv) == (2, 0, 0, 1, 1)
+
+        worker = _Peer(srv.address).hello(pipeline=1)
+        _settle(srv, worker, {"x": np.arange(3.0)})
+        warm = _ask(client, first.store_key)  # answered from memory
+        assert warm["op"] == "result" and warm["ok"]
+        assert warm["key"] == first.store_key and warm["kind"] == "attacks"
+        np.testing.assert_array_equal(warm["result"]["x"], np.arange(3.0))
+        assert _counts(srv) == (3, 1, 0, 1, 1)
+
+        # A second key evicts the first from the one-entry memory tier.
+        assert client.submit(second, wait=False) == "queued"
+        _settle(srv, worker, {"x": np.ones(2)})
+        assert _ask(client, second.store_key)["op"] == "result"
+        assert _counts(srv) == (5, 2, 0, 1, 2)
+        from_store = _ask(client, first.store_key)
+        assert from_store["op"] == "result"
+        np.testing.assert_array_equal(from_store["result"]["x"], np.arange(3.0))
+        assert _counts(srv) == (6, 2, 1, 1, 2)
+        assert srv.stats.completed == 2
+        worker.close()
+        client.close()
+    finally:
+        ServeClient(srv.address, retry=_FAST).shutdown()
+        thread.join(timeout=10)
+        srv.close()
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        {"op": "submit", "key": "../up"},
+        {"op": "submit", "key": "a" * 16, "job": "not a job"},
+        {"op": "submit", "key": "a" * 16, "job": None},
+        {"op": "submit", "key": "a" * 16, "job": {"kind": "bogus"}},
+        {"op": "submit", "key": "a" * 16, "kind": "../up"},
+    ],
+    ids=["bad-key", "str-job", "none-job", "unknown-kind", "bad-kind"],
+)
+def test_malformed_jobless_submit_drops_only_its_connection(server, frame):
+    peer = _Peer(server.address)
+    peer.send(frame)
+    assert _hung_up(peer.sock)
+    peer.close()
+    _assert_serving(server.address)
+    assert server.stats.requests == 0
+
+
+def test_memory_hit_sends_the_cached_frame_without_encoding(
+    server, monkeypatch
+):
+    """The memory tier holds encoded frames: a hit encodes nothing."""
+    client = _Peer(server.address)
+    job = _job()
+    client.submit(job, wait=False)
+    worker = _Peer(server.address).hello(pipeline=1)
+    _settle(server, worker, {"x": np.arange(4.0)})
+    assert _ask(client, job.store_key)["op"] == "result"  # now cached
+
+    encoded = []
+    dumps = codec.dumps
+
+    def counting(payload, kind):
+        if isinstance(payload, dict) and payload.get("op") == "result":
+            encoded.append(payload["key"])
+        return dumps(payload, kind)
+
+    monkeypatch.setattr(codec, "dumps", counting)
+    for _ in range(3):
+        assert _ask(client, job.store_key)["op"] == "result"
+    client.send({"op": "wait", "key": job.store_key, "kind": "attacks"})
+    assert client.recv()["op"] == "result"
+    assert encoded == []
+    assert server.stats.memory_hits == 4
+    worker.close()
+    client.close()
+
+
+def test_warm_attack_is_one_jobless_exchange(server, monkeypatch):
+    """``ServeClient.attack`` on a warm key sends one frame — the key,
+    not the netlist — and decodes through ``repro.client._DECODERS``."""
+    import repro.client as client_module
+    import repro.wire as wire
+    from repro.benchgen import load_benchmark
+
+    circuit, config = load_benchmark("c1355", scale=0.1), _job().config
+    key = ServeClient.predict_store_key(circuit, config)
+    server.store.put("attacks", key, {"x": np.arange(2.0)})
+    monkeypatch.setitem(client_module._DECODERS, "attacks", lambda p: p)
+    sent = []
+    send = wire.send_message
+
+    def recording(sock, payload):
+        sent.append(payload)
+        send(sock, payload)
+
+    monkeypatch.setattr(wire, "send_message", recording)
+    client = ServeClient(server.address, retry=_FAST)
+    served = client.attack(circuit, config)
+    client.close()
+    np.testing.assert_array_equal(served["x"], np.arange(2.0))
+    assert sent == [{"op": "submit", "key": key, "kind": "attacks"}]
+    assert (server.stats.requests, server.stats.store_hits) == (1, 1)
+    assert hasattr(ServeClient, "job_for")
+
+
+def test_undecodable_served_artifact_is_a_serve_error(server):
+    """A result payload that is not an attack artifact raises ServeError
+    naming the key, from ``result`` and from a warm ``attack`` alike."""
+    from repro.benchgen import load_benchmark
+
+    circuit, config = load_benchmark("c1355", scale=0.1), _job().config
+    client = ServeClient(server.address, retry=_FAST)
+    key, status = client.submit(circuit, config)
+    assert status == "queued"
+    worker = _Peer(server.address).hello(pipeline=1)
+    assert _settle(server, worker, {"x": 1}) == key
+    with pytest.raises(ServeError, match=f"{key[:12]}… does not decode"):
+        client.result(key, timeout=10)
+    with pytest.raises(ServeError, match=f"{key[:12]}… does not decode"):
+        client.attack(circuit, config)
+    client.close()
+    worker.close()
+
+
 def test_sigterm_stops_serve_and_reaps_its_workers(tmp_path):
     """SIGTERM leaves the loop like a ``shutdown`` op: the server still
     terminates its worker processes.  They share its stdout, so EOF on
@@ -367,6 +538,11 @@ _FRAME_VALUES = st.one_of(
     st.builds(lambda n: np.zeros(n, dtype=np.uint8), st.integers(0, 4)),
 )
 _FRAMES = st.one_of(
+    # job-less submits: well-formed keys, any kind
+    st.fixed_dictionaries(
+        {"op": st.just("submit"), "key": st.sampled_from(["a" * 16, "e" * 16])},
+        optional={"kind": _FRAME_VALUES, "wait": st.booleans()},
+    ),
     st.fixed_dictionaries(
         {
             "op": st.sampled_from(
@@ -464,7 +640,12 @@ def test_crafted_frame_drops_only_its_connection(server, monkeypatch, crafted):
 
 
 _PING = _frame(codec.dumps({"op": "ping"}, kind=BUS_MESSAGE_KIND))
+_ASK = _frame(
+    codec.dumps({"op": "submit", "key": "a" * 16}, kind=BUS_MESSAGE_KIND)
+)
 _WIRE = st.one_of(
+    # half a job-less submit, then a close
+    st.integers(1, len(_ASK) - 1).map(lambda cut: (_ASK[:cut], False)),
     # random bytes, then a close
     st.binary(max_size=64).map(lambda junk: (junk, False)),
     # half a frame, then a close
@@ -544,6 +725,7 @@ def test_served_attack_bit_identical_to_serial(tmp_path):
     from repro.benchgen import load_benchmark
     from repro.bus.worker import run_worker
     from repro.experiments.common import lock_with
+    from repro.store import encode_attack_artifact
 
     cell = make_cell(SMOKE_SCALE, "c1355", 0.1, "D-MUX", 6, seed=0)
     base = load_benchmark(cell.benchmark, scale=cell.circuit_scale)
@@ -572,9 +754,13 @@ def test_served_attack_bit_identical_to_serial(tmp_path):
         assert served == reference  # bit-identical, timing aside
         assert srv.stats.requeues == 0 and srv.stats.failed == 0
 
-        # Warm: the same request never reaches the fleet again.
+        # Warm: the same request never reaches the fleet again, and the
+        # key-first hit decodes to the same artifact.
         _, warm_status = client.submit(locked.circuit, cell.config)
         assert warm_status == "hit"
+        hit = client.attack(locked.circuit, cell.config)
+        assert _fingerprint(encode_attack_artifact(hit)) == reference
+        assert srv.stats.scheduled == 1
         client.shutdown()
     finally:
         loop.join(timeout=30)

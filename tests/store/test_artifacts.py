@@ -133,6 +133,33 @@ def test_attack_artifact_model_weights_roundtrip(attack_result):
         np.testing.assert_array_equal(ours, theirs)
 
 
+def test_attack_artifact_decode_draws_no_random_init(attack_result, monkeypatch):
+    """The decoded model is built from its stored weights: bit-exact,
+    in eval mode, and no random generator is ever drawn from."""
+    config, result = attack_result
+    payload = encode_attack_artifact(result)
+    draws = []
+    make_rng = np.random.default_rng
+
+    class Spy:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def __getattr__(self, name):
+            draws.append(name)
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda *a, **k: Spy(make_rng(*a, **k))
+    )
+    back = decode_attack_artifact(payload)
+    assert draws == []
+    assert not back.model.training
+    for ours, theirs in zip(back.model.state_dict(), result.model.state_dict()):
+        assert ours.dtype == theirs.dtype
+        assert ours.tobytes() == theirs.tobytes()
+
+
 def test_rebuilt_model_scores_identically(attack_result, locked):
     from repro.linkpred import (
         build_link_dataset,
