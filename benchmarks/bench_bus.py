@@ -1,20 +1,18 @@
-"""Job-bus bench: spool / socket fan-out vs serial, with overhead per job.
+"""Job-bus bench: socket fan-out vs serial, with overhead per job.
 
 Runs a >= 4-job smoke-derived fig7 grid (two benchmarks x two schemes x
-two key sizes -> 8 unique attacks) through three execution paths:
+two key sizes -> 8 unique attacks) through two execution paths:
 
 * **serial**  — ``ExperimentRunner(jobs=0)``, the reproducible baseline;
-* **spool**   — ``WORKERS`` real ``repro worker`` processes draining a
-  spool directory, coordinator adopting results from the shared store;
-* **socket**  — the same workers started with ``--serve-addr`` and
-  connected to the coordinator's in-process serve endpoint (no shared
-  filesystem in the job path).
+* **socket**  — ``WORKERS`` real ``repro worker --serve-addr`` processes
+  connected to the coordinator's in-process serve endpoint.
 
-All three paths must produce **bit-identical** record fingerprints
+Both paths must produce **bit-identical** record fingerprints
 (asserted).  Wall-clock per path plus the coordinator's pure bus
 overhead per job (submit + adopt seconds — never worker compute, from
 :class:`repro.bus.BusStats`) is printed and recorded under the
-``bench_bus`` section of ``BENCH_training.json``.
+``bench_bus`` section of ``BENCH_training.json`` (its older entries
+also carry a ``spool`` leg, from before that bus was removed).
 
 ``REPRO_BENCH_BUS_MIN_SPEEDUP`` (default ``0`` = no gate; the multicore
 ROADMAP run uses ``2``) arms a floor on the distributed speedup — the
@@ -41,7 +39,7 @@ import time
 from dataclasses import replace
 
 from perf_record import update_record
-from repro.bus import SocketBus, SpoolBus, SpoolDir
+from repro.bus import SocketBus
 from repro.experiments import (
     SMOKE_SCALE,
     ExperimentRunner,
@@ -51,10 +49,6 @@ from repro.experiments import (
 from repro.store import ArtifactStore
 
 WORKERS = int(os.environ.get("REPRO_BENCH_BUS_WORKERS", "4"))
-#: Spool workers claim this many jobs per directory scan (PR 10): the
-#: measured ~122ms/job spool overhead is mostly per-lease filesystem
-#: round-trips, so batching amortizes it across the batch.
-LEASE_BATCH = int(os.environ.get("REPRO_BENCH_BUS_LEASE_BATCH", "2"))
 #: 0 disables the gate (CI containers are too small to win); the
 #: multicore measurement run arms it at 2.
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_BUS_MIN_SPEEDUP", "0"))
@@ -149,29 +143,6 @@ def test_bus_fanout_speedup_and_overhead():
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
 
-        spool_store = ArtifactStore(tmp / "store-spool")
-        spool = SpoolDir(tmp / "spool")
-        workers = _start_workers(
-            [
-                "--bus-dir", str(spool.root),
-                "--store", str(spool_store.root),
-                "--lease-batch", str(LEASE_BATCH),
-            ]
-        )
-        try:
-            runner = ExperimentRunner(
-                store=spool_store,
-                bus=SpoolBus(spool, spool_store, poll=0.05, timeout=600),
-            )
-            spool_fp, spool_s = _timed_run(runner, cells)
-            spool_overhead = _overhead_ms(runner.bus)
-            spool_stats = runner.bus.stats
-            runner.close()
-        finally:
-            _stop_workers(workers)
-        assert spool_fp == reference, "spool results diverged from serial"
-        assert spool_stats.requeues == 0 and spool_stats.quarantined == 0
-
         socket_store = ArtifactStore(tmp / "store-socket")
         bus = SocketBus(poll=0.05, timeout=600)
         workers = _start_workers(["--serve-addr", bus.address])
@@ -184,12 +155,7 @@ def test_bus_fanout_speedup_and_overhead():
             _stop_workers(workers)
         assert socket_fp == reference, "socket results diverged from serial"
 
-    spool_speedup = serial_s / spool_s
     socket_speedup = serial_s / socket_s
-    print(
-        f"  spool : {spool_s:.1f}s ({spool_speedup:.2f}x), "
-        f"bus overhead {spool_overhead:.1f}ms/job"
-    )
     print(
         f"  socket: {socket_s:.1f}s ({socket_speedup:.2f}x), "
         f"bus overhead {socket_overhead:.1f}ms/job"
@@ -203,12 +169,6 @@ def test_bus_fanout_speedup_and_overhead():
             "cores": cores,
             "serial_s": round(serial_s, 2),
             "serial_s_per_job": round(serial_s / jobs, 3),
-            "spool": {
-                "seconds": round(spool_s, 2),
-                "speedup": round(spool_speedup, 2),
-                "bus_overhead_ms_per_job": round(spool_overhead, 2),
-                "lease_batch": LEASE_BATCH,
-            },
             "socket": {
                 "seconds": round(socket_s, 2),
                 "speedup": round(socket_speedup, 2),
@@ -219,11 +179,6 @@ def test_bus_fanout_speedup_and_overhead():
         },
     )
     if MIN_SPEEDUP:
-        assert spool_speedup >= MIN_SPEEDUP, (
-            f"spool bus {spool_speedup:.2f}x over serial; "
-            f"needs >= {MIN_SPEEDUP}x with {WORKERS} workers on "
-            f"{cores} cores"
-        )
         assert socket_speedup >= MIN_SPEEDUP, (
             f"socket bus {socket_speedup:.2f}x over serial; "
             f"needs >= {MIN_SPEEDUP}x with {WORKERS} workers on "

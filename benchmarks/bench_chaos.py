@@ -8,8 +8,9 @@ records and rendered table **bit-identical** to the clean run.  The
 per-drill wall-clock and its overhead multiple over the clean run land
 under the ``bench_chaos`` section of ``BENCH_training.json``.
 
-The overhead is dominated by deliberate drill mechanics (stale-lease
-deadlines, reconnect backoff, worker subprocess startup), not by the
+The overhead is dominated by deliberate drill mechanics (worker
+subprocess startup, reconnect backoff, a peer started only after the
+victim crashed), not by the
 fault-injection layer itself: an unarmed ``faults.fire()`` is a
 dictionary miss, and the clean pass here runs with the faults package
 fully imported.

@@ -1,6 +1,6 @@
 """Gate: distributed figure output must be bit-identical to serial.
 
-Usage: ``check_spool_parity.py SERIAL.txt DISTRIBUTED.txt``.
+Usage: ``check_bus_parity.py SERIAL.txt DISTRIBUTED.txt``.
 
 Compares the figure tables of two ``repro figures`` transcripts after
 dropping run bookkeeping (runner/bus/store stats, the ``bus=``/

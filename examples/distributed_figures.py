@@ -1,34 +1,35 @@
-"""Distributed ``repro figures``: two worker processes, one spool + store.
+"""Distributed ``repro figures``: two worker processes, one socket bus.
 
-Demonstrates the spool job bus end to end with **real processes** — the
+Demonstrates the socket job bus end to end with **real processes** — the
 deployment shape, minus the second machine:
 
-* two ``repro worker`` processes attach to a spool directory and a
-  shared artifact store (start them before or after the coordinator;
-  the lease protocol makes the outcome identical);
-* one ``repro figures --bus spool`` coordinator plans the smoke-scale
-  grid, enqueues the unique attack jobs, and adopts the artifacts the
-  workers write into the store;
-* a second, **warm** coordinator run then completes with zero leases —
-  the store dedupe runs before the bus ever sees a job.
+* two ``repro worker --serve-addr`` processes dial the coordinator's
+  address (start them before or after the coordinator; they retry the
+  connection on a backoff);
+* one ``repro figures --bus socket`` coordinator plans the smoke-scale
+  grid, serves the unique attack jobs to the connected workers, and
+  writes the artifacts they send back into its store;
+* a second, **warm** coordinator run on the same address then completes
+  with zero jobs — the store dedupe runs before the bus ever sees a job.
 
 Equivalent shell session::
 
-    repro worker --bus-dir ./spool --store ./store &
-    repro worker --bus-dir ./spool --store ./store &
+    repro worker --serve-addr 127.0.0.1:7787 &
+    repro worker --serve-addr 127.0.0.1:7787 &
     repro figures --figures 7 8 9 10 --scale smoke \
-        --bus spool --bus-dir ./spool --store ./store
+        --bus socket --bus-addr 127.0.0.1:7787 --store ./store
 
 Every figure table is bit-identical to a serial ``--bus local`` run:
 jobs travel as codec payloads (the store's own exchange format), so the
 backend can never move a bit of the result.  If a worker dies mid-job —
-SIGKILL included — its lease goes stale and a peer requeues it; see
-``tests/bus/test_recovery.py`` for that drill.
+SIGKILL included — the server requeues its jobs for a peer; ``repro
+chaos --plan worker-crash`` drills exactly that.
 """
 
 from __future__ import annotations
 
 import pathlib
+import socket
 import subprocess
 import sys
 import tempfile
@@ -38,12 +39,17 @@ SRC_ROOT = pathlib.Path(__file__).resolve().parents[1] / "src"
 ENV = {"PYTHONPATH": str(SRC_ROOT), "PATH": "/usr/bin:/bin"}
 
 
-def start_worker(spool: pathlib.Path, store: pathlib.Path) -> subprocess.Popen:
+def free_address() -> str:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return f"127.0.0.1:{probe.getsockname()[1]}"
+
+
+def start_worker(address: str) -> subprocess.Popen:
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "worker",
-            "--bus-dir", str(spool),
-            "--store", str(store),
+            "--serve-addr", address,
             "--poll", "0.1",
             "--idle-timeout", "300",
         ],
@@ -54,7 +60,7 @@ def start_worker(spool: pathlib.Path, store: pathlib.Path) -> subprocess.Popen:
     )
 
 
-def run_figures(spool: pathlib.Path, store: pathlib.Path, label: str) -> str:
+def run_figures(address: str, store: pathlib.Path, label: str) -> str:
     print(f"=== {label} ===")
     start = time.perf_counter()
     result = subprocess.run(
@@ -62,8 +68,8 @@ def run_figures(spool: pathlib.Path, store: pathlib.Path, label: str) -> str:
             sys.executable, "-m", "repro.cli", "figures",
             "--figures", "7", "8", "9", "10",
             "--scale", "smoke",
-            "--bus", "spool",
-            "--bus-dir", str(spool),
+            "--bus", "socket",
+            "--bus-addr", address,
             "--store", str(store),
         ],
         capture_output=True,
@@ -80,14 +86,14 @@ def run_figures(spool: pathlib.Path, store: pathlib.Path, label: str) -> str:
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        spool = pathlib.Path(tmp) / "spool"
         store = pathlib.Path(tmp) / "store"
+        address = free_address()
 
-        workers = [start_worker(spool, store) for _ in range(2)]
+        workers = [start_worker(address) for _ in range(2)]
         print(f"started workers: pids {[w.pid for w in workers]}")
         try:
-            cold = run_figures(spool, store, "cold coordinator (2 workers)")
-            warm = run_figures(spool, store, "warm coordinator (no leases)")
+            cold = run_figures(address, store, "cold coordinator (2 workers)")
+            warm = run_figures(address, store, "warm coordinator (no jobs)")
         finally:
             for worker in workers:
                 worker.terminate()
@@ -105,10 +111,10 @@ def main() -> None:
             )
         ]
         assert tables(cold) == tables(warm), "warm tables diverged"
-        assert "jobs=0" in warm.split("bus[spool]: ")[1].splitlines()[0], (
-            "warm run should enqueue nothing"
+        assert "jobs=0" in warm.split("bus[socket]: ")[1].splitlines()[0], (
+            "warm run should submit nothing"
         )
-        print("\ncold and warm figure tables identical; warm run leased 0 jobs")
+        print("\ncold and warm figure tables identical; warm run submitted 0 jobs")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ key, per-bit scores (positive = the attack backs bit value ``"0"``,
 mirroring SCOPE/SWEEP sign conventions) and the blind-bit count.
 
 :func:`run_baseline_attack` is the single dispatch point used by the
-serial path, the process pool and the spool/socket workers, exactly as
+serial path, the process pool and the socket-bus workers, exactly as
 :func:`~repro.experiments.runner.execute_attack_job` is for MuxLink.
 """
 

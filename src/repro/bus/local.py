@@ -48,7 +48,7 @@ class LocalBus(JobBus):
 
     def run(
         self, jobs: "list[AttackJob]"
-    ) -> "Iterator[tuple[AttackJob, dict, bool]]":
+    ) -> "Iterator[tuple[AttackJob, dict]]":
         from repro.experiments.runner import execute_job
 
         self.stats.submitted += len(jobs)
@@ -66,14 +66,14 @@ class LocalBus(JobBus):
                         failure = exc
                     continue
                 self.stats.completed += 1
-                yield futures[future], payload, False
+                yield futures[future], payload
             if failure is not None:
                 raise failure
         else:
             for job in jobs:
                 payload = execute_job(job)
                 self.stats.completed += 1
-                yield job, payload, False
+                yield job, payload
 
     def close(self) -> None:
         if self._pool is not None:

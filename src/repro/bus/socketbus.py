@@ -72,7 +72,7 @@ class SocketBus(JobBus):
 
     def run(
         self, jobs: "list[AttackJob]"
-    ) -> "Iterator[tuple[AttackJob, dict, bool]]":
+    ) -> "Iterator[tuple[AttackJob, dict]]":
         server = self._server
         t0 = time.perf_counter()
         # This bus waits on its own server like a client connection
@@ -112,7 +112,7 @@ class SocketBus(JobBus):
                 job = waiting.pop(frame["key"])
                 self.stats.completed += 1
                 self.stats.adopt_seconds += time.perf_counter() - t0
-                yield job, frame["result"], False
+                yield job, frame["result"]
                 t0 = time.perf_counter()
             self.stats.adopt_seconds += time.perf_counter() - t0
             now = time.monotonic()

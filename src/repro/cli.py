@@ -31,16 +31,14 @@ keys single attacks into the same pool, and ``cache ls / stats / gc /
 verify`` administers it.
 
 ``--bus`` swaps the execution backend under ``figures``: ``local``
-(default, this host), ``spool`` (a shared spool directory drained by N
-``repro worker --bus-dir`` processes) or ``socket`` (the coordinator
-runs an in-process ``repro serve`` endpoint on ``--bus-addr``; workers
-connect with ``repro worker --serve-addr``).  Results are bit-identical
-across all backends::
+(default, this host) or ``socket`` (the coordinator runs an in-process
+``repro serve`` endpoint on ``--bus-addr``; workers connect with
+``repro worker --serve-addr``).  Results are bit-identical across both::
 
-    python -m repro.cli worker --bus-dir /tmp/spool --store /tmp/store &
-    python -m repro.cli worker --bus-dir /tmp/spool --store /tmp/store &
-    python -m repro.cli figures --scale smoke --bus spool \
-        --bus-dir /tmp/spool --store /tmp/store
+    python -m repro.cli worker --serve-addr 127.0.0.1:7341 &
+    python -m repro.cli worker --serve-addr 127.0.0.1:7341 &
+    python -m repro.cli figures --scale smoke --bus socket \
+        --bus-addr 127.0.0.1:7341 --store /tmp/store
 
 ``repro serve`` is the persistent attack-as-a-service shape: a
 long-running server owning the artifact store, a warm result cache and
@@ -220,7 +218,6 @@ def _open_runner(args: argparse.Namespace, scale):
         jobs=args.jobs,
         store=args.store,
         bus=args.bus,
-        bus_dir=args.bus_dir,
         bus_addr=args.bus_addr,
         liveness=args.liveness,
     )
@@ -243,19 +240,20 @@ def _print_runner_summary(runner) -> None:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.bus import run_worker
+    from repro.bus import BusError, run_worker
 
+    serve_addr = setting("REPRO_SERVE_ADDR", args.serve_addr)
+    if serve_addr is None:
+        raise BusError(
+            "worker needs a serve endpoint: pass --serve-addr or set "
+            "REPRO_SERVE_ADDR"
+        )
     stats = run_worker(
-        bus_dir=setting("REPRO_BUS_DIR", args.bus_dir),
-        serve_addr=setting("REPRO_SERVE_ADDR", args.serve_addr),
-        store=args.store,
+        serve_addr,
         poll=args.poll,
-        stale_after=args.stale_after,
-        max_attempts=args.max_attempts,
         idle_timeout=args.idle_timeout,
         max_jobs=args.max_jobs,
         blas_threads=args.blas_threads,
-        lease_batch=args.lease_batch,
         pipeline=args.pipeline,
     )
     print(f"worker: {stats.summary()}")
@@ -407,19 +405,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"  {'total':<12}{total_count:>8} artifact(s) {total_size:>14} bytes")
         return 0
     if args.cache_command == "gc":
-        from repro.bus import SpoolDir
-
-        protect: set[str] = set()
-        bus_dir = setting("REPRO_BUS_DIR", args.bus_dir)
-        if bus_dir is not None:
-            # Never collect an artifact a spool job is about to produce
-            # or a coordinator is about to adopt.
-            protect = SpoolDir(bus_dir).referenced_keys()
-        removed, freed = store.gc(keep_days=args.keep_days, protect=protect)
-        suffix = f", protected {len(protect)} in-flight key(s)" if protect else ""
+        removed, freed = store.gc(keep_days=args.keep_days)
         print(
             f"removed {removed} file(s), freed {freed} bytes "
-            f"(kept entries touched within {args.keep_days} day(s){suffix})"
+            f"(kept entries touched within {args.keep_days} day(s))"
         )
         return 0
     if args.cache_command == "verify":
@@ -617,10 +606,7 @@ def _add_runner_args(p: argparse.ArgumentParser, store_help: str) -> None:
     _knob_flag(
         p, "--bus", "REPRO_BUS",
         "job execution backend; results are bit-identical across backends",
-        choices=("local", "spool", "socket"),
-    )
-    _knob_flag(
-        p, "--bus-dir", "REPRO_BUS_DIR", "spool directory for --bus spool"
+        choices=("local", "socket"),
     )
     _knob_flag(
         p, "--bus-addr", "REPRO_BUS_ADDR",
@@ -631,7 +617,7 @@ def _add_runner_args(p: argparse.ArgumentParser, store_help: str) -> None:
         "--liveness",
         type=float,
         default=None,
-        help="seconds of distributed-bus silence before pending jobs "
+        help="seconds of socket-bus worker silence before pending jobs "
         "fail over to in-process execution (default: 300; 0 disables "
         "fail-over)",
     )
@@ -749,32 +735,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "worker",
-        help="execute attack jobs from a spool directory or a serve endpoint",
-    )
-    _knob_flag(
-        p, "--bus-dir", "REPRO_BUS_DIR",
-        "spool directory to lease jobs from; requires --store",
-    )
-    _knob_flag(
-        p, "--store", "REPRO_STORE", "shared artifact store for spool mode"
+        help="execute the attack jobs a serve endpoint pushes",
     )
     p.add_argument(
         "--poll",
         type=float,
         default=0.25,
         help="idle poll interval in seconds",
-    )
-    p.add_argument(
-        "--stale-after",
-        type=float,
-        default=30.0,
-        help="spool leases with no heartbeat for this long are reaped",
-    )
-    p.add_argument(
-        "--max-attempts",
-        type=int,
-        default=None,
-        help="requeue budget before a failing job is quarantined",
     )
     p.add_argument(
         "--idle-timeout",
@@ -803,15 +770,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--pipeline",
         type=int,
         default=2,
-        help="serve mode: jobs to keep in flight on the connection "
-        "(the next job is pre-shipped while the current one executes)",
-    )
-    p.add_argument(
-        "--lease-batch",
-        type=int,
-        default=1,
-        help="spool mode: claim up to N pending jobs per directory scan "
-        "(amortizes scan overhead on small jobs)",
+        help="jobs to keep in flight on the connection (the next job "
+        "is pre-shipped while the current one executes)",
     )
     p.set_defaults(func=_cmd_worker)
 
@@ -826,8 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="NAME",
         help="named fault plan to drill (repeatable): worker-crash, "
-        "socket-flaky, torn-store, enospc, heartbeat-stall, lease-race, "
-        "all-workers-die, serve-flaky",
+        "all-workers-die, socket-flaky, serve-flaky, torn-store, enospc",
     )
     _knob_flag(
         p, "--scale", "REPRO_EXPERIMENT_SCALE", "experiment preset",
@@ -837,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--keep",
         action="store_true",
-        help="keep each drill's spool/store work directory for autopsy",
+        help="keep each drill's store work directory for autopsy",
     )
     p.set_defaults(func=_cmd_chaos)
 
@@ -925,11 +884,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         required=True,
         help="keep artifacts read or written within this many days",
-    )
-    _knob_flag(
-        gc_p, "--bus-dir", "REPRO_BUS_DIR",
-        "spool directory whose pending/leased jobs' artifacts are never "
-        "collected",
     )
     verify_p = cache_sub.add_parser(
         "verify", help="decode every artifact; report (and drop) corrupt ones"

@@ -10,9 +10,8 @@ through one :class:`ExperimentRunner` that
   them serially or over a ``ProcessPoolExecutor`` on this host
   (``REPRO_JOBS`` / ``--jobs``; ``0`` stays serial so single-core runs
   remain exactly reproducible with zero pool overhead), while the
-  ``spool`` and ``socket`` buses fan the same jobs out to independent
-  ``repro worker`` processes (``--bus spool --bus-dir`` /
-  ``--bus socket``);
+  ``socket`` bus fans the same jobs out to independent ``repro worker
+  --serve-addr`` processes (``--bus socket``);
 * **caches** — locked netlists and trained attack results are keyed by
   content (a digest of the locked BENCH text plus the attack
   configuration with the post-processing threshold normalized out), so a
@@ -515,7 +514,6 @@ class ExperimentRunner:
         jobs: int | str | None = None,
         store: ArtifactStore | str | os.PathLike | None = None,
         bus: JobBus | str | None = None,
-        bus_dir: str | os.PathLike | None = None,
         bus_addr: str | None = None,
         liveness: float | None = None,
     ) -> None:
@@ -524,8 +522,6 @@ class ExperimentRunner:
         self.bus = resolve_bus(
             bus,
             jobs=self.jobs,
-            store=self.store,
-            bus_dir=bus_dir,
             bus_addr=bus_addr,
             liveness=liveness,
         )
@@ -766,23 +762,21 @@ class ExperimentRunner:
         must not discard hours of already-finished training; the rerun
         resumes from whatever landed in the store.  Failure semantics
         are the bus's (the local bus re-raises the first failure after
-        draining survivors; the distributed buses requeue and ultimately
-        quarantine).
+        draining survivors; the socket bus requeues and ultimately
+        fails the job).
         """
         jobs = list(pending.values())
         if not jobs:
             return
-        for job, payload, persisted in self.bus.run(jobs):
-            self._finish_job(job, payload, persisted=persisted)
+        for job, payload in self.bus.run(jobs):
+            self._finish_job(job, payload)
 
-    def _finish_job(
-        self, job, payload: dict, persisted: bool = False
-    ) -> None:
+    def _finish_job(self, job, payload: dict) -> None:
         if getattr(job, "kind", "attack") == "baseline":
             self._baselines[job.store_key] = decode_baseline_artifact(payload)
         else:
             self._attacks[job.store_key] = decode_attack_artifact(payload)
-        if self.store is not None and not persisted:
+        if self.store is not None:
             self.store.put(
                 getattr(job, "artifact_kind", "attacks"),
                 job.store_key,

@@ -2,11 +2,11 @@
 
 A *drill* is one end-to-end proof of the robustness contract: arm a
 :class:`~repro.faults.FaultPlan`, run the Fig. 7 smoke grid through the
-real topology the plan targets (worker subprocesses over a spool, a
-``--serve-addr`` worker against a :class:`~repro.bus.SocketBus` — the
-in-process serve endpoint — or the in-process store path), and assert
-that the resulting records and rendered table are **bit-identical** to
-a clean serial run.  Faults that were injected but
+real topology the plan targets (``--serve-addr`` worker subprocesses
+against a :class:`~repro.bus.SocketBus` — the in-process serve
+endpoint — a real ``repro serve`` process, or the in-process store
+path), and assert that the resulting records and rendered table are
+**bit-identical** to a clean serial run.  Faults that were injected but
 recovered from must be invisible in the science; only the recovery
 counters (requeues, fail-overs, write retries) may differ.
 
@@ -35,29 +35,25 @@ from repro.faults.plan import (
 
 __all__ = ["DRILL_TOPOLOGY", "DrillOutcome", "run_chaos"]
 
-#: Which execution topology exercises each named plan.  ``spool`` and
-#: ``socket`` drills run real worker subprocesses (the plan travels via
-#: ``REPRO_FAULT_PLAN``; the socket worker is the pipelined serve
-#: loop); ``local`` drills arm the plan in-process and exercise the
-#: store write/read path; the ``serve`` drill runs a real
+#: Which execution topology exercises each named plan.  ``socket``
+#: drills run real ``repro worker --serve-addr`` subprocesses against a
+#: :class:`~repro.bus.SocketBus` (the plan travels via
+#: ``REPRO_FAULT_PLAN``); ``local`` drills arm the plan in-process and
+#: exercise the store write/read path; the ``serve`` drill runs a real
 #: ``repro serve`` process (pipelined workers + remote store) and gates
 #: on bit-identical artifact payloads rather than figure tables.
 DRILL_TOPOLOGY: dict[str, str] = {
-    "worker-crash": "spool",
-    "heartbeat-stall": "spool",
-    "lease-race": "spool",
-    "all-workers-die": "spool",
+    "worker-crash": "socket",
+    "all-workers-die": "socket",
     "socket-flaky": "socket",
     "serve-flaky": "serve",
     "torn-store": "local",
     "enospc": "local",
 }
 
-#: Lease heartbeat deadline for drill spools — short, so reaping a
-#: killed worker does not dominate drill wall-clock.
-_DRILL_STALE = 1.5
-#: Fail-over deadline for the all-workers-die drill (must exceed
-#: ``_DRILL_STALE`` so the corpse leases are reaped first).
+#: Fail-over deadline of the all-workers-die drill: long enough for the
+#: armed workers to connect and die first, short enough not to dominate
+#: the drill's wall-clock.
 _DRILL_LIVENESS = 4.0
 
 _FIRED_LINE = re.compile(r"fault\[([a-z_.]+)\]: fired")
@@ -151,19 +147,6 @@ def _spawn_worker(
     )
 
 
-def _spawn_spool_worker(
-    spool_root, store_root, plan: FaultPlan | None
-) -> subprocess.Popen:
-    return _spawn_worker(
-        [
-            "--bus-dir", str(spool_root),
-            "--store", str(store_root),
-            "--stale-after", str(_DRILL_STALE),
-        ],
-        plan,
-    )
-
-
 def _reap_worker(proc: subprocess.Popen) -> str:
     """Terminate a drill worker and return its captured output."""
     if proc.poll() is None:
@@ -219,66 +202,58 @@ def _require(outcome: DrillOutcome, condition: bool, what: str) -> None:
         outcome.failures.append(what)
 
 
-def _drill_spool(
+def _drill_socket(
     plan: FaultPlan, reference: _Reference, outcome: DrillOutcome, workdir: Path
 ) -> None:
-    from repro.bus import SpoolBus, SpoolDir
+    """Armed ``--serve-addr`` workers against an in-process serve endpoint.
+
+    ``socket-flaky``: one worker survives its own injected refusals,
+    timeouts and hang-ups.  ``worker-crash``: the armed worker dies on
+    its first job, and a clean peer started after that finishes the
+    grid from the server's requeue.  ``all-workers-die``: two armed
+    workers die, and only the bus's liveness fail-over can finish.
+    """
+    from repro.bus import SocketBus
     from repro.experiments.runner import ExperimentRunner
-    from repro.store import ArtifactStore
 
     all_die = plan.name == "all-workers-die"
-    shared = plan.name == "lease-race"  # every worker runs under the plan
-    store = ArtifactStore(workdir / "store")
-    spool = SpoolDir(workdir / "spool", stale_after=_DRILL_STALE)
-    bus = SpoolBus(
-        spool,
-        store,
-        poll=0.1,
-        timeout=240,
-        liveness=_DRILL_LIVENESS if all_die else None,
+    bus = SocketBus(
+        poll=0.1, timeout=240, liveness=_DRILL_LIVENESS if all_die else None
     )
-    victims = [_spawn_spool_worker(spool.root, store.root, plan)]
+    serve_addr = ["--serve-addr", bus.address]
+    workers = [_spawn_worker(serve_addr, plan)]
     if all_die:
-        victims.append(_spawn_spool_worker(spool.root, store.root, plan))
-    helpers: list[subprocess.Popen] = []
-    if shared:
-        helpers.append(_spawn_spool_worker(spool.root, store.root, plan))
+        workers.append(_spawn_worker(serve_addr, plan))
     stop = threading.Event()
-    #: Highest attempt counter seen per job.  Helpers call reap_stale()
-    #: too, so the coordinator's own ``bus.stats.requeues`` misses every
-    #: lease a helper reaped first; the spool's counters see them all.
-    attempts: dict[str, int] = {}
 
-    def _watch() -> None:
-        # The victim must win a lease before a healthy peer enters the
-        # race, or a 2-job smoke grid can finish without ever touching
-        # the armed worker.  A crashed victim leaves its lease behind,
-        # so "leased/ is non-empty" covers both the stall and the crash.
-        spawn_helper = not all_die and not shared
+    def _spawn_peer_after_the_crash() -> None:
+        # The victim must hold a job before a clean peer connects, or a
+        # small grid can finish without ever touching the armed worker.
+        # It exits only by crashing mid-job (or at its idle timeout).
         while not stop.is_set():
-            if spawn_helper and spool.leased_keys():
-                helpers.append(_spawn_spool_worker(spool.root, store.root, None))
-                spawn_helper = False
-            for key, attempt in spool.attempts().items():
-                attempts[key] = max(attempts.get(key, 0), attempt)
+            if workers[0].poll() is not None:
+                workers.append(_spawn_worker(serve_addr, None))
+                return
             time.sleep(0.05)
 
-    watcher = threading.Thread(target=_watch, daemon=True)
-    watcher.start()
-
-    runner = ExperimentRunner(jobs=0, store=store, bus=bus)
+    watcher = None
+    if plan.name == "worker-crash":
+        watcher = threading.Thread(
+            target=_spawn_peer_after_the_crash, daemon=True
+        )
+        watcher.start()
+    runner = ExperimentRunner(jobs=0, store=workdir / "store", bus=bus)
     try:
         records = runner.run(reference.cells)
     finally:
         stop.set()
-        watcher.join(timeout=10)
-        outputs = [_reap_worker(p) for p in victims + helpers]
+        if watcher is not None:
+            watcher.join(timeout=10)
+        outputs = [_reap_worker(p) for p in workers]
         runner.close()
     _count_fired(outputs, outcome.injected)
-    outcome.requeues = max(bus.stats.requeues, sum(attempts.values()))
+    outcome.requeues = bus.stats.requeues
     outcome.failed_over = bus.stats.failed_over
-    outcome.write_retries = store.stats.write_retries
-    outcome.store_discards = store.stats.errors
     _check_parity(outcome, reference, records)
     if all_die:
         _require(
@@ -286,37 +261,12 @@ def _drill_spool(
             outcome.failed_over >= 1,
             "coordinator never failed over despite a dead worker fleet",
         )
-    elif plan.name in ("worker-crash", "heartbeat-stall"):
+    else:
         _require(
             outcome,
             outcome.requeues >= 1,
-            "no lease was ever reaped — the fault did not bite",
+            "no job was requeued — the fault did not bite",
         )
-
-
-def _drill_socket(
-    plan: FaultPlan, reference: _Reference, outcome: DrillOutcome, workdir: Path
-) -> None:
-    from repro.bus import SocketBus
-    from repro.experiments.runner import ExperimentRunner
-
-    bus = SocketBus(poll=0.1, timeout=240)
-    worker = _spawn_worker(["--serve-addr", bus.address], plan)
-    runner = ExperimentRunner(jobs=0, store=workdir / "store", bus=bus)
-    try:
-        records = runner.run(reference.cells)
-    finally:
-        outputs = [_reap_worker(worker)]
-        runner.close()
-    _count_fired(outputs, outcome.injected)
-    outcome.requeues = bus.stats.requeues
-    outcome.failed_over = bus.stats.failed_over
-    _check_parity(outcome, reference, records)
-    _require(
-        outcome,
-        outcome.requeues >= 1,
-        "no job was requeued — the dropped frame never happened",
-    )
 
 
 def _drill_local(
@@ -513,7 +463,6 @@ def _drill_serve(
 
 
 _DRILL_RUNNERS = {
-    "spool": _drill_spool,
     "socket": _drill_socket,
     "serve": _drill_serve,
     "local": _drill_local,

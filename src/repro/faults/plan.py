@@ -1,7 +1,8 @@
 """Seeded, deterministic fault injection for the bus/store/worker stack.
 
 A :class:`FaultPlan` arms a set of named **sites** — fixed points in the
-production code (``repro.store.codec``, the spool, the serve worker)
+production code (``repro.store.codec``, the serve front end and its
+workers, the remote store)
 that consult :func:`fire` on every pass.  When no plan is active the
 check is a dict lookup against an empty map: the production hot path
 pays nothing.  When a plan *is* active, each armed site fires a bounded,
@@ -63,8 +64,6 @@ FAULT_SITES = {
     "socket.connect_refused": "serve worker connect() is refused",
     "socket.read_timeout": "serve worker frame read raises a timeout",
     "socket.frame_eof": "serve worker hangs up holding a pushed job (EOF)",
-    "spool.lease_race": "lease() loses the pending->leased rename race",
-    "spool.heartbeat_stall": "the lease heartbeat thread stops beating",
     "worker.crash_after_n": "worker os._exit(137)s mid-job (SIGKILL-alike)",
     "worker.slow_factor": "worker stalls `param` seconds before executing",
     "serve.accept_drop": (
@@ -77,13 +76,11 @@ FAULT_SITES = {
 #: process topology each drill needs lives in ``repro.faults.chaos``).
 NAMED_PLANS = (
     "worker-crash",
+    "all-workers-die",
     "socket-flaky",
+    "serve-flaky",
     "torn-store",
     "enospc",
-    "heartbeat-stall",
-    "lease-race",
-    "all-workers-die",
-    "serve-flaky",
 )
 
 
@@ -191,8 +188,8 @@ class FaultPlan:
 class _ActivePlan:
     """Runtime state of one activated plan (check counters, fire budget).
 
-    Thread-safe: the spool heartbeat daemon and the worker main loop may
-    consult sites concurrently.
+    Thread-safe: the serve fail-over thread and the loop that owns it
+    may consult sites concurrently.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -299,8 +296,8 @@ def fire(site: str) -> FaultSite | None:
 def named_fault_plan(name: str, seed: int = 0) -> FaultPlan:
     """The site specs behind each ``repro chaos --plan`` name."""
     if name == "worker-crash":
-        # One worker dies mid-job (SIGKILL-alike); a peer must reap the
-        # lease and finish the grid.
+        # One worker dies mid-job (SIGKILL-alike); the server requeues
+        # its jobs and a peer finishes the grid.
         sites = (FaultSite("worker.crash_after_n", times=1),)
     elif name == "all-workers-die":
         # EVERY worker dies on its first job: only the coordinator's
@@ -319,17 +316,6 @@ def named_fault_plan(name: str, seed: int = 0) -> FaultPlan:
         )
     elif name == "enospc":
         sites = (FaultSite("store.write_enospc", times=2),)
-    elif name == "heartbeat-stall":
-        # The heartbeat dies while the job keeps (slowly) running: the
-        # lease goes stale and is reaped, a peer re-executes, and the
-        # stalled worker's eventual finish is a harmless duplicate write
-        # of the same content-addressed artifact.
-        sites = (
-            FaultSite("spool.heartbeat_stall", times=1),
-            FaultSite("worker.slow_factor", times=1, param=4.0),
-        )
-    elif name == "lease-race":
-        sites = (FaultSite("spool.lease_race", times=2),)
     elif name == "serve-flaky":
         # The serve front-end drops fresh connections (workers and
         # clients alike must reconnect on their retry schedule) and one

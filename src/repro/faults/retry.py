@@ -2,8 +2,8 @@
 
 Before this module, each backend carried its own constants: the socket
 worker hardcoded a 30 s connect timeout and a hand-rolled ``backoff * 2``
-loop, the spool bus counted attempts against
-``DEFAULT_MAX_ATTEMPTS``, and the artifact store retried nothing at all.
+loop, the bus counted attempts against ``DEFAULT_MAX_ATTEMPTS``, and the
+artifact store retried nothing at all.
 :class:`RetryPolicy` is the single source of truth they now share —
 attempt caps, exponential backoff, per-operation timeouts — so "how hard
 do we try" is one knob instead of five.
@@ -31,8 +31,8 @@ class RetryPolicy:
 
     Attributes:
         max_attempts: total tries of an operation (and the bus requeue
-            budget — attempt N of a job that already failed/expired
-            ``N >= max_attempts`` times is quarantined).
+            budget — attempt N of a job that already failed or lost
+            its worker ``N >= max_attempts`` times is failed for good).
         base_delay: delay before the first retry, seconds.
         multiplier: backoff growth factor per retry.
         max_delay: backoff ceiling, seconds.

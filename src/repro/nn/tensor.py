@@ -145,7 +145,7 @@ class Workspace:
         Returns a C-contiguous uninitialised view of the requested shape
         over a slot keyed by ``(tag, shape[1:], dtype)``.  The same slot is
         handed out on every call, so the caller must be done with the
-        previous lease before asking again — the pattern of a sequential
+        previous view before asking again — the pattern of a sequential
         train loop, where step ``t``'s tape is consumed before step
         ``t+1``'s forward begins.
         """

@@ -21,8 +21,8 @@ codec frames) owns three kinds of peers on a single listening port:
   ``{op: hello, role: worker, pipeline: N}`` and then receive **pushed**
   ``{op: job, ...}`` frames, up to *pipeline* in flight per connection —
   the worker executes serially, but the next job is already buffered in
-  its socket when the current one finishes, so no lease round-trip sits
-  between two jobs.
+  its socket when the current one finishes, so no request round-trip
+  sits between two jobs.
 * **remote stores** (:class:`repro.store.remote.RemoteStore`) read and
   write raw artifact blobs (``store-get`` / ``store-put`` /
   ``store-has``) against the server's on-disk
@@ -199,7 +199,7 @@ class _Request:
     """One unique in-flight key and everyone waiting on it."""
 
     key: str
-    job: dict  # encoded job payload (the wire/spool shape)
+    job: dict  # encoded job payload (the wire shape)
     kind: str  # artifact store kind the result lands under
     attempt: int = 0
     failing_over: bool = False

@@ -79,10 +79,8 @@ SETTINGS: dict[str, Setting] = {
     for knob in (
         Setting("REPRO_STORE", str, None,
                 "artifact store directory or remote://HOST:PORT"),
-        Setting("REPRO_BUS", _choice("local", "spool", "socket"), "local",
+        Setting("REPRO_BUS", _choice("local", "socket"), "local",
                 "job bus backend of figure and leaderboard grids"),
-        Setting("REPRO_BUS_DIR", str, None,
-                "spool directory of the spool bus and its workers"),
         Setting("REPRO_BUS_ADDR", str, "127.0.0.1:0",
                 "HOST:PORT the socket-bus coordinator listens on"),
         Setting("REPRO_SERVE_ADDR", str, None,

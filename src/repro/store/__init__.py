@@ -286,9 +286,7 @@ class ArtifactStore:
                     schema=schema,
                 )
 
-    def gc(
-        self, keep_days: float, protect: "set[str] | None" = None
-    ) -> tuple[int, int]:
+    def gc(self, keep_days: float) -> tuple[int, int]:
         """Drop artifacts not touched for *keep_days* days.
 
         Entries under *other* schema versions are subject to the same age
@@ -296,21 +294,15 @@ class ArtifactStore:
         fresh work would be hostile), and stray ``*.tmp`` files from
         crashed writers are removed once they are over an hour old — a
         live writer holds its tmp file for seconds, so gc never races an
-        in-flight ``os.replace``.  Keys in *protect* are never collected
-        regardless of age — ``repro cache gc`` passes the store keys of
-        jobs still pending or leased on a spool bus, so gc cannot delete
-        an artifact a coordinator is about to adopt.  Returns
-        ``(files_removed, bytes_freed)``.
+        in-flight ``os.replace``.  Returns ``(files_removed,
+        bytes_freed)``.
         """
         if keep_days < 0:
             raise ValueError(f"keep_days must be >= 0, got {keep_days}")
-        protect = protect or set()
         cutoff = time.time() - keep_days * 86400.0
         removed = 0
         freed = 0
         for entry in list(self.entries(all_schemas=True)):
-            if entry.key in protect:
-                continue
             if entry.mtime < cutoff:
                 try:
                     entry.path.unlink()

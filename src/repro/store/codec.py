@@ -1,9 +1,9 @@
 """Versioned flat codec — the one serializer for wire frames and store files.
 
 Everything the artifact store persists (locked netlists, trained attack
-results, :class:`~repro.linkpred.trainer.Trainer` checkpoints, spool
-jobs) goes through :func:`dump` / :func:`load`, and every ``repro
-serve`` frame through :func:`dumps` / :func:`loads`: a *payload* — an
+results, :class:`~repro.linkpred.trainer.Trainer` checkpoints) goes
+through :func:`dump` / :func:`load`, and every ``repro serve`` frame
+through :func:`dumps` / :func:`loads`: a *payload* — an
 arbitrary tree of ``dict`` / ``list`` / ``tuple`` / ``str`` / ``int`` /
 ``float`` / ``bool`` / ``None`` / :class:`numpy.ndarray` — becomes one
 flat blob, byte for byte the same on disk and on the wire:

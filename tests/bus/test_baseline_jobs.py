@@ -1,5 +1,7 @@
 """Baseline jobs are first-class bus citizens alongside MuxLink jobs."""
 
+import threading
+
 import pytest
 
 from repro.attacks import BaselineConfig
@@ -7,10 +9,11 @@ from repro.benchgen import random_netlist
 from repro.bus import (
     JOB_ARTIFACT_KINDS,
     BusError,
-    SpoolBus,
+    SocketBus,
     decode_job,
     encode_job,
     job_artifact_kind,
+    run_worker,
 )
 from repro.experiments.runner import (
     BaselineJob,
@@ -19,7 +22,6 @@ from repro.experiments.runner import (
 )
 from repro.locking import lock_dmux
 from repro.store import (
-    ArtifactStore,
     decode_baseline_artifact,
     encode_circuit,
     encode_lock_artifact,
@@ -129,16 +131,30 @@ def test_execute_job_dispatches_on_kind():
     assert via_dispatch.scores == direct.scores
 
 
-def test_spool_bus_carries_baseline_jobs(tmp_path):
-    """A baseline job spooled to disk executes (here: drained inline by
-    adopting from a warmed store) under the 'baselines' artifact kind."""
-    store = ArtifactStore(tmp_path / "store")
+def test_socket_bus_carries_baseline_jobs():
+    """A baseline job crosses the socket bus to a ``--serve-addr`` worker
+    and comes back as the same report a direct execution produces."""
     job = _baseline_job()
-    store.put("baselines", job.store_key, execute_baseline_job(job))
-    bus = SpoolBus(tmp_path / "spool", store=store, poll=0.05)
-    results = list(bus.run([job]))
+    bus = SocketBus(poll=0.05, timeout=60)
+    worker = threading.Thread(
+        target=run_worker,
+        kwargs=dict(
+            serve_addr=bus.address, poll=0.05, max_jobs=1, log=lambda *a: None
+        ),
+        daemon=True,
+    )
+    worker.start()
+    try:
+        results = list(bus.run([job]))
+    finally:
+        bus.close()
+        worker.join(timeout=30)
     assert len(results) == 1
-    finished, payload, persisted = results[0]
+    finished, payload = results[0]
     assert finished is job
-    assert persisted is True
-    assert decode_baseline_artifact(payload).attack == "scope"
+    served = decode_baseline_artifact(payload)
+    direct = decode_baseline_artifact(execute_baseline_job(job))
+    assert served.attack == "scope"
+    assert served.predicted_key == direct.predicted_key
+    assert served.scores == direct.scores
+    assert bus.stats.completed == 1 and bus.stats.requeues == 0

@@ -1,4 +1,4 @@
-"""Graceful degradation: a dead/quiet distributed bus fails over.
+"""Graceful degradation: a dead/quiet socket bus fails over.
 
 The liveness deadline is the coordinator's last line of defence — when
 no worker makes progress for that long, the pending jobs are executed
@@ -10,23 +10,11 @@ one (it degrades).
 import pytest
 
 from repro.benchgen import load_benchmark
-from repro.bus import (
-    DEFAULT_LIVENESS,
-    BusError,
-    BusStats,
-    SocketBus,
-    SpoolBus,
-    SpoolDir,
-)
+from repro.bus import DEFAULT_LIVENESS, BusError, BusStats, SocketBus
 from repro.experiments import SMOKE_SCALE, fig7_cells, record_fingerprint
 from repro.experiments.common import lock_with
 from repro.experiments.runner import AttackJob, ExperimentRunner
-from repro.store import (
-    ArtifactStore,
-    attack_store_key,
-    circuit_digest,
-    encode_circuit,
-)
+from repro.store import attack_store_key, circuit_digest, encode_circuit
 
 
 def _one_job() -> AttackJob:
@@ -42,28 +30,6 @@ def _one_job() -> AttackJob:
     )
 
 
-def test_spool_bus_fails_over_when_no_worker_ever_appears(tmp_path, capsys):
-    job = _one_job()
-    store = ArtifactStore(tmp_path / "store")
-    spool = SpoolDir(tmp_path / "spool")
-    bus = SpoolBus(spool, store, poll=0.05, timeout=60, liveness=0.4)
-    results = list(bus.run([job]))
-    assert len(results) == 1
-    got_job, payload, persisted = results[0]
-    assert got_job is job
-    assert payload is not None
-    assert persisted is False  # the coordinator computed it; not in store
-    assert bus.stats.completed == 1
-    assert bus.stats.failed_over == 1
-    assert "failed-over=1" in bus.stats.summary()
-    # The jobs were withdrawn from the spool — a late worker must not
-    # recompute work the coordinator already owns.
-    assert spool.pending_keys() == []
-    assert "failing 1 job(s) over to in-process execution" in (
-        capsys.readouterr().out
-    )
-
-
 def test_socket_bus_fails_over_when_no_worker_ever_connects(capsys):
     job = _one_job()
     bus = SocketBus(poll=0.05, timeout=60, liveness=0.4)
@@ -72,10 +38,15 @@ def test_socket_bus_fails_over_when_no_worker_ever_connects(capsys):
     finally:
         bus.close()
     assert len(results) == 1
-    assert results[0][2] is False
+    got_job, payload = results[0]
+    assert got_job is job
+    assert payload is not None
     assert bus.stats.failed_over == 1
     assert bus.stats.completed == 1
-    assert "failing 1 job(s) over" in capsys.readouterr().out
+    assert "failed-over=1" in bus.stats.summary()
+    assert "failing 1 job(s) over to in-process execution" in (
+        capsys.readouterr().out
+    )
 
 
 def test_socket_bus_fails_the_queue_over_back_to_back():
@@ -110,16 +81,16 @@ def test_socket_bus_fails_the_queue_over_back_to_back():
     assert elapsed < 2 * liveness, f"fail-over took {elapsed:.2f}s"
 
 
-def test_timeout_still_raises_before_liveness_when_smaller(tmp_path):
+def test_timeout_still_raises_before_liveness_when_smaller():
     # An operator who sets a hard timeout below the liveness deadline
     # asked for an error, not a silent degradation.
     job = _one_job()
-    store = ArtifactStore(tmp_path / "store")
-    bus = SpoolBus(
-        tmp_path / "spool", store, poll=0.05, timeout=0.3, liveness=5.0
-    )
-    with pytest.raises(BusError, match="no progress"):
-        list(bus.run([job]))
+    bus = SocketBus(poll=0.05, timeout=0.3, liveness=5.0)
+    try:
+        with pytest.raises(BusError, match="no progress"):
+            list(bus.run([job]))
+    finally:
+        bus.close()
     assert bus.stats.failed_over == 0
 
 
@@ -128,11 +99,8 @@ def test_failed_over_results_match_serial_execution(tmp_path):
     reference = [
         record_fingerprint(r) for r in ExperimentRunner(jobs=0).run(cells)
     ]
-    store = ArtifactStore(tmp_path / "store")
-    bus = SpoolBus(
-        tmp_path / "spool", store, poll=0.05, timeout=60, liveness=0.4
-    )
-    runner = ExperimentRunner(jobs=0, store=store, bus=bus)
+    bus = SocketBus(poll=0.05, timeout=60, liveness=0.4)
+    runner = ExperimentRunner(jobs=0, store=tmp_path / "store", bus=bus)
     try:
         records = runner.run(cells)
     finally:
@@ -149,10 +117,7 @@ def test_clean_bus_summary_has_no_failover_token():
     assert "failed-over=2" in stats.summary()
 
 
-def test_liveness_zero_disables_failover(tmp_path):
-    store = ArtifactStore(tmp_path / "store")
-    bus = SpoolBus(tmp_path / "spool", store, liveness=0)
-    assert bus.liveness is None
+def test_liveness_zero_disables_failover():
     bus = SocketBus(liveness=0)
     try:
         assert bus.liveness is None
@@ -161,8 +126,7 @@ def test_liveness_zero_disables_failover(tmp_path):
 
 
 def test_runner_threads_liveness_to_the_bus(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_BUS", "spool")
-    monkeypatch.setenv("REPRO_BUS_DIR", str(tmp_path / "spool"))
+    monkeypatch.setenv("REPRO_BUS", "socket")
     monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
     for liveness, expected in ((7.5, 7.5), (0, None), (None, DEFAULT_LIVENESS)):
         runner = ExperimentRunner(liveness=liveness)

@@ -22,9 +22,9 @@ def test_unknown_site_is_rejected():
 
 def test_site_spec_validation():
     with pytest.raises(FaultError):
-        FaultSite("spool.lease_race", after=-1)
+        FaultSite("socket.connect_refused", after=-1)
     with pytest.raises(FaultError):
-        FaultSite("spool.lease_race", p=1.5)
+        FaultSite("socket.connect_refused", p=1.5)
 
 
 def test_duplicate_site_is_rejected():
@@ -32,8 +32,8 @@ def test_duplicate_site_is_rejected():
         FaultPlan(
             "dup",
             sites=(
-                FaultSite("spool.lease_race"),
-                FaultSite("spool.lease_race", times=2),
+                FaultSite("socket.connect_refused"),
+                FaultSite("socket.connect_refused", times=2),
             ),
         )
 
@@ -71,7 +71,7 @@ def test_every_named_plan_builds_and_round_trips():
 
 def test_fire_returns_none_without_a_plan():
     faults.deactivate()
-    assert faults.fire("spool.lease_race") is None
+    assert faults.fire("socket.connect_refused") is None
     assert faults.fired_counts() == {}
     assert faults.active_plan() is None
 
@@ -79,43 +79,43 @@ def test_fire_returns_none_without_a_plan():
 def test_fire_budget_and_after(capsys):
     plan = FaultPlan(
         "budget",
-        sites=(FaultSite("spool.lease_race", times=2, after=1),),
+        sites=(FaultSite("socket.connect_refused", times=2, after=1),),
     )
     faults.activate(plan)
     try:
-        assert faults.fire("spool.lease_race") is None  # skipped: after=1
-        assert faults.fire("spool.lease_race") is not None
-        assert faults.fire("spool.lease_race") is not None
-        assert faults.fire("spool.lease_race") is None  # budget spent
+        assert faults.fire("socket.connect_refused") is None  # skipped: after=1
+        assert faults.fire("socket.connect_refused") is not None
+        assert faults.fire("socket.connect_refused") is not None
+        assert faults.fire("socket.connect_refused") is None  # budget spent
         assert faults.fire("store.write_torn") is None  # not armed
-        assert faults.fired_counts() == {"spool.lease_race": 2}
+        assert faults.fired_counts() == {"socket.connect_refused": 2}
     finally:
         faults.deactivate()
     err = capsys.readouterr().err
-    assert err.count("fault[spool.lease_race]: fired") == 2
+    assert err.count("fault[socket.connect_refused]: fired") == 2
 
 
 def test_unlimited_budget():
     faults.activate(
-        FaultPlan("forever", sites=(FaultSite("spool.lease_race", times=-1),))
+        FaultPlan("forever", sites=(FaultSite("socket.connect_refused", times=-1),))
     )
     try:
         for _ in range(10):
-            assert faults.fire("spool.lease_race") is not None
+            assert faults.fire("socket.connect_refused") is not None
     finally:
         faults.deactivate()
 
 
 def test_probabilistic_fire_pattern_is_reproducible():
     plan = FaultPlan(
-        "coin", sites=(FaultSite("spool.lease_race", times=-1, p=0.5),), seed=5
+        "coin", sites=(FaultSite("socket.connect_refused", times=-1, p=0.5),), seed=5
     )
 
     def pattern():
         faults.activate(plan)
         try:
             return [
-                faults.fire("spool.lease_race") is not None for _ in range(64)
+                faults.fire("socket.connect_refused") is not None for _ in range(64)
             ]
         finally:
             faults.deactivate()
@@ -124,12 +124,12 @@ def test_probabilistic_fire_pattern_is_reproducible():
     assert pattern() == first  # same plan, same seed, same draws
     assert any(first) and not all(first)  # the coin actually flips
     other = FaultPlan(
-        "coin", sites=(FaultSite("spool.lease_race", times=-1, p=0.5),), seed=6
+        "coin", sites=(FaultSite("socket.connect_refused", times=-1, p=0.5),), seed=6
     )
     faults.activate(other)
     try:
         reseeded = [
-            faults.fire("spool.lease_race") is not None for _ in range(64)
+            faults.fire("socket.connect_refused") is not None for _ in range(64)
         ]
     finally:
         faults.deactivate()
@@ -137,29 +137,29 @@ def test_probabilistic_fire_pattern_is_reproducible():
 
 
 def test_env_var_arms_the_plan_lazily(monkeypatch):
-    plan = FaultPlan("env", sites=(FaultSite("spool.lease_race"),))
+    plan = FaultPlan("env", sites=(FaultSite("socket.connect_refused"),))
     monkeypatch.setenv(FAULT_PLAN_ENV, plan.dumps())
     # Simulate a fresh worker process: the env has not been consulted yet.
     monkeypatch.setattr(plan_module, "_env_checked", False)
     monkeypatch.setattr(plan_module, "_active", None)
     try:
-        assert faults.fire("spool.lease_race") is not None
+        assert faults.fire("socket.connect_refused") is not None
         assert faults.active_plan() == plan
     finally:
         faults.deactivate()
 
 
 def test_deactivate_beats_the_env_var(monkeypatch):
-    plan = FaultPlan("env", sites=(FaultSite("spool.lease_race"),))
+    plan = FaultPlan("env", sites=(FaultSite("socket.connect_refused"),))
     monkeypatch.setenv(FAULT_PLAN_ENV, plan.dumps())
     faults.deactivate()  # an explicit disarm must stick
-    assert faults.fire("spool.lease_race") is None
+    assert faults.fire("socket.connect_refused") is None
 
 
 def test_site_seed_sequences_differ_by_site():
     plan = FaultPlan("seeds", seed=0)
-    a = plan.site_seed_sequence("spool.lease_race").generate_state(4)
+    a = plan.site_seed_sequence("socket.connect_refused").generate_state(4)
     b = plan.site_seed_sequence("socket.frame_eof").generate_state(4)
     assert list(a) != list(b)
-    again = plan.site_seed_sequence("spool.lease_race").generate_state(4)
+    again = plan.site_seed_sequence("socket.connect_refused").generate_state(4)
     assert list(a) == list(again)

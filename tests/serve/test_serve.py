@@ -838,35 +838,3 @@ def test_injected_read_timeout_is_retried(server):
     finally:
         faults.deactivate()
     remote.close()
-
-
-# ---------------------------------------------------------------------------
-# Batched spool leasing (satellite): one scan, N leases.
-# ---------------------------------------------------------------------------
-def test_lease_batch_claims_up_to_limit(tmp_path):
-    from repro.bus import SpoolDir, encode_job
-
-    spool = SpoolDir(tmp_path)
-    for key in ("k1", "k2", "k3"):
-        spool.enqueue(key, encode_job(_job("a" * 16)))
-    batch = spool.lease_batch(2)
-    assert [key for key, _ in batch] == ["k1", "k2"]
-    assert spool.pending_keys() == ["k3"]
-    assert sorted(spool.leased_keys()) == ["k1", "k2"]
-    rest = spool.lease_batch(10)  # fewer pending than the limit is fine
-    assert [key for key, _ in rest] == ["k3"]
-    assert spool.lease_batch(2) == []  # drained
-
-    with pytest.raises(ValueError):
-        spool.lease_batch(0)
-
-
-def test_lease_batch_quarantines_poison_without_losing_the_batch(tmp_path):
-    from repro.bus import SpoolDir, encode_job
-
-    spool = SpoolDir(tmp_path)
-    spool.enqueue("good", encode_job(_job("a" * 16)))
-    spool.pending_dir.joinpath("bad.npz").write_bytes(b"not a job")
-    batch = spool.lease_batch(5)
-    assert [key for key, _ in batch] == ["good"]
-    assert spool.quarantined_keys() == ["bad"]

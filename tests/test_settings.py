@@ -17,7 +17,6 @@ _PACKAGE = pathlib.Path(repro.__file__).resolve().parent
 KEPT = {
     "REPRO_STORE",
     "REPRO_BUS",
-    "REPRO_BUS_DIR",
     "REPRO_BUS_ADDR",
     "REPRO_SERVE_ADDR",
     "REPRO_JOBS",
@@ -31,8 +30,8 @@ KEPT = {
 @pytest.mark.parametrize(
     "name, raw, parsed, explicit",
     [
-        ("REPRO_BUS_DIR", " /srv/spool ", "/srv/spool", "/tmp/spool"),
-        ("REPRO_BUS", "Spool", "spool", "socket"),
+        ("REPRO_STORE", " /srv/store ", "/srv/store", "/tmp/store"),
+        ("REPRO_BUS", "Socket", "socket", "local"),
         ("REPRO_BLAS_THREADS", "4", 4, 2),
         ("REPRO_JOBS", "3", 3, 5),
     ],
@@ -58,7 +57,8 @@ def test_explicit_beats_env_beats_default(
         ("REPRO_BLAS_THREADS", "x", "non-negative integer"),
         ("REPRO_DTYPE", "float16", "float32, float64"),
         ("REPRO_EXPERIMENT_SCALE", "smok", "smoke, ci, paper"),
-        ("REPRO_BUS", "carrier-pigeon", "local, spool, socket"),
+        ("REPRO_BUS", "carrier-pigeon", "local, socket"),
+        ("REPRO_BUS", "spool", "local, socket"),
     ],
 )
 def test_malformed_value_is_a_settings_error(name, raw, accepts, monkeypatch):
@@ -95,6 +95,7 @@ def _cli_env(**knobs: str) -> dict:
     [
         ("REPRO_JOBS", "abc", ["--scale", "smoke"]),
         ("REPRO_BUS", "carrier-pigeon", ["--scale", "smoke"]),
+        ("REPRO_BUS", "spool", ["--scale", "smoke"]),
         ("REPRO_EXPERIMENT_SCALE", "smok", []),
     ],
 )
