@@ -8,7 +8,9 @@ in-process ``execute_job`` reference, wall-clock aside.  A second pass
 asks for every key through :meth:`ServeClient.attack` — the job-less,
 key-first warm path: each hit must decode to the reference artifact and
 schedule nothing.  The throughput of both passes and the warm-hit p50
-are printed for the job summary.  Exits non-zero on any divergence.
+are printed for the job summary, after the start-up line (seconds from
+spawn until the server listens and every worker has connected).  Exits
+non-zero on any divergence.
 
 Usage: ``check_serve.py [--workers N]``.
 """
@@ -23,6 +25,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from dataclasses import replace
 
@@ -92,6 +95,7 @@ def main(argv: list[str]) -> int:
     reference = {job.store_key: _fingerprint(execute_job(job)) for job in jobs}
 
     with tempfile.TemporaryDirectory() as tmp:
+        spawned = time.perf_counter()
         proc = subprocess.Popen(
             [
                 sys.executable, "-u", "-m", "repro.cli", "serve",
@@ -119,6 +123,27 @@ def main(argv: list[str]) -> int:
                 sys.stderr.write(f"server never came up:\n{tail}\n")
                 return 1
             address = match.group(1)
+            listening_s = time.perf_counter() - spawned
+            # Start-up, timing only: the forked fleet's hellos follow.  A
+            # drain thread counts them (and keeps the pipe from filling).
+            fleet = {"connected": 0}
+            ready = threading.Event()
+
+            def drain() -> None:
+                for line in proc.stdout:
+                    if "worker connected" in line:
+                        fleet["connected"] += 1
+                        if fleet["connected"] >= args.workers:
+                            ready.set()
+
+            threading.Thread(target=drain, daemon=True).start()
+            if args.workers:
+                ready.wait(timeout=60)
+            print(
+                f"serve-ci: ready {time.perf_counter() - spawned:.2f}s "
+                f"(listening {listening_s:.2f}s → {fleet['connected']} "
+                "workers connected)"
+            )
 
             client = ServeClient(address)
             remote = RemoteStore(address)

@@ -1,8 +1,8 @@
 """Attack as a service: a persistent server, warm results, remote store.
 
 Boots one real ``repro serve`` process — server, artifact store, and
-two pre-warmed pipelined workers in a single command — then drives it
-as a client:
+two pipelined workers forked from the warm server, in a single command
+— then drives it as a client:
 
 1. :class:`~repro.client.ServeClient` submits a locked circuit by
    **content key**; the first request trains (``queued``), and a warm

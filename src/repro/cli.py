@@ -260,12 +260,52 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fork_context():
+    """The ``fork`` start method, named explicitly: Python 3.14's Linux
+    default (``forkserver``) and macOS's (``spawn``) would start every
+    worker with a cold import of its own."""
+    import multiprocessing
+
+    from repro.serve import ServeError
+
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        raise ServeError(
+            "repro serve --workers N forks its workers, and this platform "
+            "has no os.fork: run `repro serve --workers 0` and start each "
+            "worker with `repro worker --serve-addr HOST:PORT`"
+        ) from None
+
+
+def _forked_worker(server, pipeline: int, poll: float) -> None:
+    """One ``--workers`` fleet member: ``repro worker`` minus its import."""
+    import functools
+    import signal
+
+    from repro.bus import run_worker
+
+    # The parent's handler stops *its* loop; a worker dies on SIGTERM.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    # Drop this process's copies of the server's sockets.  close() would
+    # unregister them from the epoll set the parent still polls.
+    server.close_forked()
+    # Flush per line: the fleet shares the server's stdout, and a worker
+    # ends on SIGTERM, which never flushes a buffer.
+    run_worker(
+        server.address,
+        poll=poll,
+        pipeline=pipeline,
+        log=functools.partial(print, flush=True),
+    )
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
-    import subprocess
 
     from repro.serve import AttackServer
 
+    context = _fork_context() if args.workers > 0 else None
     server = AttackServer(
         args.addr,
         args.store,
@@ -283,40 +323,34 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         flush=True,
     )
     # SIGTERM stops the loop like a `shutdown` op, so the finally below
-    # still terminates the worker processes instead of orphaning them.
+    # still terminates the workers instead of orphaning them.
     signal.signal(signal.SIGTERM, lambda *_: server.stop())
-    workers: list[subprocess.Popen] = []
+    workers = []
     try:
+        # Fork the fleet from this warm process, once, before
+        # serve_forever can start its fail-over thread: each worker
+        # inherits every imported module instead of paying a cold import.
         for _ in range(args.workers):
-            workers.append(
-                subprocess.Popen(
-                    [
-                        sys.executable,
-                        "-u",
-                        "-m",
-                        "repro.cli",
-                        "worker",
-                        "--serve-addr",
-                        server.address,
-                        "--pipeline",
-                        str(args.pipeline),
-                        "--poll",
-                        str(args.poll),
-                    ]
-                )
+            worker = context.Process(
+                target=_forked_worker,
+                args=(server, args.pipeline, args.poll),
             )
+            worker.start()
+            workers.append(worker)
         stats = server.serve_forever(
             idle_timeout=args.idle_timeout, max_requests=args.max_requests
         )
     finally:
         server.close()
-        for proc in workers:
-            proc.terminate()
-        for proc in workers:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                proc.kill()
+        for worker in workers:
+            worker.terminate()
+        # Join every child (kill the stuck ones first): no zombie is
+        # left, and each worker's rusage reaches whoever waits on us.
+        for worker in workers:
+            worker.join(timeout=10)
+            if worker.exitcode is None:  # pragma: no cover
+                worker.kill()
+                worker.join()
     print(f"serve: {stats.summary()}")
     print(f"serve: store {server.store.stats.summary()}")
     return 0
@@ -819,8 +853,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=2,
-        help="persistent pre-warmed worker processes to spawn "
-        "(0 = external workers connect with `repro worker --serve-addr`)",
+        help="persistent worker processes forked from the warm server "
+        "after its one import (needs os.fork; 0 = external workers, e.g. "
+        "on other hosts, connect with `repro worker --serve-addr`)",
     )
     p.add_argument(
         "--pipeline",

@@ -291,6 +291,24 @@ def dropout(
     return Tensor._make(x.data * mask, (x,), backward)
 
 
+def _matmul(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``np.matmul`` of two 2-D arrays, exact and faster when rank 1.
+
+    With one inner column, ``(n, 1) @ (1, m)`` is an outer product: an
+    elementwise multiply runs in about half the time of the k=1 GEMM and
+    rounds each product the same way.  The ``+= 0.0`` then turns the
+    ``-0.0`` a bare multiply can yield into the ``+0.0`` a GEMM (which
+    accumulates from zero) returns, so the bytes match ``np.matmul``.
+    """
+    if a.shape[1] != 1:
+        return np.matmul(a, b, out=out)
+    out = np.multiply(a, b, out=out)
+    out += 0.0
+    return out
+
+
 def graph_conv(
     norm_adj,
     h: Tensor,
@@ -391,7 +409,8 @@ def graph_conv(
         if weight.requires_grad:
             weight._accumulate_owned(h.data.T @ ga)
         if h.requires_grad:
-            h._accumulate_owned(np.matmul(ga, weight.data.T))
+            # Rank 1 in the DGCNN's last, width-1 layer.
+            h._accumulate_owned(_matmul(ga, weight.data.T))
 
     return Tensor._make(out_data, (h, weight), backward)
 
@@ -512,10 +531,11 @@ def sortpool_conv(
             # Zero padding rows so backward weight grads stay exact.
             block[invalid_rows] = 0.0
         gathered.append(block)
+        # Rank 1 for the width-1 block (the last graph_conv layer).
         if i == 0:
-            np.matmul(block, kernel_blocks[i].T, out=acc)
+            _matmul(block, kernel_blocks[i].T, out=acc)
         else:
-            np.matmul(block, kernel_blocks[i].T, out=part)
+            _matmul(block, kernel_blocks[i].T, out=part)
             acc += part
     acc += bias.data[None, :]
     out = np.ascontiguousarray(acc.reshape(n_graphs, k, c_out).transpose(0, 2, 1))

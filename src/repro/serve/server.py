@@ -17,7 +17,8 @@ codec frames) owns three kinds of peers on a single listening port:
   ``queued`` or ``rejected``) and, with ``wait=True``, by the ``result``
   frame when the artifact exists.  ``{op: wait, key, kind}`` subscribes
   to that frame without submitting.
-* **workers** (``repro worker --serve-addr``) announce themselves with
+* **workers** (the fleet ``repro serve --workers N`` forks, or ``repro
+  worker --serve-addr`` processes) announce themselves with
   ``{op: hello, role: worker, pipeline: N}`` and then receive **pushed**
   ``{op: job, ...}`` frames, up to *pipeline* in flight per connection —
   the worker executes serially, but the next job is already buffered in
@@ -336,6 +337,11 @@ class AttackServer:
 
     def close(self) -> None:
         self._server.close()
+
+    def close_forked(self) -> None:
+        """Release the sockets a forked child inherited, never the
+        parent's (see :meth:`repro.wire._Server.close_forked`)."""
+        self._server.close_forked()
 
     # -- message dispatch ----------------------------------------------------
     def _handle(self, connection: _Connection, message: dict) -> None:

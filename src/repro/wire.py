@@ -231,6 +231,25 @@ class _Server:
         self._listener.close()
         self.selector.close()
 
+    def close_forked(self) -> None:
+        """Close a forked child's copies of the listener, peer and selector
+        fds, leaving the parent's loop untouched.
+
+        Unlike :meth:`close`, this never calls ``selector.unregister``.
+        On Linux the selector is an epoll set, and a forked child shares
+        it with its parent: an ``EPOLL_CTL_DEL`` from the child removes
+        the parent's registration too, and the parent silently stops
+        accepting.  Closing a descriptor only drops this process's
+        reference; the parent's copy and its epoll entry stay live.
+        """
+        for sock in [*self.connections, self._listener]:
+            try:
+                sock.close()
+            except OSError:  # pragma: no cover
+                pass
+        self.connections.clear()
+        self.selector.close()  # closes the fd and forgets its map only
+
 
 class Channel:
     """One persistent request/reply connection to a ``repro serve`` endpoint.

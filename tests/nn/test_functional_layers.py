@@ -284,3 +284,25 @@ def test_adam_load_state_rejects_wrong_moment_shape_before_mutation():
         adam.load_state_dict(state)
     for m in adam.state_dict()["m"]:
         np.testing.assert_array_equal(m, np.zeros_like(m))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rank1_matmul_bytes_equal_the_k1_gemm(dtype):
+    """The rank-1 path graph_conv / sortpool_conv take is byte-identical
+    to ``np.matmul``: signed zeros, underflow and ordinary products."""
+    from repro.nn.functional import _matmul
+
+    tiny = np.finfo(dtype).tiny
+    special = [0.0, -0.0, tiny, -tiny, np.sqrt(tiny), -np.sqrt(tiny), 1.0, -3.5]
+    rng = np.random.default_rng(7)
+    column = np.concatenate([special, rng.standard_normal(2450)])
+    row = np.concatenate([special, rng.standard_normal(24)])
+    column = column.astype(dtype)[:, None]
+    row = row.astype(dtype)[None, :]
+    expected = np.matmul(column, row)
+    assert (np.signbit(expected) != np.signbit(column * row)).any()  # -0.0 seen
+    assert ((expected != 0) & (np.abs(expected) < tiny)).any()  # subnormals
+    assert _matmul(column, row).tobytes() == expected.tobytes()
+    out = np.full_like(expected, np.nan)
+    assert _matmul(column, row, out=out) is out
+    assert out.tobytes() == expected.tobytes()

@@ -10,6 +10,7 @@ job and asserts the served artifact is bit-identical to a serial
 :func:`execute_job` run.
 """
 
+import os
 import pathlib
 import signal
 import socket as socketlib
@@ -464,41 +465,100 @@ def test_undecodable_served_artifact_is_a_serve_error(server):
     worker.close()
 
 
-def test_sigterm_stops_serve_and_reaps_its_workers(tmp_path):
-    """SIGTERM leaves the loop like a ``shutdown`` op: the server still
-    terminates its worker processes.  They share its stdout, so EOF on
-    that pipe means no worker outlived the server."""
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sigterm_stops_serve_and_reaps_its_workers(tmp_path, workers):
+    """The forked fleet leaves the server accepting: once every worker
+    has connected, a ping and a smoke attack still succeed.  SIGTERM
+    then leaves the loop like a ``shutdown`` op, and the server still
+    terminates its workers.  They share its stdout, so EOF on that pipe
+    means no worker outlived the server."""
+    from repro.benchgen import load_benchmark
+    from repro.experiments.common import lock_with
+
+    cell = make_cell(SMOKE_SCALE, "c1355", 0.1, "D-MUX", 6, seed=0)
+    base = load_benchmark(cell.benchmark, scale=cell.circuit_scale)
+    locked = lock_with(cell.scheme, base, key_size=cell.key_size,
+                       seed=cell.lock_seed)
     src = str(pathlib.Path(repro.__file__).resolve().parents[1])
     proc = subprocess.Popen(
         [
             sys.executable, "-u", "-m", "repro.cli", "serve",
             "--addr", "127.0.0.1:0", "--store", str(tmp_path / "store"),
-            "--workers", "1", "--poll", "0.05",
+            "--workers", str(workers), "--poll", "0.05",
         ],
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src},
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        start_new_session=True,
     )
-    connected = threading.Event()
+    box = {"connected": 0}
+    ready = threading.Event()
 
-    def wait_for_worker() -> None:
+    def wait_for_workers() -> None:
         for line in proc.stdout:
+            if line.startswith("serve: listening on "):
+                box["address"] = line.split()[3]
             if "worker connected" in line:
-                connected.set()
-                return
+                box["connected"] += 1
+                if box["connected"] == workers:
+                    ready.set()
+                    return
 
     try:
-        reader = threading.Thread(target=wait_for_worker, daemon=True)
+        reader = threading.Thread(target=wait_for_workers, daemon=True)
         reader.start()
         reader.join(timeout=60)
-        assert connected.is_set(), "the serve worker never connected"
+        assert ready.is_set(), f"{box['connected']}/{workers} workers connected"
+        served = {}
+
+        def probe() -> None:
+            client = ServeClient(box["address"], retry=_FAST)
+            try:
+                served["ping"] = client.ping()
+                served["attack"] = client.attack(locked.circuit, cell.config)
+            except Exception as exc:  # surfaced by the asserts below
+                served["error"] = exc
+            finally:
+                client.close()
+
+        prober = threading.Thread(target=probe, daemon=True)
+        prober.start()
+        prober.join(timeout=120)
+        assert served.get("ping"), f"no ping reply after fork: {served}"
+        assert "attack" in served, f"no smoke attack result: {served}"
         proc.send_signal(signal.SIGTERM)
         output, _ = proc.communicate(timeout=60)
     finally:
-        proc.kill()
+        try:  # a failed run must not orphan the forked workers either
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
     assert proc.returncode == 0, output
-    assert "serve: requests=0" in output
+    assert "serve: requests=1 hits=0+0 coalesced=0 scheduled=1 completed=1" in output
+
+
+def test_serve_without_fork_names_the_external_fleet(
+    tmp_path, monkeypatch, capsys
+):
+    """Where ``os.fork`` is missing, ``--workers N`` is a typed error
+    pointing at ``--workers 0`` plus ``repro worker --serve-addr``."""
+    import multiprocessing
+
+    from repro.cli import main
+
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    argv = ["serve", "--addr", "127.0.0.1:0", "--store", str(tmp_path),
+            "--workers", "1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "--workers 0" in err and "repro worker --serve-addr" in err
+    assert "listening" not in out  # refused before binding the port
 
 
 def test_wait_for_unknown_key_fails_fast(server):
