@@ -7,10 +7,11 @@ fetched back through :class:`repro.store.RemoteStore` — against an
 in-process ``execute_job`` reference, wall-clock aside.  A second pass
 asks for every key through :meth:`ServeClient.attack` — the job-less,
 key-first warm path: each hit must decode to the reference artifact and
-schedule nothing.  The throughput of both passes and the warm-hit p50
-are printed for the job summary, after the start-up line (seconds from
-spawn until the server listens and every worker has connected).  Exits
-non-zero on any divergence.
+schedule nothing.  The server keeps one memory-tier entry, so all but at
+most one of those hits are store-tier frames.  The throughput of both
+passes and the warm-hit p50 are printed for the job summary, after the
+start-up line (seconds from spawn until the server listens and every
+worker has connected).  Exits non-zero on any divergence.
 
 Usage: ``check_serve.py [--workers N]``.
 """
@@ -103,6 +104,9 @@ def main(argv: list[str]) -> int:
                 "--store", str(pathlib.Path(tmp) / "store"),
                 "--workers", str(args.workers),
                 "--poll", "0.1",
+                # One memory-tier entry: the warm pass is served from the
+                # store tier, whose frames are built from the stored bytes.
+                "--cache-entries", "1",
             ],
             env={
                 **os.environ,
@@ -218,10 +222,16 @@ def main(argv: list[str]) -> int:
                     stats[tier] - before[tier]
                     for tier in ("memory_hits", "store_hits")
                 )
-                if rescheduled or hits != len(jobs):
+                store_hits = stats["store_hits"] - before["store_hits"]
+                if (
+                    rescheduled
+                    or hits != len(jobs)
+                    or store_hits < len(jobs) - 1
+                ):
                     sys.stderr.write(
                         f"the warm pass scheduled {rescheduled} job(s) and "
-                        f"hit {hits} of {len(jobs)} keys\n"
+                        f"hit {hits} of {len(jobs)} keys, {store_hits} of "
+                        "them from the store tier\n"
                     )
                     return 1
                 if stats["failed"] or stats["scheduled"] != len(jobs):

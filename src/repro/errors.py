@@ -10,6 +10,7 @@ __all__ = [
     "AttackError",
     "SimulationError",
     "TrainingError",
+    "ServeError",
 ]
 
 
@@ -39,3 +40,7 @@ class SimulationError(ReproError):
 
 class TrainingError(ReproError):
     """GNN training / dataset construction failure."""
+
+
+class ServeError(ReproError):
+    """The serve endpoint refused or could not satisfy a request."""

@@ -73,8 +73,8 @@ class DGCNN(Module):
         dropout: dropout rate before the output layer.
         seed: parameter-initialization / dropout seed.
         init: draw the initial weights from *seed*; ``False`` leaves
-            them at zero for :meth:`load_state_dict` (see
-            :meth:`from_state`).
+            them as read-only zeros that allocate nothing, for
+            :meth:`load_state_dict` to replace (see :meth:`from_state`).
     """
 
     def __init__(
@@ -122,10 +122,15 @@ class DGCNN(Module):
         """A trained model rebuilt from :meth:`state_dict` arrays (eval mode).
 
         Draws no random init — the weights are loaded, not overwritten —
-        and checks every shape as :meth:`load_state_dict` does.
+        and checks every shape as :meth:`load_state_dict` does.  It takes
+        ownership of each array whose dtype already matches its
+        parameter's (and that is writable and C-ordered): the model keeps
+        that array itself, so the caller must not reuse it.  Any other
+        array is cast into a copy.
         """
         model = cls(in_features, k, init=False)
-        model.load_state_dict(state)
+        for param, data in zip(model._checked(state), state):
+            param.data = np.require(data, param.data.dtype, ("C", "W"))
         model.eval()
         return model
 

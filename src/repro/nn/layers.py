@@ -4,8 +4,8 @@ Parameters are created in the runtime default dtype (float32 unless
 ``REPRO_DTYPE``/:func:`repro.nn.set_default_dtype` says otherwise);
 ``load_state_dict`` casts incoming arrays to each parameter's dtype so
 checkpoints round-trip across dtype modes.  A layer built with
-``rng=None`` draws nothing: its weights start at zero, for a
-``load_state_dict`` to fill.
+``rng=None`` draws and allocates nothing: its weights are read-only
+zero views, for a ``load_state_dict`` to replace.
 """
 
 from __future__ import annotations
@@ -61,6 +61,11 @@ class Module:
         return [p.data.copy() for p in self.parameters()]
 
     def load_state_dict(self, state: list[np.ndarray]) -> None:
+        for param, data in zip(self._checked(state), state):
+            param.data = np.asarray(data, dtype=param.data.dtype).copy()
+
+    def _checked(self, state: list[np.ndarray]) -> list[Tensor]:
+        """The parameters *state* fills, once every shape matches."""
         params = self.parameters()
         if len(state) != len(params):
             raise ValueError(
@@ -74,13 +79,24 @@ class Module:
                     f"parameter {i}: shape mismatch "
                     f"{param.data.shape} vs {np.asarray(data).shape}"
                 )
-        for param, data in zip(params, state):
-            param.data = np.asarray(data, dtype=param.data.dtype).copy()
+        return params
+
+
+#: The one element every placeholder weight views (itemsize <= 16).
+_ZERO = bytes(16)
+
+
+def _unset(*shape: int) -> np.ndarray:
+    """Zero weights for a ``load_state_dict`` to replace: a read-only
+    zero-stride view, so a large layer allocates nothing."""
+    return np.ndarray(
+        shape, default_dtype(), buffer=_ZERO, strides=(0,) * len(shape)
+    )
 
 
 def _glorot(rng: np.random.Generator | None, *shape: int) -> np.ndarray:
     if rng is None:
-        return np.zeros(shape, dtype=default_dtype())
+        return _unset(*shape)
     fan_in, fan_out = shape[-1], shape[0]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
@@ -119,7 +135,7 @@ class Conv1d(Module):
     ):
         shape = (out_channels, in_channels, kernel_size)
         if rng is None:
-            weight = np.zeros(shape, dtype=default_dtype())
+            weight = _unset(*shape)
         else:
             scale = np.sqrt(2.0 / (in_channels * kernel_size))
             weight = rng.normal(0.0, scale, size=shape)

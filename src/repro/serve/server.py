@@ -36,11 +36,12 @@ grid in-process and drives :meth:`AttackServer.step` itself.
 
 The warm path is three tiers: an in-memory LRU of **encoded** ``result``
 frames (a memory hit is one ``sendall``), then the on-disk store (a
-store hit decodes the file and encodes its frame once, into the LRU),
-then scheduling.  The in-process :class:`~repro.bus.SocketBus` sink is
-the one waiter that receives result frames decoded.  An identical request
-already executing **coalesces** — K clients asking for one key train it
-exactly once and all receive the result frame.  Failure semantics: a
+store hit reads the file once and writes a ``result`` manifest around
+its array bytes, into the LRU), then scheduling.  The in-process
+:class:`~repro.bus.SocketBus` sink is the one waiter that receives
+result frames decoded.  An identical request already executing
+**coalesces** — K clients asking for one key train it exactly once and
+all receive the result frame.  Failure semantics: a
 failed attempt requeues until ``max_attempts``, a dead worker
 connection requeues its whole in-flight window, and once queued work has
 waited the liveness deadline with no worker progress (only a worker
@@ -52,6 +53,7 @@ the server.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 import threading
@@ -73,18 +75,20 @@ from repro.bus.protocol import (
     decode_job,
     job_artifact_kind,
 )
-from repro.errors import ReproError
+from repro.errors import ServeError
 from repro.store import ArtifactStore, resolve_store
-from repro.wire import _Connection, _Server, decode_frame, encode_frame
+from repro.wire import (
+    _Connection,
+    _Server,
+    decode_frame,
+    encode_frame,
+    load_frame,
+)
 
 __all__ = ["AttackServer", "ServeError", "ServeStats"]
 
 #: In-memory result-cache size (encoded ``result`` frames).
 DEFAULT_CACHE_ENTRIES = 256
-
-
-class ServeError(ReproError):
-    """The serve endpoint refused or could not satisfy a request."""
 
 
 @dataclass
@@ -186,7 +190,7 @@ def _result(key: str, kind: str, payload: dict) -> dict:
     }
 
 
-def _deliver(waiter, frame: bytes) -> None:
+def _deliver(waiter, frame: bytes | bytearray) -> None:
     """Send an encoded result frame to a connection as is, or decoded to
     an in-process sink (:class:`~repro.bus.SocketBus`)."""
     if isinstance(waiter, _Connection):
@@ -251,7 +255,9 @@ class AttackServer:
         self.requests: dict[str, _Request] = {}
         self.queue: deque[str] = deque()  # keys awaiting dispatch
         self.workers: dict[_Connection, _WorkerLink] = {}
-        self._cache: OrderedDict[tuple[str, str], bytes] = OrderedDict()
+        self._cache: OrderedDict[tuple[str, str], bytes | bytearray] = (
+            OrderedDict()
+        )
         self._cache_entries = int(cache_entries)
         self._inbox: deque = deque()  # fail-over thread -> loop
         self._inbox_lock = threading.Lock()
@@ -531,11 +537,13 @@ class AttackServer:
     # -- warm tiers ----------------------------------------------------------
     def _lookup(
         self, kind: str, key: str, count_request: bool = True
-    ) -> bytes | None:
+    ) -> bytes | bytearray | None:
         """A warm key's encoded ``result`` frame; ``None`` = genuinely cold.
 
-        Memory tier first, then the store tier, whose hit is encoded
-        once and kept in the memory tier.
+        Memory tier first, then the store tier: its frame is the stored
+        file's bytes under a ``result`` manifest
+        (:func:`~repro.wire.load_frame`, never a decode and re-encode),
+        and is kept in the memory tier.
         """
         frame = self._cache.get((kind, key))
         if frame is not None:
@@ -543,16 +551,24 @@ class AttackServer:
             if count_request:
                 self.stats.memory_hits += 1
             return frame
-        payload = self.store.get(kind, key) if self.store.has(kind, key) else None
-        if payload is None:
-            return None  # miss, or corrupt (store warned); recompute
+        if not self.store.has(kind, key):
+            return None
+        frame = self.store.get(
+            kind, key,
+            read=functools.partial(
+                load_frame, wrap=functools.partial(_result, key, kind)
+            ),
+        )
+        if frame is None:
+            return None  # corrupt (store warned) or just gone; recompute
         if count_request:
             self.stats.store_hits += 1
-        frame = encode_frame(_result(key, kind, payload))
         self._cache_put(kind, key, frame)
         return frame
 
-    def _cache_put(self, kind: str, key: str, frame: bytes) -> None:
+    def _cache_put(
+        self, kind: str, key: str, frame: bytes | bytearray
+    ) -> None:
         self._cache[(kind, key)] = frame
         self._cache.move_to_end((kind, key))
         while len(self._cache) > self._cache_entries:

@@ -176,7 +176,9 @@ class ArtifactStore:
         return self.schema_dir / kind / key[:2] / f"{key}.npz"
 
     # -- read/write ---------------------------------------------------------
-    def get(self, kind: str, key: str, decoder=None) -> Any | None:
+    def get(
+        self, kind: str, key: str, decoder=None, read=None
+    ) -> Any | None:
         """Decode the artifact at (*kind*, *key*), or ``None`` on a miss.
 
         Corrupt, truncated or wrong-kind files count as misses: the
@@ -185,11 +187,15 @@ class ArtifactStore:
         applied to the payload under the same policy — a payload that
         does not decode into its domain object is a miss too — so every
         consumer (runner, ``run_muxlink``, a future remote scheduler)
-        shares one corruption-tolerance path.
+        shares one corruption-tolerance path.  *read* ``(path, kind=)``
+        replaces :func:`codec.load` as the file reader and must raise
+        what it raises — ``repro serve`` passes
+        :func:`repro.wire.load_frame` to get a hit's ``result`` frame
+        straight from the file's bytes.
         """
         path = self.path_for(kind, key)
         try:
-            payload = codec.load(path, kind=kind)
+            payload = (read or codec.load)(path, kind=kind)
         except FileNotFoundError:
             self.stats.misses += 1
             return None

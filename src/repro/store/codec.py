@@ -34,8 +34,17 @@ array lie inside the blob; that each dtype is bool, integer, float or
 complex (never object, void or datetime); that shapes are non-negative
 ints with ``nbytes == prod(shape) * itemsize``; and that every
 ``__array__`` reference is an int naming an existing entry.  Any failure
-raises :class:`CodecError`.  Decoded arrays are writable views into one
-private copy of the blob.
+raises :class:`CodecError`.
+
+Decoded arrays are writable views into one buffer, and nothing is copied
+twice.  :func:`loads` *adopts* a ``bytearray``: the arrays view it, so
+the caller hands it over and must not reuse it (``repro.wire`` receives
+each frame into its own).  Any other bytes-like blob is copied once into
+a private buffer, and :func:`load` reads a file straight into one.
+:func:`load_wrapped` serves a stored artifact inside another message
+(``repro serve``'s store-tier ``result`` frame): it writes a new
+manifest and reads the file's data section into the same buffer, since
+array offsets are relative to that section.
 
 :func:`dump` writes atomically — a same-directory temporary file is
 renamed into place with ``os.replace`` — so a reader never observes a
@@ -47,7 +56,9 @@ archives.
 
 from __future__ import annotations
 
+import contextlib
 import errno
+import io
 import json
 import math
 import os
@@ -55,14 +66,22 @@ import re
 import struct
 import uuid
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from repro import faults
 from repro.errors import ReproError
 
-__all__ = ["CODEC_VERSION", "CodecError", "dump", "dumps", "load", "loads"]
+__all__ = [
+    "CODEC_VERSION",
+    "CodecError",
+    "dump",
+    "dumps",
+    "load",
+    "load_wrapped",
+    "loads",
+]
 
 #: Bump when the byte layout or the manifest changes incompatibly.
 CODEC_VERSION = 2
@@ -149,8 +168,18 @@ def _expand(node: Any, arrays: list[np.ndarray]) -> Any:
     return {key: _expand(value, arrays) for key, value in node.items()}
 
 
-def _encode(payload: Any, kind: str) -> list:
-    """The blob as a list of byte chunks (header, manifest, pads, arrays)."""
+def _manifest(kind: str, tree: Any, table: Any) -> bytes:
+    try:
+        return json.dumps(
+            {"codec": CODEC_VERSION, "kind": kind, "tree": tree, "arrays": table},
+            separators=(",", ":"),
+        ).encode()
+    except (ValueError, RecursionError) as exc:  # e.g. an int past str()'s limit
+        raise CodecError(f"payload is not encodable ({exc})") from exc
+
+
+def _encode(payload: Any, kind: str) -> tuple[list, int]:
+    """The blob as byte chunks (header, manifest, pads, arrays) and its length."""
     arrays: list[np.ndarray] = []
     try:
         tree = _flatten(payload, arrays)
@@ -161,13 +190,7 @@ def _encode(payload: Any, kind: str) -> list:
         offset = _aligned(end)
         table.append([array.dtype.str, list(array.shape), offset, array.nbytes])
         end = offset + array.nbytes
-    try:
-        manifest = json.dumps(
-            {"codec": CODEC_VERSION, "kind": kind, "tree": tree, "arrays": table},
-            separators=(",", ":"),
-        ).encode()
-    except (ValueError, RecursionError) as exc:  # e.g. an int past str()'s limit
-        raise CodecError(f"payload is not encodable ({exc})") from exc
+    manifest = _manifest(kind, tree, table)
     chunks = [_HEADER.pack(_MAGIC, len(manifest)), manifest]
     position = _HEADER.size + len(manifest)
     start = _aligned(position)
@@ -176,10 +199,14 @@ def _encode(payload: Any, kind: str) -> list:
             chunks.append(bytes(start + offset - position))
         chunks.append(array)
         position = start + offset + nbytes
-    return chunks
+    return chunks, position
 
 
-def _decode_arrays(table: Any, buffer: bytearray, start: int) -> list[np.ndarray]:
+def _decode_arrays(
+    table: Any, buffer: bytearray, start: int, end: int
+) -> list[np.ndarray]:
+    """Views into *buffer* of the arrays *table* lists, for a data section
+    at offset *start* of a blob that ends at offset *end*."""
     if type(table) is not list:
         raise CodecError("array table is not a list")
     arrays = []
@@ -201,7 +228,7 @@ def _decode_arrays(table: Any, buffer: bytearray, start: int) -> list[np.ndarray
             raise CodecError(f"bad array extent {offset!r:.40}+{nbytes!r:.40}")
         if nbytes != math.prod(shape) * dtype.itemsize:
             raise CodecError(f"{nbytes} bytes do not hold {dtype_str}{shape}")
-        if start + offset + nbytes > len(buffer):
+        if start + offset + nbytes > end:
             raise CodecError("array data runs past the end of the blob")
         try:
             arrays.append(np.ndarray(shape, dtype, buffer, start + offset))
@@ -210,21 +237,25 @@ def _decode_arrays(table: Any, buffer: bytearray, start: int) -> list[np.ndarray
     return arrays
 
 
-def _decode(blob: bytes, source: str, kind: str) -> Any:
-    buffer = bytearray(blob)  # one private, writable copy the arrays view
-    if len(buffer) < _HEADER.size:
-        raise CodecError(f"{source}: truncated header ({len(buffer)} bytes)")
-    magic, length = _HEADER.unpack_from(buffer)
+def _read_manifest(
+    blob: bytes | bytearray, size: int, source: str, kind: str
+) -> tuple[dict, int]:
+    """Check a blob's header and manifest; return the manifest and where
+    its data section starts.  *blob* holds at least the header and the
+    manifest, *size* is the whole blob's length."""
+    if size < _HEADER.size:
+        raise CodecError(f"{source}: truncated header ({size} bytes)")
+    magic, length = _HEADER.unpack_from(blob)
     if magic != _MAGIC:
         raise CodecError(
             f"{source}: not a repro.store artifact (no {_MAGIC.decode()} "
             f"header; codec {CODEC_VERSION} does not read older npz files)"
         )
-    if _HEADER.size + length > len(buffer):
+    if _HEADER.size + length > size:
         raise CodecError(f"{source}: manifest runs past the end of the blob")
     try:
         manifest = json.loads(
-            str(memoryview(buffer)[_HEADER.size : _HEADER.size + length], "utf-8")
+            str(memoryview(blob)[_HEADER.size : _HEADER.size + length], "utf-8")
         )
     except (ValueError, RecursionError) as exc:  # bad UTF-8/JSON, huge ints
         raise CodecError(f"{source}: unreadable manifest ({exc})") from exc
@@ -242,9 +273,15 @@ def _decode(blob: bytes, source: str, kind: str) -> Any:
         )
     if "tree" not in manifest:
         raise CodecError(f"{source}: manifest has no tree")
-    start = _aligned(_HEADER.size + length)
+    return manifest, _aligned(_HEADER.size + length)
+
+
+def _payload(
+    manifest: dict, buffer: bytearray, start: int, end: int, source: str
+) -> Any:
+    """The payload a checked manifest describes, its arrays viewing *buffer*."""
     try:
-        arrays = _decode_arrays(manifest.get("arrays"), buffer, start)
+        arrays = _decode_arrays(manifest.get("arrays"), buffer, start, end)
         return _expand(manifest["tree"], arrays)
     except CodecError as exc:
         raise CodecError(f"{source}: {exc}") from None
@@ -252,24 +289,43 @@ def _decode(blob: bytes, source: str, kind: str) -> Any:
         raise CodecError(f"{source}: payload nests too deeply") from exc
 
 
-def dumps(payload: Any, kind: str) -> bytes:
+def _decode(blob: bytes | bytearray, source: str, kind: str) -> Any:
+    # A bytearray is adopted; anything else is copied into one.
+    buffer = blob if isinstance(blob, bytearray) else bytearray(blob)
+    manifest, start = _read_manifest(buffer, len(buffer), source, kind)
+    return _payload(manifest, buffer, start, len(buffer), source)
+
+
+def dumps(
+    payload: Any, kind: str, prefix: Callable[[int], bytes] | None = None
+) -> bytes:
     """Serialize *payload* to bytes — the same layout :func:`dump` writes.
 
     The message flavour of the codec: every ``repro serve`` frame and
     every remote-store blob, with the same bit-exact array and
-    arbitrary-precision-int round-trip guarantees.
+    arbitrary-precision-int round-trip guarantees.  *prefix*, given the
+    blob's length, returns bytes that precede the blob in the one buffer
+    returned (a wire frame's length prefix).
     """
-    return b"".join(_encode(payload, kind))
+    chunks, size = _encode(payload, kind)
+    if prefix is not None:
+        chunks.insert(0, prefix(size))
+    return b"".join(chunks)
 
 
-def loads(blob: bytes, kind: str) -> Any:
-    """Decode a message written by :func:`dumps` (same checks as :func:`load`)."""
+def loads(blob: bytes | bytearray, kind: str) -> Any:
+    """Decode a message written by :func:`dumps` (same checks as :func:`load`).
+
+    A ``bytearray`` is adopted: the decoded arrays are views into it, so
+    the caller hands it over and must not reuse it.  Any other
+    bytes-like *blob* is copied once into a private buffer.
+    """
     return _decode(blob, "<message>", kind)
 
 
 def dump(payload: Any, path: str | os.PathLike, kind: str) -> None:
     """Serialize *payload* to *path* atomically (tmp file + rename)."""
-    chunks = _encode(payload, kind)
+    chunks, _ = _encode(payload, kind)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # Unique same-directory tmp name: concurrent writers never share a tmp
@@ -296,8 +352,31 @@ def dump(payload: Any, path: str | os.PathLike, kind: str) -> None:
             tmp.unlink()
 
 
+@contextlib.contextmanager
+def _opened(path: str | os.PathLike) -> Iterator[io.FileIO]:
+    """*path* opened unbuffered; a read error other than a missing file
+    is a :class:`CodecError`."""
+    try:
+        with open(path, "rb", buffering=0) as handle:
+            yield handle
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise CodecError(f"{path}: unreadable artifact ({exc})") from exc
+
+
+def _read_fault(path: str | os.PathLike) -> None:
+    # After the successful parse, so a genuinely missing file stays a
+    # plain miss — the injected flavour is bit rot on a file that
+    # exists, which callers must treat as corruption.
+    if faults.fire("store.read_corrupt"):
+        raise CodecError(f"{path}: injected fault store.read_corrupt")
+
+
 def load(path: str | os.PathLike, kind: str) -> Any:
     """Decode an artifact written by :func:`dump`.
+
+    The file is read once, into the buffer its arrays view.
 
     Raises:
         FileNotFoundError: *path* does not exist (a plain cache miss —
@@ -306,17 +385,55 @@ def load(path: str | os.PathLike, kind: str) -> Any:
             artifact, of a different *kind*, or from an incompatible
             codec version.
     """
-    try:
-        with open(path, "rb") as handle:
-            blob = handle.read()
-    except FileNotFoundError:
-        raise
-    except OSError as exc:
-        raise CodecError(f"{path}: unreadable artifact ({exc})") from exc
+    with _opened(path) as handle:
+        blob = bytearray(os.fstat(handle.fileno()).st_size)
+        del blob[handle.readinto(blob) :]  # a file that shrank is torn
     payload = _decode(blob, str(path), kind)
-    if faults.fire("store.read_corrupt"):
-        # After the successful parse, so a genuinely missing file stays
-        # a plain miss — the injected flavour is bit rot on a file that
-        # exists, which callers must treat as corruption.
-        raise CodecError(f"{path}: injected fault store.read_corrupt")
+    _read_fault(path)
     return payload
+
+
+def load_wrapped(
+    path: str | os.PathLike,
+    kind: str,
+    wrap: Callable[[Any], Any],
+    into: str,
+    prefix: Callable[[int], bytes],
+) -> bytearray:
+    """``dumps(wrap(load(path, kind)), into, prefix)``, built from the file.
+
+    *wrap* nests the artifact's tree in a new tree under a new manifest,
+    and the file's data section is read once, straight into the returned
+    buffer: array offsets are relative to that section, so it needs no
+    re-encoding.  Every check :func:`load` makes is made, and the same
+    errors are raised.  For any file :func:`dump` wrote the bytes equal
+    the ``dumps`` expression's; a hand-made blob keeps its own array
+    layout, which decodes to the same payload.
+    """
+    source = str(path)
+    with _opened(path) as handle:
+        size = os.fstat(handle.fileno()).st_size
+        head = handle.read(_HEADER.size)
+        if len(head) == _HEADER.size:
+            length = _HEADER.unpack(head)[1]
+            if _HEADER.size + length <= size:
+                head += handle.read(length)
+        manifest, start = _read_manifest(head, size, source, kind)
+        text = _manifest(into, wrap(manifest["tree"]), manifest.get("arrays"))
+        data = size - start  # the stored data section; < 0 when absent
+        length = _HEADER.size + len(text)
+        base = _aligned(length)
+        if manifest.get("arrays"):
+            length = base + max(data, 0)
+        lead = prefix(length)
+        frame = bytearray(len(lead) + length)
+        header = lead + _HEADER.pack(_MAGIC, len(text)) + text
+        frame[: len(header)] = header
+        base += len(lead)
+        got = 0
+        if len(frame) > base:
+            handle.seek(start)
+            got = handle.readinto(memoryview(frame)[base:])
+    _payload(manifest, frame, base, base + min(got, data), source)  # load's checks
+    _read_fault(path)
+    return frame

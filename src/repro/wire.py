@@ -10,8 +10,10 @@ rejects (:class:`~repro.store.codec.CodecError`) drops that peer, never
 the server.  This module holds the pieces both ends need:
 
 * the framing (:func:`encode_frame` / :func:`decode_frame`,
-  :func:`send_message` / :func:`recv_message`) and
-  :func:`parse_address`;
+  :func:`send_message` / :func:`recv_message`, and :func:`load_frame`
+  for a stored artifact's ``result`` frame) and :func:`parse_address`;
+  each frame is one buffer on both sides, and a received one is the
+  buffer its decoded arrays view;
 * the server-side selector plumbing (:class:`_Server`,
   :class:`_Connection`) the :class:`~repro.serve.AttackServer` loop runs
   on;
@@ -30,6 +32,7 @@ import threading
 
 from repro import faults
 from repro.bus.protocol import BUS_MESSAGE_KIND, BusError
+from repro.errors import ServeError
 from repro.faults.retry import RetryPolicy
 from repro.store import codec
 from repro.store.codec import CodecError
@@ -39,6 +42,7 @@ __all__ = [
     "Channel",
     "decode_frame",
     "encode_frame",
+    "load_frame",
     "parse_address",
     "recv_message",
     "send_message",
@@ -48,6 +52,11 @@ _LEN_BYTES = 4
 #: Frames above this are refused outright — a desynced or hostile peer
 #: must not make the server allocate gigabytes.
 MAX_FRAME = 512 * 1024 * 1024
+#: The most one receive grows a frame's buffer ahead of the bytes that
+#: have arrived.
+_READ = 1 << 20
+#: Each server-side connection's reusable read buffer.
+_CHUNK = 1 << 16
 
 
 def parse_address(text: str) -> tuple[str, int]:
@@ -60,15 +69,27 @@ def parse_address(text: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
+def _length_prefix(length: int) -> bytes:
+    return length.to_bytes(_LEN_BYTES, "big")
+
+
 def encode_frame(payload: dict) -> bytes:
-    """One framed codec message: length prefix + blob, ready to send."""
-    blob = codec.dumps(payload, kind=BUS_MESSAGE_KIND)
-    return len(blob).to_bytes(_LEN_BYTES, "big") + blob
+    """One framed codec message, length prefix and blob in one buffer."""
+    return codec.dumps(payload, kind=BUS_MESSAGE_KIND, prefix=_length_prefix)
 
 
-def decode_frame(frame: bytes) -> dict:
+def load_frame(path, kind: str, wrap) -> bytearray:
+    """``encode_frame(wrap(codec.load(path, kind)))``, built from the
+    stored file's bytes (:func:`repro.store.codec.load_wrapped`): the
+    artifact is read once and never decoded into a new encoding."""
+    return codec.load_wrapped(
+        path, kind, wrap, BUS_MESSAGE_KIND, _length_prefix
+    )
+
+
+def decode_frame(frame: bytes | bytearray) -> dict:
     """The message an :func:`encode_frame` frame carries."""
-    return codec.loads(frame[_LEN_BYTES:], kind=BUS_MESSAGE_KIND)
+    return codec.loads(memoryview(frame)[_LEN_BYTES:], kind=BUS_MESSAGE_KIND)
 
 
 def send_message(sock: socket.socket, payload: dict) -> None:
@@ -77,7 +98,11 @@ def send_message(sock: socket.socket, payload: dict) -> None:
 
 
 def recv_message(sock: socket.socket) -> dict | None:
-    """Read one framed message from a blocking socket; ``None`` on EOF."""
+    """Read one framed message from a blocking socket; ``None`` on EOF.
+
+    The blob is received into one ``bytearray`` that the codec adopts,
+    so the decoded arrays are views into it and nothing is copied again.
+    """
     header = _recv_exact(sock, _LEN_BYTES)
     if header is None:
         return None
@@ -90,42 +115,52 @@ def recv_message(sock: socket.socket) -> dict | None:
     return codec.loads(blob, kind=BUS_MESSAGE_KIND)
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+def _recv_exact(sock: socket.socket, n: int) -> bytearray | None:
+    """*n* bytes in one ``bytearray``; ``None`` on EOF before them.
+
+    The buffer grows one bounded read (:data:`_READ`) at a time as bytes
+    arrive, so a length prefix alone never allocates more than that.
+    """
+    buffer = bytearray(min(n, _READ))
+    got = 0
+    while True:
+        with memoryview(buffer) as view:
+            while got < len(buffer):
+                count = sock.recv_into(view[got:])
+                if not count:
+                    return None
+                got += count
+        if got == n:
+            return buffer
+        buffer += bytes(min(n - got, _READ))
 
 
 class _Connection:
     """One peer link on the server side: recv buffer + frame splitting.
 
-    Received bytes append to one ``bytearray`` and complete frames are
-    read from an offset, so a frame costs time linear in its size however
-    many ``recv`` calls it arrives in.
+    Each readiness event reads into the connection's reusable read
+    buffer; the bytes append to one ``bytearray`` and complete frames
+    are read from an offset, so a frame costs time linear in its size
+    however many reads it arrives in.
     """
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.buffer = bytearray()
+        self._chunk = memoryview(bytearray(_CHUNK))  # recv_into, reused
 
     def feed(self) -> list[dict] | None:
         """Drain readable bytes into complete frames; ``None`` = gone."""
         try:
-            data = self.sock.recv(1 << 20)
+            count = self.sock.recv_into(self._chunk)
         except BlockingIOError:  # pragma: no cover - spurious readiness
             return []
         except OSError:
             return None
-        if not data:
+        if not count:
             return None
         buffer = self.buffer
-        buffer += data
+        buffer += self._chunk[:count]
         messages = []
         start = 0
         while len(buffer) - start >= _LEN_BYTES:
@@ -135,7 +170,7 @@ class _Connection:
             end = start + _LEN_BYTES + length
             if len(buffer) < end:
                 break
-            try:
+            try:  # the slice is a private bytearray, adopted by the codec
                 messages.append(
                     codec.loads(buffer[start + _LEN_BYTES : end],
                                 kind=BUS_MESSAGE_KIND)
@@ -257,7 +292,8 @@ class Channel:
     Thread-safe (one exchange at a time).  A socket error or EOF drops
     the connection, and :meth:`exchange` reconnects and retries on the
     *retry* backoff — which also absorbs the server's injected
-    ``serve.accept_drop``.
+    ``serve.accept_drop``.  A reply frame that is not a mapping drops it
+    too and raises :class:`~repro.errors.ServeError` naming the op.
     """
 
     def __init__(
@@ -318,6 +354,13 @@ class Channel:
                         reply = recv_message(self._sock)
                         if reply is None:
                             raise OSError(f"{self.name} connection closed")
+                        if not isinstance(reply, dict):
+                            self._drop()  # the stream cannot be trusted
+                            raise ServeError(
+                                f"{self.name} {payload.get('op')}: the reply "
+                                f"frame is a {type(reply).__name__}, not a "
+                                "mapping"
+                            )
                         if reply.get("op") in expect and (
                             expect_key is None
                             or str(reply.get("key", "")) == expect_key

@@ -402,10 +402,10 @@ def test_memory_hit_sends_the_cached_frame_without_encoding(
     encoded = []
     dumps = codec.dumps
 
-    def counting(payload, kind):
+    def counting(payload, kind, **options):
         if isinstance(payload, dict) and payload.get("op") == "result":
             encoded.append(payload["key"])
-        return dumps(payload, kind)
+        return dumps(payload, kind, **options)
 
     monkeypatch.setattr(codec, "dumps", counting)
     for _ in range(3):
@@ -566,6 +566,31 @@ def test_wait_for_unknown_key_fails_fast(server):
     with pytest.raises(ServeError, match="never submitted"):
         client.result("f" * 16)
     client.close()
+
+
+def test_non_mapping_reply_is_a_serve_error_naming_the_op():
+    """A peer that answers ``ping`` with a list, not a dict, makes the
+    client raise ServeError, never an AttributeError traceback."""
+    listener = socketlib.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def fake_server():
+        conn, _ = listener.accept()
+        with conn:
+            recv_message(conn)
+            send_message(conn, [1, 2, 3])
+            conn.recv(1)  # hold the line until the client hangs up
+
+    thread = threading.Thread(target=fake_server, daemon=True)
+    thread.start()
+    client = ServeClient(f"127.0.0.1:{port}", retry=_FAST)
+    try:
+        with pytest.raises(ServeError, match="ping.*list, not a mapping"):
+            client.ping()
+    finally:
+        client.close()
+        thread.join(timeout=10)
+        listener.close()
 
 
 def test_accept_drop_is_absorbed_by_client_retry(server):
