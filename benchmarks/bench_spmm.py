@@ -56,6 +56,7 @@ from repro.gnn import (
     DGCNN,
     build_batch,
     choose_sortpool_k,
+    onehot_rows,
 )
 from repro.linkpred import (
     TrainConfig,
@@ -233,7 +234,15 @@ class Pr2DGCNN(DGCNN):
 
 
 class Pr2Assembler(BatchAssembler):
-    """The PR 2 assemble: per-example offset adds + validated csr ctor."""
+    """The PR 2 assemble: per-example offset adds + validated csr ctor,
+    over dense feature rows kept per example."""
+
+    def __init__(self, examples):
+        super().__init__(examples)
+        self._features = [
+            onehot_rows(e.features, np.empty((e.n_nodes, self.width), self.dtype))
+            for e in examples
+        ]
 
     def assemble(self, index_order):
         import scipy.sparse as sp

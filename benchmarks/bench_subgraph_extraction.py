@@ -32,6 +32,7 @@ from collections import deque
 import numpy as np
 
 from repro.benchgen import load_benchmark
+from repro.gnn import onehot_rows
 from repro.linkpred import (
     extract_attack_graph,
     extract_enclosing_subgraph,
@@ -188,7 +189,8 @@ def test_speedup_and_bit_identical_datasets():
         tx, tf = min(tx, tx2), min(tf, tf2)
 
     # Bit-identical dataset contents: same members (and order), labels and
-    # feature matrices; edge *sets* match (the seed emitted edges in
+    # feature matrices (the batched side's index-coded columns written
+    # back into dense rows); edge *sets* match (the seed emitted edges in
     # Python-set iteration order, which is not part of the contract).
     assert ml == seed_ml
     for (members, labels, edges, _, _), sub, fs, fb in zip(
@@ -197,7 +199,7 @@ def test_speedup_and_bit_identical_datasets():
         assert list(sub.nodes) == members
         assert list(sub.labels) == list(labels)
         assert sorted(map(tuple, sub.edges.tolist())) == sorted(edges)
-        np.testing.assert_array_equal(fs, fb)
+        np.testing.assert_array_equal(fs, onehot_rows(fb, np.empty(fs.shape)))
 
     extract_speedup = seed_tx / tx
     total_speedup = (seed_tx + seed_tf) / (tx + tf)

@@ -7,6 +7,7 @@ from repro.gnn.batching import (
     GraphExample,
     build_batch,
     normalized_adjacency,
+    onehot_rows,
 )
 from repro.gnn.dgcnn import DGCNN, MIN_SORTPOOL_K, choose_sortpool_k
 
@@ -17,6 +18,7 @@ __all__ = [
     "BatchAssembler",
     "build_batch",
     "normalized_adjacency",
+    "onehot_rows",
     "DGCNN",
     "choose_sortpool_k",
     "MIN_SORTPOOL_K",

@@ -6,17 +6,24 @@ graph convolutions of the whole batch run as a single sparse-dense product.
 
 Every operator is built by :func:`normalized_blocks`, which normalizes all
 the graphs of a list in one vectorized array pass over their concatenated,
-offset edge arrays.  That work and the feature stacking are paid **once
-per split**:
+offset edge arrays.  That work is paid **once per split**:
 
 * :class:`BatchCache` prebuilds a fixed partition of a split (used for
   validation and scoring, whose composition never changes), and
 * :class:`BatchAssembler` builds every example's normalized operator in
   one :func:`normalized_blocks` pass and keeps per-example views of it
-  plus the feature blocks, then assembles *any* shuffled index order into
+  plus the feature columns, then assembles *any* shuffled index order into
   block-diagonal :class:`GraphBatch` es by pure array stitching — the
   per-epoch cost of a shuffling training loop drops to ``concatenate``
   calls, bit-identical to rebuilding from scratch.
+
+Node features arrive either as dense float rows or **index-coded**: the
+paper's node-information matrix is a concatenation of one-hot blocks, so
+an example may carry just each row's one-hot column indices (an unsigned
+``(n_nodes, c)`` array plus the dense width).  Dense rows are then
+written for one batch at a time (:func:`onehot_rows`): a
+:class:`BatchAssembler` holds no dense matrix of its split, while a
+:class:`BatchCache` keeps every prebuilt batch, dense rows included.
 
 The per-batch SortPooling order bases (``graph_ids`` and
 ``segment_positions``) are cached lazily on the batch itself.
@@ -44,6 +51,7 @@ __all__ = [
     "build_batch",
     "normalized_adjacency",
     "normalized_blocks",
+    "onehot_rows",
 ]
 
 
@@ -55,14 +63,20 @@ class GraphExample:
         n_nodes: node count.
         edges: ``(E, 2)`` int array of undirected edges (one row per pair;
             both directions are added when building the operator).
-        features: ``(n_nodes, d)`` node-information matrix.
+        features: the node-information matrix, either dense —
+            ``(n_nodes, d)`` floats — or index-coded — an ``(n_nodes, c)``
+            *unsigned* integer array of each row's one-hot columns, the
+            dense row being ``sum_j onehot(features[:, j])``.
         label: class label (1 = link, 0 = no link) or -1 when unknown.
+        feature_width: the dense width ``d``; required for index-coded
+            features, filled in from the shape for dense ones.
     """
 
     n_nodes: int
     edges: np.ndarray
     features: np.ndarray
     label: int = -1
+    feature_width: int | None = None
 
     def __post_init__(self) -> None:
         if self.features.shape[0] != self.n_nodes:
@@ -73,6 +87,52 @@ class GraphExample:
             self.edges.min() < 0 or self.edges.max() >= self.n_nodes
         ):
             raise ValueError("edge endpoint out of range")
+        if not self.index_coded:
+            if self.feature_width not in (None, self.features.shape[1]):
+                raise ValueError(
+                    f"feature_width {self.feature_width} for "
+                    f"{self.features.shape[1]} dense columns"
+                )
+            object.__setattr__(self, "feature_width", self.features.shape[1])
+        elif self.feature_width is None:
+            raise ValueError("index-coded features need a feature_width")
+
+    @property
+    def index_coded(self) -> bool:
+        """Whether :attr:`features` holds one-hot column indices."""
+        return self.features.dtype.kind == "u"
+
+
+def onehot_rows(cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the dense rows of index-coded *cols* into *out* and return it.
+
+    *out* is a C-contiguous ``(N, width)`` array: it is zero-filled and
+    ``out[i, cols[i, j]]`` set to 1 in one flat-index write.
+    """
+    n, width = out.shape
+    out.fill(0)
+    out.reshape(-1)[cols.T + np.arange(0, n * width, width)] = 1
+    return out
+
+
+def _feature_layout(examples: Sequence[GraphExample]) -> tuple[int, bool]:
+    """The ``(feature_width, index_coded)`` that all *examples* share.
+
+    Index-coded columns are range-checked where they are stacked
+    (:func:`_stack_cols`), in one pass per split or batch.
+    """
+    layouts = {(e.feature_width, e.index_coded) for e in examples}
+    if len(layouts) > 1:
+        raise ValueError(f"inconsistent feature layouts {sorted(layouts)}")
+    return layouts.pop() if layouts else (0, False)
+
+
+def _stack_cols(examples: Sequence[GraphExample], width: int) -> np.ndarray:
+    """The index-coded feature columns of *examples*, stacked row-wise."""
+    cols = np.concatenate([e.features for e in examples])
+    if cols.size and cols.max() >= width:
+        raise ValueError(f"feature column out of range for width {width}")
+    return cols
 
 
 def _sorted_unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,11 +227,13 @@ class GraphBatch:
     features: np.ndarray
     node_offsets: np.ndarray  # (B + 1,) prefix sums
     labels: np.ndarray  # (B,)
-    #: Optional ``(N, c)`` column indices when every feature row is a
-    #: concatenation of one-hots (the paper's node-information matrix):
-    #: ``features[i]`` is then exactly ``sum_j onehot(feature_onehot[i, j])``.
-    #: Lets the first graph convolution replace its ``H @ W`` GEMM with c
-    #: row gathers of ``W``.  ``None`` when the structure is unknown.
+    #: ``(N, c)`` intp one-hot column indices of the batch rows, ascending
+    #: within a row, so ``features[i] == sum_j onehot(feature_onehot[i, j])``.
+    #: :meth:`BatchAssembler.assemble` sets it for index-coded examples —
+    #: the training batches — and the first graph convolution then
+    #: replaces its ``H @ W`` GEMM with ``c`` row gathers of ``W``.
+    #: :func:`build_batch` leaves it ``None``, so validation and scoring
+    #: run the GEMM, as does every batch of dense examples.
     feature_onehot: np.ndarray | None = None
 
     @property
@@ -209,21 +271,25 @@ def build_batch(examples: Sequence[GraphExample]) -> GraphBatch:
     The block-diagonal ``D^-1 (A + I)`` operator comes from one
     :func:`normalized_blocks` pass over all the examples.  Operator
     data and features are stored in the runtime default dtype so forward
-    passes never re-cast.
+    passes never re-cast; index-coded features are written dense for
+    this batch only.
     """
     if not examples:
         raise ValueError("cannot batch zero graphs")
-    widths = {e.features.shape[1] for e in examples}
-    if len(widths) != 1:
-        raise ValueError(f"inconsistent feature widths {sorted(widths)}")
+    width, index_coded = _feature_layout(examples)
     dtype = default_dtype()
-    features = np.vstack([e.features for e in examples]).astype(
-        dtype, copy=False
-    )
     sizes = np.array([e.n_nodes for e in examples])
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     labels = np.array([e.label for e in examples], dtype=np.int64)
     total = int(offsets[-1])
+    if index_coded:
+        features = onehot_rows(
+            _stack_cols(examples, width), np.empty((total, width), dtype)
+        )
+    else:
+        features = np.vstack([e.features for e in examples]).astype(
+            dtype, copy=False
+        )
     return GraphBatch(
         operator=SparseOp(
             *normalized_blocks(sizes, [e.edges for e in examples]),
@@ -241,12 +307,13 @@ class BatchAssembler:
     The normalized operators ``D^-1 (A + I)`` of all examples are built
     exactly once, at construction, in a single :func:`normalized_blocks`
     pass; every example keeps views of its CSR data / block-local indices /
-    indptr and of its feature block.  :meth:`assemble` then fuses any index
-    order into a block-diagonal :class:`GraphBatch` with plain
-    ``concatenate`` calls — no dedup/degree work ever runs again, and the
-    result is bit-identical to :func:`build_batch` over the same examples
-    (the block-diagonal operator decomposes exactly into per-example
-    blocks).
+    indptr.  Index-coded features live in one flat column-index arena;
+    dense examples are referenced as given.  :meth:`assemble` then fuses
+    any index order into a block-diagonal :class:`GraphBatch` with plain
+    ``concatenate`` calls and writes that batch's dense feature block —
+    no dedup/degree work ever runs again, and the result is bit-identical
+    to :func:`build_batch` over the same examples (the block-diagonal
+    operator decomposes exactly into per-example blocks).
 
     This is what lets the trainer keep the paper's example-level shuffle
     (fresh batch composition every epoch) while paying the operator build
@@ -254,15 +321,13 @@ class BatchAssembler:
     """
 
     __slots__ = (
-        "dtype", "sizes", "labels",
-        "_data", "_indices", "_indptr_tail", "_nnz", "_features",
-        "_flat_features", "_node_starts", "_feature_cols", "_scratch",
+        "dtype", "sizes", "labels", "width",
+        "_data", "_indices", "_indptr_tail", "_nnz",
+        "_cols", "_dense", "_node_starts", "_scratch",
     )
 
     def __init__(self, examples: Sequence[GraphExample]):
-        widths = {e.features.shape[1] for e in examples}
-        if len(widths) > 1:
-            raise ValueError(f"inconsistent feature widths {sorted(widths)}")
+        self.width, index_coded = _feature_layout(examples)
         self.dtype = default_dtype()
         self.sizes = np.array([e.n_nodes for e in examples], dtype=np.int64)
         self.labels = np.array([e.label for e in examples], dtype=np.int64)
@@ -284,40 +349,13 @@ class BatchAssembler:
         self._indices = [indices[a:b] for a, b in nnz_spans]
         self._indptr_tail = [indptr_tail[a:b] for a, b in node_spans]
         self._scratch = Workspace()
-        # One flat feature arena; per-example entries are views into it, so
-        # a shuffled batch's feature matrix is one range gather instead of
-        # a 50-array concatenate, at no extra memory.
-        if examples:
-            self._flat_features = np.concatenate(
-                [e.features for e in examples],
-                dtype=self.dtype,
-                casting="same_kind",
-            )
-        else:
-            self._flat_features = np.empty((0, 0), dtype=self.dtype)
-        self._features = [self._flat_features[a:b] for a, b in node_spans]
-        self._feature_cols = self._detect_onehot_columns()
-
-    def _detect_onehot_columns(self) -> np.ndarray | None:
-        """``(total_nodes, c)`` one-hot column indices, or ``None``.
-
-        The paper's node-information matrix is a concatenation of one-hot
-        blocks (gate type | DRNL | degree), so every row holds the same
-        small number of ones.  When that structure holds for the whole
-        split, the first graph convolution can replace its ``H @ W`` GEMM
-        with ``c`` row gathers of ``W`` (see ``graph_conv``).
-        """
-        flat = self._flat_features
-        if flat.size == 0:
-            return None
-        nonzero = flat != 0.0
-        counts = nonzero.sum(axis=1)
-        per_row = int(counts[0]) if counts.size else 0
-        if per_row < 1 or per_row > 4 or not (counts == per_row).all():
-            return None
-        if not (flat[nonzero] == 1.0).all():
-            return None
-        return np.nonzero(nonzero)[1].reshape(-1, per_row).astype(np.int64)
+        # Index-coded features: one flat ``(total_nodes, c)`` column arena,
+        # so a shuffled batch's columns are one range gather.  Dense
+        # features are concatenated per batch from the examples' own rows.
+        self._cols = _stack_cols(examples, self.width) if index_coded else None
+        self._dense = (
+            None if index_coded else [e.features for e in examples]
+        )
 
     def __len__(self) -> int:
         return len(self._data)
@@ -369,26 +407,28 @@ class BatchAssembler:
             [self._indptr_tail[i] for i in index_order], out=indptr[1:]
         )
         indptr[1:] += np.repeat(nnz_offsets[:-1], sizes)
-        # Stacked node rows of the selected examples, as flat-arena
-        # positions: one range-gather replaces a per-example concatenate.
-        row_positions = np.arange(total, dtype=np.int64) + np.repeat(
-            self._node_starts[index_order] - offsets[:-1], sizes
-        )
         if reuse_buffers:
-            width = self._flat_features.shape[1]
-            features = np.take(
-                self._flat_features, row_positions, axis=0, mode="clip",
-                out=self._scratch.resident(
-                    "assemble.features", (total, width), self.dtype
-                ),
+            features = self._scratch.resident(
+                "assemble.features", (total, self.width), self.dtype
             )
         else:
-            features = self._flat_features[row_positions]
-        feature_onehot = (
-            self._feature_cols[row_positions]
-            if self._feature_cols is not None
-            else None
-        )
+            features = np.empty((total, self.width), self.dtype)
+        if self._cols is None:
+            np.concatenate(
+                [self._dense[i] for i in index_order],
+                out=features, casting="same_kind",
+            )
+            feature_onehot = None
+        else:
+            # Stacked node rows of the selected examples, as flat-arena
+            # positions: one range gather replaces a per-example concatenate.
+            row_positions = np.arange(total, dtype=np.int64) + np.repeat(
+                self._node_starts[index_order] - offsets[:-1], sizes
+            )
+            feature_onehot = np.take(self._cols, row_positions, axis=0).astype(
+                np.intp
+            )
+            onehot_rows(feature_onehot, features)
         return GraphBatch(
             operator=SparseOp(data, indices, indptr, (total, total)),
             features=features,

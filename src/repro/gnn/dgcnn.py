@@ -200,8 +200,8 @@ class DGCNN(Module):
                 operator, h,
                 out=workspace.resident(f"dgcnn.gc{i}", (n_nodes, width), dtype),
                 workspace=workspace,
-                # Layer 1 only: the batcher's detected one-hot feature
-                # structure turns H @ W into a few row gathers of W.
+                # Layer 1 only: the assembler's one-hot feature columns
+                # turn H @ W into a few row gathers of W.
                 feature_cols=getattr(batch, "feature_onehot", None)
                 if i == 0 else None,
             )

@@ -1,15 +1,25 @@
 """Assembling GNN-ready datasets from sampled links (paper Sec. III-B/C).
 
 Each sampled link becomes an enclosing subgraph with a node-information
-matrix ``X = [gate-type one-hot (8) | DRNL one-hot]``.  The DRNL one-hot
-width is fixed by the largest label seen in the *training* material; larger
-labels encountered at attack time clamp to the "far" bucket.
+matrix ``X = [gate-type one-hot (8) | DRNL one-hot | degree one-hot (8)]``.
+The degree block is this repository's extension (ROADMAP item 4 puts it
+on trial against the paper's two blocks).  The DRNL one-hot width is
+fixed by the largest label seen in the *training* material; larger labels
+encountered at attack time clamp to the "far" bucket, as node degrees
+clamp to the last degree column.
+
+``X`` is stored **index-coded**: every row is fully described by the
+column of the one in each enabled block, so an example carries an
+``(n_nodes, blocks)`` array of those columns, ascending within a row, in
+the smallest unsigned dtype that holds the dense width (with every block
+off: one zero column at width 1, the all-ones matrix).  The dense float
+rows are written per batch by :mod:`repro.gnn.batching`.
 
 Subgraphs are extracted through the batched CSR pipeline
 (:func:`repro.linkpred.subgraph.extract_enclosing_subgraphs`) and
 featurized array-at-a-time: the label / gate-type / degree vectors of the
-whole split are concatenated, one-hot encoded with a single scatter each,
-and split back into per-example views.
+whole split are concatenated, written into one column array, and split
+back into per-example views.
 """
 
 from __future__ import annotations
@@ -41,17 +51,16 @@ __all__ = [
 _MAX_DEGREE_FEATURE = 8
 
 
-def _features(
-    subgraph: EnclosingSubgraph,
-    max_label: int,
-    use_drnl: bool = True,
-    use_gate_types: bool = True,
-    use_degree: bool = True,
-) -> np.ndarray:
-    """Node-information matrix for a single subgraph."""
-    return _features_batch(
-        [subgraph], max_label, use_drnl, use_gate_types, use_degree
-    )[0]
+def _feature_width(
+    max_label: int, use_drnl: bool, use_gate_types: bool, use_degree: bool
+) -> int:
+    """Dense width of the node-information matrix (1 with every block off)."""
+    width = (
+        (NUM_GATE_FEATURES if use_gate_types else 0)
+        + (max_label + 1 if use_drnl else 0)
+        + (_MAX_DEGREE_FEATURE if use_degree else 0)
+    )
+    return max(width, 1)
 
 
 def _features_batch(
@@ -61,38 +70,33 @@ def _features_batch(
     use_gate_types: bool = True,
     use_degree: bool = True,
 ) -> list[np.ndarray]:
-    """Node-information matrices for many subgraphs in one pass.
+    """Index-coded node-information matrices for many subgraphs in one pass.
 
-    The whole split's matrix is allocated once and every one-hot block is
-    scattered straight into its column range (one fancy-indexed assignment
-    per block, no per-example loops, no ``hstack`` copy); the result is
-    split back into per-subgraph views.
+    The whole split's ``(total_nodes, blocks)`` column array is allocated
+    once and each enabled block writes its columns into its own column
+    (one vectorized assignment per block, no per-example loops); the
+    result is split back into per-subgraph views.
     """
     sizes = np.array([s.n_nodes for s in subgraphs], dtype=np.int64)
     bounds = np.concatenate(([0], np.cumsum(sizes)))
-    total = int(bounds[-1])
-    width = (
-        (NUM_GATE_FEATURES if use_gate_types else 0)
-        + (max_label + 1 if use_drnl else 0)
-        + (_MAX_DEGREE_FEATURE if use_degree else 0)
+    width = _feature_width(max_label, use_drnl, use_gate_types, use_degree)
+    blocks: list[np.ndarray] = []
+    col = 0
+    if use_gate_types:
+        blocks.append(np.concatenate([s.gate_type_ids for s in subgraphs]))
+        col += NUM_GATE_FEATURES
+    if use_drnl:
+        labels = np.concatenate([s.labels for s in subgraphs])
+        blocks.append(col + np.minimum(labels, max_label))
+        col += max_label + 1
+    if use_degree:
+        degrees = np.concatenate([s.degrees for s in subgraphs])
+        blocks.append(col + np.minimum(degrees, _MAX_DEGREE_FEATURE - 1))
+    stacked = np.zeros(
+        (int(bounds[-1]), max(len(blocks), 1)), np.min_scalar_type(width)
     )
-    if width == 0:
-        stacked = np.ones((total, 1))
-    else:
-        stacked = np.zeros((total, width))
-        rows = np.arange(total)
-        col = 0
-        if use_gate_types:
-            ids = np.concatenate([s.gate_type_ids for s in subgraphs])
-            stacked[rows, ids] = 1.0
-            col += NUM_GATE_FEATURES
-        if use_drnl:
-            labels = np.concatenate([s.labels for s in subgraphs])
-            stacked[rows, col + np.minimum(labels, max_label)] = 1.0
-            col += max_label + 1
-        if use_degree:
-            degrees = np.concatenate([s.degrees for s in subgraphs])
-            stacked[rows, col + np.minimum(degrees, _MAX_DEGREE_FEATURE - 1)] = 1.0
+    for j, block in enumerate(blocks):
+        stacked[:, j] = block
     return [
         stacked[bounds[i] : bounds[i + 1]] for i in range(len(subgraphs))
     ]
@@ -100,7 +104,10 @@ def _features_batch(
 
 @dataclass
 class LinkDataset:
-    """Train/validation subgraph examples plus the feature configuration."""
+    """Train/validation subgraph examples plus the feature configuration.
+
+    Every example's features are index-coded at ``feature_width``.
+    """
 
     train: list[GraphExample]
     validation: list[GraphExample]
@@ -147,17 +154,18 @@ def build_link_dataset(
     train: list[GraphExample] = []
     validation: list[GraphExample] = []
     sizes: list[int] = []
+    width = _feature_width(max_label, use_drnl, use_gate_types, use_degree)
     for sub, feats, (_, _, label, is_train) in zip(subgraphs, features, links):
         example = GraphExample(
             n_nodes=sub.n_nodes,
             edges=sub.edges,
             features=feats,
             label=label,
+            feature_width=width,
         )
         (train if is_train else validation).append(example)
         if is_train:
             sizes.append(sub.n_nodes)
-    width = train[0].features.shape[1] if train else validation[0].features.shape[1]
     return LinkDataset(
         train=train,
         validation=validation,
@@ -215,6 +223,7 @@ def iter_target_examples(
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     chunk_size += chunk_size % 2
+    width = dataset.feature_width
     for start in range(0, len(records), chunk_size):
         chunk = records[start : start + chunk_size]
         subgraphs = extract_enclosing_subgraphs(
@@ -236,6 +245,7 @@ def iter_target_examples(
                     edges=sub.edges,
                     features=feats,
                     label=-1,
+                    feature_width=width,
                 ),
             )
             for (target, select_value, _, _), sub, feats in zip(

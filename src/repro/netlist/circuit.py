@@ -15,11 +15,14 @@ from __future__ import annotations
 import copy
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from repro.errors import NetlistError
 from repro.netlist.gates import GateType, gate_arity_ok
 
 __all__ = ["Gate", "Circuit", "CircuitStats"]
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,7 @@ class Circuit:
         self._fanouts: dict[str, list[str]] | None = None
         self._topo: list[str] | None = None
         self._output_counts: dict[str, int] | None = None
+        self._derived: dict[str, object] = {}
         for pi in inputs or []:
             self.add_input(pi)
         for gate in gates or []:
@@ -152,7 +156,25 @@ class Circuit:
     def _invalidate(self) -> None:
         self._fanouts = None
         self._topo = None
+        self._outputs_changed()
+
+    def _outputs_changed(self) -> None:
         self._output_counts = None
+        self._derived.clear()
+
+    def derived(self, key: str, compute: Callable[[], _T]) -> _T:
+        """``compute()``, cached under *key* until the netlist next changes.
+
+        For whole-netlist values computed outside this class, such as the
+        artifact store's content digest: every editing method drops them.
+        The circuit's ``name`` is not part of the netlist and may change
+        freely, so a cached value must not depend on it.
+        """
+        try:
+            return self._derived[key]  # type: ignore[return-value]
+        except KeyError:
+            value = self._derived[key] = compute()
+            return value
 
     def _output_count_map(self) -> dict[str, int]:
         """Cached multiset of primary-output references (net -> count).
@@ -193,7 +215,7 @@ class Circuit:
         if not self.has_net(name):
             raise NetlistError(f"primary output {name!r} is not driven")
         self._outputs.append(name)
-        self._output_counts = None
+        self._outputs_changed()
 
     def add_gate(self, gate: Gate) -> None:
         """Add a gate; its fan-in nets must already exist."""
@@ -278,7 +300,7 @@ class Circuit:
         if not self.has_net(new_net):
             raise NetlistError(f"net {new_net!r} is not driven")
         self._outputs = [new_net if po == old_net else po for po in self._outputs]
-        self._output_counts = None
+        self._outputs_changed()
 
     def fresh_name(self, prefix: str) -> str:
         """Return a net name starting with *prefix* not used in the circuit."""
@@ -333,6 +355,7 @@ class Circuit:
         dup._fanouts = None
         dup._topo = None
         dup._output_counts = None
+        dup._derived = {}
         return dup
 
     def __deepcopy__(self, memo: dict) -> "Circuit":

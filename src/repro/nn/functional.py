@@ -340,8 +340,8 @@ def graph_conv(
             live in recycled :meth:`~repro.nn.tensor.Workspace.resident`
             slots, making steady-state steps allocation-free.
         feature_cols: optional ``(N, c)`` one-hot column indices proving
-            ``h[i] == sum_j onehot(feature_cols[i, j])`` (the batcher's
-            detected node-information structure): the ``H W`` product is
+            ``h[i] == sum_j onehot(feature_cols[i, j])`` (a training
+            batch's ``GraphBatch.feature_onehot``): the ``H W`` product is
             then ``c`` row gathers of ``W`` instead of a GEMM.  Gradients
             are computed from the dense ``h`` as usual; results differ
             from the GEMM only in floating-point summation order.

@@ -79,14 +79,19 @@ def circuit_digest(circuit: Circuit) -> str:
     make the digest depend on what a BENCH file happened to be called,
     and a ``#key=`` line would leak the oracle into an oracle-less
     attack's address.  The digest covers exactly the design: inputs,
-    outputs, and topologically-ordered gate definitions.
+    outputs, and topologically-ordered gate definitions.  It is cached on
+    the circuit until its next edit (:meth:`Circuit.derived`), so keying
+    repeated requests for one netlist serializes it once.
     """
-    return _hexdigest(
-        "\n".join(
-            line
-            for line in write_bench(circuit).splitlines()
-            if not line.startswith("#")
-        )
+    return circuit.derived(
+        "store.digest",
+        lambda: _hexdigest(
+            "\n".join(
+                line
+                for line in write_bench(circuit).splitlines()
+                if not line.startswith("#")
+            )
+        ),
     )
 
 

@@ -95,8 +95,11 @@ def test_dataset_shapes_and_split():
     ds = build_link_dataset(graph, sample, h=2)
     assert len(ds.train) == len(sample.train)
     assert len(ds.validation) == len(sample.validation)
-    widths = {e.features.shape[1] for e in ds.train + ds.validation}
+    widths = {e.feature_width for e in ds.train + ds.validation}
     assert widths == {ds.feature_width}
+    # Index-coded: one column per enabled block (gate type, DRNL, degree).
+    assert {e.features.shape[1] for e in ds.train + ds.validation} == {3}
+    assert all(e.index_coded for e in ds.train + ds.validation)
     assert all(e.label in (0, 1) for e in ds.train)
     assert len(ds.subgraph_sizes) == len(ds.train)
 
@@ -122,8 +125,9 @@ def test_target_examples_two_per_mux():
     assert len(targets) == 2 * len(graph.targets)
     assert all(t.example.label == -1 for t in targets)
     assert {t.select_value for t in targets} == {0, 1}
-    widths = {t.example.features.shape[1] for t in targets}
+    widths = {t.example.feature_width for t in targets}
     assert widths == {ds.feature_width}
+    assert {t.example.features.shape[1] for t in targets} == {3}
 
 
 # ----------------------------------------------------------------- trainer
@@ -191,6 +195,10 @@ def test_iter_target_examples_chunking_matches_build():
             assert a.select_value == b.select_value
             assert a.example.n_nodes == b.example.n_nodes
             assert np.array_equal(a.example.edges, b.example.edges)
+            # The index arrays themselves: same columns, same dtype.
+            assert a.example.index_coded and b.example.index_coded
+            assert a.example.features.dtype == b.example.features.dtype
+            assert a.example.feature_width == b.example.feature_width
             assert np.array_equal(a.example.features, b.example.features)
     with pytest.raises(ValueError):
         next(iter_target_examples(graph, ds, chunk_size=0))

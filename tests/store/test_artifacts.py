@@ -1,5 +1,7 @@
 """Domain artifact payloads: exact round trips and stable content keys."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,57 @@ def test_store_keys_are_stable_hex(locked):
     assert lkey != lock_store_key(digest, "D-MUX", 64, 124)
     assert lkey != lock_store_key(digest, "D-MUX", 32, 123)
     assert lkey != lock_store_key(digest, "Symmetric-MUX", 64, 123)
+
+
+def _uncached_digest(circuit):
+    """The digest's definition, recomputed from the BENCH text."""
+    text = "\n".join(
+        line
+        for line in write_bench(circuit).splitlines()
+        if not line.startswith("#")
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_circuit_digest_cache_follows_every_edit():
+    from repro.netlist import Circuit, Gate, GateType
+
+    circuit = Circuit(
+        "c", inputs=["a", "b"], outputs=["g1"],
+        gates=[
+            Gate("g1", GateType.AND, ("a", "b")),
+            Gate("g2", GateType.OR, ("a", "b")),
+        ],
+    )
+    edits = [
+        lambda c: c.add_input("x"),
+        lambda c: c.add_gate(Gate("g3", GateType.NAND, ("g1", "x"))),
+        lambda c: c.add_output("g2"),
+        lambda c: c.redirect_output("g2", "g3"),
+        lambda c: c.rewire_input("g3", "x", "b"),
+        lambda c: c.replace_gate(Gate("g3", GateType.NOR, ("g1", "b"))),
+        lambda c: c.rename_gate("g3", "g4"),
+        lambda c: c.remove_input("x"),
+        lambda c: c.redirect_output("g4", "g1"),
+        lambda c: c.remove_gate("g4"),
+    ]
+    digests = {circuit_digest(circuit)}
+    for edit in edits:
+        before = circuit.copy()
+        assert circuit_digest(before) == circuit_digest(circuit)
+        edit(circuit)
+        digest = circuit_digest(circuit)
+        assert digest == _uncached_digest(circuit)
+        digests.add(digest)
+        # The copy taken before the edit keeps its own, older digest.
+        assert circuit_digest(before) == _uncached_digest(before) != digest
+    assert len(digests) == len(edits) + 1
+    renamed = circuit.copy(name="other")
+    assert circuit_digest(renamed) == circuit_digest(circuit)
+    rebuilt = Circuit.from_parts(
+        "r", list(circuit.inputs), list(circuit.outputs), list(circuit.gates)
+    )
+    assert circuit_digest(rebuilt) == circuit_digest(circuit)
 
 
 def test_store_address_is_pinned():
