@@ -3,7 +3,7 @@
 Boots a real ``repro serve`` process (server + worker fleet in one
 command), submits the 8-cell smoke fig7 grid through
 :class:`repro.client.ServeClient`, and compares every served artifact —
-fetched back through :class:`repro.store.RemoteStore` — against an
+as :meth:`ServeClient.result` returns it, re-encoded — against an
 in-process ``execute_job`` reference, wall-clock aside.  A second pass
 asks for every key through :meth:`ServeClient.attack` — the job-less,
 key-first warm path: each hit must decode to the reference artifact and
@@ -39,7 +39,6 @@ from repro.experiments import SMOKE_SCALE, fig7_cells  # noqa: E402
 from repro.experiments.common import lock_with  # noqa: E402
 from repro.experiments.runner import execute_job  # noqa: E402
 from repro.store import encode_attack_artifact  # noqa: E402
-from repro.store.remote import RemoteStore  # noqa: E402
 
 _READY = re.compile(r"serve: listening on (\S+) ")
 
@@ -150,7 +149,6 @@ def main(argv: list[str]) -> int:
             )
 
             client = ServeClient(address)
-            remote = RemoteStore(address)
             try:
                 start = time.perf_counter()
                 for job in jobs:
@@ -160,15 +158,15 @@ def main(argv: list[str]) -> int:
                     ):
                         sys.stderr.write(f"bad accept frame: {reply}\n")
                         return 1
-                for job in jobs:
-                    client.result(job.store_key, timeout=600)
+                artifacts = {
+                    job.store_key: client.result(job.store_key, timeout=600)
+                    for job in jobs
+                }
                 cold_s = time.perf_counter() - start
 
                 served = {
-                    job.store_key: _fingerprint(
-                        remote.get(job.artifact_kind, job.store_key)
-                    )
-                    for job in jobs
+                    key: _fingerprint(encode_attack_artifact(artifact))
+                    for key, artifact in artifacts.items()
                 }
                 if served != reference:
                     bad = [
@@ -245,7 +243,6 @@ def main(argv: list[str]) -> int:
                     client.shutdown()
                 except OSError:
                     pass
-                remote.close()
                 client.close()
         finally:
             try:

@@ -1,4 +1,4 @@
-"""Attack as a service: a persistent server, warm results, remote store.
+"""Attack as a service: a persistent server, warm results, reads by key.
 
 Boots one real ``repro serve`` process — server, artifact store, and
 two pipelined workers forked from the warm server, in a single command
@@ -10,9 +10,9 @@ two pipelined workers forked from the warm server, in a single command
    the cached result frame back in milliseconds;
 2. identical requests submitted while the first is still training
    **coalesce** onto the same computation — K clients, one training;
-3. :class:`~repro.store.remote.RemoteStore` (the ``remote://host:port``
-   store scheme) reads raw artifacts out of the server's store over the
-   same framed protocol;
+3. :meth:`~repro.client.ServeClient.result` reads any artifact the
+   server holds by its content key, decoded — the one way an artifact
+   leaves the server;
 4. ``repro attack --serve ADDR`` gives any shell the warm path with
    output identical to a local run.
 
@@ -34,7 +34,6 @@ from repro.client import ServeClient
 from repro.core import MuxLinkConfig
 from repro.experiments.common import lock_with
 from repro.linkpred import TrainConfig
-from repro.store import resolve_store
 
 _READY = re.compile(r"serve: listening on (\S+) ")
 
@@ -103,14 +102,15 @@ def main() -> None:
                 f"memory_hits={stats['memory_hits']}"
             )
 
-            print("=== 3. remote:// — the store over the wire ===")
-            remote = resolve_store(f"remote://{address}")
-            artifact = remote.get("attacks", key)
+            print("=== 3. Read any served artifact by its key ===")
+            # A fresh client that submitted nothing: the key is enough.
+            with ServeClient(address) as reader:
+                artifact = reader.result(key)
             print(
-                f"  {remote.root} -> raw artifact with "
-                f"{len(artifact)} payload keys"
+                f"  result({key[:12]}…) -> predicted key "
+                f"{artifact.predicted_key}, {len(artifact.scored)} MUXes "
+                "scored"
             )
-            remote.close()
 
             print("=== 4. Any shell gets the warm path ===")
             print(f"  repro attack locked.bench --serve {address}")

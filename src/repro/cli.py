@@ -43,9 +43,8 @@ verify`` administers it.
 ``repro serve`` is the persistent attack-as-a-service shape: a
 long-running server owning the artifact store, a warm result cache and
 a fleet of pipelined workers; ``repro attack --serve HOST:PORT`` (or
-:mod:`repro.client`) submits content-keyed requests to it, and
-``--store remote://HOST:PORT`` points any store consumer at its
-artifact pool with no shared filesystem.
+:mod:`repro.client`) submits content-keyed requests to it and reads
+each artifact back by key.
 
 Every ``REPRO_*`` environment variable the package reads is declared
 once in :mod:`repro.settings`; a flag beats its variable, and ``repro
@@ -837,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="attack-as-a-service: a persistent server with warm "
-        "caches, a remote artifact store and pipelined workers",
+        "caches, an artifact store and pipelined workers",
     )
     p.add_argument(
         "--addr",
@@ -846,8 +845,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _knob_flag(
         p, "--store", "REPRO_STORE",
-        "artifact store directory the server owns — also the backing of "
-        "remote:// stores",
+        "artifact store directory the server owns; clients read its "
+        "artifacts by key",
     )
     p.add_argument(
         "--workers",

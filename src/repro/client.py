@@ -41,7 +41,7 @@ from repro.store.artifacts import (
     decode_baseline_artifact,
     encode_circuit,
 )
-from repro.wire import Channel
+from repro.wire import Channel, EndpointUnreachable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core import MuxLinkConfig, MuxLinkResult
@@ -67,7 +67,7 @@ class ServeClient:
     def __init__(
         self, address: str, retry: RetryPolicy | None = None
     ) -> None:
-        self._channel = Channel(address, retry=retry, name="serve")
+        self._channel = Channel(address, retry=retry)
         self.address = self._channel.address
 
     def close(self) -> None:
@@ -138,7 +138,12 @@ class ServeClient:
 
         Issues a ``wait`` op (idempotent — safe after a ``submit`` with
         or without ``wait=True``); *timeout* bounds the total wait, on
-        top of the per-read socket timeout.
+        top of the per-read socket timeout.  A read that times out on a
+        live connection waits on; a server that cannot be reached within
+        the retry budget raises :class:`~repro.wire.EndpointUnreachable`
+        (a :class:`ServeError` naming the address).  The
+        ``client.read_timeout`` fault site times out the read once the
+        ``wait`` is sent.
         """
         deadline = (
             None if timeout is None else time.monotonic() + float(timeout)
@@ -149,7 +154,10 @@ class ServeClient:
                     {"op": "wait", "key": key, "kind": kind},
                     ("result",),
                     expect_key=key,
+                    fault_site="client.read_timeout",
                 )
+            except EndpointUnreachable:
+                raise  # the server is gone: waiting longer cannot help
             except OSError:
                 if deadline is not None and time.monotonic() > deadline:
                     raise ServeError(

@@ -40,7 +40,7 @@ __all__ = ["DRILL_TOPOLOGY", "DrillOutcome", "run_chaos"]
 #: :class:`~repro.bus.SocketBus` (the plan travels via
 #: ``REPRO_FAULT_PLAN``); ``local`` drills arm the plan in-process and
 #: exercise the store write/read path; the ``serve`` drill runs a real
-#: ``repro serve`` process (pipelined workers + remote store) and gates
+#: ``repro serve`` process (pipelined workers + on-disk store) and gates
 #: on bit-identical artifact payloads rather than figure tables.
 DRILL_TOPOLOGY: dict[str, str] = {
     "worker-crash": "socket",
@@ -349,18 +349,19 @@ def _drill_serve(
     runs under the plan — ``serve.accept_drop`` fires in its listener as
     workers and clients connect, and every party must reconnect-and-retry
     through it.  The drill process arms the same plan locally so
-    ``remote_store.read_timeout`` bites the :class:`RemoteStore` fetch of
+    ``client.read_timeout`` bites a :meth:`ServeClient.result` read of
     the finished artifacts.  No figure table is rendered at the job
-    level, so parity gates on the artifact payloads themselves: every
-    served artifact must be bit-identical (timing aside) to a clean
-    in-process :func:`execute_job` run of the same jobs.
+    level, so parity gates on the artifacts themselves: every artifact
+    :meth:`ServeClient.result` returns, re-encoded, must be bit-identical
+    (timing aside) to a clean in-process :func:`execute_job` run of the
+    same jobs.
     """
     from repro import faults
     from repro.benchgen import load_benchmark
     from repro.client import ServeClient
     from repro.experiments.common import lock_with
     from repro.experiments.runner import execute_job
-    from repro.store.remote import RemoteStore
+    from repro.store import encode_attack_artifact
 
     # The exact AttackJobs the runner/client would build for the grid.
     jobs = []
@@ -390,7 +391,7 @@ def _drill_serve(
         stderr=subprocess.STDOUT,
         text=True,
     )
-    client = remote = None
+    client = None
     faults.activate(plan)
     try:
         # Readiness line first — fault-fired lines only start once
@@ -413,18 +414,14 @@ def _drill_serve(
         client = ServeClient(address)
         for job in jobs:
             client.submit_job(job, wait=False)
-        served = {}
-        for job in jobs:
-            client.result(job.store_key, timeout=240)
-            remote = remote or RemoteStore(address)
-            payload = remote.get(job.artifact_kind, job.store_key)
-            _require(
-                outcome,
-                payload is not None,
-                f"remote store lost artifact {job.store_key[:12]}…",
+        served = {
+            job.store_key: _artifact_fingerprint(
+                encode_attack_artifact(
+                    client.result(job.store_key, timeout=240)
+                )
             )
-            if payload is not None:
-                served[job.store_key] = _artifact_fingerprint(payload)
+            for job in jobs
+        }
         stats = client.stats()
         outcome.requeues = int(stats.get("requeues", 0))
         outcome.failed_over = int(stats.get("failed_over", 0))
@@ -438,17 +435,14 @@ def _drill_serve(
                 "served artifacts diverged from the clean in-process run"
             )
     finally:
-        # Local fires (the remote-store timeout) are erased by
+        # Local fires (the client read timeout) are erased by
         # deactivate(), so fold them into the tally first.
         for site, count in faults.fired_counts().items():
             outcome.injected[site] = outcome.injected.get(site, 0) + count
         faults.deactivate()
-        if remote is not None:
-            remote.close()
         if client is not None:
             client.close()
         output = _reap_worker(proc)
-        outcome.store_discards = remote.stats.errors if remote else 0
     _count_fired([output], outcome.injected)
     _require(
         outcome,
@@ -457,8 +451,8 @@ def _drill_serve(
     )
     _require(
         outcome,
-        outcome.injected.get("remote_store.read_timeout", 0) >= 1,
-        "no remote-store read ever timed out — the fault did not bite",
+        outcome.injected.get("client.read_timeout", 0) >= 1,
+        "no client read ever timed out — the fault did not bite",
     )
 
 

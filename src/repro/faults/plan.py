@@ -1,11 +1,10 @@
 """Seeded, deterministic fault injection for the bus/store/worker stack.
 
 A :class:`FaultPlan` arms a set of named **sites** — fixed points in the
-production code (``repro.store.codec``, the serve front end and its
-workers, the remote store)
-that consult :func:`fire` on every pass.  When no plan is active the
-check is a dict lookup against an empty map: the production hot path
-pays nothing.  When a plan *is* active, each armed site fires a bounded,
+production code (``repro.store.codec``, the serve front end, its
+workers and its client) that consult :func:`fire` on every pass.  When
+no plan is active the check is a dict lookup against an empty map: the
+production hot path pays nothing.  When a plan *is* active, each armed site fires a bounded,
 reproducible number of times; probabilistic sites draw from a
 ``numpy.random.SeedSequence`` keyed by ``(plan seed, site name)``, so
 the same plan injects the same faults in the same order on every run —
@@ -69,7 +68,9 @@ FAULT_SITES = {
     "serve.accept_drop": (
         "the serve front-end drops an accepted connection before reading"
     ),
-    "remote_store.read_timeout": "a RemoteStore round-trip raises a timeout",
+    "client.read_timeout": (
+        "a ServeClient.result read raises a timeout after the wait is sent"
+    ),
 }
 
 #: The named plans ``repro chaos --plan`` accepts (site specs only; the
@@ -319,11 +320,11 @@ def named_fault_plan(name: str, seed: int = 0) -> FaultPlan:
     elif name == "serve-flaky":
         # The serve front-end drops fresh connections (workers and
         # clients alike must reconnect on their retry schedule) and one
-        # RemoteStore round-trip times out mid-read; the drill gates on
+        # client read of a served artifact times out; the drill gates on
         # served predictions staying bit-identical to serial.
         sites = (
             FaultSite("serve.accept_drop", times=2),
-            FaultSite("remote_store.read_timeout", times=1),
+            FaultSite("client.read_timeout", times=1),
         )
     else:
         raise FaultError(

@@ -2,9 +2,9 @@
 
 :class:`~repro.serve.server.AttackServer` is the ``repro serve`` loop —
 a content-keyed request front end (memory LRU → artifact store →
-pipelined worker fleet, with in-flight coalescing) plus the remote end
-of :class:`repro.store.remote.RemoteStore`.  Clients live in
-:mod:`repro.client`.
+pipelined worker fleet, with in-flight coalescing).  Clients live in
+:mod:`repro.client` and read an artifact by key, as its ``result``
+frame; no op reads or writes the server's store directly.
 
 ``repro serve --workers N`` forks its fleet from the warm server
 process, once it listens: each worker inherits the imported package

@@ -1,7 +1,7 @@
 """``repro serve`` — the long-running attack-as-a-service front end.
 
 One selector loop (the :mod:`repro.wire` plumbing and length-prefixed
-codec frames) owns three kinds of peers on a single listening port:
+codec frames) owns two kinds of peers on a single listening port:
 
 * **clients** (:class:`repro.client.ServeClient`) submit content-keyed
   requests: ``{op: submit, key, job?, wait}`` where *key* is exactly the
@@ -24,11 +24,6 @@ codec frames) owns three kinds of peers on a single listening port:
   the worker executes serially, but the next job is already buffered in
   its socket when the current one finishes, so no request round-trip
   sits between two jobs.
-* **remote stores** (:class:`repro.store.remote.RemoteStore`) read and
-  write raw artifact blobs (``store-get`` / ``store-put`` /
-  ``store-has``) against the server's on-disk
-  :class:`~repro.store.ArtifactStore`, so workers and clients on other
-  hosts need no shared filesystem.
 
 The same loop is the coordinator of ``repro figures --bus socket``:
 :class:`~repro.bus.SocketBus` owns an :class:`AttackServer`, submits its
@@ -112,8 +107,6 @@ class ServeStats:
     failed: int = 0
     requeues: int = 0
     failed_over: int = 0
-    store_gets: int = 0
-    store_puts: int = 0
 
     def as_payload(self) -> dict:
         return asdict(self)
@@ -151,13 +144,6 @@ _REQUIRED = {
     "wait": {"key": _is_name},
     "done": {"key": _is_name, "result": lambda r: isinstance(r, dict)},
     "failed": {"key": _is_name},
-    "store-has": {"kind": _is_name, "key": _is_name},
-    "store-get": {"kind": _is_name, "key": _is_name},
-    "store-put": {
-        "kind": _is_name,
-        "key": _is_name,
-        "blob": lambda blob: isinstance(blob, np.ndarray),
-    },
 }
 #: Optional fields, checked on any op that carries them.
 _OPTIONAL = {
@@ -234,10 +220,10 @@ class AttackServer:
         log=print,
     ) -> None:
         resolved = resolve_store(store)
-        if not isinstance(resolved, ArtifactStore):
+        if resolved is None:
             raise ServeError(
-                "repro serve needs a local artifact store directory "
-                "(it *is* the remote end of remote:// stores)"
+                "repro serve needs an artifact store directory "
+                "(--store or REPRO_STORE)"
             )
         self.store = resolved
         self.retry = retry if retry is not None else RetryPolicy()
@@ -380,15 +366,6 @@ class AttackServer:
             key = message["key"]
             self._worker_settled(connection, key)
             self._fail_attempt(key, str(message.get("traceback", "")))
-        elif op == "store-has":
-            kind, key = message["kind"], message["key"]
-            connection.send(
-                {"op": "store-has", "key": key, "has": self.store.has(kind, key)}
-            )
-        elif op == "store-get":
-            self._handle_store_get(connection, message)
-        elif op == "store-put":
-            self._handle_store_put(connection, message)
         elif op == "stats":
             connection.send({"op": "stats", "stats": self.stats.as_payload()})
         elif op == "ping":
@@ -496,43 +473,6 @@ class AttackServer:
         if request is None:
             return  # settled elsewhere (fail-over raced a live worker)
         self._complete(key, message["result"])
-
-    def _handle_store_get(self, connection: _Connection, message: dict) -> None:
-        kind, key = message["kind"], message["key"]
-        self.stats.store_gets += 1
-        try:
-            blob = self.store.path_for(kind, key).read_bytes()
-        except (FileNotFoundError, OSError):
-            connection.send(
-                {"op": "store-blob", "key": key, "found": False, "blob": None}
-            )
-            return
-        connection.send(
-            {
-                "op": "store-blob",
-                "key": key,
-                "found": True,
-                # codec payloads carry no raw bytes: ship the file image
-                # as a uint8 array, byte-for-byte what the store holds.
-                "blob": np.frombuffer(blob, dtype=np.uint8),
-            }
-        )
-
-    def _handle_store_put(self, connection: _Connection, message: dict) -> None:
-        from repro.store import codec
-
-        kind, key = message["kind"], message["key"]
-        self.stats.store_puts += 1
-        blob = message["blob"]
-        try:
-            payload = codec.loads(blob.tobytes(), kind=kind)
-            self.store.put(kind, key, payload)
-        except Exception as exc:
-            connection.send(
-                {"op": "store-ok", "key": key, "ok": False, "error": str(exc)}
-            )
-            return
-        connection.send({"op": "store-ok", "key": key, "ok": True})
 
     # -- warm tiers ----------------------------------------------------------
     def _lookup(
@@ -691,7 +631,7 @@ class AttackServer:
         """No worker progress within the liveness deadline: degrade.
 
         One queued key at a time executes on a helper thread (so the
-        loop keeps answering pings, submits and store ops) and settles
+        loop keeps answering pings and submits) and settles
         through the inbox; the next starts as soon as it does.  A worker
         fleet coming back mid-fail-over resets the deadline and picks up
         the rest of the queue.

@@ -78,7 +78,7 @@ SETTINGS: dict[str, Setting] = {
     knob.env: knob
     for knob in (
         Setting("REPRO_STORE", str, None,
-                "artifact store directory or remote://HOST:PORT"),
+                "artifact store directory"),
         Setting("REPRO_BUS", _choice("local", "socket"), "local",
                 "job bus backend of figure and leaderboard grids"),
         Setting("REPRO_BUS_ADDR", str, "127.0.0.1:0",

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
+from repro.errors import ReproError
 from repro.faults import RetryPolicy
 from repro.settings import setting
 from repro.store import codec
@@ -64,7 +65,6 @@ from repro.store.codec import CodecError
 
 __all__ = [
     "ArtifactStore",
-    "REMOTE_SCHEME",
     "SCHEMA_VERSION",
     "StoreEntry",
     "StoreStats",
@@ -90,11 +90,6 @@ __all__ = [
 #: (they live under the old ``v<N>`` directory), not fatal.  2: the flat
 #: codec replaced npz archives.
 SCHEMA_VERSION = 2
-
-#: Store-path prefix selecting the network-backed store:
-#: ``remote://host:port`` opens a :class:`repro.store.remote.RemoteStore`
-#: speaking the serve wire protocol instead of a local directory.
-REMOTE_SCHEME = "remote://"
 
 
 @dataclass
@@ -362,13 +357,13 @@ def resolve_store(
     """Resolve a store argument: instance, path, or the environment.
 
     ``None`` or a blank string consults the ``REPRO_STORE`` setting
-    (unset means *no store*), a string/path opens that directory,
-    ``remote://host:port`` opens a
-    :class:`~repro.store.remote.RemoteStore` against a ``repro serve``
-    process, and an :class:`ArtifactStore` passes through — the scheme
-    every entry point shares
-    (:class:`~repro.experiments.runner.ExperimentRunner`,
-    ``repro figures --store``, the bench suite).
+    (unset means *no store*), a string/path opens that directory, and
+    an :class:`ArtifactStore` passes through — the scheme every entry
+    point shares (:class:`~repro.experiments.runner.ExperimentRunner`,
+    ``repro figures --store``, the bench suite).  A ``scheme://`` value
+    raises :class:`~repro.errors.ReproError`: a store is a local
+    directory, and a served artifact is read by key through
+    :meth:`repro.client.ServeClient.result`.
     """
     if isinstance(store, ArtifactStore):
         return store
@@ -376,10 +371,9 @@ def resolve_store(
     if store is None:
         return None
     text = os.fspath(store).strip()
-    if text.startswith(REMOTE_SCHEME):
-        # Late import: repro.store.remote pulls in the bus wire helpers,
-        # which import this module back.
-        from repro.store.remote import RemoteStore
-
-        return RemoteStore(text[len(REMOTE_SCHEME) :])
+    if "://" in text:
+        raise ReproError(
+            f"store {text!r} is not a directory: a store is local, and a "
+            "served artifact is read by key (ServeClient.result)"
+        )
     return ArtifactStore(text)

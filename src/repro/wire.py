@@ -20,8 +20,7 @@ the server.  This module holds the pieces both ends need:
 * :class:`Channel`, the client side: one lazily (re)connected
   request/reply link, retried on the shared
   :class:`~repro.faults.RetryPolicy` — what
-  :class:`~repro.client.ServeClient` and
-  :class:`~repro.store.remote.RemoteStore` talk through.
+  :class:`~repro.client.ServeClient` talks through.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from repro.store.codec import CodecError
 __all__ = [
     "MAX_FRAME",
     "Channel",
+    "EndpointUnreachable",
     "decode_frame",
     "encode_frame",
     "load_frame",
@@ -286,26 +286,30 @@ class _Server:
         self.selector.close()  # closes the fd and forgets its map only
 
 
+class EndpointUnreachable(ServeError, OSError):
+    """A :class:`Channel` could not connect: refused, or connect timeout.
+
+    An ``OSError``, so the retry policy tries again; a
+    :class:`~repro.errors.ServeError` naming the address once it gives up.
+    """
+
+
 class Channel:
     """One persistent request/reply connection to a ``repro serve`` endpoint.
 
     Thread-safe (one exchange at a time).  A socket error or EOF drops
     the connection, and :meth:`exchange` reconnects and retries on the
     *retry* backoff — which also absorbs the server's injected
-    ``serve.accept_drop``.  A reply frame that is not a mapping drops it
-    too and raises :class:`~repro.errors.ServeError` naming the op.
+    ``serve.accept_drop``.  A failed connect raises
+    :class:`EndpointUnreachable`.  A reply frame that is not a mapping
+    drops the connection too and raises
+    :class:`~repro.errors.ServeError` naming the op.
     """
 
-    def __init__(
-        self,
-        address: str,
-        retry: RetryPolicy | None = None,
-        name: str = "serve",
-    ) -> None:
+    def __init__(self, address: str, retry: RetryPolicy | None = None) -> None:
         self.host, self.port = parse_address(address)
         self.address = f"{self.host}:{self.port}"
         self.retry = retry if retry is not None else RetryPolicy()
-        self.name = name
         self._sock: socket.socket | None = None
         self._lock = threading.RLock()
 
@@ -341,10 +345,16 @@ class Channel:
             with self._lock:
                 try:
                     if self._sock is None:
-                        sock = socket.create_connection(
-                            (self.host, self.port),
-                            timeout=self.retry.connect_timeout,
-                        )
+                        try:
+                            sock = socket.create_connection(
+                                (self.host, self.port),
+                                timeout=self.retry.connect_timeout,
+                            )
+                        except OSError as exc:
+                            raise EndpointUnreachable(
+                                f"serve endpoint {self.address} is "
+                                f"unreachable: {exc}"
+                            ) from exc
                         sock.settimeout(self.retry.read_timeout)
                         self._sock = sock
                     send_message(self._sock, payload)
@@ -353,11 +363,11 @@ class Channel:
                     while True:
                         reply = recv_message(self._sock)
                         if reply is None:
-                            raise OSError(f"{self.name} connection closed")
+                            raise OSError("serve connection closed")
                         if not isinstance(reply, dict):
                             self._drop()  # the stream cannot be trusted
                             raise ServeError(
-                                f"{self.name} {payload.get('op')}: the reply "
+                                f"serve {payload.get('op')}: the reply "
                                 f"frame is a {type(reply).__name__}, not a "
                                 "mapping"
                             )
@@ -375,5 +385,5 @@ class Channel:
         return self.retry.call(
             _attempt,
             retry_on=(OSError,),
-            describe=f"{self.name} {payload.get('op')}",
+            describe=f"serve {payload.get('op')}",
         )

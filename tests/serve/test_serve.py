@@ -1,4 +1,4 @@
-"""Attack-as-a-service: coalescing, pipelining, remote store, parity.
+"""Attack-as-a-service: coalescing, pipelining, reads by key, parity.
 
 The cheap tests drive a real :class:`AttackServer` loop with a
 *hand-rolled* worker socket (the test speaks the worker wire protocol
@@ -33,9 +33,14 @@ from repro.experiments import SMOKE_SCALE, make_cell
 from repro.experiments.runner import AttackJob, execute_job
 from repro.faults import FaultPlan, FaultSite, RetryPolicy
 from repro.serve import AttackServer, ServeError
-from repro.store import codec, resolve_store
-from repro.store.remote import RemoteStore
-from repro.wire import MAX_FRAME, parse_address, recv_message, send_message
+from repro.store import codec
+from repro.wire import (
+    MAX_FRAME,
+    EndpointUnreachable,
+    parse_address,
+    recv_message,
+    send_message,
+)
 
 _FAST = RetryPolicy(base_delay=0.01, max_delay=0.05, connect_timeout=5.0,
                     read_timeout=20.0)
@@ -608,8 +613,8 @@ def test_accept_drop_is_absorbed_by_client_retry(server):
         faults.deactivate()
 
 
-# Random frames: every op the server knows (bar ``shutdown``) plus an
-# unknown one, with fields drawn from well-typed, mistyped and hostile
+# Random frames: every op the server knows (bar ``shutdown``), the
+# retired store ops and an unknown one, with fields drawn from well-typed, mistyped and hostile
 # values — path-escaping keys included.
 _FRAME_VALUES = st.one_of(
     st.none(),
@@ -789,6 +794,32 @@ def test_bad_address_is_a_typed_error(address, tmp_path, capsys):
             assert "error: " in capsys.readouterr().err
 
 
+def test_serve_client_example_runs(tmp_path):
+    """``examples/serve_client.py`` boots a real server and walks every
+    section of the serving layer; it must exit 0."""
+    example = (pathlib.Path(__file__).resolve().parents[2] / "examples"
+               / "serve_client.py")
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, str(example)],
+        cwd=tmp_path,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        output, _ = proc.communicate(timeout=180)
+    finally:
+        try:  # the example's server and its forked workers, if left over
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    assert proc.returncode == 0, output
+    assert "=== 3. Read any served artifact by its key ===" in output
+
+
 # ---------------------------------------------------------------------------
 # The expensive end of the contract: real training, bit-identical.
 # ---------------------------------------------------------------------------
@@ -854,72 +885,96 @@ def test_served_attack_bit_identical_to_serial(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# RemoteStore: the network half of the store seam.
+# Reading artifacts: by key, through ServeClient.result only.
 # ---------------------------------------------------------------------------
-def test_remote_store_roundtrip_and_byte_cache(server):
-    remote = RemoteStore(server.address, retry=_FAST)
-    payload = {"bits": np.arange(8, dtype=np.float64), "n": 3}
-    assert not remote.has("attacks", "k" * 16)
-    remote.put("attacks", "k" * 16, payload)
-    assert remote.has("attacks", "k" * 16)
-    assert server.store.has("attacks", "k" * 16)  # persisted server-side
-
-    first = remote.get("attacks", "k" * 16)
-    np.testing.assert_array_equal(first["bits"], payload["bits"])
-    gets_after_first = server.stats.store_gets
-    # Second read decodes from the client byte cache: no network round
-    # trip, so the server-side counter must not move.
-    again = remote.get("attacks", "k" * 16)
-    assert again["n"] == 3
-    assert server.stats.store_gets == gets_after_first
-    assert remote.stats.hits == 2 and remote.stats.writes == 1
-    remote.close()
-
-
-def test_remote_store_cache_evicts_by_total_bytes(server):
-    big = {"x": np.zeros(4096, dtype=np.float64)}
-    remote = RemoteStore(server.address, retry=_FAST, cache_bytes=40_000)
-    remote.put("attacks", "a" * 16, big)
-    remote.put("attacks", "b" * 16, big)  # evicts a's blob
-    assert len(remote._cache) == 1
-    before = server.stats.store_gets
-    remote.get("attacks", "a" * 16)  # must go back to the network
-    assert server.stats.store_gets == before + 1
-    remote.close()
-
-
-def test_remote_store_corrupt_blob_reads_as_miss(server):
-    path = server.store.path_for("attacks", "bad0" * 4)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"not an artifact")
-    remote = RemoteStore(server.address, retry=_FAST)
-    with pytest.warns(RuntimeWarning, match="discarding unreadable"):
-        assert remote.get("attacks", "bad0" * 4) is None
-    assert remote.stats.errors == 1 and remote.stats.misses == 1
-    remote.close()
-
-
-def test_resolve_store_understands_remote_scheme(server):
-    store = resolve_store(f"remote://{server.address}")
-    assert isinstance(store, RemoteStore)
-    assert store.root == f"remote://{server.address}"
-    store.close()
-
-
 def test_injected_read_timeout_is_retried(server):
-    remote = RemoteStore(server.address, retry=_FAST)
-    remote.put("attacks", "c" * 16, {"n": 1})
-    remote._cache.clear()
-    remote._cache_bytes = 0
+    """``client.read_timeout`` times out the read after the ``wait`` is
+    sent; the retry policy reconnects and the artifact still arrives."""
+    server.store.put("locks", "c" * 16, {"n": 1})  # a kind with no decoder
+    client = ServeClient(server.address, retry=_FAST)
     faults.activate(
         FaultPlan(
-            "timeout",
-            sites=(FaultSite("remote_store.read_timeout", times=1),),
+            "timeout", sites=(FaultSite("client.read_timeout", times=1),)
         )
     )
     try:
-        assert remote.get("attacks", "c" * 16)["n"] == 1  # retried through
-        assert faults.fired_counts() == {"remote_store.read_timeout": 1}
+        assert client.result("c" * 16, kind="locks")["n"] == 1
+        assert faults.fired_counts() == {"client.read_timeout": 1}
     finally:
         faults.deactivate()
-    remote.close()
+        client.close()
+
+
+def test_result_raises_once_the_server_is_gone(tmp_path):
+    """A server that exits after the submit is reported within the retry
+    budget, naming its address — ``result`` never waits on it forever."""
+    srv = AttackServer("127.0.0.1:0", tmp_path / "store", poll=0.02,
+                       log=lambda *a: None)
+    loop = threading.Thread(target=srv.serve_forever, daemon=True)
+    loop.start()
+    client = ServeClient(srv.address, retry=_FAST)
+    try:
+        assert client.submit_job(_job())["status"] == "queued"
+        srv.stop()
+        loop.join(timeout=10)
+        srv.close()
+        box = {}
+
+        def wait() -> None:
+            try:
+                client.result("a" * 16)  # no timeout: the case that spun
+            except Exception as exc:
+                box["error"] = exc
+
+        waiter = threading.Thread(target=wait, daemon=True)
+        waiter.start()
+        waiter.join(timeout=10)
+        assert not waiter.is_alive(), "result() still waiting on a dead server"
+        assert isinstance(box.get("error"), EndpointUnreachable), box
+        assert srv.address in str(box["error"])
+    finally:
+        client.close()
+
+
+def test_result_waits_through_read_timeouts_on_a_live_server(server):
+    """A read timeout on a live connection is not a dead server: the
+    wait goes on until the caller's own *timeout*."""
+    peer = _Peer(server.address)
+    assert peer.submit(_job(), wait=False) == "queued"  # no worker: stays
+    slow = RetryPolicy(base_delay=0.01, max_delay=0.05, connect_timeout=2.0,
+                       read_timeout=0.2)
+    client = ServeClient(server.address, retry=slow)
+    try:
+        with pytest.raises(ServeError, match="within 1s") as caught:
+            client.result("a" * 16, timeout=1.0)
+        assert not isinstance(caught.value, EndpointUnreachable)
+    finally:
+        client.close()
+        peer.close()
+
+
+def test_retired_store_ops_are_inert(server):
+    """The ``store-put`` / ``store-get`` / ``store-has`` frames a remote
+    store used to send are unknown ops now: no reply, no store write, no
+    counter, and the server answers the same peer and the next client."""
+    server.store.put("attacks", "d" * 16, {"n": 2})
+    entries = sorted(path.name for path in server.store.root.rglob("*"))
+    before = server.stats.as_payload()
+    planted = np.frombuffer(codec.dumps({"n": 3}, kind="attacks"),
+                            dtype=np.uint8)
+    peer = _Peer(server.address)
+    peer.send({"op": "store-put", "kind": "attacks", "key": "f" * 16,
+               "blob": planted})
+    peer.send({"op": "store-put", "kind": "attacks", "key": "d" * 16,
+               "blob": planted})
+    peer.send({"op": "store-get", "kind": "attacks", "key": "d" * 16})
+    peer.send({"op": "store-has", "kind": "attacks", "key": "d" * 16})
+    peer.send({"op": "ping"})
+    assert peer.recv() == {"op": "pong"}  # the first reply: nothing before
+    peer.close()
+
+    assert not server.store.has("attacks", "f" * 16)
+    assert server.store.get("attacks", "d" * 16) == {"n": 2}
+    assert sorted(path.name for path in server.store.root.rglob("*")) == entries
+    assert server.stats.as_payload() == before
+    _assert_serving(server.address)

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.errors import ReproError
 from repro.store import SCHEMA_VERSION, ArtifactStore, resolve_store
 
 KEY_A = "ab" * 32
@@ -192,6 +193,19 @@ def test_resolve_store_argument_env_and_disable(tmp_path, monkeypatch):
     assert from_env.root == tmp_path / "env"
     monkeypatch.setenv("REPRO_STORE", "  ")
     assert resolve_store(None) is None
+
+
+@pytest.mark.parametrize("value", ["tcp://127.0.0.1:7878", "s3://b/k"])
+def test_resolve_store_rejects_a_scheme(tmp_path, monkeypatch, value):
+    """A ``scheme://`` store is a typed error, from a flag or the
+    environment — never a local directory named after the scheme."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ReproError, match="not a directory"):
+        resolve_store(value)
+    monkeypatch.setenv("REPRO_STORE", value)
+    with pytest.raises(ReproError, match="not a directory"):
+        resolve_store(None)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_get_decoder_failure_is_a_warning_and_a_miss(tmp_path):
