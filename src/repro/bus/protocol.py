@@ -23,10 +23,10 @@ the runner writes each artifact through to its store.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
+from repro import knobs
 from repro.errors import ReproError
 from repro.faults.retry import RetryPolicy
 from repro.settings import setting
@@ -169,41 +169,62 @@ def encode_job(job) -> dict:
     """Codec-safe payload of one job (no live dataclasses cross hosts).
 
     ``kind`` dispatches :func:`decode_job`; payloads written before the
-    field existed decode as MuxLink attack jobs.  Baseline jobs addi-
-    tionally carry the encoded training locks (SWEEP's corpus, keys
-    included — the exchange format is store payloads all the way down).
+    field existed decode as MuxLink attack jobs.  The config travels as
+    its shipped fields only (:func:`repro.knobs.shipped`): an ``exec``
+    field such as a checkpoint path is local to the submitting host and
+    never reaches a server or worker.  Baseline jobs additionally carry
+    the encoded training locks (SWEEP's corpus, keys included — the
+    exchange format is store payloads all the way down).
     """
     payload = {
         "kind": getattr(job, "kind", "attack"),
         "store_key": job.store_key,
         "circuit": job.circuit,
-        "config": dataclasses.asdict(job.config),
+        "config": knobs.values(job.config, knobs.shipped),
     }
     if payload["kind"] == "baseline":
         payload["train"] = list(job.train)
     return payload
 
 
-def _field_problems(cls, fields, what: str) -> list[str]:
-    """Every way *fields* is not exactly the fields of dataclass *cls*."""
+def _field_problems(cls, fields) -> list[str]:
+    """Every way *fields* is not exactly the shipped fields of config
+    class *cls*, nested configs included."""
+    what = cls.__name__
     if not isinstance(fields, dict):
         return [f"{what} is a {type(fields).__name__}, not a mapping"]
-    expected = {f.name for f in dataclasses.fields(cls)}
-    return [
+    shipped = knobs.shipped(cls)
+    expected = {name for name, _ in shipped}
+    problems = [
         f"unknown {what} field {name!r}" for name in sorted(set(fields) - expected)
     ] + [
         f"missing {what} field {name!r}" for name in sorted(expected - set(fields))
     ]
+    for name, nested in shipped:
+        if nested is not None and name in fields:
+            problems += _field_problems(nested, fields[name])
+    return problems
+
+
+def _build(cls, fields: dict):
+    """Config class *cls* from its checked shipped *fields*; every
+    ``exec`` field takes its default."""
+    return cls(
+        **{
+            name: _build(nested, fields[name]) if nested else fields[name]
+            for name, nested in knobs.shipped(cls)
+        }
+    )
 
 
 def decode_job(payload: dict):
     """Inverse of :func:`encode_job`.
 
-    Raises :class:`BusError` naming every unknown or missing config field.
-    Jobs carry ``dataclasses.asdict`` of their config, so a payload
-    encoded by another version of the code fails here, once, rather than
-    as a ``TypeError`` in every worker attempt, or with a missing field
-    silently taking its default.
+    Raises :class:`BusError` naming every unknown or missing config
+    field — an ``exec`` field is unknown, so no host path from another
+    host is ever honoured.  A payload encoded by another version of the
+    code fails here, once, rather than as a ``TypeError`` in every worker
+    attempt, or with a missing field silently taking its default.
     """
     if not isinstance(payload, dict):
         raise BusError(f"undecodable job: a {type(payload).__name__}")
@@ -211,43 +232,33 @@ def decode_job(payload: dict):
     if absent:
         raise BusError(f"undecodable job: missing {', '.join(absent)}")
     kind = payload.get("kind", "attack")
-    config = payload["config"]
     if kind == "baseline":
-        from repro.attacks.baseline import BaselineConfig
-        from repro.experiments.runner import BaselineJob
-
-        problems = _field_problems(BaselineConfig, config, "BaselineConfig")
+        from repro.attacks.baseline import BaselineConfig as config_class
     elif kind == "attack":
-        from repro.core import MuxLinkConfig
-        from repro.experiments.runner import AttackJob
-        from repro.linkpred import TrainConfig
-
-        problems = _field_problems(MuxLinkConfig, config, "MuxLinkConfig")
-        if isinstance(config, dict) and "train" in config:
-            problems += _field_problems(
-                TrainConfig, config["train"], "TrainConfig"
-            )
+        from repro.core import MuxLinkConfig as config_class
     else:
         raise BusError(f"unknown job kind {kind!r} in payload")
+    problems = _field_problems(config_class, payload["config"])
     if problems:
         raise BusError(
             f"undecodable job ({'; '.join(problems)}); was it encoded by "
             "another version of repro?"
         )
+    from repro.experiments.runner import AttackJob, BaselineJob
+
     try:
+        config = _build(config_class, payload["config"])
         if kind == "baseline":
             return BaselineJob(
                 store_key=payload["store_key"],
                 circuit=payload["circuit"],
-                config=BaselineConfig(**config),
+                config=config,
                 train=tuple(payload.get("train") or ()),
             )
         return AttackJob(
             store_key=payload["store_key"],
             circuit=payload["circuit"],
-            config=MuxLinkConfig(
-                **{**config, "train": TrainConfig(**config["train"])}
-            ),
+            config=config,
         )
     except (ReproError, TypeError, ValueError) as exc:
         raise BusError(f"undecodable job: {exc}") from exc

@@ -122,6 +122,13 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.serve and (args.checkpoint or args.resume or args.checkpoint_every):
+        print(
+            "error: --checkpoint/--resume/--checkpoint-every are local to "
+            "this host and cannot be served",
+            file=sys.stderr,
+        )
+        return 2
     if (args.lr_decay != 1.0) != (args.lr_decay_every > 0):
         print(
             "error: --lr-decay and --lr-decay-every must be given together",

@@ -8,7 +8,7 @@ predicted key.  Oracle-less throughout: only the locked netlist is read.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.postprocess import (
     ScoredMux,
@@ -16,6 +16,7 @@ from repro.core.postprocess import (
     postprocess_likelihoods,
 )
 from repro.gnn import DGCNN
+from repro.knobs import EXEC, KEY, POST, knob
 from repro.linkpred import (
     AttackGraph,
     TrainConfig,
@@ -38,6 +39,12 @@ __all__ = ["MuxLinkConfig", "MuxLinkResult", "run_muxlink", "rescore_key"]
 class MuxLinkConfig:
     """All attack knobs (paper defaults).
 
+    Each field declares one role (:mod:`repro.knobs`), read instead of
+    field names wherever a knob's effect matters: ``key`` fields move the
+    result and key the store; ``post`` (``threshold``) is re-applied to a
+    stored result on every hit; ``exec`` fields only say how this host
+    runs the attack, never move a bit, and never leave the host.
+
     Attributes:
         h: enclosing-subgraph hop count (paper: 3).
         threshold: post-processing decision threshold ``th`` (paper: 0.01).
@@ -53,16 +60,16 @@ class MuxLinkConfig:
             either way).
     """
 
-    h: int = 3
-    threshold: float = 0.01
-    max_train_links: int = 100_000
-    val_fraction: float = 0.1
-    train: TrainConfig = field(default_factory=TrainConfig)
-    use_drnl: bool = True
-    use_gate_types: bool = True
-    use_degree: bool = True
-    seed: int = 0
-    score_prefetch: int = 2
+    h: int = knob(KEY, 3)
+    threshold: float = knob(POST, 0.01)
+    max_train_links: int = knob(KEY, 100_000)
+    val_fraction: float = knob(KEY, 0.1)
+    train: TrainConfig = knob(KEY, default_factory=TrainConfig)
+    use_drnl: bool = knob(KEY, True)
+    use_gate_types: bool = knob(KEY, True)
+    use_degree: bool = knob(KEY, True)
+    seed: int = knob(KEY, 0)
+    score_prefetch: int = knob(EXEC, 2)
 
 
 @dataclass

@@ -69,13 +69,7 @@ class ExperimentScale:
         h: enclosing-subgraph hops.
         threshold: post-processing ``th``.
         epochs / learning_rate: GNN training budget.
-        patience: early-stopping patience on validation loss forwarded to
-            :class:`repro.linkpred.TrainConfig` (``None`` = train the full
-            epoch budget, the paper's behaviour).
         hd_patterns: random patterns for Hamming-distance runs.
-        score_prefetch: in-flight batch budget of the streamed
-            extract→score pipeline passed to :class:`MuxLinkConfig`
-            (``0`` = serial; results are identical either way).
 
     Each attack runs as one in-process path; cores are spent one level
     up, on the job grid (``repro figures --jobs`` and the bus).
@@ -92,9 +86,7 @@ class ExperimentScale:
     threshold: float = 0.01
     epochs: int = 15
     learning_rate: float = 1e-3
-    patience: int | None = None
     hd_patterns: int = 10_000
-    score_prefetch: int = 2
 
     def benchmarks(self) -> tuple[tuple[str, float, tuple[int, ...]], ...]:
         """``(name, scale, key_sizes)`` for every included benchmark."""
@@ -114,11 +106,9 @@ class ExperimentScale:
             train=TrainConfig(
                 epochs=self.epochs,
                 learning_rate=self.learning_rate,
-                patience=self.patience,
                 seed=seed,
             ),
             seed=seed,
-            score_prefetch=self.score_prefetch,
         )
 
 

@@ -43,6 +43,7 @@ from repro.gnn import (
     build_batch,
     choose_sortpool_k,
 )
+from repro.knobs import EXEC, KEY, knob
 from repro.linkpred.dataset import LinkDataset
 from repro.nn import Adam, default_dtype
 
@@ -66,7 +67,10 @@ class TrainConfig:
     """Hyper-parameters of the link-prediction GNN.
 
     Defaults are the paper's settings; ``epochs`` is the main knob CI-scale
-    runs turn down.
+    runs turn down.  Each field declares its role (:mod:`repro.knobs`):
+    ``key`` fields move the trained model and key the store; ``exec``
+    fields (checkpoints, progress lines) only say how this host trains,
+    never move a bit, and never leave the host.
 
     Attributes:
         epochs: maximum training epochs.
@@ -86,18 +90,18 @@ class TrainConfig:
         log_every: print a progress line every N epochs (``0`` = silent).
     """
 
-    epochs: int = 100
-    learning_rate: float = 1e-4
-    batch_size: int = DEFAULT_BATCH_SIZE
-    sortpool_percentile: float = 0.6
-    seed: int = 0
-    patience: int | None = None
-    lr_decay: float = 1.0
-    lr_decay_every: int = 0
-    checkpoint_path: str | None = None
-    checkpoint_every: int = 0
-    resume: bool = False
-    log_every: int = 0
+    epochs: int = knob(KEY, 100)
+    learning_rate: float = knob(KEY, 1e-4)
+    batch_size: int = knob(KEY, DEFAULT_BATCH_SIZE)
+    sortpool_percentile: float = knob(KEY, 0.6)
+    seed: int = knob(KEY, 0)
+    patience: int | None = knob(KEY, None)
+    lr_decay: float = knob(KEY, 1.0)
+    lr_decay_every: int = knob(KEY, 0)
+    checkpoint_path: str | None = knob(EXEC, None)
+    checkpoint_every: int = knob(EXEC, 0)
+    resume: bool = knob(EXEC, False)
+    log_every: int = knob(EXEC, 0)
 
 
 @dataclass

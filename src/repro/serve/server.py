@@ -338,8 +338,6 @@ class AttackServer:
     # -- message dispatch ----------------------------------------------------
     def _handle(self, connection: _Connection, message: dict) -> None:
         op = message["op"]
-        if op in ("hello", "done", "failed"):
-            self._last_progress = time.monotonic()  # the fleet is alive
         if op == "submit" and "job" not in message:
             self._submit_key(
                 connection, message["key"], message.get("kind", "attacks")
@@ -354,18 +352,23 @@ class AttackServer:
         elif op == "wait":
             self._handle_wait(connection, message)
         elif op == "hello":
+            self._last_progress = time.monotonic()  # the fleet is alive
             pipeline = max(1, int(message.get("pipeline", DEFAULT_PIPELINE)))
             self.workers[connection] = _WorkerLink(pipeline=pipeline)
             self.log(
                 f"serve: worker connected (pipeline {pipeline}, "
                 f"{len(self.workers)} total)"
             )
-        elif op == "done":
-            self._handle_done(connection, message)
-        elif op == "failed":
+        elif op in ("done", "failed"):
             key = message["key"]
-            self._worker_settled(connection, key)
-            self._fail_attempt(key, str(message.get("traceback", "")))
+            if not self._release(connection, key):
+                return  # only the worker holding a job settles it
+            self._last_progress = time.monotonic()  # the fleet is alive
+            if op == "done":
+                # A key fail-over already settled is no longer requested.
+                self._complete(key, message["result"])
+            else:
+                self._fail_attempt(key, str(message.get("traceback", "")))
         elif op == "stats":
             connection.send({"op": "stats", "stats": self.stats.as_payload()})
         elif op == "ping":
@@ -466,14 +469,6 @@ class AttackServer:
             }
         )
 
-    def _handle_done(self, connection: _Connection, message: dict) -> None:
-        key = message["key"]
-        self._worker_settled(connection, key)
-        request = self.requests.get(key)
-        if request is None:
-            return  # settled elsewhere (fail-over raced a live worker)
-        self._complete(key, message["result"])
-
     # -- warm tiers ----------------------------------------------------------
     def _lookup(
         self, kind: str, key: str, count_request: bool = True
@@ -559,13 +554,17 @@ class AttackServer:
                 continue
             link.inflight.append(key)
 
-    def _worker_settled(self, connection: _Connection, key: str) -> None:
+    def _release(self, connection: _Connection, key: str) -> bool:
+        """Take *key* off *connection*'s in-flight window.
+
+        ``False`` for a peer that never said ``hello`` or was never
+        dispatched *key*: its ``done`` or ``failed`` frame is ignored.
+        """
         link = self.workers.get(connection)
-        if link is not None:
-            try:
-                link.inflight.remove(key)
-            except ValueError:
-                pass
+        if link is None or key not in link.inflight:
+            return False
+        link.inflight.remove(key)
+        return True
 
     def _disconnect(self, connection: _Connection) -> None:
         link = self.workers.pop(connection, None)

@@ -11,9 +11,8 @@ Three artifact families exist:
   through :meth:`~repro.netlist.Circuit.from_parts`.
 * **attacks** — a :class:`~repro.core.muxlink.MuxLinkResult`, keyed by
   the locked netlist digest + a *semantic* hash of the
-  :class:`~repro.core.muxlink.MuxLinkConfig` (post-processing threshold
-  and pure execution knobs normalized out, numeric runtime dtype folded
-  in).  Per-MUX likelihoods, the loss history, runtimes and the trained
+  :class:`~repro.core.muxlink.MuxLinkConfig` (its ``key`` fields only,
+  see :mod:`repro.knobs`; numeric runtime dtype folded in).  Per-MUX likelihoods, the loss history, runtimes and the trained
   DGCNN weights are stored as float64/float32 arrays, so a rematerialized
   record is bit-identical to the in-memory one.
 * **baselines** — a :class:`~repro.attacks.baseline.BaselineReport`
@@ -39,6 +38,7 @@ import hashlib
 import json
 from typing import Any
 
+from repro import knobs
 from repro.locking.common import Locality, LockedCircuit, MuxInstance, Strategy
 from repro.netlist import Circuit, Gate, GateType
 from repro.netlist.bench import write_bench
@@ -95,44 +95,29 @@ def circuit_digest(circuit: Circuit) -> str:
     )
 
 
+#: Constants of retired training knobs (the one engine: Adam, no
+#: gradient shards), kept in every training config's token so no stored
+#: key moves.
+_PINNED = {"TrainConfig": {"optimizer": "adam", "grad_shards": 1}}
+
+
 def config_token(config) -> str:
     """Canonical JSON of every result-affecting attack knob.
 
-    The post-processing ``threshold`` is normalized out (Fig. 9 rescales
-    a cached result without retraining) and so are the pure execution
-    knobs — ``score_prefetch``, checkpoint/log plumbing — which are
-    guaranteed not to move a single bit of the result.  The numeric
-    runtime dtype *is* folded in (float32 and float64 runs are different
-    artifacts).
+    The token holds exactly the fields whose role is ``key``
+    (:mod:`repro.knobs`), nested configs included, plus the pinned
+    constants above, :data:`ARTIFACT_VERSION` and the numeric runtime
+    dtype (float32 and float64 runs are different artifacts).  ``post``
+    and ``exec`` fields stay out: a hit re-applies the one and the other
+    never moves a bit.
     """
     from repro.nn import default_dtype
 
-    train = config.train
-    train_token: dict[str, Any] = {
-        "epochs": train.epochs,
-        "learning_rate": train.learning_rate,
-        "batch_size": train.batch_size,
-        "sortpool_percentile": train.sortpool_percentile,
-        "seed": train.seed,
-        "patience": train.patience,
-        "lr_decay": train.lr_decay,
-        "lr_decay_every": train.lr_decay_every,
-        # Constants of the one training engine, kept so no stored key moves.
-        "optimizer": "adam",
-        "grad_shards": 1,
-    }
     return json.dumps(
         {
+            **knobs.values(config, knobs.keyed, _PINNED),
             "v": ARTIFACT_VERSION,
-            "h": config.h,
-            "max_train_links": config.max_train_links,
-            "val_fraction": config.val_fraction,
-            "use_drnl": config.use_drnl,
-            "use_gate_types": config.use_gate_types,
-            "use_degree": config.use_degree,
-            "seed": config.seed,
             "dtype": str(default_dtype()),
-            "train": train_token,
         },
         sort_keys=True,
         separators=(",", ":"),

@@ -64,6 +64,26 @@ def test_unlock_without_key_fails(tmp_path, capsys):
     assert main(["unlock", str(base), "-o", str(tmp_path / "u.bench")]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--checkpoint", "ckpt"],
+     ["--checkpoint", "ckpt", "--resume", "--checkpoint-every", "2"]],
+    ids=["checkpoint", "resume"],
+)
+def test_served_attack_rejects_checkpoint_flags(tmp_path, capsys, flags):
+    """Checkpoint plumbing is local to this host: ``--serve`` with it
+    exits 2 before reading the netlist or reaching the server."""
+    flags = [str(tmp_path / f) if f == "ckpt" else f for f in flags]
+    args = ["attack", str(tmp_path / "absent.bench"),
+            "--serve", "127.0.0.1:9", *flags]
+    assert main(args) == 2
+    assert (
+        "error: --checkpoint/--resume/--checkpoint-every are local to this "
+        "host and cannot be served"
+    ) in capsys.readouterr().err
+    assert not (tmp_path / "ckpt").exists()
+
+
 def test_unknown_benchmark_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["generate", "c9999", "-o", str(tmp_path / "x.bench")])

@@ -225,6 +225,92 @@ def test_dead_worker_connection_requeues_its_window(server):
     client.close()
 
 
+def test_only_the_worker_holding_a_job_settles_it(server):
+    """``done`` and ``failed`` frames count only from the worker the key
+    was dispatched to: a peer that never said ``hello``, or a worker
+    holding other keys, can neither plant a result nor fail the job."""
+    job = _job()
+    client = _Peer(server.address)
+    assert client.submit(job, wait=True) == "queued"
+
+    def ignored(peer: _Peer) -> None:
+        peer.send({"op": "done", "key": job.store_key, "kind": "attacks",
+                   "result": {"planted": 1}})
+        for _ in range(server.max_attempts):
+            peer.send({"op": "failed", "key": job.store_key,
+                       "traceback": "planted"})
+        peer.send({"op": "ping"})
+        assert peer.recv()["op"] == "pong"  # the frames above were read
+        assert not server.store.has("attacks", job.store_key)
+        assert server.stats.completed == 0 and server.stats.failed == 0
+        assert server.requests[job.store_key].attempt == 0
+
+    stranger = _Peer(server.address)
+    ignored(stranger)
+    worker = _Peer(server.address).hello(pipeline=1)
+    deadline = time.monotonic() + 10
+    while not server.busy and time.monotonic() < deadline:
+        time.sleep(0.005)  # the job is pushed to *worker*
+    bystander = _Peer(server.address).hello(pipeline=1)
+    ignored(bystander)
+
+    assert _settle(server, worker, {"x": 1}) == job.store_key
+    frame = client.recv()
+    assert frame["op"] == "result" and frame["ok"]
+    assert frame["result"] == {"x": 1}
+    for peer in (client, stranger, worker, bystander):
+        peer.close()
+
+
+def test_served_attack_keeps_exec_fields_on_the_client(tmp_path):
+    """A client's checkpoint path never reaches the server: a served
+    attack, here run by the server's own in-process fail-over, writes
+    nothing there, and the job on the wire carries no ``exec`` field."""
+    import dataclasses
+
+    from repro.benchgen import load_benchmark
+    from repro.bus.protocol import encode_job
+    from repro.locking import lock_dmux
+
+    checkpoint = tmp_path / "x"
+    base = _job().config
+    config = dataclasses.replace(
+        base,
+        score_prefetch=0,
+        train=dataclasses.replace(
+            base.train, checkpoint_path=str(checkpoint), checkpoint_every=1,
+            resume=True, log_every=1,
+        ),
+    )
+    circuit = lock_dmux(
+        load_benchmark("c1355", scale=0.1), key_size=6, seed=0
+    ).circuit
+    srv = AttackServer("127.0.0.1:0", tmp_path / "store", liveness=0.05,
+                       poll=0.02, log=lambda *a: None)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with ServeClient(srv.address, retry=_FAST) as client:
+            result = client.attack(circuit, config)
+        assert srv.stats.failed_over == 1 and srv.stats.completed == 1
+        assert len(result.predicted_key) == 6
+        assert not checkpoint.exists()
+    finally:
+        ServeClient(srv.address, retry=_FAST).shutdown()
+        thread.join(timeout=10)
+        srv.close()
+
+    from repro import knobs
+
+    wire = encode_job(ServeClient.job_for(circuit, config))["config"]
+    for cls, fields in ((type(config), wire), (type(config.train), wire["train"])):
+        local = {
+            field.name for field in dataclasses.fields(cls)
+            if knobs.role(field) == knobs.EXEC
+        }
+        assert local and not local & set(fields), cls.__name__
+
+
 def _undecodable(edit) -> dict:
     """An encoded job whose ``train`` dict another version could send."""
     from repro.bus.protocol import encode_job
@@ -291,10 +377,22 @@ def test_client_raises_the_rejection_reason(server, monkeypatch):
         payload["config"]["train"]["grad_shards"] = 1
         return payload
 
-    monkeypatch.setattr(client_module, "encode_job", encode_with_removed_field)
+    def encode_with_exec_field(job):
+        payload = encode_job(job)
+        payload["config"]["train"]["checkpoint_path"] = "/elsewhere/x"
+        return payload
+
+    circuit = load_benchmark("c1355", scale=0.1)
     client = ServeClient(server.address, retry=_FAST)
-    with pytest.raises(ServeError, match="unknown TrainConfig field 'grad_shards'"):
-        client.attack(load_benchmark("c1355", scale=0.1), _job().config)
+    for encode, field in (
+        (encode_with_removed_field, "grad_shards"),
+        (encode_with_exec_field, "checkpoint_path"),  # local to its host
+    ):
+        monkeypatch.setattr(client_module, "encode_job", encode)
+        with pytest.raises(
+            ServeError, match=f"unknown TrainConfig field '{field}'"
+        ):
+            client.attack(circuit, _job().config)
     client.close()
     assert server.stats.scheduled == 0
 

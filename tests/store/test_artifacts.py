@@ -1,10 +1,12 @@
 """Domain artifact payloads: exact round trips and stable content keys."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+from repro import knobs
 from repro.benchgen import load_benchmark
 from repro.core import MuxLinkConfig, rescore_key, run_muxlink
 from repro.gnn import build_batch
@@ -183,19 +185,10 @@ def test_rebuilt_model_scores_identically(attack_result, locked):
 # ---------------------------------------------------------------------------
 # content keys
 # ---------------------------------------------------------------------------
-def test_config_token_normalizes_threshold_and_execution_knobs():
+def test_config_token_normalizes_threshold():
     base = MuxLinkConfig(h=2, seed=3, train=TrainConfig(epochs=5))
-    same = [
-        MuxLinkConfig(h=2, seed=3, train=TrainConfig(epochs=5), threshold=0.5),
-        MuxLinkConfig(h=2, seed=3, train=TrainConfig(epochs=5), score_prefetch=0),
-        MuxLinkConfig(
-            h=2,
-            seed=3,
-            train=TrainConfig(epochs=5, log_every=7, checkpoint_path="x"),
-        ),
-    ]
-    for config in same:
-        assert config_token(config) == config_token(base)
+    same = MuxLinkConfig(h=2, seed=3, train=TrainConfig(epochs=5), threshold=0.5)
+    assert config_token(same) == config_token(base)
     different = [
         MuxLinkConfig(h=3, seed=3, train=TrainConfig(epochs=5)),
         MuxLinkConfig(h=2, seed=4, train=TrainConfig(epochs=5)),
@@ -206,6 +199,69 @@ def test_config_token_normalizes_threshold_and_execution_knobs():
     ]
     for config in different:
         assert config_token(config) != config_token(base)
+
+
+def test_every_config_field_declares_one_role():
+    roles = {
+        (cls.__name__, field.name): knobs.role(field)
+        for cls in (MuxLinkConfig, TrainConfig)
+        for field in dataclasses.fields(cls)
+    }
+    assert set(roles.values()) <= set(knobs.ROLES), roles
+    assert [name for name, role in roles.items() if role == knobs.POST] == [
+        ("MuxLinkConfig", "threshold")
+    ]
+    assert sorted(n for (_, n), role in roles.items() if role == knobs.EXEC) == [
+        "checkpoint_every", "checkpoint_path", "log_every", "resume",
+        "score_prefetch",
+    ]
+
+
+def _with(config: MuxLinkConfig, **values) -> MuxLinkConfig:
+    """*config* with each named field of it or of its ``train`` set."""
+    train_names = {field.name for field in dataclasses.fields(TrainConfig)}
+    train = {k: v for k, v in values.items() if k in train_names}
+    return dataclasses.replace(
+        config,
+        train=dataclasses.replace(config.train, **train),
+        **{k: v for k, v in values.items() if k not in train_names},
+    )
+
+
+def _artifact_bytes(result) -> bytes:
+    """The attack artifact's encoded bytes, wall-clock runtimes aside."""
+    payload = encode_attack_artifact(result)
+    del payload["runtime_seconds"]
+    return codec.dumps(payload, "attacks")
+
+
+def test_exec_fields_never_move_a_bit(tmp_path, locked, attack_result):
+    """Every ``exec`` field at a non-default value leaves the store token
+    and the attack artifact byte-identical."""
+    config, result = attack_result
+    every = tmp_path / "every.ckpt"
+    final = tmp_path / "final.ckpt"
+    runs = [
+        {"score_prefetch": 0},
+        {"log_every": 1},
+        {"checkpoint_path": str(every), "checkpoint_every": 1},
+        {"checkpoint_path": str(final)},
+        {"checkpoint_path": str(final), "resume": True},  # from the run above
+    ]
+    exec_fields = {
+        field.name
+        for cls in (MuxLinkConfig, TrainConfig)
+        for field in dataclasses.fields(cls)
+        if knobs.role(field) == knobs.EXEC
+    }
+    assert {name for run in runs for name in run} == exec_fields
+    for values in runs:
+        changed = _with(config, **values)
+        assert config_token(changed) == config_token(config), values
+        assert _artifact_bytes(run_muxlink(locked.circuit, changed)) == (
+            _artifact_bytes(result)
+        ), values
+    assert every.exists() and final.exists()
 
 
 def test_config_token_tracks_runtime_dtype():
