@@ -70,7 +70,7 @@ from repro.linkpred import (
     score_stream,
 )
 from repro.linkpred.trainer import _evaluate
-from repro.nn import SparseOp, Tensor, concat, dtype_scope
+from repro.nn import SparseOp, Tensor, dtype_scope
 
 BENCHMARK = "c2670"
 SCALE = 1.0
@@ -114,6 +114,37 @@ def pr2_graph_conv(norm_adj, h, weight):
             h._accumulate_owned(ga @ weight.data.T)
 
     return Tensor._make(out, (h, weight), backward)
+
+
+def pr2_concat(tensors, axis=-1):
+    """The reference engine's concat: a node-sized copy, split on backward."""
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    sizes = [t.data.shape[axis] for t in tensors]
+    offsets = np.cumsum([0] + sizes)
+
+    def backward(grad):
+        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+            slicer = [slice(None)] * grad.ndim
+            slicer[axis] = slice(start, stop)
+            t._accumulate(grad[tuple(slicer)])
+
+    return Tensor._make(data, tuple(tensors), backward)
+
+
+def pr2_gather_rows(t, indices):
+    """The reference engine's SortPooling gather: ``-1`` yields a zero row;
+    no index repeats, so the backward scatter is a plain assignment."""
+    indices = np.asarray(indices, dtype=np.int64)
+    valid = indices >= 0
+    padded = np.zeros((indices.shape[0],) + t.shape[1:], dtype=t.data.dtype)
+    padded[valid] = t.data[indices[valid]]
+
+    def backward(grad):
+        out = np.zeros_like(t.data)
+        out[indices[valid]] = grad[valid]
+        t._accumulate_owned(out)
+
+    return Tensor._make(padded, (t,), backward)
 
 
 def pr2_conv1d(x, weight, bias, stride=1, workspace=None):
@@ -210,10 +241,10 @@ class Pr2DGCNN(DGCNN):
         for layer in self.gc_layers:
             h = pr2_graph_conv(batch.norm_adj, h, layer.weight)
             layer_outputs.append(h)
-        h_cat = concat(layer_outputs, axis=1)
+        h_cat = pr2_concat(layer_outputs, axis=1)
 
         indices = self._sortpool_indices(layer_outputs[-1].data, batch)
-        pooled = h_cat.gather_rows(indices, unique=True)
+        pooled = pr2_gather_rows(h_cat, indices)
         pooled = pooled.reshape(batch.n_graphs, 1, self.k * self.node_width)
 
         z = pr2_conv1d(

@@ -15,6 +15,7 @@ from repro.core.postprocess import (
     decisions_to_key,
     postprocess_likelihoods,
 )
+from repro.errors import AttackError
 from repro.gnn import DGCNN
 from repro.knobs import EXEC, KEY, POST, knob
 from repro.linkpred import (
@@ -120,7 +121,12 @@ def run_muxlink(
     Returns:
         A :class:`MuxLinkResult` with the predicted key (``x`` for
         undecided bits) and full diagnostics.
+
+    Raises:
+        AttackError: if ``config.h`` is below 1 (no enclosing subgraph).
     """
+    if config.h < 1:
+        raise AttackError(f"h must be >= 1, got {config.h}")
     # Local import: repro.store pulls netlist/locking helpers whose
     # package chain leads back into repro.core.
     from repro import store as store_mod

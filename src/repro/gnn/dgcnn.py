@@ -4,7 +4,7 @@ The exact architecture of the paper (Sec. IV "GNN Topology"):
 
 * four graph-convolution layers with {32, 32, 32, 1} output channels and
   ``tanh`` activations (Eq. 4), run through the fused
-  :func:`repro.nn.graph_conv` kernel,
+  :func:`repro.nn.functional.graph_conv` kernel,
 * concatenation ``H^{1:L}`` of all layer outputs per node,
 * SortPooling to the top-``k`` nodes ordered by the last (1-channel) layer
   — vectorized as a single lexsort over ``(graph_id, -score)`` plus one
@@ -98,8 +98,9 @@ class DGCNN(Module):
         ]
         self.gc_channels = tuple(gc_channels)
         self.node_width = int(sum(gc_channels))
-        # Forward workspace: the H^{1:L} concat buffer and the graph-conv
-        # scratch slots are recycled across steps (see ``forward``).
+        # Forward workspace: the per-layer graph-conv outputs and the
+        # graph_conv / sortpool_conv scratch slots are recycled across
+        # steps (see ``forward``).
         self._workspace = Workspace()
         self.conv1 = Conv1d(
             1, conv_channels[0], kernel_size=self.node_width,
@@ -215,7 +216,7 @@ class DGCNN(Module):
             self.conv1.weight, self.conv1.bias, self.k,
             workspace=workspace,
         ).relu()  # (B, c1, k)
-        z = max_pool1d(z, 2, 2)  # (B, c1, k//2)
+        z = max_pool1d(z)  # (B, c1, k//2)
         z = self.conv2(z).relu()  # (B, c2, k//2 - 4)
         z = z.reshape(batch.n_graphs, self.flat_width)
         z = self.fc1(z).relu()

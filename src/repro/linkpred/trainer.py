@@ -28,7 +28,7 @@ import os
 import queue
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -333,6 +333,16 @@ def score_stream(
 _CHECKPOINT_VERSION = 3
 _LEGACY_CHECKPOINT_VERSIONS = frozenset({2})
 _CHECKPOINT_KIND = "trainer-checkpoint"
+#: Every payload key :meth:`Trainer.load_checkpoint` reads.
+_CHECKPOINT_FIELDS = frozenset({
+    "version", "epoch", "model_state", "best_state", "optimizer_state",
+    "lr", "shuffle_rng_state", "dropout_rng_state", "history", "config",
+})
+#: The saved ``config`` keys it checks against the resuming trainer.
+_CHECKPOINT_CONFIG_FIELDS = frozenset({
+    "seed", "batch_size", "dtype", "feature_width", "k", "n_train",
+    "n_validation",
+})
 
 
 class Trainer:
@@ -522,7 +532,17 @@ class Trainer:
                 f"unreadable checkpoint {path!r} — corrupt, or written by "
                 f"an older container format, pickle or npz ({exc})"
             ) from exc
-        version = payload.get("version")
+        # Everything is validated before anything is assigned: a bad
+        # payload must leave this trainer exactly as it was.
+        if not isinstance(payload, dict):
+            raise TrainingError(
+                f"checkpoint {path!r} holds a {type(payload).__name__}, "
+                "not a training-state mapping"
+            )
+        missing = sorted(_CHECKPOINT_FIELDS - payload.keys())
+        if missing:
+            raise TrainingError(f"checkpoint {path!r} lacks {missing}")
+        version = payload["version"]
         if (
             version != _CHECKPOINT_VERSION
             and version not in _LEGACY_CHECKPOINT_VERSIONS
@@ -531,6 +551,13 @@ class Trainer:
                 f"unsupported checkpoint version {version!r}"
             )
         saved = payload["config"]
+        if not (
+            isinstance(saved, dict) and saved.keys() >= _CHECKPOINT_CONFIG_FIELDS
+        ):
+            raise TrainingError(
+                f"checkpoint {path!r} config must map "
+                f"{sorted(_CHECKPOINT_CONFIG_FIELDS)}, got {saved!r}"
+            )
         if (
             saved["seed"] != self.config.seed
             or saved["batch_size"] != self.config.batch_size
@@ -572,20 +599,39 @@ class Trainer:
             raise TrainingError(
                 f"checkpoint {path!r} does not fit this model: {exc}"
             ) from exc
+        try:
+            epoch = int(payload["epoch"])
+            lr = float(payload["lr"])
+            int(payload["optimizer_state"]["t"])
+        except (TypeError, ValueError) as exc:
+            raise TrainingError(
+                f"checkpoint {path!r} has a malformed epoch, lr or step: {exc}"
+            ) from exc
+        history = _saved_history(path, payload["history"])
+        for name, generator in (
+            ("shuffle_rng_state", self.rng),
+            ("dropout_rng_state", self.model.dropout.rng),
+        ):
+            # Apply to a throwaway generator of the same kind first.
+            probe = type(generator.bit_generator)(0)
+            try:
+                probe.state = payload[name]
+            except (TypeError, ValueError, KeyError) as exc:
+                raise TrainingError(
+                    f"checkpoint {path!r} has an unusable {name}: {exc!r}"
+                ) from exc
         # A v3 checkpoint from a second-order-optimizer run of older
         # code also carries ``optimizer_name`` and
         # ``preconditioner_state``; both are ignored, so it resumes as
         # plain Adam from the same moments.
-        self.epoch = int(payload["epoch"])
+        self.epoch = epoch
         self.model.load_state_dict(payload["model_state"])
         self._best_state = [a.copy() for a in payload["best_state"]]
         self.optimizer.load_state_dict(payload["optimizer_state"])
-        self.optimizer.lr = float(payload["lr"])
+        self.optimizer.lr = lr
         self.rng.bit_generator.state = payload["shuffle_rng_state"]
         self.model.dropout.rng.bit_generator.state = payload["dropout_rng_state"]
-        history = dict(payload["history"])
-        history.setdefault("val_auc", [])  # absent in version-2 checkpoints
-        self.history = TrainHistory(**history)
+        self.history = history
         # Re-derive the early-stop gate under *this* trainer's config: a
         # checkpoint written by an early-stopped run must resume training
         # when the patience budget has been raised or disabled.
@@ -608,6 +654,11 @@ class Trainer:
                         f"parameter has shape {param.data.shape}"
                     )
         optimizer_state = payload["optimizer_state"]
+        if not (
+            isinstance(optimizer_state, dict)
+            and optimizer_state.keys() >= {"t", "m", "v"}
+        ):
+            raise ValueError("optimizer state must map 't', 'm' and 'v'")
         for name in ("m", "v"):
             moments = optimizer_state[name]
             if len(moments) != len(params):
@@ -622,6 +673,23 @@ class Trainer:
                         f"{np.asarray(data).shape}, parameter has shape "
                         f"{param.data.shape}"
                     )
+
+
+def _saved_history(path: str, saved) -> TrainHistory:
+    """The :class:`TrainHistory` a checkpoint's ``history`` mapping holds."""
+    if not isinstance(saved, dict):
+        raise TrainingError(
+            f"checkpoint {path!r} history is a {type(saved).__name__}, "
+            "not a mapping"
+        )
+    unknown = sorted(saved.keys() - {f.name for f in fields(TrainHistory)})
+    if unknown:
+        raise TrainingError(
+            f"checkpoint {path!r} history has unknown fields {unknown}"
+        )
+    history = dict(saved)
+    history.setdefault("val_auc", [])  # absent in version-2 checkpoints
+    return TrainHistory(**history)
 
 
 def make_trainer(dataset: LinkDataset, config: TrainConfig = TrainConfig()):

@@ -171,8 +171,8 @@ class GraphConv(Module):
     ``D^-1 (A + I)`` is precomputed by the batcher and passed as a constant
     — ideally the batch's :class:`~repro.nn.sparse.SparseOp`
     (``GraphBatch.operator``), so layers share one operator per batch.
-    ``out``/``workspace`` forward straight to the kernel (see
-    :func:`repro.nn.functional.graph_conv`).
+    ``workspace``/``out``/``feature_cols`` forward straight to the kernel
+    (see :func:`repro.nn.functional.graph_conv`).
     """
 
     def __init__(
@@ -187,11 +187,11 @@ class GraphConv(Module):
         self,
         norm_adj,
         h: Tensor,
+        workspace: Workspace,
         out: np.ndarray | None = None,
-        workspace: Workspace | None = None,
         feature_cols: np.ndarray | None = None,
     ) -> Tensor:
         return graph_conv(
             norm_adj, h, self.weight,
-            out=out, workspace=workspace, feature_cols=feature_cols,
+            workspace=workspace, out=out, feature_cols=feature_cols,
         )

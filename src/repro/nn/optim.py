@@ -1,10 +1,10 @@
-"""Optimizers: Adam (the paper's choice) and plain SGD.
+"""The optimizer: Adam, the paper's choice.
 
-Both update parameters fully in place.  Adam additionally keeps its moment
-estimates and two scratch buffers alive across steps, so a training step
-allocates no new arrays — the update arithmetic is a fixed sequence of
-``out=``-style numpy calls over preallocated storage, ordered to be
-bit-identical to the textbook (allocate-per-step) formulation.
+It updates parameters fully in place and keeps its moment estimates and
+two scratch buffers alive across steps, so a training step allocates no
+new arrays — the update arithmetic is a fixed sequence of ``out=``-style
+numpy calls over preallocated storage, ordered to be bit-identical to the
+textbook (allocate-per-step) formulation.
 """
 
 from __future__ import annotations
@@ -13,24 +13,7 @@ import numpy as np
 
 from repro.nn.tensor import Tensor
 
-__all__ = ["Adam", "SGD"]
-
-
-class SGD:
-    """Vanilla stochastic gradient descent."""
-
-    def __init__(self, params: list[Tensor], lr: float = 0.01):
-        self.params = list(params)
-        self.lr = lr
-
-    def step(self) -> None:
-        for param in self.params:
-            if param.grad is not None:
-                param.data -= self.lr * param.grad
-
-    def zero_grad(self) -> None:
-        for param in self.params:
-            param.zero_grad()
+__all__ = ["Adam"]
 
 
 class Adam:
@@ -65,55 +48,38 @@ class Adam:
         sizes = [p.data.size for p in self.params]
         self._offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         dtypes = {p.data.dtype for p in self.params}
+        if len(dtypes) > 1:
+            raise ValueError(
+                f"parameters mix dtypes {sorted(map(str, dtypes))}; "
+                "the moment arena holds one"
+            )
         self._dtype = self.params[0].data.dtype if self.params else np.float64
-        self._fused = len(dtypes) <= 1
-        if self._fused:
-            total = int(self._offsets[-1]) if self.params else 0
-            self._fm = np.zeros(total, dtype=self._dtype)
-            self._fv = np.zeros(total, dtype=self._dtype)
-            self._fg = np.empty(total, dtype=self._dtype)
-            self._fa = np.empty(total, dtype=self._dtype)
-            self._fb = np.empty(total, dtype=self._dtype)
-            # Per-parameter views over the arenas (the state_dict unit).
-            self._m = [self._param_view(self._fm, i) for i in range(len(self.params))]
-            self._v = [self._param_view(self._fv, i) for i in range(len(self.params))]
-            self._buf_a = self._buf_b = None
-        else:
-            # Mixed parameter dtypes: no shared arena — keep per-parameter
-            # moments and scratch in each parameter's own dtype, exactly
-            # like the per-parameter formulation.
-            self._m = [np.zeros_like(p.data) for p in self.params]
-            self._v = [np.zeros_like(p.data) for p in self.params]
-            self._buf_a = [np.empty_like(p.data) for p in self.params]
-            self._buf_b = [np.empty_like(p.data) for p in self.params]
+        total = int(self._offsets[-1]) if self.params else 0
+        self._fm = np.zeros(total, dtype=self._dtype)
+        self._fv = np.zeros(total, dtype=self._dtype)
+        self._fg = np.empty(total, dtype=self._dtype)
+        self._fa = np.empty(total, dtype=self._dtype)
+        self._fb = np.empty(total, dtype=self._dtype)
+        # Per-parameter views over the arenas (the state_dict unit).
+        self._m = [self._param_view(self._fm, i) for i in range(len(self.params))]
+        self._v = [self._param_view(self._fv, i) for i in range(len(self.params))]
 
     def _param_view(self, arena: np.ndarray, i: int) -> np.ndarray:
         start, stop = self._offsets[i], self._offsets[i + 1]
         return arena[start:stop].reshape(self.params[i].data.shape)
 
     def step(self) -> None:
-        self.t += 1
-        if self._fused and all(p.grad is not None for p in self.params):
-            self._step_fused()
-            return
         for i, param in enumerate(self.params):
             if param.grad is None:
-                continue
-            if self._fused:  # some grads missing: arena slices as scratch
-                a = self._param_view(self._fa, i)
-                b = self._param_view(self._fb, i)
-            else:
-                a, b = self._buf_a[i], self._buf_b[i]
-            self._update(param, param.grad, self._m[i], self._v[i], a, b)
-
-    def _step_fused(self) -> None:
+                raise ValueError(f"parameter {i} has no gradient to step on")
+        self.t += 1
         for i, param in enumerate(self.params):
             self._param_view(self._fg, i)[...] = param.grad
-        self._update(None, self._fg, self._fm, self._fv, self._fa, self._fb)
+        self._update(self._fg, self._fm, self._fv, self._fa, self._fb)
         for i, param in enumerate(self.params):
             param.data -= self._param_view(self._fb, i)
 
-    def _update(self, param, grad, m, v, a, b) -> None:
+    def _update(self, grad, m, v, a, b) -> None:
         b1, b2 = self.beta1, self.beta2
         c1 = 1 - b1**self.t
         c2 = 1 - b2**self.t
@@ -134,8 +100,6 @@ class Adam:
         np.divide(m, c1, out=b)
         b *= self.lr
         b /= a
-        if param is not None:
-            param.data -= b
 
     def zero_grad(self) -> None:
         for param in self.params:

@@ -5,8 +5,11 @@ runtime the DGCNN is built on: a :class:`Tensor` records the operations that
 produced it and :meth:`Tensor.backward` walks the tape in reverse
 topological order, accumulating gradients.
 
-Only the operations the DGCNN needs are implemented, each with an exact
-(non-approximated) gradient.
+The tensor itself carries only what the DGCNN's forward pass calls between
+its fused kernels (:mod:`repro.nn.functional`): :meth:`Tensor.reshape`,
+:meth:`Tensor.relu` and :meth:`Tensor.exp` (the softmax), each with an
+exact gradient.  Alongside it live the dtype policy, :func:`no_grad` and
+the :class:`Workspace` scratch pool.
 
 Dtype policy
 ------------
@@ -31,23 +34,15 @@ closures and keep no intermediate arrays alive.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from repro.settings import setting
 
-if TYPE_CHECKING:  # pragma: no cover
-    import scipy.sparse as sp
-
 __all__ = [
     "Tensor",
     "Workspace",
-    "spmm",
-    "concat",
-    "relu",
-    "tanh",
-    "sigmoid",
     "default_dtype",
     "set_default_dtype",
     "dtype_scope",
@@ -160,20 +155,6 @@ class Workspace:
         return slot[: shape[0]]
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce *grad* back to *shape* after numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    # Sum away leading broadcast axes.
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    # Sum axes that were 1 in the original shape.
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 class Tensor:
     """A numpy array with an autograd tape.
 
@@ -205,13 +186,6 @@ class Tensor:
     @property
     def dtype(self) -> np.dtype:
         return self.data.dtype
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Tensor(shape={self.shape}, grad={self.requires_grad})"
-
-    @staticmethod
-    def _lift(value) -> "Tensor":
-        return value if isinstance(value, Tensor) else Tensor(value)
 
     @staticmethod
     def _make(
@@ -289,82 +263,8 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def item(self) -> float:
         return float(self.data)
-
-    # ----------------------------------------------------------- arithmetic
-    def __add__(self, other) -> "Tensor":
-        other = self._lift(other)
-        data = self.data + other.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad, self.shape))
-            other._accumulate(_unbroadcast(grad, other.shape))
-
-        return self._make(data, (self, other), backward)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Tensor":
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
-
-        return self._make(-self.data, (self,), backward)
-
-    def __sub__(self, other) -> "Tensor":
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other) -> "Tensor":
-        return self._lift(other) + (-self)
-
-    def __mul__(self, other) -> "Tensor":
-        other = self._lift(other)
-        data = self.data * other.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad * other.data, self.shape))
-            other._accumulate(_unbroadcast(grad * self.data, other.shape))
-
-        return self._make(data, (self, other), backward)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Tensor":
-        other = self._lift(other)
-        data = self.data / other.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad / other.data, self.shape))
-            other._accumulate(
-                _unbroadcast(-grad * self.data / (other.data**2), other.shape)
-            )
-
-        return self._make(data, (self, other), backward)
-
-    def __matmul__(self, other) -> "Tensor":
-        other = self._lift(other)
-        data = self.data @ other.data
-
-        def backward(grad: np.ndarray) -> None:
-            # Both products are freshly allocated, so ownership transfers
-            # (no defensive copy); skip the GEMM entirely for constants.
-            if self.requires_grad:
-                self._accumulate_owned(grad @ other.data.T)
-            if other.requires_grad:
-                other._accumulate_owned(self.data.T @ grad)
-
-        return self._make(data, (self, other), backward)
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        data = self.data**exponent
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-        return self._make(data, (self,), backward)
 
     # ------------------------------------------------------------ reshaping
     def reshape(self, *shape: int) -> "Tensor":
@@ -376,107 +276,12 @@ class Tensor:
 
         return self._make(data, (self,), backward)
 
-    def transpose(self, *axes: int) -> "Tensor":
-        axes = axes or tuple(reversed(range(self.ndim)))
-        data = self.data.transpose(axes)
-        inverse = tuple(np.argsort(axes))
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.transpose(inverse))
-
-        return self._make(data, (self,), backward)
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
-    def gather_rows(
-        self,
-        indices: np.ndarray,
-        unique: bool = False,
-        out: np.ndarray | None = None,
-    ) -> "Tensor":
-        """Select rows; an index of ``-1`` yields a zero row (padding).
-
-        Gradient scatters back additively into the selected rows.  Pass
-        ``unique=True`` when the caller guarantees no index repeats (e.g.
-        SortPooling, where every node row is taken at most once): the
-        scatter then becomes a direct assignment instead of ``np.add.at``.
-        An optional *out* destination (possibly a strided column slice of
-        a shared buffer) receives the gather in place and becomes the
-        result tensor's data.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        valid = indices >= 0
-        if out is None:
-            padded = np.zeros(
-                (indices.shape[0],) + self.shape[1:], dtype=self.data.dtype
-            )
-        else:
-            padded = out
-            if not valid.all():
-                padded[~valid] = 0.0
-        padded[valid] = self.data[indices[valid]]
-
-        def backward(grad: np.ndarray) -> None:
-            out = np.zeros_like(self.data)
-            if unique:
-                out[indices[valid]] = grad[valid]
-            else:
-                np.add.at(out, indices[valid], grad[valid])
-            self._accumulate_owned(out)
-
-        return self._make(padded, (self,), backward)
-
-    # ----------------------------------------------------------- reductions
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            g = grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
-
-        return self._make(data, (self,), backward)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.data.size
-        else:
-            count = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
     # ---------------------------------------------------------- activations
-    def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate_owned(grad * (1.0 - data**2))
-
-        return self._make(data, (self,), backward)
-
     def relu(self) -> "Tensor":
         data = np.maximum(self.data, 0.0)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate_owned(grad * (self.data > 0))
-
-        return self._make(data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate_owned(grad * data * (1.0 - data))
-
-        return self._make(data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        data = np.log(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
 
         return self._make(data, (self,), backward)
 
@@ -488,44 +293,3 @@ class Tensor:
 
         return self._make(data, (self,), backward)
 
-
-def spmm(matrix: sp.spmatrix, tensor: Tensor) -> Tensor:
-    """Sparse @ dense with gradient through the dense side.
-
-    The sparse *matrix* is a constant (the normalized adjacency); only the
-    node-feature tensor receives a gradient: ``d(A @ H)/dH = A.T @ grad``.
-    """
-    matrix = matrix.tocsr()
-    data = matrix @ tensor.data
-
-    def backward(grad: np.ndarray) -> None:
-        tensor._accumulate_owned(matrix.T @ grad)
-
-    return Tensor._make(data, (tensor,), backward)
-
-
-def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
-    """Concatenate along *axis*; gradient splits back to the inputs."""
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: np.ndarray) -> None:
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            slicer = [slice(None)] * grad.ndim
-            slicer[axis] = slice(start, stop)
-            t._accumulate(grad[tuple(slicer)])
-
-    return Tensor._make(data, tuple(tensors), backward)
-
-
-def relu(t: Tensor) -> Tensor:
-    return t.relu()
-
-
-def tanh(t: Tensor) -> Tensor:
-    return t.tanh()
-
-
-def sigmoid(t: Tensor) -> Tensor:
-    return t.sigmoid()

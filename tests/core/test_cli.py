@@ -58,6 +58,16 @@ def test_attack_command_smoke(tmp_path, capsys):
     assert "AC=" in out  # stored key enables scoring
 
 
+def test_attack_rejects_nonpositive_h(tmp_path, capsys):
+    """``--h 0`` is a usage error (exit 2), like ``--threshold -1``."""
+    base = tmp_path / "b.bench"
+    locked = tmp_path / "l.bench"
+    main(["generate", "c1355", "--scale", "0.12", "-o", str(base)])
+    main(["lock", str(base), "--key-size", "6", "-o", str(locked)])
+    assert main(["attack", str(locked), "--h", "0", "--epochs", "1"]) == 2
+    assert "error: h must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_unlock_without_key_fails(tmp_path, capsys):
     base = tmp_path / "b.bench"
     main(["generate", "c17", "-o", str(base)])

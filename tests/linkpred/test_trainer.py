@@ -408,3 +408,73 @@ def test_checkpoint_with_mismatched_shapes_raises_cleanly(tmp_path):
     assert fresh.epoch == 0
     for a, b in zip(fresh.model.state_dict(), untouched):
         np.testing.assert_array_equal(a, b)
+
+
+def _drop(name):
+    def corrupt(payload):
+        del payload[name]
+        return payload
+
+    return corrupt
+
+
+def _unknown_history_field(payload):
+    payload["history"]["grad_norm"] = [1.0]
+    return payload
+
+
+def _foreign_rng_state(payload):
+    payload["dropout_rng_state"]["bit_generator"] = "MT19937"
+    return payload
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _drop("config"),
+        _drop("epoch"),
+        _unknown_history_field,
+        _foreign_rng_state,
+        lambda payload: [1, 2, 3],
+    ],
+    ids=["no-config", "no-epoch", "unknown-history-field", "foreign-rng-state",
+         "list-payload"],
+)
+def test_malformed_checkpoint_raises_training_error_before_mutation(
+    tmp_path, corrupt
+):
+    """A readable container with a bad payload fails as TrainingError,
+    and leaves weights, Adam moments and RNG streams untouched."""
+    from repro.errors import TrainingError
+    from repro.store import codec
+
+    path = str(tmp_path / "ck.npz")
+    t = Trainer(toy_dataset(), CFG)
+    t.fit(until_epoch=2)
+    t.save_checkpoint(path)
+    broken = str(tmp_path / "broken.npz")
+    codec.dump(
+        corrupt(codec.load(path, kind="trainer-checkpoint")), broken,
+        kind="trainer-checkpoint",
+    )
+
+    fresh = Trainer(toy_dataset(), CFG)
+    weights = fresh.model.state_dict()
+    moments = fresh.optimizer.state_dict()
+    rng_states = (
+        fresh.rng.bit_generator.state,
+        fresh.model.dropout.rng.bit_generator.state,
+    )
+    with pytest.raises(TrainingError, match="checkpoint"):
+        fresh.load_checkpoint(broken)
+    assert fresh.epoch == 0 and fresh.history.epochs_run == 0
+    for a, b in zip(fresh.model.state_dict(), weights):
+        np.testing.assert_array_equal(a, b)
+    for name in ("m", "v"):
+        for a, b in zip(fresh.optimizer.state_dict()[name], moments[name]):
+            np.testing.assert_array_equal(a, b)
+    assert fresh.optimizer.t == 0
+    assert (
+        fresh.rng.bit_generator.state,
+        fresh.model.dropout.rng.bit_generator.state,
+    ) == rng_states

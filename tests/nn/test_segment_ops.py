@@ -1,6 +1,6 @@
-"""Gradient checks (float64 via conftest) and behaviour tests for the new
-segment/gather primitives, the fused graph convolution, and the runtime
-plumbing (dtype policy, no_grad, Workspace) added with the training engine."""
+"""Gradient checks (float64 via conftest) and behaviour tests for the
+fused graph convolution and the runtime plumbing (dtype policy,
+no_grad, Workspace) the training engine runs on."""
 
 import numpy as np
 import pytest
@@ -11,94 +11,14 @@ from repro.nn import (
     Workspace,
     default_dtype,
     dtype_scope,
-    gather_rows,
-    graph_conv,
-    is_grad_enabled,
     no_grad,
-    segment_max,
-    segment_mean,
-    segment_sum,
     set_default_dtype,
-    spmm,
 )
+from repro.nn.functional import graph_conv
+from repro.nn.tensor import is_grad_enabled
 from tests.nn.test_tensor import check, numerical_grad
 
 RNG = np.random.default_rng(11)
-
-
-# ------------------------------------------------------------- segment ops
-def test_segment_sum_forward_and_grad():
-    x = RNG.normal(size=(6, 3))
-    ids = np.array([0, 0, 2, 1, 2, 2])
-    out = segment_sum(Tensor(x), ids, 3)
-    np.testing.assert_allclose(out.data[0], x[0] + x[1])
-    np.testing.assert_allclose(out.data[1], x[3])
-    np.testing.assert_allclose(out.data[2], x[2] + x[4] + x[5])
-    check(lambda t: segment_sum(t, ids, 3).sum(), x)
-
-
-def test_segment_sum_empty_segment_is_zero():
-    out = segment_sum(Tensor(np.ones((2, 2))), np.array([0, 2]), 4)
-    np.testing.assert_array_equal(out.data[1], 0.0)
-    np.testing.assert_array_equal(out.data[3], 0.0)
-
-
-def test_segment_mean_forward_and_grad():
-    x = RNG.normal(size=(5, 2))
-    ids = np.array([1, 1, 0, 1, 0])
-    out = segment_mean(Tensor(x), ids, 2)
-    np.testing.assert_allclose(out.data[0], (x[2] + x[4]) / 2)
-    np.testing.assert_allclose(out.data[1], (x[0] + x[1] + x[3]) / 3)
-    check(lambda t: segment_mean(t, ids, 2).sum(), x)
-
-
-def test_segment_mean_empty_segment_is_zero():
-    out = segment_mean(Tensor(np.ones((1, 2))), np.array([0]), 2)
-    np.testing.assert_array_equal(out.data[1], 0.0)
-
-
-def test_segment_max_forward_and_grad():
-    # Distinct values: no max ties, so the subgradient is unambiguous.
-    x = RNG.permutation(20).astype(float).reshape(5, 4)
-    ids = np.array([0, 1, 1, 0, 1])
-    out = segment_max(Tensor(x), ids, 2)
-    np.testing.assert_allclose(out.data[0], np.maximum(x[0], x[3]))
-    check(lambda t: segment_max(t, ids, 2).sum(), x)
-
-
-def test_segment_max_empty_segment_is_zero():
-    out = segment_max(Tensor(np.ones((1, 3))), np.array([1]), 3)
-    np.testing.assert_array_equal(out.data[0], 0.0)
-    np.testing.assert_array_equal(out.data[2], 0.0)
-
-
-def test_segment_ops_validate_arguments():
-    t = Tensor(np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        segment_sum(t, np.array([0, 1]), 2)  # wrong id count
-    with pytest.raises(ValueError):
-        segment_sum(t, np.array([0, 1, 5]), 2)  # id out of range
-    with pytest.raises(ValueError):
-        segment_sum(t, np.array([0, -1, 1]), 2)  # negative id
-
-
-def test_gather_rows_function_matches_method():
-    x = RNG.normal(size=(4, 3))
-    idx = np.array([2, -1, 0, 2])
-    a = gather_rows(Tensor(x), idx)
-    b = Tensor(x).gather_rows(idx)
-    np.testing.assert_array_equal(a.data, b.data)
-
-
-def test_gather_rows_unique_fast_path_gradient():
-    x = RNG.normal(size=(5, 2))
-    idx = np.array([3, -1, 0, 4])  # unique valid indices
-
-    t = Tensor(x, requires_grad=True)
-    t.gather_rows(idx, unique=True).sum().backward()
-    expected = np.zeros_like(x)
-    expected[[3, 0, 4]] = 1.0
-    np.testing.assert_array_equal(t.grad, expected)
 
 
 # ------------------------------------------------------- fused graph conv
@@ -106,16 +26,15 @@ def test_graph_conv_matches_unfused_composition():
     adj = sp.random(7, 7, density=0.4, random_state=3, format="csr")
     h = RNG.normal(size=(7, 4))
     w = RNG.normal(size=(4, 5))
-    fused = graph_conv(adj, Tensor(h), Tensor(w))
-    unfused = spmm(adj, Tensor(h) @ Tensor(w)).tanh()
-    np.testing.assert_array_equal(fused.data, unfused.data)
+    fused = graph_conv(adj, Tensor(h), Tensor(w), workspace=Workspace())
+    np.testing.assert_array_equal(fused.data, np.tanh(adj @ (h @ w)))
 
 
 def test_graph_conv_gradients():
     adj = sp.random(6, 6, density=0.5, random_state=4, format="csr")
     h = RNG.normal(size=(6, 3))
     w = RNG.normal(size=(3, 2))
-    check(lambda hh, ww: graph_conv(adj, hh, ww).sum(), h, w)
+    check(lambda hh, ww: graph_conv(adj, hh, ww, workspace=Workspace()), h, w)
 
 
 # --------------------------------------------------------- runtime plumbing
@@ -135,10 +54,10 @@ def test_no_grad_disables_tape():
     assert is_grad_enabled()
     with no_grad():
         assert not is_grad_enabled()
-        out = (t * 2.0).sum()
+        out = t.relu()
         assert not out.requires_grad
         assert out._backward is None
-    out = (t * 2.0).sum()
+    out = t.relu()
     assert out.requires_grad
 
 
@@ -160,13 +79,13 @@ def test_max_pool1d_gradient_handles_fortran_ordered_input():
     x = np.asfortranarray(RNG.normal(size=(2, 3, 6)))
     t = Tensor(x, requires_grad=True)
     t.data = np.asfortranarray(t.data)  # Tensor() normalizes; force F order
-    out = max_pool1d(t, 2, 2)
-    out.sum().backward()
+    out = max_pool1d(t)
+    out.backward(np.ones(out.shape))
     assert t.grad.sum() == pytest.approx(out.data.size)
     # One unit of gradient per window, landing on that window's argmax.
     xc = np.ascontiguousarray(x)
     num = numerical_grad(
-        lambda: float(max_pool1d(Tensor(xc), 2, 2).sum().item()), xc
+        lambda: float(max_pool1d(Tensor(xc)).data.sum()), xc
     )
     np.testing.assert_allclose(t.grad, num, rtol=1e-6, atol=1e-8)
 
@@ -180,16 +99,14 @@ def test_conv_workspace_reuse_keeps_gradients_exact():
 
     def run():
         t = Tensor(x, requires_grad=True)
-        out = layer(t).sum()
+        out = layer(t)
         layer.zero_grad()
-        out.backward()
+        out.backward(np.ones(out.shape))
         return t.grad.copy(), layer.weight.grad.copy()
 
     gx1, gw1 = run()
     gx2, gw2 = run()  # second pass reuses the released buffer
     np.testing.assert_array_equal(gx1, gx2)
     np.testing.assert_array_equal(gw1, gw2)
-    num = numerical_grad(
-        lambda: float(layer(Tensor(x)).sum().item()), x
-    )
+    num = numerical_grad(lambda: float(layer(Tensor(x)).data.sum()), x)
     np.testing.assert_allclose(gx1, num, rtol=1e-5, atol=1e-7)

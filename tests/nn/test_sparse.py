@@ -18,18 +18,9 @@ import pytest
 import scipy.sparse as sp
 
 from repro.gnn import BatchAssembler, GraphExample, build_batch
-from repro.nn import (
-    SparseOp,
-    Tensor,
-    Workspace,
-    as_sparse_op,
-    csr_from_parts,
-    dtype_scope,
-    gather_stack,
-    graph_conv,
-    stack_columns,
-)
-from repro.nn.tensor import concat
+from repro.nn import SparseOp, Tensor, Workspace, dtype_scope
+from repro.nn.functional import graph_conv
+from repro.nn.sparse import as_sparse_op, csr_from_parts
 
 SOURCES = ["scipy", "assembled"]
 
@@ -237,9 +228,12 @@ def test_graph_conv_out_slice_destination():
     w0 = rng.standard_normal((4, 3))
     h = Tensor(h0, requires_grad=True)
     w = Tensor(w0, requires_grad=True)
-    plain = graph_conv(batch.norm_adj, h, w)
+    plain = graph_conv(batch.norm_adj, h, w, workspace=Workspace())
     buffer = np.empty((batch.n_nodes, 7))
-    sliced = graph_conv(batch.operator, Tensor(h0), Tensor(w0), out=buffer[:, 2:5])
+    sliced = graph_conv(
+        batch.operator, Tensor(h0), Tensor(w0), workspace=Workspace(),
+        out=buffer[:, 2:5],
+    )
     assert np.array_equal(plain.data, sliced.data)
     assert sliced.data.base is buffer
 
@@ -254,38 +248,3 @@ def test_workspace_resident_growth_and_reuse():
     assert c.shape == (32, 4)
     assert ws.resident("y", (10, 4), np.float64).base is not c.base
     assert ws.resident("x", (10, 5), np.float64).shape == (10, 5)
-
-
-def test_gather_stack_matches_gather_of_concat():
-    rng = np.random.default_rng(12)
-    tensors_a = [Tensor(rng.standard_normal((9, c)), requires_grad=True) for c in (3, 2, 1)]
-    tensors_b = [Tensor(t.data.copy(), requires_grad=True) for t in tensors_a]
-    indices = np.array([0, 8, -1, 4, 2, -1, 7])
-    buffer = np.empty((len(indices), 6))
-
-    fused = gather_stack(tensors_a, indices, buffer)
-    reference = concat(tensors_b, axis=1).gather_rows(indices, unique=True)
-    assert np.array_equal(fused.data, reference.data)
-
-    seed_grad = rng.standard_normal(fused.shape)
-    fused.backward(seed_grad)
-    reference.backward(seed_grad.copy())
-    for ta, tb in zip(tensors_a, tensors_b):
-        assert np.array_equal(ta.grad, tb.grad)
-
-
-def test_stack_columns_matches_concat_gradient():
-    rng = np.random.default_rng(13)
-    parts = [Tensor(rng.standard_normal((6, c)), requires_grad=True) for c in (2, 3)]
-    buffer = np.concatenate([p.data for p in parts], axis=1)
-    stacked = stack_columns(parts, buffer)
-    ref_parts = [Tensor(p.data.copy(), requires_grad=True) for p in parts]
-    reference = concat(ref_parts, axis=1)
-    assert np.array_equal(stacked.data, reference.data)
-    seed_grad = rng.standard_normal(stacked.shape)
-    stacked.backward(seed_grad)
-    reference.backward(seed_grad.copy())
-    for pa, pb in zip(parts, ref_parts):
-        assert np.array_equal(pa.grad, pb.grad)
-    with pytest.raises(ValueError):
-        stack_columns(parts, np.empty((6, 9)))

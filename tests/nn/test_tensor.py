@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from repro.nn import Tensor, concat, spmm
+from repro.nn import Tensor
+from repro.nn.functional import linear
 
 
 def numerical_grad(fn, x, eps=1e-6):
@@ -23,107 +23,64 @@ def numerical_grad(fn, x, eps=1e-6):
     return grad
 
 
-def check(build, *arrays):
-    """Compare autograd and numerical gradients for scalar-valued build()."""
+def check(build, *arrays, rtol=1e-5):
+    """Compare autograd and numerical gradients of ``build(*tensors)``.
+
+    The output is projected onto a fixed random upstream gradient, so
+    every output element contributes to the scalar being differentiated.
+    """
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
     out = build(*tensors)
-    out.backward()
+    seed = np.random.default_rng(0).standard_normal(out.shape)
+    out.backward(seed)
+
+    def value():
+        return float((build(*[Tensor(a) for a in arrays]).data * seed).sum())
+
     for tensor, array in zip(tensors, arrays):
-        num = numerical_grad(lambda: build(*[Tensor(a) for a in arrays]).item(), array)
+        num = numerical_grad(value, array)
         assert tensor.grad is not None
-        np.testing.assert_allclose(tensor.grad, num, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(tensor.grad, num, rtol=rtol, atol=1e-7)
 
 
 RNG = np.random.default_rng(42)
 
 
-def test_add_mul_broadcast():
-    a = RNG.normal(size=(3, 4))
-    b = RNG.normal(size=(4,))
-    check(lambda x, y: ((x + y) * (x * 2.0 + 1.0)).sum(), a, b)
-
-
-def test_sub_div_pow():
-    a = RNG.normal(size=(2, 3)) + 3.0
-    b = RNG.normal(size=(2, 3)) + 3.0
-    check(lambda x, y: ((x - y) / y + x**2).sum(), a, b)
-
-
-def test_matmul():
-    a = RNG.normal(size=(3, 5))
-    b = RNG.normal(size=(5, 2))
-    check(lambda x, y: (x @ y).sum(), a, b)
-
-
 def test_activations():
     a = RNG.normal(size=(4, 3))
-    check(lambda x: x.tanh().sum(), a)
-    check(lambda x: x.sigmoid().sum(), a)
-    check(lambda x: (x * x + 0.5).log().sum(), a)
-    check(lambda x: x.exp().sum(), a)
+    check(lambda x: x.relu(), a)
+    check(lambda x: x.exp(), a)
 
 
 def test_relu_gradient_masks():
     a = np.array([[-1.0, 2.0], [3.0, -4.0]])
     t = Tensor(a, requires_grad=True)
-    t.relu().sum().backward()
+    t.relu().backward(np.ones((2, 2)))
     np.testing.assert_array_equal(t.grad, [[0.0, 1.0], [1.0, 0.0]])
 
 
-def test_reshape_transpose():
+def test_reshape():
     a = RNG.normal(size=(2, 6))
-    check(lambda x: x.reshape(3, 4).transpose(1, 0).sum(), a)
-    check(lambda x: (x.T @ x).sum(), a)
-
-
-def test_sum_axis_and_mean():
-    a = RNG.normal(size=(3, 4))
-    check(lambda x: x.sum(axis=0).sum(), a)
-    check(lambda x: x.mean(axis=1).sum(), a)
-    check(lambda x: x.mean(), a)
-
-
-def test_gather_rows_with_padding():
-    a = RNG.normal(size=(5, 3))
-    idx = np.array([2, 2, -1, 0])
-
-    def build(x):
-        return x.gather_rows(idx).sum()
-
-    t = Tensor(a, requires_grad=True)
-    out = t.gather_rows(idx)
-    assert np.array_equal(out.data[2], np.zeros(3))  # -1 pads with zeros
-    build(t).backward()
-    expected = np.zeros_like(a)
-    expected[2] = 2.0  # selected twice
-    expected[0] = 1.0
-    np.testing.assert_array_equal(t.grad, expected)
-
-
-def test_spmm_gradient():
-    adj = sp.random(6, 6, density=0.4, random_state=1, format="csr")
-    h = RNG.normal(size=(6, 3))
-    check(lambda x: spmm(adj, x).sum(), h)
-
-
-def test_concat_gradient():
-    a = RNG.normal(size=(2, 3))
-    b = RNG.normal(size=(2, 2))
-    check(lambda x, y: concat([x, y], axis=1).sum(), a, b)
+    check(lambda x: x.reshape(3, 4), a)
+    check(lambda x: x.reshape(4, 3).exp().reshape(12), a)
 
 
 def test_diamond_graph_accumulates():
-    """y = x*x + x must give dy/dx = 2x + 1 (two paths)."""
-    a = np.array([1.5, -2.0])
+    """x feeding one node twice (as linear's input and its weight) gets
+    both contributions: d(x @ x + b) = grad x^T + x^T grad."""
+    a = RNG.normal(size=(3, 3))
+    b = RNG.normal(size=3)
+    check(lambda x, bias: linear(x, x, bias), a, b)
     t = Tensor(a, requires_grad=True)
-    ((t * t) + t).sum().backward()
-    np.testing.assert_allclose(t.grad, 2 * a + 1)
+    linear(t, t, Tensor(b)).backward(np.ones((3, 3)))
+    ones = np.ones((3, 3))
+    np.testing.assert_allclose(t.grad, ones @ a.T + a.T @ ones)
 
 
 def test_grad_accumulates_across_backwards():
     t = Tensor(np.array([1.0]), requires_grad=True)
-    (t * 2.0).sum().backward()
-    (t * 3.0).sum().backward()
+    t.reshape(1, 1).backward(np.array([[2.0]]))
+    t.reshape(1, 1).backward(np.array([[3.0]]))
     np.testing.assert_allclose(t.grad, [5.0])
     t.zero_grad()
     assert t.grad is None
@@ -132,11 +89,11 @@ def test_grad_accumulates_across_backwards():
 def test_backward_requires_scalar():
     t = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):
-        (t * 2.0).backward()
+        t.relu().backward()
 
 
 def test_no_grad_tracking_when_not_required():
     t = Tensor(np.ones(3))
-    out = (t * 2.0) + 1.0
+    out = t.relu().exp()
     assert not out.requires_grad
     assert out._backward is None

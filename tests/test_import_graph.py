@@ -1,4 +1,5 @@
-"""The cold attack path loads numpy and the attack code only.
+"""The cold attack path loads numpy and the attack code only, and
+``repro.nn`` exports only what the rest of ``repro`` uses.
 
 ``repro attack`` runs once per locked netlist in a fresh process, so
 everything ``import repro.cli`` pulls in is paid per attack.  The sparse
@@ -10,14 +11,17 @@ import graph, and that the direct and the fallback loads run the same
 kernels bit for bit.
 """
 
+import ast
 import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 
 import repro
+import repro.nn
 import repro.nn.sparse as sparse_module
 from repro import load_benchmark, lock_dmux
 from repro.gnn import GraphExample, build_batch
@@ -114,3 +118,49 @@ def test_failed_direct_load_falls_back_to_scipy_sparse(monkeypatch):
     monkeypatch.setattr(sparse_module, "_sparsetools", load_sparsetools())
     assert np.array_equal(op.matmul(dense), direct[0])
     assert np.array_equal(op.matmul_t(dense), direct[1])
+
+
+#: ``repro.nn`` exports no caller in ``src/`` imports: each one's reason.
+TEST_ONLY_EXPORTS = {
+    "dtype_scope": "the float64 switch of the gradient-check fixtures",
+}
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _names_taken_from(tree: ast.AST, package: str) -> set[str]:
+    """Names a module imports from *package* (or its submodules) or reads
+    as attributes of it (``import repro.nn as nn; nn.set_default_dtype``)."""
+    names: set[str] = set()
+    prefixes = {package}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+            node.module == package or node.module.startswith(package + ".")
+        ):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            prefixes.update(
+                alias.asname for alias in node.names
+                if alias.name == package and alias.asname
+            )
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in prefixes:
+            names.add(node.attr)
+    return names
+
+
+def test_repro_nn_exports_only_names_repro_uses():
+    """Every name in ``repro.nn.__all__`` is imported by ``src/`` outside
+    ``repro/nn`` or patched by ``perfbench/spans.py`` (which times the
+    DGCNN layers by name), so a dead export cannot grow back."""
+    package_dir = REPO / "src" / "repro"
+    sources = [
+        path for path in package_dir.rglob("*.py")
+        if package_dir / "nn" not in path.parents
+    ]
+    used: set[str] = set()
+    for path in sources + [REPO / "perfbench" / "spans.py"]:
+        used |= _names_taken_from(ast.parse(path.read_text()), "repro.nn")
+    # Equality, not inclusion: a tolerated name that gains a caller (or
+    # leaves __all__) must leave TEST_ONLY_EXPORTS too.
+    assert set(repro.nn.__all__) - used == set(TEST_ONLY_EXPORTS)
