@@ -248,8 +248,8 @@ class Pr2DGCNN(DGCNN):
         pooled = pooled.reshape(batch.n_graphs, 1, self.k * self.node_width)
 
         z = pr2_conv1d(
-            pooled, self.conv1.weight, self.conv1.bias,
-            stride=self.conv1.stride, workspace=self.conv1._workspace,
+            pooled, self.conv1_weight, self.conv1_bias,
+            stride=self.node_width, workspace=self._workspace,
         ).relu()
         z = pr2_max_pool1d(z, 2, 2)
         z = pr2_conv1d(

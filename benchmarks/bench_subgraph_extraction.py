@@ -133,7 +133,9 @@ def build_workload():
 
 
 def run_seed(graph, pairs):
-    neighbors = [graph.neighbors[u] for u in range(graph.n_nodes)]
+    neighbors = [
+        set(graph.neighbor_array(u).tolist()) for u in range(graph.n_nodes)
+    ]
     gate_ids = graph.gate_feature_ids.tolist()
     t0 = time.perf_counter()
     raw = [_seed_extract(neighbors, gate_ids, f, g, H) for f, g in pairs]

@@ -242,7 +242,7 @@ class SeedDGCNN(DGCNN):
         pooled = pooled.reshape(batch.n_graphs, 1, self.k * self.node_width)
 
         z = seed_conv1d(
-            pooled, self.conv1.weight, self.conv1.bias, stride=self.conv1.stride
+            pooled, self.conv1_weight, self.conv1_bias, stride=self.node_width
         ).relu()
         z = seed_max_pool1d(z, 2, 2)
         z = seed_conv1d(z, self.conv2.weight, self.conv2.bias).relu()

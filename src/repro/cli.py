@@ -129,12 +129,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if (args.lr_decay != 1.0) != (args.lr_decay_every > 0):
-        print(
-            "error: --lr-decay and --lr-decay-every must be given together",
-            file=sys.stderr,
-        )
-        return 2
     if args.dtype:
         import repro.nn as nn
 
@@ -148,8 +142,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             learning_rate=args.learning_rate,
             seed=args.seed,
             patience=args.patience,
-            lr_decay=args.lr_decay,
-            lr_decay_every=args.lr_decay_every,
             checkpoint_path=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
             resume=args.resume,
@@ -695,18 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="early-stop after N epochs without validation-loss improvement",
-    )
-    p.add_argument(
-        "--lr-decay",
-        type=float,
-        default=1.0,
-        help="multiply the learning rate by this factor on a schedule",
-    )
-    p.add_argument(
-        "--lr-decay-every",
-        type=int,
-        default=0,
-        help="apply --lr-decay every N epochs (0 = never)",
     )
     p.add_argument(
         "--checkpoint",

@@ -52,7 +52,8 @@ class MuxLinkConfig:
         max_train_links: cap on sampled training links (paper: 100 000).
         val_fraction: validation share (paper: 10 %).
         train: GNN training hyper-parameters.
-        use_drnl / use_gate_types: feature ablation switches.
+        use_degree: append the degree one-hot block to the paper's
+            gate-type and DRNL blocks (:mod:`repro.linkpred.dataset`).
         seed: sampling seed.
         score_prefetch: candidate scoring runs as a streamed pipeline —
             target-subgraph extraction overlaps GNN forwards with at most
@@ -66,8 +67,6 @@ class MuxLinkConfig:
     max_train_links: int = knob(KEY, 100_000)
     val_fraction: float = knob(KEY, 0.1)
     train: TrainConfig = knob(KEY, default_factory=TrainConfig)
-    use_drnl: bool = knob(KEY, True)
-    use_gate_types: bool = knob(KEY, True)
     use_degree: bool = knob(KEY, True)
     seed: int = knob(KEY, 0)
     score_prefetch: int = knob(EXEC, 2)
@@ -123,10 +122,18 @@ def run_muxlink(
         undecided bits) and full diagnostics.
 
     Raises:
-        AttackError: if ``config.h`` is below 1 (no enclosing subgraph).
+        AttackError: if ``config.h`` is below 1 (no enclosing subgraph),
+            ``config.train.epochs`` below 1 (an untrained model) or
+            ``config.train.learning_rate`` not positive (no descent).
     """
     if config.h < 1:
         raise AttackError(f"h must be >= 1, got {config.h}")
+    if config.train.epochs < 1:
+        raise AttackError(f"epochs must be >= 1, got {config.train.epochs}")
+    if not config.train.learning_rate > 0:
+        raise AttackError(
+            f"learning rate must be > 0, got {config.train.learning_rate}"
+        )
     # Local import: repro.store pulls netlist/locking helpers whose
     # package chain leads back into repro.core.
     from repro import store as store_mod
@@ -156,18 +163,13 @@ def run_muxlink(
         seed=config.seed,
     )
     dataset = build_link_dataset(
-        graph,
-        sample,
-        h=config.h,
-        use_drnl=config.use_drnl,
-        use_gate_types=config.use_gate_types,
-        use_degree=config.use_degree,
+        graph, sample, h=config.h, use_degree=config.use_degree
     )
     runtime["sampling"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    # The trainer owns batch caching, early stopping, LR scheduling and
-    # checkpoint/resume; all knobs arrive through ``config.train``.
+    # The trainer owns batch caching, early stopping and checkpoint/resume;
+    # all knobs arrive through ``config.train``.
     model, history = make_trainer(dataset, config.train).fit()
     runtime["training"] = time.perf_counter() - start
 

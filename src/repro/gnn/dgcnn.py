@@ -10,7 +10,8 @@ The exact architecture of the paper (Sec. IV "GNN Topology"):
   — vectorized as a single lexsort over ``(graph_id, -score)`` plus one
   top-k scatter, instead of a per-graph argsort loop,
 * two 1-D convolution layers with {16, 32} output channels — the first has
-  kernel/stride equal to the per-node feature width, the second kernel 5 —
+  kernel/stride equal to the per-node feature width and is fused into
+  SortPooling (:func:`repro.nn.sortpool_conv`), the second kernel 5 —
   with a max-pool of size 2 in between, ReLU activations,
 * a 128-unit dense layer, dropout 0.5, and a 2-way softmax output.
 
@@ -37,12 +38,21 @@ from repro.nn import (
     softmax_cross_entropy,
     sortpool_conv,
 )
+from repro.nn.layers import _unset
 
 __all__ = ["DGCNN", "choose_sortpool_k"]
 
 #: Smallest usable SortPooling k: after the width-2 max-pool the second
 #: convolution (kernel 5) still needs at least one output position.
 MIN_SORTPOOL_K = 10
+
+#: The paper's topology (Sec. IV): graph-convolution output widths,
+#: the two 1-D convolution widths, the dense-layer width and the dropout
+#: rate before the output layer.
+GC_CHANNELS = (32, 32, 32, 1)
+CONV_CHANNELS = (16, 32)
+DENSE_UNITS = 128
+DROPOUT = 0.5
 
 
 def choose_sortpool_k(
@@ -62,15 +72,13 @@ def choose_sortpool_k(
 
 
 class DGCNN(Module):
-    """Graph classifier for link prediction.
+    """Graph classifier for link prediction, at the paper's fixed
+    topology (:data:`GC_CHANNELS`, :data:`CONV_CHANNELS`,
+    :data:`DENSE_UNITS`, :data:`DROPOUT`).
 
     Args:
         in_features: width of the node-information matrix.
         k: SortPooling size (use :func:`choose_sortpool_k`).
-        gc_channels: per-layer graph-convolution output widths.
-        conv_channels: the two 1-D convolution widths.
-        dense_units: hidden dense-layer width.
-        dropout: dropout rate before the output layer.
         seed: parameter-initialization / dropout seed.
         init: draw the initial weights from *seed*; ``False`` leaves
             them as read-only zeros that allocate nothing, for
@@ -81,10 +89,6 @@ class DGCNN(Module):
         self,
         in_features: int,
         k: int,
-        gc_channels: tuple[int, ...] = (32, 32, 32, 1),
-        conv_channels: tuple[int, int] = (16, 32),
-        dense_units: int = 128,
-        dropout: float = 0.5,
         seed: int = 0,
         init: bool = True,
     ):
@@ -94,26 +98,31 @@ class DGCNN(Module):
         self.k = k
         self.gc_layers = [
             GraphConv(cin, cout, rng)
-            for cin, cout in zip((in_features,) + gc_channels[:-1], gc_channels)
+            for cin, cout in zip((in_features,) + GC_CHANNELS[:-1], GC_CHANNELS)
         ]
-        self.gc_channels = tuple(gc_channels)
-        self.node_width = int(sum(gc_channels))
+        self.node_width = sum(GC_CHANNELS)
         # Forward workspace: the per-layer graph-conv outputs and the
         # graph_conv / sortpool_conv scratch slots are recycled across
         # steps (see ``forward``).
         self._workspace = Workspace()
-        self.conv1 = Conv1d(
-            1, conv_channels[0], kernel_size=self.node_width,
-            rng=rng, stride=self.node_width,
-        )
+        # The first 1-D convolution (kernel and stride node_width) only
+        # ever runs fused into SortPooling, so it is its two parameters.
+        shape = (CONV_CHANNELS[0], 1, self.node_width)
+        if rng is None:
+            conv1_weight = _unset(*shape)
+        else:
+            scale = np.sqrt(2.0 / self.node_width)
+            conv1_weight = rng.normal(0.0, scale, size=shape)
+        self.conv1_weight = Tensor(conv1_weight, requires_grad=True)
+        self.conv1_bias = Tensor(np.zeros(CONV_CHANNELS[0]), requires_grad=True)
         self.conv2 = Conv1d(
-            conv_channels[0], conv_channels[1], kernel_size=5, rng=rng
+            CONV_CHANNELS[0], CONV_CHANNELS[1], kernel_size=5, rng=rng
         )
         conv2_len = (k // 2) - 4
-        self.flat_width = conv_channels[1] * conv2_len
-        self.fc1 = Linear(self.flat_width, dense_units, rng)
-        self.dropout = Dropout(dropout, np.random.default_rng(seed + 1))
-        self.fc2 = Linear(dense_units, 2, rng)
+        self.flat_width = CONV_CHANNELS[1] * conv2_len
+        self.fc1 = Linear(self.flat_width, DENSE_UNITS, rng)
+        self.dropout = Dropout(DROPOUT, np.random.default_rng(seed + 1))
+        self.fc2 = Linear(DENSE_UNITS, 2, rng)
         self.training = True
 
     @classmethod
@@ -196,7 +205,7 @@ class DGCNN(Module):
         dtype = h.data.dtype
         n_nodes = batch.n_nodes
         layer_outputs: list[Tensor] = []
-        for i, (layer, width) in enumerate(zip(self.gc_layers, self.gc_channels)):
+        for i, (layer, width) in enumerate(zip(self.gc_layers, GC_CHANNELS)):
             h = layer(
                 operator, h,
                 out=workspace.resident(f"dgcnn.gc{i}", (n_nodes, width), dtype),
@@ -213,7 +222,7 @@ class DGCNN(Module):
         # the pooled H^{1:L} matrix never materializes (see sortpool_conv).
         z = sortpool_conv(
             layer_outputs, indices,
-            self.conv1.weight, self.conv1.bias, self.k,
+            self.conv1_weight, self.conv1_bias, self.k,
             workspace=workspace,
         ).relu()  # (B, c1, k)
         z = max_pool1d(z)  # (B, c1, k//2)

@@ -30,7 +30,6 @@ from repro.linkpred.trainer import (
     make_trainer,
     score_examples,
     score_stream,
-    train_link_predictor,
 )
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "Trainer",
     "make_trainer",
     "TrainHistory",
-    "train_link_predictor",
     "score_examples",
     "score_stream",
 ]

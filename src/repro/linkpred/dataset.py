@@ -2,17 +2,17 @@
 
 Each sampled link becomes an enclosing subgraph with a node-information
 matrix ``X = [gate-type one-hot (8) | DRNL one-hot | degree one-hot (8)]``.
-The degree block is this repository's extension (ROADMAP item 4 puts it
-on trial against the paper's two blocks).  The DRNL one-hot width is
-fixed by the largest label seen in the *training* material; larger labels
-encountered at attack time clamp to the "far" bucket, as node degrees
-clamp to the last degree column.
+The gate-type and DRNL blocks are the paper's and always present; the
+degree block is this repository's extension and optional (``use_degree``;
+ROADMAP item 4 puts it on trial against the paper's two blocks).  The
+DRNL one-hot width is fixed by the largest label seen in the *training*
+material; larger labels encountered at attack time clamp to the "far"
+bucket, as node degrees clamp to the last degree column.
 
 ``X`` is stored **index-coded**: every row is fully described by the
-column of the one in each enabled block, so an example carries an
+column of the one in each block, so an example carries an
 ``(n_nodes, blocks)`` array of those columns, ascending within a row, in
-the smallest unsigned dtype that holds the dense width (with every block
-off: one zero column at width 1, the all-ones matrix).  The dense float
+the smallest unsigned dtype that holds the dense width.  The dense float
 rows are written per batch by :mod:`repro.gnn.batching`.
 
 Subgraphs are extracted through the batched CSR pipeline
@@ -51,49 +51,43 @@ __all__ = [
 _MAX_DEGREE_FEATURE = 8
 
 
-def _feature_width(
-    max_label: int, use_drnl: bool, use_gate_types: bool, use_degree: bool
-) -> int:
-    """Dense width of the node-information matrix (1 with every block off)."""
-    width = (
-        (NUM_GATE_FEATURES if use_gate_types else 0)
-        + (max_label + 1 if use_drnl else 0)
+def _feature_width(max_label: int, use_degree: bool) -> int:
+    """Dense width of the node-information matrix."""
+    return (
+        NUM_GATE_FEATURES
+        + max_label + 1
         + (_MAX_DEGREE_FEATURE if use_degree else 0)
     )
-    return max(width, 1)
 
 
 def _features_batch(
     subgraphs: Sequence[EnclosingSubgraph],
     max_label: int,
-    use_drnl: bool = True,
-    use_gate_types: bool = True,
     use_degree: bool = True,
 ) -> list[np.ndarray]:
     """Index-coded node-information matrices for many subgraphs in one pass.
 
     The whole split's ``(total_nodes, blocks)`` column array is allocated
-    once and each enabled block writes its columns into its own column
-    (one vectorized assignment per block, no per-example loops); the
-    result is split back into per-subgraph views.
+    once and each block writes its columns into its own column (one
+    vectorized assignment per block, no per-example loops); the result is
+    split back into per-subgraph views.
     """
     sizes = np.array([s.n_nodes for s in subgraphs], dtype=np.int64)
     bounds = np.concatenate(([0], np.cumsum(sizes)))
-    width = _feature_width(max_label, use_drnl, use_gate_types, use_degree)
-    blocks: list[np.ndarray] = []
-    col = 0
-    if use_gate_types:
-        blocks.append(np.concatenate([s.gate_type_ids for s in subgraphs]))
-        col += NUM_GATE_FEATURES
-    if use_drnl:
-        labels = np.concatenate([s.labels for s in subgraphs])
-        blocks.append(col + np.minimum(labels, max_label))
-        col += max_label + 1
+    labels = np.concatenate([s.labels for s in subgraphs])
+    blocks = [
+        np.concatenate([s.gate_type_ids for s in subgraphs]),
+        NUM_GATE_FEATURES + np.minimum(labels, max_label),
+    ]
     if use_degree:
         degrees = np.concatenate([s.degrees for s in subgraphs])
-        blocks.append(col + np.minimum(degrees, _MAX_DEGREE_FEATURE - 1))
+        blocks.append(
+            NUM_GATE_FEATURES + max_label + 1
+            + np.minimum(degrees, _MAX_DEGREE_FEATURE - 1)
+        )
     stacked = np.zeros(
-        (int(bounds[-1]), max(len(blocks), 1)), np.min_scalar_type(width)
+        (int(bounds[-1]), len(blocks)),
+        np.min_scalar_type(_feature_width(max_label, use_degree)),
     )
     for j, block in enumerate(blocks):
         stacked[:, j] = block
@@ -114,8 +108,6 @@ class LinkDataset:
     max_label: int
     feature_width: int
     h: int
-    use_drnl: bool = True
-    use_gate_types: bool = True
     use_degree: bool = True
     subgraph_sizes: list[int] = field(default_factory=list)
 
@@ -124,8 +116,6 @@ def build_link_dataset(
     graph: AttackGraph,
     sample: LinkSample,
     h: int = 3,
-    use_drnl: bool = True,
-    use_gate_types: bool = True,
     use_degree: bool = True,
 ) -> LinkDataset:
     """Extract and featurize enclosing subgraphs for every sampled link.
@@ -134,7 +124,7 @@ def build_link_dataset(
         graph: the attack graph.
         sample: sampled train/validation links.
         h: enclosing-subgraph hop count.
-        use_drnl / use_gate_types / use_degree: feature ablation switches.
+        use_degree: append the degree one-hot block.
     """
     links = [(u, v, label, True) for u, v, label in sample.train]
     links += [(u, v, label, False) for u, v, label in sample.validation]
@@ -147,14 +137,12 @@ def build_link_dataset(
     max_label = max(
         1, max(int(s.labels.max(initial=0)) for s in subgraphs)
     )
-    features = _features_batch(
-        subgraphs, max_label, use_drnl, use_gate_types, use_degree
-    )
+    features = _features_batch(subgraphs, max_label, use_degree)
 
     train: list[GraphExample] = []
     validation: list[GraphExample] = []
     sizes: list[int] = []
-    width = _feature_width(max_label, use_drnl, use_gate_types, use_degree)
+    width = _feature_width(max_label, use_degree)
     for sub, feats, (_, _, label, is_train) in zip(subgraphs, features, links):
         example = GraphExample(
             n_nodes=sub.n_nodes,
@@ -172,8 +160,6 @@ def build_link_dataset(
         max_label=max_label,
         feature_width=width,
         h=h,
-        use_drnl=use_drnl,
-        use_gate_types=use_gate_types,
         use_degree=use_degree,
         subgraph_sizes=sizes,
     )
@@ -230,11 +216,7 @@ def iter_target_examples(
             graph, [(driver, load) for _, _, driver, load in chunk], dataset.h
         )
         features = _features_batch(
-            subgraphs,
-            dataset.max_label,
-            dataset.use_drnl,
-            dataset.use_gate_types,
-            dataset.use_degree,
+            subgraphs, dataset.max_label, dataset.use_degree
         )
         yield [
             TargetExample(
@@ -260,10 +242,10 @@ def build_target_examples(
     """Featurize both candidate links of every key MUX.
 
     Must use the *training* feature configuration (same ``max_label`` and
-    blocks) so the model sees consistent input widths.  Both candidates of
-    a MUX share the ``load`` endpoint, so batching them through the CSR
-    pipeline reuses that BFS between them.  One-chunk convenience wrapper
-    over :func:`iter_target_examples`.
+    degree block) so the model sees consistent input widths.  Both
+    candidates of a MUX share the ``load`` endpoint, so batching them
+    through the CSR pipeline reuses that BFS between them.  One-chunk
+    convenience wrapper over :func:`iter_target_examples`.
     """
     return [
         example

@@ -10,9 +10,7 @@ The adjacency is stored in CSR form (``indptr``/``indices`` int32 arrays
 with the neighbor list of node ``u`` at ``indices[indptr[u]:indptr[u+1]]``,
 sorted ascending).  The whole subgraph-extraction hot path
 (:mod:`repro.linkpred.subgraph`) operates on these flat arrays with
-vectorized numpy kernels; :attr:`AttackGraph.neighbors` remains available
-as a set-per-node compatibility view for callers that predate the CSR
-backbone.
+vectorized numpy kernels.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from repro.errors import AttackError
 from repro.locking.keys import is_key_input, key_input_index
 from repro.netlist import Circuit, GateType, gate_feature_index
 
-__all__ = ["AttackGraph", "MuxTarget", "NeighborView", "extract_attack_graph"]
+__all__ = ["AttackGraph", "MuxTarget", "extract_attack_graph"]
 
 
 @dataclass(frozen=True)
@@ -49,36 +47,6 @@ class MuxTarget:
     def candidates(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
         """``(driver, load, select_value)`` for both candidate links."""
         return (self.cand_d0, self.load, 0), (self.cand_d1, self.load, 1)
-
-
-class NeighborView:
-    """Sequence of per-node neighbor sets backed by the CSR arrays.
-
-    Compatibility shim for pre-CSR callers: ``view[u]`` materializes the
-    neighbor set of ``u`` (an O(degree) copy), so hot loops should read the
-    CSR arrays directly via :meth:`AttackGraph.neighbor_array`.
-    """
-
-    __slots__ = ("_indptr", "_indices")
-
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
-        self._indptr = indptr
-        self._indices = indices
-
-    def __len__(self) -> int:
-        return len(self._indptr) - 1
-
-    def __getitem__(self, node: int) -> set[int]:
-        if node < 0:  # list-style wraparound, like the legacy list[set]
-            node += len(self)
-        if not 0 <= node < len(self):
-            raise IndexError(f"node {node} out of range")
-        start, end = self._indptr[node], self._indptr[node + 1]
-        return set(map(int, self._indices[start:end]))
-
-    def __iter__(self):
-        for node in range(len(self)):
-            yield self[node]
 
 
 @dataclass(eq=False)
@@ -125,7 +93,7 @@ class AttackGraph:
         gate_types: list[GateType],
         targets: list[MuxTarget],
     ) -> "AttackGraph":
-        """Build the CSR arrays from a legacy ``list[set[int]]`` adjacency."""
+        """Build the CSR arrays from a ``list[set[int]]`` adjacency."""
         degrees = np.fromiter(
             (len(n) for n in neighbors), dtype=np.int32, count=len(neighbors)
         )
@@ -146,11 +114,6 @@ class AttackGraph:
     @property
     def n_nodes(self) -> int:
         return len(self.node_names)
-
-    @property
-    def neighbors(self) -> NeighborView:
-        """Per-node neighbor *sets* (compatibility view over the CSR arrays)."""
-        return NeighborView(self.indptr, self.indices)
 
     @property
     def degrees(self) -> np.ndarray:

@@ -35,7 +35,6 @@ def sample_links(
     max_links: int = 100_000,
     val_fraction: float = 0.1,
     seed: int = 0,
-    hard_negative_fraction: float = 0.0,
 ) -> LinkSample:
     """Sample a balanced, shuffled set of positive and negative links.
 
@@ -44,11 +43,6 @@ def sample_links(
         max_links: cap on the total number of sampled links.
         val_fraction: share held out for validation.
         seed: RNG seed.
-        hard_negative_fraction: share of negatives drawn from 2-hop node
-            pairs (default 0).  Exposed for ablation: on reconvergent
-            circuits a removed true wire itself looks like a 2-hop pair, so
-            aggressive hard negatives *reduce* key recovery — local
-            non-wires and hidden wires become nearly indistinguishable.
 
     Raises:
         TrainingError: if the graph is too small to sample from.
@@ -76,36 +70,18 @@ def sample_links(
         raise TrainingError("attack graph too small for negative sampling")
     negatives: list[tuple[int, int, int]] = []
     seen: set[frozenset] = set()
-    n_hard = int(per_class * hard_negative_fraction)
-
-    def try_add(u: int, v: int) -> None:
-        if u == v:
-            return
-        pair = frozenset((u, v))
-        if pair in excluded or pair in seen:
-            return
-        seen.add(pair)
-        negatives.append((u, v, 0))
-
-    attempts = 0
-    max_attempts = n_hard * 50
-    while len(negatives) < n_hard and attempts < max_attempts:
-        attempts += 1
-        u = int(rng.integers(n))
-        nbrs = graph.neighbor_array(u)
-        if not len(nbrs):
-            continue
-        mid = int(nbrs[int(rng.integers(len(nbrs)))])
-        hops2 = graph.neighbor_array(mid)
-        if not len(hops2):
-            continue
-        try_add(u, int(hops2[int(rng.integers(len(hops2)))]))
-
     attempts = 0
     max_attempts = per_class * 200
     while len(negatives) < per_class and attempts < max_attempts:
         attempts += 1
-        try_add(int(rng.integers(n)), int(rng.integers(n)))
+        u, v = int(rng.integers(n)), int(rng.integers(n))
+        if u == v:
+            continue
+        pair = frozenset((u, v))
+        if pair in excluded or pair in seen:
+            continue
+        seen.add(pair)
+        negatives.append((u, v, 0))
     if len(negatives) < per_class:
         # Dense small graphs may not have enough non-edges; shrink to match.
         positives = positives[: len(negatives)]

@@ -17,9 +17,6 @@ The engine is built for throughput:
   (``REPRO_DTYPE=float64`` restores the well-conditioned mode).
 * **Resumable** — :class:`Trainer` checkpoints weights, optimizer moments
   and both RNG streams, so an interrupted run resumes bit-identically.
-
-:func:`train_link_predictor` remains the thin compatibility wrapper over
-:class:`Trainer` that every existing caller uses.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ __all__ = [
     "TrainHistory",
     "Trainer",
     "make_trainer",
-    "train_link_predictor",
     "score_examples",
     "score_stream",
 ]
@@ -74,15 +70,12 @@ class TrainConfig:
 
     Attributes:
         epochs: maximum training epochs.
-        learning_rate: initial Adam learning rate.
+        learning_rate: Adam learning rate (fixed, as in the paper).
         batch_size: minibatch size (fixed cache partition).
         sortpool_percentile: SortPooling k percentile (paper: 0.6).
         seed: parameter / shuffle seed.
         patience: early stopping — abort when the validation loss has not
             improved for this many consecutive epochs (``None`` disables).
-        lr_decay: multiplicative LR decay factor.
-        lr_decay_every: apply ``lr_decay`` every this many epochs
-            (``0`` disables scheduling).
         checkpoint_path: where :class:`Trainer` persists its state.
         checkpoint_every: save a checkpoint every N epochs (``0`` = only
             the final one; ignored without ``checkpoint_path``).
@@ -96,8 +89,6 @@ class TrainConfig:
     sortpool_percentile: float = knob(KEY, 0.6)
     seed: int = knob(KEY, 0)
     patience: int | None = knob(KEY, None)
-    lr_decay: float = knob(KEY, 1.0)
-    lr_decay_every: int = knob(KEY, 0)
     checkpoint_path: str | None = knob(EXEC, None)
     checkpoint_every: int = knob(EXEC, 0)
     resume: bool = knob(EXEC, False)
@@ -207,31 +198,21 @@ def _evaluate(
 def score_examples(
     model: DGCNN,
     examples: Sequence[GraphExample],
-    batch_size: int | None = None,
-    cache: BatchCache | None = None,
+    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> np.ndarray:
     """Likelihood of "link exists" for each example (paper step 5).
 
-    ``batch_size`` defaults to :data:`DEFAULT_BATCH_SIZE`; callers with a
-    :class:`TrainConfig` should pass ``config.batch_size`` so scoring
-    chunks match the training configuration.
-
-    Like :func:`_evaluate`, an optional prebuilt *cache* (a
-    :class:`~repro.gnn.BatchCache` over the same examples) skips batch
-    construction entirely — repeated scoring of a fixed split then pays
-    the operator/stacking cost exactly once, at cache build.
+    Callers with a :class:`TrainConfig` should pass ``config.batch_size``
+    so scoring chunks match the training configuration.
     """
-    n = cache.n_examples if cache is not None else len(examples)
-    if n == 0:
+    if len(examples) == 0:
         return np.empty(0)
-    if batch_size is None:
-        batch_size = cache.batch_size if cache is not None else DEFAULT_BATCH_SIZE
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
     return np.concatenate(
         [
             model.predict_proba(batch)
-            for batch in _iter_batches(examples, batch_size, cache)
+            for batch in _iter_batches(examples, batch_size)
         ]
     )
 
@@ -449,8 +430,6 @@ class Trainer:
             self._best_state = self.model.state_dict()
 
         self.epoch += 1
-        if config.lr_decay_every and self.epoch % config.lr_decay_every == 0:
-            self.optimizer.lr *= config.lr_decay
         if config.log_every and (
             self.epoch % config.log_every == 0 or self.epoch == config.epochs
         ):
@@ -700,17 +679,3 @@ def make_trainer(dataset: LinkDataset, config: TrainConfig = TrainConfig()):
     """
     return Trainer(dataset, config)
 
-
-def train_link_predictor(
-    dataset: LinkDataset, config: TrainConfig = TrainConfig()
-) -> tuple[DGCNN, TrainHistory]:
-    """Train a DGCNN on *dataset*, restoring the best-validation weights.
-
-    Thin compatibility wrapper over :class:`Trainer` (which adds early
-    stopping, LR scheduling and checkpoint/resume, all reachable through
-    the :class:`TrainConfig` fields).
-
-    Returns:
-        ``(model, history)``; the model is in eval mode.
-    """
-    return Trainer(dataset, config).fit()

@@ -42,16 +42,14 @@ def conv1d(
     x: Tensor,
     weight: Tensor,
     bias: Tensor,
-    stride: int = 1,
     workspace: Workspace | None = None,
 ) -> Tensor:
-    """1-D convolution.
+    """Stride-1 1-D convolution.
 
     Args:
         x: input of shape ``(batch, c_in, length)``.
         weight: kernel of shape ``(c_out, c_in, k)``.
         bias: per-channel bias of shape ``(c_out,)``.
-        stride: kernel stride.
         workspace: optional buffer pool for the im2col matrix — the
             largest allocation of the op.  The buffer is released back to
             the pool by the backward pass (or immediately when the tape is
@@ -59,17 +57,15 @@ def conv1d(
             loop.
 
     Returns:
-        Tensor of shape ``(batch, c_out, (length - k) // stride + 1)``.
+        Tensor of shape ``(batch, c_out, length - k + 1)``.
     """
     batch, c_in, length = x.shape
     c_out, c_in_w, k = weight.shape
     if c_in != c_in_w:
         raise ValueError(f"channel mismatch: input {c_in}, weight {c_in_w}")
-    t_out = (length - k) // stride + 1
+    t_out = length - k + 1
     if t_out < 1:
-        raise ValueError(
-            f"kernel {k} with stride {stride} does not fit length {length}"
-        )
+        raise ValueError(f"kernel {k} does not fit length {length}")
     # im2col in channel-major layout: (c_in * k, batch * t_out).  One flat
     # GEMM then serves the whole batch — no per-example batched-GEMM loop,
     # and the weight/input gradients are single GEMMs too.
@@ -81,8 +77,7 @@ def conv1d(
         cols = np.empty((f_width, batch * t_out), dtype=dtype)
     cols4 = cols.reshape(k, c_in, batch, t_out)
     for tap in range(k):
-        segment = x.data[:, :, tap : tap + stride * t_out : stride]
-        cols4[tap] = segment.transpose(1, 0, 2)
+        cols4[tap] = x.data[:, :, tap : tap + t_out].transpose(1, 0, 2)
     w2 = weight.data.transpose(0, 2, 1).reshape(c_out, f_width)
     out_f = w2 @ cols  # (c_out, batch * t_out)
     out = np.ascontiguousarray(
@@ -120,7 +115,7 @@ def conv1d(
             gx = np.zeros_like(x.data)
             for tap in range(k):
                 seg = gcols4[tap].transpose(1, 0, 2)
-                gx[:, :, tap : tap + stride * t_out : stride] += seg
+                gx[:, :, tap : tap + t_out] += seg
             x._accumulate_owned(gx)
         if workspace is not None and not released:
             released = True

@@ -119,7 +119,7 @@ class Linear(Module):
 
 
 class Conv1d(Module):
-    """1-D convolution layer over ``(batch, c_in, length)`` inputs.
+    """Stride-1 1-D convolution layer over ``(batch, c_in, length)`` inputs.
 
     Keeps a private :class:`Workspace` so the im2col scratch buffer is
     recycled across training steps instead of reallocated per batch.
@@ -131,7 +131,6 @@ class Conv1d(Module):
         out_channels: int,
         kernel_size: int,
         rng: np.random.Generator | None,
-        stride: int = 1,
     ):
         shape = (out_channels, in_channels, kernel_size)
         if rng is None:
@@ -141,14 +140,10 @@ class Conv1d(Module):
             weight = rng.normal(0.0, scale, size=shape)
         self.weight = Tensor(weight, requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
-        self.stride = stride
         self._workspace = Workspace()
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv1d(
-            x, self.weight, self.bias, stride=self.stride,
-            workspace=self._workspace,
-        )
+        return conv1d(x, self.weight, self.bias, workspace=self._workspace)
 
 
 class Dropout(Module):

@@ -33,17 +33,14 @@ class Adam:
     step is bit-identical to the textbook per-parameter formulation.
     """
 
-    def __init__(
-        self,
-        params: list[Tensor],
-        lr: float = 1e-4,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
+    #: Kingma & Ba's default moment decays and denominator guard.
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float = 1e-4):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         sizes = [p.data.size for p in self.params]
         self._offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)

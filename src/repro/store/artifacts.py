@@ -95,10 +95,19 @@ def circuit_digest(circuit: Circuit) -> str:
     )
 
 
-#: Constants of retired training knobs (the one engine: Adam, no
-#: gradient shards), kept in every training config's token so no stored
-#: key moves.
-_PINNED = {"TrainConfig": {"optimizer": "adam", "grad_shards": 1}}
+#: Constants of retired attack knobs, kept in every config's token at
+#: the value all attacks ran with so no stored key moves: the one
+#: training engine (Adam at a fixed learning rate, no gradient shards)
+#: and the paper's always-present gate-type and DRNL feature blocks.
+_PINNED = {
+    "MuxLinkConfig": {"use_drnl": True, "use_gate_types": True},
+    "TrainConfig": {
+        "optimizer": "adam",
+        "grad_shards": 1,
+        "lr_decay": 1.0,
+        "lr_decay_every": 0,
+    },
+}
 
 
 def config_token(config) -> str:

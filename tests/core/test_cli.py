@@ -58,14 +58,32 @@ def test_attack_command_smoke(tmp_path, capsys):
     assert "AC=" in out  # stored key enables scoring
 
 
-def test_attack_rejects_nonpositive_h(tmp_path, capsys):
-    """``--h 0`` is a usage error (exit 2), like ``--threshold -1``."""
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--h", "0"], "h must be >= 1, got 0"),
+        (["--epochs", "0"], "epochs must be >= 1, got 0"),
+        (["--epochs", "-3"], "epochs must be >= 1, got -3"),
+        (["--learning-rate", "0"], "learning rate must be > 0, got 0.0"),
+        (["--learning-rate=-0.001"], "learning rate must be > 0, got -0.001"),
+    ],
+    ids=["h-0", "epochs-0", "epochs-negative", "lr-0", "lr-negative"],
+)
+def test_attack_rejects_nonpositive_h(tmp_path, capsys, flags, message):
+    """No enclosing subgraph (``--h 0``), no training epoch or no descent
+    is a usage error (exit 2), like ``--threshold -1``, and nothing is
+    stored: an untrained or ascended model's key means nothing."""
     base = tmp_path / "b.bench"
     locked = tmp_path / "l.bench"
+    store = tmp_path / "store"
     main(["generate", "c1355", "--scale", "0.12", "-o", str(base)])
     main(["lock", str(base), "--key-size", "6", "-o", str(locked)])
-    assert main(["attack", str(locked), "--h", "0", "--epochs", "1"]) == 2
-    assert "error: h must be >= 1, got 0" in capsys.readouterr().err
+    argv = ["attack", str(locked), "--epochs", "1", "--store", str(store)]
+    assert main(argv + flags) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert "predicted key" not in captured.out
+    assert not [p for p in store.rglob("*") if p.is_file()]
 
 
 def test_unlock_without_key_fails(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """End-to-end MuxLink integration tests (CI-scale: small circuits/epochs)."""
 
+import dataclasses
+
 import pytest
 
 from repro import (
@@ -13,6 +15,7 @@ from repro import (
     run_muxlink,
     score_key,
 )
+from repro.errors import AttackError
 
 CI_CONFIG = MuxLinkConfig(
     h=2, train=TrainConfig(epochs=10, learning_rate=1e-3, seed=0), seed=0
@@ -25,6 +28,22 @@ def dmux_attack():
     locked = lock_dmux(base, key_size=12, seed=42)
     result = run_muxlink(locked.circuit, CI_CONFIG)
     return base, locked, result
+
+
+def test_untrainable_config_is_rejected_before_anything_runs(tmp_path):
+    """No epoch or no descent raises before extraction, training or a
+    store write: the library never returns an untrained model's key."""
+    base = random_netlist("itest", 10, 5, 60, seed=7)
+    locked = lock_dmux(base, key_size=4, seed=7)
+    store = tmp_path / "store"
+    for train in ({"epochs": 0}, {"epochs": -3}, {"learning_rate": 0.0},
+                  {"learning_rate": -1e-3}):
+        config = dataclasses.replace(
+            CI_CONFIG, train=dataclasses.replace(CI_CONFIG.train, **train)
+        )
+        with pytest.raises(AttackError, match="epochs|learning rate"):
+            run_muxlink(locked.circuit, config, store=store)
+    assert not [p for p in store.rglob("*") if p.is_file()]
 
 
 def test_attack_beats_random_guessing(dmux_attack):

@@ -2,7 +2,6 @@
 construction, through featurization, batching and the memory layout."""
 
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
@@ -25,29 +24,17 @@ from repro.locking import lock_dmux
 from repro.netlist import NUM_GATE_FEATURES
 from repro.nn import default_dtype, dtype_scope
 
-FLAGS = list(itertools.product((True, False), repeat=3))
-
-
-def dense_reference(subgraphs, max_label, use_drnl, use_gate_types, use_degree):
+def dense_reference(subgraphs, max_label, use_degree):
     """The float64 one-hot construction the index coding replaced."""
     total = sum(s.n_nodes for s in subgraphs)
-    width = (
-        (NUM_GATE_FEATURES if use_gate_types else 0)
-        + (max_label + 1 if use_drnl else 0)
-        + (_MAX_DEGREE_FEATURE if use_degree else 0)
+    col = NUM_GATE_FEATURES + max_label + 1
+    stacked = np.zeros(
+        (total, col + (_MAX_DEGREE_FEATURE if use_degree else 0))
     )
-    if width == 0:
-        return np.ones((total, 1))
-    stacked = np.zeros((total, width))
     rows = np.arange(total)
-    col = 0
-    if use_gate_types:
-        stacked[rows, np.concatenate([s.gate_type_ids for s in subgraphs])] = 1.0
-        col += NUM_GATE_FEATURES
-    if use_drnl:
-        labels = np.concatenate([s.labels for s in subgraphs])
-        stacked[rows, col + np.minimum(labels, max_label)] = 1.0
-        col += max_label + 1
+    stacked[rows, np.concatenate([s.gate_type_ids for s in subgraphs])] = 1.0
+    labels = np.concatenate([s.labels for s in subgraphs])
+    stacked[rows, NUM_GATE_FEATURES + np.minimum(labels, max_label)] = 1.0
     if use_degree:
         degrees = np.concatenate([s.degrees for s in subgraphs])
         stacked[rows, col + np.minimum(degrees, _MAX_DEGREE_FEATURE - 1)] = 1.0
@@ -78,17 +65,16 @@ def material():
     return graph, sample, subgraphs
 
 
-@pytest.mark.parametrize("use_drnl,use_gate_types,use_degree", FLAGS)
-def test_columns_equal_nonzero_of_dense(material, use_drnl, use_gate_types, use_degree):
+@pytest.mark.parametrize("use_degree", [True, False])
+def test_columns_equal_nonzero_of_dense(material, use_degree):
     _, _, subgraphs = material
     max_label = max(int(s.labels.max(initial=0)) for s in subgraphs)
-    flags = (use_drnl, use_gate_types, use_degree)
-    columns = _features_batch(subgraphs, max_label, *flags)
-    dense = dense_reference(subgraphs, max_label, *flags)
-    width = _feature_width(max_label, *flags)
+    columns = _features_batch(subgraphs, max_label, use_degree)
+    dense = dense_reference(subgraphs, max_label, use_degree)
+    width = _feature_width(max_label, use_degree)
     assert dense.shape[1] == width
     stacked = np.concatenate(columns)
-    blocks = max(sum(flags), 1)
+    blocks = 2 + use_degree
     assert stacked.shape == (dense.shape[0], blocks)
     assert stacked.dtype == np.min_scalar_type(width)
     # Ascending within a row, exactly the nonzero columns of the dense rows.
@@ -101,31 +87,17 @@ def test_columns_equal_nonzero_of_dense(material, use_drnl, use_gate_types, use_
     )
 
 
-def test_all_blocks_off_is_one_zero_column(material):
-    _, _, subgraphs = material
-    columns = _features_batch(subgraphs, 3, False, False, False)
-    assert all(c.shape == (s.n_nodes, 1) for c, s in zip(columns, subgraphs))
-    assert not np.concatenate(columns).any()
-    batch = build_batch(as_examples(subgraphs[:5], columns[:5], 1))
-    np.testing.assert_array_equal(batch.features, 1.0)
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("use_drnl,use_gate_types,use_degree", FLAGS)
-def test_batch_features_equal_dense_reference(
-    material, dtype, use_drnl, use_gate_types, use_degree
-):
+@pytest.mark.parametrize("use_degree", [True, False])
+def test_batch_features_equal_dense_reference(material, dtype, use_degree):
     _, _, subgraphs = material
     max_label = max(int(s.labels.max(initial=0)) for s in subgraphs)
-    flags = (use_drnl, use_gate_types, use_degree)
-    width = _feature_width(max_label, *flags)
+    width = _feature_width(max_label, use_degree)
     examples = as_examples(
-        subgraphs, _features_batch(subgraphs, max_label, *flags), width
+        subgraphs, _features_batch(subgraphs, max_label, use_degree), width
     )
-    dense = [
-        dense_reference([s], max_label, *flags) for s in subgraphs
-    ]
-    blocks = max(sum(flags), 1)
+    dense = [dense_reference([s], max_label, use_degree) for s in subgraphs]
+    blocks = 2 + use_degree
     order = np.random.default_rng(3).permutation(len(examples))[:40]
     with dtype_scope(dtype):
         expected = np.concatenate([dense[i] for i in order]).astype(dtype)
@@ -154,7 +126,7 @@ def test_target_drnl_clamps_at_max_label(material):
     clamped = dataclasses.replace(
         dataset,
         max_label=max_label,
-        feature_width=_feature_width(max_label, True, True, True),
+        feature_width=_feature_width(max_label, True),
     )
     targets = [t for chunk in iter_target_examples(graph, clamped) for t in chunk]
     pairs = [(d, l) for t in graph.targets for d, l, _ in t.candidates()]
@@ -167,18 +139,18 @@ def test_target_drnl_clamps_at_max_label(material):
         )
         np.testing.assert_array_equal(
             densify(target.example),
-            dense_reference([sub], max_label, True, True, True),
+            dense_reference([sub], max_label, True),
         )
 
 
 def test_width_over_255_uses_uint16(material):
     _, _, subgraphs = material
     max_label = 300
-    width = _feature_width(max_label, True, True, True)
+    width = _feature_width(max_label, True)
     assert width > 255
     columns = _features_batch(subgraphs, max_label)
     assert columns[0].dtype == np.uint16
-    dense = dense_reference(subgraphs, max_label, True, True, True)
+    dense = dense_reference(subgraphs, max_label, True)
     np.testing.assert_array_equal(
         np.concatenate(columns), np.nonzero(dense)[1].reshape(-1, 3)
     )

@@ -68,8 +68,8 @@ def test_edges_undirected_and_consistent():
     _, locked = locked_circuit(seed=5)
     graph = extract_attack_graph(locked.circuit)
     for u, v in graph.edges():
-        assert u in graph.neighbors[v]
-        assert v in graph.neighbors[u]
+        assert u in set(graph.neighbor_array(v).tolist())
+        assert v in set(graph.neighbor_array(u).tolist())
     assert graph.n_edges() == len(graph.edges())
 
 

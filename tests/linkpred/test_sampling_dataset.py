@@ -7,13 +7,13 @@ from repro.benchgen import random_netlist
 from repro.errors import TrainingError
 from repro.linkpred import (
     TrainConfig,
+    Trainer,
     build_link_dataset,
     build_target_examples,
     extract_attack_graph,
     iter_target_examples,
     sample_links,
     score_examples,
-    train_link_predictor,
 )
 from repro.locking import lock_dmux
 
@@ -76,18 +76,6 @@ def test_bad_val_fraction():
         sample_links(graph, val_fraction=1.0)
 
 
-def test_hard_negative_fraction():
-    graph = graph_for(seed=7)
-    sample = sample_links(graph, seed=7, hard_negative_fraction=0.5)
-    # Hard negatives are 2-hop pairs: verify at least some exist.
-    two_hop = 0
-    for u, v, label in sample.train + sample.validation:
-        if label == 0:
-            if any(v in graph.neighbors[m] for m in graph.neighbors[u]):
-                two_hop += 1
-    assert two_hop > 0
-
-
 # ----------------------------------------------------------------- dataset
 def test_dataset_shapes_and_split():
     graph = graph_for(seed=8)
@@ -97,7 +85,7 @@ def test_dataset_shapes_and_split():
     assert len(ds.validation) == len(sample.validation)
     widths = {e.feature_width for e in ds.train + ds.validation}
     assert widths == {ds.feature_width}
-    # Index-coded: one column per enabled block (gate type, DRNL, degree).
+    # Index-coded: one column per block (gate type, DRNL, degree).
     assert {e.features.shape[1] for e in ds.train + ds.validation} == {3}
     assert all(e.index_coded for e in ds.train + ds.validation)
     assert all(e.label in (0, 1) for e in ds.train)
@@ -108,12 +96,8 @@ def test_feature_width_composition():
     graph = graph_for(seed=9)
     sample = sample_links(graph, seed=9)
     full = build_link_dataset(graph, sample, h=2)
-    no_drnl = build_link_dataset(graph, sample, h=2, use_drnl=False)
-    no_gate = build_link_dataset(graph, sample, h=2, use_gate_types=False)
     no_degree = build_link_dataset(graph, sample, h=2, use_degree=False)
     assert full.feature_width == 8 + (full.max_label + 1) + 8
-    assert no_drnl.feature_width == 8 + 8
-    assert no_gate.feature_width == full.feature_width - 8
     assert no_degree.feature_width == full.feature_width - 8
 
 
@@ -135,9 +119,9 @@ def test_training_improves_and_restores_best():
     graph = graph_for(seed=11)
     sample = sample_links(graph, seed=11)
     ds = build_link_dataset(graph, sample, h=2)
-    model, history = train_link_predictor(
+    model, history = Trainer(
         ds, TrainConfig(epochs=8, learning_rate=1e-3, seed=0)
-    )
+    ).fit()
     assert len(history.train_loss) == 8
     assert len(history.val_loss) == 8
     assert history.best_epoch >= 0
@@ -149,7 +133,7 @@ def test_score_examples_shape_and_range():
     graph = graph_for(seed=12)
     sample = sample_links(graph, seed=12)
     ds = build_link_dataset(graph, sample, h=2)
-    model, _ = train_link_predictor(ds, TrainConfig(epochs=2, seed=0))
+    model, _ = Trainer(ds, TrainConfig(epochs=2, seed=0)).fit()
     targets = build_target_examples(graph, ds)
     scores = score_examples(model, [t.example for t in targets])
     assert scores.shape == (len(targets),)
@@ -163,15 +147,15 @@ def test_empty_training_split_rejected():
     ds = build_link_dataset(graph, sample, h=1)
     ds.train = []
     with pytest.raises(TrainingError):
-        train_link_predictor(ds)
+        Trainer(ds).fit()
 
 
 def test_training_determinism():
     graph = graph_for(seed=14)
     sample = sample_links(graph, seed=14)
     ds = build_link_dataset(graph, sample, h=1)
-    m1, h1 = train_link_predictor(ds, TrainConfig(epochs=3, seed=5))
-    m2, h2 = train_link_predictor(ds, TrainConfig(epochs=3, seed=5))
+    m1, h1 = Trainer(ds, TrainConfig(epochs=3, seed=5)).fit()
+    m2, h2 = Trainer(ds, TrainConfig(epochs=3, seed=5)).fit()
     assert h1.train_loss == h2.train_loss
     np.testing.assert_array_equal(
         m1.state_dict()[0], m2.state_dict()[0]

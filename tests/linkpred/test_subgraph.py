@@ -76,9 +76,9 @@ def test_h1_membership_is_exact():
     graph = graph_for(seed=2)
     u, v = graph.edges()[5]
     sub = extract_enclosing_subgraph(graph, u, v, h=1)
-    expected = ({u, v} | graph.neighbors[u] | graph.neighbors[v]) - (
-        {u} if u in graph.neighbors[v] else set()
-    )
+    nbrs_u = set(graph.neighbor_array(u).tolist())
+    nbrs_v = set(graph.neighbor_array(v).tolist())
+    expected = ({u, v} | nbrs_u | nbrs_v) - ({u} if u in nbrs_v else set())
     expected |= {u, v}
     assert set(sub.nodes) == expected
 
@@ -111,7 +111,7 @@ def test_degrees_match_full_graph():
     u, v = graph.edges()[2]
     sub = extract_enclosing_subgraph(graph, u, v, h=2)
     for local, node in enumerate(sub.nodes):
-        assert sub.degrees[local] == len(graph.neighbors[int(node)])
+        assert sub.degrees[local] == len(graph.neighbor_array(int(node)))
 
 
 def test_input_validation():

@@ -1,11 +1,11 @@
 """Trainer engine tests: determinism, checkpoint/resume equivalence, early
-stopping, LR scheduling, and the shared evaluation/scoring batch iterator."""
+stopping, and the shared evaluation/scoring batch iterator."""
 
 import numpy as np
 import pytest
 
 from repro.gnn import BatchCache, GraphExample
-from repro.linkpred import Trainer, TrainConfig, train_link_predictor
+from repro.linkpred import Trainer, TrainConfig
 from repro.linkpred.dataset import LinkDataset
 from repro.linkpred.trainer import _evaluate, score_examples, score_stream
 
@@ -63,14 +63,6 @@ def test_trainer_is_deterministic():
     assert h1.val_accuracy == h2.val_accuracy
     assert h1.learning_rates == h2.learning_rates
     assert h1.best_epoch == h2.best_epoch
-    for a, b in zip(m1.state_dict(), m2.state_dict()):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_wrapper_matches_trainer():
-    m1, h1 = train_link_predictor(toy_dataset(), CFG)
-    m2, h2 = Trainer(toy_dataset(), CFG).fit()
-    assert h1.train_loss == h2.train_loss
     for a, b in zip(m1.state_dict(), m2.state_dict()):
         np.testing.assert_array_equal(a, b)
 
@@ -204,18 +196,6 @@ def test_no_early_stopping_without_validation():
     assert history.epochs_run == 4
 
 
-def test_lr_schedule_is_applied_and_recorded():
-    cfg = TrainConfig(
-        epochs=6, learning_rate=1e-2, batch_size=10, seed=3,
-        lr_decay=0.5, lr_decay_every=2,
-    )
-    _, history = Trainer(toy_dataset(), cfg).fit()
-    np.testing.assert_allclose(
-        history.learning_rates,
-        [1e-2, 1e-2, 5e-3, 5e-3, 2.5e-3, 2.5e-3],
-    )
-
-
 def test_evaluate_cache_matches_uncached():
     dataset = toy_dataset()
     model, _ = Trainer(dataset, CFG).fit()
@@ -239,20 +219,6 @@ def test_score_examples_batch_size_invariant():
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-6)
     np.testing.assert_array_equal(b, default)
     assert score_examples(model, []).size == 0
-
-
-def test_score_examples_accepts_prebuilt_cache():
-    """A BatchCache skips batch construction; scores are bit-identical."""
-    dataset = toy_dataset()
-    model, _ = Trainer(dataset, CFG).fit()
-    cache = BatchCache(dataset.validation, CFG.batch_size)
-    uncached = score_examples(model, dataset.validation, CFG.batch_size)
-    cached = score_examples(model, dataset.validation, CFG.batch_size, cache=cache)
-    np.testing.assert_array_equal(cached, uncached)
-    # batch_size may be inferred from the cache
-    np.testing.assert_array_equal(
-        score_examples(model, dataset.validation, cache=cache), uncached
-    )
 
 
 def test_score_stream_matches_serial_scoring():

@@ -25,17 +25,15 @@ def test_conv1d_forward_known_values():
     x = Tensor(np.arange(6, dtype=float).reshape(1, 1, 6))
     w = Tensor(np.array([[[1.0, 1.0]]]))
     b = Tensor(np.zeros(1))
-    out = conv1d(x, w, b, stride=1)
+    out = conv1d(x, w, b)
     np.testing.assert_array_equal(out.data[0, 0], [1, 3, 5, 7, 9])
-    out2 = conv1d(x, w, b, stride=2)
-    np.testing.assert_array_equal(out2.data[0, 0], [1, 5, 9])
 
 
 def test_conv1d_gradients():
     x = RNG.normal(size=(2, 3, 8))
     w = RNG.normal(size=(4, 3, 3))
     b = RNG.normal(size=(4,))
-    check(lambda xx, ww, bb: conv1d(xx, ww, bb, stride=2), x, w, b)
+    check(conv1d, x, w, b)
 
 
 def test_conv1d_shape_validation():

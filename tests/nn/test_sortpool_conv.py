@@ -97,8 +97,9 @@ def test_dgcnn_loss_gradient_in_eval_mode():
     model.eval()
     # Biases start at zero, which would put every padding row's output
     # (exactly the conv bias) on the ReLU kink.
-    for layer in (model.conv1, model.conv2, model.fc1, model.fc2):
-        layer.bias.data = rng.standard_normal(layer.bias.shape)
+    for bias in (model.conv1_bias, model.conv2.bias, model.fc1.bias,
+                 model.fc2.bias):
+        bias.data = rng.standard_normal(bias.shape)
 
     loss = model.loss(batch)
     model.zero_grad()

@@ -194,7 +194,7 @@ def test_config_token_normalizes_threshold():
         MuxLinkConfig(h=2, seed=4, train=TrainConfig(epochs=5)),
         MuxLinkConfig(h=2, seed=3, train=TrainConfig(epochs=6)),
         MuxLinkConfig(h=2, seed=3, train=TrainConfig(epochs=5, seed=1)),
-        MuxLinkConfig(h=2, seed=3, train=TrainConfig(epochs=5), use_drnl=False),
+        MuxLinkConfig(h=2, seed=3, train=TrainConfig(epochs=5), use_degree=False),
         MuxLinkConfig(h=2, seed=3, train=TrainConfig(epochs=5), max_train_links=9),
     ]
     for config in different:
@@ -214,6 +214,20 @@ def test_every_config_field_declares_one_role():
     assert sorted(n for (_, n), role in roles.items() if role == knobs.EXEC) == [
         "checkpoint_every", "checkpoint_path", "log_every", "resume",
         "score_prefetch",
+    ]
+    assert [name for name, role in roles.items() if role == knobs.KEY] == [
+        ("MuxLinkConfig", "h"),
+        ("MuxLinkConfig", "max_train_links"),
+        ("MuxLinkConfig", "val_fraction"),
+        ("MuxLinkConfig", "train"),
+        ("MuxLinkConfig", "use_degree"),
+        ("MuxLinkConfig", "seed"),
+        ("TrainConfig", "epochs"),
+        ("TrainConfig", "learning_rate"),
+        ("TrainConfig", "batch_size"),
+        ("TrainConfig", "sortpool_percentile"),
+        ("TrainConfig", "seed"),
+        ("TrainConfig", "patience"),
     ]
 
 
