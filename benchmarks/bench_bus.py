@@ -161,6 +161,13 @@ def test_bus_fanout_speedup_and_overhead():
         f"bus overhead {socket_overhead:.1f}ms/job"
     )
 
+    if MIN_SPEEDUP:
+        assert socket_speedup >= MIN_SPEEDUP, (
+            f"socket bus {socket_speedup:.2f}x over serial; "
+            f"needs >= {MIN_SPEEDUP}x with {WORKERS} workers on "
+            f"{cores} cores"
+        )
+
     update_record(
         "bench_bus",
         {
@@ -178,12 +185,6 @@ def test_bus_fanout_speedup_and_overhead():
             "min_speedup_gate": MIN_SPEEDUP,
         },
     )
-    if MIN_SPEEDUP:
-        assert socket_speedup >= MIN_SPEEDUP, (
-            f"socket bus {socket_speedup:.2f}x over serial; "
-            f"needs >= {MIN_SPEEDUP}x with {WORKERS} workers on "
-            f"{cores} cores"
-        )
 
 
 if __name__ == "__main__":

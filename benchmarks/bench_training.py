@@ -437,16 +437,17 @@ def test_float32_parity_and_speedup():
         f"{new_epoch * 1000:7.1f}ms/epoch"
     )
     print(f"  per-epoch speedup: {speedup:.1f}x")
+    assert speedup >= MIN_SPEEDUP, (
+        f"cached float32 engine is only {speedup:.1f}x faster per epoch than "
+        f"the seed float64 path (need >= {MIN_SPEEDUP}x)"
+    )
+
     _summarize(
         [
             ("seed float64", seed_time, seed_epoch),
             ("cached float32", t_build + t_fit, new_epoch),
         ],
         speedup,
-    )
-    assert speedup >= MIN_SPEEDUP, (
-        f"cached float32 engine is only {speedup:.1f}x faster per epoch than "
-        f"the seed float64 path (need >= {MIN_SPEEDUP}x)"
     )
 
 

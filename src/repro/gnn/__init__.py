@@ -2,7 +2,6 @@
 
 from repro.gnn.batching import (
     BatchAssembler,
-    BatchCache,
     GraphBatch,
     GraphExample,
     build_batch,
@@ -14,7 +13,6 @@ from repro.gnn.dgcnn import DGCNN, MIN_SORTPOOL_K, choose_sortpool_k
 __all__ = [
     "GraphExample",
     "GraphBatch",
-    "BatchCache",
     "BatchAssembler",
     "build_batch",
     "normalized_adjacency",

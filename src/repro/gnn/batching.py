@@ -6,24 +6,24 @@ graph convolutions of the whole batch run as a single sparse-dense product.
 
 Every operator is built by :func:`normalized_blocks`, which normalizes all
 the graphs of a list in one vectorized array pass over their concatenated,
-offset edge arrays.  That work is paid **once per split**:
-
-* :class:`BatchCache` prebuilds a fixed partition of a split (used for
-  validation and scoring, whose composition never changes), and
-* :class:`BatchAssembler` builds every example's normalized operator in
-  one :func:`normalized_blocks` pass and keeps per-example views of it
-  plus the feature columns, then assembles *any* shuffled index order into
-  block-diagonal :class:`GraphBatch` es by pure array stitching — the
-  per-epoch cost of a shuffling training loop drops to ``concatenate``
-  calls, bit-identical to rebuilding from scratch.
+offset edge arrays.  :class:`BatchAssembler` pays that work **once per
+split**: it builds every example's normalized operator at construction,
+one :func:`normalized_blocks` call per run of ``_CHUNK_EXAMPLES``
+examples, so the transient of the build stays bounded however large the
+split is.  It keeps per-example views of those operators plus the feature
+columns, then assembles *any* index order into block-diagonal
+:class:`GraphBatch` es by pure array stitching — the per-epoch cost of a
+shuffling training loop, and of a validation pass over a fixed partition,
+drops to ``concatenate`` calls, bit-identical to rebuilding from scratch
+(:func:`build_batch`).  Operator ``indices`` and ``indptr`` are int32
+everywhere, as in scipy's own CSR matrices.
 
 Node features arrive either as dense float rows or **index-coded**: the
 paper's node-information matrix is a concatenation of one-hot blocks, so
 an example may carry just each row's one-hot column indices (an unsigned
 ``(n_nodes, c)`` array plus the dense width).  Dense rows are then
 written for one batch at a time (:func:`onehot_rows`): a
-:class:`BatchAssembler` holds no dense matrix of its split, while a
-:class:`BatchCache` keeps every prebuilt batch, dense rows included.
+:class:`BatchAssembler` holds no dense matrix of its split.
 
 The per-batch SortPooling order bases (``graph_ids`` and
 ``segment_positions``) are cached lazily on the batch itself.
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -46,13 +46,19 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "GraphExample",
     "GraphBatch",
-    "BatchCache",
     "BatchAssembler",
     "build_batch",
     "normalized_adjacency",
     "normalized_blocks",
     "onehot_rows",
 ]
+
+#: Examples per :func:`normalized_blocks` call when a
+#: :class:`BatchAssembler` builds a split's operators.  The build's
+#: transient (sort keys, degrees; about 11 KB per example at h=3) scales
+#: with the run, not the split; 64 and 256 measure the same, 1,024 gives
+#: back most of the memory.
+_CHUNK_EXAMPLES = 256
 
 
 @dataclass(frozen=True)
@@ -161,7 +167,7 @@ def normalized_blocks(
     *before* ``+ I`` (diagonal weight 2), column indices are sorted within
     each row, and the row normalization runs in float64 (exact degree
     reciprocals) before the cast to the runtime default dtype.  Indices
-    and indptr are int64.
+    and indptr are int32.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -185,9 +191,15 @@ def normalized_blocks(
     data = counts.astype(np.float64)
     degree = np.bincount(rows, weights=data, minlength=total)
     data /= degree[rows]
-    row_nnz = np.bincount(rows, minlength=total)
-    indptr = np.concatenate([[0], np.cumsum(row_nnz)])
-    return data.astype(default_dtype(), copy=False), indices, indptr
+    if keys.size > np.iinfo(np.int32).max:
+        raise ValueError(f"{keys.size} operator entries overflow int32 indices")
+    indptr = np.zeros(total + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=total), out=indptr[1:])
+    return (
+        data.astype(default_dtype(), copy=False),
+        indices.astype(np.int32),
+        indptr,
+    )
 
 
 def _spans(bounds: np.ndarray) -> list[tuple[int, int]]:
@@ -229,11 +241,12 @@ class GraphBatch:
     labels: np.ndarray  # (B,)
     #: ``(N, c)`` intp one-hot column indices of the batch rows, ascending
     #: within a row, so ``features[i] == sum_j onehot(feature_onehot[i, j])``.
-    #: :meth:`BatchAssembler.assemble` sets it for index-coded examples —
-    #: the training batches — and the first graph convolution then
-    #: replaces its ``H @ W`` GEMM with ``c`` row gathers of ``W``.
-    #: :func:`build_batch` leaves it ``None``, so validation and scoring
-    #: run the GEMM, as does every batch of dense examples.
+    #: :meth:`BatchAssembler.assemble` sets it for index-coded examples,
+    #: and a training-mode forward then replaces the first graph
+    #: convolution's ``H @ W`` GEMM with ``c`` row gathers of ``W``.  An
+    #: eval-mode forward (validation, scoring) ignores it and runs the
+    #: GEMM, as does every batch of dense examples; :func:`build_batch`
+    #: leaves it ``None``.
     feature_onehot: np.ndarray | None = None
 
     @property
@@ -305,11 +318,12 @@ class BatchAssembler:
     """Per-example batch components built once; batches stitched on demand.
 
     The normalized operators ``D^-1 (A + I)`` of all examples are built
-    exactly once, at construction, in a single :func:`normalized_blocks`
-    pass; every example keeps views of its CSR data / block-local indices /
-    indptr.  Index-coded features live in one flat column-index arena;
-    dense examples are referenced as given.  :meth:`assemble` then fuses
-    any index order into a block-diagonal :class:`GraphBatch` with plain
+    exactly once, at construction, one :func:`normalized_blocks` call per
+    run of ``_CHUNK_EXAMPLES`` examples; every example keeps views of its
+    CSR data / block-local indices / indptr in its run's arrays.
+    Index-coded features live in one flat column-index arena; dense
+    examples are referenced as given.  :meth:`assemble` then fuses any
+    index order into a block-diagonal :class:`GraphBatch` with plain
     ``concatenate`` calls and writes that batch's dense feature block —
     no dedup/degree work ever runs again, and the result is bit-identical
     to :func:`build_batch` over the same examples (the block-diagonal
@@ -317,7 +331,8 @@ class BatchAssembler:
 
     This is what lets the trainer keep the paper's example-level shuffle
     (fresh batch composition every epoch) while paying the operator build
-    only once per split.
+    only once per split, and validate on a fixed partition without
+    keeping its batches.
     """
 
     __slots__ = (
@@ -331,23 +346,19 @@ class BatchAssembler:
         self.dtype = default_dtype()
         self.sizes = np.array([e.n_nodes for e in examples], dtype=np.int64)
         self.labels = np.array([e.label for e in examples], dtype=np.int64)
-        # Every operator in one vectorized pass; the per-example entries
-        # are views into it, with block-local column indices and indptr.
         self._node_starts = np.concatenate(
             [[0], np.cumsum(self.sizes)]
         ).astype(np.int64)
-        data, indices, indptr = normalized_blocks(
-            self.sizes, [e.edges for e in examples]
-        )
-        nnz_starts = indptr[self._node_starts]
-        self._nnz = np.diff(nnz_starts)
-        indices -= np.repeat(self._node_starts[:-1], self._nnz)
-        indptr_tail = indptr[1:] - np.repeat(nnz_starts[:-1], self.sizes)
-        nnz_spans = _spans(nnz_starts)
-        node_spans = _spans(self._node_starts)
-        self._data = [data[a:b] for a, b in nnz_spans]
-        self._indices = [indices[a:b] for a, b in nnz_spans]
-        self._indptr_tail = [indptr_tail[a:b] for a, b in node_spans]
+        self._data: list[np.ndarray] = []
+        self._indices: list[np.ndarray] = []
+        self._indptr_tail: list[np.ndarray] = []
+        nnz = [np.empty(0, dtype=np.int64)]
+        for start in range(0, len(examples), _CHUNK_EXAMPLES):
+            run = examples[start : start + _CHUNK_EXAMPLES]
+            nnz.append(
+                self._add_operators(run, self.sizes[start : start + len(run)])
+            )
+        self._nnz = np.concatenate(nnz)
         self._scratch = Workspace()
         # Index-coded features: one flat ``(total_nodes, c)`` column arena,
         # so a shuffled batch's columns are one range gather.  Dense
@@ -356,6 +367,28 @@ class BatchAssembler:
         self._dense = (
             None if index_coded else [e.features for e in examples]
         )
+
+    def _add_operators(
+        self, examples: Sequence[GraphExample], sizes: np.ndarray
+    ) -> np.ndarray:
+        """Build *examples*' operators in one vectorized pass and append a
+        view of each, with block-local column indices and indptr; returns
+        their entry counts."""
+        data, indices, indptr = normalized_blocks(
+            sizes, [e.edges for e in examples]
+        )
+        node_starts = np.concatenate([[0], np.cumsum(sizes)])
+        nnz_starts = indptr[node_starts]
+        nnz = np.diff(nnz_starts)
+        indices -= np.repeat(node_starts[:-1], nnz)
+        indptr_tail = indptr[1:] - np.repeat(nnz_starts[:-1], sizes)
+        nnz_spans = _spans(nnz_starts)
+        self._data += [data[a:b] for a, b in nnz_spans]
+        self._indices += [indices[a:b] for a, b in nnz_spans]
+        self._indptr_tail += [
+            indptr_tail[a:b] for a, b in _spans(node_starts)
+        ]
+        return nnz
 
     def __len__(self) -> int:
         return len(self._data)
@@ -394,13 +427,13 @@ class BatchAssembler:
             )
             indices = np.concatenate(
                 [self._indices[i] for i in index_order],
-                out=scratch.resident("assemble.indices", (total_nnz,), np.int64),
+                out=scratch.resident("assemble.indices", (total_nnz,), np.int32),
             )
-            indptr = scratch.resident("assemble.indptr", (total + 1,), np.int64)
+            indptr = scratch.resident("assemble.indptr", (total + 1,), np.int32)
         else:
             data = np.concatenate([self._data[i] for i in index_order])
             indices = np.concatenate([self._indices[i] for i in index_order])
-            indptr = np.empty(total + 1, dtype=np.int64)
+            indptr = np.empty(total + 1, dtype=np.int32)
         indices += np.repeat(offsets[:-1], nnz)
         indptr[0] = 0
         np.concatenate(
@@ -437,32 +470,3 @@ class BatchAssembler:
             feature_onehot=feature_onehot,
         )
 
-
-class BatchCache:
-    """A split partitioned into fixed, prebuilt :class:`GraphBatch` chunks.
-
-    Construction pays the operator/stacking cost exactly once; afterwards the
-    trainer iterates the cached batches directly, so validation and
-    scoring epochs touch no constructors at all.
-    """
-
-    __slots__ = ("batch_size", "n_examples", "batches")
-
-    def __init__(self, examples: Sequence[GraphExample], batch_size: int):
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        self.batch_size = batch_size
-        self.n_examples = len(examples)
-        self.batches: list[GraphBatch] = [
-            build_batch(examples[start : start + batch_size])
-            for start in range(0, len(examples), batch_size)
-        ]
-
-    def __len__(self) -> int:
-        return len(self.batches)
-
-    def __getitem__(self, index: int) -> GraphBatch:
-        return self.batches[index]
-
-    def __iter__(self) -> Iterator[GraphBatch]:
-        return iter(self.batches)

@@ -210,10 +210,11 @@ class DGCNN(Module):
                 operator, h,
                 out=workspace.resident(f"dgcnn.gc{i}", (n_nodes, width), dtype),
                 workspace=workspace,
-                # Layer 1 only: the assembler's one-hot feature columns
-                # turn H @ W into a few row gathers of W.
+                # Layer 1 in training only: the assembler's one-hot
+                # feature columns turn H @ W into a few row gathers of W.
+                # Validation and scoring keep the GEMM they always ran.
                 feature_cols=getattr(batch, "feature_onehot", None)
-                if i == 0 else None,
+                if i == 0 and self.training else None,
             )
             layer_outputs.append(h)
 

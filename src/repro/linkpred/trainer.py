@@ -11,8 +11,9 @@ The engine is built for throughput:
   (:class:`~repro.gnn.BatchAssembler`); the per-epoch shuffle then
   assembles batches by pure array stitching, so epochs 2..N run none of
   the dedup/degree operator work.  The trajectory is bit-identical to
-  the seed per-epoch rebuild at equal dtype.  Validation and scoring
-  iterate fixed prebuilt batches (:class:`~repro.gnn.BatchCache`).
+  the seed per-epoch rebuild at equal dtype.  Validation stitches the
+  batches of one fixed partition the same way, from its own assembler,
+  when it scores them, so no batch outlives its forward pass.
 * **float32 runtime** — see the dtype policy in :mod:`repro.nn`
   (``REPRO_DTYPE=float64`` restores the well-conditioned mode).
 * **Resumable** — :class:`Trainer` checkpoints weights, optimizer moments
@@ -33,7 +34,6 @@ import numpy as np
 from repro.errors import TrainingError
 from repro.gnn import (
     BatchAssembler,
-    BatchCache,
     DGCNN,
     GraphBatch,
     GraphExample,
@@ -71,7 +71,7 @@ class TrainConfig:
     Attributes:
         epochs: maximum training epochs.
         learning_rate: Adam learning rate (fixed, as in the paper).
-        batch_size: minibatch size (fixed cache partition).
+        batch_size: minibatch size (and the fixed validation partition).
         sortpool_percentile: SortPooling k percentile (paper: 0.6).
         seed: parameter / shuffle seed.
         patience: early stopping — abort when the validation loss has not
@@ -117,18 +117,23 @@ class TrainHistory:
 def _iter_batches(
     examples: Sequence[GraphExample],
     batch_size: int,
-    cache: BatchCache | None = None,
+    assembler: BatchAssembler | None = None,
 ) -> Iterator[GraphBatch]:
-    """Yield evaluation batches — prebuilt from *cache* when available.
+    """Yield evaluation batches of consecutive *examples*.
 
     This is the one chunked-batching loop shared by validation
-    (:func:`_evaluate`) and scoring (:func:`score_examples`).
+    (:func:`_evaluate`) and scoring (:func:`score_examples`).  With an
+    *assembler* over the same examples, each batch is stitched from its
+    prebuilt operators into the assembler's recycled buffers, so it is
+    only valid until the next one is yielded.
     """
-    if cache is not None:
-        yield from cache
-    else:
+    if assembler is None:
         for start in range(0, len(examples), batch_size):
             yield build_batch(examples[start : start + batch_size])
+        return
+    for start in range(0, len(assembler), batch_size):
+        stop = min(start + batch_size, len(assembler))
+        yield assembler.assemble(np.arange(start, stop), reuse_buffers=True)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -171,18 +176,18 @@ def _evaluate(
     model: DGCNN,
     examples: Sequence[GraphExample],
     batch_size: int,
-    cache: BatchCache | None = None,
+    assembler: BatchAssembler | None = None,
 ) -> tuple[float, float, float]:
     """``(mean cross-entropy, accuracy, ROC AUC)`` over *examples* in
-    eval mode."""
-    n = cache.n_examples if cache is not None else len(examples)
+    eval mode, batches stitched by *assembler* when given."""
+    n = len(examples)
     if n == 0:
         return float("nan"), float("nan"), float("nan")
     correct = 0
     loss_sum = 0.0
     all_probs: list[np.ndarray] = []
     all_labels: list[np.ndarray] = []
-    for batch in _iter_batches(examples, batch_size, cache):
+    for batch in _iter_batches(examples, batch_size, assembler):
         probs = model.predict_proba(batch)
         labels = batch.labels
         predicted = (probs > 0.5).astype(int)
@@ -363,7 +368,7 @@ class Trainer:
         self._best_state = self.model.state_dict()
         # The expensive part — built exactly once per split.
         self.train_assembler = BatchAssembler(dataset.train)
-        self.val_cache = BatchCache(dataset.validation, config.batch_size)
+        self.val_assembler = BatchAssembler(dataset.validation)
 
     # ------------------------------------------------------------- training
     def fit(self, until_epoch: int | None = None) -> tuple[DGCNN, TrainHistory]:
@@ -415,7 +420,7 @@ class Trainer:
 
         val_loss, val_acc, val_auc = _evaluate(
             self.model, self.dataset.validation, config.batch_size,
-            cache=self.val_cache,
+            assembler=self.val_assembler,
         )
         self.history.val_loss.append(val_loss)
         self.history.val_accuracy.append(val_acc)
@@ -586,6 +591,13 @@ class Trainer:
             raise TrainingError(
                 f"checkpoint {path!r} has a malformed epoch, lr or step: {exc}"
             ) from exc
+        # Adam runs at a fixed rate, so a saved lr that is not the
+        # config's would train on at the old rate under the new rate's key.
+        if lr != self.config.learning_rate:
+            raise TrainingError(
+                f"checkpoint {path!r} was written at learning rate {lr!r}, "
+                f"not this trainer's {self.config.learning_rate!r}"
+            )
         history = _saved_history(path, payload["history"])
         for name, generator in (
             ("shuffle_rng_state", self.rng),
@@ -607,7 +619,6 @@ class Trainer:
         self.model.load_state_dict(payload["model_state"])
         self._best_state = [a.copy() for a in payload["best_state"]]
         self.optimizer.load_state_dict(payload["optimizer_state"])
-        self.optimizer.lr = lr
         self.rng.bit_generator.state = payload["shuffle_rng_state"]
         self.model.dropout.rng.bit_generator.state = payload["dropout_rng_state"]
         self.history = history

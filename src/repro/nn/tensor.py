@@ -110,9 +110,9 @@ class Workspace:
 
     Buffers whose leading dimension varies batch to batch (anything sized
     by the stacked node count) go through :meth:`resident` instead: one
-    named slot per trailing shape that grows monotonically and is
-    recycled every step, so a shuffling training loop — where the exact
-    node count never repeats — still allocates nothing in steady state.
+    named slot per trailing shape that holds the largest request seen and
+    is recycled every step, so a shuffling training loop — where the
+    exact node count never repeats — reallocates only on a new maximum.
     """
 
     __slots__ = ("_pool", "_resident")
@@ -135,22 +135,22 @@ class Workspace:
         self._pool.setdefault(key, []).append(array)
 
     def resident(self, tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """A persistent named scratch slot, grown monotonically.
+        """A persistent named scratch slot, as large as the largest request.
 
         Returns a C-contiguous uninitialised view of the requested shape
-        over a slot keyed by ``(tag, shape[1:], dtype)``.  The same slot is
-        handed out on every call, so the caller must be done with the
-        previous view before asking again — the pattern of a sequential
-        train loop, where step ``t``'s tape is consumed before step
-        ``t+1``'s forward begins.
+        over a slot keyed by ``(tag, shape[1:], dtype)``.  A request larger
+        than the slot replaces it with one of exactly the requested rows
+        (no headroom: the number of new maxima in a shuffled sequence of
+        batch sizes grows only logarithmically).  The same slot is handed
+        out on every call, so the caller must be done with the previous
+        view before asking again — the pattern of a sequential train loop,
+        where step ``t``'s tape is consumed before step ``t+1``'s forward
+        begins.
         """
         key = (tag, tuple(shape[1:]), np.dtype(dtype))
         slot = self._resident.get(key)
         if slot is None or slot.shape[0] < shape[0]:
-            # Grow geometrically: shuffled batches wiggle in node count,
-            # and doubling keeps reallocation from recurring every epoch.
-            rows = shape[0] if slot is None else max(shape[0], 2 * slot.shape[0])
-            slot = np.empty((rows,) + tuple(shape[1:]), dtype=dtype)
+            slot = np.empty(shape, dtype=dtype)
             self._resident[key] = slot
         return slot[: shape[0]]
 

@@ -30,6 +30,29 @@ def test_generate_and_lock_and_unlock_roundtrip(tmp_path, capsys):
     assert "HD = 0.0000%" in out
 
 
+def test_resume_under_another_learning_rate_exits_2(tmp_path, capsys):
+    base = tmp_path / "b.bench"
+    locked = tmp_path / "l.bench"
+    main(["generate", "c1355", "--scale", "0.12", "-o", str(base)])
+    main(["lock", str(base), "--key-size", "6", "-o", str(locked)])
+    checkpoint = ["--checkpoint", str(tmp_path / "ck"), "--checkpoint-every", "1"]
+    assert main([
+        "attack", str(locked), "--h", "1", "--epochs", "1",
+        "--learning-rate", "1e-3", *checkpoint,
+    ]) == 0
+    capsys.readouterr()
+    store = tmp_path / "store"
+    assert main([
+        "attack", str(locked), "--h", "1", "--epochs", "2",
+        "--learning-rate", "1e-2", *checkpoint, "--resume",
+        "--store", str(store),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert "learning rate 0.001" in captured.err
+    assert "predicted key:" not in captured.out
+    assert not list(store.rglob("*.npz"))
+
+
 def test_saam_and_scope_commands(tmp_path, capsys):
     base = tmp_path / "b.bench"
     locked = tmp_path / "l.bench"

@@ -1,5 +1,5 @@
 """Tests for graph batching, adjacency normalization, and the cached
-batch-construction layer (BatchCache / BatchAssembler)."""
+batch-construction layer (BatchAssembler)."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,12 @@ import scipy.sparse as sp
 
 from repro.gnn import (
     BatchAssembler,
-    BatchCache,
     GraphExample,
     build_batch,
     normalized_adjacency,
 )
+from repro.gnn import batching
+from repro.gnn.batching import _CHUNK_EXAMPLES, normalized_blocks
 from repro.nn import default_dtype, dtype_scope
 
 
@@ -87,23 +88,6 @@ def test_sortpool_order_bases():
         batch.segment_positions, [0, 1, 2, 0, 1, 2, 3]
     )
     assert batch.n_nodes == 7
-
-
-def test_batch_cache_partitions_and_reuses():
-    examples = [triangle(), path(), triangle(label=0), path(n=5)]
-    cache = BatchCache(examples, batch_size=3)
-    assert len(cache) == 2
-    assert cache.n_examples == 4
-    assert cache[0].n_graphs == 3 and cache[1].n_graphs == 1
-    # Iterating returns the same prebuilt objects (no reconstruction).
-    assert list(cache)[0] is cache[0]
-    reference = build_batch(examples[:3])
-    np.testing.assert_array_equal(cache[0].features, reference.features)
-    np.testing.assert_array_equal(
-        cache[0].norm_adj.toarray(), reference.norm_adj.toarray()
-    )
-    with pytest.raises(ValueError):
-        BatchCache(examples, batch_size=0)
 
 
 def assert_same_csr(a, b):
@@ -244,3 +228,76 @@ def test_batch_assembler_validation():
         BatchAssembler([triangle(width=3), triangle(width=4)])
     with pytest.raises(ValueError):
         BatchAssembler([triangle()]).assemble(np.array([], dtype=np.int64))
+
+
+def _mixed_graphs(count, seed=0):
+    """*count* small graphs cycling through edgeless, self-loop-bearing
+    and random ones."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for i in range(count):
+        n = int(rng.integers(1, 8))
+        if i % 3 == 0:
+            edges = np.empty((0, 2), dtype=np.int64)
+        else:
+            edges = rng.integers(0, n, size=(int(rng.integers(1, 12)), 2))
+            if i % 3 == 1:
+                edges = np.vstack([edges, [[n - 1, n - 1]]])
+        graphs.append(graph(n, edges))
+    return graphs
+
+
+@pytest.mark.parametrize(
+    "count", [1, _CHUNK_EXAMPLES, _CHUNK_EXAMPLES + 1],
+    ids=["one", "one-chunk", "one-chunk-plus-one"],
+)
+def test_chunked_operators_equal_one_pass_build(count):
+    """The assembler's run-by-run build equals one normalized_blocks call
+    over the whole split, byte for byte, with int32 index arrays."""
+    examples = _mixed_graphs(count)
+    data, indices, indptr = normalized_blocks(
+        [e.n_nodes for e in examples], [e.edges for e in examples]
+    )
+    assert indices.dtype == indptr.dtype == np.int32
+    assembler = BatchAssembler(examples)
+    node_start = 0
+    for i, example in enumerate(examples):
+        a, b = indptr[node_start], indptr[node_start + example.n_nodes]
+        assert assembler._data[i].tobytes() == data[a:b].tobytes()
+        assert assembler._indices[i].dtype == np.int32
+        assert assembler._indices[i].tobytes() == (
+            indices[a:b] - node_start
+        ).astype(np.int32).tobytes()
+        assert assembler._indptr_tail[i].dtype == np.int32
+        assert assembler._indptr_tail[i].tobytes() == (
+            indptr[node_start + 1 : node_start + example.n_nodes + 1] - a
+        ).astype(np.int32).tobytes()
+        node_start += example.n_nodes
+
+    def assert_same_bytes(op, *arrays):
+        for got, want in zip((op.data, op.indices, op.indptr), arrays):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    for reuse in (False, True):
+        whole = assembler.assemble(np.arange(count), reuse_buffers=reuse)
+        assert_same_bytes(whole.operator, data, indices, indptr)
+    order = np.random.default_rng(1).permutation(count)[:50]
+    reference = build_batch([examples[i] for i in order]).operator
+    assert_same_bytes(
+        assembler.assemble(order).operator,
+        reference.data, reference.indices, reference.indptr,
+    )
+
+
+def test_assembler_builds_operators_one_run_at_a_time(monkeypatch):
+    """No normalized_blocks call gets more than one run of examples."""
+    calls = []
+
+    def counted(sizes, edges):
+        calls.append(len(sizes))
+        return normalized_blocks(sizes, edges)
+
+    monkeypatch.setattr(batching, "normalized_blocks", counted)
+    BatchAssembler(_mixed_graphs(2 * _CHUNK_EXAMPLES + 1))
+    assert calls == [_CHUNK_EXAMPLES, _CHUNK_EXAMPLES, 1]

@@ -122,3 +122,25 @@ def test_from_state_restores_weights_and_checks_shapes():
         DGCNN.from_state(5, 10, state)
     with pytest.raises(ValueError, match="arrays"):
         DGCNN.from_state(4, 10, state[:-1])
+
+
+def test_only_training_forward_reads_onehot_columns():
+    """A stitched batch's one-hot columns replace the first GEMM in
+    training only: validation and scoring run the GEMM they always ran."""
+    import dataclasses
+
+    rng = np.random.default_rng(4)
+    batch = build_batch([make_example(rng, i % 2) for i in range(4)])
+    # Columns that disagree with the dense features on purpose.
+    bogus = dataclasses.replace(
+        batch, feature_onehot=np.zeros((batch.n_nodes, 1), dtype=np.intp)
+    )
+    model = DGCNN(in_features=4, k=10, seed=1)
+    np.testing.assert_array_equal(
+        model.predict_proba(bogus), model.predict_proba(batch)
+    )
+    logits = []
+    for b in (batch, bogus):
+        model.dropout.rng = np.random.default_rng(0)
+        logits.append(model(b).data.copy())
+    assert not np.array_equal(*logits)

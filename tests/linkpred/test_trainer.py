@@ -4,7 +4,7 @@ stopping, and the shared evaluation/scoring batch iterator."""
 import numpy as np
 import pytest
 
-from repro.gnn import BatchCache, GraphExample
+from repro.gnn import BatchAssembler, GraphExample
 from repro.linkpred import Trainer, TrainConfig
 from repro.linkpred.dataset import LinkDataset
 from repro.linkpred.trainer import _evaluate, score_examples, score_stream
@@ -196,13 +196,32 @@ def test_no_early_stopping_without_validation():
     assert history.epochs_run == 4
 
 
-def test_evaluate_cache_matches_uncached():
+def _index_coded(example):
+    """*example* with its one-hot rows stored as column indices."""
+    cols = np.argmax(example.features, axis=1).astype(np.uint8)[:, None]
+    return GraphExample(
+        example.n_nodes, example.edges, cols, example.label,
+        feature_width=example.features.shape[1],
+    )
+
+
+@pytest.mark.parametrize("coded", [False, True], ids=["dense", "index-coded"])
+def test_evaluate_assembled_matches_built(coded):
+    """Validation batches stitched by an assembler score exactly like
+    :func:`build_batch` ones: an eval-mode forward ignores the stitched
+    batches' one-hot columns and runs the same GEMM."""
     dataset = toy_dataset()
     model, _ = Trainer(dataset, CFG).fit()
-    cache = BatchCache(dataset.validation, CFG.batch_size)
-    cached = _evaluate(model, dataset.validation, CFG.batch_size, cache=cache)
-    uncached = _evaluate(model, dataset.validation, CFG.batch_size)
-    assert cached == uncached
+    validation = [
+        _index_coded(e) if coded else e for e in dataset.validation
+    ]
+    assembler = BatchAssembler(validation)
+    stitched = _evaluate(
+        model, validation, CFG.batch_size, assembler=assembler
+    )
+    built = _evaluate(model, validation, CFG.batch_size)
+    assert stitched == built
+    assert stitched == _evaluate(model, dataset.validation, CFG.batch_size)
 
 
 def test_score_examples_batch_size_invariant():
@@ -394,6 +413,11 @@ def _foreign_rng_state(payload):
     return payload
 
 
+def _other_learning_rate(payload):
+    payload["lr"] = 10 * CFG.learning_rate
+    return payload
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -401,10 +425,11 @@ def _foreign_rng_state(payload):
         _drop("epoch"),
         _unknown_history_field,
         _foreign_rng_state,
+        _other_learning_rate,
         lambda payload: [1, 2, 3],
     ],
     ids=["no-config", "no-epoch", "unknown-history-field", "foreign-rng-state",
-         "list-payload"],
+         "other-learning-rate", "list-payload"],
 )
 def test_malformed_checkpoint_raises_training_error_before_mutation(
     tmp_path, corrupt

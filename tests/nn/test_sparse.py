@@ -248,3 +248,9 @@ def test_workspace_resident_growth_and_reuse():
     assert c.shape == (32, 4)
     assert ws.resident("y", (10, 4), np.float64).base is not c.base
     assert ws.resident("x", (10, 5), np.float64).shape == (10, 5)
+    # A slot grows to exactly the rows asked for, not to a multiple.
+    d = ws.resident("z", (10, 4), np.float64)
+    assert d.base.shape == (10, 4)
+    e = ws.resident("z", (12, 4), np.float64)
+    assert e.base is not d.base and e.base.shape == (12, 4)
+    assert ws.resident("z", (11, 4), np.float64).base is e.base
