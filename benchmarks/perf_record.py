@@ -25,6 +25,7 @@ import json
 import os
 import platform
 import time
+from importlib import metadata
 
 RECORD_SCHEMA = 2
 
@@ -57,30 +58,42 @@ def _as_section(value) -> dict:
     return {"trajectory": []}
 
 
+def _host() -> dict:
+    """The fingerprint of the host and toolchain a number was measured on."""
+    host = {
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "ci": bool(os.environ.get("CI")),
+    }
+    for package in ("numpy", "scipy"):
+        try:
+            host[package] = metadata.version(package)
+        except metadata.PackageNotFoundError:
+            host[package] = None
+    return host
+
+
 def update_record(section: str, payload: dict) -> str:
     """Append *payload* under *section* in the shared perf record.
 
     The payload becomes the section's ``latest`` and is appended to its
-    ``trajectory`` (stamped with the run time).  Returns the record path.
-    Timestamps and host fingerprints are attached at the top level so
-    downstream tooling can normalize runs.
+    ``trajectory``, stamped with the run time and the host fingerprint,
+    so every number in the record names the host it was measured on.
+    The newest fingerprint and timestamp are also kept at the top level.
+    Returns the record path.
     """
     path = record_path()
     record = _load(path)
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    host = _host()
     record["schema"] = RECORD_SCHEMA
     record["generated_at"] = stamp
     record.setdefault("host", {})
-    record["host"].update(
-        {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-            "ci": bool(os.environ.get("CI")),
-        }
-    )
+    record["host"].update(host)
     entry = dict(payload)
     entry["recorded_at"] = stamp
+    entry["host"] = host
     body = _as_section(record.get(section))
     body["latest"] = entry
     body["trajectory"].append(entry)

@@ -394,7 +394,11 @@ class BatchAssembler:
         return len(self._data)
 
     def assemble(
-        self, index_order: Sequence[int], reuse_buffers: bool = False
+        self,
+        index_order: Sequence[int],
+        reuse_buffers: bool = False,
+        *,
+        onehot: bool = True,
     ) -> GraphBatch:
         """Fuse the examples selected by *index_order* into one batch.
 
@@ -409,6 +413,10 @@ class BatchAssembler:
         reusing ``assemble``.  This is the trainer's step loop contract
         (one batch in flight at a time); callers that retain batches must
         keep the default.
+
+        With ``onehot=False`` the batch carries no ``feature_onehot``
+        (only a training-mode forward reads it), which saves its intp
+        copy of the feature columns; ``features`` are the same.
         """
         index_order = np.asarray(index_order, dtype=np.int64)
         if index_order.size == 0:
@@ -458,10 +466,11 @@ class BatchAssembler:
             row_positions = np.arange(total, dtype=np.int64) + np.repeat(
                 self._node_starts[index_order] - offsets[:-1], sizes
             )
-            feature_onehot = np.take(self._cols, row_positions, axis=0).astype(
-                np.intp
-            )
-            onehot_rows(feature_onehot, features)
+            cols = np.take(self._cols, row_positions, axis=0)
+            if onehot:
+                cols = cols.astype(np.intp)
+            onehot_rows(cols, features)
+            feature_onehot = cols if onehot else None
         return GraphBatch(
             operator=SparseOp(data, indices, indptr, (total, total)),
             features=features,

@@ -125,7 +125,8 @@ def _iter_batches(
     (:func:`_evaluate`) and scoring (:func:`score_examples`).  With an
     *assembler* over the same examples, each batch is stitched from its
     prebuilt operators into the assembler's recycled buffers, so it is
-    only valid until the next one is yielded.
+    only valid until the next one is yielded, and carries no
+    ``feature_onehot``: an eval-mode forward never reads it.
     """
     if assembler is None:
         for start in range(0, len(examples), batch_size):
@@ -133,7 +134,9 @@ def _iter_batches(
         return
     for start in range(0, len(assembler), batch_size):
         stop = min(start + batch_size, len(assembler))
-        yield assembler.assemble(np.arange(start, stop), reuse_buffers=True)
+        yield assembler.assemble(
+            np.arange(start, stop), reuse_buffers=True, onehot=False
+        )
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -32,7 +32,12 @@ grid in-process and drives :meth:`AttackServer.step` itself.
 The warm path is three tiers: an in-memory LRU of **encoded** ``result``
 frames (a memory hit is one ``sendall``), then the on-disk store (a
 store hit reads the file once and writes a ``result`` manifest around
-its array bytes, into the LRU), then scheduling.  The in-process
+its array bytes, into the LRU), then scheduling.  The store tier
+memoizes each key's path and frame header — the file's header and
+manifest bytes and the ``result`` frame's, at most
+:data:`HEADER_MEMO_BYTES` in all — so a later hit on an unchanged file
+compares those bytes and reads only the array bytes; any difference
+reads and checks the whole file again.  The in-process
 :class:`~repro.bus.SocketBus` sink is the one waiter that receives
 result frames decoded.  An identical request already executing
 **coalesces** — K clients asking for one key train it exactly once and
@@ -71,19 +76,28 @@ from repro.bus.protocol import (
     job_artifact_kind,
 )
 from repro.errors import ServeError
-from repro.store import ArtifactStore, resolve_store
+from repro.store import ArtifactStore, codec, resolve_store
 from repro.wire import (
     _Connection,
     _Server,
     decode_frame,
     encode_frame,
     load_frame,
+    read_frame,
 )
 
 __all__ = ["AttackServer", "ServeError", "ServeStats"]
 
 #: In-memory result-cache size (encoded ``result`` frames).
 DEFAULT_CACHE_ENTRIES = 256
+#: Bytes of store-tier frame headers the server memoizes: a c1908
+#: attack's stored header and manifest plus its ``result`` frame's are
+#: about 3 KB, so about 300 keys.
+HEADER_MEMO_BYTES = 1 << 20
+
+
+def _header_cost(header: codec.FrameHeader) -> int:
+    return len(header.stored) + len(header.head)
 
 
 @dataclass
@@ -245,6 +259,11 @@ class AttackServer:
             OrderedDict()
         )
         self._cache_entries = int(cache_entries)
+        # Store-tier (path, frame header) by (kind, key), least recent first.
+        self._headers: OrderedDict[
+            tuple[str, str], tuple[os.PathLike, codec.FrameHeader]
+        ] = OrderedDict()
+        self._header_bytes = 0
         self._inbox: deque = deque()  # fail-over thread -> loop
         self._inbox_lock = threading.Lock()
         self._failover_busy = False
@@ -476,9 +495,10 @@ class AttackServer:
         """A warm key's encoded ``result`` frame; ``None`` = genuinely cold.
 
         Memory tier first, then the store tier: its frame is the stored
-        file's bytes under a ``result`` manifest
-        (:func:`~repro.wire.load_frame`, never a decode and re-encode),
-        and is kept in the memory tier.
+        file's bytes under a ``result`` manifest (never a decode and
+        re-encode, see :meth:`_read_frame`), and is kept in the memory
+        tier.  The file is opened once; a missing one is cold and counts
+        nowhere.
         """
         frame = self._cache.get((kind, key))
         if frame is not None:
@@ -486,19 +506,62 @@ class AttackServer:
             if count_request:
                 self.stats.memory_hits += 1
             return frame
-        if not self.store.has(kind, key):
+        memo = self._headers.pop((kind, key), None)
+        if memo is None:
+            path, header = self.store.path_for(kind, key), None
+        else:
+            path, header = memo
+            self._header_bytes -= _header_cost(header)
+        try:
+            handle = open(path, "rb", buffering=0)
+        except FileNotFoundError:
             return None
-        frame = self.store.get(
-            kind, key,
-            read=functools.partial(
-                load_frame, wrap=functools.partial(_result, key, kind)
-            ),
-        )
+        except OSError:  # unreadable: load_frame's CodecError, a warned miss
+            wrap = functools.partial(_result, key, kind)
+            read = functools.partial(load_frame, wrap=wrap)
+            frame = self.store.get(kind, key, read=read, path=path)
+        else:
+            with handle:
+                read = functools.partial(self._read_frame, handle, key, header)
+                frame = self.store.get(kind, key, read=read, path=path)
         if frame is None:
             return None  # corrupt (store warned) or just gone; recompute
         if count_request:
             self.stats.store_hits += 1
         self._cache_put(kind, key, frame)
+        return frame
+
+    def _read_frame(
+        self,
+        handle,
+        key: str,
+        header: codec.FrameHeader | None,
+        path,
+        kind: str,
+    ) -> bytearray:
+        """The store tier's file reader: :func:`~repro.wire.load_frame`
+        of *path* open as *handle*, reading only its array bytes while
+        its header and manifest equal the memoized *header*'s.
+
+        Equal bytes at an equal size pass every check the first read
+        made (:func:`~repro.store.codec.reread_wrapped`); no *header*, a
+        mismatch or a short read reads and checks the whole file again
+        (:func:`~repro.wire.read_frame`).  Either way the header is
+        memoized, with the path, as the most recent entry.
+        """
+        frame = None
+        if header is not None:
+            frame = codec.reread_wrapped(handle, path, header)
+        if frame is None:
+            wrap = functools.partial(_result, key, kind)
+            frame, header = read_frame(handle, path, kind, wrap)
+        cost = _header_cost(header)
+        if cost <= HEADER_MEMO_BYTES:
+            self._headers[(kind, key)] = (path, header)
+            self._header_bytes += cost
+            while self._header_bytes > HEADER_MEMO_BYTES:
+                _, (_, old) = self._headers.popitem(last=False)
+                self._header_bytes -= _header_cost(old)
         return frame
 
     def _cache_put(

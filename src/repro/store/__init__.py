@@ -172,7 +172,7 @@ class ArtifactStore:
 
     # -- read/write ---------------------------------------------------------
     def get(
-        self, kind: str, key: str, decoder=None, read=None
+        self, kind: str, key: str, decoder=None, read=None, path=None
     ) -> Any | None:
         """Decode the artifact at (*kind*, *key*), or ``None`` on a miss.
 
@@ -184,11 +184,13 @@ class ArtifactStore:
         consumer (runner, ``run_muxlink``, a future remote scheduler)
         shares one corruption-tolerance path.  *read* ``(path, kind=)``
         replaces :func:`codec.load` as the file reader and must raise
-        what it raises — ``repro serve`` passes
-        :func:`repro.wire.load_frame` to get a hit's ``result`` frame
-        straight from the file's bytes.
+        what it raises — ``repro serve`` passes a reader of
+        :func:`repro.wire.read_frame` to get a hit's ``result`` frame
+        straight from the file's bytes.  *path* is :meth:`path_for`'s,
+        when the caller has already built it.
         """
-        path = self.path_for(kind, key)
+        if path is None:
+            path = self.path_for(kind, key)
         try:
             payload = (read or codec.load)(path, kind=kind)
         except FileNotFoundError:

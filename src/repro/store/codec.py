@@ -44,7 +44,11 @@ a private buffer, and :func:`load` reads a file straight into one.
 :func:`load_wrapped` serves a stored artifact inside another message
 (``repro serve``'s store-tier ``result`` frame): it writes a new
 manifest and reads the file's data section into the same buffer, since
-array offsets are relative to that section.
+array offsets are relative to that section.  It runs in two steps: a
+header step that reads, checks and wraps the stored header and manifest
+(a :class:`FrameHeader`), and a data step that reads the data section
+behind it.  :func:`reread_wrapped` repeats only the data step, for a
+file whose header and manifest bytes still equal the header's.
 
 :func:`dump` writes atomically — a same-directory temporary file is
 renamed into place with ``os.replace`` — so a reader never observes a
@@ -66,7 +70,7 @@ import re
 import struct
 import uuid
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -76,11 +80,14 @@ from repro.errors import ReproError
 __all__ = [
     "CODEC_VERSION",
     "CodecError",
+    "FrameHeader",
     "dump",
     "dumps",
     "load",
     "load_wrapped",
     "loads",
+    "read_wrapped",
+    "reread_wrapped",
 ]
 
 #: Bump when the byte layout or the manifest changes incompatibly.
@@ -353,16 +360,21 @@ def dump(payload: Any, path: str | os.PathLike, kind: str) -> None:
 
 
 @contextlib.contextmanager
-def _opened(path: str | os.PathLike) -> Iterator[io.FileIO]:
-    """*path* opened unbuffered; a read error other than a missing file
-    is a :class:`CodecError`."""
+def _reading(path: str | os.PathLike) -> Iterator[None]:
+    """A read error other than a missing file is a :class:`CodecError`."""
     try:
-        with open(path, "rb", buffering=0) as handle:
-            yield handle
+        yield
     except FileNotFoundError:
         raise
     except OSError as exc:
         raise CodecError(f"{path}: unreadable artifact ({exc})") from exc
+
+
+@contextlib.contextmanager
+def _opened(path: str | os.PathLike) -> Iterator[io.FileIO]:
+    """*path* opened unbuffered, read under :func:`_reading`."""
+    with _reading(path), open(path, "rb", buffering=0) as handle:
+        yield handle
 
 
 def _read_fault(path: str | os.PathLike) -> None:
@@ -393,6 +405,117 @@ def load(path: str | os.PathLike, kind: str) -> Any:
     return payload
 
 
+class FrameHeader(NamedTuple):
+    """What the header step of :func:`read_wrapped` learns from a stored
+    file: everything but the array bytes of the frame it builds."""
+
+    #: The file's header and manifest, byte for byte.
+    stored: bytes
+    #: The file's length when they were read.
+    size: int
+    #: The new frame up to its data section: prefix, header, manifest
+    #: and padding.
+    head: bytes
+    #: The file's data section is ``[start, size)``; the frame copies
+    #: ``[start, stop)`` of it (nothing when the manifest lists no arrays).
+    start: int
+    stop: int
+
+
+def _read_header(
+    handle: io.FileIO,
+    source: str,
+    kind: str,
+    wrap: Callable[[Any], Any],
+    into: str,
+    prefix: Callable[[int], bytes],
+) -> tuple[FrameHeader, dict]:
+    """The header step: read and check the stored header and manifest,
+    and wrap the tree under a new manifest.  Returns the
+    :class:`FrameHeader` and the manifest, whose array table still has
+    to pass :func:`_payload` over the data."""
+    size = os.fstat(handle.fileno()).st_size
+    handle.seek(0)
+    stored = handle.read(_HEADER.size)
+    if len(stored) == _HEADER.size:
+        length = _HEADER.unpack(stored)[1]
+        if _HEADER.size + length <= size:
+            stored += handle.read(length)
+    manifest, start = _read_manifest(stored, size, source, kind)
+    text = _manifest(into, wrap(manifest["tree"]), manifest.get("arrays"))
+    end = _HEADER.size + len(text)
+    pad, stop = 0, start
+    if manifest.get("arrays"):
+        pad, stop = _aligned(end) - end, max(size, start)
+    head = b"".join(
+        (prefix(end + pad + stop - start), _HEADER.pack(_MAGIC, len(text)),
+         text, bytes(pad))
+    )
+    return FrameHeader(stored, size, head, start, stop), manifest
+
+
+def _read_data(
+    handle: io.FileIO, header: FrameHeader
+) -> tuple[bytearray, int]:
+    """The data step: a new frame, *header*'s head followed by the file's
+    data section, and how many data bytes were read (fewer when the file
+    ends first)."""
+    frame = bytearray(len(header.head) + header.stop - header.start)
+    frame[: len(header.head)] = header.head
+    got = 0
+    if header.stop > header.start:
+        handle.seek(header.start)
+        got = handle.readinto(memoryview(frame)[len(header.head) :])
+    return frame, got
+
+
+def read_wrapped(
+    handle: io.FileIO,
+    path: str | os.PathLike,
+    kind: str,
+    wrap: Callable[[Any], Any],
+    into: str,
+    prefix: Callable[[int], bytes],
+) -> tuple[bytearray, FrameHeader]:
+    """:func:`load_wrapped` of the file *path* open as *handle*, and the
+    header its frame was built behind (for :func:`reread_wrapped`)."""
+    with _reading(path):
+        header, manifest = _read_header(
+            handle, str(path), kind, wrap, into, prefix
+        )
+        frame, got = _read_data(handle, header)
+    base = len(header.head)
+    end = base + min(got, header.size - header.start)
+    _payload(manifest, frame, base, end, str(path))  # load's checks
+    _read_fault(path)
+    return frame, header
+
+
+def reread_wrapped(
+    handle: io.FileIO, path: str | os.PathLike, header: FrameHeader
+) -> bytearray | None:
+    """The frame :func:`read_wrapped` built behind *header*, read again
+    from the file *path* open as *handle* while it still holds the same
+    header and manifest.
+
+    A file of ``header.size`` bytes that starts with ``header.stored``
+    passes every check :func:`read_wrapped` made, so only its data
+    section is read.  ``None`` when the file differs or ends before its
+    data section does; the caller then calls :func:`read_wrapped`.
+    """
+    with _reading(path):
+        if os.fstat(handle.fileno()).st_size != header.size:
+            return None
+        handle.seek(0)
+        if handle.read(len(header.stored)) != header.stored:
+            return None
+        frame, got = _read_data(handle, header)
+    if got != header.stop - header.start:
+        return None
+    _read_fault(path)
+    return frame
+
+
 def load_wrapped(
     path: str | os.PathLike,
     kind: str,
@@ -410,30 +533,5 @@ def load_wrapped(
     the ``dumps`` expression's; a hand-made blob keeps its own array
     layout, which decodes to the same payload.
     """
-    source = str(path)
     with _opened(path) as handle:
-        size = os.fstat(handle.fileno()).st_size
-        head = handle.read(_HEADER.size)
-        if len(head) == _HEADER.size:
-            length = _HEADER.unpack(head)[1]
-            if _HEADER.size + length <= size:
-                head += handle.read(length)
-        manifest, start = _read_manifest(head, size, source, kind)
-        text = _manifest(into, wrap(manifest["tree"]), manifest.get("arrays"))
-        data = size - start  # the stored data section; < 0 when absent
-        length = _HEADER.size + len(text)
-        base = _aligned(length)
-        if manifest.get("arrays"):
-            length = base + max(data, 0)
-        lead = prefix(length)
-        frame = bytearray(len(lead) + length)
-        header = lead + _HEADER.pack(_MAGIC, len(text)) + text
-        frame[: len(header)] = header
-        base += len(lead)
-        got = 0
-        if len(frame) > base:
-            handle.seek(start)
-            got = handle.readinto(memoryview(frame)[base:])
-    _payload(manifest, frame, base, base + min(got, data), source)  # load's checks
-    _read_fault(path)
-    return frame
+        return read_wrapped(handle, path, kind, wrap, into, prefix)[0]

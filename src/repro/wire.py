@@ -10,8 +10,9 @@ rejects (:class:`~repro.store.codec.CodecError`) drops that peer, never
 the server.  This module holds the pieces both ends need:
 
 * the framing (:func:`encode_frame` / :func:`decode_frame`,
-  :func:`send_message` / :func:`recv_message`, and :func:`load_frame`
-  for a stored artifact's ``result`` frame) and :func:`parse_address`;
+  :func:`send_message` / :func:`recv_message`, and :func:`load_frame` /
+  :func:`read_frame` for a stored artifact's ``result`` frame) and
+  :func:`parse_address`;
   each frame is one buffer on both sides, and a received one is the
   buffer its decoded arrays view;
 * the server-side selector plumbing (:class:`_Server`,
@@ -44,6 +45,7 @@ __all__ = [
     "encode_frame",
     "load_frame",
     "parse_address",
+    "read_frame",
     "recv_message",
     "send_message",
 ]
@@ -84,6 +86,16 @@ def load_frame(path, kind: str, wrap) -> bytearray:
     artifact is read once and never decoded into a new encoding."""
     return codec.load_wrapped(
         path, kind, wrap, BUS_MESSAGE_KIND, _length_prefix
+    )
+
+
+def read_frame(
+    handle, path, kind: str, wrap
+) -> tuple[bytearray, codec.FrameHeader]:
+    """:func:`load_frame` of *path* open as *handle*, and the header its
+    frame was built behind (:func:`repro.store.codec.read_wrapped`)."""
+    return codec.read_wrapped(
+        handle, path, kind, wrap, BUS_MESSAGE_KIND, _length_prefix
     )
 
 

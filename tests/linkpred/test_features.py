@@ -106,6 +106,7 @@ def test_batch_features_equal_dense_reference(material, dtype, use_degree):
             build_batch([examples[i] for i in order]),
             assembler.assemble(order),
             assembler.assemble(order, reuse_buffers=True),
+            assembler.assemble(order, reuse_buffers=True, onehot=False),
         ):
             assert batch.features.dtype == default_dtype()
             np.testing.assert_array_equal(batch.features, expected)
@@ -113,8 +114,10 @@ def test_batch_features_equal_dense_reference(material, dtype, use_degree):
         np.testing.assert_array_equal(
             onehot, np.nonzero(expected)[1].reshape(-1, blocks)
         )
-        # Validation and scoring batches keep the GEMM path.
+        # Validation and scoring batches keep the GEMM path, so they
+        # carry no one-hot columns.
         assert build_batch(examples[:3]).feature_onehot is None
+        assert assembler.assemble(order, onehot=False).feature_onehot is None
 
 
 def test_target_drnl_clamps_at_max_label(material):

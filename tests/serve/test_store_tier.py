@@ -3,7 +3,10 @@ from the stored file's bytes (:func:`repro.wire.load_frame`).
 
 It must be byte for byte the frame a decode and re-encode would send,
 keep the store's corruption policy and counters, and copy the artifact
-once: the frame is the only large buffer either side allocates.
+once: the frame is the only large buffer either side allocates.  After
+a key's first store-tier read the server memoizes the file's frame
+header, and a later read whose header and manifest bytes still match
+reads only the array bytes: every case here runs on that path too.
 """
 
 import functools
@@ -25,9 +28,11 @@ from repro.experiments.runner import AttackJob
 from repro.faults import FaultPlan, FaultSite, RetryPolicy
 from repro.linkpred import TrainConfig
 from repro.locking import lock_dmux
-from repro.serve import AttackServer
-from repro.serve.server import _result
+from repro.serve import AttackServer, ServeStats
+from repro.serve import server as server_module
+from repro.serve.server import _header_cost, _result
 from repro.store import (
+    StoreStats,
     codec,
     encode_attack_artifact,
     encode_baseline_artifact,
@@ -64,6 +69,19 @@ def _server(tmp_path, **options) -> AttackServer:
     return AttackServer(
         "127.0.0.1:0", tmp_path / "store", log=lambda *a: None, **options
     )
+
+
+def _memoize(srv: AttackServer, kind: str, key: str) -> None:
+    """Read *key* once from the store tier, evict it from the memory tier
+    and zero every counter: its next lookup is a memoized store read."""
+    assert srv._lookup(kind, key) is not None
+    assert (kind, key) in srv._headers
+    srv._cache.clear()
+    srv.stats, srv.store.stats = ServeStats(), StoreStats()
+
+
+def _no_full_read(*args, **kwargs):
+    raise AssertionError("a memoized store-tier hit read the whole file")
 
 
 @pytest.mark.parametrize("kind", ["attacks", "baselines"])
@@ -126,12 +144,25 @@ def _rekind(path):
     codec.dump({"x": np.arange(3)}, path, kind="locks")
 
 
-@pytest.mark.parametrize("damage", [_tear, _garble, _rekind])
-def test_corrupt_store_file_is_a_warned_miss_and_recomputes(tmp_path, damage):
+@pytest.mark.parametrize(
+    ("damage", "memoized"),
+    [
+        pytest.param(
+            damage, memoized, id=damage.__name__ + memoized * "-memoized"
+        )
+        for damage in (_tear, _garble, _rekind)
+        for memoized in (False, True)
+    ],
+)
+def test_corrupt_store_file_is_a_warned_miss_and_recomputes(
+    tmp_path, damage, memoized
+):
     srv = _server(tmp_path)
     try:
         # Large enough that a torn file still holds its whole manifest.
         srv.store.put("attacks", KEY, {"x": np.arange(1000.0)})
+        if memoized:
+            _memoize(srv, "attacks", KEY)
         damage(srv.store.path_for("attacks", KEY))
         with pytest.warns(RuntimeWarning, match="discarding unreadable"):
             assert srv._lookup("attacks", KEY) is None
@@ -151,9 +182,19 @@ def test_corrupt_store_file_is_a_warned_miss_and_recomputes(tmp_path, damage):
 
 
 def test_injected_corrupt_read_fires_on_the_store_tier(tmp_path):
+    _injected_corrupt_read(tmp_path, memoized=False)
+
+
+def test_injected_corrupt_read_fires_on_a_memoized_read(tmp_path):
+    _injected_corrupt_read(tmp_path, memoized=True)
+
+
+def _injected_corrupt_read(tmp_path, memoized: bool) -> None:
     srv = _server(tmp_path)
     try:
         srv.store.put("attacks", KEY, {"x": np.arange(4.0)})
+        if memoized:
+            _memoize(srv, "attacks", KEY)
         faults.activate(
             FaultPlan("test", sites=(FaultSite("store.read_corrupt", times=1),))
         )
@@ -162,8 +203,104 @@ def test_injected_corrupt_read_fires_on_the_store_tier(tmp_path):
                 assert srv._lookup("attacks", KEY) is None
         finally:
             faults.deactivate()
-        assert srv.store.stats.errors == 1
+        assert (srv.store.stats.errors, srv.stats.store_hits) == (1, 0)
         assert srv._lookup("attacks", KEY) is not None  # healed: one-shot
+    finally:
+        srv.close()
+
+
+@pytest.mark.parametrize("kind", ["attacks", "baselines"])
+def test_memoized_frame_is_load_frames(tmp_path, attack, kind, monkeypatch):
+    payload = attack[2] if kind == "attacks" else _baseline()
+    srv = _server(tmp_path)
+    try:
+        srv.store.put(kind, KEY, payload)
+        _memoize(srv, kind, KEY)
+        monkeypatch.setattr(server_module, "read_frame", _no_full_read)
+        frame = srv._lookup(kind, KEY)
+        path = srv.store.path_for(kind, KEY)
+        wrap = functools.partial(_result, KEY, kind)
+        assert bytes(frame) == bytes(load_frame(path, kind, wrap))
+        assert (srv.stats.store_hits, srv.store.stats.hits) == (1, 1)
+    finally:
+        srv.close()
+
+
+@pytest.mark.parametrize(
+    "fresh",
+    [{"x": np.arange(1000.0) + 1}, {"x": np.arange(999.0)}],
+    ids=["same-manifest", "other-manifest"],
+)
+def test_store_put_under_a_memoized_key_is_served_fresh(tmp_path, fresh):
+    srv = _server(tmp_path)
+    try:
+        srv.store.put("attacks", KEY, {"x": np.arange(1000.0)})
+        _memoize(srv, "attacks", KEY)
+        srv.store.put("attacks", KEY, fresh)
+        frame = srv._lookup("attacks", KEY)
+        served = decode_frame(frame)["result"]
+        assert np.array_equal(served["x"], fresh["x"])
+        path = srv.store.path_for("attacks", KEY)
+        wrap = functools.partial(_result, KEY, "attacks")
+        assert bytes(frame) == bytes(load_frame(path, "attacks", wrap))
+    finally:
+        srv.close()
+
+
+def test_memoized_file_that_grew_is_read_whole(tmp_path):
+    """Same header and manifest bytes, longer file: the frame carries the
+    trailing bytes as :func:`load_frame`'s does."""
+    srv = _server(tmp_path)
+    try:
+        srv.store.put("attacks", KEY, {"x": np.arange(4.0)})
+        _memoize(srv, "attacks", KEY)
+        path = srv.store.path_for("attacks", KEY)
+        path.write_bytes(path.read_bytes() + b"junk")
+        frame = srv._lookup("attacks", KEY)
+        wrap = functools.partial(_result, KEY, "attacks")
+        assert bytes(frame) == bytes(load_frame(path, "attacks", wrap))
+    finally:
+        srv.close()
+
+
+def test_deleted_memoized_file_is_a_cold_miss_counted_nowhere(tmp_path):
+    srv = _server(tmp_path)
+    try:
+        srv.store.put("attacks", KEY, {"x": np.arange(4.0)})
+        _memoize(srv, "attacks", KEY)
+        srv.store.path_for("attacks", KEY).unlink()
+        assert srv._lookup("attacks", KEY) is None
+        assert srv.store.stats == StoreStats()
+        assert srv.stats == ServeStats()
+    finally:
+        srv.close()
+
+
+def test_header_memo_stays_under_its_bound(tmp_path, monkeypatch):
+    srv = _server(tmp_path)
+    try:
+        keys = [f"{i:02d}" * 32 for i in range(5)]
+        for key in keys:
+            srv.store.put("attacks", key, {"x": np.arange(4.0)})
+        srv._lookup("attacks", keys[0])
+        cost = _header_cost(srv._headers[("attacks", keys[0])][1])
+        srv._headers.clear()
+        srv._header_bytes = 0
+        monkeypatch.setattr(server_module, "HEADER_MEMO_BYTES", 2 * cost + 1)
+        for key in keys:
+            srv._cache.clear()
+            assert srv._lookup("attacks", key) is not None
+            assert srv._header_bytes <= server_module.HEADER_MEMO_BYTES
+        # Least recently read first out: the last two keys stay.
+        assert list(srv._headers) == [("attacks", k) for k in keys[-2:]]
+        assert srv._header_bytes == 2 * cost
+        # A header larger than the whole memo is never kept.
+        monkeypatch.setattr(server_module, "HEADER_MEMO_BYTES", cost - 1)
+        srv._headers.clear()
+        srv._header_bytes = 0
+        srv._cache.clear()
+        assert srv._lookup("attacks", keys[0]) is not None
+        assert (dict(srv._headers), srv._header_bytes) == ({}, 0)
     finally:
         srv.close()
 
@@ -194,11 +331,28 @@ def _peak(fn) -> tuple[object, int]:
 
 
 def test_store_tier_lookup_allocates_one_frame(tmp_path, attack):
+    _lookup_allocates_one_frame(tmp_path, attack, memoized=None)
+
+
+def test_memoized_store_tier_lookup_allocates_one_frame(
+    tmp_path, attack, monkeypatch
+):
+    _lookup_allocates_one_frame(tmp_path, attack, memoized=monkeypatch)
+
+
+def _lookup_allocates_one_frame(tmp_path, attack, memoized) -> None:
+    """*memoized*: ``None`` for a cold store read, else the monkeypatch
+    that makes a whole-file read fail after the warm-up."""
     srv = _server(tmp_path)
     try:
         srv.store.put("attacks", KEY, attack[2])
-        srv._lookup("attacks", KEY)  # warm-up: imports and caches
+        srv._lookup("attacks", KEY)  # warm-up: imports, caches, the memo
         srv._cache.clear()
+        if memoized is None:
+            srv._headers.clear()
+            srv._header_bytes = 0
+        else:
+            memoized.setattr(server_module, "read_frame", _no_full_read)
         frame, peak = _peak(lambda: srv._lookup("attacks", KEY))
         assert len(frame) > 100_000
         assert peak <= len(frame) + 64 * 1024
