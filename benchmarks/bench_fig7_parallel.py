@@ -1,24 +1,24 @@
-"""Fig. 7 runner benchmark: pooled grid execution vs serial, plus caching.
+"""Fig. 7 runner benchmark: forked-fleet grid execution vs serial, plus caching.
 
 Runs the Fig. 7 (benchmark x scheme x key size) grid through
 :class:`~repro.experiments.ExperimentRunner` three ways at a fixed seed:
 
 1. **serial** — ``jobs=0``, the reproducible single-core default;
-2. **pooled** — ``jobs=REPRO_BENCH_FIG7_JOBS`` (default 4) worker
-   processes over the *same* cells;
-3. **cache-warm** — the pooled runner again, which must re-lock and
-   re-train nothing.
+2. **forked fleet** — ``jobs=REPRO_BENCH_FIG7_JOBS`` (default 4)
+   workers forked from the runner's process over the *same* cells;
+3. **cache-warm** — the forked-fleet runner again, which must re-lock
+   and re-train nothing.
 
 It doubles as the equivalence guard for the engine:
 
-* the pooled records must be **bit-identical** to the serial records
-  (per-cell ``SeedSequence`` streams are keyed on cell identity, not
-  grid order or pool size);
+* the forked-fleet records must be **bit-identical** to the serial
+  records (per-cell ``SeedSequence`` streams are keyed on cell identity,
+  not grid order or worker count);
 * the warm rerun must hit the artifact cache (zero new locks/attacks on
   the instrumented counters) and return the same records;
-* with at least ``JOBS`` cores available, the pooled run must be at
-  least ``MIN_SPEEDUP``x faster wall-clock than the serial run (the
-  speedup check is skipped on smaller machines, where a pool cannot
+* with at least ``JOBS`` cores available, the forked-fleet run must be
+  at least ``MIN_SPEEDUP``x faster wall-clock than the serial run (the
+  speedup check is skipped on smaller machines, where a fleet cannot
   help; ``REPRO_BENCH_FIG7_MIN_SPEEDUP`` relaxes the floor on noisy
   shared runners).
 
@@ -70,7 +70,7 @@ def _summarize(rows: list[tuple[str, float]], speedup: float, asserted: bool) ->
         for name, seconds in rows:
             handle.write(f"| {name} | {seconds:.2f}s |\n")
         gate = "asserted" if asserted else "informational (too few cores)"
-        handle.write(f"\npooled speedup: **{speedup:.2f}x** ({gate})\n")
+        handle.write(f"\nforked fleet speedup: **{speedup:.2f}x** ({gate})\n")
 
 
 def test_pooled_grid_parity_cache_and_speedup():
@@ -107,13 +107,13 @@ def test_pooled_grid_parity_cache_and_speedup():
 
     speedup = t_serial / t_pooled if t_pooled > 0 else float("inf")
     print(f"  serial ({len(cells)} cells): {t_serial:7.2f}s")
-    print(f"  pooled ({JOBS} workers):   {t_pooled:7.2f}s  ({speedup:.2f}x)")
+    print(f"  forked fleet ({JOBS} workers): {t_pooled:7.2f}s  ({speedup:.2f}x)")
     print(f"  cache-warm rerun:      {t_warm * 1000:7.1f}ms")
     assert_speedup = _cores() >= JOBS
     _summarize(
         [
             (f"serial ({len(cells)} cells)", t_serial),
-            (f"pooled ({JOBS} workers)", t_pooled),
+            (f"forked fleet ({JOBS} workers)", t_pooled),
             ("cache-warm rerun", t_warm),
         ],
         speedup,
@@ -121,7 +121,7 @@ def test_pooled_grid_parity_cache_and_speedup():
     )
     if assert_speedup:
         assert speedup >= MIN_SPEEDUP, (
-            f"pooled fig7 grid is only {speedup:.2f}x faster than serial "
+            f"forked-fleet fig7 grid is only {speedup:.2f}x faster than serial "
             f"with {JOBS} workers on {_cores()} cores (need >= {MIN_SPEEDUP}x)"
         )
     else:

@@ -9,8 +9,8 @@ fraction: sub-second, uniform jobs.  Two paths run it:
 * **serve**  — an :class:`~repro.serve.AttackServer` with ``WORKERS``
   worker processes connected as persistent **pipelined** connections
   (``--serve-addr``, depth 2): the next job is already buffered in each
-  worker's socket when the current one finishes.  ``repro figures --bus
-  socket`` runs this same loop in-process.
+  worker's socket when the current one finishes.  ``repro figures
+  --jobs N`` runs this same loop in-process.
 
 Both must be **bit-identical** (asserted, timing aside).  The bench
 then measures the *warm* path — p50/p95 latency and requests/s of

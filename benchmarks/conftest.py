@@ -26,9 +26,9 @@ from repro.experiments import ExperimentRunner
 
 @pytest.fixture(scope="session")
 def runner():
-    """The shared pooled/cache-warm experiment runner.
+    """The shared cache-warm experiment runner.
 
-    Honours ``REPRO_JOBS`` (worker pool) and ``REPRO_STORE`` (persistent
+    Honours ``REPRO_JOBS`` (forked workers) and ``REPRO_STORE`` (persistent
     artifact store) exactly like ``repro figures``.
     """
     with ExperimentRunner() as shared:

@@ -1,7 +1,7 @@
 """Attack a benchmark suite with MuxLink — a miniature of paper Fig. 7.
 
 Locks two ISCAS-85 stand-ins with both learning-resilient schemes and
-several key sizes, attacks each cell through the pooled, cache-aware
+several key sizes, attacks each cell through the cache-aware
 :class:`~repro.experiments.ExperimentRunner`, and prints the AC/PC/KPA
 grid::
 
@@ -22,7 +22,7 @@ Fig. 7-10 set with one shared artifact cache (Fig. 8's Hamming runs and
 Fig. 9's threshold sweep reuse Fig. 7's locked netlists and trained
 attacks instead of re-locking and re-training)::
 
-    repro figures --jobs 4                  # all four figures, pooled
+    repro figures --jobs 4                  # all four figures, 4 workers
     repro figures --figures 7 9 --scale smoke --jobs auto
 """
 
@@ -45,7 +45,7 @@ SUITE = ExperimentScale(
 
 def main() -> None:
     cells = fig7_cells(SUITE, seed=1)
-    with ExperimentRunner() as runner:  # REPRO_JOBS picks the pool size
+    with ExperimentRunner() as runner:  # REPRO_JOBS picks the worker count
         records = runner.run(cells)
         print(f"{'benchmark':<10}{'scheme':<15}{'K':>4}{'AC':>8}{'PC':>8}{'KPA':>8}")
         for r in records:

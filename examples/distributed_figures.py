@@ -6,7 +6,7 @@ deployment shape, minus the second machine:
 * two ``repro worker --serve-addr`` processes dial the coordinator's
   address (start them before or after the coordinator; they retry the
   connection on a backoff);
-* one ``repro figures --bus socket`` coordinator plans the smoke-scale
+* one ``repro figures --bus-addr`` coordinator plans the smoke-scale
   grid, serves the unique attack jobs to the connected workers, and
   writes the artifacts they send back into its store;
 * a second, **warm** coordinator run on the same address then completes
@@ -17,9 +17,9 @@ Equivalent shell session::
     repro worker --serve-addr 127.0.0.1:7787 &
     repro worker --serve-addr 127.0.0.1:7787 &
     repro figures --figures 7 8 9 10 --scale smoke \
-        --bus socket --bus-addr 127.0.0.1:7787 --store ./store
+        --bus-addr 127.0.0.1:7787 --store ./store
 
-Every figure table is bit-identical to a serial ``--bus local`` run:
+Every figure table is bit-identical to a serial ``--jobs 0`` run:
 jobs travel as codec payloads (the store's own exchange format), so the
 backend can never move a bit of the result.  If a worker dies mid-job —
 SIGKILL included — the server requeues its jobs for a peer; ``repro
@@ -68,7 +68,6 @@ def run_figures(address: str, store: pathlib.Path, label: str) -> str:
             sys.executable, "-m", "repro.cli", "figures",
             "--figures", "7", "8", "9", "10",
             "--scale", "smoke",
-            "--bus", "socket",
             "--bus-addr", address,
             "--store", str(store),
         ],

@@ -22,7 +22,7 @@ Equivalent shell session::
 The store is content-addressed (netlist digest + attack-config hash +
 schema version), so changing a seed, a key size, the epoch budget or the
 runtime dtype computes new artifacts instead of poisoning old ones, and
-``REPRO_JOBS=N`` pooled runs share the same pool.
+``REPRO_JOBS=N`` runs with forked workers share the same pool.
 """
 
 from __future__ import annotations

@@ -1,13 +1,16 @@
-"""Pluggable job bus: how pending attack jobs reach their workers.
+"""The job bus: how pending attack jobs reach their workers.
 
-See :mod:`repro.bus.protocol` for the seam contract, and the two
-backends: :class:`~repro.bus.local.LocalBus` (in-process / pool) and
-:class:`~repro.bus.socketbus.SocketBus` (an in-process ``repro serve``
-endpoint that ``repro worker --serve-addr`` processes connect to).
+See :mod:`repro.bus.protocol` for the wire contract.  A figure grid
+runs serially in-process (``--jobs 0/1``) or on a
+:class:`~repro.bus.socketbus.SocketBus`, an in-process ``repro serve``
+endpoint: ``--jobs N`` forks N workers from the warm coordinator
+(:class:`~repro.bus.fleet.Fleet`, which ``repro serve --workers N``
+uses too), and ``--bus-addr`` lets ``repro worker --serve-addr``
+processes join from outside.
 """
 
 from repro.blas import limit_blas_threads
-from repro.bus.local import LocalBus
+from repro.bus.fleet import Fleet
 from repro.bus.protocol import (
     BUS_MESSAGE_KIND,
     DEFAULT_LIVENESS,
@@ -18,12 +21,10 @@ from repro.bus.protocol import (
     JOB_ARTIFACT_KINDS,
     BusError,
     BusStats,
-    JobBus,
     RetryPolicy,
     decode_job,
     encode_job,
     job_artifact_kind,
-    resolve_bus,
 )
 from repro.bus.socketbus import SocketBus
 from repro.bus.worker import WorkerStats, run_worker
@@ -39,14 +40,12 @@ __all__ = [
     "DEFAULT_PIPELINE",
     "DEFAULT_POLL",
     "DEFAULT_WORKER_BLAS_THREADS",
-    "JobBus",
-    "LocalBus",
+    "Fleet",
     "RetryPolicy",
     "SocketBus",
     "WorkerStats",
     "decode_job",
     "encode_job",
     "limit_blas_threads",
-    "resolve_bus",
     "run_worker",
 ]

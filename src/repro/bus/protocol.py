@@ -1,38 +1,27 @@
-"""The pluggable job-bus seam: how pending ``AttackJob``s reach workers.
+"""The job-bus wire contract: how pending ``AttackJob``s reach workers.
 
 The :class:`~repro.experiments.runner.ExperimentRunner` plans a grid,
-dedupes it against its caches, and hands the surviving *unique* jobs to a
-:class:`JobBus`.  The bus decides **where** they execute:
+dedupes it against its caches, and either executes the surviving
+*unique* jobs itself (``--jobs 0/1``) or hands them to a
+:class:`~repro.bus.socketbus.SocketBus`: a ``repro serve`` endpoint
+embedded in the coordinator, whose workers are forked from it
+(``--jobs N``, see :mod:`repro.bus.fleet`) or connect from outside
+with ``repro worker --serve-addr`` (``--bus-addr``).
 
-* :class:`~repro.bus.local.LocalBus` — this process (serial) or a
-  ``ProcessPoolExecutor`` on this host.  The behavior-preserving default.
-* :class:`~repro.bus.socketbus.SocketBus` — a ``repro serve`` endpoint
-  embedded in the coordinator; workers connect with ``repro worker
-  --serve-addr``.
-
-The exchange format is fixed by the scheduler boundary PR 5 built:
+The exchange format is the runner's scheduler boundary:
 a job travels as ``{store_key, circuit payload, config dict}`` and a
 result is exactly the encoded attack artifact the store persists — no
-backend ever ships live library objects, so every backend is
+worker ever ships live library objects, so every topology is
 bit-identical to serial execution by construction.
-
-A bus is a generator factory: :meth:`JobBus.run` yields
-``(job, artifact_payload)`` pairs as jobs finish, in completion order;
-the runner writes each artifact through to its store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
 
 from repro import knobs
 from repro.errors import ReproError
 from repro.faults.retry import RetryPolicy
-from repro.settings import setting
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.experiments.runner import AttackJob
 
 __all__ = [
     "BUS_MESSAGE_KIND",
@@ -42,12 +31,10 @@ __all__ = [
     "JOB_ARTIFACT_KINDS",
     "BusError",
     "BusStats",
-    "JobBus",
     "RetryPolicy",
     "decode_job",
     "encode_job",
     "job_artifact_kind",
-    "resolve_bus",
 ]
 
 #: Codec ``kind`` tag of a wire frame — a blob of another flavour raises
@@ -65,7 +52,7 @@ DEFAULT_POLL = 0.25
 #: instead of hanging a figure run on a dead worker fleet.  ``timeout``
 #: (raise) still wins when set tighter; 0/None disables fail-over.
 DEFAULT_LIVENESS = 300.0
-#: Local pool workers cap their OpenBLAS pool at this many threads.  The
+#: Forked fleet members cap their OpenBLAS pool at this many threads.  The
 #: attack jobs are single-core (pinning BLAS to 1 thread leaves serial
 #: runtime unchanged — measured in BENCH_training.json ``bench_bus``),
 #: while concurrent workers each waking a cores-wide spin pool double
@@ -116,34 +103,6 @@ class BusStats:
             )
             text += f" bus-overhead={overhead:.1f}ms/job"
         return text
-
-
-class JobBus:
-    """Abstract transport executing :class:`AttackJob`s somewhere.
-
-    Subclasses implement :meth:`run`; :meth:`close` frees whatever the
-    backend holds (worker pool, listening socket).  A bus instance
-    is reused across every ``runner.run()`` wave of a figure session.
-    """
-
-    name = "abstract"
-
-    def __init__(self) -> None:
-        self.stats = BusStats()
-
-    def run(
-        self, jobs: "list[AttackJob]"
-    ) -> "Iterator[tuple[AttackJob, dict]]":
-        """Execute *jobs*; yield ``(job, artifact_payload)``.
-
-        Results arrive in completion order.  A terminally failed job
-        raises :class:`BusError` (after surviving results have been
-        yielded, where the backend can manage it).
-        """
-        raise NotImplementedError
-
-    def close(self) -> None:  # pragma: no cover - trivial default
-        """Free backend resources (idempotent)."""
 
 
 # ---------------------------------------------------------------------------
@@ -262,55 +221,3 @@ def decode_job(payload: dict):
         )
     except (ReproError, TypeError, ValueError) as exc:
         raise BusError(f"undecodable job: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Resolution — one scheme for the CLI, the runner and the benches
-# ---------------------------------------------------------------------------
-def resolve_bus(
-    bus: "JobBus | str | None" = None,
-    *,
-    jobs: int = 0,
-    bus_addr: str | None = None,
-    poll: float = DEFAULT_POLL,
-    max_attempts: int | None = None,
-    timeout: float | None = None,
-    liveness: float | None = None,
-    retry: "RetryPolicy | None" = None,
-) -> "JobBus":
-    """Build the configured bus backend.
-
-    *bus* is a backend name (``local`` / ``socket``), an existing
-    :class:`JobBus` (passed through), or ``None`` — the ``REPRO_BUS``
-    setting (:mod:`repro.settings`, default ``local``).  ``socket``
-    binds *bus_addr* (else ``REPRO_BUS_ADDR``, default an ephemeral
-    localhost port).
-
-    *liveness* is the graceful-degradation deadline (seconds of total
-    silence before remaining jobs fail over to in-process execution;
-    ``None`` means :data:`DEFAULT_LIVENESS`, ``0`` disables).  *retry*
-    carries the socket bus's backoff/timeout policy.
-    """
-    if isinstance(bus, JobBus):
-        return bus
-    name = setting("REPRO_BUS", bus).strip().lower()
-    retry = RetryPolicy() if retry is None else retry
-    if liveness is None:
-        liveness = DEFAULT_LIVENESS
-    if name == "local":
-        from repro.bus.local import LocalBus
-
-        return LocalBus(jobs=jobs)
-    if name == "socket":
-        from repro.bus.socketbus import SocketBus
-
-        return SocketBus(
-            setting("REPRO_BUS_ADDR", bus_addr),
-            poll=poll,
-            max_attempts=max_attempts,
-            timeout=timeout,
-            liveness=liveness,
-            retry=retry,
-        )
-    raise BusError(f"unknown job bus {name!r}; choose from local, socket")
-

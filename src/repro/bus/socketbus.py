@@ -1,9 +1,11 @@
-"""``repro figures --bus socket``: the grid runs on an in-process server.
+"""The figure grid's bus: it runs on an in-process server.
 
 :class:`SocketBus` owns an :class:`~repro.serve.AttackServer` bound to
-the bus address; workers connect to it with ``repro worker --serve-addr
-ADDR`` and ship results back over the wire, so they need no shared
-filesystem.  There is no thread and no loopback client:
+the bus address.  ``repro figures --jobs N`` forks N workers from this
+warm process (:class:`~repro.bus.fleet.Fleet`), on the first wave that
+has jobs; with ``--bus-addr`` outside ``repro worker --serve-addr ADDR``
+processes join too.  Workers ship results back over the wire, so they
+need no shared filesystem.  There is no thread and no loopback client:
 :meth:`SocketBus.run` submits the grid through the server's own submit
 path and turns the server loop itself, one
 :meth:`~repro.serve.AttackServer.step` at a time.  Requeues, attempt
@@ -18,10 +20,11 @@ from collections import deque
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterator
 
+from repro.bus.fleet import Fleet
 from repro.bus.protocol import (
     DEFAULT_POLL,
     BusError,
-    JobBus,
+    BusStats,
     RetryPolicy,
     encode_job,
 )
@@ -32,10 +35,12 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["SocketBus"]
 
 
-class SocketBus(JobBus):
-    """Coordinator-embedded serve endpoint (``repro figures --bus socket``)."""
+class SocketBus:
+    """Coordinator-embedded serve endpoint with *workers* forked members.
 
-    name = "socket"
+    One instance is reused across every ``runner.run()`` wave of a
+    figure session; :meth:`close` stops the fleet and the server.
+    """
 
     def __init__(
         self,
@@ -45,10 +50,17 @@ class SocketBus(JobBus):
         timeout: float | None = None,
         liveness: float | None = None,
         retry: RetryPolicy | None = None,
+        workers: int = 0,
     ) -> None:
         from repro.serve import AttackServer
 
-        super().__init__()
+        # Refuse a fleet this platform cannot fork before binding a port.
+        # Members hold one job each: on loopback a dispatch round trip
+        # costs a millisecond against jobs of 0.1 s and up, while a job
+        # buffered behind a busy member idles the others at the end of a
+        # wave (0.35 s of a 10 s Fig. 7+8 CI run, 2 workers, 2 cores).
+        self._fleet = Fleet(workers, pipeline=1, poll=poll)
+        self.stats = BusStats()
         retry = retry if retry is not None else RetryPolicy()
         self.max_attempts = int(
             retry.max_attempts if max_attempts is None else max_attempts
@@ -73,7 +85,13 @@ class SocketBus(JobBus):
     def run(
         self, jobs: "list[AttackJob]"
     ) -> "Iterator[tuple[AttackJob, dict]]":
+        """Execute *jobs*; yield ``(job, artifact_payload)`` as each
+        finishes.  A job that fails ``max_attempts`` times raises
+        :class:`BusError` with its last worker traceback."""
         server = self._server
+        if jobs and self._fleet.size and not self._fleet.members:
+            # Forked lazily: a fully cached grid forks nothing.
+            self._fleet.start(server)
         t0 = time.perf_counter()
         # This bus waits on its own server like a client connection
         # would; the frames it is sent queue up here.
@@ -95,7 +113,7 @@ class SocketBus(JobBus):
             if not announced and server.stats.failed_over > failed_over_before:
                 announced = True
                 print(
-                    f"bus[{self.name}]: no worker progress for "
+                    "bus[socket]: no worker progress for "
                     f"{self.liveness:.0f}s — failing {len(waiting)} job(s) "
                     "over to in-process execution"
                 )
@@ -139,5 +157,7 @@ class SocketBus(JobBus):
         self.stats.failed_over = served.failed_over
 
     def close(self) -> None:
+        """Stop the fleet and the server (idempotent)."""
+        self._fleet.close()
         self._server.close()
         self._scratch.cleanup()

@@ -1,8 +1,10 @@
 """The ``repro worker`` loop: receive pushed jobs, execute, reply.
 
 A worker is a plain process started with a serve address (``repro
-worker --serve-addr HOST:PORT``): a standalone ``repro serve`` endpoint
-or the one a ``repro figures --bus socket`` coordinator runs.  It knows
+worker --serve-addr HOST:PORT``), or a member of the fleet
+:class:`~repro.bus.fleet.Fleet` forks: its server is a standalone
+``repro serve`` endpoint or the one a ``repro figures`` coordinator runs
+for ``--jobs N`` or ``--bus-addr``.  It knows
 nothing about figures or grids — it holds one persistent connection,
 executes :func:`~repro.experiments.runner.execute_job` on whatever the
 server pushes (MuxLink attack jobs and baseline-attack jobs alike), one
@@ -75,6 +77,7 @@ def run_worker(
     blas_threads: int | None = None,
     pipeline: int = DEFAULT_PIPELINE,
     retry: RetryPolicy | None = None,
+    parent: int | None = None,
     log=print,
 ) -> WorkerStats:
     """Announce, then execute **pushed** jobs off one long connection.
@@ -99,6 +102,10 @@ def run_worker(
     frame reconnects on the *retry* backoff (default ``RetryPolicy()``,
     which also sets the connect and read timeouts); the server requeues
     whatever this worker had in flight.
+
+    A forked fleet member passes its coordinator's pid as *parent*: it
+    exits instead of reconnecting once that process is gone, so a
+    killed coordinator leaves no orphan retrying forever.
     """
     from repro.experiments.runner import execute_job
     from repro.wire import parse_address, recv_message, send_message
@@ -146,6 +153,9 @@ def run_worker(
             or time.monotonic() - idle_since <= idle_timeout
         ):
             if conn is None:
+                if parent is not None and os.getppid() != parent:
+                    log(f"worker[{os.getpid()}]: coordinator {parent} is gone")
+                    break
                 try:
                     if faults.fire("socket.connect_refused"):
                         raise OSError(

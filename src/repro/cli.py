@@ -5,7 +5,7 @@ Usage examples::
     python -m repro.cli generate c1355 --scale 0.3 -o c1355.bench
     python -m repro.cli lock c1355.bench --scheme dmux --key-size 16 -o locked.bench
     python -m repro.cli attack locked.bench --epochs 20 --h 3
-    python -m repro.cli figures --jobs 4                  # pooled fig7-fig10
+    python -m repro.cli figures --jobs 4                  # 4 forked workers
     python -m repro.cli figures --figures 7 9 --scale smoke
     python -m repro.cli saam locked.bench
     python -m repro.cli sweep locked.bench --train other1.bench --train other2.bench
@@ -21,24 +21,24 @@ and ``--dtype float64`` (or ``REPRO_DTYPE``) restores the float64 runtime.
 
 ``figures`` regenerates the paper's Fig. 7-10 through one shared
 :class:`~repro.experiments.ExperimentRunner`: ``--jobs N`` (or
-``REPRO_JOBS``; ``auto`` = all cores) pools independent attack cells
-over N worker processes, and locked netlists / trained attacks are
-cached across figures — results are bit-identical for any job count.
-With ``--store DIR`` (or ``REPRO_STORE``) those caches write through a
-persistent content-addressed artifact store, so a rerun in a fresh
-process performs zero lock and zero train jobs; ``attack --store``
+``REPRO_JOBS``; ``auto`` = all cores) forks N workers from the warm
+process and fans independent attack cells out to them over an
+in-process ``repro serve`` endpoint, and locked netlists / trained
+attacks are cached across figures — results are bit-identical for any
+job count.  With ``--store DIR`` (or ``REPRO_STORE``) those caches write
+through a persistent content-addressed artifact store, so a rerun in a
+fresh process performs zero lock and zero train jobs; ``attack --store``
 keys single attacks into the same pool, and ``cache ls / stats / gc /
 verify`` administers it.
 
-``--bus`` swaps the execution backend under ``figures``: ``local``
-(default, this host) or ``socket`` (the coordinator runs an in-process
-``repro serve`` endpoint on ``--bus-addr``; workers connect with
-``repro worker --serve-addr``).  Results are bit-identical across both::
+``--bus-addr`` binds that endpoint where ``repro worker --serve-addr``
+processes on any host can join, even at ``--jobs 0``.  Results are
+bit-identical to a serial run::
 
     python -m repro.cli worker --serve-addr 127.0.0.1:7341 &
     python -m repro.cli worker --serve-addr 127.0.0.1:7341 &
-    python -m repro.cli figures --scale smoke --bus socket \
-        --bus-addr 127.0.0.1:7341 --store /tmp/store
+    python -m repro.cli figures --scale smoke --bus-addr 127.0.0.1:7341 \
+        --store /tmp/store
 
 ``repro serve`` is the persistent attack-as-a-service shape: a
 long-running server owning the artifact store, a warm result cache and
@@ -215,24 +215,21 @@ def _open_runner(args: argparse.Namespace, scale):
     runner = ExperimentRunner(
         jobs=args.jobs,
         store=args.store,
-        bus=args.bus,
         bus_addr=args.bus_addr,
         liveness=args.liveness,
     )
     if runner.store is not None:
         print(f"store={runner.store.root}")
-    if runner.bus.name != "local":
-        address = getattr(runner.bus, "address", None)
-        suffix = f" addr={address}" if address is not None else ""
-        print(f"bus={runner.bus.name}{suffix}")
+    if runner.bus is not None:
+        print(f"bus=socket addr={runner.bus.address}")
     return runner
 
 
 def _print_runner_summary(runner) -> None:
     print()
     print(f"runner: {runner.stats.summary()}")
-    if runner.bus.name != "local":
-        print(f"bus[{runner.bus.name}]: {runner.bus.stats.summary()}")
+    if runner.bus is not None:
+        print(f"bus[socket]: {runner.bus.stats.summary()}")
     if runner.store is not None:
         print(f"store: {runner.store.stats.summary()}")
 
@@ -258,52 +255,21 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fork_context():
-    """The ``fork`` start method, named explicitly: Python 3.14's Linux
-    default (``forkserver``) and macOS's (``spawn``) would start every
-    worker with a cold import of its own."""
-    import multiprocessing
-
-    from repro.serve import ServeError
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        raise ServeError(
-            "repro serve --workers N forks its workers, and this platform "
-            "has no os.fork: run `repro serve --workers 0` and start each "
-            "worker with `repro worker --serve-addr HOST:PORT`"
-        ) from None
-
-
-def _forked_worker(server, pipeline: int, poll: float) -> None:
-    """One ``--workers`` fleet member: ``repro worker`` minus its import."""
+def _cmd_serve(args: argparse.Namespace) -> int:
     import functools
     import signal
 
-    from repro.bus import run_worker
-
-    # The parent's handler stops *its* loop; a worker dies on SIGTERM.
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    # Drop this process's copies of the server's sockets.  close() would
-    # unregister them from the epoll set the parent still polls.
-    server.close_forked()
-    # Flush per line: the fleet shares the server's stdout, and a worker
-    # ends on SIGTERM, which never flushes a buffer.
-    run_worker(
-        server.address,
-        poll=poll,
-        pipeline=pipeline,
-        log=functools.partial(print, flush=True),
-    )
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import signal
-
+    from repro.bus import Fleet
     from repro.serve import AttackServer
 
-    context = _fork_context() if args.workers > 0 else None
+    # Flush per line: the fleet shares the server's stdout, and a worker
+    # ends on SIGTERM, which never flushes a buffer.
+    fleet = Fleet(
+        args.workers,
+        pipeline=args.pipeline,
+        poll=args.poll,
+        log=functools.partial(print, flush=True),
+    )
     server = AttackServer(
         args.addr,
         args.store,
@@ -323,32 +289,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # SIGTERM stops the loop like a `shutdown` op, so the finally below
     # still terminates the workers instead of orphaning them.
     signal.signal(signal.SIGTERM, lambda *_: server.stop())
-    workers = []
     try:
         # Fork the fleet from this warm process, once, before
         # serve_forever can start its fail-over thread: each worker
         # inherits every imported module instead of paying a cold import.
-        for _ in range(args.workers):
-            worker = context.Process(
-                target=_forked_worker,
-                args=(server, args.pipeline, args.poll),
-            )
-            worker.start()
-            workers.append(worker)
+        fleet.start(server)
         stats = server.serve_forever(
             idle_timeout=args.idle_timeout, max_requests=args.max_requests
         )
     finally:
         server.close()
-        for worker in workers:
-            worker.terminate()
-        # Join every child (kill the stuck ones first): no zombie is
-        # left, and each worker's rusage reaches whoever waits on us.
-        for worker in workers:
-            worker.join(timeout=10)
-            if worker.exitcode is None:  # pragma: no cover
-                worker.kill()
-                worker.join()
+        fleet.close()
     print(f"serve: {stats.summary()}")
     print(f"serve: store {server.store.stats.summary()}")
     return 0
@@ -626,7 +577,8 @@ def _add_runner_args(p: argparse.ArgumentParser, store_help: str) -> None:
     """The runner/bus options ``figures`` and ``leaderboard`` share."""
     _knob_flag(
         p, "--jobs", "REPRO_JOBS",
-        "attack worker processes; 'auto' = all cores, 0 = serial",
+        "workers forked from this process; 'auto' = all cores, 0 or 1 = "
+        "serial",
         type=lambda v: v if v.strip().lower() == "auto" else int(v),
     )
     _knob_flag(
@@ -636,20 +588,15 @@ def _add_runner_args(p: argparse.ArgumentParser, store_help: str) -> None:
     p.add_argument("--seed", type=int, default=0)
     _knob_flag(p, "--store", "REPRO_STORE", store_help)
     _knob_flag(
-        p, "--bus", "REPRO_BUS",
-        "job execution backend; results are bit-identical across backends",
-        choices=("local", "socket"),
-    )
-    _knob_flag(
         p, "--bus-addr", "REPRO_BUS_ADDR",
-        "bind address for --bus socket, host:port (port 0 = ephemeral); "
-        "workers connect with `repro worker --serve-addr`",
+        "serve the grid on this host:port (port 0 = ephemeral), where "
+        "`repro worker --serve-addr` processes join, also at --jobs 0",
     )
     p.add_argument(
         "--liveness",
         type=float,
         default=None,
-        help="seconds of socket-bus worker silence before pending jobs "
+        help="seconds of bus worker silence before pending jobs "
         "fail over to in-process execution (default: 300; 0 disables "
         "fail-over)",
     )
@@ -736,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_attack)
 
     p = sub.add_parser(
-        "figures", help="regenerate paper figures over a pooled runner"
+        "figures", help="regenerate paper figures over a shared runner"
     )
     p.add_argument(
         "--figures",
@@ -783,7 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _knob_flag(
         p, "--serve-addr", "REPRO_SERVE_ADDR",
-        "`repro serve` endpoint (or `--bus socket` coordinator) to hold a "
+        "`repro serve` endpoint (or `repro figures --bus-addr` "
+        "coordinator) to hold a "
         "persistent pipelined connection to",
     )
     p.add_argument(

@@ -1,7 +1,7 @@
 """Experiment runners regenerating every figure of the paper.
 
 Figure grids are declarative :class:`~repro.experiments.runner.Cell`
-lists executed by the pooled, cache-aware
+lists executed by the cache-aware
 :class:`~repro.experiments.runner.ExperimentRunner` (``REPRO_JOBS`` /
 ``repro figures --jobs N``); share one runner across figures to reuse
 locked netlists and trained attacks.

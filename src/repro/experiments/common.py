@@ -13,12 +13,12 @@ Set the environment variable ``REPRO_EXPERIMENT_SCALE=paper`` (or
 ``smoke``) to switch the benches to another preset; any other value is
 a :class:`~repro.settings.SettingsError`, never a silent fallback.
 
-Figure grids execute through the pooled, cache-aware engine in
+Figure grids execute through the cache-aware engine in
 :mod:`repro.experiments.runner`: ``REPRO_JOBS=N`` (or ``repro figures
---jobs N``) fans independent attack cells out over N worker processes,
+--jobs N``) fans independent attack cells out over N forked workers,
 while locked netlists and trained attacks are cached and reused across
 cells and figures.  The default (``REPRO_JOBS=0``) stays serial, and
-serial, pooled and reordered runs produce bit-identical
+serial, fanned-out and reordered runs produce bit-identical
 :class:`AttackRecord` payloads because every cell derives its RNG
 streams from :func:`repro.experiments.runner.cell_seed_sequence`, keyed
 on the cell identity rather than grid order.

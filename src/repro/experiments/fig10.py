@@ -53,7 +53,7 @@ def run_fig10(
 ) -> list[Fig10Row]:
     """Re-run the attack for each h (paper: h in [1, 4], saturating at 3).
 
-    All (hop, benchmark) cells go to the runner as one wave, so a pooled
+    All (hop, benchmark) cells go to the runner as one wave, so a fanned-out
     run parallelizes across hops as well as benchmarks.
     """
     scale = scale or active_scale()

@@ -9,7 +9,7 @@ Since PR 8 the study is a declarative :class:`BaselineCell` grid
 executed by the shared :class:`~repro.experiments.runner.ExperimentRunner`
 — the same engine (and store, and job bus) the MuxLink figures use, so
 locked copies persist, reports are content-addressed, and serial /
-pooled / reordered runs are bit-identical.  Every copy derives its lock
+fanned-out / reordered runs are bit-identical.  Every copy derives its lock
 stream and each attack its coin stream from the cell identity
 (:func:`~repro.experiments.runner.derive_copy_seeds` /
 :func:`~repro.experiments.runner.derive_baseline_seed`), replacing the

@@ -51,7 +51,7 @@ def run_fig9(
 ) -> list[Fig9Row]:
     """Sweep ``th`` over trained attacks for both schemes.
 
-    The GNN is trained once per (scheme, benchmark) cell — pooled when
+    The GNN is trained once per (scheme, benchmark) cell — fanned out when
     *jobs* / ``REPRO_JOBS`` asks for it, and reused outright from a
     shared runner that already ran Fig. 7 — and every threshold value
     only re-runs the Algorithm-1 post-processing.

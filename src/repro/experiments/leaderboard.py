@@ -217,7 +217,7 @@ def _combine(
 
 def leaderboard_fingerprint(rows: list[LeaderboardRow]) -> tuple:
     """Runtime-free digest of a leaderboard — equal across serial /
-    pooled / bus-distributed / warm-store runs of the same grid."""
+    forked-fleet / outside-worker / warm-store runs of the same grid."""
     return tuple(
         (
             r.benchmark,

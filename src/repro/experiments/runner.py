@@ -1,17 +1,17 @@
-"""Pooled, cache-aware experiment engine for the figure drivers.
+"""Cache-aware experiment engine for the figure drivers.
 
 The paper's headline figures (Fig. 7-10) are grids of *independent*
 (benchmark x scheme x key size) attack cells.  This module turns each
 figure into a declarative list of :class:`Cell` jobs and executes them
 through one :class:`ExperimentRunner` that
 
-* **parallelizes** — unique attacks are handed to a pluggable
-  :class:`~repro.bus.protocol.JobBus`: the default ``local`` bus runs
-  them serially or over a ``ProcessPoolExecutor`` on this host
-  (``REPRO_JOBS`` / ``--jobs``; ``0`` stays serial so single-core runs
-  remain exactly reproducible with zero pool overhead), while the
-  ``socket`` bus fans the same jobs out to independent ``repro worker
-  --serve-addr`` processes (``--bus socket``);
+* **parallelizes** — ``--jobs 0/1`` (``REPRO_JOBS``) runs the unique
+  attacks serially in this process, so single-core runs stay exactly
+  reproducible with no worker overhead; ``--jobs N`` hands them to a
+  :class:`~repro.bus.socketbus.SocketBus`, an in-process serve endpoint
+  with N workers forked from this warm process, and ``--bus-addr``
+  (``REPRO_BUS_ADDR``) binds that endpoint where outside ``repro worker
+  --serve-addr`` processes can join;
 * **caches** — locked netlists and trained attack results are keyed by
   content (a digest of the locked BENCH text plus the attack
   configuration with the post-processing threshold normalized out), so a
@@ -21,15 +21,15 @@ through one :class:`ExperimentRunner` that
 * **seeds per cell** — every cell derives its lock / train RNG streams
   from ``SeedSequence(seed)`` spawned with a key computed from the cell
   identity ``(benchmark, scheme, key_size)``, *not* from grid iteration
-  order, so serial, pooled and reordered runs produce bit-identical
+  order, so serial, fanned-out and reordered runs produce bit-identical
   :class:`~repro.experiments.common.AttackRecord` payloads.
 
 Cache coherence under parallelism is by construction: the parent process
 plans the grid, dedupes attack jobs against its caches *before* any work
-is submitted, executes only the unique jobs (in the pool or in-process),
+is submitted, executes only the unique jobs (on the bus or in-process),
 and materializes every cell's record from the parent-side caches.
-Workers never see the caches, so serial and pooled runs perform the same
-unique computations in the same code path.
+Workers never see the caches, so serial and fanned-out runs perform the
+same unique computations in the same code path.
 
 Every cache layer is a **write-through view over the artifact store**
 (:class:`~repro.store.ArtifactStore`) when one is configured
@@ -47,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -56,7 +57,6 @@ from repro.attacks.baseline import (
     run_baseline_attack,
 )
 from repro.benchgen import load_benchmark
-from repro.bus.protocol import JobBus, resolve_bus
 from repro.core import MuxLinkConfig, MuxLinkResult, rescore_key, run_muxlink, score_key
 from repro.experiments.common import (
     AttackRecord,
@@ -82,6 +82,9 @@ from repro.store import (
     lock_store_key,
     resolve_store,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.bus.socketbus import SocketBus
 
 __all__ = [
     "AttackJob",
@@ -130,7 +133,7 @@ def cell_seed_sequence(
 
     The spawn key is derived from the cell *identity* — not from the
     position of the cell in a grid — so the stream is invariant to grid
-    order, pool size and which figure requested the cell.  ``h`` and
+    order, worker count and which figure requested the cell.  ``h`` and
     ``threshold`` are deliberately excluded: Fig. 10's hop sweep and
     Fig. 9's threshold sweep attack the *same* locked instance.
     """
@@ -405,7 +408,7 @@ class BaselineJob:
 def execute_attack_job(job: AttackJob) -> dict:
     """Run one :class:`AttackJob`; returns the encoded attack artifact.
 
-    The single code path for serial and pooled execution (workers import
+    The single code path for serial and bus execution (workers import
     this module-level function).  Consumes and produces store payloads —
     never live :class:`Circuit` / :class:`MuxLinkResult` objects — so
     executing a job is independent of the submitting process's caches.
@@ -490,14 +493,19 @@ def record_fingerprint(record: AttackRecord) -> tuple:
 
 
 class ExperimentRunner:
-    """Executes :class:`Cell` grids with artifact reuse and an optional pool.
+    """Executes :class:`Cell` grids with artifact reuse and an optional bus.
 
     One runner instance is intended to be shared across figure drivers
     (see ``repro figures``): Fig. 8 / Fig. 9 / Fig. 10 then reuse the
     base circuits, locked netlists and trained attacks that Fig. 7
     already produced.  The runner is a context manager; ``close()``
-    shuts the worker pool down (caches survive until the runner is
-    garbage collected).
+    stops the bus and its forked workers (caches survive until the
+    runner is garbage collected).
+
+    *jobs* ≥ 2 or a *bus_addr* (else ``REPRO_BUS_ADDR``) puts a
+    :class:`~repro.bus.socketbus.SocketBus` under the runner; *bus*
+    passes one in ready-made, as the chaos drills do to tune its
+    deadlines.
 
     With a *store* (an :class:`~repro.store.ArtifactStore`, a path, or
     the ``REPRO_STORE`` environment variable), the in-memory caches
@@ -513,18 +521,24 @@ class ExperimentRunner:
         self,
         jobs: int | str | None = None,
         store: ArtifactStore | str | os.PathLike | None = None,
-        bus: JobBus | str | None = None,
+        bus: "SocketBus | None" = None,
         bus_addr: str | None = None,
         liveness: float | None = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         self.store = resolve_store(store)
-        self.bus = resolve_bus(
-            bus,
-            jobs=self.jobs,
-            bus_addr=bus_addr,
-            liveness=liveness,
-        )
+        bus_addr = setting("REPRO_BUS_ADDR", bus_addr)
+        if bus is None and (self.jobs > 1 or bus_addr is not None):
+            from repro.bus.protocol import DEFAULT_LIVENESS
+            from repro.bus.socketbus import SocketBus
+
+            bus = SocketBus(
+                bus_addr or "127.0.0.1:0",
+                liveness=DEFAULT_LIVENESS if liveness is None else liveness,
+                workers=self.jobs if self.jobs > 1 else 0,
+            )
+        #: ``None`` runs every job serially in this process.
+        self.bus = bus
         self.stats = RunnerStats()
         self._bases: dict[tuple[str, float], Circuit] = {}
         self._base_digests: dict[tuple[str, float], str] = {}
@@ -541,8 +555,9 @@ class ExperimentRunner:
         self.close()
 
     def close(self) -> None:
-        """Release the job bus (worker pool / sockets; idempotent)."""
-        self.bus.close()
+        """Release the bus: its fleet and its socket (idempotent)."""
+        if self.bus is not None:
+            self.bus.close()
 
     # -- artifact caches ----------------------------------------------------
     def base_circuit(self, benchmark: str, circuit_scale: float) -> Circuit:
@@ -760,16 +775,18 @@ class ExperimentRunner:
         Every finished artifact is cached and written through **as it
         completes** — a crashed worker or an interrupt late in a grid
         must not discard hours of already-finished training; the rerun
-        resumes from whatever landed in the store.  Failure semantics
-        are the bus's (the local bus re-raises the first failure after
-        draining survivors; the socket bus requeues and ultimately
-        fails the job).
+        resumes from whatever landed in the store.  Serially, a failing
+        job raises as it is; on the bus it is retried up to
+        ``max_attempts`` and then raises :class:`~repro.bus.BusError`
+        with the worker's traceback.
         """
         jobs = list(pending.values())
-        if not jobs:
-            return
-        for job, payload in self.bus.run(jobs):
-            self._finish_job(job, payload)
+        if self.bus is None:
+            for job in jobs:
+                self._finish_job(job, execute_job(job))
+        elif jobs:
+            for job, payload in self.bus.run(jobs):
+                self._finish_job(job, payload)
 
     def _finish_job(self, job, payload: dict) -> None:
         if getattr(job, "kind", "attack") == "baseline":

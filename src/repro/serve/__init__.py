@@ -7,8 +7,9 @@ pipelined worker fleet, with in-flight coalescing).  Clients live in
 frame; no op reads or writes the server's store directly.
 
 ``repro serve --workers N`` forks its fleet from the warm server
-process, once it listens: each worker inherits the imported package
-instead of paying a cold import, and runs the same
+process, once it listens, through :class:`~repro.bus.Fleet` (the helper
+``repro figures --jobs N`` uses too): each worker inherits the imported
+package instead of paying a cold import, and runs the same
 :func:`~repro.bus.run_worker` loop as ``repro worker``.  The child closes
 its copies of the server's sockets without unregistering them, because
 a forked child shares the parent's epoll set (see

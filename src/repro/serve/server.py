@@ -25,8 +25,8 @@ codec frames) owns two kinds of peers on a single listening port:
   its socket when the current one finishes, so no request round-trip
   sits between two jobs.
 
-The same loop is the coordinator of ``repro figures --bus socket``:
-:class:`~repro.bus.SocketBus` owns an :class:`AttackServer`, submits its
+The same loop is the coordinator of ``repro figures --jobs N`` and
+``--bus-addr``: :class:`~repro.bus.SocketBus` owns an :class:`AttackServer`, submits its
 grid in-process and drives :meth:`AttackServer.step` itself.
 
 The warm path is three tiers: an in-memory LRU of **encoded** ``result``

@@ -79,14 +79,12 @@ SETTINGS: dict[str, Setting] = {
     for knob in (
         Setting("REPRO_STORE", str, None,
                 "artifact store directory"),
-        Setting("REPRO_BUS", _choice("local", "socket"), "local",
-                "job bus backend of figure and leaderboard grids"),
-        Setting("REPRO_BUS_ADDR", str, "127.0.0.1:0",
-                "HOST:PORT the socket-bus coordinator listens on"),
+        Setting("REPRO_BUS_ADDR", str, None,
+                "HOST:PORT a grid's bus listens on for outside workers"),
         Setting("REPRO_SERVE_ADDR", str, None,
                 "`repro serve` endpoint a serve-mode worker connects to"),
         Setting("REPRO_JOBS", parse_jobs, 0,
-                "attack worker processes of a local grid (0 = serial)"),
+                "worker processes a grid forks (0 or 1 = serial)"),
         Setting("REPRO_EXPERIMENT_SCALE", _choice("smoke", "ci", "paper"),
                 "ci", "experiment preset of the figure grids and benches"),
         Setting("REPRO_DTYPE", _choice("float32", "float64"), "float32",

@@ -126,7 +126,7 @@ def test_liveness_zero_disables_failover():
 
 
 def test_runner_threads_liveness_to_the_bus(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_BUS", "socket")
+    monkeypatch.setenv("REPRO_BUS_ADDR", "127.0.0.1:0")
     monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
     for liveness, expected in ((7.5, 7.5), (0, None), (None, DEFAULT_LIVENESS)):
         runner = ExperimentRunner(liveness=liveness)

@@ -1,10 +1,10 @@
-"""Bit-parity across bus backends: local == socket.
+"""Bit-parity across topologies: serial == outside workers on the bus.
 
 The acceptance contract of the job bus: ``repro figures --figures
 7 8 9 10 --scale smoke`` produces byte-identical figure tables whether
-the attack jobs execute serially in the coordinator (``--bus local``)
+the attack jobs execute serially in the coordinator (``--jobs 0``)
 or in two ``--serve-addr`` workers connected over TCP to the
-coordinator's in-process serve endpoint (``--bus socket``).  Wall-clock
+coordinator's in-process serve endpoint (``--bus-addr``).  Wall-clock
 columns are masked — a distributed run measures its own runtimes — but
 every computed value must match.
 """
@@ -92,8 +92,6 @@ def test_figure_tables_bit_identical_across_buses(tmp_path):
             [
                 "--store",
                 str(tmp_path / "store-socket"),
-                "--bus",
-                "socket",
                 "--bus-addr",
                 addr,
             ]
@@ -116,7 +114,7 @@ def test_warm_store_yields_zero_releases(tmp_path):
     reference = [record_fingerprint(r) for r in cold.run(cells)]
     cold.close()
 
-    warm = ExperimentRunner(store=store, bus="socket")
+    warm = ExperimentRunner(store=store, bus_addr="127.0.0.1:0")
     try:
         records = warm.run(cells)
         assert [record_fingerprint(r) for r in records] == reference
@@ -163,7 +161,7 @@ def test_leaderboard_bit_identical_across_socket_bus(tmp_path):
     workers = [_start_worker(["--serve-addr", addr]) for _ in range(2)]
     try:
         sock = _leaderboard_cli(
-            ["--store", store, "--bus", "socket", "--bus-addr", addr]
+            ["--store", store, "--bus-addr", addr]
         )
     finally:
         for worker in workers:

@@ -1,4 +1,4 @@
-"""Tests for the pooled, cache-aware experiment engine.
+"""Tests for the cache-aware experiment engine.
 
 Covers the three guarantees the runner makes:
 
@@ -6,7 +6,8 @@ Covers the three guarantees the runner makes:
   records are bit-identical across grid order, pool size and figures;
 * **reuse** — locked netlists and trained attacks are cached and shared
   across cells and figure drivers (warm reruns re-lock nothing);
-* **parallelism** — a pooled run returns exactly the serial records.
+* **parallelism** — a run on forked workers returns exactly the serial
+  records.
 """
 
 import random

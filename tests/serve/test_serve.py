@@ -883,10 +883,8 @@ def test_bad_address_is_a_typed_error(address, tmp_path, capsys):
     if address:  # an empty flag falls back to the default address
         for argv in (
             ["worker", "--serve-addr", address],
-            ["figures", "--scale", "smoke", "--bus", "socket",
-             "--bus-addr", address],
-            ["leaderboard", "--scale", "smoke", "--bus", "socket",
-             "--bus-addr", address],
+            ["figures", "--scale", "smoke", "--bus-addr", address],
+            ["leaderboard", "--scale", "smoke", "--bus-addr", address],
         ):
             assert main(argv) == 2, argv
             assert "error: " in capsys.readouterr().err

@@ -16,7 +16,6 @@ _PACKAGE = pathlib.Path(repro.__file__).resolve().parent
 
 KEPT = {
     "REPRO_STORE",
-    "REPRO_BUS",
     "REPRO_BUS_ADDR",
     "REPRO_SERVE_ADDR",
     "REPRO_JOBS",
@@ -31,7 +30,7 @@ KEPT = {
     "name, raw, parsed, explicit",
     [
         ("REPRO_STORE", " /srv/store ", "/srv/store", "/tmp/store"),
-        ("REPRO_BUS", "Socket", "socket", "local"),
+        ("REPRO_BUS_ADDR", " 0.0.0.0:7787 ", "0.0.0.0:7787", "127.0.0.1:0"),
         ("REPRO_BLAS_THREADS", "4", 4, 2),
         ("REPRO_JOBS", "3", 3, 5),
     ],
@@ -57,8 +56,7 @@ def test_explicit_beats_env_beats_default(
         ("REPRO_BLAS_THREADS", "x", "non-negative integer"),
         ("REPRO_DTYPE", "float16", "float32, float64"),
         ("REPRO_EXPERIMENT_SCALE", "smok", "smoke, ci, paper"),
-        ("REPRO_BUS", "carrier-pigeon", "local, socket"),
-        ("REPRO_BUS", "spool", "local, socket"),
+        ("REPRO_BLAS_THREADS", "-2", "non-negative integer"),
     ],
 )
 def test_malformed_value_is_a_settings_error(name, raw, accepts, monkeypatch):
@@ -72,7 +70,7 @@ def test_malformed_value_is_a_settings_error(name, raw, accepts, monkeypatch):
 
 def test_repro_config_lists_exactly_the_kept_knobs(monkeypatch, capsys):
     monkeypatch.setenv("REPRO_JOBS", "3")
-    monkeypatch.delenv("REPRO_BUS", raising=False)
+    monkeypatch.delenv("REPRO_BUS_ADDR", raising=False)
     assert main(["config"]) == 0
     rows = {
         line.split()[0]: line.split()[1:3]
@@ -80,7 +78,7 @@ def test_repro_config_lists_exactly_the_kept_knobs(monkeypatch, capsys):
     }
     assert set(rows) == KEPT == set(SETTINGS)
     assert rows["REPRO_JOBS"] == ["3", "env"]
-    assert rows["REPRO_BUS"] == ["local", "default"]
+    assert rows["REPRO_BUS_ADDR"] == ["-", "default"]  # unset: no bus
 
 
 def _cli_env(**knobs: str) -> dict:
@@ -94,8 +92,8 @@ def _cli_env(**knobs: str) -> dict:
     "name, raw, argv",
     [
         ("REPRO_JOBS", "abc", ["--scale", "smoke"]),
-        ("REPRO_BUS", "carrier-pigeon", ["--scale", "smoke"]),
-        ("REPRO_BUS", "spool", ["--scale", "smoke"]),
+        ("REPRO_JOBS", "-1", ["--scale", "smoke"]),
+        ("REPRO_JOBS", "1.5", ["--scale", "smoke"]),
         ("REPRO_EXPERIMENT_SCALE", "smok", []),
     ],
 )
