@@ -30,9 +30,13 @@ or under pytest::
 
     pytest benchmarks/bench_fig7_parallel.py -s
 
-``REPRO_BENCH_FIG7_SCALE`` selects the grid (default ``ci``: 16 cells;
-``smoke`` shrinks it for quick checks).  When ``GITHUB_STEP_SUMMARY`` is
-set (GitHub Actions), the timings land in the job summary.
+``REPRO_BENCH_FIG7_SCALE`` selects the grid (default ``ci``: 16 cells).
+The speedup floor is calibrated to that grid.  ``smoke`` shrinks it to
+2 cells, too few for a fleet to pay for its start-up (0.88x on 2 cores
+with ``REPRO_BENCH_FIG7_JOBS=2``), so at ``smoke`` only the parity and
+cache asserts are meaningful and the floor fails wherever it is armed.
+When ``GITHUB_STEP_SUMMARY`` is set (GitHub Actions), the timings land
+in the job summary.
 """
 
 from __future__ import annotations

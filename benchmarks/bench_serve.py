@@ -1,4 +1,4 @@
-"""Attack-as-a-service bench: the pipelined fleet, warm and cold requests.
+"""Attack-as-a-service bench: the worker fleet, warm and cold requests.
 
 One 32-job small-job grid — a **lock-seed sweep** (one smoke cell
 relocked under 32 seeds, the error-bar workload the runner fans out) —
@@ -7,10 +7,9 @@ fraction: sub-second, uniform jobs.  Two paths run it:
 
 * **serial** — ``execute_job`` in-process, the reproducible baseline;
 * **serve**  — an :class:`~repro.serve.AttackServer` with ``WORKERS``
-  worker processes connected as persistent **pipelined** connections
-  (``--serve-addr``, depth 2): the next job is already buffered in each
-  worker's socket when the current one finishes.  ``repro figures
-  --jobs N`` runs this same loop in-process.
+  ``repro worker --serve-addr`` processes on persistent connections,
+  each pushed one job at a time.  ``repro figures --jobs N`` runs this
+  same loop in-process.
 
 Both must be **bit-identical** (asserted, timing aside).  The bench
 then measures the *warm* path — p50/p95 latency and requests/s of
@@ -53,7 +52,6 @@ from repro.netlist import dump_bench
 from repro.serve import AttackServer
 
 WORKERS = int(os.environ.get("REPRO_BENCH_SERVE_WORKERS", "4"))
-PIPELINE = int(os.environ.get("REPRO_BENCH_SERVE_PIPELINE", "2"))
 WARM_REQUESTS = int(os.environ.get("REPRO_BENCH_SERVE_WARM_REQUESTS", "50"))
 #: Warm serving must beat a cold-process CLI request by at least this
 #: factor (p50 basis).  0 disarms.
@@ -140,23 +138,21 @@ def test_serve_pipeline_and_warm_is_instant():
     reference = {job.store_key: _fingerprint(execute_job(job)) for job in jobs}
     serial_s = time.perf_counter() - start
     print(
-        f"\n[bench_serve] {len(jobs)} jobs, {WORKERS} workers "
-        f"(pipeline {PIPELINE}), {cores} cores: serial {serial_s:.1f}s "
+        f"\n[bench_serve] {len(jobs)} jobs, {WORKERS} workers, "
+        f"{cores} cores: serial {serial_s:.1f}s "
         f"({serial_s / len(jobs):.2f}s/job)"
     )
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
 
-        # --- serve: persistent pipelined connections -----------------------
+        # --- serve: persistent worker connections --------------------------
         server = AttackServer(
             "127.0.0.1:0", tmp / "store", poll=0.05, log=lambda *a: None
         )
         loop = threading.Thread(target=server.serve_forever, daemon=True)
         loop.start()
-        workers = _start_workers(
-            ["--serve-addr", server.address, "--pipeline", str(PIPELINE)]
-        )
+        workers = _start_workers(["--serve-addr", server.address])
         client = ServeClient(server.address)
         try:
             # Timed until every artifact is persisted in the server's
@@ -261,7 +257,6 @@ def test_serve_pipeline_and_warm_is_instant():
         {
             "jobs": len(jobs),
             "workers": WORKERS,
-            "pipeline": PIPELINE,
             "cores": cores,
             "serial_s": round(serial_s, 2),
             "serial_s_per_job": round(serial_s / len(jobs), 3),

@@ -1,7 +1,7 @@
 """Attack as a service: a persistent server, warm results, reads by key.
 
 Boots one real ``repro serve`` process — server, artifact store, and
-two pipelined workers forked from the warm server, in a single command
+two workers forked from the warm server, in a single command
 — then drives it as a client:
 
 1. :class:`~repro.client.ServeClient` submits a locked circuit by

@@ -15,7 +15,6 @@ from repro.bus.protocol import (
     BUS_MESSAGE_KIND,
     DEFAULT_LIVENESS,
     DEFAULT_MAX_ATTEMPTS,
-    DEFAULT_PIPELINE,
     DEFAULT_POLL,
     DEFAULT_WORKER_BLAS_THREADS,
     JOB_ARTIFACT_KINDS,
@@ -37,7 +36,6 @@ __all__ = [
     "BusStats",
     "DEFAULT_LIVENESS",
     "DEFAULT_MAX_ATTEMPTS",
-    "DEFAULT_PIPELINE",
     "DEFAULT_POLL",
     "DEFAULT_WORKER_BLAS_THREADS",
     "Fleet",

@@ -16,7 +16,6 @@ import os
 import signal
 
 from repro.bus.protocol import (
-    DEFAULT_PIPELINE,
     DEFAULT_POLL,
     DEFAULT_WORKER_BLAS_THREADS,
     BusError,
@@ -25,7 +24,7 @@ from repro.bus.protocol import (
 __all__ = ["Fleet"]
 
 
-def _member(server, pipeline: int, poll: float, parent: int, log) -> None:
+def _member(server, poll: float, parent: int, log) -> None:
     """One fleet member: ``repro worker`` minus its import."""
     from repro.bus.worker import run_worker
 
@@ -38,7 +37,6 @@ def _member(server, pipeline: int, poll: float, parent: int, log) -> None:
         server.address,
         poll=poll,
         blas_threads=DEFAULT_WORKER_BLAS_THREADS,
-        pipeline=pipeline,
         parent=parent,
         log=log,
     )
@@ -53,15 +51,8 @@ class Fleet:
     member's log line sink (``None`` keeps members silent).
     """
 
-    def __init__(
-        self,
-        size: int,
-        pipeline: int = DEFAULT_PIPELINE,
-        poll: float = DEFAULT_POLL,
-        log=None,
-    ) -> None:
+    def __init__(self, size: int, poll: float = DEFAULT_POLL, log=None) -> None:
         self.size = int(size)
-        self.pipeline = pipeline
         self.poll = poll
         self.log = log if log is not None else (lambda *_: None)
         self.members: list = []
@@ -95,7 +86,7 @@ class Fleet:
             # terminates its members at interpreter exit.
             member = self._context.Process(
                 target=_member,
-                args=(server, self.pipeline, self.poll, parent, self.log),
+                args=(server, self.poll, parent, self.log),
                 daemon=True,
             )
             member.start()

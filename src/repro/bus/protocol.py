@@ -26,7 +26,6 @@ from repro.faults.retry import RetryPolicy
 __all__ = [
     "BUS_MESSAGE_KIND",
     "DEFAULT_LIVENESS",
-    "DEFAULT_PIPELINE",
     "DEFAULT_WORKER_BLAS_THREADS",
     "JOB_ARTIFACT_KINDS",
     "BusError",
@@ -58,11 +57,6 @@ DEFAULT_LIVENESS = 300.0
 #: while concurrent workers each waking a cores-wide spin pool double
 #: per-job wall-clock.
 DEFAULT_WORKER_BLAS_THREADS = 1
-#: Jobs a serve worker keeps in flight on its persistent connection.
-#: The worker executes serially; a depth of 2 means the next job is
-#: already buffered in the socket when the current one finishes, hiding
-#: the dispatch round-trip entirely.
-DEFAULT_PIPELINE = 2
 
 
 class BusError(ReproError):
@@ -136,7 +130,7 @@ def encode_job(job) -> dict:
     exchange format is store payloads all the way down).
     """
     payload = {
-        "kind": getattr(job, "kind", "attack"),
+        "kind": job.kind,
         "store_key": job.store_key,
         "circuit": job.circuit,
         "config": knobs.values(job.config, knobs.shipped),

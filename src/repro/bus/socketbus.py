@@ -55,11 +55,7 @@ class SocketBus:
         from repro.serve import AttackServer
 
         # Refuse a fleet this platform cannot fork before binding a port.
-        # Members hold one job each: on loopback a dispatch round trip
-        # costs a millisecond against jobs of 0.1 s and up, while a job
-        # buffered behind a busy member idles the others at the end of a
-        # wave (0.35 s of a 10 s Fig. 7+8 CI run, 2 workers, 2 cores).
-        self._fleet = Fleet(workers, pipeline=1, poll=poll)
+        self._fleet = Fleet(workers, poll=poll)
         self.stats = BusStats()
         retry = retry if retry is not None else RetryPolicy()
         self.max_attempts = int(

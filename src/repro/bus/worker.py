@@ -7,11 +7,12 @@ worker --serve-addr HOST:PORT``), or a member of the fleet
 for ``--jobs N`` or ``--bus-addr``.  It knows
 nothing about figures or grids — it holds one persistent connection,
 executes :func:`~repro.experiments.runner.execute_job` on whatever the
-server pushes (MuxLink attack jobs and baseline-attack jobs alike), one
-job at a time, and ships each result back over the wire.
+server pushes (MuxLink attack jobs and baseline-attack jobs alike), and
+ships each result back over the wire.  The server pushes one job at a
+time: the next follows this worker's reply.
 
 The server owns every recovery decision: it treats a dropped connection
-as this worker's death and requeues whatever it had in flight, counts
+as this worker's death and requeues the job it held, counts
 attempts, and fails its queue over to in-process execution when no
 worker makes progress.  Workers may start before or after the server;
 the connect loop retries on the :class:`~repro.faults.RetryPolicy`
@@ -32,12 +33,7 @@ from dataclasses import dataclass
 
 from repro import faults
 from repro.blas import limit_blas_threads
-from repro.bus.protocol import (
-    DEFAULT_PIPELINE,
-    DEFAULT_POLL,
-    RetryPolicy,
-    decode_job,
-)
+from repro.bus.protocol import DEFAULT_POLL, RetryPolicy, decode_job
 from repro.errors import ReproError
 
 __all__ = ["WorkerStats", "run_worker"]
@@ -75,7 +71,6 @@ def run_worker(
     idle_timeout: float | None = None,
     max_jobs: int | None = None,
     blas_threads: int | None = None,
-    pipeline: int = DEFAULT_PIPELINE,
     retry: RetryPolicy | None = None,
     parent: int | None = None,
     log=print,
@@ -94,14 +89,14 @@ def run_worker(
     single-core, and a fleet of workers each waking a cores-wide BLAS
     spin pool oversubscribes the host and doubles per-job wall-clock.
 
-    There is no request round-trip per job: the server keeps up to
-    *pipeline* job frames in flight, so the next job is already sitting
-    in this socket's buffer when the current one finishes.  A dropped
+    There is no request per job: the server pushes the next job once
+    this worker's ``done`` or ``failed`` reply arrives (one job in
+    flight per connection, see :mod:`repro.serve.server`).  A dropped
     connection (server restart, injected ``serve.accept_drop``,
     ``socket.read_timeout`` or ``socket.frame_eof``) or an unreadable
     frame reconnects on the *retry* backoff (default ``RetryPolicy()``,
     which also sets the connect and read timeouts); the server requeues
-    whatever this worker had in flight.
+    the job this worker held.
 
     A forked fleet member passes its coordinator's pid as *parent*: it
     exits instead of reconnecting once that process is gone, so a
@@ -112,19 +107,16 @@ def run_worker(
 
     if blas_threads is not None:
         limit_blas_threads(blas_threads)
-    pipeline = max(1, pipeline)
     retry = RetryPolicy() if retry is None else retry
     host, port = parse_address(serve_addr)
     stats = WorkerStats()
     idle_since = time.monotonic()
     conn: socket.socket | None = None
     connect_attempt = 0
-    log(
-        f"worker[{os.getpid()}]: serve {host}:{port} (pipeline {pipeline})"
-    )
+    log(f"worker[{os.getpid()}]: serve {host}:{port}")
 
     def hang_up() -> None:
-        # The server requeues whatever this connection had in flight.
+        # The server requeues the job this connection held.
         nonlocal conn
         if conn is not None:
             try:
@@ -166,10 +158,7 @@ def run_worker(
                         (host, port), timeout=retry.connect_timeout
                     )
                     conn.settimeout(retry.read_timeout)
-                    send_message(
-                        conn,
-                        {"op": "hello", "role": "worker", "pipeline": pipeline},
-                    )
+                    send_message(conn, {"op": "hello", "role": "worker"})
                 except OSError:
                     # The server may legally start after its workers.
                     back_off()

@@ -42,7 +42,7 @@ bit-identical to a serial run::
 
 ``repro serve`` is the persistent attack-as-a-service shape: a
 long-running server owning the artifact store, a warm result cache and
-a fleet of pipelined workers; ``repro attack --serve HOST:PORT`` (or
+a fleet of persistent workers; ``repro attack --serve HOST:PORT`` (or
 :mod:`repro.client`) submits content-keyed requests to it and reads
 each artifact back by key.
 
@@ -249,7 +249,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         idle_timeout=args.idle_timeout,
         max_jobs=args.max_jobs,
         blas_threads=args.blas_threads,
-        pipeline=args.pipeline,
     )
     print(f"worker: {stats.summary()}")
     return 0
@@ -265,10 +264,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # Flush per line: the fleet shares the server's stdout, and a worker
     # ends on SIGTERM, which never flushes a buffer.
     fleet = Fleet(
-        args.workers,
-        pipeline=args.pipeline,
-        poll=args.poll,
-        log=functools.partial(print, flush=True),
+        args.workers, poll=args.poll, log=functools.partial(print, flush=True)
     )
     server = AttackServer(
         args.addr,
@@ -282,8 +278,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # it — the listening socket is already open at this point).
     print(
         f"serve: listening on {server.address} "
-        f"(store {server.store.root}, workers {args.workers}, "
-        f"pipeline {args.pipeline})",
+        f"(store {server.store.root}, workers {args.workers})",
         flush=True,
     )
     # SIGTERM stops the loop like a `shutdown` op, so the finally below
@@ -731,15 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
     _knob_flag(
         p, "--serve-addr", "REPRO_SERVE_ADDR",
         "`repro serve` endpoint (or `repro figures --bus-addr` "
-        "coordinator) to hold a "
-        "persistent pipelined connection to",
-    )
-    p.add_argument(
-        "--pipeline",
-        type=int,
-        default=2,
-        help="jobs to keep in flight on the connection (the next job "
-        "is pre-shipped while the current one executes)",
+        "coordinator) to hold a persistent connection to",
     )
     p.set_defaults(func=_cmd_worker)
 
@@ -771,7 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="attack-as-a-service: a persistent server with warm "
-        "caches, an artifact store and pipelined workers",
+        "caches, an artifact store and persistent workers",
     )
     p.add_argument(
         "--addr",
@@ -790,12 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent worker processes forked from the warm server "
         "after its one import (needs os.fork; 0 = external workers, e.g. "
         "on other hosts, connect with `repro worker --serve-addr`)",
-    )
-    p.add_argument(
-        "--pipeline",
-        type=int,
-        default=2,
-        help="jobs kept in flight per worker connection",
     )
     p.add_argument("--poll", type=float, default=0.25)
     p.add_argument(

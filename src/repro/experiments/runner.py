@@ -431,12 +431,11 @@ def execute_baseline_job(job: BaselineJob) -> dict:
 
 def execute_job(job) -> dict:
     """Execute any bus job — the one entry point every backend uses."""
-    kind = getattr(job, "kind", "attack")
-    if kind == "attack":
+    if job.kind == "attack":
         return execute_attack_job(job)
-    if kind == "baseline":
+    if job.kind == "baseline":
         return execute_baseline_job(job)
-    raise ValueError(f"unknown job kind {kind!r}")
+    raise ValueError(f"unknown job kind {job.kind!r}")
 
 
 def record_fingerprint(record: AttackRecord) -> tuple:
@@ -651,14 +650,6 @@ class ExperimentRunner:
             cell.lock_seed,
         )
 
-    @staticmethod
-    def _attack_key(digest: str, config: MuxLinkConfig) -> str:
-        # Content address shared with the on-disk store: the
-        # post-processing threshold and the pure execution knobs are
-        # normalized out (Fig. 9 rescales without retraining; worker
-        # counts cannot move a bit of the result).
-        return attack_store_key(digest, config)
-
     # -- execution ----------------------------------------------------------
     def run(self, cells) -> list[AttackRecord]:
         """Execute a grid; returns one record per cell, in cell order.
@@ -684,7 +675,10 @@ class ExperimentRunner:
     def _plan_attack(self, cell: Cell, pending: dict) -> tuple:
         locked = self.locked_circuit(cell)
         lock_key = self._lock_key(cell)
-        attack_key = self._attack_key(self._digests[lock_key], cell.config)
+        # Content address shared with the on-disk store: the threshold
+        # and the execution knobs are normalized out (Fig. 9 rescales
+        # without retraining).
+        attack_key = attack_store_key(self._digests[lock_key], cell.config)
         if attack_key in self._attacks or attack_key in pending:
             self.stats.attacks_reused += 1
         elif self._load_attack(attack_key):
@@ -789,16 +783,12 @@ class ExperimentRunner:
                 self._finish_job(job, payload)
 
     def _finish_job(self, job, payload: dict) -> None:
-        if getattr(job, "kind", "attack") == "baseline":
+        if job.kind == "baseline":
             self._baselines[job.store_key] = decode_baseline_artifact(payload)
         else:
             self._attacks[job.store_key] = decode_attack_artifact(payload)
         if self.store is not None:
-            self.store.put(
-                getattr(job, "artifact_kind", "attacks"),
-                job.store_key,
-                payload,
-            )
+            self.store.put(job.artifact_kind, job.store_key, payload)
 
     def _materialize(self, cell, lock_key: tuple, artifact_key: str) -> AttackRecord:
         if isinstance(cell, BaselineCell):

@@ -40,7 +40,7 @@ __all__ = ["DRILL_TOPOLOGY", "DrillOutcome", "run_chaos"]
 #: :class:`~repro.bus.SocketBus` (the plan travels via
 #: ``REPRO_FAULT_PLAN``); ``local`` drills arm the plan in-process and
 #: exercise the store write/read path; the ``serve`` drill runs a real
-#: ``repro serve`` process (pipelined workers + on-disk store) and gates
+#: ``repro serve`` process (forked workers + on-disk store) and gates
 #: on bit-identical artifact payloads rather than figure tables.
 DRILL_TOPOLOGY: dict[str, str] = {
     "worker-crash": "socket",
@@ -345,7 +345,7 @@ def _drill_serve(
 ) -> None:
     """Attack-as-a-service drill: drop accepted connections, time out reads.
 
-    A real ``repro serve`` process (two pipelined workers, on-disk store)
+    A real ``repro serve`` process (two forked workers, on-disk store)
     runs under the plan — ``serve.accept_drop`` fires in its listener as
     workers and clients connect, and every party must reconnect-and-retry
     through it.  The drill process arms the same plan locally so

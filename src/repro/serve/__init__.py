@@ -2,9 +2,9 @@
 
 :class:`~repro.serve.server.AttackServer` is the ``repro serve`` loop —
 a content-keyed request front end (memory LRU → artifact store →
-pipelined worker fleet, with in-flight coalescing).  Clients live in
-:mod:`repro.client` and read an artifact by key, as its ``result``
-frame; no op reads or writes the server's store directly.
+worker fleet, one job per worker, with in-flight coalescing).  Clients
+live in :mod:`repro.client` and read an artifact by key, as its
+``result`` frame; no op reads or writes the server's store directly.
 
 ``repro serve --workers N`` forks its fleet from the warm server
 process, once it listens, through :class:`~repro.bus.Fleet` (the helper

@@ -19,11 +19,16 @@ codec frames) owns two kinds of peers on a single listening port:
   to that frame without submitting.
 * **workers** (the fleet ``repro serve --workers N`` forks, or ``repro
   worker --serve-addr`` processes) announce themselves with
-  ``{op: hello, role: worker, pipeline: N}`` and then receive **pushed**
-  ``{op: job, ...}`` frames, up to *pipeline* in flight per connection —
-  the worker executes serially, but the next job is already buffered in
-  its socket when the current one finishes, so no request round-trip
-  sits between two jobs.
+  ``{op: hello, role: worker}`` and then receive **pushed** ``{op: job,
+  ...}`` frames, one at a time: a worker connection holds at most one
+  job, and the queue head goes to the first idle worker.  A loopback
+  dispatch round trip costs about a millisecond against trainings of
+  0.1 s and up, so a second job buffered behind a busy worker hides
+  nothing, while near the end of a queue it leaves the other workers
+  idle (0.35 s of a 10 s Fig. 7+8 CI run, 2 workers, 2 cores).  When a
+  ``done`` arrives, the worker gets its next job *before* the finished
+  artifact is written to the store and sent to its waiters, so that
+  write overlaps the next training.
 
 The same loop is the coordinator of ``repro figures --jobs N`` and
 ``--bus-addr``: :class:`~repro.bus.SocketBus` owns an :class:`AttackServer`, submits its
@@ -43,7 +48,7 @@ result frames decoded.  An identical request already executing
 **coalesces** — K clients asking for one key train it exactly once and
 all receive the result frame.  Failure semantics: a
 failed attempt requeues until ``max_attempts``, a dead worker
-connection requeues its whole in-flight window, and once queued work has
+connection requeues the job it held, and once queued work has
 waited the liveness deadline with no worker progress (only a worker
 ``hello``, ``done`` or ``failed`` counts) the queue fails over to
 in-process execution — back to back, on a helper thread — instead of
@@ -62,12 +67,9 @@ import traceback
 from collections import OrderedDict, deque
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from repro.bus.protocol import (
     DEFAULT_LIVENESS,
     DEFAULT_MAX_ATTEMPTS,
-    DEFAULT_PIPELINE,
     DEFAULT_POLL,
     JOB_ARTIFACT_KINDS,
     BusError,
@@ -160,11 +162,7 @@ _REQUIRED = {
     "failed": {"key": _is_name},
 }
 #: Optional fields, checked on any op that carries them.
-_OPTIONAL = {
-    "job": _is_job,
-    "kind": _is_name,
-    "pipeline": lambda n: isinstance(n, (int, np.integer)),
-}
+_OPTIONAL = {"job": _is_job, "kind": _is_name}
 
 
 def _malformed(message) -> bool:
@@ -211,14 +209,6 @@ class _Request:
     waiters: list = field(default_factory=list)  # anything with send()
 
 
-@dataclass
-class _WorkerLink:
-    """Server-side state of one persistent pipelined worker connection."""
-
-    pipeline: int
-    inflight: deque = field(default_factory=deque)  # keys, dispatch order
-
-
 class AttackServer:
     """The ``repro serve`` loop: warm cache, store, coalescing, fleet."""
 
@@ -254,7 +244,8 @@ class AttackServer:
         self.stats = ServeStats()
         self.requests: dict[str, _Request] = {}
         self.queue: deque[str] = deque()  # keys awaiting dispatch
-        self.workers: dict[_Connection, _WorkerLink] = {}
+        # Worker connections -> the one key each holds (None: idle).
+        self.workers: dict[_Connection, str | None] = {}
         self._cache: OrderedDict[tuple[str, str], bytes | bytearray] = (
             OrderedDict()
         )
@@ -305,7 +296,7 @@ class AttackServer:
         return self.stats
 
     def step(self) -> bool:
-        """One loop turn: read frames, settle, dispatch, check liveness.
+        """One loop turn: read frames, dispatch, settle, check liveness.
 
         Returns whether any peer sent a frame (or hung up) this turn.
         The liveness clock only runs while queued work waits on an idle
@@ -313,6 +304,7 @@ class AttackServer:
         until a worker says ``hello``, ``done`` or ``failed``.
         """
         events = self._server.poll(self.poll)
+        settled: list[tuple[str, dict]] = []  # (key, payload) of ``done``s
         for connection, messages in events:
             if messages is None:
                 self._disconnect(connection)
@@ -321,11 +313,17 @@ class AttackServer:
                 if _malformed(message):
                     self._disconnect(connection)
                     break
-                self._handle(connection, message)
+                self._handle(connection, message, settled)
         self._drain_inbox()
+        # Freed workers get their next jobs first; the store writes and
+        # result fan-out of the finished ones then overlap that training.
+        # Dispatch waits until every frame of this turn is handled: a
+        # failed send drops its connection.
         self._pump()
+        for key, payload in settled:
+            self._complete(key, payload)
         now = time.monotonic()
-        working = any(link.inflight for link in self.workers.values())
+        working = any(key is not None for key in self.workers.values())
         if not self.queue or working:
             self._last_progress = now
         elif (
@@ -339,7 +337,7 @@ class AttackServer:
     def busy(self) -> bool:
         """A job is executing somewhere (a worker or the fail-over thread)."""
         return self._failover_busy or any(
-            link.inflight for link in self.workers.values()
+            key is not None for key in self.workers.values()
         )
 
     def stop(self) -> None:
@@ -355,7 +353,11 @@ class AttackServer:
         self._server.close_forked()
 
     # -- message dispatch ----------------------------------------------------
-    def _handle(self, connection: _Connection, message: dict) -> None:
+    def _handle(
+        self, connection: _Connection, message: dict, settled: list
+    ) -> None:
+        """Act on one frame; a ``done`` joins *settled* for :meth:`step`
+        to complete after the next dispatch."""
         op = message["op"]
         if op == "submit" and "job" not in message:
             self._submit_key(
@@ -372,20 +374,15 @@ class AttackServer:
             self._handle_wait(connection, message)
         elif op == "hello":
             self._last_progress = time.monotonic()  # the fleet is alive
-            pipeline = max(1, int(message.get("pipeline", DEFAULT_PIPELINE)))
-            self.workers[connection] = _WorkerLink(pipeline=pipeline)
-            self.log(
-                f"serve: worker connected (pipeline {pipeline}, "
-                f"{len(self.workers)} total)"
-            )
+            self.workers[connection] = None
+            self.log(f"serve: worker connected ({len(self.workers)} total)")
         elif op in ("done", "failed"):
             key = message["key"]
             if not self._release(connection, key):
                 return  # only the worker holding a job settles it
             self._last_progress = time.monotonic()  # the fleet is alive
             if op == "done":
-                # A key fail-over already settled is no longer requested.
-                self._complete(key, message["result"])
+                settled.append((key, message["result"]))
             else:
                 self._fail_attempt(key, str(message.get("traceback", "")))
         elif op == "stats":
@@ -574,36 +571,14 @@ class AttackServer:
 
     # -- fleet ---------------------------------------------------------------
     def _pump(self) -> None:
-        """Push queued keys onto the least-loaded worker with free depth."""
-        while self.queue:
-            picked: tuple[_Connection, _WorkerLink] | None = None
-            for connection, link in self.workers.items():
-                if len(link.inflight) >= link.pipeline:
-                    continue
-                if picked is None or len(link.inflight) < len(
-                    picked[1].inflight
-                ):
-                    picked = (connection, link)
-            if picked is None:
-                return  # fleet at capacity (or empty)
-            if (
-                len(self.workers) > 1
-                and picked[1].inflight
-                and len(self.queue) <= len(self.workers)
-            ):
-                # Tail-aware depth: buffering a second job behind a
-                # busy worker hides the dispatch round-trip while the
-                # queue can still keep every worker fed, but near the
-                # end of the queue it locks jobs onto workers early and
-                # forfeits the pull scheduler's natural load balance —
-                # with millisecond dispatch and 100ms-plus jobs the
-                # lock-in costs more than the round-trip it hides.
-                return
+        """Push queued keys onto idle workers, one job per worker."""
+        idle = [c for c, key in self.workers.items() if key is None]
+        while self.queue and idle:
             key = self.queue.popleft()
             request = self.requests.get(key)
             if request is None or request.failing_over:
                 continue  # settled (or adopted by fail-over) while queued
-            connection, link = picked
+            connection = idle.pop(0)
             if not connection.send(
                 {
                     "op": "job",
@@ -615,29 +590,27 @@ class AttackServer:
                 self.queue.appendleft(key)
                 self._disconnect(connection)
                 continue
-            link.inflight.append(key)
+            self.workers[connection] = key
 
     def _release(self, connection: _Connection, key: str) -> bool:
-        """Take *key* off *connection*'s in-flight window.
+        """Free *connection* of *key*, the job it holds.
 
-        ``False`` for a peer that never said ``hello`` or was never
-        dispatched *key*: its ``done`` or ``failed`` frame is ignored.
+        ``False`` for a peer that never said ``hello`` or does not hold
+        *key*: its ``done`` or ``failed`` frame is ignored.
         """
-        link = self.workers.get(connection)
-        if link is None or key not in link.inflight:
+        if self.workers.get(connection) != key:
             return False
-        link.inflight.remove(key)
+        self.workers[connection] = None
         return True
 
     def _disconnect(self, connection: _Connection) -> None:
-        link = self.workers.pop(connection, None)
-        if link is not None and link.inflight:
+        key = self.workers.pop(connection, None)
+        if key is not None:
             self.log(
-                f"serve: worker connection lost with "
-                f"{len(link.inflight)} job(s) in flight — requeueing"
+                f"serve: worker connection lost with {key[:12]}… in "
+                f"flight — requeueing"
             )
-            for key in list(link.inflight):
-                self._fail_attempt(key, "worker connection lost mid-job")
+            self._fail_attempt(key, "worker connection lost mid-job")
         for request in self.requests.values():
             request.waiters = [
                 w for w in request.waiters if w is not connection

@@ -145,11 +145,11 @@ def test_sigkilled_fleet_member_mid_grid_keeps_bit_parity(monkeypatch):
             finish(job, payload)
             # Kill once both members hold work, so the victim dies with
             # a job in flight and the server has something to requeue.
-            links = list(server.workers.values())
+            held = list(server.workers.values())
             if (
                 not killed
-                and len(links) == 2
-                and all(link.inflight for link in links)
+                and len(held) == 2
+                and all(key is not None for key in held)
             ):
                 victim = runner.bus._fleet.members[0].pid
                 os.kill(victim, signal.SIGKILL)

@@ -78,9 +78,7 @@ def test_socket_connection_drop_requeues_to_healthy_worker(tmp_path):
         import socket as socketlib
 
         with socketlib.create_connection((host, int(port))) as conn:
-            send_message(
-                conn, {"op": "hello", "role": "worker", "pipeline": 1}
-            )
+            send_message(conn, {"op": "hello", "role": "worker"})
             message = recv_message(conn)
             assert message["op"] == "job"
         # Healthy worker: runs the real loop until the job is done.

@@ -1,13 +1,13 @@
-"""Attack-as-a-service: coalescing, pipelining, reads by key, parity.
+"""Attack-as-a-service: coalescing, dispatch, reads by key, parity.
 
 The cheap tests drive a real :class:`AttackServer` loop with a
 *hand-rolled* worker socket (the test speaks the worker wire protocol
-itself), so scheduling semantics — coalescing, pipeline depth, requeue
-and terminal failure, disconnect recovery — are asserted without
-training anything.  One expensive test runs the full stack (server +
-pipelined ``run_worker`` thread + :class:`ServeClient`) on a real smoke
-job and asserts the served artifact is bit-identical to a serial
-:func:`execute_job` run.
+itself), so scheduling semantics — coalescing, one job per worker,
+dispatch before the store write, requeue and terminal failure,
+disconnect recovery — are asserted without training anything.  One
+expensive test runs the full stack (server + ``run_worker`` thread +
+:class:`ServeClient`) on a real smoke job and asserts the served
+artifact is bit-identical to a serial :func:`execute_job` run.
 """
 
 import os
@@ -90,9 +90,20 @@ class _Peer:
         self.sock.close()
 
     # -- as a worker ---------------------------------------------------------
-    def hello(self, pipeline: int) -> "_Peer":
-        self.send({"op": "hello", "role": "worker", "pipeline": pipeline})
+    def hello(self) -> "_Peer":
+        self.send({"op": "hello", "role": "worker"})
         return self
+
+    def silent(self, seconds: float = 0.3) -> bool:
+        """Whether no frame arrives within *seconds*."""
+        self.sock.settimeout(seconds)
+        try:
+            self.recv()
+        except socketlib.timeout:
+            return True
+        finally:
+            self.sock.settimeout(10)
+        return False
 
     # -- as a client ---------------------------------------------------------
     def submit(self, job: AttackJob, wait: bool = True) -> str:
@@ -119,7 +130,7 @@ def test_coalescing_trains_exactly_once(server):
     statuses = [c.submit(job, wait=True) for c in clients]
     assert statuses == ["queued", "coalesced", "coalesced"]
 
-    worker = _Peer(server.address).hello(pipeline=2)
+    worker = _Peer(server.address).hello()
     pushed = worker.recv()
     assert pushed is not None and pushed["op"] == "job"
     assert pushed["key"] == job.store_key and pushed["attempt"] == 0
@@ -149,26 +160,106 @@ def test_coalescing_trains_exactly_once(server):
     worker.close()
 
 
-def test_pipeline_keeps_multiple_jobs_in_flight(server):
-    """One worker connection buffers up to `pipeline` jobs — the next
-    job is already in its socket before the current one is acked."""
-    worker = _Peer(server.address).hello(pipeline=2)
+def test_old_worker_asking_for_depth_two_holds_one_job(server):
+    """The ``pipeline`` field an older ``repro worker`` sends in its
+    hello is ignored: the connection holds one job, and the second is
+    pushed only once the first is ``done``."""
+    worker = _Peer(server.address)
+    worker.send({"op": "hello", "role": "worker", "pipeline": 2})
+    client = _Peer(server.address)
+    keys = ["a" * 16, "b" * 16]
+    for key in keys:
+        client.submit(_job(key), wait=False)
+
+    assert worker.recv()["key"] == keys[0]
+    assert worker.silent()  # the second stays queued
+    assert list(server.queue) == keys[1:]
+    worker.send({"op": "done", "key": keys[0], "kind": "attacks",
+                 "result": {"x": 1}})
+    assert worker.recv()["key"] == keys[1]
+    worker.close()
+    client.close()
+
+
+def test_third_job_goes_to_the_first_worker_to_reply(server):
+    """Two workers, three queued jobs: one job each, and the third waits
+    for whichever worker replies first."""
+    workers = [_Peer(server.address).hello() for _ in range(2)]
     client = _Peer(server.address)
     keys = ["a" * 16, "b" * 16, "c" * 16]
     for key in keys:
         client.submit(_job(key), wait=False)
 
-    first, second = worker.recv(), worker.recv()
-    assert {first["key"], second["key"]} == set(keys[:2])
-    # Depth 2 reached without any ack; the third waits for a free slot.
-    (link,) = server.workers.values()
-    assert sorted(link.inflight) == sorted(keys[:2])
-    worker.send({"op": "done", "key": first["key"], "kind": "attacks",
-                 "result": {"x": 1}})
-    third = worker.recv()
-    assert third is not None and third["key"] == keys[2]
-    worker.close()
-    client.close()
+    held = [worker.recv()["key"] for worker in workers]
+    assert sorted(held) == keys[:2]
+    assert all(worker.silent() for worker in workers)
+    first, other = workers[1], workers[0]
+    first.send({"op": "done", "key": held[1], "kind": "attacks",
+                "result": {"x": 1}})
+    assert first.recv()["key"] == keys[2]
+    assert other.silent()
+    for peer in (*workers, client):
+        peer.close()
+
+
+def test_freed_worker_gets_its_next_job_before_the_store_write(
+    tmp_path, monkeypatch
+):
+    """A ``done`` frees its worker and dispatches the next job before
+    the finished artifact is written to the store and sent to its
+    waiter, so that write overlaps the next training.  The loop turns
+    in this thread, one :meth:`AttackServer.step` at a time."""
+    from repro.bus.protocol import encode_job
+    from repro.wire import _Connection
+
+    srv = AttackServer("127.0.0.1:0", tmp_path / "store", poll=1.0,
+                       log=lambda *a: None)
+    order = []
+
+    def step_until(done) -> None:
+        deadline = time.monotonic() + 10
+        while not done() and time.monotonic() < deadline:
+            srv.step()
+        assert done()
+
+    try:
+        worker = _Peer(srv.address).hello()
+        step_until(lambda: len(srv.workers) == 1)
+
+        def deliver(frame: dict) -> None:
+            if frame["op"] == "result":
+                order.append(("result", frame["key"]))
+
+        sink = SimpleNamespace(send=deliver)
+        keys = ["a" * 16, "b" * 16]
+        for key in keys:
+            srv.submit(sink, key, encode_job(_job(key)), wait=True)
+        step_until(lambda: srv.busy)
+        assert worker.recv()["key"] == keys[0]
+
+        send, put = _Connection.send, srv.store.put
+
+        def sending(connection, payload):
+            if payload.get("op") == "job":
+                order.append(("job", payload["key"]))
+            return send(connection, payload)
+
+        def putting(kind, key, payload):
+            order.append(("store", key))
+            return put(kind, key, payload)
+
+        monkeypatch.setattr(_Connection, "send", sending)
+        monkeypatch.setattr(srv.store, "put", putting)
+        worker.send({"op": "done", "key": keys[0], "kind": "attacks",
+                     "result": {"x": 1}})
+        step_until(lambda: srv.stats.completed == 1)
+        assert order == [
+            ("job", keys[1]), ("store", keys[0]), ("result", keys[0])
+        ]
+        assert worker.recv()["key"] == keys[1]
+        worker.close()
+    finally:
+        srv.close()
 
 
 def test_failed_attempts_requeue_then_turn_terminal(tmp_path):
@@ -182,7 +273,7 @@ def test_failed_attempts_requeue_then_turn_terminal(tmp_path):
         job = _job()
         client = _Peer(srv.address)
         assert client.submit(job, wait=True) == "queued"
-        worker = _Peer(srv.address).hello(pipeline=1)
+        worker = _Peer(srv.address).hello()
 
         pushed = worker.recv()
         assert pushed["attempt"] == 0
@@ -209,11 +300,11 @@ def test_dead_worker_connection_requeues_its_window(server):
     client = _Peer(server.address)
     job = _job()
     client.submit(job, wait=True)
-    victim = _Peer(server.address).hello(pipeline=1)
+    victim = _Peer(server.address).hello()
     assert victim.recv()["key"] == job.store_key
-    victim.close()  # dies mid-job: the in-flight window must requeue
+    victim.close()  # dies mid-job: the job it held must requeue
 
-    relief = _Peer(server.address).hello(pipeline=1)
+    relief = _Peer(server.address).hello()
     pushed = relief.recv()
     assert pushed["key"] == job.store_key and pushed["attempt"] == 1
     relief.send({"op": "done", "key": job.store_key, "kind": "attacks",
@@ -247,11 +338,11 @@ def test_only_the_worker_holding_a_job_settles_it(server):
 
     stranger = _Peer(server.address)
     ignored(stranger)
-    worker = _Peer(server.address).hello(pipeline=1)
+    worker = _Peer(server.address).hello()
     deadline = time.monotonic() + 10
     while not server.busy and time.monotonic() < deadline:
         time.sleep(0.005)  # the job is pushed to *worker*
-    bystander = _Peer(server.address).hello(pipeline=1)
+    bystander = _Peer(server.address).hello()
     ignored(bystander)
 
     assert _settle(server, worker, {"x": 1}) == job.store_key
@@ -340,7 +431,7 @@ def test_undecodable_job_is_rejected_without_a_worker_attempt(
     """A job this version cannot decode gets an immediate terminal
     BusError result: never queued, never pushed to a worker, retried
     zero times — and the server keeps serving."""
-    worker = _Peer(server.address).hello(pipeline=1)
+    worker = _Peer(server.address).hello()
     client = _Peer(server.address)
     key = "d" * 16
     client.send(
@@ -445,7 +536,7 @@ def test_jobless_submit_answers_cold_in_flight_and_warm(tmp_path):
         assert (in_flight["op"], in_flight["status"]) == ("accepted", "coalesced")
         assert _counts(srv) == (2, 0, 0, 1, 1)
 
-        worker = _Peer(srv.address).hello(pipeline=1)
+        worker = _Peer(srv.address).hello()
         _settle(srv, worker, {"x": np.arange(3.0)})
         warm = _ask(client, first.store_key)  # answered from memory
         assert warm["op"] == "result" and warm["ok"]
@@ -498,7 +589,7 @@ def test_memory_hit_sends_the_cached_frame_without_encoding(
     client = _Peer(server.address)
     job = _job()
     client.submit(job, wait=False)
-    worker = _Peer(server.address).hello(pipeline=1)
+    worker = _Peer(server.address).hello()
     _settle(server, worker, {"x": np.arange(4.0)})
     assert _ask(client, job.store_key)["op"] == "result"  # now cached
 
@@ -558,7 +649,7 @@ def test_undecodable_served_artifact_is_a_serve_error(server):
     client = ServeClient(server.address, retry=_FAST)
     key, status = client.submit(circuit, config)
     assert status == "queued"
-    worker = _Peer(server.address).hello(pipeline=1)
+    worker = _Peer(server.address).hello()
     assert _settle(server, worker, {"x": 1}) == key
     with pytest.raises(ServeError, match=f"{key[:12]}… does not decode"):
         client.result(key, timeout=10)
@@ -770,7 +861,7 @@ def test_malformed_frames_never_kill_the_server(server):
     client = _Peer(server.address)
     key = "e" * 16
     assert client.submit(_job(key), wait=True) == "queued"
-    worker = _Peer(server.address).hello(pipeline=4)
+    worker = _Peer(server.address).hello()
     while True:  # random submits may have queued jobs ahead of ours
         pushed = worker.recv()
         worker.send({"op": "done", "key": pushed["key"], "kind": "attacks",
@@ -953,7 +1044,7 @@ def test_served_attack_bit_identical_to_serial(tmp_path):
     worker = threading.Thread(
         target=run_worker,
         kwargs=dict(serve_addr=srv.address, poll=0.02, max_jobs=1,
-                    pipeline=2, log=lambda *a: None),
+                    log=lambda *a: None),
         daemon=True,
     )
     worker.start()
