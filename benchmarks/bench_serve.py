@@ -2,8 +2,14 @@
 
 One 32-job small-job grid — a **lock-seed sweep** (one smoke cell
 relocked under 32 seeds, the error-bar workload the runner fans out) —
-in the regime where per-job dispatch overhead is a visible wall-clock
-fraction: sub-second, uniform jobs.  Two paths run it:
+of sub-second, uniform jobs.  Only the default sizing (4 workers, 32
+seeds) makes per-job dispatch overhead a wall-clock fraction the
+recorded ``serve.speedup`` can resolve.  At the CI sizing
+(``REPRO_BENCH_SERVE_WORKERS=2``, ``REPRO_BENCH_SERVE_SWEEP_SEEDS=16``)
+the whole serve sweep takes 0.3-0.5 s and its speedup spreads too
+widely from run to run to compare dispatch changes; there the bench
+gates serial/serve parity, zero requeues and the warm advantage.  Two
+paths run the sweep:
 
 * **serial** — ``execute_job`` in-process, the reproducible baseline;
 * **serve**  — an :class:`~repro.serve.AttackServer` with ``WORKERS``

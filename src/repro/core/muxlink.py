@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.postprocess import (
     ScoredMux,
@@ -72,6 +73,26 @@ class MuxLinkConfig:
     score_prefetch: int = knob(EXEC, 2)
 
 
+class _BuiltOnFirstRead:
+    """A model field that holds a :class:`DGCNN`, ``None``, or a
+    zero-argument callable building the model: the first read calls
+    it and keeps what it returns."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._slot = f"_{name}"
+
+    def __get__(self, result, owner=None) -> DGCNN | None:
+        if result is None:
+            return None  # the dataclass field's default
+        model = result.__dict__[self._slot]
+        if model is not None and not isinstance(model, DGCNN):
+            model = result.__dict__[self._slot] = model()
+        return model
+
+    def __set__(self, result, model) -> None:
+        result.__dict__[self._slot] = model
+
+
 @dataclass
 class MuxLinkResult:
     """Everything the attack produced.
@@ -79,10 +100,13 @@ class MuxLinkResult:
     ``scored`` retains per-MUX likelihoods, so the threshold study (Fig. 9)
     re-runs post-processing without re-training via :func:`rescore_key`.
 
-    A result rematerialized from the artifact store carries the trained
-    model (weights round-trip through ``repro.store.codec``) but no
-    attack graph — ``graph`` is ``None`` there; re-extract it from the
-    locked netlist when needed.
+    A result rematerialized from the artifact store carries no attack
+    graph — ``graph`` is ``None`` there; re-extract it from the locked
+    netlist when needed.  Its trained model (weights round-trip through
+    ``repro.store.codec``) is built the first time ``model`` is read,
+    then kept: rescoring never reads it, so a served or stored hit
+    that is only rescored builds no DGCNN.  ``model=`` takes the model,
+    ``None``, or a zero-argument callable that builds it.
     """
 
     predicted_key: str
@@ -91,7 +115,7 @@ class MuxLinkResult:
     history: TrainHistory
     runtime_seconds: dict[str, float]
     graph: AttackGraph | None = None
-    model: DGCNN | None = None
+    model: DGCNN | Callable[[], DGCNN] | None = _BuiltOnFirstRead()
 
     @property
     def total_runtime(self) -> float:

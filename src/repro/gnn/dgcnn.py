@@ -51,8 +51,22 @@ MIN_SORTPOOL_K = 10
 #: rate before the output layer.
 GC_CHANNELS = (32, 32, 32, 1)
 CONV_CHANNELS = (16, 32)
+CONV2_KERNEL = 5
 DENSE_UNITS = 128
 DROPOUT = 0.5
+
+
+def _check_sizes(in_features: int, k: int) -> None:
+    if in_features < 0:
+        raise ValueError(f"in_features must be >= 0, got {in_features}")
+    if k < MIN_SORTPOOL_K:
+        raise ValueError(f"k must be >= {MIN_SORTPOOL_K}, got {k}")
+
+
+def _flat_width(k: int) -> int:
+    """Width of the flattened second-convolution output: the width-2
+    max-pool halves k, and the unpadded kernel trims its edges."""
+    return CONV_CHANNELS[1] * (k // 2 - CONV2_KERNEL + 1)
 
 
 def choose_sortpool_k(
@@ -92,8 +106,7 @@ class DGCNN(Module):
         seed: int = 0,
         init: bool = True,
     ):
-        if k < MIN_SORTPOOL_K:
-            raise ValueError(f"k must be >= {MIN_SORTPOOL_K}, got {k}")
+        _check_sizes(in_features, k)
         rng = np.random.default_rng(seed) if init else None
         self.k = k
         self.gc_layers = [
@@ -116,14 +129,55 @@ class DGCNN(Module):
         self.conv1_weight = Tensor(conv1_weight, requires_grad=True)
         self.conv1_bias = Tensor(np.zeros(CONV_CHANNELS[0]), requires_grad=True)
         self.conv2 = Conv1d(
-            CONV_CHANNELS[0], CONV_CHANNELS[1], kernel_size=5, rng=rng
+            CONV_CHANNELS[0], CONV_CHANNELS[1], kernel_size=CONV2_KERNEL,
+            rng=rng,
         )
-        conv2_len = (k // 2) - 4
-        self.flat_width = CONV_CHANNELS[1] * conv2_len
+        self.flat_width = _flat_width(k)
         self.fc1 = Linear(self.flat_width, DENSE_UNITS, rng)
         self.dropout = Dropout(DROPOUT, np.random.default_rng(seed + 1))
         self.fc2 = Linear(DENSE_UNITS, 2, rng)
         self.training = True
+
+    @staticmethod
+    def state_shapes(in_features: int, k: int) -> list[tuple[int, ...]]:
+        """The :meth:`state_dict` array shapes of ``DGCNN(in_features, k)``,
+        in order, without building the model.
+
+        Raises:
+            ValueError: for every ``(in_features, k)`` the constructor
+                refuses.
+        """
+        _check_sizes(in_features, k)
+        c1, c2 = CONV_CHANNELS
+        return [
+            *zip((in_features,) + GC_CHANNELS[:-1], GC_CHANNELS),
+            (c1, 1, sum(GC_CHANNELS)), (c1,),
+            (c2, c1, CONV2_KERNEL), (c2,),
+            (_flat_width(k), DENSE_UNITS), (DENSE_UNITS,),
+            (DENSE_UNITS, 2), (2,),
+        ]
+
+    @classmethod
+    def check_state(
+        cls, in_features: int, k: int, state: list[np.ndarray]
+    ) -> None:
+        """Raise ``ValueError`` unless :meth:`from_state` accepts
+        *state* for ``(in_features, k)``: one numeric array per
+        parameter, each of its parameter's shape."""
+        shapes = cls.state_shapes(in_features, k)
+        if len(state) != len(shapes):
+            raise ValueError(
+                f"state has {len(state)} arrays, model has {len(shapes)}"
+            )
+        for i, (shape, data) in enumerate(zip(shapes, state)):
+            if not isinstance(data, np.ndarray) or data.dtype.kind not in "biuf":
+                raise ValueError(
+                    f"parameter {i}: not a numeric array ({type(data).__name__})"
+                )
+            if data.shape != shape:
+                raise ValueError(
+                    f"parameter {i}: shape mismatch {shape} vs {data.shape}"
+                )
 
     @classmethod
     def from_state(
@@ -132,14 +186,15 @@ class DGCNN(Module):
         """A trained model rebuilt from :meth:`state_dict` arrays (eval mode).
 
         Draws no random init — the weights are loaded, not overwritten —
-        and checks every shape as :meth:`load_state_dict` does.  It takes
-        ownership of each array whose dtype already matches its
-        parameter's (and that is writable and C-ordered): the model keeps
-        that array itself, so the caller must not reuse it.  Any other
-        array is cast into a copy.
+        and rejects what :meth:`check_state` rejects before it builds
+        anything.  It takes ownership of each array whose dtype already
+        matches its parameter's (and that is writable and C-ordered):
+        the model keeps that array itself, so the caller must not reuse
+        it.  Any other array is cast into a copy.
         """
+        cls.check_state(in_features, k, state)
         model = cls(in_features, k, init=False)
-        for param, data in zip(model._checked(state), state):
+        for param, data in zip(model.parameters(), state):
             param.data = np.require(data, param.data.dtype, ("C", "W"))
         model.eval()
         return model

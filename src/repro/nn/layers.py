@@ -61,11 +61,6 @@ class Module:
         return [p.data.copy() for p in self.parameters()]
 
     def load_state_dict(self, state: list[np.ndarray]) -> None:
-        for param, data in zip(self._checked(state), state):
-            param.data = np.asarray(data, dtype=param.data.dtype).copy()
-
-    def _checked(self, state: list[np.ndarray]) -> list[Tensor]:
-        """The parameters *state* fills, once every shape matches."""
         params = self.parameters()
         if len(state) != len(params):
             raise ValueError(
@@ -79,7 +74,8 @@ class Module:
                     f"parameter {i}: shape mismatch "
                     f"{param.data.shape} vs {np.asarray(data).shape}"
                 )
-        return params
+        for param, data in zip(params, state):
+            param.data = np.asarray(data, dtype=param.data.dtype).copy()
 
 
 #: The one element every placeholder weight views (itemsize <= 16).

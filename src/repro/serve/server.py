@@ -84,7 +84,6 @@ from repro.wire import (
     _Server,
     decode_frame,
     encode_frame,
-    load_frame,
     read_frame,
 )
 
@@ -509,18 +508,18 @@ class AttackServer:
         else:
             path, header = memo
             self._header_bytes -= _header_cost(header)
+        read = functools.partial(self._read_frame, key, header)
         try:
             handle = open(path, "rb", buffering=0)
         except FileNotFoundError:
             return None
-        except OSError:  # unreadable: load_frame's CodecError, a warned miss
-            wrap = functools.partial(_result, key, kind)
-            read = functools.partial(load_frame, wrap=wrap)
+        except OSError:  # unreadable: the store's own open fails, a warned miss
             frame = self.store.get(kind, key, read=read, path=path)
         else:
             with handle:
-                read = functools.partial(self._read_frame, handle, key, header)
-                frame = self.store.get(kind, key, read=read, path=path)
+                frame = self.store.get(
+                    kind, key, read=read, path=path, handle=handle
+                )
         if frame is None:
             return None  # corrupt (store warned) or just gone; recompute
         if count_request:
@@ -530,9 +529,9 @@ class AttackServer:
 
     def _read_frame(
         self,
-        handle,
         key: str,
         header: codec.FrameHeader | None,
+        handle,
         path,
         kind: str,
     ) -> bytearray:

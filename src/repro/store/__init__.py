@@ -34,6 +34,7 @@ runner, bench and CLI invocation at one shared pool; see
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 import warnings
@@ -172,7 +173,8 @@ class ArtifactStore:
 
     # -- read/write ---------------------------------------------------------
     def get(
-        self, kind: str, key: str, decoder=None, read=None, path=None
+        self, kind: str, key: str, decoder=None, read=None, path=None,
+        handle=None,
     ) -> Any | None:
         """Decode the artifact at (*kind*, *key*), or ``None`` on a miss.
 
@@ -182,34 +184,39 @@ class ArtifactStore:
         applied to the payload under the same policy — a payload that
         does not decode into its domain object is a miss too — so every
         consumer (runner, ``run_muxlink``, a future remote scheduler)
-        shares one corruption-tolerance path.  *read* ``(path, kind=)``
-        replaces :func:`codec.load` as the file reader and must raise
-        what it raises — ``repro serve`` passes a reader of
-        :func:`repro.wire.read_frame` to get a hit's ``result`` frame
-        straight from the file's bytes.  *path* is :meth:`path_for`'s,
-        when the caller has already built it.
+        shares one corruption-tolerance path.  *read* ``(handle, path,
+        kind=)`` replaces :func:`codec.read` as the reader of the file
+        *path* open as *handle*, and must raise what it raises — ``repro
+        serve`` passes a reader of :func:`repro.wire.read_frame` to get a
+        hit's ``result`` frame straight from the file's bytes.  *path*
+        is :meth:`path_for`'s, when the caller has already built it;
+        *handle* is that file already open unbuffered (the caller closes
+        it).  A hit is counted and touched through the open file.
         """
         if path is None:
             path = self.path_for(kind, key)
-        try:
-            payload = (read or codec.load)(path, kind=kind)
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except CodecError as exc:
-            return self._discard(kind, f"unreadable ({exc})")
-        if decoder is not None:
+        with contextlib.ExitStack() as files:
             try:
-                payload = decoder(payload)
-            except Exception as exc:
-                return self._discard(kind, f"undecodable payload ({exc})")
-        self.stats.hits += 1
-        try:
-            self.stats.bytes_read += path.stat().st_size
-            os.utime(path)  # LRU signal for ``gc --keep-days``
-        except OSError:  # pragma: no cover - racing gc/delete
-            pass
-        return payload
+                if handle is None:
+                    handle = files.enter_context(codec.opened(path))
+                payload = (read or codec.read)(handle, path, kind=kind)
+            except FileNotFoundError:
+                self.stats.misses += 1
+                return None
+            except CodecError as exc:
+                return self._discard(kind, f"unreadable ({exc})")
+            if decoder is not None:
+                try:
+                    payload = decoder(payload)
+                except Exception as exc:
+                    return self._discard(kind, f"undecodable payload ({exc})")
+            self.stats.hits += 1
+            try:
+                self.stats.bytes_read += os.fstat(handle.fileno()).st_size
+                os.utime(handle.fileno())  # LRU signal for ``gc --keep-days``
+            except OSError:  # pragma: no cover - racing gc/delete
+                pass
+            return payload
 
     def _discard(self, kind: str, reason: str) -> None:
         warnings.warn(

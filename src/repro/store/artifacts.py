@@ -14,7 +14,9 @@ Three artifact families exist:
   :class:`~repro.core.muxlink.MuxLinkConfig` (its ``key`` fields only,
   see :mod:`repro.knobs`; numeric runtime dtype folded in).  Per-MUX likelihoods, the loss history, runtimes and the trained
   DGCNN weights are stored as float64/float32 arrays, so a rematerialized
-  record is bit-identical to the in-memory one.
+  record is bit-identical to the in-memory one.  Decoding checks the
+  weights' count and shapes but defers building the DGCNN to the first
+  read of ``result.model``: rescoring needs only the likelihoods.
 * **baselines** — a :class:`~repro.attacks.baseline.BaselineReport`
   from the oracle-less attack zoo (SAAM / SCOPE / SWEEP / random),
   keyed by the locked netlist digest + a per-attack normalized config
@@ -34,6 +36,7 @@ it once and writes it through to the store unchanged.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from typing import Any
@@ -366,15 +369,33 @@ def encode_attack_artifact(result) -> dict:
     return payload
 
 
+def _column(array, dtype) -> list:
+    """A 1-D *dtype* array as a list of Python numbers.
+
+    ``tolist`` of the int64 and float64 columns the encoders write
+    equals per-element ``int``/``float``, bit for bit; any other column
+    does not decode.
+    """
+    if array.dtype != dtype or array.ndim != 1:
+        raise ValueError(f"a column is not a 1-D {dtype.__name__} array")
+    return array.tolist()
+
+
 def decode_attack_artifact(payload: dict):
     """Rebuild a :class:`~repro.core.muxlink.MuxLinkResult` from a payload.
 
     ``graph`` comes back as ``None`` (re-derive it from the locked
-    netlist when needed); the model is reconstructed from its persisted
-    weights in eval mode.
+    netlist when needed).  The model spec is checked here, so a payload
+    whose weights would not load does not decode, but the DGCNN itself
+    is built from its stored weights (in eval mode, adopting the
+    payload's arrays) the first time ``result.model`` is read: a hit
+    that is only rescored never builds it.  Parallel columns of
+    different lengths do not decode.
     """
     # Local imports: repro.core imports repro.store at module load, so
     # pulling core symbols in at *this* module's load would be a cycle.
+    import numpy as np
+
     from repro.core.muxlink import MuxLinkResult
     from repro.core.postprocess import ScoredMux
     from repro.gnn import DGCNN
@@ -382,26 +403,21 @@ def decode_attack_artifact(payload: dict):
 
     sc = payload["scored"]
     scored = [
-        ScoredMux(
-            mux_name=name,
-            key_index=int(key_index),
-            load=int(load),
-            drivers=(int(d0), int(d1)),
-            likelihoods=(float(l0), float(l1)),
-        )
+        ScoredMux(name, key_index, load, (d0, d1), (l0, l1))
         for name, key_index, load, d0, d1, l0, l1 in zip(
-            sc["mux_name"], sc["key_index"], sc["load"],
-            sc["d0"], sc["d1"], sc["l0"], sc["l1"],
+            sc["mux_name"],
+            *(_column(sc[c], np.int64) for c in ("key_index", "load", "d0", "d1")),
+            *(_column(sc[c], np.float64) for c in ("l0", "l1")),
+            strict=True,
         )
     ]
     hist = payload["history"]
     history = TrainHistory(
-        train_loss=[float(x) for x in hist["train_loss"]],
-        val_loss=[float(x) for x in hist["val_loss"]],
-        val_accuracy=[float(x) for x in hist["val_accuracy"]],
-        # .get: version-1 artifacts predate per-epoch AUC tracking.
-        val_auc=[float(x) for x in hist.get("val_auc", [])],
-        learning_rates=[float(x) for x in hist["learning_rates"]],
+        train_loss=_column(hist["train_loss"], np.float64),
+        val_loss=_column(hist["val_loss"], np.float64),
+        val_accuracy=_column(hist["val_accuracy"], np.float64),
+        val_auc=_column(hist["val_auc"], np.float64),
+        learning_rates=_column(hist["learning_rates"], np.float64),
         best_epoch=int(hist["best_epoch"]),
         best_val_accuracy=float(hist["best_val_accuracy"]),
         best_val_loss=float(hist["best_val_loss"]),
@@ -410,9 +426,10 @@ def decode_attack_artifact(payload: dict):
     model = None
     if "model" in payload:
         spec = payload["model"]
-        model = DGCNN.from_state(
-            int(spec["in_features"]), int(spec["k"]), list(spec["state"])
-        )
+        in_features, k = int(spec["in_features"]), int(spec["k"])
+        state = list(spec["state"])
+        DGCNN.check_state(in_features, k, state)
+        model = functools.partial(DGCNN.from_state, in_features, k, state)
     return MuxLinkResult(
         predicted_key=payload["predicted_key"],
         scored=scored,
@@ -462,7 +479,7 @@ def decode_baseline_artifact(payload: dict):
         scores={
             int(bit): float(value)
             for bit, value in zip(
-                payload["score_bits"], payload["score_values"]
+                payload["score_bits"], payload["score_values"], strict=True
             )
         },
         n_blind=int(payload["n_blind"]),

@@ -86,6 +86,8 @@ __all__ = [
     "load",
     "load_wrapped",
     "loads",
+    "opened",
+    "read",
     "read_wrapped",
     "reread_wrapped",
 ]
@@ -371,8 +373,9 @@ def _reading(path: str | os.PathLike) -> Iterator[None]:
 
 
 @contextlib.contextmanager
-def _opened(path: str | os.PathLike) -> Iterator[io.FileIO]:
-    """*path* opened unbuffered, read under :func:`_reading`."""
+def opened(path: str | os.PathLike) -> Iterator[io.FileIO]:
+    """*path* opened unbuffered; a read error other than a missing file
+    is a :class:`CodecError`."""
     with _reading(path), open(path, "rb", buffering=0) as handle:
         yield handle
 
@@ -397,7 +400,13 @@ def load(path: str | os.PathLike, kind: str) -> Any:
             artifact, of a different *kind*, or from an incompatible
             codec version.
     """
-    with _opened(path) as handle:
+    with opened(path) as handle:
+        return read(handle, path, kind)
+
+
+def read(handle: io.FileIO, path: str | os.PathLike, kind: str) -> Any:
+    """:func:`load` of the file *path* open as *handle*."""
+    with _reading(path):
         blob = bytearray(os.fstat(handle.fileno()).st_size)
         del blob[handle.readinto(blob) :]  # a file that shrank is torn
     payload = _decode(blob, str(path), kind)
@@ -533,5 +542,5 @@ def load_wrapped(
     the ``dumps`` expression's; a hand-made blob keeps its own array
     layout, which decodes to the same payload.
     """
-    with _opened(path) as handle:
+    with opened(path) as handle:
         return read_wrapped(handle, path, kind, wrap, into, prefix)[0]

@@ -172,3 +172,14 @@ def test_baseline_artifact_round_trip_empty_scores():
     decoded = decode_baseline_artifact(encode_baseline_artifact(report))
     assert decoded.scores == {}
     assert decoded == report
+
+
+def test_baseline_artifact_with_a_short_column_does_not_decode():
+    report = BaselineReport(
+        attack="scope", predicted_key="01x0",
+        scores={0: 1.5, 2: -0.25, 3: 0.0}, n_blind=1,
+    )
+    payload = encode_baseline_artifact(report)
+    payload["score_values"] = payload["score_values"][:2]
+    with pytest.raises(ValueError):
+        decode_baseline_artifact(payload)

@@ -124,6 +124,32 @@ def test_from_state_restores_weights_and_checks_shapes():
         DGCNN.from_state(4, 10, state[:-1])
 
 
+@pytest.mark.parametrize("in_features, k", [(1, 10), (4, 11), (17, 36), (59, 101)])
+def test_state_shapes_are_the_parameter_shapes(in_features, k):
+    model = DGCNN(in_features=in_features, k=k)
+    assert DGCNN.state_shapes(in_features, k) == [
+        p.shape for p in model.parameters()
+    ]
+
+
+@pytest.mark.parametrize("in_features, k", [(4, 9), (4, -10), (-1, 10)])
+def test_state_shapes_refuse_what_the_constructor_refuses(in_features, k):
+    with pytest.raises(ValueError):
+        DGCNN(in_features=in_features, k=k)
+    with pytest.raises(ValueError):
+        DGCNN.state_shapes(in_features, k)
+
+
+@pytest.mark.parametrize(
+    "entry", ["weights", [[0.0] * 32] * 4, np.zeros((4, 32), dtype=object)]
+)
+def test_from_state_rejects_a_non_numeric_array(entry):
+    state = DGCNN(in_features=4, k=10).state_dict()
+    state[0] = entry
+    with pytest.raises(ValueError, match="not a numeric array"):
+        DGCNN.from_state(4, 10, state)
+
+
 def test_only_training_forward_reads_onehot_columns():
     """A stitched batch's one-hot columns replace the first GEMM in
     training only: validation and scoring run the GEMM they always ran."""

@@ -659,6 +659,78 @@ def test_undecodable_served_artifact_is_a_serve_error(server):
     worker.close()
 
 
+def _attack_payload(model=None) -> dict:
+    """The artifact of a hand-made 8-bit attack result."""
+    from repro.core import MuxLinkResult
+    from repro.core.postprocess import ScoredMux
+    from repro.linkpred import TrainHistory
+    from repro.store import encode_attack_artifact
+
+    scored = [
+        ScoredMux(f"mux{i}", i, 100 + i, (2 * i, 2 * i + 1),
+                  (0.9, 0.1) if i % 3 else (0.2, 0.7))
+        for i in range(8)
+    ]
+    history = TrainHistory(train_loss=[0.7, 0.5], val_loss=[0.6, 0.55])
+    result = MuxLinkResult("x" * 8, scored, 8, history, {"training": 1.0},
+                           model=model)
+    return encode_attack_artifact(result)
+
+
+def _serve_one(server, payload: dict) -> tuple[ServeClient, str, tuple]:
+    """Submit a job and settle it with *payload*; the client, key and
+    the ``(circuit, config)`` the key is for."""
+    from repro.benchgen import load_benchmark
+
+    circuit, config = load_benchmark("c1355", scale=0.1), _job().config
+    client = ServeClient(server.address, retry=_FAST)
+    key, status = client.submit(circuit, config)
+    assert status == "queued"
+    worker = _Peer(server.address).hello()
+    assert _settle(server, worker, payload) == key
+    worker.close()
+    return client, key, (circuit, config)
+
+
+def test_served_artifact_with_a_short_column_is_a_serve_error(server):
+    """Parallel columns of different lengths do not decode into a
+    truncated result: reading the key raises, warm or not."""
+    payload = _attack_payload()
+    payload["scored"]["l1"] = payload["scored"]["l1"][:3]
+    client, key, (circuit, config) = _serve_one(server, payload)
+    with pytest.raises(ServeError, match=f"{key[:12]}… does not decode"):
+        client.result(key, timeout=10)
+    with pytest.raises(ServeError, match=f"{key[:12]}… does not decode"):
+        client.attack(circuit, config)
+    client.close()
+
+
+def test_served_hit_builds_its_model_on_first_read(server, monkeypatch):
+    """A warm ``attack`` decodes likelihoods only; the DGCNN is built,
+    once, from the served weights when ``model`` is first read."""
+    from repro.core import rescore_key
+    from repro.gnn import DGCNN
+
+    trained = DGCNN(in_features=4, k=10, seed=3)
+    payload = _attack_payload(trained)
+    client, key, (circuit, config) = _serve_one(server, payload)
+    built = []
+    init = DGCNN.__init__
+    monkeypatch.setattr(
+        DGCNN, "__init__",
+        lambda self, *a, **k: (built.append(self), init(self, *a, **k))[1],
+    )
+    served = client.attack(circuit, config)
+    client.close()
+    assert rescore_key(served, 0.01) == "10010010"
+    assert built == []
+    model = served.model
+    assert built == [model] and served.model is model
+    assert not model.training
+    for ours, theirs in zip(model.state_dict(), trained.state_dict()):
+        assert ours.tobytes() == theirs.tobytes()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sigterm_stops_serve_and_reaps_its_workers(tmp_path, workers):
     """The forked fleet leaves the server accepting: once every worker

@@ -9,11 +9,12 @@ import pytest
 from repro import knobs
 from repro.benchgen import load_benchmark
 from repro.core import MuxLinkConfig, rescore_key, run_muxlink
-from repro.gnn import build_batch
+from repro.gnn import DGCNN, build_batch
 from repro.linkpred import TrainConfig
 from repro.locking import lock_dmux
 from repro.netlist.bench import parse_bench, write_bench
 from repro.store import (
+    ArtifactStore,
     attack_store_key,
     circuit_digest,
     codec,
@@ -122,6 +123,31 @@ def test_attack_artifact_roundtrip_is_bit_exact(tmp_path, attack_result):
     assert back.graph is None  # re-derive from the locked netlist
 
 
+def test_columns_decode_as_per_element_conversion(attack_result):
+    """Bulk ``tolist`` decodes each column exactly as per-element
+    ``int``/``float`` did: same types, same bits."""
+    config, result = attack_result
+    payload = encode_attack_artifact(result)
+    back = decode_attack_artifact(payload)
+    sc, hist = payload["scored"], payload["history"]
+    reference = [
+        (int(k), int(load), int(d0), int(d1), float(l0).hex(), float(l1).hex())
+        for k, load, d0, d1, l0, l1 in zip(
+            sc["key_index"], sc["load"], sc["d0"], sc["d1"], sc["l0"], sc["l1"]
+        )
+    ]
+    decoded = [
+        (s.key_index, s.load, *s.drivers, *(x.hex() for x in s.likelihoods))
+        for s in back.scored
+    ]
+    assert decoded == reference
+    assert {type(v) for s in back.scored for v in (s.key_index, s.load, *s.drivers)} == {int}
+    for name in ("train_loss", "val_loss", "val_accuracy", "val_auc"):
+        column = getattr(back.history, name)
+        assert [x.hex() for x in column] == [float(x).hex() for x in hist[name]]
+        assert {type(x) for x in column} <= {float}
+
+
 def test_attack_artifact_rescoring_matches(attack_result):
     config, result = attack_result
     back = decode_attack_artifact(encode_attack_artifact(result))
@@ -180,6 +206,113 @@ def test_rebuilt_model_scores_identically(attack_result, locked):
     np.testing.assert_array_equal(
         back.model.predict_proba(batch), result.model.predict_proba(batch)
     )
+
+
+# ---------------------------------------------------------------------------
+# the model is built on first read; the payload is checked at decode
+# ---------------------------------------------------------------------------
+def _count_builds(monkeypatch) -> list:
+    """Every DGCNN built from now on, in order."""
+    built = []
+    init = DGCNN.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DGCNN, "__init__", counting)
+    return built
+
+
+def test_decode_builds_no_model_until_it_is_read(attack_result, monkeypatch):
+    config, result = attack_result
+    payload = encode_attack_artifact(result)
+    built = _count_builds(monkeypatch)
+    back = decode_attack_artifact(payload)
+    assert rescore_key(back, config.threshold) == result.predicted_key
+    assert built == []
+    model = back.model
+    assert built == [model]
+    assert back.model is model
+    assert built == [model]
+
+
+def _fewer_arrays(spec: dict) -> None:
+    spec["state"] = spec["state"][:-1]
+
+
+def _wrong_shape(spec: dict) -> None:
+    spec["state"][0] = spec["state"][0][:-1]
+
+
+def _small_k(spec: dict) -> None:
+    spec["k"] = 9
+
+
+def _string_entry(spec: dict) -> None:
+    spec["state"][3] = "weights"
+
+
+@pytest.mark.parametrize(
+    "edit", [_fewer_arrays, _wrong_shape, _small_k, _string_entry]
+)
+def test_malformed_model_spec_fails_at_decode(attack_result, edit, tmp_path):
+    """What ``DGCNN.from_state`` would refuse on first read does not
+    decode at all, so the store discards it as undecodable."""
+    config, result = attack_result
+    payload = encode_attack_artifact(result)
+    spec = payload["model"]
+    spec["state"] = list(spec["state"])
+    edit(spec)
+    with pytest.raises(ValueError):
+        DGCNN.from_state(spec["in_features"], spec["k"], spec["state"])
+    with pytest.raises(ValueError):
+        decode_attack_artifact(payload)
+    store = ArtifactStore(tmp_path)
+    store.put("attacks", "ab" * 32, payload)
+    with pytest.warns(RuntimeWarning, match="undecodable"):
+        assert store.get(
+            "attacks", "ab" * 32, decoder=decode_attack_artifact
+        ) is None
+
+
+def _short_l1(payload: dict) -> None:
+    payload["scored"]["l1"] = payload["scored"]["l1"][:3]
+
+
+def _short_names(payload: dict) -> None:
+    payload["scored"]["mux_name"] = payload["scored"]["mux_name"][:-1]
+
+
+def _float_key_index(payload: dict) -> None:
+    payload["scored"]["key_index"] = payload["scored"]["key_index"] * 1.0
+
+
+def _int32_loss(payload: dict) -> None:
+    history = payload["history"]
+    history["train_loss"] = history["train_loss"].astype(np.int32)
+
+
+@pytest.mark.parametrize(
+    "edit", [_short_l1, _short_names, _float_key_index, _int32_loss]
+)
+def test_bad_column_is_undecodable(attack_result, edit, tmp_path):
+    """A column shorter than its siblings, or of a dtype the encoder
+    does not write, is a discarded store entry, never a truncated
+    result."""
+    config, result = attack_result
+    payload = encode_attack_artifact(result)
+    assert len(result.scored) > 3
+    edit(payload)
+    with pytest.raises(ValueError):
+        decode_attack_artifact(payload)
+    store = ArtifactStore(tmp_path)
+    store.put("attacks", "ab" * 32, payload)
+    with pytest.warns(RuntimeWarning, match="undecodable"):
+        assert store.get(
+            "attacks", "ab" * 32, decoder=decode_attack_artifact
+        ) is None
+    assert (store.stats.errors, store.stats.hits) == (1, 0)
 
 
 # ---------------------------------------------------------------------------

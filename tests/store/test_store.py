@@ -27,6 +27,27 @@ def test_put_get_roundtrip_and_stats(tmp_path):
     assert "1 hits 1 misses" in stats.summary()
 
 
+def test_hit_counts_and_touches_the_file_it_read(tmp_path, monkeypatch):
+    """A hit adds the file's size to ``bytes_read`` and advances the mtime
+    ``gc --keep-days`` reads, both through the descriptor it read."""
+    store = ArtifactStore(tmp_path)
+    path = store.put("locks", KEY_A, {"a": np.arange(100)})
+    old = time.time() - 10 * 86400
+    os.utime(path, (old, old))
+    touched = []
+    utime = os.utime
+    monkeypatch.setattr(
+        os, "utime", lambda target, *a, **k: (touched.append(target),
+                                                utime(target, *a, **k))
+    )
+    assert store.get("locks", KEY_A) is not None
+    monkeypatch.undo()
+    assert store.stats.bytes_read == path.stat().st_size
+    assert len(touched) == 1 and isinstance(touched[0], int)
+    assert path.stat().st_mtime > old + 86400
+    assert store.gc(keep_days=1) == (0, 0) and path.exists()
+
+
 def test_layout_is_schema_and_kind_sharded(tmp_path):
     store = ArtifactStore(tmp_path)
     path = store.put("attacks", KEY_A, {"x": 1})
