@@ -55,10 +55,10 @@ from repro.store import ArtifactStore, resolve_store
 
 # OpenBLAS splits reductions across its thread pool, so the *thread
 # count* changes floating-point summation order — the same attack on a
-# 4-core and a 24-core host (or a capped bus worker vs an uncapped
-# coordinator) would differ in the last ulp and break the bit-identity
-# contract every backend is held to.  Pin the pool to one thread at
-# import: measured zero cost on these workloads (BENCH_training.json
+# 4-core and a 24-core host would differ in the last ulp and break the
+# bit-identity contract every backend is held to.  Pin the pool to one
+# thread at import, the only cap (a forked bus worker keeps it):
+# measured zero cost on these workloads (BENCH_training.json
 # ``bench_bus``), and REPRO_BLAS_THREADS overrides for users who want
 # BLAS parallelism more than reproducibility.  The imports above have
 # loaded numpy, and with it the OpenBLAS the pin finds; ``repro.blas``

@@ -2,13 +2,15 @@
 
 ``import repro`` pins OpenBLAS to one thread (see :mod:`repro`): the pool
 size changes floating-point summation order, and every backend is held
-to bit-identity.  Bus workers pin too.  OpenBLAS wakes its whole
-spin-waiting thread pool on every kernel call; four bus workers doing it
-concurrently on a 24-core host means ~96 spinning threads fighting for
-24 cores, and the measured per-job wall-clock **doubles** (see
-``benchmarks/bench_bus.py`` history in ``BENCH_training.json``).  The
-attack jobs themselves are single-core, so BLAS parallelism buys them
-nothing.
+to bit-identity.  That pin is the only cap: bus workers compute under
+the pool they imported or, forked, inherited.  The default of one thread
+also keeps a fleet from oversubscribing its host: OpenBLAS wakes its
+whole spin-waiting thread pool on every kernel call; four bus workers
+doing it concurrently on a 24-core host means ~96 spinning threads
+fighting for 24 cores, and the measured per-job wall-clock **doubles**
+(see ``benchmarks/bench_bus.py`` history in ``BENCH_training.json``).
+The attack jobs themselves are single-core, so BLAS parallelism buys
+them nothing.
 
 ``threadpoolctl`` is the canonical tool for this but is not a repro
 dependency; this module does the one narrow thing we need with ctypes

@@ -14,9 +14,7 @@ from repro.bus.fleet import Fleet
 from repro.bus.protocol import (
     BUS_MESSAGE_KIND,
     DEFAULT_LIVENESS,
-    DEFAULT_MAX_ATTEMPTS,
     DEFAULT_POLL,
-    DEFAULT_WORKER_BLAS_THREADS,
     JOB_ARTIFACT_KINDS,
     BusError,
     BusStats,
@@ -35,9 +33,7 @@ __all__ = [
     "job_artifact_kind",
     "BusStats",
     "DEFAULT_LIVENESS",
-    "DEFAULT_MAX_ATTEMPTS",
     "DEFAULT_POLL",
-    "DEFAULT_WORKER_BLAS_THREADS",
     "Fleet",
     "RetryPolicy",
     "SocketBus",

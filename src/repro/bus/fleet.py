@@ -3,11 +3,12 @@
 ``repro serve --workers N`` and ``repro figures --jobs N`` both start
 their workers here: each member is a :func:`~repro.bus.worker.run_worker`
 loop forked from the process that owns the server, so it inherits every
-imported module instead of paying a cold import.  Members cap OpenBLAS
-at :data:`~repro.bus.protocol.DEFAULT_WORKER_BLAS_THREADS`, die on
-SIGTERM, and exit on their own once the process they were forked from
-is gone (after the job in hand), so a killed coordinator leaves no
-fleet behind.
+imported module instead of paying a cold import.  A member inherits
+its coordinator's OpenBLAS pool, the one ``import repro`` pinned
+(``REPRO_BLAS_THREADS``), and leaves it as it is, so a fleet computes
+under the same pool as a serial run.  Members die on SIGTERM and exit
+on their own once the process they were forked from is gone (after the
+job in hand), so a killed coordinator leaves no fleet behind.
 """
 
 from __future__ import annotations
@@ -15,11 +16,7 @@ from __future__ import annotations
 import os
 import signal
 
-from repro.bus.protocol import (
-    DEFAULT_POLL,
-    DEFAULT_WORKER_BLAS_THREADS,
-    BusError,
-)
+from repro.bus.protocol import DEFAULT_POLL, BusError
 
 __all__ = ["Fleet"]
 
@@ -33,26 +30,23 @@ def _member(server, poll: float, parent: int, log) -> None:
     # Drop this process's copies of the server's sockets.  close() would
     # unregister them from the epoll set the parent still polls.
     server.close_forked()
-    run_worker(
-        server.address,
-        poll=poll,
-        blas_threads=DEFAULT_WORKER_BLAS_THREADS,
-        parent=parent,
-        log=log,
-    )
+    run_worker(server.address, poll=poll, parent=parent, log=log)
 
 
 class Fleet:
     """*size* workers forked from this process for one server.
 
-    The constructor only checks that this platform can fork, so a
-    caller can refuse before it binds a port; :meth:`start` forks and
-    :meth:`close` terminates and reaps every member.  *log* is each
-    member's log line sink (``None`` keeps members silent).
+    The constructor only checks *size* and that this platform can fork,
+    so a caller can refuse before it binds a port; :meth:`start` forks
+    and :meth:`close` terminates and reaps every member.  Members keep
+    the OpenBLAS pool they inherit.  *log* is each member's log line
+    sink (``None`` keeps members silent).
     """
 
     def __init__(self, size: int, poll: float = DEFAULT_POLL, log=None) -> None:
         self.size = int(size)
+        if self.size < 0:
+            raise BusError(f"workers must be >= 0, got {self.size}")
         self.poll = poll
         self.log = log if log is not None else (lambda *_: None)
         self.members: list = []

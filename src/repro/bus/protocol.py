@@ -12,7 +12,15 @@ The exchange format is the runner's scheduler boundary:
 a job travels as ``{store_key, circuit payload, config dict}`` and a
 result is exactly the encoded attack artifact the store persists — no
 worker ever ships live library objects, so every topology is
-bit-identical to serial execution by construction.
+bit-identical to serial execution by construction.  A worker computes
+under the OpenBLAS pool ``import repro`` pinned (``REPRO_BLAS_THREADS``,
+default 1), the same pool as a serial run; a forked member inherits its
+coordinator's.  Nothing on the bus re-caps it.
+
+The requeue budget is the :class:`RetryPolicy`'s ``max_attempts``
+(default 3), and the fail-over deadline is :data:`DEFAULT_LIVENESS`.
+The CLI fixes both; library callers set them with ``SocketBus(retry=,
+liveness=)``.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ from repro.faults.retry import RetryPolicy
 __all__ = [
     "BUS_MESSAGE_KIND",
     "DEFAULT_LIVENESS",
-    "DEFAULT_WORKER_BLAS_THREADS",
     "JOB_ARTIFACT_KINDS",
     "BusError",
     "BusStats",
@@ -40,9 +47,6 @@ __all__ = [
 #: :class:`~repro.store.codec.CodecError` instead of misdecoding.
 BUS_MESSAGE_KIND = "bus-message"
 
-#: Requeue budget: attempt N of a job that has already failed or lost
-#: its worker ``N >= DEFAULT_MAX_ATTEMPTS`` times is failed for good.
-DEFAULT_MAX_ATTEMPTS = 3
 #: Coordinator / worker poll interval (seconds).
 DEFAULT_POLL = 0.25
 #: Graceful-degradation deadline: a distributed bus that makes no
@@ -51,12 +55,6 @@ DEFAULT_POLL = 0.25
 #: instead of hanging a figure run on a dead worker fleet.  ``timeout``
 #: (raise) still wins when set tighter; 0/None disables fail-over.
 DEFAULT_LIVENESS = 300.0
-#: Forked fleet members cap their OpenBLAS pool at this many threads.  The
-#: attack jobs are single-core (pinning BLAS to 1 thread leaves serial
-#: runtime unchanged — measured in BENCH_training.json ``bench_bus``),
-#: while concurrent workers each waking a cores-wide spin pool double
-#: per-job wall-clock.
-DEFAULT_WORKER_BLAS_THREADS = 1
 
 
 class BusError(ReproError):

@@ -46,7 +46,6 @@ class SocketBus:
         self,
         address: str = "127.0.0.1:0",
         poll: float = DEFAULT_POLL,
-        max_attempts: int | None = None,
         timeout: float | None = None,
         liveness: float | None = None,
         retry: RetryPolicy | None = None,
@@ -57,10 +56,6 @@ class SocketBus:
         # Refuse a fleet this platform cannot fork before binding a port.
         self._fleet = Fleet(workers, poll=poll)
         self.stats = BusStats()
-        retry = retry if retry is not None else RetryPolicy()
-        self.max_attempts = int(
-            retry.max_attempts if max_attempts is None else max_attempts
-        )
         self.timeout = timeout
         self.liveness = float(liveness) if liveness else None
         # The runner keeps its own caches and store: the server's store
@@ -69,7 +64,6 @@ class SocketBus:
         self._server = AttackServer(
             address,
             self._scratch.name,
-            max_attempts=self.max_attempts,
             liveness=self.liveness,
             poll=poll,
             cache_entries=0,
@@ -82,7 +76,7 @@ class SocketBus:
         self, jobs: "list[AttackJob]"
     ) -> "Iterator[tuple[AttackJob, dict]]":
         """Execute *jobs*; yield ``(job, artifact_payload)`` as each
-        finishes.  A job that fails ``max_attempts`` times raises
+        finishes.  A job that fails ``retry.max_attempts`` times raises
         :class:`BusError` with its last worker traceback."""
         server = self._server
         if jobs and self._fleet.size and not self._fleet.members:
@@ -120,8 +114,8 @@ class SocketBus:
                 if not frame["ok"]:
                     raise BusError(
                         f"job {frame['key'][:12]}… failed "
-                        f"{self.max_attempts} time(s) over the socket bus; "
-                        f"last worker traceback:\n{frame['error']}"
+                        f"{server.retry.max_attempts} time(s) over the "
+                        f"socket bus; last worker traceback:\n{frame['error']}"
                     )
                 job = waiting.pop(frame["key"])
                 self.stats.completed += 1

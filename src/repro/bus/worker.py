@@ -32,7 +32,6 @@ import traceback
 from dataclasses import dataclass
 
 from repro import faults
-from repro.blas import limit_blas_threads
 from repro.bus.protocol import DEFAULT_POLL, RetryPolicy, decode_job
 from repro.errors import ReproError
 
@@ -70,7 +69,6 @@ def run_worker(
     poll: float = DEFAULT_POLL,
     idle_timeout: float | None = None,
     max_jobs: int | None = None,
-    blas_threads: int | None = None,
     retry: RetryPolicy | None = None,
     parent: int | None = None,
     log=print,
@@ -81,13 +79,11 @@ def run_worker(
     its flag is absent (see :mod:`repro.settings`).  The loop runs until
     idle for *idle_timeout* seconds (``None`` runs forever, the daemon
     deployment); *max_jobs* bounds how many jobs this process executes
-    (useful in tests and crash drills).
+    (a caller running the loop on a thread stops it with that).
 
-    *blas_threads* re-caps the OpenBLAS pool for this process (0
-    leaves BLAS alone).  ``None`` keeps the pin ``import repro``
-    applied from ``REPRO_BLAS_THREADS`` (default 1): the jobs are
-    single-core, and a fleet of workers each waking a cores-wide BLAS
-    spin pool oversubscribes the host and doubles per-job wall-clock.
+    Jobs run under the OpenBLAS pool ``import repro`` pinned from
+    ``REPRO_BLAS_THREADS`` (default 1), the pool a serial run computes
+    under; the worker never re-caps it.
 
     There is no request per job: the server pushes the next job once
     this worker's ``done`` or ``failed`` reply arrives (one job in
@@ -105,8 +101,6 @@ def run_worker(
     from repro.experiments.runner import execute_job
     from repro.wire import parse_address, recv_message, send_message
 
-    if blas_threads is not None:
-        limit_blas_threads(blas_threads)
     retry = RetryPolicy() if retry is None else retry
     host, port = parse_address(serve_addr)
     stats = WorkerStats()

@@ -216,7 +216,6 @@ def _open_runner(args: argparse.Namespace, scale):
         jobs=args.jobs,
         store=args.store,
         bus_addr=args.bus_addr,
-        liveness=args.liveness,
     )
     if runner.store is not None:
         print(f"store={runner.store.root}")
@@ -244,11 +243,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             "REPRO_SERVE_ADDR"
         )
     stats = run_worker(
-        serve_addr,
-        poll=args.poll,
-        idle_timeout=args.idle_timeout,
-        max_jobs=args.max_jobs,
-        blas_threads=args.blas_threads,
+        serve_addr, poll=args.poll, idle_timeout=args.idle_timeout
     )
     print(f"worker: {stats.summary()}")
     return 0
@@ -269,8 +264,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = AttackServer(
         args.addr,
         args.store,
-        max_attempts=args.max_attempts,
-        liveness=args.liveness,
         poll=args.poll,
         cache_entries=args.cache_entries,
     )
@@ -289,9 +282,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # serve_forever can start its fail-over thread: each worker
         # inherits every imported module instead of paying a cold import.
         fleet.start(server)
-        stats = server.serve_forever(
-            idle_timeout=args.idle_timeout, max_requests=args.max_requests
-        )
+        stats = server.serve_forever()
     finally:
         server.close()
         fleet.close()
@@ -587,14 +578,6 @@ def _add_runner_args(p: argparse.ArgumentParser, store_help: str) -> None:
         "serve the grid on this host:port (port 0 = ephemeral), where "
         "`repro worker --serve-addr` processes join, also at --jobs 0",
     )
-    p.add_argument(
-        "--liveness",
-        type=float,
-        default=None,
-        help="seconds of bus worker silence before pending jobs "
-        "fail over to in-process execution (default: 300; 0 disables "
-        "fail-over)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -711,18 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="exit after this many idle seconds (default: run forever)",
     )
-    p.add_argument(
-        "--max-jobs",
-        type=int,
-        default=None,
-        help="exit after handling this many jobs",
-    )
-    _knob_flag(
-        p, "--blas-threads", "REPRO_BLAS_THREADS",
-        "re-cap this worker's OpenBLAS pool; 0 leaves BLAS alone, unset "
-        "keeps the pin `import repro` applied",
-        type=int,
-    )
     _knob_flag(
         p, "--serve-addr", "REPRO_SERVE_ADDR",
         "`repro serve` endpoint (or `repro figures --bus-addr` "
@@ -780,35 +751,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--poll", type=float, default=0.25)
     p.add_argument(
-        "--max-attempts",
-        type=int,
-        default=None,
-        help="requeue budget before a failing request is reported failed",
-    )
-    p.add_argument(
-        "--liveness",
-        type=float,
-        default=300.0,
-        help="seconds of worker silence before queued requests fail "
-        "over to in-process execution (0 disables)",
-    )
-    p.add_argument(
         "--cache-entries",
         type=int,
         default=256,
         help="in-memory result-cache entries (the warmest tier)",
-    )
-    p.add_argument(
-        "--idle-timeout",
-        type=float,
-        default=None,
-        help="exit after this many fully idle seconds (default: forever)",
-    )
-    p.add_argument(
-        "--max-requests",
-        type=int,
-        default=None,
-        help="exit once this many submits have been taken and settled",
     )
     p.set_defaults(func=_cmd_serve)
 

@@ -65,7 +65,7 @@ from repro.experiments.common import (
 )
 from repro.locking import LockedCircuit
 from repro.netlist import Circuit
-from repro.settings import parse_jobs, setting
+from repro.settings import SettingsError, parse_jobs, setting
 from repro.store import (
     ArtifactStore,
     attack_store_key,
@@ -117,7 +117,7 @@ def resolve_jobs(jobs: int | str | None = None) -> int:
     if isinstance(jobs, str):
         jobs = parse_jobs(jobs)
     if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
+        raise SettingsError(f"jobs must be >= 0, got {jobs}")
     return int(jobs)
 
 
@@ -502,8 +502,9 @@ class ExperimentRunner:
     runner is garbage collected).
 
     *jobs* ≥ 2 or a *bus_addr* (else ``REPRO_BUS_ADDR``) puts a
-    :class:`~repro.bus.socketbus.SocketBus` under the runner; *bus*
-    passes one in ready-made, as the chaos drills do to tune its
+    :class:`~repro.bus.socketbus.SocketBus` under the runner, with the
+    :data:`~repro.bus.protocol.DEFAULT_LIVENESS` fail-over deadline;
+    *bus* passes one in ready-made, as the chaos drills do to tune its
     deadlines.
 
     With a *store* (an :class:`~repro.store.ArtifactStore`, a path, or
@@ -522,7 +523,6 @@ class ExperimentRunner:
         store: ArtifactStore | str | os.PathLike | None = None,
         bus: "SocketBus | None" = None,
         bus_addr: str | None = None,
-        liveness: float | None = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         self.store = resolve_store(store)
@@ -533,7 +533,7 @@ class ExperimentRunner:
 
             bus = SocketBus(
                 bus_addr or "127.0.0.1:0",
-                liveness=DEFAULT_LIVENESS if liveness is None else liveness,
+                liveness=DEFAULT_LIVENESS,
                 workers=self.jobs if self.jobs > 1 else 0,
             )
         #: ``None`` runs every job serially in this process.
@@ -771,7 +771,7 @@ class ExperimentRunner:
         must not discard hours of already-finished training; the rerun
         resumes from whatever landed in the store.  Serially, a failing
         job raises as it is; on the bus it is retried up to
-        ``max_attempts`` and then raises :class:`~repro.bus.BusError`
+        ``retry.max_attempts`` and then raises :class:`~repro.bus.BusError`
         with the worker's traceback.
         """
         jobs = list(pending.values())

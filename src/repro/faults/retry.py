@@ -2,7 +2,7 @@
 
 Before this module, each backend carried its own constants: the socket
 worker hardcoded a 30 s connect timeout and a hand-rolled ``backoff * 2``
-loop, the bus counted attempts against ``DEFAULT_MAX_ATTEMPTS``, and the
+loop, the bus counted attempts against a constant of its own, and the
 artifact store retried nothing at all.
 :class:`RetryPolicy` is the single source of truth they now share —
 attempt caps, exponential backoff, per-operation timeouts — so "how hard
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["RetryPolicy"]
 
@@ -30,9 +30,10 @@ class RetryPolicy:
     """Attempt caps, backoff schedule and socket timeouts, in one place.
 
     Attributes:
-        max_attempts: total tries of an operation (and the bus requeue
-            budget — attempt N of a job that already failed or lost
-            its worker ``N >= max_attempts`` times is failed for good).
+        max_attempts: total tries of an operation.  It is also the
+            requeue budget of :class:`~repro.serve.AttackServer` and so
+            of :class:`~repro.bus.SocketBus`: a job that has failed or
+            lost its worker ``max_attempts`` times is failed for good.
         base_delay: delay before the first retry, seconds.
         multiplier: backoff growth factor per retry.
         max_delay: backoff ceiling, seconds.
@@ -64,12 +65,6 @@ class RetryPolicy:
             raise ValueError("delays must be >= 0")
         if self.multiplier < 1.0:
             raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-
-    def with_attempts(self, max_attempts: int | None) -> "RetryPolicy":
-        """This policy with a different attempt budget (``None`` = keep)."""
-        if max_attempts is None or max_attempts == self.max_attempts:
-            return self
-        return replace(self, max_attempts=int(max_attempts))
 
     def delay(self, attempt: int) -> float:
         """Backoff before retry *attempt* (1-based), jitter included."""

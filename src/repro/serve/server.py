@@ -47,7 +47,7 @@ reads and checks the whole file again.  The in-process
 result frames decoded.  An identical request already executing
 **coalesces** — K clients asking for one key train it exactly once and
 all receive the result frame.  Failure semantics: a
-failed attempt requeues until ``max_attempts``, a dead worker
+failed attempt requeues until ``retry.max_attempts``, a dead worker
 connection requeues the job it held, and once queued work has
 waited the liveness deadline with no worker progress (only a worker
 ``hello``, ``done`` or ``failed`` counts) the queue fails over to
@@ -69,7 +69,6 @@ from dataclasses import asdict, dataclass, field
 
 from repro.bus.protocol import (
     DEFAULT_LIVENESS,
-    DEFAULT_MAX_ATTEMPTS,
     DEFAULT_POLL,
     JOB_ARTIFACT_KINDS,
     BusError,
@@ -215,13 +214,16 @@ class AttackServer:
         self,
         address: str,
         store: "ArtifactStore | str | os.PathLike",
-        max_attempts: int | None = None,
         liveness: float | None = DEFAULT_LIVENESS,
         poll: float = DEFAULT_POLL,
         cache_entries: int = DEFAULT_CACHE_ENTRIES,
         retry: RetryPolicy | None = None,
         log=print,
     ) -> None:
+        if cache_entries < 0:
+            raise ServeError(
+                f"cache entries must be >= 0, got {cache_entries}"
+            )
         resolved = resolve_store(store)
         if resolved is None:
             raise ServeError(
@@ -235,9 +237,6 @@ class AttackServer:
         )
         self.address = self._server.address
         self.poll = float(poll)
-        self.max_attempts = int(
-            DEFAULT_MAX_ATTEMPTS if max_attempts is None else max_attempts
-        )
         self.liveness = float(liveness) if liveness else None
         self.log = log
         self.stats = ServeStats()
@@ -261,35 +260,12 @@ class AttackServer:
         self._stop = False
 
     # -- the loop ------------------------------------------------------------
-    def serve_forever(
-        self,
-        idle_timeout: float | None = None,
-        max_requests: int | None = None,
-    ) -> ServeStats:
-        """Run until shut down over the wire, idle, or *max_requests*.
-
-        *idle_timeout* counts seconds with no frames and no outstanding
-        requests (``None`` = forever); *max_requests* stops once that
-        many submits have been taken **and** all of them settled — both
-        are test/bench conveniences, the daemon deployment uses neither.
-        """
-        last_activity = time.monotonic()
+    def serve_forever(self) -> ServeStats:
+        """Run until a ``shutdown`` op or :meth:`stop` (``repro serve``
+        calls it on SIGTERM) ends the loop."""
         try:
             while not self._stop:
-                if self.step() or self.busy:
-                    last_activity = time.monotonic()
-                if (
-                    max_requests is not None
-                    and self.stats.requests >= max_requests
-                    and not self.requests
-                ):
-                    break
-                if (
-                    idle_timeout is not None
-                    and not self.requests
-                    and time.monotonic() - last_activity > idle_timeout
-                ):
-                    break
+                self.step()
         except KeyboardInterrupt:  # pragma: no cover - interactive stop
             pass
         return self.stats
@@ -640,7 +616,7 @@ class AttackServer:
         if request is None:
             return
         request.attempt += 1
-        if request.attempt >= self.max_attempts:
+        if request.attempt >= self.retry.max_attempts:
             self.requests.pop(key)
             try:
                 self.queue.remove(key)
@@ -714,5 +690,5 @@ class AttackServer:
                 # In-process execution is the last resort — a failure
                 # here is terminal regardless of the attempt budget.
                 if request is not None:
-                    request.attempt = self.max_attempts - 1
+                    request.attempt = self.retry.max_attempts - 1
                 self._fail_attempt(key, error or "fail-over execution failed")

@@ -32,7 +32,8 @@ __all__ = [
 
 
 class SettingsError(ReproError):
-    """An environment knob holds a value its parser rejects."""
+    """A knob, from its environment variable or the flag that overrides
+    it, holds a value repro rejects."""
 
 
 @dataclass(frozen=True)

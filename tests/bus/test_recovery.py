@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from repro.bus import BusError, SocketBus, run_worker
+from repro.bus import BusError, RetryPolicy, SocketBus, run_worker
 from repro.experiments import (
     SMOKE_SCALE,
     ExperimentRunner,
@@ -35,7 +35,7 @@ def test_socket_poisoned_job_quarantines_with_traceback():
         circuit={"not": "a circuit"},  # decode_circuit will raise
         config=cell.config,
     )
-    bus = SocketBus(poll=0.05, max_attempts=2, timeout=60)
+    bus = SocketBus(poll=0.05, timeout=60, retry=RetryPolicy(max_attempts=2))
     worker = threading.Thread(
         target=run_worker,
         kwargs=dict(
@@ -69,7 +69,7 @@ def test_socket_connection_drop_requeues_to_healthy_worker(tmp_path):
         record_fingerprint(r) for r in ExperimentRunner(jobs=0).run(cells)
     ]
 
-    bus = SocketBus(poll=0.1, max_attempts=3, timeout=60)
+    bus = SocketBus(poll=0.1, timeout=60)
     host, port = bus.address.rsplit(":", 1)
 
     def flaky_then_healthy():

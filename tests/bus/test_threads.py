@@ -3,7 +3,8 @@
 The bit-identity contract of every bus backend rests on all processes
 using the *same* OpenBLAS thread count — the pool size changes the
 floating-point reduction order.  ``repro`` pins the pool to 1 at import
-(``REPRO_BLAS_THREADS`` overrides); these tests cover the primitive.
+(``REPRO_BLAS_THREADS`` overrides); these tests cover the primitive,
+the pin, and a forked fleet member keeping the pool it inherits.
 """
 
 import os
@@ -12,6 +13,7 @@ import sys
 import textwrap
 
 import numpy as np
+import pytest
 
 import repro
 from repro.bus.threads import _candidate_libraries, limit_blas_threads
@@ -88,3 +90,59 @@ def test_import_repro_pins_without_loading_the_bus():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() in ("pinned", "no-blas")
+
+
+MEMBER_POOL = textwrap.dedent(
+    """
+    import ctypes
+    import re
+    import sys
+
+    import repro.experiments.runner as runner_module
+    from repro.blas import _candidate_libraries
+    from repro.bus import BusError
+    from repro.experiments import SMOKE_SCALE, ExperimentRunner, fig7_cells
+
+    def pool():
+        for path in _candidate_libraries():
+            lib = ctypes.CDLL(path)
+            for prefix in ("scipy_openblas", "openblas"):
+                for suffix in ("64_", ""):
+                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                    if get is not None:
+                        get.restype = ctypes.c_int
+                        return get()
+        print("no-blas")
+        sys.exit(0)
+
+    def report(job):
+        raise RuntimeError(f"member pool={pool()}")
+
+    # Members are forked after this patch, so their jobs report instead.
+    runner_module.execute_job = report
+    with ExperimentRunner(jobs=2) as runner:
+        try:
+            runner.run(fig7_cells(SMOKE_SCALE, seed=0)[:1])
+        except BusError as exc:
+            member = re.search(r"member pool=(\\d+)", str(exc)).group(1)
+    print(f"coordinator={pool()} member={member}")
+    """
+)
+
+
+def test_fleet_member_keeps_its_coordinators_blas_pool(tmp_path):
+    """The pin at import is the only cap: under ``REPRO_BLAS_THREADS=2`` a
+    forked fleet member computes under the coordinator's 2-thread pool."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = src
+    env["REPRO_BLAS_THREADS"] = "2"
+    result = subprocess.run(
+        [sys.executable, "-c", MEMBER_POOL],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    verdict = result.stdout.strip().splitlines()[-1]
+    if verdict == "no-blas":
+        pytest.skip("no OpenBLAS with a get_num_threads entry point")
+    assert verdict == "coordinator=2 member=2"

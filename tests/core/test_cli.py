@@ -109,6 +109,17 @@ def test_attack_rejects_nonpositive_h(tmp_path, capsys, flags, message):
     assert not [p for p in store.rglob("*") if p.is_file()]
 
 
+@pytest.mark.parametrize(
+    "command,jobs", [("figures", "-1"), ("leaderboard", "-2")]
+)
+def test_runner_commands_reject_negative_jobs(capsys, command, jobs):
+    """A negative ``--jobs`` is a usage error (exit 2), not a traceback."""
+    assert main([command, "--scale", "smoke", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: jobs must be >= 0, got {jobs}\n"
+    assert "Fig. 7" not in captured.out
+
+
 def test_unlock_without_key_fails(tmp_path, capsys):
     base = tmp_path / "b.bench"
     main(["generate", "c17", "-o", str(base)])

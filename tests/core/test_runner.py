@@ -33,6 +33,7 @@ from repro.experiments import (
     run_fig10,
 )
 from repro.locking import DMUX_SCHEME, SYMMETRIC_SCHEME
+from repro.settings import SettingsError
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +49,7 @@ def test_resolve_jobs_argument_env_and_auto(monkeypatch):
     assert resolve_jobs("auto") >= 1
     monkeypatch.setenv("REPRO_JOBS", "auto")
     assert resolve_jobs() >= 1
-    with pytest.raises(ValueError):
+    with pytest.raises(SettingsError, match="jobs must be >= 0, got -1"):
         resolve_jobs(-1)
 
 

@@ -86,12 +86,3 @@ def test_call_does_not_retry_unlisted_exceptions():
     with pytest.raises(KeyError):
         policy.call(typo)
     assert len(calls) == 1
-
-
-def test_with_attempts():
-    policy = RetryPolicy(max_attempts=3)
-    assert policy.with_attempts(None) is policy
-    assert policy.with_attempts(3) is policy
-    bumped = policy.with_attempts(5)
-    assert bumped.max_attempts == 5
-    assert bumped.base_delay == policy.base_delay

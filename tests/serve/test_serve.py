@@ -264,8 +264,8 @@ def test_freed_worker_gets_its_next_job_before_the_store_write(
 
 def test_failed_attempts_requeue_then_turn_terminal(tmp_path):
     srv = AttackServer(
-        "127.0.0.1:0", tmp_path / "store", max_attempts=2, poll=0.02,
-        log=lambda *a: None,
+        "127.0.0.1:0", tmp_path / "store", poll=0.02,
+        retry=RetryPolicy(max_attempts=2), log=lambda *a: None,
     )
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
@@ -327,7 +327,7 @@ def test_only_the_worker_holding_a_job_settles_it(server):
     def ignored(peer: _Peer) -> None:
         peer.send({"op": "done", "key": job.store_key, "kind": "attacks",
                    "result": {"planted": 1}})
-        for _ in range(server.max_attempts):
+        for _ in range(server.retry.max_attempts):
             peer.send({"op": "failed", "key": job.store_key,
                        "traceback": "planted"})
         peer.send({"op": "ping"})
@@ -825,6 +825,34 @@ def test_serve_without_fork_names_the_external_fleet(
     assert err.startswith("error: ") and "Traceback" not in err
     assert "--workers 0" in err and "repro worker --serve-addr" in err
     assert "listening" not in out  # refused before binding the port
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--workers", "-1"], "workers must be >= 0, got -1"),
+        (["--workers", "0", "--cache-entries", "-1"],
+         "cache entries must be >= 0, got -1"),
+    ],
+    ids=["workers", "cache-entries"],
+)
+def test_serve_rejects_a_negative_size_before_binding(
+    tmp_path, monkeypatch, capsys, flags, message
+):
+    """A negative fleet or memory-cache size exits 2 before the port is
+    bound; a negative cache would otherwise kill the server on its
+    first completed job or store-tier hit."""
+    from repro.cli import main
+
+    monkeypatch.setattr(
+        AttackServer, "serve_forever",
+        lambda self: pytest.fail("the server bound its port and served"),
+    )
+    argv = ["serve", "--addr", "127.0.0.1:0", "--store", str(tmp_path)]
+    assert main(argv + flags) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n"
+    assert "listening" not in out
 
 
 def test_wait_for_unknown_key_fails_fast(server):
