@@ -4,7 +4,7 @@ One 32-job small-job grid — a **lock-seed sweep** (one smoke cell
 relocked under 32 seeds, the error-bar workload the runner fans out) —
 of sub-second, uniform jobs.  Only the default sizing (4 workers, 32
 seeds) makes per-job dispatch overhead a wall-clock fraction the
-recorded ``serve.speedup`` can resolve.  At the CI sizing
+printed serve speedup can resolve.  At the CI sizing
 (``REPRO_BENCH_SERVE_WORKERS=2``, ``REPRO_BENCH_SERVE_SWEEP_SEEDS=16``)
 the whole serve sweep takes 0.3-0.5 s and its speedup spreads too
 widely from run to run to compare dispatch changes; there the bench
@@ -46,7 +46,6 @@ import tempfile
 import threading
 import time
 
-from perf_record import update_record
 from repro.benchgen import load_benchmark
 from repro.client import ServeClient
 from repro.core import MuxLinkConfig
@@ -257,32 +256,6 @@ def test_serve_pipeline_and_warm_is_instant():
             f"warm serving only {warm_advantage:.1f}x faster than a cold "
             f"`repro attack` process; needs >= {MIN_WARM_ADVANTAGE}x"
         )
-
-    update_record(
-        "bench_serve",
-        {
-            "jobs": len(jobs),
-            "workers": WORKERS,
-            "cores": cores,
-            "serial_s": round(serial_s, 2),
-            "serial_s_per_job": round(serial_s / len(jobs), 3),
-            "serve": {
-                "seconds": round(serve_s, 2),
-                "speedup": round(serve_speedup, 2),
-            },
-            "warm": {
-                "path": "ServeClient.attack",
-                "requests": WARM_REQUESTS,
-                "p50_ms": round(warm_p50 * 1000, 2),
-                "p95_ms": round(warm_p95 * 1000, 2),
-                "requests_per_s": round(warm_rps, 1),
-            },
-            "cold_process_s": round(cold_process_s, 2),
-            "warm_advantage_x": round(warm_advantage, 1),
-            "bit_identical": True,
-            "min_warm_advantage_gate": MIN_WARM_ADVANTAGE,
-        },
-    )
 
 
 if __name__ == "__main__":

@@ -343,27 +343,6 @@ def run_trainer(dataset):
 
 
 def _summarize(rows: list[tuple[str, float, float]], speedup: float) -> None:
-    # Machine-readable perf record (BENCH_training.json, uploaded by CI)
-    # — one section per bench, see perf_record.py.
-    from perf_record import update_record
-
-    update_record(
-        "bench_training",
-        {
-            "benchmark": BENCHMARK,
-            "links": MAX_LINKS,
-            "epochs": EPOCHS,
-            "engines": {
-                name: {
-                    "total_seconds": round(total, 4),
-                    "epoch_ms": round(per_epoch * 1000, 2),
-                }
-                for name, total, per_epoch in rows
-            },
-            "epoch_speedup": round(speedup, 3),
-            "min_speedup_gate": MIN_SPEEDUP,
-        },
-    )
     path = os.environ.get("GITHUB_STEP_SUMMARY")
     if not path:
         return

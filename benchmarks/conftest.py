@@ -7,16 +7,20 @@ to see the tables.
 
 All figure benches execute through one session-scoped
 :class:`~repro.experiments.ExperimentRunner`, exactly like ``repro
-figures``: ``REPRO_JOBS=N`` pools the attack cells over N worker
-processes, and when several figure benches run in one pytest session the
+figures``: ``REPRO_JOBS=N`` fans the attack cells out over N forked
+workers, and when several figure benches run in one pytest session the
 later ones reuse the locked netlists and trained attacks of the earlier
 ones (Fig. 8 / Fig. 9 re-train nothing after Fig. 7).
 
 ``REPRO_STORE=<dir>`` additionally backs the runner with the persistent
 content-addressed artifact store, so the bench suite, ``repro figures``
 and the CLI share one artifact pool across *sessions* — a second bench
-run re-locks and re-trains nothing (see ``bench_store_resume.py``; the
-runner reports the hit/miss/bytes counters at session end).
+run re-locks and re-trains nothing (asserted across processes by
+``tests/core/test_store_runner.py``; the runner reports the
+hit/miss/bytes counters at session end).
+
+Speed is measured end to end by ``perfbench/``; these scripts gate
+parity and their own speedup floors, and print what they time.
 """
 
 import pytest

@@ -110,7 +110,7 @@ def main() -> None:
             )
         ]
         assert tables(cold) == tables(warm), "warm tables diverged"
-        assert "jobs=0" in warm.split("bus[socket]: ")[1].splitlines()[0], (
+        assert "scheduled=0" in warm.split("bus[socket]: ")[1].splitlines()[0], (
             "warm run should submit nothing"
         )
         print("\ncold and warm figure tables identical; warm run submitted 0 jobs")

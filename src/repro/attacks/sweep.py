@@ -89,10 +89,6 @@ class SweepAttack:
         self._weights = np.linalg.solve(gram, X.T @ y)
         return self
 
-    @property
-    def is_fitted(self) -> bool:
-        return self._weights is not None
-
     def attack(self, circuit: Circuit) -> SweepReport:
         """Predict the key of a locked netlist using the learned weights."""
         if self._weights is None:

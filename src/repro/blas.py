@@ -8,7 +8,7 @@ also keeps a fleet from oversubscribing its host: OpenBLAS wakes its
 whole spin-waiting thread pool on every kernel call; four bus workers
 doing it concurrently on a 24-core host means ~96 spinning threads
 fighting for 24 cores, and the measured per-job wall-clock **doubles**
-(see ``benchmarks/bench_bus.py`` history in ``BENCH_training.json``).
+(see the ``bench_bus`` trajectory in the frozen ``BENCH_training.json``).
 The attack jobs themselves are single-core, so BLAS parallelism buys
 them nothing.
 

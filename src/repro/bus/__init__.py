@@ -17,7 +17,6 @@ from repro.bus.protocol import (
     DEFAULT_POLL,
     JOB_ARTIFACT_KINDS,
     BusError,
-    BusStats,
     RetryPolicy,
     decode_job,
     encode_job,
@@ -31,7 +30,6 @@ __all__ = [
     "JOB_ARTIFACT_KINDS",
     "BusError",
     "job_artifact_kind",
-    "BusStats",
     "DEFAULT_LIVENESS",
     "DEFAULT_POLL",
     "Fleet",

@@ -25,8 +25,6 @@ liveness=)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro import knobs
 from repro.errors import ReproError
 from repro.faults.retry import RetryPolicy
@@ -36,7 +34,6 @@ __all__ = [
     "DEFAULT_LIVENESS",
     "JOB_ARTIFACT_KINDS",
     "BusError",
-    "BusStats",
     "RetryPolicy",
     "decode_job",
     "encode_job",
@@ -59,42 +56,6 @@ DEFAULT_LIVENESS = 300.0
 
 class BusError(ReproError):
     """A job bus could not deliver a result (quarantine, timeout, wire)."""
-
-
-@dataclass
-class BusStats:
-    """Coordinator-side counters, mirrored into CI job summaries.
-
-    ``adopt_seconds`` / ``submit_seconds`` measure pure bus overhead —
-    encoding + enqueueing and collecting results — never worker compute,
-    which is what ``benchmarks/bench_bus.py`` records per job.
-    """
-
-    submitted: int = 0
-    completed: int = 0
-    requeues: int = 0
-    quarantined: int = 0
-    failed_over: int = 0
-    submit_seconds: float = 0.0
-    adopt_seconds: float = 0.0
-
-    def summary(self) -> str:
-        text = (
-            f"jobs={self.submitted} completed={self.completed} "
-            f"requeues={self.requeues} quarantined={self.quarantined}"
-        )
-        if self.failed_over:
-            # Only when nonzero: clean-run summaries keep their exact
-            # shape for the transcript parity gates.
-            text += f" failed-over={self.failed_over}"
-        if self.completed:
-            overhead = (
-                (self.submit_seconds + self.adopt_seconds)
-                / self.completed
-                * 1000.0
-            )
-            text += f" bus-overhead={overhead:.1f}ms/job"
-        return text
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from repro.bus.fleet import Fleet
 from repro.bus.protocol import (
     DEFAULT_POLL,
     BusError,
-    BusStats,
     RetryPolicy,
     encode_job,
 )
@@ -40,6 +39,7 @@ class SocketBus:
 
     One instance is reused across every ``runner.run()`` wave of a
     figure session; :meth:`close` stops the fleet and the server.
+    :attr:`stats` is the server's :class:`~repro.serve.ServeStats`.
     """
 
     def __init__(
@@ -55,7 +55,6 @@ class SocketBus:
 
         # Refuse a fleet this platform cannot fork before binding a port.
         self._fleet = Fleet(workers, poll=poll)
-        self.stats = BusStats()
         self.timeout = timeout
         self.liveness = float(liveness) if liveness else None
         # The runner keeps its own caches and store: the server's store
@@ -71,6 +70,7 @@ class SocketBus:
             log=lambda *_: None,
         )
         self.address = self._server.address
+        self.stats = self._server.stats
 
     def run(
         self, jobs: "list[AttackJob]"
@@ -82,7 +82,6 @@ class SocketBus:
         if jobs and self._fleet.size and not self._fleet.members:
             # Forked lazily: a fully cached grid forks nothing.
             self._fleet.start(server)
-        t0 = time.perf_counter()
         # This bus waits on its own server like a client connection
         # would; the frames it is sent queue up here.
         frames: deque[dict] = deque()
@@ -90,16 +89,12 @@ class SocketBus:
         waiting = {job.store_key: job for job in jobs}
         for key, job in waiting.items():
             server.submit(sink, key, encode_job(job), wait=True)
-        self.stats.submitted += len(jobs)
-        self.stats.submit_seconds += time.perf_counter() - t0
 
         failed_over_before = server.stats.failed_over
         announced = False
         last_progress = time.monotonic()
         while waiting:
             active = server.step()
-            t0 = time.perf_counter()
-            self._sync_stats()
             if not announced and server.stats.failed_over > failed_over_before:
                 announced = True
                 print(
@@ -117,12 +112,7 @@ class SocketBus:
                         f"{server.retry.max_attempts} time(s) over the "
                         f"socket bus; last worker traceback:\n{frame['error']}"
                     )
-                job = waiting.pop(frame["key"])
-                self.stats.completed += 1
-                self.stats.adopt_seconds += time.perf_counter() - t0
-                yield job, frame["result"]
-                t0 = time.perf_counter()
-            self.stats.adopt_seconds += time.perf_counter() - t0
+                yield waiting.pop(frame["key"]), frame["result"]
             now = time.monotonic()
             # A job executing anywhere counts as progress: a legitimately
             # long training run produces no frames while it computes.
@@ -139,12 +129,6 @@ class SocketBus:
                     f"point workers at `repro worker --serve-addr "
                     f"{self.address}`"
                 )
-
-    def _sync_stats(self) -> None:
-        served = self._server.stats
-        self.stats.requeues = served.requeues
-        self.stats.quarantined = served.failed
-        self.stats.failed_over = served.failed_over
 
     def close(self) -> None:
         """Stop the fleet and the server (idempotent)."""

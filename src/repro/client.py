@@ -22,9 +22,6 @@ Typical use (see ``examples/serve_client.py``)::
     client = ServeClient("127.0.0.1:7764")
     result = client.attack(locked.circuit, config)   # MuxLinkResult
     key = client.predict_key(locked.circuit, config) # just the key bits
-
-Module-level :func:`submit` / :func:`result` / :func:`predict_key`
-helpers wrap a one-shot client for scripts.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from repro.wire import Channel, EndpointUnreachable
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core import MuxLinkConfig, MuxLinkResult
 
-__all__ = ["ServeClient", "predict_key", "result", "submit"]
+__all__ = ["ServeClient"]
 
 #: ``result`` frame kind → artifact decoder.
 _DECODERS = {
@@ -233,24 +230,3 @@ def _decoded(reply: dict, key: str, kind: str) -> Any:
         raise ServeError(
             f"served artifact {key[:12]}… does not decode: {exc!r}"
         ) from exc
-
-
-# ---------------------------------------------------------------------------
-# One-shot conveniences
-# ---------------------------------------------------------------------------
-def submit(address: str, circuit, config) -> tuple[str, str]:
-    """Fire-and-forget submit; returns ``(store_key, status)``."""
-    with ServeClient(address) as client:
-        return client.submit(circuit, config)
-
-
-def result(address: str, key: str, kind: str = "attacks", timeout=None):
-    """Fetch (blocking) the decoded artifact for a submitted key."""
-    with ServeClient(address) as client:
-        return client.result(key, kind=kind, timeout=timeout)
-
-
-def predict_key(address: str, circuit, config) -> str:
-    """Submit + wait + rescore: the one-call served key prediction."""
-    with ServeClient(address) as client:
-        return client.predict_key(circuit, config)

@@ -15,7 +15,6 @@ from repro.experiments.common import (
     AttackRecord,
     ExperimentScale,
     active_scale,
-    attack_benchmark,
     format_records,
     lock_with,
     scale_by_name,
@@ -67,7 +66,6 @@ __all__ = [
     "active_scale",
     "scale_by_name",
     "AttackRecord",
-    "attack_benchmark",
     "lock_with",
     "format_records",
     "AttackJob",

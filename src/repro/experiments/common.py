@@ -51,7 +51,6 @@ __all__ = [
     "scale_by_name",
     "AttackRecord",
     "lock_with",
-    "attack_benchmark",
     "format_records",
 ]
 
@@ -201,37 +200,6 @@ class AttackRecord:
     runtime_seconds: float
     predicted_key: str = ""
     extras: dict = field(default_factory=dict)
-
-
-def attack_benchmark(
-    name: str,
-    scheme: str,
-    key_size: int,
-    scale: ExperimentScale,
-    circuit_scale: float,
-    seed: int = 0,
-    runner=None,
-    store=None,
-) -> AttackRecord:
-    """Lock one benchmark and run MuxLink on it.
-
-    *seed* is the base experiment seed; the cell's actual lock / train
-    streams are derived from it via
-    :func:`repro.experiments.runner.cell_seed_sequence`, keyed on
-    ``(benchmark, scheme, key_size)`` so every cell of a grid gets an
-    independent stream regardless of iteration order.  Passing a shared
-    :class:`~repro.experiments.runner.ExperimentRunner` reuses its
-    artifact caches (and worker pool) across calls; *store* (an
-    :class:`~repro.store.ArtifactStore` or a path) makes a one-shot call
-    read/write the persistent artifact pool instead — ignored when
-    *runner* is given (the runner owns its store).
-    """
-    from repro.experiments.runner import ExperimentRunner, make_cell
-
-    if runner is None:
-        runner = ExperimentRunner(jobs=0, store=store)
-    cell = make_cell(scale, name, circuit_scale, scheme, key_size, seed)
-    return runner.run([cell])[0]
 
 
 def format_records(records: list[AttackRecord], title: str) -> str:

@@ -576,16 +576,34 @@ class Trainer:
                 "checkpoint belongs to a different dataset/model "
                 f"(saved vs current: {mismatched})"
             )
-        # Validate parameter-shape agreement across the whole payload
-        # *before* assigning any state: a checkpoint from a different
-        # architecture fails here with a clear error, not as a broadcast
-        # error half-way through an in-place arena write.
-        try:
-            self._check_state_shapes(payload)
-        except ValueError as exc:
+        # Every persisted array list must be one numeric array per
+        # parameter, of its shape, *before* any state is assigned: a
+        # checkpoint from another architecture, or with a non-numeric
+        # entry, fails here with a clear error, not half-way through an
+        # in-place arena write.
+        optimizer_state = payload["optimizer_state"]
+        if not (
+            isinstance(optimizer_state, dict)
+            and optimizer_state.keys() >= {"t", "m", "v"}
+        ):
             raise TrainingError(
-                f"checkpoint {path!r} does not fit this model: {exc}"
-            ) from exc
+                f"checkpoint {path!r} optimizer state must map 't', 'm' and 'v'"
+            )
+        for name, state in (
+            ("model_state", payload["model_state"]),
+            ("best_state", payload["best_state"]),
+            ("optimizer m", optimizer_state["m"]),
+            ("optimizer v", optimizer_state["v"]),
+        ):
+            try:
+                DGCNN.check_state(
+                    self.dataset.feature_width, self.model.k, state
+                )
+            except (TypeError, ValueError) as exc:
+                raise TrainingError(
+                    f"checkpoint {path!r} {name} does not fit this model: "
+                    f"{exc}"
+                ) from exc
         try:
             epoch = int(payload["epoch"])
             lr = float(payload["lr"])
@@ -629,43 +647,6 @@ class Trainer:
         # checkpoint written by an early-stopped run must resume training
         # when the patience budget has been raised or disabled.
         self.history.stopped_early = self._patience_exhausted()
-
-    def _check_state_shapes(self, payload: dict) -> None:
-        """Raise ``ValueError`` when any persisted array does not match
-        this model's parameters (checked before anything is assigned)."""
-        params = self.model.parameters()
-        for name in ("model_state", "best_state"):
-            state = payload[name]
-            if len(state) != len(params):
-                raise ValueError(
-                    f"{name} has {len(state)} arrays, model has {len(params)}"
-                )
-            for i, (param, data) in enumerate(zip(params, state)):
-                if np.asarray(data).shape != param.data.shape:
-                    raise ValueError(
-                        f"{name}[{i}] has shape {np.asarray(data).shape}, "
-                        f"parameter has shape {param.data.shape}"
-                    )
-        optimizer_state = payload["optimizer_state"]
-        if not (
-            isinstance(optimizer_state, dict)
-            and optimizer_state.keys() >= {"t", "m", "v"}
-        ):
-            raise ValueError("optimizer state must map 't', 'm' and 'v'")
-        for name in ("m", "v"):
-            moments = optimizer_state[name]
-            if len(moments) != len(params):
-                raise ValueError(
-                    f"optimizer state has {len(moments)} {name!r} arrays, "
-                    f"model has {len(params)} parameters"
-                )
-            for i, (param, data) in enumerate(zip(params, moments)):
-                if np.asarray(data).shape != param.data.shape:
-                    raise ValueError(
-                        f"optimizer {name}[{i}] has shape "
-                        f"{np.asarray(data).shape}, parameter has shape "
-                        f"{param.data.shape}"
-                    )
 
 
 def _saved_history(path: str, saved) -> TrainHistory:

@@ -56,17 +56,6 @@ class MuxInstance:
     def key_name(self) -> str:
         return key_input_name(self.key_index)
 
-    def candidate_links(self) -> tuple[tuple[str, str], tuple[str, str]]:
-        """The two candidate wires ``(driver, load)`` this MUX hides.
-
-        First element is the d0 candidate (selected by key value 0), second
-        is the d1 candidate.  Ordering is attacker-visible (it is just the
-        MUX pin order), unlike which one is true.
-        """
-        if self.select_for_true == 0:
-            return (self.true_net, self.load_gate), (self.false_net, self.load_gate)
-        return (self.false_net, self.load_gate), (self.true_net, self.load_gate)
-
 
 @dataclass(frozen=True)
 class Locality:

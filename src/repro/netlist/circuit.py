@@ -127,9 +127,6 @@ class Circuit:
     def has_gate(self, name: str) -> bool:
         return name in self._gates
 
-    def is_input(self, net: str) -> bool:
-        return net in self._input_set
-
     def is_output(self, net: str) -> bool:
         return net in self._output_count_map()
 

@@ -10,10 +10,11 @@ one (it degrades).
 import pytest
 
 from repro.benchgen import load_benchmark
-from repro.bus import DEFAULT_LIVENESS, BusError, BusStats, SocketBus
+from repro.bus import DEFAULT_LIVENESS, BusError, SocketBus
 from repro.experiments import SMOKE_SCALE, fig7_cells, record_fingerprint
 from repro.experiments.common import lock_with
 from repro.experiments.runner import AttackJob, ExperimentRunner
+from repro.serve import ServeStats
 from repro.store import attack_store_key, circuit_digest, encode_circuit
 
 
@@ -106,12 +107,11 @@ def test_failed_over_results_match_serial_execution(tmp_path):
     finally:
         runner.close()
     assert [record_fingerprint(r) for r in records] == reference
-    assert bus.stats.failed_over == bus.stats.submitted > 0
+    assert bus.stats.failed_over == bus.stats.scheduled > 0
 
 
 def test_clean_bus_summary_has_no_failover_token():
-    stats = BusStats()
-    stats.submitted = 3
+    stats = ServeStats(requests=3, scheduled=3, completed=3)
     assert "failed-over" not in stats.summary()
     stats.failed_over = 2
     assert "failed-over=2" in stats.summary()

@@ -57,7 +57,7 @@ def test_socket_poisoned_job_quarantines_with_traceback():
     assert "failed 2 time(s)" in message
     assert "Traceback" in message  # the worker's shipped traceback
     assert bus.stats.requeues == 1  # attempt 0 → 1, then quarantine
-    assert bus.stats.quarantined == 1
+    assert bus.stats.failed == 1
 
 
 def test_socket_connection_drop_requeues_to_healthy_worker(tmp_path):

@@ -18,13 +18,13 @@ from repro.experiments import (
     ExperimentRunner,
     ExperimentScale,
     active_scale,
-    attack_benchmark,
     format_fig2,
     format_fig7,
     format_fig8,
     format_fig9,
     format_fig10,
     lock_with,
+    make_cell,
     run_fig2,
     run_fig7,
     run_fig8,
@@ -89,11 +89,12 @@ def test_lock_with_dispatch():
         lock_with("nope", base, key_size=4)
 
 
-def test_attack_benchmark_record():
-    record = attack_benchmark(
-        "c1355", DMUX_SCHEME, 6, SMOKE_SCALE, SMOKE_SCALE.circuit_scale_iscas,
+def test_cell_record(tmp_path):
+    cell = make_cell(
+        SMOKE_SCALE, "c1355", SMOKE_SCALE.circuit_scale_iscas, DMUX_SCHEME, 6,
         seed=0,
     )
+    (record,) = ExperimentRunner(jobs=0, store=tmp_path).run([cell])
     assert record.benchmark == "c1355"
     assert record.metrics.n_total == 6
     assert len(record.predicted_key) == 6

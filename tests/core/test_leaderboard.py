@@ -51,7 +51,10 @@ def test_leaderboard_ensemble_rows():
 
 def test_leaderboard_warm_store_runs_nothing(tmp_path):
     """A second leaderboard over the same store, in a fresh runner,
-    adopts every lock, MuxLink attack and baseline report."""
+    adopts every lock, MuxLink attack and baseline report; the cold
+    store-backed run equals a store-less serial one."""
+    with ExperimentRunner(jobs=0) as serial_runner:
+        serial = run_leaderboard(scale=SMOKE_SCALE, seed=0, runner=serial_runner)
     store = tmp_path / "store"
     with ExperimentRunner(jobs=0, store=store) as cold_runner:
         cold = run_leaderboard(scale=SMOKE_SCALE, seed=0, runner=cold_runner)
@@ -62,6 +65,7 @@ def test_leaderboard_warm_store_runs_nothing(tmp_path):
         assert warm_runner.stats.locks_computed == 0
         assert warm_runner.stats.attacks_computed == 0
         assert warm_runner.stats.baselines_computed == 0
+    assert leaderboard_fingerprint(cold) == leaderboard_fingerprint(serial)
     assert leaderboard_fingerprint(warm) == leaderboard_fingerprint(cold)
 
 

@@ -17,7 +17,6 @@ import pytest
 from repro.experiments import (
     SMOKE_SCALE,
     ExperimentRunner,
-    attack_benchmark,
     cell_seed_sequence,
     derive_cell_seeds,
     fig7_cells,
@@ -106,11 +105,9 @@ def test_records_invariant_to_grid_order():
         assert record_fingerprint(record) == by_id[key]
 
 
-def test_attack_benchmark_matches_runner_cell():
-    record = attack_benchmark(
-        "c1355", DMUX_SCHEME, 6, SMOKE_SCALE, 0.1, seed=0
-    )
+def test_store_backed_cell_matches_storeless_runner(tmp_path):
     cell = make_cell(SMOKE_SCALE, "c1355", 0.1, DMUX_SCHEME, 6, seed=0)
+    (record,) = ExperimentRunner(jobs=0, store=tmp_path).run([cell])
     via_runner = ExperimentRunner(jobs=0).run([cell])[0]
     assert record_fingerprint(record) == record_fingerprint(via_runner)
 

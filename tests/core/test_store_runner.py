@@ -24,7 +24,6 @@ from repro.core import MuxLinkConfig, run_muxlink
 from repro.experiments import (
     SMOKE_SCALE,
     ExperimentRunner,
-    attack_benchmark,
     fig7_cells,
     format_fig7,
     format_fig8,
@@ -173,15 +172,13 @@ def test_schema_bump_ignores_but_does_not_crash(tmp_path):
 
 
 def test_config_change_misses_the_store(tmp_path):
-    record = attack_benchmark(
-        "c1355", DMUX_SCHEME, 6, SMOKE_SCALE, 0.1, seed=0, store=tmp_path
-    )
+    cell = make_cell(SMOKE_SCALE, "c1355", 0.1, DMUX_SCHEME, 6, seed=0)
+    (record,) = ExperimentRunner(jobs=0, store=tmp_path).run([cell])
     assert record.metrics.n_total == 6
 
     # Same identity, different training budget: a different artifact.
     import dataclasses
 
-    cell = make_cell(SMOKE_SCALE, "c1355", 0.1, DMUX_SCHEME, 6, seed=0)
     more_epochs = dataclasses.replace(
         cell,
         config=dataclasses.replace(

@@ -418,6 +418,19 @@ def _other_learning_rate(payload):
     return payload
 
 
+def _strings_in(*path):
+    """Replace the last array of the state list at *path* with strings."""
+
+    def corrupt(payload):
+        state = payload
+        for name in path:
+            state = state[name]
+        state[-1] = ["a", "b"]
+        return payload
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -427,9 +440,13 @@ def _other_learning_rate(payload):
         _foreign_rng_state,
         _other_learning_rate,
         lambda payload: [1, 2, 3],
+        _strings_in("model_state"),
+        _strings_in("best_state"),
+        _strings_in("optimizer_state", "m"),
     ],
     ids=["no-config", "no-epoch", "unknown-history-field", "foreign-rng-state",
-         "other-learning-rate", "list-payload"],
+         "other-learning-rate", "list-payload", "string-model-state",
+         "string-best-state", "string-adam-m"],
 )
 def test_malformed_checkpoint_raises_training_error_before_mutation(
     tmp_path, corrupt
