@@ -35,7 +35,6 @@ from repro.core import (
     MuxLinkResult,
     aggregate_metrics,
     hamming_with_x,
-    recover_design,
     rescore_key,
     run_muxlink,
     score_key,
@@ -96,7 +95,6 @@ __all__ = [
     "KeyMetrics",
     "score_key",
     "aggregate_metrics",
-    "recover_design",
     "hamming_with_x",
     "hamming_distance",
     "ArtifactStore",

@@ -9,7 +9,6 @@ from repro.benchgen.generators import (
 from repro.benchgen.resilience_tests import (
     ResilienceReport,
     run_ant,
-    run_resilience_suite,
     run_rnt,
 )
 from repro.benchgen.suites import (
@@ -37,5 +36,4 @@ __all__ = [
     "ResilienceReport",
     "run_ant",
     "run_rnt",
-    "run_resilience_suite",
 ]

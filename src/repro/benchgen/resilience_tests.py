@@ -25,7 +25,7 @@ from repro.core.metrics import aggregate_metrics, score_key
 from repro.locking.common import LockedCircuit
 from repro.netlist import Circuit
 
-__all__ = ["ResilienceReport", "run_ant", "run_rnt", "run_resilience_suite"]
+__all__ = ["ResilienceReport", "run_ant", "run_rnt"]
 
 
 class Locker(Protocol):
@@ -113,14 +113,4 @@ def run_rnt(
         "RNT",
         lambda name, s: random_netlist(name, 10, 5, n_gates, seed=s),
         locker, key_size, n_train, n_test, margin, seed,
-    )
-
-
-def run_resilience_suite(
-    locker: Locker, key_size: int = 8, seed: int = 0
-) -> tuple[ResilienceReport, ResilienceReport]:
-    """Run both tests; a scheme failing either is conclusively vulnerable."""
-    return (
-        run_ant(locker, key_size=key_size, seed=seed),
-        run_rnt(locker, key_size=key_size, seed=seed),
     )

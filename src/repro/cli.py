@@ -61,7 +61,7 @@ import sys
 from repro.attacks import saam_attack, scope_attack
 from repro.benchgen import benchmark_names, load_benchmark
 from repro.core import MuxLinkConfig, run_muxlink, score_key
-from repro.errors import BenchFormatError, ReproError
+from repro.errors import BenchFormatError, ReproError, ServeError
 from repro.linkpred import TrainConfig
 from repro.locking import (
     apply_key,
@@ -234,11 +234,11 @@ def _print_runner_summary(runner) -> None:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.bus import BusError, run_worker
+    from repro.serve import run_worker
 
     serve_addr = setting("REPRO_SERVE_ADDR", args.serve_addr)
     if serve_addr is None:
-        raise BusError(
+        raise ServeError(
             "worker needs a serve endpoint: pass --serve-addr or set "
             "REPRO_SERVE_ADDR"
         )
@@ -253,8 +253,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import functools
     import signal
 
-    from repro.bus import Fleet
-    from repro.serve import AttackServer
+    from repro.serve import AttackServer, Fleet
 
     # Flush per line: the fleet shares the server's stdout, and a worker
     # ends on SIGTERM, which never flushes a buffer.

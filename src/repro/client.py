@@ -3,7 +3,7 @@
 :class:`ServeClient` computes the **same content key the runner would**
 (:func:`~repro.store.artifacts.circuit_digest` of the locked netlist +
 the normalized config token) and submits the same
-:func:`~repro.bus.protocol.encode_job` payload — so a served prediction
+:func:`~repro.wire.encode_job` payload — so a served prediction
 is bit-identical to ``repro attack`` by construction, a key the server
 already holds returns without training, and an identical request in
 flight coalesces.
@@ -13,7 +13,7 @@ flight coalesces.
 result frame alone, in one exchange and without shipping the netlist.
 Only a cold key (``need-job``) makes the client encode and send the
 job, then wait for the result.  A result that does not decode into its
-artifact raises :class:`~repro.serve.ServeError` naming the key.
+artifact raises :class:`~repro.errors.ServeError` naming the key.
 
 Typical use (see ``examples/serve_client.py``)::
 
@@ -29,8 +29,8 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Any
 
-from repro.bus.protocol import RetryPolicy, encode_job
-from repro.serve.server import ServeError
+from repro.errors import ServeError
+from repro.faults.retry import RetryPolicy
 from repro.store.artifacts import (
     attack_store_key,
     circuit_digest,
@@ -38,7 +38,7 @@ from repro.store.artifacts import (
     decode_baseline_artifact,
     encode_circuit,
 )
-from repro.wire import Channel, EndpointUnreachable
+from repro.wire import Channel, EndpointUnreachable, encode_job
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core import MuxLinkConfig, MuxLinkResult

@@ -13,7 +13,7 @@ from repro.core.postprocess import (
     ensemble_likelihoods,
     postprocess_likelihoods,
 )
-from repro.core.reconstruct import hamming_with_x, recover_design
+from repro.core.reconstruct import hamming_with_x
 
 __all__ = [
     "MuxLinkConfig",
@@ -27,6 +27,5 @@ __all__ = [
     "KeyMetrics",
     "score_key",
     "aggregate_metrics",
-    "recover_design",
     "hamming_with_x",
 ]

@@ -14,12 +14,7 @@ from repro.locking import apply_key
 from repro.netlist import Circuit
 from repro.sim import hamming_distance
 
-__all__ = ["recover_design", "hamming_with_x"]
-
-
-def recover_design(locked: Circuit, predicted_key: str) -> Circuit:
-    """Apply *predicted_key*; ``x`` bits keep their key input and MUX."""
-    return apply_key(locked, predicted_key)
+__all__ = ["hamming_with_x"]
 
 
 def _x_positions(key: str) -> list[int]:

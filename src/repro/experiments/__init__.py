@@ -34,7 +34,6 @@ from repro.experiments.leaderboard import (
     LEADERBOARD_ATTACKS,
     LeaderboardRow,
     format_leaderboard,
-    leaderboard_fingerprint,
     run_leaderboard,
 )
 from repro.experiments.runner import (
@@ -94,7 +93,6 @@ __all__ = [
     "LeaderboardRow",
     "run_leaderboard",
     "format_leaderboard",
-    "leaderboard_fingerprint",
     "fig7_cells",
     "run_fig7",
     "format_fig7",

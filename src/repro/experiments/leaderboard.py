@@ -44,7 +44,6 @@ __all__ = [
     "LeaderboardRow",
     "run_leaderboard",
     "format_leaderboard",
-    "leaderboard_fingerprint",
 ]
 
 #: Default roster, strongest attack first.
@@ -214,24 +213,6 @@ def _combine(
         extras={},
     )
 
-
-def leaderboard_fingerprint(rows: list[LeaderboardRow]) -> tuple:
-    """Runtime-free digest of a leaderboard — equal across serial /
-    forked-fleet / outside-worker / warm-store runs of the same grid."""
-    return tuple(
-        (
-            r.benchmark,
-            r.scheme,
-            r.key_size,
-            r.attack,
-            r.predicted_key,
-            r.metrics.n_total,
-            r.metrics.n_correct,
-            r.metrics.n_wrong,
-            r.metrics.n_x,
-        )
-        for r in rows
-    )
 
 
 def format_leaderboard(rows: list[LeaderboardRow]) -> str:

@@ -8,7 +8,7 @@ through one :class:`ExperimentRunner` that
 * **parallelizes** — ``--jobs 0/1`` (``REPRO_JOBS``) runs the unique
   attacks serially in this process, so single-core runs stay exactly
   reproducible with no worker overhead; ``--jobs N`` hands them to a
-  :class:`~repro.bus.socketbus.SocketBus`, an in-process serve endpoint
+  :class:`~repro.experiments.socketbus.SocketBus`, an in-process serve endpoint
   with N workers forked from this warm process, and ``--bus-addr``
   (``REPRO_BUS_ADDR``) binds that endpoint where outside ``repro worker
   --serve-addr`` processes can join;
@@ -84,7 +84,7 @@ from repro.store import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.bus.socketbus import SocketBus
+    from repro.experiments.socketbus import SocketBus
 
 __all__ = [
     "AttackJob",
@@ -374,7 +374,7 @@ class AttackJob:
         config: the attack configuration (declarative, picklable).
     """
 
-    #: Wire tag dispatching :func:`repro.bus.protocol.decode_job` and
+    #: Wire tag dispatching :func:`repro.wire.decode_job` and
     #: :func:`execute_job`; ``artifact_kind`` is the store kind the
     #: finished payload lands under (class attributes, not fields — the
     #: values are implied by the type and never travel per instance).
@@ -502,8 +502,8 @@ class ExperimentRunner:
     runner is garbage collected).
 
     *jobs* ≥ 2 or a *bus_addr* (else ``REPRO_BUS_ADDR``) puts a
-    :class:`~repro.bus.socketbus.SocketBus` under the runner, with the
-    :data:`~repro.bus.protocol.DEFAULT_LIVENESS` fail-over deadline;
+    :class:`~repro.experiments.socketbus.SocketBus` under the runner, with the
+    :data:`~repro.wire.DEFAULT_LIVENESS` fail-over deadline;
     *bus* passes one in ready-made, as the chaos drills do to tune its
     deadlines.
 
@@ -528,8 +528,9 @@ class ExperimentRunner:
         self.store = resolve_store(store)
         bus_addr = setting("REPRO_BUS_ADDR", bus_addr)
         if bus is None and (self.jobs > 1 or bus_addr is not None):
-            from repro.bus.protocol import DEFAULT_LIVENESS
-            from repro.bus.socketbus import SocketBus
+            # Imported here: a serial run loads none of the serving layer.
+            from repro.experiments.socketbus import SocketBus
+            from repro.wire import DEFAULT_LIVENESS
 
             bus = SocketBus(
                 bus_addr or "127.0.0.1:0",
@@ -771,8 +772,8 @@ class ExperimentRunner:
         must not discard hours of already-finished training; the rerun
         resumes from whatever landed in the store.  Serially, a failing
         job raises as it is; on the bus it is retried up to
-        ``retry.max_attempts`` and then raises :class:`~repro.bus.BusError`
-        with the worker's traceback.
+        ``retry.max_attempts`` and then raises
+        :class:`~repro.errors.ServeError` with the worker's traceback.
         """
         jobs = list(pending.values())
         if self.bus is None:

@@ -1,15 +1,10 @@
-"""The figure grid's bus: it runs on an in-process server.
+"""The figure grid's bus: a serve endpoint embedded in the coordinator.
 
-:class:`SocketBus` owns an :class:`~repro.serve.AttackServer` bound to
-the bus address.  ``repro figures --jobs N`` forks N workers from this
-warm process (:class:`~repro.bus.fleet.Fleet`), on the first wave that
-has jobs; with ``--bus-addr`` outside ``repro worker --serve-addr ADDR``
-processes join too.  Workers ship results back over the wire, so they
-need no shared filesystem.  There is no thread and no loopback client:
-:meth:`SocketBus.run` submits the grid through the server's own submit
-path and turns the server loop itself, one
-:meth:`~repro.serve.AttackServer.step` at a time.  Requeues, attempt
-budgets and liveness fail-over are the server's.
+:class:`SocketBus` sits beside the
+:class:`~repro.experiments.runner.ExperimentRunner` it serves; the
+chaos drills are its only other caller.  The runner imports this module
+only when it needs a bus, so a serial run loads none of the serving
+layer.
 """
 
 from __future__ import annotations
@@ -20,13 +15,10 @@ from collections import deque
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterator
 
-from repro.bus.fleet import Fleet
-from repro.bus.protocol import (
-    DEFAULT_POLL,
-    BusError,
-    RetryPolicy,
-    encode_job,
-)
+from repro.errors import ServeError
+from repro.faults.retry import RetryPolicy
+from repro.serve import AttackServer, Fleet
+from repro.wire import DEFAULT_POLL, encode_job
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.runner import AttackJob
@@ -35,7 +27,19 @@ __all__ = ["SocketBus"]
 
 
 class SocketBus:
-    """Coordinator-embedded serve endpoint with *workers* forked members.
+    """The figure grid's bus: an in-process serve endpoint with
+    *workers* forked members.
+
+    It owns an :class:`~repro.serve.AttackServer` bound to *address*.
+    ``repro figures --jobs N`` forks N workers from this warm process
+    (:class:`~repro.serve.Fleet`), on the first wave that has jobs; with
+    ``--bus-addr`` outside ``repro worker --serve-addr ADDR`` processes
+    join too.  Workers ship results back over the wire, so they need no
+    shared filesystem.  There is no thread and no loopback client:
+    :meth:`run` submits the grid through the server's own submit path
+    and turns the server loop itself, one
+    :meth:`~repro.serve.AttackServer.step` at a time.  Requeues, attempt
+    budgets (*retry*) and liveness fail-over are the server's.
 
     One instance is reused across every ``runner.run()`` wave of a
     figure session; :meth:`close` stops the fleet and the server.
@@ -51,8 +55,6 @@ class SocketBus:
         retry: RetryPolicy | None = None,
         workers: int = 0,
     ) -> None:
-        from repro.serve import AttackServer
-
         # Refuse a fleet this platform cannot fork before binding a port.
         self._fleet = Fleet(workers, poll=poll)
         self.timeout = timeout
@@ -72,12 +74,11 @@ class SocketBus:
         self.address = self._server.address
         self.stats = self._server.stats
 
-    def run(
-        self, jobs: "list[AttackJob]"
-    ) -> "Iterator[tuple[AttackJob, dict]]":
+    def run(self, jobs: list[AttackJob]) -> Iterator[tuple[AttackJob, dict]]:
         """Execute *jobs*; yield ``(job, artifact_payload)`` as each
         finishes.  A job that fails ``retry.max_attempts`` times raises
-        :class:`BusError` with its last worker traceback."""
+        :class:`~repro.errors.ServeError` with its last worker
+        traceback."""
         server = self._server
         if jobs and self._fleet.size and not self._fleet.members:
             # Forked lazily: a fully cached grid forks nothing.
@@ -107,7 +108,7 @@ class SocketBus:
                 if frame["op"] != "result" or frame["key"] not in waiting:
                     continue
                 if not frame["ok"]:
-                    raise BusError(
+                    raise ServeError(
                         f"job {frame['key'][:12]}… failed "
                         f"{server.retry.max_attempts} time(s) over the "
                         f"socket bus; last worker traceback:\n{frame['error']}"
@@ -122,7 +123,7 @@ class SocketBus:
                 self.timeout is not None
                 and now - last_progress > self.timeout
             ):
-                raise BusError(
+                raise ServeError(
                     f"socket bus made no progress for {self.timeout:.0f}s — "
                     f"{len(waiting)} job(s) outstanding, "
                     f"{len(server.workers)} worker connection(s); "

@@ -1,12 +1,13 @@
 """Deterministic fault injection + unified retry policy.
 
-Import order matters in this package: ``repro.bus`` and ``repro.store``
-import :mod:`repro.faults` (for :func:`fire` and
+Import order matters in this package: the serving layer
+(:mod:`repro.serve`, :mod:`repro.wire`) and :mod:`repro.store` import
+:mod:`repro.faults` (for :func:`fire` and
 :class:`~repro.faults.retry.RetryPolicy`), so nothing here may import
 them back at module level.  The drill orchestration —
-:mod:`repro.faults.chaos` — *does* drive the bus and the experiment
-grids, which is why it is loaded lazily by the CLI and never re-exported
-from this ``__init__``.
+:mod:`repro.faults.chaos` — *does* drive the serving layer and the
+experiment grids, which is why it is loaded lazily by the CLI and never
+re-exported from this ``__init__``.
 """
 
 from repro.faults.plan import (
@@ -17,7 +18,6 @@ from repro.faults.plan import (
     FaultPlan,
     FaultSite,
     activate,
-    active_plan,
     deactivate,
     fire,
     fired_counts,
@@ -34,7 +34,6 @@ __all__ = [
     "FaultSite",
     "RetryPolicy",
     "activate",
-    "active_plan",
     "deactivate",
     "fire",
     "fired_counts",

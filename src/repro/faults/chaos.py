@@ -3,9 +3,9 @@
 A *drill* is one end-to-end proof of the robustness contract: arm a
 :class:`~repro.faults.FaultPlan`, run the Fig. 7 smoke grid through the
 real topology the plan targets (``--serve-addr`` worker subprocesses
-against a :class:`~repro.bus.SocketBus` — the in-process serve
-endpoint — a real ``repro serve`` process, or the in-process store
-path), and assert that the resulting records and rendered table are
+against a :class:`~repro.experiments.socketbus.SocketBus` — the in-process
+serve endpoint — a real ``repro serve`` process, or the in-process
+store path), and assert that the resulting records and rendered table are
 **bit-identical** to a clean serial run.  Faults that were injected but
 recovered from must be invisible in the science; only the recovery
 counters (requeues, fail-overs, write retries) may differ.
@@ -37,7 +37,7 @@ __all__ = ["DRILL_TOPOLOGY", "DrillOutcome", "run_chaos"]
 
 #: Which execution topology exercises each named plan.  ``socket``
 #: drills run real ``repro worker --serve-addr`` subprocesses against a
-#: :class:`~repro.bus.SocketBus` (the plan travels via
+#: :class:`~repro.experiments.socketbus.SocketBus` (the plan travels via
 #: ``REPRO_FAULT_PLAN``); ``local`` drills arm the plan in-process and
 #: exercise the store write/read path; the ``serve`` drill runs a real
 #: ``repro serve`` process (forked workers + on-disk store) and gates
@@ -213,8 +213,8 @@ def _drill_socket(
     grid from the server's requeue.  ``all-workers-die``: two armed
     workers die, and only the bus's liveness fail-over can finish.
     """
-    from repro.bus import SocketBus
     from repro.experiments.runner import ExperimentRunner
+    from repro.experiments.socketbus import SocketBus
 
     all_die = plan.name == "all-workers-die"
     bus = SocketBus(

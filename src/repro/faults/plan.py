@@ -27,7 +27,7 @@ import json
 import os
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "FaultSite",
     "NAMED_PLANS",
     "activate",
-    "active_plan",
     "deactivate",
     "fire",
     "fired_counts",
@@ -252,12 +251,6 @@ def deactivate() -> None:
     global _active, _env_checked
     _env_checked = True
     _active = None
-
-
-def active_plan() -> FaultPlan | None:
-    """The armed plan, if any (after a lazy ``REPRO_FAULT_PLAN`` parse)."""
-    _ensure_env_plan()
-    return _active.plan if _active is not None else None
 
 
 def fired_counts() -> dict[str, int]:

@@ -2,8 +2,8 @@
 
 Before this module, each backend carried its own constants: the socket
 worker hardcoded a 30 s connect timeout and a hand-rolled ``backoff * 2``
-loop, the bus counted attempts against a constant of its own, and the
-artifact store retried nothing at all.
+loop, the job queue counted attempts against a constant of its own, and
+the artifact store retried nothing at all.
 :class:`RetryPolicy` is the single source of truth they now share —
 attempt caps, exponential backoff, per-operation timeouts — so "how hard
 do we try" is one knob instead of five.
@@ -32,8 +32,9 @@ class RetryPolicy:
     Attributes:
         max_attempts: total tries of an operation.  It is also the
             requeue budget of :class:`~repro.serve.AttackServer` and so
-            of :class:`~repro.bus.SocketBus`: a job that has failed or
-            lost its worker ``max_attempts`` times is failed for good.
+            of :class:`~repro.experiments.socketbus.SocketBus`: a job that
+            has failed or lost its worker ``max_attempts`` times is
+            failed for good.
         base_delay: delay before the first retry, seconds.
         multiplier: backoff growth factor per retry.
         max_delay: backoff ceiling, seconds.

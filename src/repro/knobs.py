@@ -12,7 +12,7 @@ records exactly one role in the field's metadata:
 * ``exec`` — how this host runs the attack (scoring prefetch,
   checkpoints, progress lines).  It never moves a bit of the result and
   never leaves the host: a job carries only its ``key`` and ``post``
-  fields (:func:`repro.bus.protocol.encode_job`).
+  fields (:func:`repro.wire.encode_job`).
 
 Readers ask for fields by role (:func:`keyed`, :func:`shipped`) rather
 than by name, so a new knob is declared once, at its field.

@@ -24,8 +24,6 @@ __all__ = [
     "gate_feature_index",
     "evaluate_gate",
     "gate_arity_ok",
-    "INVERTING_GATES",
-    "SYMMETRIC_GATES",
 ]
 
 
@@ -66,24 +64,6 @@ NUM_GATE_FEATURES: int = len(FEATURE_GATE_ORDER)
 _FEATURE_INDEX: dict[GateType, int] = {
     gate: idx for idx, gate in enumerate(FEATURE_GATE_ORDER)
 }
-
-#: Gates whose output is the complement of the same-family gate.
-INVERTING_GATES: frozenset[GateType] = frozenset(
-    {GateType.NAND, GateType.NOR, GateType.XNOR, GateType.NOT}
-)
-
-#: Gates whose output does not depend on input order.
-SYMMETRIC_GATES: frozenset[GateType] = frozenset(
-    {
-        GateType.AND,
-        GateType.NAND,
-        GateType.OR,
-        GateType.NOR,
-        GateType.XOR,
-        GateType.XNOR,
-    }
-)
-
 
 def gate_feature_index(gate_type: GateType) -> int:
     """Return the position of *gate_type* in the 8-bit one-hot encoding.

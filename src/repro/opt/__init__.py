@@ -1,7 +1,7 @@
 """Re-synthesis substrate: constant propagation, cleanup, design features."""
 
 from repro.opt.constprop import propagate_constants
-from repro.opt.features import FEATURE_NAMES, design_features, feature_delta
+from repro.opt.features import FEATURE_NAMES, design_features
 from repro.opt.simplify import cleanup, collapse_buffers, remove_dead_logic
 
 __all__ = [
@@ -11,5 +11,4 @@ __all__ = [
     "cleanup",
     "FEATURE_NAMES",
     "design_features",
-    "feature_delta",
 ]

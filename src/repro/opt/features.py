@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.netlist import Circuit, GateType, area_estimate, switching_estimate
 
-__all__ = ["FEATURE_NAMES", "design_features", "feature_delta"]
+__all__ = ["FEATURE_NAMES", "design_features"]
 
 _GATE_ORDER = (
     GateType.AND,
@@ -52,8 +52,3 @@ def design_features(circuit: Circuit) -> np.ndarray:
         ],
         dtype=float,
     )
-
-
-def feature_delta(circuit_k0: Circuit, circuit_k1: Circuit) -> np.ndarray:
-    """Feature difference between the two hard-coded key-value circuits."""
-    return design_features(circuit_k0) - design_features(circuit_k1)

@@ -6,7 +6,7 @@ codec frames) owns two kinds of peers on a single listening port:
 * **clients** (:class:`repro.client.ServeClient`) submit content-keyed
   requests: ``{op: submit, key, job?, wait}`` where *key* is exactly the
   runner's :func:`~repro.store.artifacts.attack_store_key` address and
-  the optional *job* is the :func:`~repro.bus.protocol.encode_job`
+  the optional *job* is the :func:`~repro.wire.encode_job`
   payload.  A submit **without** a job asks by key alone (``kind``, the
   artifact kind, defaults to ``attacks``): a warm key is answered by its
   ``{op: result, ...}`` frame and nothing else, a key in flight by
@@ -31,8 +31,9 @@ codec frames) owns two kinds of peers on a single listening port:
   write overlaps the next training.
 
 The same loop is the coordinator of ``repro figures --jobs N`` and
-``--bus-addr``: :class:`~repro.bus.SocketBus` owns an :class:`AttackServer`, submits its
-grid in-process and drives :meth:`AttackServer.step` itself.
+``--bus-addr``: :class:`~repro.experiments.socketbus.SocketBus` owns an
+:class:`AttackServer`, submits its grid in-process and drives
+:meth:`AttackServer.step` itself.
 
 The warm path is three tiers: an in-memory LRU of **encoded** ``result``
 frames (a memory hit is one ``sendall``), then the on-disk store (a
@@ -43,8 +44,8 @@ manifest bytes and the ``result`` frame's, at most
 :data:`HEADER_MEMO_BYTES` in all — so a later hit on an unchanged file
 compares those bytes and reads only the array bytes; any difference
 reads and checks the whole file again.  The in-process
-:class:`~repro.bus.SocketBus` sink is the one waiter that receives
-result frames decoded.  An identical request already executing
+:class:`~repro.experiments.socketbus.SocketBus` sink is the one waiter that
+receives result frames decoded.  An identical request already executing
 **coalesces** — K clients asking for one key train it exactly once and
 all receive the result frame.  Failure semantics: a
 failed attempt requeues until ``retry.max_attempts``, a dead worker
@@ -67,22 +68,20 @@ import traceback
 from collections import OrderedDict, deque
 from dataclasses import asdict, dataclass, field
 
-from repro.bus.protocol import (
+from repro.errors import ServeError
+from repro.faults.retry import RetryPolicy
+from repro.store import ArtifactStore, codec, resolve_store
+from repro.wire import (
     DEFAULT_LIVENESS,
     DEFAULT_POLL,
     JOB_ARTIFACT_KINDS,
-    BusError,
-    RetryPolicy,
-    decode_job,
-    job_artifact_kind,
-)
-from repro.errors import ServeError
-from repro.store import ArtifactStore, codec, resolve_store
-from repro.wire import (
     _Connection,
     _Server,
+    check_poll,
     decode_frame,
+    decode_job,
     encode_frame,
+    job_artifact_kind,
     read_frame,
 )
 
@@ -148,7 +147,7 @@ def _is_name(value) -> bool:
 
 def _is_job(job) -> bool:
     """An encoded job payload of a known kind."""
-    kind = job.get("kind", "attack") if isinstance(job, dict) else None
+    kind = job.get("kind") if isinstance(job, dict) else None
     return isinstance(kind, str) and kind in JOB_ARTIFACT_KINDS
 
 
@@ -188,7 +187,7 @@ def _result(key: str, kind: str, payload: dict) -> dict:
 
 def _deliver(waiter, frame: bytes | bytearray) -> None:
     """Send an encoded result frame to a connection as is, or decoded to
-    an in-process sink (:class:`~repro.bus.SocketBus`)."""
+    an in-process sink (:class:`~repro.experiments.socketbus.SocketBus`)."""
     if isinstance(waiter, _Connection):
         waiter.send_frame(frame)
     else:
@@ -224,6 +223,7 @@ class AttackServer:
             raise ServeError(
                 f"cache entries must be >= 0, got {cache_entries}"
             )
+        self.poll = check_poll(poll)
         resolved = resolve_store(store)
         if resolved is None:
             raise ServeError(
@@ -236,7 +236,6 @@ class AttackServer:
             address, read_timeout=self.retry.read_timeout
         )
         self.address = self._server.address
-        self.poll = float(poll)
         self.liveness = float(liveness) if liveness else None
         self.log = log
         self.stats = ServeStats()
@@ -373,12 +372,12 @@ class AttackServer:
         """Take one request: answer it warm, coalesce it, queue it, or
         reject it (status ``rejected``) when the job does not decode.
 
-        *waiter* is anything with a ``send(frame)`` method — a
-        client connection, or :class:`~repro.bus.SocketBus`'s in-process
-        sink.  It gets the ``accepted`` frame now and, with *wait*, the
-        ``result`` frame once the artifact exists.
+        *waiter* is anything with a ``send(frame)`` method — a client
+        connection, or :class:`~repro.experiments.socketbus.SocketBus`'s
+        in-process sink.  It gets the ``accepted`` frame now and, with
+        *wait*, the ``result`` frame once the artifact exists.
         """
-        kind = job_artifact_kind(str(job.get("kind", "attack")))
+        kind = job_artifact_kind(job["kind"])
         self.stats.requests += 1
         frame = self._lookup(kind, key)
         if frame is not None:
@@ -394,10 +393,10 @@ class AttackServer:
             waiter.send({"op": "accepted", "key": key, "status": "coalesced"})
             return
         # Decoded once, on the miss path only: a job this version cannot
-        # run fails now with the BusError text, never queued or retried.
+        # run fails now with the decoder's text, never queued or retried.
         try:
             decode_job(job)
-        except BusError as exc:
+        except ServeError as exc:
             self.stats.failed += 1
             waiter.send(
                 {"op": "accepted", "key": key, "status": "rejected",

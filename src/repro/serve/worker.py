@@ -1,10 +1,9 @@
-"""The ``repro worker`` loop: receive pushed jobs, execute, reply.
+"""Workers: the ``repro worker`` loop and the fleets forked from a server.
 
 A worker is a plain process started with a serve address (``repro
-worker --serve-addr HOST:PORT``), or a member of the fleet
-:class:`~repro.bus.fleet.Fleet` forks: its server is a standalone
-``repro serve`` endpoint or the one a ``repro figures`` coordinator runs
-for ``--jobs N`` or ``--bus-addr``.  It knows
+worker --serve-addr HOST:PORT``), or a member of a :class:`Fleet`: its
+server is a standalone ``repro serve`` endpoint or the one a ``repro
+figures`` coordinator runs for ``--jobs N`` or ``--bus-addr``.  It knows
 nothing about figures or grids — it holds one persistent connection,
 executes :func:`~repro.experiments.runner.execute_job` on whatever the
 server pushes (MuxLink attack jobs and baseline-attack jobs alike), and
@@ -19,23 +18,43 @@ the connect loop retries on the :class:`~repro.faults.RetryPolicy`
 backoff.  A frame the worker cannot read (a codec error, an oversized
 length, a ``job`` frame without a string ``key``) counts as a lost
 connection: the worker hangs up and reconnects, it never dies of it.
+
+``repro serve --workers N`` and ``repro figures --jobs N`` both fork
+their workers with :class:`Fleet`: each member is a :func:`run_worker`
+loop forked from the process that owns the server, so it inherits every
+imported module instead of paying a cold import.  A member inherits
+its coordinator's OpenBLAS pool, the one ``import repro`` pinned
+(``REPRO_BLAS_THREADS``), and leaves it as it is, so a fleet computes
+under the same pool as a serial run.  Members die on SIGTERM and exit
+on their own once the process they were forked from is gone (after the
+job in hand), so a killed coordinator leaves no fleet behind.
 """
 
 from __future__ import annotations
 
 import errno
+import math
 import os
 import select
+import signal
 import socket
 import time
 import traceback
 from dataclasses import dataclass
 
 from repro import faults
-from repro.bus.protocol import DEFAULT_POLL, RetryPolicy, decode_job
-from repro.errors import ReproError
+from repro.errors import ReproError, ServeError
+from repro.faults.retry import RetryPolicy
+from repro.wire import (
+    DEFAULT_POLL,
+    check_poll,
+    decode_job,
+    parse_address,
+    recv_message,
+    send_message,
+)
 
-__all__ = ["WorkerStats", "run_worker"]
+__all__ = ["Fleet", "WorkerStats", "run_worker"]
 
 
 @dataclass
@@ -94,13 +113,22 @@ def run_worker(
     which also sets the connect and read timeouts); the server requeues
     the job this worker held.
 
+    A *poll* that is not finite and > 0, or an *idle_timeout* that is
+    not finite and >= 0, raises :class:`~repro.errors.ServeError`
+    before it connects.
+
     A forked fleet member passes its coordinator's pid as *parent*: it
     exits instead of reconnecting once that process is gone, so a
     killed coordinator leaves no orphan retrying forever.
     """
+    # Imported here: the runner's module imports this package.
     from repro.experiments.runner import execute_job
-    from repro.wire import parse_address, recv_message, send_message
 
+    poll = check_poll(poll)
+    if idle_timeout is not None and not 0 <= idle_timeout < math.inf:
+        raise ServeError(
+            f"idle timeout must be finite and >= 0, got {idle_timeout}"
+        )
     retry = RetryPolicy() if retry is None else retry
     host, port = parse_address(serve_addr)
     stats = WorkerStats()
@@ -218,3 +246,80 @@ def run_worker(
         hang_up()
     log(f"worker[{os.getpid()}]: done ({stats.summary()})")
     return stats
+
+
+def _member(server, poll: float, parent: int, log) -> None:
+    """One fleet member: ``repro worker`` minus its import."""
+    # The parent's handler stops *its* loop; a worker dies on SIGTERM.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    # Drop this process's copies of the server's sockets.  close() would
+    # unregister them from the epoll set the parent still polls.
+    server.close_forked()
+    run_worker(server.address, poll=poll, parent=parent, log=log)
+
+
+class Fleet:
+    """*size* workers forked from this process for one server.
+
+    The constructor only checks *size*, *poll* and that this platform
+    can fork, so a caller can refuse before it binds a port; :meth:`start` forks
+    and :meth:`close` terminates and reaps every member.  Members keep
+    the OpenBLAS pool they inherit.  *log* is each member's log line
+    sink (``None`` keeps members silent).
+    """
+
+    def __init__(self, size: int, poll: float = DEFAULT_POLL, log=None) -> None:
+        self.size = int(size)
+        if self.size < 0:
+            raise ServeError(f"workers must be >= 0, got {self.size}")
+        self.poll = check_poll(poll)
+        self.log = log if log is not None else (lambda *_: None)
+        self.members: list = []
+        self._context = None
+        if self.size > 0:
+            import multiprocessing
+
+            # The ``fork`` start method, named explicitly: Python 3.14's
+            # Linux default (``forkserver``) and macOS's (``spawn``) would
+            # start every worker with a cold import of its own.
+            try:
+                self._context = multiprocessing.get_context("fork")
+            except ValueError:
+                raise ServeError(
+                    "forked workers need os.fork, which this platform "
+                    "lacks: run `repro figures --jobs 0` or `repro serve "
+                    "--workers 0` and start each worker with `repro "
+                    "worker --serve-addr HOST:PORT`"
+                ) from None
+
+    def start(self, server) -> None:
+        """Fork the fleet; its members connect to *server*'s address.
+
+        Call it before this process starts a thread: a forked child
+        holds only the thread that forked it, and a lock another thread
+        held stays locked in the child.
+        """
+        parent = os.getpid()
+        for _ in range(self.size):
+            # Daemonic, so an owner that exits without close() still
+            # terminates its members at interpreter exit.
+            member = self._context.Process(
+                target=_member,
+                args=(server, self.poll, parent, self.log),
+                daemon=True,
+            )
+            member.start()
+            self.members.append(member)
+
+    def close(self) -> None:
+        """Terminate every member, then join each (killing stuck ones):
+        no zombie is left, and each member's rusage reaches whoever
+        waits on this process."""
+        for member in self.members:
+            member.terminate()
+        for member in self.members:
+            member.join(timeout=10)
+            if member.exitcode is None:  # pragma: no cover
+                member.kill()
+                member.join()
+        self.members = []

@@ -1,18 +1,11 @@
 """Bit-parallel logic simulation and Hamming-distance evaluation."""
 
-from repro.sim.hamming import hamming_distance, probably_equivalent
-from repro.sim.simulator import (
-    pack_patterns,
-    random_patterns,
-    simulate,
-    simulate_outputs,
-)
+from repro.sim.hamming import hamming_distance
+from repro.sim.simulator import random_patterns, simulate, simulate_outputs
 
 __all__ = [
-    "pack_patterns",
     "random_patterns",
     "simulate",
     "simulate_outputs",
     "hamming_distance",
-    "probably_equivalent",
 ]

@@ -12,7 +12,7 @@ from repro.errors import SimulationError
 from repro.netlist import Circuit
 from repro.sim.simulator import random_patterns, simulate_outputs
 
-__all__ = ["hamming_distance", "probably_equivalent"]
+__all__ = ["hamming_distance"]
 
 _POPCOUNT_TABLE = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint32)
 
@@ -58,13 +58,3 @@ def hamming_distance(
         diff[:, -1] &= mask
     total_bits = n * len(reference.outputs)
     return _popcount(diff) / total_bits
-
-
-def probably_equivalent(
-    reference: Circuit,
-    candidate: Circuit,
-    n_patterns: int = 4096,
-    seed: int = 0,
-) -> bool:
-    """Monte-Carlo equivalence check: HD == 0 over *n_patterns* patterns."""
-    return hamming_distance(reference, candidate, n_patterns, seed) == 0.0

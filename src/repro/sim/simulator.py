@@ -13,27 +13,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.netlist import Circuit, evaluate_gate
 
-__all__ = ["pack_patterns", "random_patterns", "simulate", "simulate_outputs"]
-
-
-def pack_patterns(patterns: np.ndarray) -> np.ndarray:
-    """Pack a ``(n_patterns, n_inputs)`` 0/1 array into uint64 words.
-
-    Returns:
-        ``(n_inputs, n_words)`` array, pattern *p* stored in bit ``p % 64``
-        of word ``p // 64``.
-    """
-    patterns = np.asarray(patterns)
-    if patterns.ndim != 2:
-        raise SimulationError("patterns must be 2-D (n_patterns, n_inputs)")
-    n_patterns, n_inputs = patterns.shape
-    n_words = (n_patterns + 63) // 64
-    packed = np.zeros((n_inputs, n_words), dtype=np.uint64)
-    bits = patterns.astype(np.uint64).T  # (n_inputs, n_patterns)
-    for p in range(n_patterns):
-        word, bit = divmod(p, 64)
-        packed[:, word] |= bits[:, p] << np.uint64(bit)
-    return packed
+__all__ = ["random_patterns", "simulate", "simulate_outputs"]
 
 
 def random_patterns(

@@ -9,6 +9,11 @@ one buffer.  A length above :data:`MAX_FRAME` or a blob the codec
 rejects (:class:`~repro.store.codec.CodecError`) drops that peer, never
 the server.  This module holds the pieces both ends need:
 
+* the job codec (:func:`encode_job` / :func:`decode_job`): a job
+  travels as ``{kind, store_key, circuit payload, config dict}`` and a
+  result is exactly the encoded artifact the store persists, so no
+  worker ever ships live library objects and every topology is
+  bit-identical to serial execution by construction;
 * the framing (:func:`encode_frame` / :func:`decode_frame`,
   :func:`send_message` / :func:`recv_message`, and :func:`load_frame` /
   :func:`read_frame` for a stored artifact's ``result`` frame) and
@@ -22,33 +27,56 @@ the server.  This module holds the pieces both ends need:
   request/reply link, retried on the shared
   :class:`~repro.faults.RetryPolicy` — what
   :class:`~repro.client.ServeClient` talks through.
+
+Every refusal here is a :class:`~repro.errors.ServeError`.
 """
 
 from __future__ import annotations
 
+import math
 import selectors
 import socket
 import threading
 
-from repro import faults
-from repro.bus.protocol import BUS_MESSAGE_KIND, BusError
-from repro.errors import ServeError
+from repro import faults, knobs
+from repro.errors import ReproError, ServeError
 from repro.faults.retry import RetryPolicy
 from repro.store import codec
 from repro.store.codec import CodecError
 
 __all__ = [
+    "BUS_MESSAGE_KIND",
+    "DEFAULT_LIVENESS",
+    "DEFAULT_POLL",
+    "JOB_ARTIFACT_KINDS",
     "MAX_FRAME",
     "Channel",
     "EndpointUnreachable",
+    "check_poll",
     "decode_frame",
+    "decode_job",
     "encode_frame",
+    "encode_job",
+    "job_artifact_kind",
     "load_frame",
     "parse_address",
     "read_frame",
     "recv_message",
     "send_message",
 ]
+
+#: Codec ``kind`` tag of a wire frame — a blob of another flavour raises
+#: :class:`~repro.store.codec.CodecError` instead of misdecoding.
+BUS_MESSAGE_KIND = "bus-message"
+#: Server, worker and coordinator poll interval (seconds).
+DEFAULT_POLL = 0.25
+#: Graceful-degradation deadline: a server whose queued work sees no
+#: worker progress for this long fails it over to in-process execution
+#: instead of hanging a figure run on a dead fleet.  A coordinator's
+#: ``timeout`` (raise) still wins when set tighter; 0/None disables it.
+DEFAULT_LIVENESS = 300.0
+#: ``job.kind`` → store kind the finished artifact lands under.
+JOB_ARTIFACT_KINDS = {"attack": "attacks", "baseline": "baselines"}
 
 _LEN_BYTES = 4
 #: Frames above this are refused outright — a desynced or hostile peer
@@ -65,10 +93,135 @@ def parse_address(text: str) -> tuple[str, int]:
     """``"host:port"`` → ``(host, port)`` (bare ``":port"`` = localhost)."""
     host, _, port = text.rpartition(":")
     if not (port.isascii() and port.isdigit()):
-        raise BusError(f"malformed address {text!r}; expected host:port")
+        raise ServeError(f"malformed address {text!r}; expected host:port")
     if int(port) > 65535:
-        raise BusError(f"port {port} of address {text!r} is outside 0-65535")
+        raise ServeError(f"port {port} of address {text!r} is outside 0-65535")
     return host or "127.0.0.1", int(port)
+
+
+def check_poll(poll: float) -> float:
+    """*poll* as seconds, refused unless finite and > 0: a loop polling
+    every 0 s spins a core, and a negative wait raises inside it."""
+    if not 0 < poll < math.inf:
+        raise ServeError(f"poll must be finite and > 0, got {poll}")
+    return float(poll)
+
+
+# ---------------------------------------------------------------------------
+# The job codec — the wire shape of a job
+# ---------------------------------------------------------------------------
+def job_artifact_kind(kind: str) -> str:
+    """Store kind for a job-kind tag."""
+    try:
+        return JOB_ARTIFACT_KINDS[kind]
+    except KeyError:
+        raise ServeError(
+            f"unknown job kind {kind!r}; choose from "
+            f"{sorted(JOB_ARTIFACT_KINDS)}"
+        )
+
+
+def encode_job(job) -> dict:
+    """Codec-safe payload of one job (no live dataclasses cross hosts).
+
+    ``kind`` dispatches :func:`decode_job`.  The config travels as its
+    shipped fields only (:func:`repro.knobs.shipped`): an ``exec`` field
+    such as a checkpoint path is local to the submitting host and never
+    reaches a server or worker.  Baseline jobs additionally carry the
+    encoded training locks (SWEEP's corpus, keys included — the exchange
+    format is store payloads all the way down).
+    """
+    payload = {
+        "kind": job.kind,
+        "store_key": job.store_key,
+        "circuit": job.circuit,
+        "config": knobs.values(job.config, knobs.shipped),
+    }
+    if payload["kind"] == "baseline":
+        payload["train"] = list(job.train)
+    return payload
+
+
+def _field_problems(cls, fields) -> list[str]:
+    """Every way *fields* is not exactly the shipped fields of config
+    class *cls*, nested configs included."""
+    what = cls.__name__
+    if not isinstance(fields, dict):
+        return [f"{what} is a {type(fields).__name__}, not a mapping"]
+    shipped = knobs.shipped(cls)
+    expected = {name for name, _ in shipped}
+    problems = [
+        f"unknown {what} field {name!r}" for name in sorted(set(fields) - expected)
+    ] + [
+        f"missing {what} field {name!r}" for name in sorted(expected - set(fields))
+    ]
+    for name, nested in shipped:
+        if nested is not None and name in fields:
+            problems += _field_problems(nested, fields[name])
+    return problems
+
+
+def _build(cls, fields: dict):
+    """Config class *cls* from its checked shipped *fields*; every
+    ``exec`` field takes its default."""
+    return cls(
+        **{
+            name: _build(nested, fields[name]) if nested else fields[name]
+            for name, nested in knobs.shipped(cls)
+        }
+    )
+
+
+def decode_job(payload: dict):
+    """Inverse of :func:`encode_job`.
+
+    Raises :class:`~repro.errors.ServeError` naming every unknown or
+    missing config field — an ``exec`` field is unknown, so no host path
+    from another host is ever honoured.  A payload encoded by another
+    version of the code fails here, once, rather than as a ``TypeError``
+    in every worker attempt, or with a missing field silently taking its
+    default.
+    """
+    if not isinstance(payload, dict):
+        raise ServeError(f"undecodable job: a {type(payload).__name__}")
+    absent = [
+        n for n in ("store_key", "circuit", "config", "kind") if n not in payload
+    ]
+    if absent:
+        raise ServeError(f"undecodable job: missing {', '.join(absent)}")
+    kind = payload["kind"]
+    if kind == "baseline":
+        from repro.attacks.baseline import BaselineConfig as config_class
+    elif kind == "attack":
+        from repro.core import MuxLinkConfig as config_class
+    else:
+        raise ServeError(f"unknown job kind {kind!r} in payload")
+    problems = _field_problems(config_class, payload["config"])
+    if problems:
+        raise ServeError(
+            f"undecodable job ({'; '.join(problems)}); was it encoded by "
+            "another version of repro?"
+        )
+    # Imported here: the runner's module imports the server, which
+    # imports this one.
+    from repro.experiments.runner import AttackJob, BaselineJob
+
+    try:
+        config = _build(config_class, payload["config"])
+        if kind == "baseline":
+            return BaselineJob(
+                store_key=payload["store_key"],
+                circuit=payload["circuit"],
+                config=config,
+                train=tuple(payload.get("train") or ()),
+            )
+        return AttackJob(
+            store_key=payload["store_key"],
+            circuit=payload["circuit"],
+            config=config,
+        )
+    except (ReproError, TypeError, ValueError) as exc:
+        raise ServeError(f"undecodable job: {exc}") from exc
 
 
 def _length_prefix(length: int) -> bytes:
@@ -120,7 +273,7 @@ def recv_message(sock: socket.socket) -> dict | None:
         return None
     length = int.from_bytes(header, "big")
     if length > MAX_FRAME:
-        raise BusError(f"oversized bus frame ({length} bytes)")
+        raise ServeError(f"oversized bus frame ({length} bytes)")
     blob = _recv_exact(sock, length)
     if blob is None:
         return None

@@ -1,15 +1,12 @@
 """Tests for the ANT/RNT learning-resilience harness."""
 
-from repro.benchgen.resilience_tests import (
-    run_ant,
-    run_resilience_suite,
-    run_rnt,
-)
+from repro.benchgen.resilience_tests import run_ant, run_rnt
 from repro.locking import lock_dmux, lock_xor
 
 
 def test_dmux_passes_both_tests():
-    ant, rnt = run_resilience_suite(lock_dmux, key_size=8, seed=1)
+    ant = run_ant(lock_dmux, key_size=8, seed=1)
+    rnt = run_rnt(lock_dmux, key_size=8, seed=1)
     assert ant.test == "ANT" and rnt.test == "RNT"
     assert ant.passed, f"D-MUX failed ANT with KPA {ant.kpa:.3f}"
     assert rnt.passed, f"D-MUX failed RNT with KPA {rnt.kpa:.3f}"

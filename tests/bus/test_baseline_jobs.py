@@ -6,25 +6,25 @@ import pytest
 
 from repro.attacks import BaselineConfig
 from repro.benchgen import random_netlist
-from repro.bus import (
-    JOB_ARTIFACT_KINDS,
-    BusError,
-    SocketBus,
-    decode_job,
-    encode_job,
-    job_artifact_kind,
-    run_worker,
-)
+from repro.errors import ServeError
 from repro.experiments.runner import (
     BaselineJob,
     execute_baseline_job,
     execute_job,
 )
+from repro.experiments.socketbus import SocketBus
 from repro.locking import lock_dmux
+from repro.serve import run_worker
 from repro.store import (
     decode_baseline_artifact,
     encode_circuit,
     encode_lock_artifact,
+)
+from repro.wire import (
+    JOB_ARTIFACT_KINDS,
+    decode_job,
+    encode_job,
+    job_artifact_kind,
 )
 
 
@@ -43,7 +43,7 @@ def _baseline_job(attack="scope", train=()):
 def test_kind_registry():
     assert JOB_ARTIFACT_KINDS == {"attack": "attacks", "baseline": "baselines"}
     assert job_artifact_kind("baseline") == "baselines"
-    with pytest.raises(BusError, match="unknown job kind"):
+    with pytest.raises(ServeError, match="unknown job kind"):
         job_artifact_kind("mystery")
 
 
@@ -77,7 +77,16 @@ def test_baseline_job_wire_round_trip_with_train():
 def test_decode_rejects_unknown_kind():
     payload = encode_job(_baseline_job())
     payload["kind"] = "mystery"
-    with pytest.raises(BusError, match="unknown job kind"):
+    with pytest.raises(ServeError, match="unknown job kind"):
+        decode_job(payload)
+
+
+def test_decode_refuses_a_payload_without_kind():
+    """Every encoder writes ``kind``: a payload without one is refused,
+    never decoded as an attack job."""
+    payload = encode_job(_baseline_job())
+    del payload["kind"]
+    with pytest.raises(ServeError, match="undecodable job: missing kind"):
         decode_job(payload)
 
 
@@ -93,7 +102,7 @@ def test_decode_rejects_unknown_kind():
 def test_decode_rejects_undecodable_baseline_config(edit, match):
     payload = encode_job(_baseline_job())
     edit(payload["config"])
-    with pytest.raises(BusError, match=match):
+    with pytest.raises(ServeError, match=match):
         decode_job(payload)
 
 
@@ -108,7 +117,7 @@ def test_decode_rejects_undecodable_attack_config():
     payload["config"]["train"]["grad_shards"] = 2
     del payload["config"]["train"]["epochs"]
     del payload["config"]["h"]
-    with pytest.raises(BusError) as info:
+    with pytest.raises(ServeError) as info:
         decode_job(payload)
     for problem in (
         "unknown TrainConfig field 'grad_shards'",
@@ -117,9 +126,9 @@ def test_decode_rejects_undecodable_attack_config():
     ):
         assert problem in str(info.value)
     payload["config"] = [1, 2]
-    with pytest.raises(BusError, match="MuxLinkConfig is a list, not a mapping"):
+    with pytest.raises(ServeError, match="MuxLinkConfig is a list, not a mapping"):
         decode_job(payload)
-    with pytest.raises(BusError, match="missing store_key"):
+    with pytest.raises(ServeError, match="missing store_key"):
         decode_job({"config": {}, "circuit": {}})
 
 

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.bus import BusError
 from repro.cli import main
+from repro.errors import ServeError
 from repro.store import ArtifactStore
 from repro.wire import parse_address
 
@@ -31,5 +31,5 @@ def test_parse_address():
     assert parse_address(":8080") == ("127.0.0.1", 8080)
     assert parse_address("8080") == ("127.0.0.1", 8080)
     assert parse_address("example.com:1") == ("example.com", 1)
-    with pytest.raises(BusError, match="malformed"):
+    with pytest.raises(ServeError, match="malformed"):
         parse_address("no-port-here")

@@ -10,12 +10,14 @@ one (it degrades).
 import pytest
 
 from repro.benchgen import load_benchmark
-from repro.bus import DEFAULT_LIVENESS, BusError, SocketBus
+from repro.errors import ServeError
 from repro.experiments import SMOKE_SCALE, fig7_cells, record_fingerprint
 from repro.experiments.common import lock_with
 from repro.experiments.runner import AttackJob, ExperimentRunner
+from repro.experiments.socketbus import SocketBus
 from repro.serve import ServeStats
 from repro.store import attack_store_key, circuit_digest, encode_circuit
+from repro.wire import DEFAULT_LIVENESS
 
 
 def _one_job() -> AttackJob:
@@ -88,7 +90,7 @@ def test_timeout_still_raises_before_liveness_when_smaller():
     job = _one_job()
     bus = SocketBus(poll=0.05, timeout=0.3, liveness=5.0)
     try:
-        with pytest.raises(BusError, match="no progress"):
+        with pytest.raises(ServeError, match="no progress"):
             list(bus.run([job]))
     finally:
         bus.close()

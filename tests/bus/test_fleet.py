@@ -1,9 +1,9 @@
 """``--jobs N`` forks a serve fleet: bus choice, laziness, kills, orphans.
 
 ``ExperimentRunner`` runs serially for ``jobs`` 0/1 and otherwise on a
-:class:`~repro.bus.SocketBus` whose workers are forked from the
-coordinator (:class:`~repro.bus.Fleet`, which ``repro serve --workers
-N`` uses too).  A fleet is forked on the first wave with jobs, is reaped
+:class:`~repro.experiments.socketbus.SocketBus` whose workers are forked
+from the coordinator (:class:`~repro.serve.Fleet`, which ``repro serve
+--workers N`` uses too).  A fleet is forked on the first wave with jobs, is reaped
 by ``close()``, survives the SIGKILL of a member through the server's
 requeue, and never outlives its coordinator: a member whose parent is
 gone exits instead of reconnecting forever.
@@ -20,13 +20,14 @@ import time
 import pytest
 
 import repro
-from repro.bus import BusError, SocketBus
+from repro.errors import ServeError
 from repro.experiments import (
     SMOKE_SCALE,
     ExperimentRunner,
     fig7_cells,
     record_fingerprint,
 )
+from repro.experiments.socketbus import SocketBus
 
 _SRC_ROOT = str(pathlib.Path(repro.__file__).resolve().parents[1])
 _ENV = {"PATH": "/usr/bin:/bin", "PYTHONPATH": _SRC_ROOT, "PYTHONHASHSEED": "0"}
@@ -88,7 +89,7 @@ def test_jobs_without_fork_is_a_typed_error(monkeypatch):
         raise ValueError(f"cannot find context for {method!r}")
 
     monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-    with pytest.raises(BusError) as excinfo:
+    with pytest.raises(ServeError) as excinfo:
         ExperimentRunner(jobs=2)
     assert "--jobs 0" in str(excinfo.value)
     assert "repro worker --serve-addr" in str(excinfo.value)
@@ -114,7 +115,7 @@ def test_fleet_forks_lazily_and_close_leaves_no_child(tmp_path):
 
 def test_failing_job_is_retried_then_raises_with_the_traceback(monkeypatch):
     """Under ``--jobs N`` a failing job gets ``max_attempts`` tries and
-    then a :class:`BusError` carrying the member's traceback."""
+    then a :class:`ServeError` carrying the member's traceback."""
     import repro.experiments.runner as runner_module
 
     def broken(job):
@@ -123,7 +124,7 @@ def test_failing_job_is_retried_then_raises_with_the_traceback(monkeypatch):
     # Members are forked after this patch, so they inherit it.
     monkeypatch.setattr(runner_module, "execute_job", broken)
     with ExperimentRunner(jobs=2) as runner:
-        with pytest.raises(BusError) as excinfo:
+        with pytest.raises(ServeError) as excinfo:
             runner.run(fig7_cells(SMOKE_SCALE, seed=0)[:1])
         assert runner.bus._server.stats.requeues == 2  # 3 attempts in all
     assert "failed 3 time(s)" in str(excinfo.value)

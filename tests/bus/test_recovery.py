@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from repro.bus import BusError, RetryPolicy, SocketBus, run_worker
+from repro.errors import ServeError
 from repro.experiments import (
     SMOKE_SCALE,
     ExperimentRunner,
@@ -22,6 +22,9 @@ from repro.experiments import (
     record_fingerprint,
 )
 from repro.experiments.runner import AttackJob
+from repro.experiments.socketbus import SocketBus
+from repro.faults import RetryPolicy
+from repro.serve import run_worker
 from repro.wire import recv_message, send_message
 
 
@@ -48,7 +51,7 @@ def test_socket_poisoned_job_quarantines_with_traceback():
     )
     worker.start()
     try:
-        with pytest.raises(BusError) as excinfo:
+        with pytest.raises(ServeError) as excinfo:
             list(bus.run([poisoned]))
     finally:
         bus.close()

@@ -100,7 +100,7 @@ MEMBER_POOL = textwrap.dedent(
 
     import repro.experiments.runner as runner_module
     from repro.blas import _candidate_libraries
-    from repro.bus import BusError
+    from repro.errors import ServeError
     from repro.experiments import SMOKE_SCALE, ExperimentRunner, fig7_cells
 
     def pool():
@@ -123,7 +123,7 @@ MEMBER_POOL = textwrap.dedent(
     with ExperimentRunner(jobs=2) as runner:
         try:
             runner.run(fig7_cells(SMOKE_SCALE, seed=0)[:1])
-        except BusError as exc:
+        except ServeError as exc:
             member = re.search(r"member pool=(\\d+)", str(exc)).group(1)
     print(f"coordinator={pool()} member={member}")
     """

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.bus import run_worker
+from repro.serve import run_worker
 from repro.wire import encode_frame
 
 

@@ -8,13 +8,31 @@ from repro.experiments import (
     fig2_cells,
     format_fig2,
     format_leaderboard,
-    leaderboard_fingerprint,
     record_fingerprint,
     run_fig2,
     run_leaderboard,
 )
 
 N_SMOKE_GRID = 2  # schemes × (1 smoke benchmark) × (1 smoke key size)
+
+
+def leaderboard_fingerprint(rows) -> tuple:
+    """Runtime-free digest of a leaderboard, equal across runs of the
+    same grid."""
+    return tuple(
+        (
+            r.benchmark,
+            r.scheme,
+            r.key_size,
+            r.attack,
+            r.predicted_key,
+            r.metrics.n_total,
+            r.metrics.n_correct,
+            r.metrics.n_wrong,
+            r.metrics.n_x,
+        )
+        for r in rows
+    )
 
 
 # ------------------------------------------------------------ leaderboard

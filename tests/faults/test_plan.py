@@ -73,7 +73,7 @@ def test_fire_returns_none_without_a_plan():
     faults.deactivate()
     assert faults.fire("socket.connect_refused") is None
     assert faults.fired_counts() == {}
-    assert faults.active_plan() is None
+    assert plan_module._active is None
 
 
 def test_fire_budget_and_after(capsys):
@@ -144,7 +144,7 @@ def test_env_var_arms_the_plan_lazily(monkeypatch):
     monkeypatch.setattr(plan_module, "_active", None)
     try:
         assert faults.fire("socket.connect_refused") is not None
-        assert faults.active_plan() == plan
+        assert plan_module._active.plan == plan
     finally:
         faults.deactivate()
 

@@ -9,7 +9,6 @@ from repro.opt import (
     cleanup,
     collapse_buffers,
     design_features,
-    feature_delta,
     remove_dead_logic,
 )
 from repro.sim import hamming_distance
@@ -83,15 +82,17 @@ def test_design_features_shape_and_names():
     assert by_name["area"] > 0
 
 
+# SCOPE and SWEEP score each key bit by the feature delta
+# design_features(k=0) - design_features(k=1).
 def test_feature_delta_zero_for_identical():
     c = load_c17()
-    assert np.allclose(feature_delta(c, c.copy()), 0.0)
+    assert np.allclose(design_features(c) - design_features(c.copy()), 0.0)
 
 
 def test_feature_delta_sees_pruning():
     c = circuit_with_dead_logic()
     cleaned, _ = remove_dead_logic(c)
-    delta = feature_delta(c, cleaned)
+    delta = design_features(c) - design_features(cleaned)
     by_name = dict(zip(FEATURE_NAMES, delta))
     assert by_name["num_gates"] == 2.0
     assert by_name["area"] > 0

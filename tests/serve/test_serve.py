@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 import repro
 from repro import faults
-from repro.bus.protocol import BUS_MESSAGE_KIND
 from repro.client import ServeClient
 from repro.experiments import SMOKE_SCALE, make_cell
 from repro.experiments.runner import AttackJob, execute_job
@@ -35,6 +34,7 @@ from repro.faults import FaultPlan, FaultSite, RetryPolicy
 from repro.serve import AttackServer, ServeError
 from repro.store import codec
 from repro.wire import (
+    BUS_MESSAGE_KIND,
     MAX_FRAME,
     EndpointUnreachable,
     parse_address,
@@ -107,7 +107,7 @@ class _Peer:
 
     # -- as a client ---------------------------------------------------------
     def submit(self, job: AttackJob, wait: bool = True) -> str:
-        from repro.bus.protocol import encode_job
+        from repro.wire import encode_job
 
         self.send(
             {
@@ -209,7 +209,7 @@ def test_freed_worker_gets_its_next_job_before_the_store_write(
     the finished artifact is written to the store and sent to its
     waiter, so that write overlaps the next training.  The loop turns
     in this thread, one :meth:`AttackServer.step` at a time."""
-    from repro.bus.protocol import encode_job
+    from repro.wire import encode_job
     from repro.wire import _Connection
 
     srv = AttackServer("127.0.0.1:0", tmp_path / "store", poll=1.0,
@@ -360,7 +360,7 @@ def test_served_attack_keeps_exec_fields_on_the_client(tmp_path):
     import dataclasses
 
     from repro.benchgen import load_benchmark
-    from repro.bus.protocol import encode_job
+    from repro.wire import encode_job
     from repro.locking import lock_dmux
 
     checkpoint = tmp_path / "x"
@@ -404,7 +404,7 @@ def test_served_attack_keeps_exec_fields_on_the_client(tmp_path):
 
 def _undecodable(edit) -> dict:
     """An encoded job whose ``train`` dict another version could send."""
-    from repro.bus.protocol import encode_job
+    from repro.wire import encode_job
 
     payload = encode_job(_job())
     edit(payload["config"]["train"])
@@ -429,7 +429,7 @@ def test_undecodable_job_is_rejected_without_a_worker_attempt(
     server, edit, field
 ):
     """A job this version cannot decode gets an immediate terminal
-    BusError result: never queued, never pushed to a worker, retried
+    ServeError result: never queued, never pushed to a worker, retried
     zero times — and the server keeps serving."""
     worker = _Peer(server.address).hello()
     client = _Peer(server.address)
@@ -458,10 +458,10 @@ def test_undecodable_job_is_rejected_without_a_worker_attempt(
 
 def test_client_raises_the_rejection_reason(server, monkeypatch):
     """A client whose jobs the server cannot decode gets a ServeError
-    with the BusError text, not a misleading "never submitted"."""
+    with the ServeError text, not a misleading "never submitted"."""
     import repro.client as client_module
     from repro.benchgen import load_benchmark
-    from repro.bus.protocol import encode_job
+    from repro.wire import encode_job
 
     def encode_with_removed_field(job):
         payload = encode_job(job)
@@ -833,15 +833,25 @@ def test_serve_without_fork_names_the_external_fleet(
         (["--workers", "-1"], "workers must be >= 0, got -1"),
         (["--workers", "0", "--cache-entries", "-1"],
          "cache entries must be >= 0, got -1"),
+        (["--workers", "0", "--poll", "0"],
+         "poll must be finite and > 0, got 0.0"),
+        (["--workers", "0", "--poll", "-1"],
+         "poll must be finite and > 0, got -1.0"),
+        (["--workers", "0", "--poll", "nan"],
+         "poll must be finite and > 0, got nan"),
+        (["--workers", "0", "--poll", "inf"],
+         "poll must be finite and > 0, got inf"),
     ],
-    ids=["workers", "cache-entries"],
+    ids=["workers", "cache-entries", "poll-zero", "poll-negative",
+         "poll-nan", "poll-inf"],
 )
 def test_serve_rejects_a_negative_size_before_binding(
     tmp_path, monkeypatch, capsys, flags, message
 ):
-    """A negative fleet or memory-cache size exits 2 before the port is
-    bound; a negative cache would otherwise kill the server on its
-    first completed job or store-tier hit."""
+    """A negative fleet or memory-cache size, or a poll interval that is
+    not finite and > 0, exits 2 before the port is bound.  A negative
+    cache would otherwise kill the server on its first completed job or
+    store-tier hit, and a zero poll spins a core while idle."""
     from repro.cli import main
 
     monkeypatch.setattr(
@@ -853,6 +863,33 @@ def test_serve_rejects_a_negative_size_before_binding(
     out, err = capsys.readouterr()
     assert err == f"error: {message}\n"
     assert "listening" not in out
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--poll", "-1"], "poll must be finite and > 0, got -1.0"),
+        (["--idle-timeout", "-1"],
+         "idle timeout must be finite and >= 0, got -1.0"),
+    ],
+    ids=["poll", "idle-timeout"],
+)
+def test_worker_rejects_a_bad_interval_before_connecting(
+    capsys, flags, message
+):
+    """``repro worker`` refuses a bad ``--poll`` or ``--idle-timeout``
+    with exit 2 before it connects; a negative poll used to die of a
+    ``select`` traceback once connected, and a negative idle timeout
+    exited 0 at once."""
+    from repro.cli import main
+
+    with socketlib.create_server(("127.0.0.1", 0)) as listener:
+        address = f"127.0.0.1:{listener.getsockname()[1]}"
+        assert main(["worker", "--serve-addr", address] + flags) == 2
+        listener.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            listener.accept()  # the worker never connected
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_wait_for_unknown_key_fails_fast(server):
@@ -1062,10 +1099,9 @@ _BAD_ADDRESSES = ["", "host:", "host:abc", ":70000", "nonsense"]
 
 @pytest.mark.parametrize("address", _BAD_ADDRESSES)
 def test_bad_address_is_a_typed_error(address, tmp_path, capsys):
-    from repro.bus import BusError
     from repro.cli import main
 
-    with pytest.raises(BusError):
+    with pytest.raises(ServeError):
         parse_address(address)
     argv = ["serve", "--addr", address, "--store", str(tmp_path),
             "--workers", "0"]
@@ -1126,7 +1162,7 @@ def _fingerprint(payload: dict):
 
 def test_served_attack_bit_identical_to_serial(tmp_path):
     from repro.benchgen import load_benchmark
-    from repro.bus.worker import run_worker
+    from repro.serve import run_worker
     from repro.experiments.common import lock_with
     from repro.store import encode_attack_artifact
 

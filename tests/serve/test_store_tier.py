@@ -20,7 +20,6 @@ import pytest
 from repro import faults
 from repro.attacks.baseline import BaselineReport
 from repro.benchgen import load_benchmark
-from repro.bus.protocol import encode_job
 from repro.client import ServeClient
 from repro.core import MuxLinkConfig, run_muxlink
 from repro.experiments import SMOKE_SCALE, make_cell
@@ -37,7 +36,7 @@ from repro.store import (
     encode_attack_artifact,
     encode_baseline_artifact,
 )
-from repro.wire import decode_frame, encode_frame, load_frame
+from repro.wire import decode_frame, encode_frame, encode_job, load_frame
 
 _FAST = RetryPolicy(base_delay=0.01, max_delay=0.05, connect_timeout=5.0,
                     read_timeout=20.0)

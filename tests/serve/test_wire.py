@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from repro import wire
-from repro.bus.protocol import BUS_MESSAGE_KIND, BusError
+from repro.errors import ServeError
 from repro.store import codec
 from repro.wire import (
+    BUS_MESSAGE_KIND,
     MAX_FRAME,
     _Connection,
     decode_frame,
@@ -127,7 +128,7 @@ def test_eof_inside_a_frame_is_none(sockets, cut):
 def test_length_over_max_frame_raises(sockets):
     ours, theirs = sockets
     theirs.sendall((MAX_FRAME + 1).to_bytes(4, "big"))
-    with pytest.raises(BusError, match="oversized"):
+    with pytest.raises(ServeError, match="oversized"):
         recv_message(ours)
 
 

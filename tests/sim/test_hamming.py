@@ -5,13 +5,13 @@ import pytest
 from repro.benchgen import load_c17, random_netlist
 from repro.errors import SimulationError
 from repro.netlist import Circuit, Gate, GateType
-from repro.sim import hamming_distance, probably_equivalent
+from repro.sim import hamming_distance
 
 
 def test_identical_circuits_have_zero_hd():
     c = load_c17()
     assert hamming_distance(c, c.copy(), n_patterns=2048) == 0.0
-    assert probably_equivalent(c, c.copy())
+    assert hamming_distance(c, c.copy(), n_patterns=4096, seed=0) == 0.0
 
 
 def test_inverted_output_hd():

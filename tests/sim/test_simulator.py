@@ -8,34 +8,20 @@ from hypothesis import strategies as st
 from repro.benchgen import load_c17, random_netlist
 from repro.errors import SimulationError
 from repro.netlist import Circuit, Gate, GateType
-from repro.sim import pack_patterns, random_patterns, simulate, simulate_outputs
+from repro.sim import random_patterns, simulate, simulate_outputs
 
 
 def exhaustive_words(n_inputs):
-    """Packed stimulus covering all 2**n_inputs patterns (n_inputs <= 6)."""
+    """Packed stimulus covering all 2**n_inputs patterns (n_inputs <= 6):
+    input *i* of pattern *p* is bit *i* of *p*, stored in bit *p* of the
+    input's one word."""
     n = 1 << n_inputs
-    patterns = np.array(
-        [[(p >> i) & 1 for i in range(n_inputs)] for p in range(n)]
-    )
-    return pack_patterns(patterns), n
+    words = [sum(((p >> i) & 1) << p for p in range(n)) for i in range(n_inputs)]
+    return np.array(words, dtype=np.uint64)[:, None], n
 
 
 def bit(words, p):
     return (int(words[p // 64]) >> (p % 64)) & 1
-
-
-def test_pack_patterns_layout():
-    patterns = np.array([[1, 0], [0, 1], [1, 1]])
-    packed = pack_patterns(patterns)
-    assert packed.shape == (2, 1)
-    assert bit(packed[0], 0) == 1 and bit(packed[1], 0) == 0
-    assert bit(packed[0], 1) == 0 and bit(packed[1], 1) == 1
-    assert bit(packed[0], 2) == 1 and bit(packed[1], 2) == 1
-
-
-def test_pack_patterns_rejects_1d():
-    with pytest.raises(SimulationError):
-        pack_patterns(np.array([1, 0, 1]))
 
 
 def test_c17_exhaustive_against_reference():

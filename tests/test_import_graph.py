@@ -5,8 +5,10 @@
 everything ``import repro.cli`` pulls in is paid per attack.  The sparse
 products need only scipy's ``_sparsetools`` C extension, which
 :func:`repro.nn.sparse.load_sparsetools` loads by file path; running
-``scipy/sparse/__init__.py`` (and its array-API layer) or the job bus
-would add a third of a second to every attack.  These tests pin that
+``scipy/sparse/__init__.py`` (and its array-API layer) would add a third
+of a second to every attack, and a local attack loads none of the
+serving layer (``repro.serve``, ``repro.wire``, ``repro.client`` or
+the ``repro.bus`` alias package).  These tests pin that
 import graph, and that the direct and the fallback loads run the same
 kernels bit for bit.
 """
@@ -43,7 +45,10 @@ COLD_ATTACK = textwrap.dedent(
     assert status == 0, status
     loaded = sorted(
         name for name in sys.modules
-        if name == "scipy" or name.startswith(("scipy.", "repro.bus"))
+        if name == "scipy"
+        or name.startswith(
+            ("scipy.", "repro.bus", "repro.serve", "repro.wire", "repro.client")
+        )
     )
     assert not loaded, loaded
 
