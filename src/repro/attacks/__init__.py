@@ -1,15 +1,16 @@
-"""Baseline oracle-less attacks: SAAM, SCOPE, SWEEP, random guess."""
+"""Baseline oracle-less attacks: SAAM, SCOPE, SWEEP, random guess — one
+module (:mod:`repro.attacks.baseline`), one :class:`BaselineReport`."""
 
 from repro.attacks.baseline import (
     BASELINE_ATTACKS,
     BaselineConfig,
     BaselineReport,
+    SweepAttack,
+    random_guess_attack,
     run_baseline_attack,
+    saam_attack,
+    scope_attack,
 )
-from repro.attacks.random_guess import random_guess_attack
-from repro.attacks.saam import SaamReport, saam_attack
-from repro.attacks.scope import ScopeReport, scope_attack
-from repro.attacks.sweep import SweepAttack, SweepReport
 
 __all__ = [
     "BASELINE_ATTACKS",
@@ -17,10 +18,7 @@ __all__ = [
     "BaselineReport",
     "run_baseline_attack",
     "saam_attack",
-    "SaamReport",
     "scope_attack",
-    "ScopeReport",
     "SweepAttack",
-    "SweepReport",
     "random_guess_attack",
 ]

@@ -6,11 +6,6 @@ from repro.benchgen.generators import (
     random_circuit,
     random_netlist,
 )
-from repro.benchgen.resilience_tests import (
-    ResilienceReport,
-    run_ant,
-    run_rnt,
-)
 from repro.benchgen.suites import (
     ISCAS85_SUITE,
     ITC99_SUITE,
@@ -33,7 +28,4 @@ __all__ = [
     "benchmark_spec",
     "load_benchmark",
     "load_c17",
-    "ResilienceReport",
-    "run_ant",
-    "run_rnt",
 ]

@@ -58,7 +58,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.attacks import saam_attack, scope_attack
 from repro.benchgen import benchmark_names, load_benchmark
 from repro.core import MuxLinkConfig, run_muxlink, score_key
 from repro.errors import BenchFormatError, ReproError, ServeError
@@ -423,43 +422,14 @@ def _baseline_report(circuit, config, train=(), store=None):
     return report
 
 
-def _cmd_saam(args: argparse.Namespace) -> int:
-    from repro.attacks import BaselineConfig
-
-    circuit, key = _load_locked(args.netlist)
-    report = _baseline_report(
-        circuit, BaselineConfig(attack="saam"), store=args.store
-    )
-    print(f"SAAM key guess: {report.predicted_key}")
-    if key:
-        metrics = score_key(report.predicted_key, key)
-        print(f"AC={metrics.accuracy:.3f} PC={metrics.precision:.3f}")
-    return 0
-
-
-def _cmd_scope(args: argparse.Namespace) -> int:
-    from repro.attacks import BaselineConfig
-
-    circuit, key = _load_locked(args.netlist)
-    config = BaselineConfig(
-        attack="scope", undecided=args.undecided, seed=args.seed
-    )
-    report = _baseline_report(circuit, config, store=args.store)
-    print(f"SCOPE key guess: {report.predicted_key}")
-    if key:
-        metrics = score_key(report.predicted_key, key)
-        kpa = f"{metrics.kpa:.3f}" if metrics.kpa == metrics.kpa else "n/a"
-        print(f"AC={metrics.accuracy:.3f} KPA={kpa}")
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_baseline(args: argparse.Namespace) -> int:
+    """``saam``, ``scope`` and ``sweep``: run one baseline attack."""
     from repro.attacks import BaselineConfig
     from repro.locking.common import LockedCircuit
 
     circuit, key = _load_locked(args.netlist)
     train = []
-    for path in args.train:
+    for path in getattr(args, "train", ()):
         train_circuit, train_key = _load_locked(path)
         if not train_key:
             print(
@@ -478,21 +448,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 original_name=train_circuit.name,
             )
         )
-    config = BaselineConfig(
-        attack="sweep",
-        undecided=args.undecided,
-        seed=args.seed,
-        margin=args.margin,
-        ridge=args.ridge,
-    )
+    knobs = {
+        name: getattr(args, name)
+        for name in ("undecided", "seed", "margin", "ridge")
+        if hasattr(args, name)
+    }
+    config = BaselineConfig(attack=args.command, **knobs)
     report = _baseline_report(
         circuit, config, train=tuple(train), store=args.store
     )
-    print(f"SWEEP key guess: {report.predicted_key}")
+    print(f"{args.command.upper()} key guess: {report.predicted_key}")
     if key:
         metrics = score_key(report.predicted_key, key)
-        kpa = f"{metrics.kpa:.3f}" if metrics.kpa == metrics.kpa else "n/a"
-        print(f"AC={metrics.accuracy:.3f} KPA={kpa}")
+        if args.command == "saam":
+            print(f"AC={metrics.accuracy:.3f} PC={metrics.precision:.3f}")
+        else:
+            kpa = f"{metrics.kpa:.3f}" if metrics.kpa == metrics.kpa else "n/a"
+            print(f"AC={metrics.accuracy:.3f} KPA={kpa}")
     return 0
 
 
@@ -796,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
         p, "--store", "REPRO_STORE",
         "shared artifact store; the report is keyed like runner jobs",
     )
-    p.set_defaults(func=_cmd_saam)
+    p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("scope", help="run the SCOPE constant-propagation attack")
     p.add_argument("netlist")
@@ -806,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
         p, "--store", "REPRO_STORE",
         "shared artifact store; the report is keyed like runner jobs",
     )
-    p.set_defaults(func=_cmd_scope)
+    p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser(
         "sweep", help="run the SWEEP constant-propagation attack"
@@ -828,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
         p, "--store", "REPRO_STORE",
         "shared artifact store; the report is keyed like runner jobs",
     )
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser(
         "leaderboard",

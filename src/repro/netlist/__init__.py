@@ -1,14 +1,6 @@
 """Netlist substrate: gates, circuits, BENCH I/O and structural analysis."""
 
-from repro.netlist.analysis import (
-    area_estimate,
-    fanout_profile,
-    gate_level_map,
-    lockable_nets,
-    multi_output_nets,
-    single_output_nets,
-    switching_estimate,
-)
+from repro.netlist.analysis import area_estimate, switching_estimate
 from repro.netlist.bench import dump_bench, load_bench, parse_bench, write_bench
 from repro.netlist.circuit import Circuit, CircuitStats, Gate
 from repro.netlist.gates import (
@@ -32,11 +24,6 @@ __all__ = [
     "load_bench",
     "write_bench",
     "dump_bench",
-    "multi_output_nets",
-    "single_output_nets",
-    "lockable_nets",
-    "gate_level_map",
     "area_estimate",
     "switching_estimate",
-    "fanout_profile",
 ]

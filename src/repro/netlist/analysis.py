@@ -1,29 +1,15 @@
-"""Higher-level structural analyses over :class:`~repro.netlist.Circuit`.
+"""Area and switching proxies over :class:`~repro.netlist.Circuit`.
 
-These helpers serve three consumers:
-
-* the locking passes (multi-output node enumeration, loop-safety checks),
-* the SWEEP/SCOPE feature extractors (area / switching proxies),
-* the experiment reports (size ordering for the Fig. 7 trend lines).
+The SWEEP/SCOPE feature extractor (:func:`repro.opt.design_features`)
+reads both as stand-ins for a synthesis report's area and power columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 
-__all__ = [
-    "multi_output_nets",
-    "single_output_nets",
-    "lockable_nets",
-    "gate_level_map",
-    "area_estimate",
-    "switching_estimate",
-    "FanoutProfile",
-    "fanout_profile",
-]
+__all__ = ["area_estimate", "switching_estimate"]
 
 #: Relative area of each primitive in generic gate-equivalents (NAND2 = 1.0).
 #: Used only as a *feature* for constant-propagation attacks; absolute
@@ -39,38 +25,6 @@ _AREA_WEIGHTS: dict[GateType, float] = {
     GateType.XNOR: 2.25,
     GateType.MUX: 2.5,
 }
-
-
-def multi_output_nets(circuit: Circuit, gates_only: bool = True) -> list[str]:
-    """Nets driving more than one load (D-MUX "multi-output nodes").
-
-    Args:
-        circuit: netlist to analyse.
-        gates_only: when True, only gate-driven nets qualify (primary inputs
-            are never locked by the schemes reproduced here).
-    """
-    candidates = circuit.gate_names if gates_only else circuit.nets
-    return [net for net in candidates if circuit.fanout_size(net) > 1]
-
-
-def single_output_nets(circuit: Circuit, gates_only: bool = True) -> list[str]:
-    """Nets driving exactly one load."""
-    candidates = circuit.gate_names if gates_only else circuit.nets
-    return [net for net in candidates if circuit.fanout_size(net) == 1]
-
-
-def lockable_nets(circuit: Circuit) -> list[str]:
-    """Gate-driven nets with at least one load — candidates for MUX locking."""
-    return [net for net in circuit.gate_names if circuit.fanout_size(net) >= 1]
-
-
-def gate_level_map(circuit: Circuit) -> dict[str, int]:
-    """Topological level of every net (primary inputs at level 0)."""
-    levels: dict[str, int] = {pi: 0 for pi in circuit.inputs}
-    for name in circuit.topological_order():
-        gate = circuit.gate(name)
-        levels[name] = 1 + max((levels[n] for n in gate.inputs), default=0)
-    return levels
 
 
 def area_estimate(circuit: Circuit) -> float:
@@ -90,25 +44,3 @@ def switching_estimate(circuit: Circuit) -> float:
         loads = circuit.fanout_size(gate.name)
         total += _AREA_WEIGHTS[gate.gate_type] * (1 + 0.5 * loads)
     return total
-
-
-@dataclass(frozen=True)
-class FanoutProfile:
-    """Fan-out distribution summary of a circuit."""
-
-    mean: float
-    maximum: int
-    multi_output_fraction: float
-
-
-def fanout_profile(circuit: Circuit) -> FanoutProfile:
-    """Summarize the fan-out distribution over gate-driven nets."""
-    sizes = [circuit.fanout_size(net) for net in circuit.gate_names]
-    if not sizes:
-        return FanoutProfile(mean=0.0, maximum=0, multi_output_fraction=0.0)
-    multi = sum(1 for s in sizes if s > 1)
-    return FanoutProfile(
-        mean=sum(sizes) / len(sizes),
-        maximum=max(sizes),
-        multi_output_fraction=multi / len(sizes),
-    )

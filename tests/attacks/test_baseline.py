@@ -1,11 +1,12 @@
 """The uniform baseline-attack interface and its store identity."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.attacks import (
     BaselineConfig,
     BaselineReport,
-    SweepAttack,
     random_guess_attack,
     run_baseline_attack,
     saam_attack,
@@ -57,13 +58,13 @@ def test_saam_scores_follow_sign_convention():
     locked = lock_xor(base(), key_size=8, seed=1)
     report = run_baseline_attack(locked.circuit, BaselineConfig(attack="saam"))
     reference = saam_attack(locked.circuit)
-    assert report.predicted_key == reference.predicted_key
-    for (bit, value), removed in reference.reductions.items():
-        assert bit in report.scores
-    for bit, score in report.scores.items():
-        r0 = reference.reductions.get((bit, 0), 0)
-        r1 = reference.reductions.get((bit, 1), 0)
-        assert score == pytest.approx(r1 - r0)
+    assert replace(report, runtime_seconds=0.0) == reference
+    assert sorted(report.scores) == list(range(8))
+    for bit, guess in enumerate(report.predicted_key):
+        if guess == "0":
+            assert report.scores[bit] > 0
+        elif guess == "1":
+            assert report.scores[bit] < 0
 
 
 def test_random_report_has_no_scores():
@@ -72,21 +73,6 @@ def test_random_report_has_no_scores():
     report = run_baseline_attack(locked.circuit, config)
     assert report.scores == {}
     assert report.predicted_key == random_guess_attack(locked.circuit, seed=7)
-
-
-# ------------------------------------------- SWEEP shape validation (PR 8)
-def test_sweep_rejects_feature_dim_mismatch():
-    """A target whose design_features dim differs from the training fit
-    must raise AttackError naming both dims, not crash in numpy."""
-    train = [lock_dmux(base(seed=s), key_size=8, seed=s + 1) for s in (2, 3)]
-    attack = SweepAttack().fit(train)
-    n_dims = attack._weights.shape[0]
-    attack._weights = attack._weights[: n_dims - 2]
-    locked = lock_dmux(base(), key_size=8, seed=1)
-    with pytest.raises(
-        AttackError, match=rf"{n_dims}-dim.*{n_dims - 2}-dim"
-    ):
-        attack.attack(locked.circuit)
 
 
 # ------------------------------------------------- non-contiguous keys
@@ -153,6 +139,35 @@ def test_store_key_is_order_sensitive_in_train():
     assert baseline_store_key("t", config, pairs) != baseline_store_key(
         "u", config, pairs
     )
+
+
+def test_baseline_store_address_is_pinned():
+    """The literal address of one config per attack never moves.
+
+    Any change that re-keys the baseline store (a renamed knob, a knob
+    folded in or dropped, a new serialization) fails here, because
+    existing artifacts would silently stop hitting.  Bump
+    ``ARTIFACT_VERSION`` and these literals together when a re-key is
+    intended.
+    """
+    target = "0" * 64
+    corpus = (("1" * 64, "0101"), ("2" * 64, "1010"))
+    keys = [
+        baseline_store_key(target, BaselineConfig(attack="saam")),
+        baseline_store_key(
+            target, BaselineConfig(attack="scope", undecided="coin", seed=1)
+        ),
+        baseline_store_key(
+            target, BaselineConfig(attack="sweep", undecided="x"), corpus
+        ),
+        baseline_store_key(target, BaselineConfig(attack="random", seed=7)),
+    ]
+    assert keys == [
+        "c6396ce2f91ec99509670637a244f02a2db1fe688d33bab6ade316eab4195b19",
+        "ec1ac26ee520441dd215f360603f3557c1603418195e13e00f2d2715b8996bfd",
+        "bd9b4af8d8bd0761a022e3d6c4f602723bbbe3a74ed5a9e37510b7fdb585972d",
+        "e37e9dd6146b1a92e1207bcdf55843f85ddb8bfbf22351c2d273b9ea9c1e35c1",
+    ]
 
 
 def test_baseline_artifact_round_trip():

@@ -3,55 +3,7 @@
 import pytest
 
 from repro.benchgen import load_c17, random_netlist
-from repro.netlist import (
-    Circuit,
-    Gate,
-    GateType,
-    area_estimate,
-    fanout_profile,
-    gate_level_map,
-    lockable_nets,
-    multi_output_nets,
-    single_output_nets,
-    switching_estimate,
-)
-
-
-def test_multi_and_single_output_partition():
-    c = load_c17()
-    multi = set(multi_output_nets(c))
-    single = set(single_output_nets(c))
-    assert multi | single == set(c.gate_names)
-    assert not multi & single
-    # G11 and G16 feed two gates each.
-    assert "G11" in multi
-    assert "G16" in multi
-    # G22/G23 are POs only (one load each).
-    assert "G22" in single and "G23" in single
-
-
-def test_multi_output_counts_po_references():
-    c = Circuit("t", inputs=["a"])
-    c.add_gate(Gate("g", GateType.BUF, ("a",)))
-    c.add_gate(Gate("h", GateType.NOT, ("g",)))
-    c.add_output("g")
-    c.add_output("h")
-    assert "g" in multi_output_nets(c)  # one gate load + one PO
-
-
-def test_lockable_nets_require_a_load():
-    c = load_c17()
-    assert set(lockable_nets(c)) == set(c.gate_names)
-
-
-def test_gate_level_map():
-    c = load_c17()
-    levels = gate_level_map(c)
-    assert levels["G1"] == 0
-    assert levels["G10"] == 1
-    assert levels["G16"] == 2
-    assert levels["G22"] == 3
-    assert max(levels.values()) == c.depth()
+from repro.netlist import area_estimate, switching_estimate
 
 
 def test_area_and_switching_scale_with_size():
@@ -60,21 +12,6 @@ def test_area_and_switching_scale_with_size():
     assert area_estimate(large) > area_estimate(small)
     assert switching_estimate(large) > switching_estimate(small)
     assert switching_estimate(small) > area_estimate(small) * 0.5
-
-
-def test_fanout_profile():
-    c = load_c17()
-    profile = fanout_profile(c)
-    assert profile.maximum == 2
-    assert 1.0 <= profile.mean <= 2.0
-    assert 0.0 < profile.multi_output_fraction < 1.0
-
-
-def test_fanout_profile_empty_circuit():
-    c = Circuit("e", inputs=["a"])
-    profile = fanout_profile(c)
-    assert profile.mean == 0.0
-    assert profile.maximum == 0
 
 
 def test_rename_gate_updates_everything():

@@ -6,11 +6,12 @@ everything ``import repro.cli`` pulls in is paid per attack.  The sparse
 products need only scipy's ``_sparsetools`` C extension, which
 :func:`repro.nn.sparse.load_sparsetools` loads by file path; running
 ``scipy/sparse/__init__.py`` (and its array-API layer) would add a third
-of a second to every attack, and a local attack loads none of the
+of a second to every attack.  A local attack loads none of the
 serving layer (``repro.serve``, ``repro.wire``, ``repro.client`` or
-the ``repro.bus`` alias package).  These tests pin that
-import graph, and that the direct and the fallback loads run the same
-kernels bit for bit.
+the ``repro.bus`` alias package) and none of the baseline attacks
+(``repro.attacks``, ``repro.benchgen.resilience_tests``).  These tests
+pin that import graph, and that the direct and the fallback loads run
+the same kernels bit for bit.
 """
 
 import ast
@@ -47,7 +48,15 @@ COLD_ATTACK = textwrap.dedent(
         name for name in sys.modules
         if name == "scipy"
         or name.startswith(
-            ("scipy.", "repro.bus", "repro.serve", "repro.wire", "repro.client")
+            (
+                "scipy.",
+                "repro.bus",
+                "repro.serve",
+                "repro.wire",
+                "repro.client",
+                "repro.attacks",
+                "repro.benchgen.resilience_tests",
+            )
         )
     )
     assert not loaded, loaded

@@ -1,9 +1,10 @@
-"""Every bench and CI script imports against the current library.
+"""Every bench, CI and example script imports against the current library.
 
-The scripts under ``benchmarks/`` and ``ci/`` run only as CI steps, so a
-renamed library name, or an import of a deleted sibling module, would
-otherwise first fail there.  Each is imported here, not run: its
-module-level code is imports and constants.
+The scripts under ``benchmarks/`` and ``ci/`` run only as CI steps, and
+those under ``examples/`` only by hand, so a renamed library name, or an
+import of a deleted sibling module, would otherwise first fail there.
+Each is imported here, not run: its module-level code is imports and
+constants, and each example guards its ``main()``.
 """
 
 import importlib.util
@@ -14,7 +15,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCRIPTS = sorted(
     path
-    for folder in ("benchmarks", "ci")
+    for folder in ("benchmarks", "ci", "examples")
     for path in (ROOT / folder).glob("*.py")
 )
 
