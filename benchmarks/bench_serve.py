@@ -52,7 +52,7 @@ from repro.core import MuxLinkConfig
 from repro.linkpred import TrainConfig
 from repro.experiments import SMOKE_SCALE, fig7_cells
 from repro.experiments.common import lock_with
-from repro.experiments.runner import execute_job
+from repro.jobs import execute_job
 from repro.netlist import dump_bench
 from repro.serve import AttackServer
 

@@ -39,7 +39,7 @@ from repro.benchgen import load_benchmark  # noqa: E402
 from repro.client import ServeClient  # noqa: E402
 from repro.experiments import SMOKE_SCALE, fig7_cells  # noqa: E402
 from repro.experiments.common import lock_with  # noqa: E402
-from repro.experiments.runner import execute_job  # noqa: E402
+from repro.jobs import execute_job  # noqa: E402
 from repro.store import encode_attack_artifact  # noqa: E402
 
 _READY = re.compile(r"serve: listening on (\S+) ")

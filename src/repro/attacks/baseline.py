@@ -22,9 +22,9 @@ guess is the floor every attack is judged against.
 
 Every attack returns one :class:`BaselineReport` (the random guess, its
 key string).  :func:`run_baseline_attack` runs the attack a picklable
-:class:`BaselineConfig` names, for the serial path and the bus workers
-alike, as :func:`~repro.experiments.runner.execute_attack_job` does for
-MuxLink.
+:class:`BaselineConfig` names; it is how a ``baseline`` job of
+:data:`repro.jobs.KINDS` runs, on the serial path and the bus workers
+alike, as :func:`~repro.core.run_muxlink` is for an ``attack`` job.
 """
 
 from __future__ import annotations

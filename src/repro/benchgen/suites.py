@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ReproError
 from repro.netlist import Circuit, parse_bench
 from repro.benchgen.generators import random_netlist
 
@@ -109,12 +110,13 @@ def load_benchmark(name: str, scale: float = 1.0) -> Circuit:
             netlist, never scaled).
         scale: proportional size factor in ``(0, 1]``; gate, input and output
             counts are multiplied by it (floored, with sane minimums).
+            Any other value (NaN included) raises :class:`ReproError`.
     """
     if name == "c17":
         return load_c17()
     spec = benchmark_spec(name)
     if not 0.0 < scale <= 1.0:
-        raise ValueError(f"scale must be in (0, 1], got {scale}")
+        raise ReproError(f"scale must be in (0, 1], got {scale}")
     n_inputs = max(4, int(spec.n_inputs * scale))
     n_outputs = max(2, int(spec.n_outputs * scale))
     n_gates = max(16, int(spec.n_gates * scale))

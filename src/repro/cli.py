@@ -59,7 +59,7 @@ import argparse
 import sys
 
 from repro.benchgen import benchmark_names, load_benchmark
-from repro.core import MuxLinkConfig, run_muxlink, score_key
+from repro.core import MuxLinkConfig, rescore_key, score_key
 from repro.errors import BenchFormatError, ReproError, ServeError
 from repro.linkpred import TrainConfig
 from repro.locking import (
@@ -82,20 +82,44 @@ _SCHEMES = {
 }
 
 
+def _check_key(path, circuit: Circuit, key: str | None, what: str) -> None:
+    """Refuse a key that does not fit *circuit*'s key inputs bit for bit
+    (``x`` bits allowed): a misfit one must fail as a typed error, not
+    as a traceback or a half-unlocked design."""
+    if key is None:
+        return
+    n_key_inputs = len(key_inputs_of(circuit))
+    if len(key) != n_key_inputs:
+        raise BenchFormatError(
+            f"{path}: {what} has {len(key)} bit(s) but the netlist has "
+            f"{n_key_inputs} key input(s)"
+        )
+    if not set(key) <= set("01xX"):
+        raise BenchFormatError(f"{path}: {what} {key!r} is not made of 0, 1 and x")
+
+
 def _load_locked(path) -> tuple[Circuit, str | None]:
     """``load_bench``, plus a check that a stored key fits the key inputs.
 
     The key is only scored after the attack, so a misfit one must fail
-    here as a typed error rather than as a traceback after training.
+    here rather than after training.
     """
     circuit, key = load_bench(path)
-    n_key_inputs = len(key_inputs_of(circuit))
-    if key is not None and len(key) != n_key_inputs:
-        raise BenchFormatError(
-            f"{path}: stored key has {len(key)} bit(s) but the netlist has "
-            f"{n_key_inputs} key input(s)"
-        )
+    _check_key(path, circuit, key, "stored key")
     return circuit, key
+
+
+def _run_job(kind: str, circuit, config, store, train=()):
+    """Run one attack of a :data:`repro.jobs.KINDS` kind in this process;
+    with a store (``--store``, else ``REPRO_STORE``) it is keyed like a
+    runner or served job, so a hit skips the attack and a miss is kept."""
+    from repro import jobs
+    from repro.store import resolve_store
+
+    store = resolve_store(store)
+    if store is None:
+        return jobs.KINDS[kind].run(circuit, config, train)
+    return jobs.get_or_compute(jobs.make_job(kind, circuit, config, train), store)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -154,17 +178,14 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         # decode the returned artifact — the output lines below stay
         # byte-identical to a local run for the parity gates.
         from repro.client import ServeClient
-        from repro.core.muxlink import rescore_key
 
         with ServeClient(args.serve) as client:
             result = client.attack(circuit, config)
-        predicted = rescore_key(result, config.threshold)
     else:
-        from repro.store import resolve_store
-
-        store = resolve_store(args.store)  # --store wins, else REPRO_STORE
-        result = run_muxlink(circuit, config, store=store)
-        predicted = result.predicted_key
+        result = _run_job("attack", circuit, config, args.store)
+    # A stored or served artifact was trained at some threshold: decide
+    # the bits at this one (the identity on a fresh local result).
+    predicted = rescore_key(result, config.threshold)
     print(f"predicted key: {predicted}")
     if key:
         metrics = score_key(predicted, key)
@@ -389,39 +410,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled cache command {args.cache_command!r}")
 
 
-def _baseline_report(circuit, config, train=(), store=None):
-    """Run one baseline attack, adopting/persisting via the shared store.
-
-    With a store (``--store`` or ``REPRO_STORE``) the report is keyed
-    exactly as runner/bus jobs key it — a ``repro scope --store D`` run
-    warms the same artifact a later ``repro leaderboard --store D``
-    adopts, and vice versa.
-    """
-    from repro.attacks import run_baseline_attack
-    from repro.store import (
-        baseline_store_key,
-        circuit_digest,
-        decode_baseline_artifact,
-        encode_baseline_artifact,
-        resolve_store,
-    )
-
-    resolved = resolve_store(store)
-    if resolved is None:
-        return run_baseline_attack(circuit, config, train=train)
-    key = baseline_store_key(
-        circuit_digest(circuit),
-        config,
-        tuple((circuit_digest(t.circuit), t.key) for t in train),
-    )
-    cached = resolved.get("baselines", key, decoder=decode_baseline_artifact)
-    if cached is not None:
-        return cached
-    report = run_baseline_attack(circuit, config, train=train)
-    resolved.put("baselines", key, encode_baseline_artifact(report))
-    return report
-
-
 def _cmd_baseline(args: argparse.Namespace) -> int:
     """``saam``, ``scope`` and ``sweep``: run one baseline attack."""
     from repro.attacks import BaselineConfig
@@ -454,9 +442,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         if hasattr(args, name)
     }
     config = BaselineConfig(attack=args.command, **knobs)
-    report = _baseline_report(
-        circuit, config, train=tuple(train), store=args.store
-    )
+    report = _run_job("baseline", circuit, config, args.store, tuple(train))
     print(f"{args.command.upper()} key guess: {report.predicted_key}")
     if key:
         metrics = score_key(report.predicted_key, key)
@@ -497,6 +483,7 @@ def _cmd_unlock(args: argparse.Namespace) -> int:
     if not key:
         print("error: no key given and none stored in the file", file=sys.stderr)
         return 2
+    _check_key(args.netlist, circuit, key, "--key" if args.key else "stored key")
     unlocked = apply_key(circuit, key)
     dump_bench(unlocked, args.output)
     print(f"wrote unlocked design ({len(unlocked)} gates) to {args.output}")

@@ -31,13 +31,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.errors import ServeError
 from repro.faults.retry import RetryPolicy
-from repro.store.artifacts import (
-    attack_store_key,
-    circuit_digest,
-    decode_attack_artifact,
-    decode_baseline_artifact,
-    encode_circuit,
-)
+from repro.jobs import KINDS, Job, job_key, make_job
 from repro.wire import Channel, EndpointUnreachable, encode_job
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,10 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["ServeClient"]
 
 #: ``result`` frame kind → artifact decoder.
-_DECODERS = {
-    "attacks": decode_attack_artifact,
-    "baselines": decode_baseline_artifact,
-}
+_DECODERS = {spec.store_kind: spec.decode for spec in KINDS.values()}
 
 
 class ServeClient:
@@ -78,19 +69,14 @@ class ServeClient:
 
     # -- request construction ------------------------------------------------
     @staticmethod
-    def job_for(circuit, config: "MuxLinkConfig"):
-        """The exact :class:`AttackJob` the runner would build."""
-        from repro.experiments.runner import AttackJob
-
-        key = attack_store_key(circuit_digest(circuit), config)
-        return AttackJob(
-            store_key=key, circuit=encode_circuit(circuit), config=config
-        )
+    def job_for(circuit, config: "MuxLinkConfig") -> Job:
+        """The exact attack :class:`~repro.jobs.Job` the runner would build."""
+        return make_job("attack", circuit, config)
 
     @staticmethod
     def predict_store_key(circuit, config: "MuxLinkConfig") -> str:
         """The content address a submit of (circuit, config) lands under."""
-        return attack_store_key(circuit_digest(circuit), config)
+        return job_key("attack", circuit, config)
 
     # -- protocol ------------------------------------------------------------
     def submit_job(self, job, wait: bool = False) -> dict:

@@ -7,6 +7,7 @@ predicted key.  Oracle-less throughout: only the locked netlist is read.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -72,6 +73,24 @@ class MuxLinkConfig:
     seed: int = knob(KEY, 0)
     score_prefetch: int = knob(EXEC, 2)
 
+    def __post_init__(self) -> None:
+        """Refuse, before any store lookup, submit or training, a config
+        with no enclosing subgraph, no training epoch, no descent or no
+        meaningful decision threshold (NaN would leave every bit ``x``
+        silently)."""
+        if self.h < 1:
+            raise AttackError(f"h must be >= 1, got {self.h}")
+        if self.train.epochs < 1:
+            raise AttackError(f"epochs must be >= 1, got {self.train.epochs}")
+        if not self.train.learning_rate > 0:
+            raise AttackError(
+                f"learning rate must be > 0, got {self.train.learning_rate}"
+            )
+        if not 0 <= self.threshold < math.inf:
+            raise AttackError(
+                f"threshold must be finite and >= 0, got {self.threshold}"
+            )
+
 
 class _BuiltOnFirstRead:
     """A model field that holds a :class:`DGCNN`, ``None``, or a
@@ -125,57 +144,22 @@ class MuxLinkResult:
 def run_muxlink(
     circuit: Circuit,
     config: MuxLinkConfig = MuxLinkConfig(),
-    store=None,
 ) -> MuxLinkResult:
     """Attack a MUX-locked netlist.
 
     Args:
         circuit: the locked design (key inputs named ``keyinput<i>``,
             key gates are ``MUX`` primitives selected by them).
-        config: attack configuration.
-        store: optional :class:`~repro.store.ArtifactStore` (or a path
-            to one).  The attack is then content-addressed by the
-            netlist digest + the semantic config hash: a hit skips
-            training entirely (the cached per-MUX likelihoods are
-            re-thresholded at ``config.threshold``), a miss computes and
-            persists.  The CLI, the figure drivers and the bench suite
-            all key into the same pool.
+        config: attack configuration (checked when it is built).
 
     Returns:
         A :class:`MuxLinkResult` with the predicted key (``x`` for
         undecided bits) and full diagnostics.
 
-    Raises:
-        AttackError: if ``config.h`` is below 1 (no enclosing subgraph),
-            ``config.train.epochs`` below 1 (an untrained model) or
-            ``config.train.learning_rate`` not positive (no descent).
+    To cache the attack in an artifact store, run it as a job:
+    ``repro.jobs.get_or_compute(make_job("attack", circuit, config),
+    store)``, keyed like every runner, CLI and served attack.
     """
-    if config.h < 1:
-        raise AttackError(f"h must be >= 1, got {config.h}")
-    if config.train.epochs < 1:
-        raise AttackError(f"epochs must be >= 1, got {config.train.epochs}")
-    if not config.train.learning_rate > 0:
-        raise AttackError(
-            f"learning rate must be > 0, got {config.train.learning_rate}"
-        )
-    # Local import: repro.store pulls netlist/locking helpers whose
-    # package chain leads back into repro.core.
-    from repro import store as store_mod
-
-    artifact_store = store_mod.resolve_store(store) if store is not None else None
-    store_key = None
-    if artifact_store is not None:
-        digest = store_mod.circuit_digest(circuit)
-        store_key = store_mod.attack_store_key(digest, config)
-        result = artifact_store.get(
-            "attacks", store_key, decoder=store_mod.decode_attack_artifact
-        )
-        if result is not None:
-            # The artifact was trained at *some* threshold; re-run the
-            # (deterministic) post-processing at this caller's.
-            result.predicted_key = rescore_key(result, config.threshold)
-            return result
-
     runtime: dict[str, float] = {}
 
     start = time.perf_counter()
@@ -249,7 +233,7 @@ def run_muxlink(
     predicted = decisions_to_key(decisions, n_bits)
     runtime["post_processing"] = time.perf_counter() - start
 
-    result = MuxLinkResult(
+    return MuxLinkResult(
         predicted_key=predicted,
         scored=scored,
         n_key_bits=n_bits,
@@ -258,11 +242,6 @@ def run_muxlink(
         graph=graph,
         model=model,
     )
-    if artifact_store is not None and store_key is not None:
-        artifact_store.put(
-            "attacks", store_key, store_mod.encode_attack_artifact(result)
-        )
-    return result
 
 
 def rescore_key(result: MuxLinkResult, threshold: float) -> str:

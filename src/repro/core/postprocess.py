@@ -18,6 +18,7 @@ key inputs and shared data-net pairs.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
@@ -120,8 +121,8 @@ def postprocess_likelihoods(
         ``{key_index: "0" | "1" | "x"}``.  Conflicting decisions for the
         same bit (possible only in malformed inputs) resolve by confidence.
     """
-    if threshold < 0:
-        raise AttackError("threshold must be non-negative")
+    if not 0 <= threshold < math.inf:
+        raise AttackError(f"threshold must be finite and >= 0, got {threshold}")
 
     by_key: dict[int, list[ScoredMux]] = defaultdict(list)
     for mux in scored:

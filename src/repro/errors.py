@@ -23,7 +23,7 @@ class NetlistError(ReproError):
 
 
 class BenchFormatError(ReproError):
-    """Malformed BENCH text."""
+    """Malformed BENCH text, or a BENCH file that cannot be read or written."""
 
 
 class LockingError(ReproError):

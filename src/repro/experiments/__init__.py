@@ -1,10 +1,12 @@
 """Experiment runners regenerating every figure of the paper.
 
 Figure grids are declarative :class:`~repro.experiments.runner.Cell`
-lists executed by the cache-aware
+(MuxLink) and :class:`~repro.experiments.runner.BaselineCell` lists
+executed by the cache-aware
 :class:`~repro.experiments.runner.ExperimentRunner` (``REPRO_JOBS`` /
 ``repro figures --jobs N``); share one runner across figures to reuse
-locked netlists and trained attacks.
+locked netlists and trained attacks.  Each unique attack the runner
+does not hold runs as one :class:`repro.jobs.Job`, whatever its kind.
 """
 
 from repro.experiments.common import (
@@ -37,9 +39,7 @@ from repro.experiments.leaderboard import (
     run_leaderboard,
 )
 from repro.experiments.runner import (
-    AttackJob,
     BaselineCell,
-    BaselineJob,
     Cell,
     ExperimentRunner,
     RunnerStats,
@@ -47,9 +47,6 @@ from repro.experiments.runner import (
     derive_baseline_seed,
     derive_cell_seeds,
     derive_copy_seeds,
-    execute_attack_job,
-    execute_baseline_job,
-    execute_job,
     make_baseline_cell,
     make_cell,
     record_fingerprint,
@@ -67,9 +64,7 @@ __all__ = [
     "AttackRecord",
     "lock_with",
     "format_records",
-    "AttackJob",
     "BaselineCell",
-    "BaselineJob",
     "Cell",
     "ExperimentRunner",
     "RunnerStats",
@@ -77,9 +72,6 @@ __all__ = [
     "derive_baseline_seed",
     "derive_cell_seeds",
     "derive_copy_seeds",
-    "execute_attack_job",
-    "execute_baseline_job",
-    "execute_job",
     "make_baseline_cell",
     "make_cell",
     "record_fingerprint",

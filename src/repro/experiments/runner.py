@@ -37,9 +37,11 @@ Every cache layer is a **write-through view over the artifact store**
 probed in memory first, then on disk, and whatever gets computed is
 persisted — so a second process resumes ``repro figures`` with zero lock
 and zero train jobs.  The scheduler boundary is store-shaped too: a
-pending attack is an :class:`AttackJob` — a content-addressed store key
-plus the durable lock payload and config — and a worker ships back the
-encoded attack artifact, exactly the unit a remote host would return.
+pending MuxLink or baseline attack is one :class:`~repro.jobs.Job` — a
+content-addressed store key plus the durable lock payload and config —
+and a worker ships back the encoded artifact, exactly the unit a remote
+host would return.  The runner keys, loads and queues both kinds through
+one path over one artifact cache, reading :data:`repro.jobs.KINDS`.
 """
 
 from __future__ import annotations
@@ -51,32 +53,22 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.attacks.baseline import (
-    BaselineConfig,
-    BaselineReport,
-    run_baseline_attack,
-)
+from repro.attacks.baseline import BaselineConfig, BaselineReport
 from repro.benchgen import load_benchmark
-from repro.core import MuxLinkConfig, MuxLinkResult, rescore_key, run_muxlink, score_key
+from repro.core import MuxLinkConfig, rescore_key, score_key
 from repro.experiments.common import (
     AttackRecord,
     ExperimentScale,
     lock_with,
 )
+from repro.jobs import KINDS, Job, execute_job
 from repro.locking import LockedCircuit
 from repro.netlist import Circuit
 from repro.settings import SettingsError, parse_jobs, setting
 from repro.store import (
     ArtifactStore,
-    attack_store_key,
-    baseline_store_key,
     circuit_digest,
-    decode_attack_artifact,
-    decode_baseline_artifact,
-    decode_circuit,
     decode_lock_artifact,
-    encode_attack_artifact,
-    encode_baseline_artifact,
     encode_circuit,
     encode_lock_artifact,
     lock_store_key,
@@ -87,9 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.socketbus import SocketBus
 
 __all__ = [
-    "AttackJob",
     "BaselineCell",
-    "BaselineJob",
     "Cell",
     "ExperimentRunner",
     "RunnerStats",
@@ -97,9 +87,6 @@ __all__ = [
     "derive_baseline_seed",
     "derive_cell_seeds",
     "derive_copy_seeds",
-    "execute_attack_job",
-    "execute_baseline_job",
-    "execute_job",
     "make_baseline_cell",
     "make_cell",
     "record_fingerprint",
@@ -356,88 +343,6 @@ class RunnerStats:
         )
 
 
-@dataclass(frozen=True)
-class AttackJob:
-    """One pending unique attack, in the scheduler's exchange format.
-
-    A job carries no live library objects: the netlist travels as the
-    gate-order-preserving lock payload dict and the result comes back as
-    the encoded attack artifact — the same bytes-shaped unit the store
-    persists, so a worker can be a local process today and a remote host
-    tomorrow (it would ship the payload back instead of writing our
-    filesystem).
-
-    Attributes:
-        store_key: content address the finished artifact lands under.
-        circuit: ``repro.store.encode_circuit`` payload of the locked
-            netlist (gate order preserved — node indexing depends on it).
-        config: the attack configuration (declarative, picklable).
-    """
-
-    #: Wire tag dispatching :func:`repro.wire.decode_job` and
-    #: :func:`execute_job`; ``artifact_kind`` is the store kind the
-    #: finished payload lands under (class attributes, not fields — the
-    #: values are implied by the type and never travel per instance).
-    kind = "attack"
-    artifact_kind = "attacks"
-
-    store_key: str
-    circuit: dict
-    config: MuxLinkConfig
-
-
-@dataclass(frozen=True)
-class BaselineJob:
-    """One pending baseline attack, in the same exchange format.
-
-    ``circuit`` is the key-less encoded target (the attacks are
-    oracle-less); ``train`` carries SWEEP's corpus as full encoded lock
-    artifacts (keys included — supervision needs the ground truth), in
-    corpus order.
-    """
-
-    kind = "baseline"
-    artifact_kind = "baselines"
-
-    store_key: str
-    circuit: dict
-    config: BaselineConfig
-    train: tuple = ()
-
-
-def execute_attack_job(job: AttackJob) -> dict:
-    """Run one :class:`AttackJob`; returns the encoded attack artifact.
-
-    The single code path for serial and bus execution (workers import
-    this module-level function).  Consumes and produces store payloads —
-    never live :class:`Circuit` / :class:`MuxLinkResult` objects — so
-    executing a job is independent of the submitting process's caches.
-    """
-    return encode_attack_artifact(
-        run_muxlink(decode_circuit(job.circuit), job.config)
-    )
-
-
-def execute_baseline_job(job: BaselineJob) -> dict:
-    """Run one :class:`BaselineJob`; returns the encoded report."""
-    train = tuple(
-        decode_lock_artifact(payload) for payload in job.train
-    )
-    report = run_baseline_attack(
-        decode_circuit(job.circuit), job.config, train=train
-    )
-    return encode_baseline_artifact(report)
-
-
-def execute_job(job) -> dict:
-    """Execute any bus job — the one entry point every backend uses."""
-    if job.kind == "attack":
-        return execute_attack_job(job)
-    if job.kind == "baseline":
-        return execute_baseline_job(job)
-    raise ValueError(f"unknown job kind {job.kind!r}")
-
-
 def record_fingerprint(record: AttackRecord) -> tuple:
     """Deterministic payload of a record, for bit-identity assertions.
 
@@ -544,8 +449,8 @@ class ExperimentRunner:
         self._base_digests: dict[tuple[str, float], str] = {}
         self._locks: dict[tuple, LockedCircuit] = {}
         self._digests: dict[tuple, str] = {}
-        self._attacks: dict[str, MuxLinkResult] = {}
-        self._baselines: dict[str, BaselineReport] = {}
+        #: Decoded artifact (attack result or baseline report) by store key.
+        self._artifacts: dict[str, object] = {}
 
     # -- context management -------------------------------------------------
     def __enter__(self) -> "ExperimentRunner":
@@ -570,16 +475,6 @@ class ExperimentRunner:
             self.stats.bases_loaded += 1
         return self._bases[key]
 
-    @staticmethod
-    def _lock_key(cell: Cell) -> tuple:
-        return (
-            cell.benchmark,
-            cell.circuit_scale,
-            cell.scheme,
-            cell.key_size,
-            cell.lock_seed,
-        )
-
     def _base_digest(self, benchmark: str, circuit_scale: float) -> str:
         """Content digest of a base circuit (feeds the lock store key)."""
         key = (benchmark, float(circuit_scale))
@@ -597,27 +492,22 @@ class ExperimentRunner:
         self._digests[key] = circuit_digest(locked.circuit)
         return self._digests[key]
 
-    def _lock_instance(
-        self,
-        benchmark: str,
-        circuit_scale: float,
-        scheme: str,
-        key_size: int,
-        lock_seed: int,
-    ) -> LockedCircuit:
-        """Lock (or reuse) one netlist instance; digests feed attack keys.
+    def _lock_instance(self, cell: "Cell | BaselineCell", lock_seed: int) -> tuple:
+        """Lock (or reuse) one netlist instance; returns its cache key.
 
         Probe order: in-memory cache, then the artifact store (the
         decoded payload preserves gate insertion order, so a store-loaded
         netlist is attack-identical to a freshly locked one), then a real
-        locking pass — which is written through to the store.  Explicit
-        arguments (rather than a cell) because SWEEP's training corpus
-        locks instances no cell directly attacks.
+        locking pass — which is written through to the store.  The lock
+        seed is explicit because SWEEP's training corpus locks other
+        instances of the cell's identity, which no cell directly attacks.
         """
+        benchmark, circuit_scale = cell.benchmark, cell.circuit_scale
+        scheme, key_size = cell.scheme, cell.key_size
         key = (benchmark, float(circuit_scale), scheme, int(key_size), int(lock_seed))
         if key in self._locks:
             self.stats.locks_reused += 1
-            return self._locks[key]
+            return key
         store_key = None
         if self.store is not None:
             store_key = lock_store_key(
@@ -632,24 +522,18 @@ class ExperimentRunner:
             if locked is not None:
                 self._record_lock(key, locked)
                 self.stats.locks_loaded += 1
-                return locked
+                return key
         base = self.base_circuit(benchmark, circuit_scale)
         locked = lock_with(scheme, base, key_size=key_size, seed=lock_seed)
         self._record_lock(key, locked)
         self.stats.locks_computed += 1
         if store_key is not None:
             self.store.put("locks", store_key, encode_lock_artifact(locked))
-        return locked
+        return key
 
     def locked_circuit(self, cell: "Cell | BaselineCell") -> LockedCircuit:
         """Lock (or reuse) the cell's netlist (see :meth:`_lock_instance`)."""
-        return self._lock_instance(
-            cell.benchmark,
-            cell.circuit_scale,
-            cell.scheme,
-            cell.key_size,
-            cell.lock_seed,
-        )
+        return self._locks[self._lock_instance(cell, cell.lock_seed)]
 
     # -- execution ----------------------------------------------------------
     def run(self, cells) -> list[AttackRecord]:
@@ -674,97 +558,49 @@ class ExperimentRunner:
         return [self._materialize(*plan) for plan in plans]
 
     def _plan_attack(self, cell: Cell, pending: dict) -> tuple:
-        locked = self.locked_circuit(cell)
-        lock_key = self._lock_key(cell)
+        lock_key = self._lock_instance(cell, cell.lock_seed)
         # Content address shared with the on-disk store: the threshold
         # and the execution knobs are normalized out (Fig. 9 rescales
         # without retraining).
-        attack_key = attack_store_key(self._digests[lock_key], cell.config)
-        if attack_key in self._attacks or attack_key in pending:
-            self.stats.attacks_reused += 1
-        elif self._load_attack(attack_key):
-            self.stats.attacks_loaded += 1
-        else:
-            pending[attack_key] = AttackJob(
-                store_key=attack_key,
-                circuit=encode_circuit(locked.circuit),
-                config=cell.config,
-            )
-            self.stats.attacks_computed += 1
-        return (cell, lock_key, attack_key)
+        key = self._plan_job("attack", lock_key, cell.config, pending)
+        return (cell, lock_key, key)
 
     def _plan_baseline(self, cell: BaselineCell, pending: dict) -> tuple:
-        locked = self.locked_circuit(cell)
-        lock_key = self._lock_key(cell)
-        train_locks = [
-            self._lock_instance(
-                cell.benchmark,
-                cell.circuit_scale,
-                cell.scheme,
-                cell.key_size,
-                lock_seed,
-            )
-            for lock_seed in cell.train_lock_seeds
-        ]
-        train_pairs = tuple(
-            (
-                self._digests[
-                    (
-                        cell.benchmark,
-                        cell.circuit_scale,
-                        cell.scheme,
-                        cell.key_size,
-                        int(lock_seed),
-                    )
-                ],
-                lk.key,
-            )
-            for lock_seed, lk in zip(cell.train_lock_seeds, train_locks)
-        )
-        baseline_key = baseline_store_key(
-            self._digests[lock_key], cell.config, train_pairs
-        )
-        if baseline_key in self._baselines or baseline_key in pending:
-            self.stats.baselines_reused += 1
-        elif self._load_baseline(baseline_key):
-            self.stats.baselines_loaded += 1
+        lock_key = self._lock_instance(cell, cell.lock_seed)
+        train_keys = [self._lock_instance(cell, seed) for seed in cell.train_lock_seeds]
+        key = self._plan_job("baseline", lock_key, cell.config, pending, train_keys)
+        return (cell, lock_key, key)
+
+    def _plan_job(
+        self, kind: str, lock_key: tuple, config, pending: dict, train_keys=()
+    ) -> str:
+        """Key one job on a cached lock; reuse, load or queue its artifact."""
+        spec = KINDS[kind]
+        train = tuple((self._digests[k], self._locks[k].key) for k in train_keys)
+        key = spec.key(self._digests[lock_key], config, train)
+        if key in self._artifacts or key in pending:
+            event = "reused"
+        elif self.store is not None and (
+            stored := self.store.get(spec.store_kind, key, decoder=spec.decode)
+        ) is not None:
+            self._artifacts[key] = stored
+            event = "loaded"
         else:
-            pending[baseline_key] = BaselineJob(
-                store_key=baseline_key,
-                circuit=encode_circuit(locked.circuit),
-                config=cell.config,
+            pending[key] = Job(
+                kind=kind,
+                store_key=key,
+                circuit=encode_circuit(self._locks[lock_key].circuit),
+                config=config,
                 train=tuple(
-                    encode_lock_artifact(lk) for lk in train_locks
+                    encode_lock_artifact(self._locks[k]) for k in train_keys
                 ),
             )
-            self.stats.baselines_computed += 1
-        return (cell, lock_key, baseline_key)
+            event = "computed"
+        counter = f"{spec.store_kind}_{event}"
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+        return key
 
-    def _load_attack(self, attack_key: str) -> bool:
-        """Rematerialize one trained attack from the store, if present."""
-        if self.store is None:
-            return False
-        result = self.store.get(
-            "attacks", attack_key, decoder=decode_attack_artifact
-        )
-        if result is None:
-            return False
-        self._attacks[attack_key] = result
-        return True
-
-    def _load_baseline(self, baseline_key: str) -> bool:
-        """Rematerialize one baseline report from the store, if present."""
-        if self.store is None:
-            return False
-        report = self.store.get(
-            "baselines", baseline_key, decoder=decode_baseline_artifact
-        )
-        if report is None:
-            return False
-        self._baselines[baseline_key] = report
-        return True
-
-    def _execute(self, pending: dict[str, AttackJob]) -> None:
+    def _execute(self, pending: dict[str, Job]) -> None:
         """Run the unique jobs through the configured bus.
 
         Every finished artifact is cached and written through **as it
@@ -783,13 +619,10 @@ class ExperimentRunner:
             for job, payload in self.bus.run(jobs):
                 self._finish_job(job, payload)
 
-    def _finish_job(self, job, payload: dict) -> None:
-        if job.kind == "baseline":
-            self._baselines[job.store_key] = decode_baseline_artifact(payload)
-        else:
-            self._attacks[job.store_key] = decode_attack_artifact(payload)
+    def _finish_job(self, job: Job, payload: dict) -> None:
+        self._artifacts[job.store_key] = job.spec.decode(payload)
         if self.store is not None:
-            self.store.put(job.artifact_kind, job.store_key, payload)
+            self.store.put(job.spec.store_kind, job.store_key, payload)
 
     def _materialize(self, cell, lock_key: tuple, artifact_key: str) -> AttackRecord:
         if isinstance(cell, BaselineCell):
@@ -799,7 +632,7 @@ class ExperimentRunner:
     def _materialize_baseline(
         self, cell: BaselineCell, lock_key: tuple, baseline_key: str
     ) -> AttackRecord:
-        report = self._baselines[baseline_key]
+        report = self._artifacts[baseline_key]
         locked = self._locks[lock_key]
         metrics = score_key(report.predicted_key, locked.key)
         return AttackRecord(
@@ -820,7 +653,7 @@ class ExperimentRunner:
     def _materialize_attack(
         self, cell: Cell, lock_key: tuple, attack_key: str
     ) -> AttackRecord:
-        result = self._attacks[attack_key]
+        result = self._artifacts[attack_key]
         locked = self._locks[lock_key]
         # Rescoring at the cell's own threshold keeps cached results exact
         # across Fig. 9's sweep; at the trained threshold it is the

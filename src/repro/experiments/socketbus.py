@@ -13,15 +13,13 @@ import tempfile
 import time
 from collections import deque
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.errors import ServeError
 from repro.faults.retry import RetryPolicy
+from repro.jobs import Job
 from repro.serve import AttackServer, Fleet
 from repro.wire import DEFAULT_POLL, encode_job
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.experiments.runner import AttackJob
 
 __all__ = ["SocketBus"]
 
@@ -74,7 +72,7 @@ class SocketBus:
         self.address = self._server.address
         self.stats = self._server.stats
 
-    def run(self, jobs: list[AttackJob]) -> Iterator[tuple[AttackJob, dict]]:
+    def run(self, jobs: list[Job]) -> Iterator[tuple[Job, dict]]:
         """Execute *jobs*; yield ``(job, artifact_payload)`` as each
         finishes.  A job that fails ``retry.max_attempts`` times raises
         :class:`~repro.errors.ServeError` with its last worker

@@ -360,10 +360,10 @@ def _drill_serve(
     from repro.benchgen import load_benchmark
     from repro.client import ServeClient
     from repro.experiments.common import lock_with
-    from repro.experiments.runner import execute_job
+    from repro.jobs import execute_job
     from repro.store import encode_attack_artifact
 
-    # The exact AttackJobs the runner/client would build for the grid.
+    # The exact jobs the runner/client would build for the grid.
     jobs = []
     for cell in reference.cells:
         base = load_benchmark(cell.benchmark, scale=cell.circuit_scale)

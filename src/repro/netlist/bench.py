@@ -121,9 +121,21 @@ def parse_bench(text: str, name: str = "circuit") -> tuple[Circuit, str | None]:
 
 
 def load_bench(path: str | Path) -> tuple[Circuit, str | None]:
-    """Read a BENCH file from disk; circuit name is the file stem."""
+    """Read a BENCH file from disk; circuit name is the file stem.
+
+    A missing, unreadable or non-UTF-8 file raises
+    :class:`BenchFormatError` naming *path*.
+    """
     path = Path(path)
-    return parse_bench(path.read_text(), name=path.stem)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise BenchFormatError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise BenchFormatError(
+            f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from exc
+    return parse_bench(text, name=path.stem)
 
 
 def write_bench(circuit: Circuit, key: str | None = None) -> str:
@@ -141,5 +153,9 @@ def write_bench(circuit: Circuit, key: str | None = None) -> str:
 
 
 def dump_bench(circuit: Circuit, path: str | Path, key: str | None = None) -> None:
-    """Write *circuit* to *path* in BENCH format."""
-    Path(path).write_text(write_bench(circuit, key=key))
+    """Write *circuit* to *path* in BENCH format; a path that cannot be
+    written raises :class:`BenchFormatError` naming it."""
+    try:
+        Path(path).write_text(write_bench(circuit, key=key), encoding="utf-8")
+    except OSError as exc:
+        raise BenchFormatError(f"cannot write {path}: {exc.strerror}") from exc

@@ -5,10 +5,10 @@ codec frames) owns two kinds of peers on a single listening port:
 
 * **clients** (:class:`repro.client.ServeClient`) submit content-keyed
   requests: ``{op: submit, key, job?, wait}`` where *key* is exactly the
-  runner's :func:`~repro.store.artifacts.attack_store_key` address and
-  the optional *job* is the :func:`~repro.wire.encode_job`
-  payload.  A submit **without** a job asks by key alone (``kind``, the
-  artifact kind, defaults to ``attacks``): a warm key is answered by its
+  runner's content address (:func:`repro.jobs.job_key`) and the
+  optional *job* is the :func:`~repro.wire.encode_job` payload.  A
+  submit **without** a job asks by key alone (``kind``, the artifact
+  kind, defaults to ``attacks``): a warm key is answered by its
   ``{op: result, ...}`` frame and nothing else, a key in flight by
   ``{op: accepted, status: coalesced}`` and a cold key by ``{op:
   accepted, status: need-job}`` — nothing is queued or counted, and the
@@ -68,20 +68,19 @@ import traceback
 from collections import OrderedDict, deque
 from dataclasses import asdict, dataclass, field
 
+from repro import jobs
 from repro.errors import ServeError
 from repro.faults.retry import RetryPolicy
 from repro.store import ArtifactStore, codec, resolve_store
 from repro.wire import (
     DEFAULT_LIVENESS,
     DEFAULT_POLL,
-    JOB_ARTIFACT_KINDS,
     _Connection,
     _Server,
     check_poll,
     decode_frame,
     decode_job,
     encode_frame,
-    job_artifact_kind,
     read_frame,
 )
 
@@ -148,7 +147,7 @@ def _is_name(value) -> bool:
 def _is_job(job) -> bool:
     """An encoded job payload of a known kind."""
     kind = job.get("kind") if isinstance(job, dict) else None
-    return isinstance(kind, str) and kind in JOB_ARTIFACT_KINDS
+    return isinstance(kind, str) and kind in jobs.KINDS
 
 
 #: Fields each op must carry, and the check each must pass.
@@ -377,7 +376,7 @@ class AttackServer:
         in-process sink.  It gets the ``accepted`` frame now and, with
         *wait*, the ``result`` frame once the artifact exists.
         """
-        kind = job_artifact_kind(job["kind"])
+        kind = jobs.KINDS[job["kind"]].store_kind
         self.stats.requests += 1
         frame = self._lookup(kind, key)
         if frame is not None:
@@ -662,9 +661,7 @@ class AttackServer:
 
         def _run() -> None:
             try:
-                from repro.experiments.runner import execute_job
-
-                payload = execute_job(decode_job(job_payload))
+                payload = jobs.execute_job(decode_job(job_payload))
                 outcome = (key, payload, None)
             except Exception:
                 outcome = (key, None, traceback.format_exc())

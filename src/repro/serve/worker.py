@@ -5,9 +5,9 @@ worker --serve-addr HOST:PORT``), or a member of a :class:`Fleet`: its
 server is a standalone ``repro serve`` endpoint or the one a ``repro
 figures`` coordinator runs for ``--jobs N`` or ``--bus-addr``.  It knows
 nothing about figures or grids — it holds one persistent connection,
-executes :func:`~repro.experiments.runner.execute_job` on whatever the
-server pushes (MuxLink attack jobs and baseline-attack jobs alike), and
-ships each result back over the wire.  The server pushes one job at a
+executes :func:`repro.jobs.execute_job` on whatever the server pushes
+(a job of any kind in :data:`repro.jobs.KINDS`), looked up at call time,
+and ships each result back over the wire.  The server pushes one job at a
 time: the next follows this worker's reply.
 
 The server owns every recovery decision: it treats a dropped connection
@@ -42,7 +42,7 @@ import time
 import traceback
 from dataclasses import dataclass
 
-from repro import faults
+from repro import faults, jobs
 from repro.errors import ReproError, ServeError
 from repro.faults.retry import RetryPolicy
 from repro.wire import (
@@ -121,9 +121,6 @@ def run_worker(
     exits instead of reconnecting once that process is gone, so a
     killed coordinator leaves no orphan retrying forever.
     """
-    # Imported here: the runner's module imports this package.
-    from repro.experiments.runner import execute_job
-
     poll = check_poll(poll)
     if idle_timeout is not None and not 0 <= idle_timeout < math.inf:
         raise ServeError(
@@ -219,7 +216,7 @@ def run_worker(
             try:
                 job = decode_job(message.get("job"))
                 _mid_job_faults()
-                artifact = execute_job(job)
+                artifact = jobs.execute_job(job)
             except Exception:
                 stats.failed += 1
                 reply = {
@@ -229,12 +226,7 @@ def run_worker(
                 }
             else:
                 stats.executed += 1
-                reply = {
-                    "op": "done",
-                    "key": key,
-                    "kind": job.artifact_kind,
-                    "result": artifact,
-                }
+                reply = {"op": "done", "key": key, "result": artifact}
                 log(f"worker[{os.getpid()}]: completed {key[:12]}…")
             try:
                 send_message(conn, reply)

@@ -9,11 +9,13 @@ one buffer.  A length above :data:`MAX_FRAME` or a blob the codec
 rejects (:class:`~repro.store.codec.CodecError`) drops that peer, never
 the server.  This module holds the pieces both ends need:
 
-* the job codec (:func:`encode_job` / :func:`decode_job`): a job
-  travels as ``{kind, store_key, circuit payload, config dict}`` and a
-  result is exactly the encoded artifact the store persists, so no
-  worker ever ships live library objects and every topology is
-  bit-identical to serial execution by construction;
+* the job codec (:func:`encode_job` / :func:`decode_job`): a
+  :class:`repro.jobs.Job` travels as ``{kind, store_key, circuit
+  payload, config dict}`` (plus ``train`` for a kind that ships its
+  corpus), read off the :data:`repro.jobs.KINDS` table, and a result is
+  exactly the encoded artifact the store persists, so no worker ever
+  ships live library objects and every topology is bit-identical to
+  serial execution by construction;
 * the framing (:func:`encode_frame` / :func:`decode_frame`,
   :func:`send_message` / :func:`recv_message`, and :func:`load_frame` /
   :func:`read_frame` for a stored artifact's ``result`` frame) and
@@ -41,6 +43,7 @@ import threading
 from repro import faults, knobs
 from repro.errors import ReproError, ServeError
 from repro.faults.retry import RetryPolicy
+from repro.jobs import KINDS, Job
 from repro.store import codec
 from repro.store.codec import CodecError
 
@@ -48,7 +51,6 @@ __all__ = [
     "BUS_MESSAGE_KIND",
     "DEFAULT_LIVENESS",
     "DEFAULT_POLL",
-    "JOB_ARTIFACT_KINDS",
     "MAX_FRAME",
     "Channel",
     "EndpointUnreachable",
@@ -57,7 +59,6 @@ __all__ = [
     "decode_job",
     "encode_frame",
     "encode_job",
-    "job_artifact_kind",
     "load_frame",
     "parse_address",
     "read_frame",
@@ -75,8 +76,6 @@ DEFAULT_POLL = 0.25
 #: instead of hanging a figure run on a dead fleet.  A coordinator's
 #: ``timeout`` (raise) still wins when set tighter; 0/None disables it.
 DEFAULT_LIVENESS = 300.0
-#: ``job.kind`` → store kind the finished artifact lands under.
-JOB_ARTIFACT_KINDS = {"attack": "attacks", "baseline": "baselines"}
 
 _LEN_BYTES = 4
 #: Frames above this are refused outright — a desynced or hostile peer
@@ -110,26 +109,16 @@ def check_poll(poll: float) -> float:
 # ---------------------------------------------------------------------------
 # The job codec — the wire shape of a job
 # ---------------------------------------------------------------------------
-def job_artifact_kind(kind: str) -> str:
-    """Store kind for a job-kind tag."""
-    try:
-        return JOB_ARTIFACT_KINDS[kind]
-    except KeyError:
-        raise ServeError(
-            f"unknown job kind {kind!r}; choose from "
-            f"{sorted(JOB_ARTIFACT_KINDS)}"
-        )
-
-
-def encode_job(job) -> dict:
+def encode_job(job: Job) -> dict:
     """Codec-safe payload of one job (no live dataclasses cross hosts).
 
     ``kind`` dispatches :func:`decode_job`.  The config travels as its
     shipped fields only (:func:`repro.knobs.shipped`): an ``exec`` field
     such as a checkpoint path is local to the submitting host and never
-    reaches a server or worker.  Baseline jobs additionally carry the
-    encoded training locks (SWEEP's corpus, keys included — the exchange
-    format is store payloads all the way down).
+    reaches a server or worker.  A kind that trains on a corpus
+    (:attr:`~repro.jobs.JobKind.ships_train`) also carries its encoded
+    training locks (keys included — the exchange format is store
+    payloads all the way down).
     """
     payload = {
         "kind": job.kind,
@@ -137,7 +126,7 @@ def encode_job(job) -> dict:
         "circuit": job.circuit,
         "config": knobs.values(job.config, knobs.shipped),
     }
-    if payload["kind"] == "baseline":
+    if job.spec.ships_train:
         payload["train"] = list(job.train)
     return payload
 
@@ -172,15 +161,15 @@ def _build(cls, fields: dict):
     )
 
 
-def decode_job(payload: dict):
+def decode_job(payload: dict) -> Job:
     """Inverse of :func:`encode_job`.
 
     Raises :class:`~repro.errors.ServeError` naming every unknown or
     missing config field — an ``exec`` field is unknown, so no host path
-    from another host is ever honoured.  A payload encoded by another
-    version of the code fails here, once, rather than as a ``TypeError``
-    in every worker attempt, or with a missing field silently taking its
-    default.
+    from another host is ever honoured — or the config's own refusal of
+    a value.  A payload encoded by another version of the code fails
+    here, once, rather than as a ``TypeError`` in every worker attempt,
+    or with a missing field silently taking its default.
     """
     if not isinstance(payload, dict):
         raise ServeError(f"undecodable job: a {type(payload).__name__}")
@@ -189,36 +178,22 @@ def decode_job(payload: dict):
     ]
     if absent:
         raise ServeError(f"undecodable job: missing {', '.join(absent)}")
-    kind = payload["kind"]
-    if kind == "baseline":
-        from repro.attacks.baseline import BaselineConfig as config_class
-    elif kind == "attack":
-        from repro.core import MuxLinkConfig as config_class
-    else:
-        raise ServeError(f"unknown job kind {kind!r} in payload")
-    problems = _field_problems(config_class, payload["config"])
+    spec = KINDS.get(payload["kind"])
+    if spec is None:
+        raise ServeError(f"unknown job kind {payload['kind']!r} in payload")
+    problems = _field_problems(spec.config_class, payload["config"])
     if problems:
         raise ServeError(
             f"undecodable job ({'; '.join(problems)}); was it encoded by "
             "another version of repro?"
         )
-    # Imported here: the runner's module imports the server, which
-    # imports this one.
-    from repro.experiments.runner import AttackJob, BaselineJob
-
     try:
-        config = _build(config_class, payload["config"])
-        if kind == "baseline":
-            return BaselineJob(
-                store_key=payload["store_key"],
-                circuit=payload["circuit"],
-                config=config,
-                train=tuple(payload.get("train") or ()),
-            )
-        return AttackJob(
+        return Job(
+            kind=payload["kind"],
             store_key=payload["store_key"],
             circuit=payload["circuit"],
-            config=config,
+            config=_build(spec.config_class, payload["config"]),
+            train=tuple(payload.get("train") or ()) if spec.ships_train else (),
         )
     except (ReproError, TypeError, ValueError) as exc:
         raise ServeError(f"undecodable job: {exc}") from exc

@@ -10,6 +10,7 @@ from repro.benchgen import (
     load_benchmark,
     load_c17,
 )
+from repro.errors import ReproError
 
 
 def test_suite_contents_match_paper():
@@ -45,10 +46,9 @@ def test_scale_shrinks():
 
 
 def test_scale_validation():
-    with pytest.raises(ValueError):
-        load_benchmark("c1355", scale=0.0)
-    with pytest.raises(ValueError):
-        load_benchmark("c1355", scale=1.5)
+    for scale in (0.0, 1.5, -1.0, float("nan")):
+        with pytest.raises(ReproError, match="scale must be in"):
+            load_benchmark("c1355", scale=scale)
 
 
 def test_standins_are_deterministic():

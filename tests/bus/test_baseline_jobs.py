@@ -4,35 +4,29 @@ import threading
 
 import pytest
 
-from repro.attacks import BaselineConfig
+from repro.attacks import BaselineConfig, run_baseline_attack
 from repro.benchgen import random_netlist
+from repro.core import MuxLinkConfig
 from repro.errors import ServeError
-from repro.experiments.runner import (
-    BaselineJob,
-    execute_baseline_job,
-    execute_job,
-)
 from repro.experiments.socketbus import SocketBus
+from repro.jobs import KINDS, Job, execute_job
 from repro.locking import lock_dmux
 from repro.serve import run_worker
 from repro.store import (
     decode_baseline_artifact,
+    decode_circuit,
     encode_circuit,
     encode_lock_artifact,
 )
-from repro.wire import (
-    JOB_ARTIFACT_KINDS,
-    decode_job,
-    encode_job,
-    job_artifact_kind,
-)
+from repro.wire import decode_job, encode_job
 
 
 def _baseline_job(attack="scope", train=()):
     locked = lock_dmux(
         random_netlist("base", 8, 4, 80, seed=0), key_size=6, seed=1
     )
-    return BaselineJob(
+    return Job(
+        kind="baseline",
         store_key="k" * 64,
         circuit=encode_circuit(locked.circuit),
         config=BaselineConfig(attack=attack, undecided="coin", seed=5),
@@ -41,20 +35,27 @@ def _baseline_job(attack="scope", train=()):
 
 
 def test_kind_registry():
-    assert JOB_ARTIFACT_KINDS == {"attack": "attacks", "baseline": "baselines"}
-    assert job_artifact_kind("baseline") == "baselines"
-    with pytest.raises(ServeError, match="unknown job kind"):
-        job_artifact_kind("mystery")
+    assert {kind: spec.store_kind for kind, spec in KINDS.items()} == {
+        "attack": "attacks",
+        "baseline": "baselines",
+    }
+    assert KINDS["attack"].config_class is MuxLinkConfig
+    assert KINDS["baseline"].config_class is BaselineConfig
+    # Only a kind that trains on a corpus ships one on the wire.
+    assert "train" not in encode_job(
+        Job(kind="attack", store_key="a", circuit={}, config=MuxLinkConfig())
+    )
 
 
 def test_baseline_job_wire_round_trip():
     job = _baseline_job()
     payload = encode_job(job)
     assert payload["kind"] == "baseline"
+    assert payload["train"] == []
     decoded = decode_job(payload)
-    assert isinstance(decoded, BaselineJob)
+    assert isinstance(decoded, Job)
     assert decoded.kind == "baseline"
-    assert decoded.artifact_kind == "baselines"
+    assert decoded.spec.store_kind == "baselines"
     assert decoded.store_key == job.store_key
     assert decoded.config == job.config
     assert decoded.train == ()
@@ -108,11 +109,10 @@ def test_decode_rejects_undecodable_baseline_config(edit, match):
 
 def test_decode_rejects_undecodable_attack_config():
     from repro.experiments import SMOKE_SCALE, make_cell
-    from repro.experiments.runner import AttackJob
 
     cell = make_cell(SMOKE_SCALE, "c1355", 0.1, "D-MUX", 6, seed=0)
     payload = encode_job(
-        AttackJob(store_key="a" * 16, circuit={}, config=cell.config)
+        Job(kind="attack", store_key="a" * 16, circuit={}, config=cell.config)
     )
     payload["config"]["train"]["grad_shards"] = 2
     del payload["config"]["train"]["epochs"]
@@ -132,10 +132,15 @@ def test_decode_rejects_undecodable_attack_config():
         decode_job({"config": {}, "circuit": {}})
 
 
+def _direct(job):
+    """The report of *job*'s attack run straight on its netlist."""
+    return run_baseline_attack(decode_circuit(job.circuit), job.config)
+
+
 def test_execute_job_dispatches_on_kind():
     job = _baseline_job()
     via_dispatch = decode_baseline_artifact(execute_job(job))
-    direct = decode_baseline_artifact(execute_baseline_job(job))
+    direct = _direct(job)
     assert via_dispatch.predicted_key == direct.predicted_key
     assert via_dispatch.scores == direct.scores
 
@@ -162,7 +167,7 @@ def test_socket_bus_carries_baseline_jobs():
     finished, payload = results[0]
     assert finished is job
     served = decode_baseline_artifact(payload)
-    direct = decode_baseline_artifact(execute_baseline_job(job))
+    direct = _direct(job)
     assert served.attack == "scope"
     assert served.predicted_key == direct.predicted_key
     assert served.scores == direct.scores

@@ -13,24 +13,20 @@ from repro.benchgen import load_benchmark
 from repro.errors import ServeError
 from repro.experiments import SMOKE_SCALE, fig7_cells, record_fingerprint
 from repro.experiments.common import lock_with
-from repro.experiments.runner import AttackJob, ExperimentRunner
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.socketbus import SocketBus
+from repro.jobs import Job, make_job
 from repro.serve import ServeStats
-from repro.store import attack_store_key, circuit_digest, encode_circuit
 from repro.wire import DEFAULT_LIVENESS
 
 
-def _one_job() -> AttackJob:
+def _one_job() -> Job:
     cell = fig7_cells(SMOKE_SCALE, seed=0)[0]
     base = load_benchmark(cell.benchmark, scale=cell.circuit_scale)
     locked = lock_with(
         cell.scheme, base, key_size=cell.key_size, seed=cell.lock_seed
     )
-    return AttackJob(
-        store_key=attack_store_key(circuit_digest(locked.circuit), cell.config),
-        circuit=encode_circuit(locked.circuit),
-        config=cell.config,
-    )
+    return make_job("attack", locked.circuit, cell.config)
 
 
 def test_socket_bus_fails_over_when_no_worker_ever_connects(capsys):

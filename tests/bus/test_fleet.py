@@ -116,13 +116,13 @@ def test_fleet_forks_lazily_and_close_leaves_no_child(tmp_path):
 def test_failing_job_is_retried_then_raises_with_the_traceback(monkeypatch):
     """Under ``--jobs N`` a failing job gets ``max_attempts`` tries and
     then a :class:`ServeError` carrying the member's traceback."""
-    import repro.experiments.runner as runner_module
+    import repro.jobs
 
     def broken(job):
         raise RuntimeError("injected job failure")
 
     # Members are forked after this patch, so they inherit it.
-    monkeypatch.setattr(runner_module, "execute_job", broken)
+    monkeypatch.setattr(repro.jobs, "execute_job", broken)
     with ExperimentRunner(jobs=2) as runner:
         with pytest.raises(ServeError) as excinfo:
             runner.run(fig7_cells(SMOKE_SCALE, seed=0)[:1])

@@ -21,7 +21,7 @@ from repro.experiments import (
     fig7_cells,
     record_fingerprint,
 )
-from repro.experiments.runner import AttackJob
+from repro.jobs import Job
 from repro.experiments.socketbus import SocketBus
 from repro.faults import RetryPolicy
 from repro.serve import run_worker
@@ -33,7 +33,8 @@ def test_socket_poisoned_job_quarantines_with_traceback():
     burn its attempt budget and raise the last shipped worker traceback,
     not requeue at attempt 0 forever."""
     cell = fig7_cells(SMOKE_SCALE, seed=0)[0]
-    poisoned = AttackJob(
+    poisoned = Job(
+        kind="attack",
         store_key="f" * 16,
         circuit={"not": "a circuit"},  # decode_circuit will raise
         config=cell.config,

@@ -98,7 +98,7 @@ MEMBER_POOL = textwrap.dedent(
     import re
     import sys
 
-    import repro.experiments.runner as runner_module
+    import repro.jobs
     from repro.blas import _candidate_libraries
     from repro.errors import ServeError
     from repro.experiments import SMOKE_SCALE, ExperimentRunner, fig7_cells
@@ -119,7 +119,7 @@ MEMBER_POOL = textwrap.dedent(
         raise RuntimeError(f"member pool={pool()}")
 
     # Members are forked after this patch, so their jobs report instead.
-    runner_module.execute_job = report
+    repro.jobs.execute_job = report
     with ExperimentRunner(jobs=2) as runner:
         try:
             runner.run(fig7_cells(SMOKE_SCALE, seed=0)[:1])

@@ -89,8 +89,14 @@ def test_attack_command_smoke(tmp_path, capsys):
         (["--epochs", "-3"], "epochs must be >= 1, got -3"),
         (["--learning-rate", "0"], "learning rate must be > 0, got 0.0"),
         (["--learning-rate=-0.001"], "learning rate must be > 0, got -0.001"),
+        (["--threshold", "nan"], "threshold must be finite and >= 0, got nan"),
+        (["--threshold", "inf"], "threshold must be finite and >= 0, got inf"),
+        (["--threshold=-1"], "threshold must be finite and >= 0, got -1.0"),
     ],
-    ids=["h-0", "epochs-0", "epochs-negative", "lr-0", "lr-negative"],
+    ids=[
+        "h-0", "epochs-0", "epochs-negative", "lr-0", "lr-negative",
+        "threshold-nan", "threshold-inf", "threshold-negative",
+    ],
 )
 def test_attack_rejects_nonpositive_h(tmp_path, capsys, flags, message):
     """No enclosing subgraph (``--h 0``), no training epoch or no descent
@@ -144,6 +150,81 @@ def test_served_attack_rejects_checkpoint_flags(tmp_path, capsys, flags):
         "host and cannot be served"
     ) in capsys.readouterr().err
     assert not (tmp_path / "ckpt").exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-1"])
+def test_served_attack_refuses_a_bad_threshold_before_submitting(
+    tmp_path, capsys, threshold
+):
+    """A threshold that is not finite and >= 0 exits 2 before any submit:
+    the address is dead, so reaching it would fail differently."""
+    base = tmp_path / "b.bench"
+    locked = tmp_path / "l.bench"
+    main(["generate", "c1355", "--scale", "0.12", "-o", str(base)])
+    main(["lock", str(base), "--key-size", "6", "-o", str(locked)])
+    capsys.readouterr()
+    args = ["attack", str(locked), f"--threshold={threshold}",
+            "--serve", "127.0.0.1:9"]
+    assert main(args) == 2
+    assert "error: threshold must be finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["attack", "{tmp}/missing.bench"],
+         "cannot read {tmp}/missing.bench: No such file or directory"),
+        (["hd", "{base}", "{tmp}/missing.bench"],
+         "cannot read {tmp}/missing.bench: No such file or directory"),
+        (["attack", "{tmp}/latin1.bench"], "{tmp}/latin1.bench is not UTF-8 text"),
+        (["lock", "{base}", "-o", "{tmp}/absent/x.bench"],
+         "cannot write {tmp}/absent/x.bench: No such file or directory"),
+        (["generate", "c1355", "--scale", "0", "-o", "{tmp}/g.bench"],
+         "scale must be in (0, 1], got 0.0"),
+        (["generate", "c1355", "--scale=-1", "-o", "{tmp}/g.bench"],
+         "scale must be in (0, 1], got -1.0"),
+        (["generate", "c1355", "--scale", "nan", "-o", "{tmp}/g.bench"],
+         "scale must be in (0, 1], got nan"),
+        (["unlock", "{locked}", "--key", "0101", "-o", "{tmp}/u.bench"],
+         "{locked}: --key has 4 bit(s) but the netlist has 8 key input(s)"),
+        (["unlock", "{locked}", "--key", "01201010", "-o", "{tmp}/u.bench"],
+         "{locked}: --key '01201010' is not made of 0, 1 and x"),
+    ],
+    ids=[
+        "attack-missing", "hd-missing", "attack-not-utf8", "lock-unwritable",
+        "scale-0", "scale-negative", "scale-nan", "unlock-short-key",
+        "unlock-bad-key-character",
+    ],
+)
+def test_outside_inputs_fail_as_typed_errors(tmp_path, capsys, argv, message):
+    """Files and values from outside the program end the command with
+    ``error: …`` naming what is wrong and exit 2, never a traceback, and
+    nothing is written."""
+    base, locked = tmp_path / "b.bench", tmp_path / "l.bench"
+    main(["generate", "c1355", "--scale", "0.12", "-o", str(base)])
+    main(["lock", str(base), "--key-size", "8", "-o", str(locked)])
+    (tmp_path / "latin1.bench").write_bytes(b"# caf\xe9\nINPUT(a)\n")
+    capsys.readouterr()
+    fill = dict(tmp=tmp_path, base=base, locked=locked)
+    assert main([arg.format(**fill) for arg in argv]) == 2
+    assert f"error: {message.format(**fill)}" in capsys.readouterr().err
+    assert not {"g.bench", "u.bench", "absent"} & {p.name for p in tmp_path.iterdir()}
+
+
+def test_unlock_accepts_a_key_with_x_bits(tmp_path, capsys):
+    """``x`` bits leave their key inputs symbolic; only the length and
+    the alphabet are checked."""
+    base, locked = tmp_path / "b.bench", tmp_path / "l.bench"
+    main(["generate", "c1355", "--scale", "0.12", "-o", str(base)])
+    main(["lock", str(base), "--key-size", "8", "-o", str(locked)])
+    _, key = load_bench(locked)
+    partial = "x" + key[1:]
+    out = tmp_path / "u.bench"
+    assert main(["unlock", str(locked), "--key", partial, "-o", str(out)]) == 0
+    unlocked, _ = load_bench(out)
+    assert [pi for pi in unlocked.inputs if pi.startswith("keyinput")] == [
+        "keyinput0"
+    ]
 
 
 def test_unknown_benchmark_rejected(tmp_path):

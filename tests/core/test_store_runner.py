@@ -20,7 +20,7 @@ import sys
 import pytest
 
 import repro
-from repro.core import MuxLinkConfig, run_muxlink
+from repro.core import MuxLinkConfig, rescore_key, run_muxlink
 from repro.experiments import (
     SMOKE_SCALE,
     ExperimentRunner,
@@ -36,6 +36,7 @@ from repro.experiments import (
     run_fig9,
     run_fig10,
 )
+from repro.jobs import get_or_compute, make_job
 from repro.linkpred import TrainConfig
 from repro.locking import DMUX_SCHEME
 from repro.store import ArtifactStore, SCHEMA_VERSION
@@ -215,7 +216,7 @@ def test_threshold_change_hits_the_store_and_rescored(tmp_path):
     assert records[1].predicted_key == "x" * 6
 
 
-def test_run_muxlink_store_hit_skips_training(tmp_path):
+def test_attack_job_store_hit_skips_training(tmp_path):
     from repro.benchgen import load_benchmark
     from repro.locking import lock_dmux
 
@@ -223,10 +224,11 @@ def test_run_muxlink_store_hit_skips_training(tmp_path):
     config = MuxLinkConfig(h=1, train=TrainConfig(epochs=2, seed=0), seed=0)
     store = ArtifactStore(tmp_path)
 
-    cold = run_muxlink(locked.circuit, config, store=store)
+    cold = get_or_compute(make_job("attack", locked.circuit, config), store)
     assert store.stats.writes == 1
+    assert cold.predicted_key == run_muxlink(locked.circuit, config).predicted_key
     warm_store = ArtifactStore(tmp_path)
-    warm = run_muxlink(locked.circuit, config, store=warm_store)
+    warm = get_or_compute(make_job("attack", locked.circuit, config), warm_store)
     assert warm_store.stats.hits == 1 and warm_store.stats.writes == 0
     assert warm.predicted_key == cold.predicted_key
     assert warm.history.train_loss == cold.history.train_loss
@@ -235,15 +237,16 @@ def test_run_muxlink_store_hit_skips_training(tmp_path):
     ]
     assert warm.graph is None  # rematerialized, not retrained
 
-    # A different threshold still hits, with post-processing re-run.
+    # A different threshold still hits; post-processing re-runs on it.
     import dataclasses
 
-    undecided = run_muxlink(
-        locked.circuit,
-        dataclasses.replace(config, threshold=1.0),
-        store=ArtifactStore(tmp_path),
+    relaxed = dataclasses.replace(config, threshold=1.0)
+    relaxed_store = ArtifactStore(tmp_path)
+    undecided = get_or_compute(
+        make_job("attack", locked.circuit, relaxed), relaxed_store
     )
-    assert undecided.predicted_key == "x" * len(cold.predicted_key)
+    assert relaxed_store.stats.hits == 1
+    assert rescore_key(undecided, 1.0) == "x" * len(cold.predicted_key)
 
 
 def test_pooled_store_backed_run_matches_serial(tmp_path):
@@ -266,8 +269,8 @@ def test_pooled_store_backed_run_matches_serial(tmp_path):
 def test_cli_attack_and_runner_share_one_pool(tmp_path):
     """`repro attack --store` and the figure runner derive the same
     content address for the same canonical netlist: the attack the
-    runner trained is reused by a run_muxlink call on the round-tripped
-    BENCH file (the CLI path), with zero retraining."""
+    runner trained is reused by an attack job on the round-tripped BENCH
+    file (the CLI path), with zero retraining."""
     from repro.netlist import dump_bench, load_bench
 
     store_dir = tmp_path / "store"
@@ -282,7 +285,7 @@ def test_cli_attack_and_runner_share_one_pool(tmp_path):
     reparsed, _ = load_bench(bench_path)
 
     store = ArtifactStore(store_dir)
-    result = run_muxlink(reparsed, cell.config, store=store)
+    result = get_or_compute(make_job("attack", reparsed, cell.config), store)
     assert store.stats.hits == 1 and store.stats.writes == 0
     assert result.graph is None  # rematerialized, not retrained
     assert result.predicted_key == record.predicted_key

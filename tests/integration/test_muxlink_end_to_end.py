@@ -30,20 +30,19 @@ def dmux_attack():
     return base, locked, result
 
 
-def test_untrainable_config_is_rejected_before_anything_runs(tmp_path):
-    """No epoch or no descent raises before extraction, training or a
-    store write: the library never returns an untrained model's key."""
-    base = random_netlist("itest", 10, 5, 60, seed=7)
-    locked = lock_dmux(base, key_size=4, seed=7)
-    store = tmp_path / "store"
+def test_untrainable_config_is_rejected_before_anything_runs():
+    """No epoch, no descent or no usable threshold is refused when the
+    config is built, before any extraction, training, store lookup or
+    submit: the library never returns an untrained model's key."""
     for train in ({"epochs": 0}, {"epochs": -3}, {"learning_rate": 0.0},
                   {"learning_rate": -1e-3}):
-        config = dataclasses.replace(
-            CI_CONFIG, train=dataclasses.replace(CI_CONFIG.train, **train)
-        )
         with pytest.raises(AttackError, match="epochs|learning rate"):
-            run_muxlink(locked.circuit, config, store=store)
-    assert not [p for p in store.rglob("*") if p.is_file()]
+            dataclasses.replace(
+                CI_CONFIG, train=dataclasses.replace(CI_CONFIG.train, **train)
+            )
+    for threshold in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(AttackError, match="threshold must be finite"):
+            dataclasses.replace(CI_CONFIG, threshold=threshold)
 
 
 def test_attack_beats_random_guessing(dmux_attack):

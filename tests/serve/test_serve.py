@@ -29,7 +29,7 @@ import repro
 from repro import faults
 from repro.client import ServeClient
 from repro.experiments import SMOKE_SCALE, make_cell
-from repro.experiments.runner import AttackJob, execute_job
+from repro.jobs import Job, execute_job
 from repro.faults import FaultPlan, FaultSite, RetryPolicy
 from repro.serve import AttackServer, ServeError
 from repro.store import codec
@@ -67,9 +67,11 @@ def server(tmp_path):
     srv.close()
 
 
-def _job(key: str = "a" * 16) -> AttackJob:
+def _job(key: str = "a" * 16) -> Job:
     cell = make_cell(SMOKE_SCALE, "c1355", 0.1, "D-MUX", 6, seed=0)
-    return AttackJob(store_key=key, circuit={"fake": 1}, config=cell.config)
+    return Job(
+        kind="attack", store_key=key, circuit={"fake": 1}, config=cell.config
+    )
 
 
 class _Peer:
@@ -106,7 +108,7 @@ class _Peer:
         return False
 
     # -- as a client ---------------------------------------------------------
-    def submit(self, job: AttackJob, wait: bool = True) -> str:
+    def submit(self, job: Job, wait: bool = True) -> str:
         from repro.wire import encode_job
 
         self.send(

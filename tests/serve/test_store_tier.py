@@ -23,7 +23,7 @@ from repro.benchgen import load_benchmark
 from repro.client import ServeClient
 from repro.core import MuxLinkConfig, run_muxlink
 from repro.experiments import SMOKE_SCALE, make_cell
-from repro.experiments.runner import AttackJob
+from repro.jobs import Job
 from repro.faults import FaultPlan, FaultSite, RetryPolicy
 from repro.linkpred import TrainConfig
 from repro.locking import lock_dmux
@@ -169,7 +169,9 @@ def test_corrupt_store_file_is_a_warned_miss_and_recomputes(
         assert not srv._cache
 
         cell = make_cell(SMOKE_SCALE, "c1355", 0.1, "D-MUX", 6, seed=0)
-        job = AttackJob(store_key=KEY, circuit={"fake": 1}, config=cell.config)
+        job = Job(
+            kind="attack", store_key=KEY, circuit={"fake": 1}, config=cell.config
+        )
         sent = []
         sink = type("Sink", (), {"send": lambda self, m: sent.append(m)})()
         with pytest.warns(RuntimeWarning, match="discarding unreadable"):

@@ -9,7 +9,8 @@ products need only scipy's ``_sparsetools`` C extension, which
 of a second to every attack.  A local attack loads none of the
 serving layer (``repro.serve``, ``repro.wire``, ``repro.client`` or
 the ``repro.bus`` alias package) and none of the baseline attacks
-(``repro.attacks``, ``repro.benchgen.resilience_tests``).  These tests
+(``repro.attacks``, ``repro.benchgen.resilience_tests``), with or
+without ``--store``.  These tests
 pin that import graph, and that the direct and the fallback loads run
 the same kernels bit for bit.
 """
@@ -41,7 +42,7 @@ COLD_ATTACK = textwrap.dedent(
 
     with contextlib.redirect_stdout(io.StringIO()):
         status = repro.cli.main(
-            ["attack", sys.argv[1], "--h", "1", "--epochs", "2", "--seed", "1"]
+            ["attack", *sys.argv[1:], "--h", "1", "--epochs", "2", "--seed", "1"]
         )
     assert status == 0, status
     loaded = sorted(
@@ -93,18 +94,33 @@ def _src_path() -> str:
     return os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
 
-def test_cold_attack_imports_neither_scipy_nor_the_bus(tmp_path):
+def _cold_attack(tmp_path, *args: str) -> None:
     locked = lock_dmux(load_benchmark("c1355", scale=0.12), key_size=6, seed=1)
     netlist = tmp_path / "locked.bench"
     dump_bench(locked.circuit, netlist, key=locked.key)
     result = subprocess.run(
-        [sys.executable, "-c", COLD_ATTACK, str(netlist)],
+        [sys.executable, "-c", COLD_ATTACK, str(netlist), *args],
         env=dict(os.environ, PYTHONPATH=_src_path()),
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_cold_attack_imports_neither_scipy_nor_the_bus(tmp_path):
+    _cold_attack(tmp_path)
+
+
+def test_stored_attack_imports_neither_scipy_nor_the_bus(tmp_path):
+    """``--store`` runs the attack as a job: cold (trained and stored)
+    and warm (read back) it loads no more than a plain attack."""
+    store = tmp_path / "store"
+    _cold_attack(tmp_path, "--store", str(store))
+    written = sorted(store.rglob("*.npz"))
+    assert len(written) == 1
+    _cold_attack(tmp_path, "--store", str(store))
+    assert sorted(store.rglob("*.npz")) == written
 
 
 def test_failed_direct_load_falls_back_to_scipy_sparse(monkeypatch):
