@@ -3,9 +3,9 @@
 from repro.experiments import active_scale, format_fig2, run_fig2
 
 
-def test_fig2_constant_propagation_resilience(bench_once):
+def test_fig2_constant_propagation_resilience(bench_once, runner):
     scale = active_scale()
-    rows = bench_once(run_fig2, scale=scale, n_copies=4)
+    rows = bench_once(run_fig2, scale=scale, n_copies=4, runner=runner)
     print()
     print(format_fig2(rows))
 

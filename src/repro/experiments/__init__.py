@@ -1,12 +1,13 @@
 """Experiment runners regenerating every figure of the paper.
 
-Figure grids are declarative :class:`~repro.experiments.runner.Cell`
-(MuxLink) and :class:`~repro.experiments.runner.BaselineCell` lists
-executed by the cache-aware
-:class:`~repro.experiments.runner.ExperimentRunner` (``REPRO_JOBS`` /
-``repro figures --jobs N``); share one runner across figures to reuse
-locked netlists and trained attacks.  Each unique attack the runner
-does not hold runs as one :class:`repro.jobs.Job`, whatever its kind.
+Figure grids are declarative lists of
+:class:`~repro.experiments.runner.Cell`, one type for MuxLink and
+baseline attacks alike, and every driver runs its grid on the
+cache-aware :class:`~repro.experiments.runner.ExperimentRunner` it is
+given (``REPRO_JOBS`` / ``repro figures --jobs N``); share one runner
+across figures to reuse locked netlists and trained attacks.  Each
+unique attack the runner does not hold runs as one
+:class:`repro.jobs.Job`, whatever its kind.
 """
 
 from repro.experiments.common import (
@@ -39,14 +40,9 @@ from repro.experiments.leaderboard import (
     run_leaderboard,
 )
 from repro.experiments.runner import (
-    BaselineCell,
     Cell,
     ExperimentRunner,
     RunnerStats,
-    cell_seed_sequence,
-    derive_baseline_seed,
-    derive_cell_seeds,
-    derive_copy_seeds,
     make_baseline_cell,
     make_cell,
     record_fingerprint,
@@ -64,14 +60,9 @@ __all__ = [
     "AttackRecord",
     "lock_with",
     "format_records",
-    "BaselineCell",
     "Cell",
     "ExperimentRunner",
     "RunnerStats",
-    "cell_seed_sequence",
-    "derive_baseline_seed",
-    "derive_cell_seeds",
-    "derive_copy_seeds",
     "make_baseline_cell",
     "make_cell",
     "record_fingerprint",

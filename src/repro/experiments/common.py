@@ -20,8 +20,8 @@ while locked netlists and trained attacks are cached and reused across
 cells and figures.  The default (``REPRO_JOBS=0``) stays serial, and
 serial, fanned-out and reordered runs produce bit-identical
 :class:`AttackRecord` payloads because every cell derives its RNG
-streams from :func:`repro.experiments.runner.cell_seed_sequence`, keyed
-on the cell identity rather than grid order.
+streams from a ``SeedSequence`` keyed on the cell identity rather than
+grid order (:func:`repro.experiments.runner.make_cell`).
 """
 
 from __future__ import annotations

@@ -45,21 +45,17 @@ def fig10_cells(
 
 
 def run_fig10(
+    runner: ExperimentRunner,
     scale: ExperimentScale | None = None,
     hops: tuple[int, ...] = (1, 2, 3),
     seed: int = 0,
-    runner: ExperimentRunner | None = None,
-    jobs: int | None = None,
 ) -> list[Fig10Row]:
     """Re-run the attack for each h (paper: h in [1, 4], saturating at 3).
 
-    All (hop, benchmark) cells go to the runner as one wave, so a fanned-out
+    All (hop, benchmark) cells go to *runner* as one wave, so a fanned-out
     run parallelizes across hops as well as benchmarks.
     """
     scale = scale or active_scale()
-    if runner is None:
-        with ExperimentRunner(jobs=jobs) as owned:
-            return run_fig10(scale, hops, seed, runner=owned)
     cells = fig10_cells(scale, hops, seed)
     all_records = list(zip(cells, runner.run(cells)))
     rows: list[Fig10Row] = []

@@ -5,14 +5,14 @@ constant-propagation attacks stuck at KPA ≈ 50 %.  This runner performs
 the same protocol at a configurable number of copies; the claim
 reproduced is the *flat ≈ 0.5 KPA line* across benchmarks and schemes.
 
-Since PR 8 the study is a declarative :class:`BaselineCell` grid
-executed by the shared :class:`~repro.experiments.runner.ExperimentRunner`
-— the same engine (and store, and job bus) the MuxLink figures use, so
+The study is a declarative grid of baseline
+:class:`~repro.experiments.runner.Cell`\\ s run on the
+:class:`~repro.experiments.runner.ExperimentRunner` it is given — the
+same cell type, engine, store and job bus the MuxLink figures use, so
 locked copies persist, reports are content-addressed, and serial /
 fanned-out / reordered runs are bit-identical.  Every copy derives its lock
 stream and each attack its coin stream from the cell identity
-(:func:`~repro.experiments.runner.derive_copy_seeds` /
-:func:`~repro.experiments.runner.derive_baseline_seed`), replacing the
+(:func:`~repro.experiments.runner.make_baseline_cell`), replacing the
 old flat ``seed + i`` scheme that fed the lock, SCOPE's coin and
 SWEEP's coin one correlated stream.
 """
@@ -23,11 +23,7 @@ from dataclasses import dataclass
 
 from repro.core.metrics import KeyMetrics, aggregate_metrics
 from repro.experiments.common import ExperimentScale, active_scale
-from repro.experiments.runner import (
-    BaselineCell,
-    ExperimentRunner,
-    make_baseline_cell,
-)
+from repro.experiments.runner import Cell, ExperimentRunner, make_baseline_cell
 from repro.locking import DMUX_SCHEME, SYMMETRIC_SCHEME
 
 __all__ = ["Fig2Row", "fig2_cells", "run_fig2", "format_fig2"]
@@ -52,7 +48,7 @@ def fig2_cells(
     n_copies: int = 4,
     key_size: int | None = None,
     seed: int = 0,
-) -> list[BaselineCell]:
+) -> list[Cell]:
     """The (scheme × benchmark × attack × copy) grid as declarative cells.
 
     SWEEP trains leave-one-out: copy *i*'s corpus is every other copy,
@@ -60,7 +56,7 @@ def fig2_cells(
     """
     scale = scale or active_scale()
     key_size = key_size or min(scale.iscas_keys)
-    cells: list[BaselineCell] = []
+    cells: list[Cell] = []
     for scheme in (DMUX_SCHEME, SYMMETRIC_SCHEME):
         for name in scale.iscas:
             for attack in _FIG2_ATTACKS:
@@ -88,30 +84,24 @@ def fig2_cells(
 
 
 def run_fig2(
+    runner: ExperimentRunner,
     scale: ExperimentScale | None = None,
     n_copies: int = 4,
     key_size: int | None = None,
     seed: int = 0,
-    runner: ExperimentRunner | None = None,
-    jobs: int | None = None,
 ) -> list[Fig2Row]:
     """Regenerate the Fig. 2 resilience study.
 
     Args:
+        runner: the :class:`ExperimentRunner` the grid runs on (its
+            caches, store and bus).
         scale: experiment preset (CI default).
         n_copies: locked copies per benchmark (paper: 100; CI: 4).
         key_size: key bits per copy (paper: 64; default: smallest preset key).
         seed: base RNG seed.
-        runner: shared :class:`ExperimentRunner` (reuses its caches /
-            store / bus); a fresh one honouring *jobs* is used otherwise.
     """
-    scale = scale or active_scale()
     cells = fig2_cells(scale, n_copies=n_copies, key_size=key_size, seed=seed)
-    if runner is not None:
-        records = runner.run(cells)
-    else:
-        with ExperimentRunner(jobs=jobs) as owned:
-            records = owned.run(cells)
+    records = runner.run(cells)
     # Cell order is (scheme, benchmark, attack, copy): pool each run of
     # n_copies consecutive records into one row.
     rows: list[Fig2Row] = []
@@ -122,7 +112,7 @@ def run_fig2(
             Fig2Row(
                 cell.benchmark,
                 cell.scheme,
-                cell.attack.upper(),
+                cell.config.attack.upper(),
                 aggregate_metrics([r.metrics for r in block]),
             )
         )

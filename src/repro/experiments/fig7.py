@@ -31,22 +31,16 @@ def fig7_cells(scale: ExperimentScale, seed: int = 0) -> list[Cell]:
 
 
 def run_fig7(
+    runner: ExperimentRunner,
     scale: ExperimentScale | None = None,
     seed: int = 0,
-    runner: ExperimentRunner | None = None,
-    jobs: int | None = None,
 ) -> list[AttackRecord]:
     """Run MuxLink over the full (benchmark × scheme × key size) grid.
 
-    Cells execute through *runner* (or a fresh one honouring *jobs* /
-    ``REPRO_JOBS``); sharing a runner across figures reuses its locked
-    netlists and trained attacks.
+    Cells execute through *runner*; sharing a runner across figures
+    reuses its locked netlists and trained attacks.
     """
-    scale = scale or active_scale()
-    if runner is not None:
-        return runner.run(fig7_cells(scale, seed))
-    with ExperimentRunner(jobs=jobs) as owned:
-        return owned.run(fig7_cells(scale, seed))
+    return runner.run(fig7_cells(scale or active_scale(), seed))
 
 
 def summarize_fig7(records: list[AttackRecord]) -> dict[str, float]:

@@ -40,16 +40,12 @@ def fig8_cells(scale: ExperimentScale, seed: int = 0) -> list[Cell]:
 
 
 def run_fig8(
+    runner: ExperimentRunner,
     scale: ExperimentScale | None = None,
     seed: int = 0,
-    runner: ExperimentRunner | None = None,
-    jobs: int | None = None,
 ) -> list[Fig8Row]:
-    """Attack each D-MUX benchmark and measure recovered-design HD."""
+    """Attack each D-MUX benchmark on *runner* and measure recovered-design HD."""
     scale = scale or active_scale()
-    if runner is None:
-        with ExperimentRunner(jobs=jobs) as owned:
-            return run_fig8(scale, seed, runner=owned)
     records = runner.run(fig8_cells(scale, seed))
     rows: list[Fig8Row] = []
     for record in records:

@@ -43,23 +43,18 @@ def fig9_cells(scale: ExperimentScale, seed: int = 0) -> list[Cell]:
 
 
 def run_fig9(
+    runner: ExperimentRunner,
     scale: ExperimentScale | None = None,
     thresholds: tuple[float, ...] | None = None,
     seed: int = 0,
-    runner: ExperimentRunner | None = None,
-    jobs: int | None = None,
 ) -> list[Fig9Row]:
     """Sweep ``th`` over trained attacks for both schemes.
 
-    The GNN is trained once per (scheme, benchmark) cell — fanned out when
-    *jobs* / ``REPRO_JOBS`` asks for it, and reused outright from a
-    shared runner that already ran Fig. 7 — and every threshold value
-    only re-runs the Algorithm-1 post-processing.
+    The GNN is trained once per (scheme, benchmark) cell on *runner* —
+    and reused outright if that runner already ran Fig. 7 — and every
+    threshold value only re-runs the Algorithm-1 post-processing.
     """
     scale = scale or active_scale()
-    if runner is None:
-        with ExperimentRunner(jobs=jobs) as owned:
-            return run_fig9(scale, thresholds, seed, runner=owned)
     if thresholds is None:
         thresholds = tuple(np.round(np.arange(0.0, 1.0001, 0.05), 2))
     records = runner.run(fig9_cells(scale, seed))
@@ -70,7 +65,7 @@ def run_fig9(
             metrics = aggregate_metrics(
                 [
                     score_key(
-                        rescore_key(a.extras["result"], th),
+                        rescore_key(a.extras["artifact"], th),
                         a.extras["locked"].key,
                     )
                     for a in attacks

@@ -90,15 +90,14 @@ def _base_parts(attacks: tuple[str, ...]) -> list[str]:
 
 
 def run_leaderboard(
+    runner: ExperimentRunner,
     scale: ExperimentScale | None = None,
     seed: int = 0,
-    runner: ExperimentRunner | None = None,
-    jobs: int | None = None,
     attacks: tuple[str, ...] | None = None,
     ensemble: bool = False,
     train_copies: int = 2,
 ) -> list[LeaderboardRow]:
-    """Run every requested attack over the fig. 7 grid.
+    """Run every requested attack over the fig. 7 grid on *runner*.
 
     Args:
         attacks: roster to run (default :data:`LEADERBOARD_ATTACKS`,
@@ -147,11 +146,7 @@ def run_leaderboard(
                         ),
                     )
                 )
-    if runner is not None:
-        records = runner.run(cells)
-    else:
-        with ExperimentRunner(jobs=jobs) as owned:
-            records = owned.run(cells)
+    records = runner.run(cells)
 
     by_part: dict[tuple, AttackRecord] = {}
     for (scheme, name, _, key_size), chunk in zip(
@@ -195,8 +190,8 @@ def _combine(
     mux_record: AttackRecord, base_record: AttackRecord, threshold: float
 ) -> AttackRecord:
     """Ensemble one MuxLink record with one baseline record (same lock)."""
-    result = mux_record.extras["result"]
-    report = base_record.extras["report"]
+    result = mux_record.extras["artifact"]
+    report = base_record.extras["artifact"]
     locked = mux_record.extras["locked"]
     adjusted = ensemble_likelihoods(
         result.scored, report.scores, weight=ENSEMBLE_WEIGHT

@@ -1,9 +1,10 @@
 """Cache-aware experiment engine for the figure drivers.
 
-The paper's headline figures (Fig. 7-10) are grids of *independent*
-(benchmark x scheme x key size) attack cells.  This module turns each
-figure into a declarative list of :class:`Cell` jobs and executes them
-through one :class:`ExperimentRunner` that
+The paper's figures are grids of *independent* attack cells over the
+same locked netlists: MuxLink for Fig. 7-10, SCOPE/SWEEP for Fig. 2 and
+every attack for the leaderboard.  This module turns each figure into a
+declarative list of :class:`Cell` jobs, one type whatever the attack
+kind, and executes them through one :class:`ExperimentRunner` that
 
 * **parallelizes** — ``--jobs 0/1`` (``REPRO_JOBS``) runs the unique
   attacks serially in this process, so single-core runs stay exactly
@@ -12,36 +13,37 @@ through one :class:`ExperimentRunner` that
   with N workers forked from this warm process, and ``--bus-addr``
   (``REPRO_BUS_ADDR``) binds that endpoint where outside ``repro worker
   --serve-addr`` processes can join;
-* **caches** — locked netlists and trained attack results are keyed by
+* **caches** — locked netlists and attack artifacts are keyed by
   content (a digest of the locked BENCH text plus the attack
   configuration with the post-processing threshold normalized out), so a
-  netlist locked for Fig. 7 is reused by Fig. 8's Hamming runs and
-  Fig. 9's threshold sweep, and a trained checkpoint is reused across
-  thresholds and figures wherever the config hash matches;
-* **seeds per cell** — every cell derives its lock / train RNG streams
-  from ``SeedSequence(seed)`` spawned with a key computed from the cell
-  identity ``(benchmark, scheme, key_size)``, *not* from grid iteration
-  order, so serial, fanned-out and reordered runs produce bit-identical
-  :class:`~repro.experiments.common.AttackRecord` payloads.
+  netlist locked for Fig. 7 is reused by Fig. 8's Hamming runs, Fig. 9's
+  threshold sweep and the baselines' copy 0, and a trained checkpoint is
+  reused across thresholds and figures wherever the config hash matches;
+* **seeds per cell** — every cell derives its lock / train / coin RNG
+  streams from ``SeedSequence(seed)`` spawned with a key computed from
+  the cell identity ``(benchmark, scheme, key_size)``, *not* from grid
+  iteration order, so serial, fanned-out and reordered runs produce
+  bit-identical :class:`~repro.experiments.common.AttackRecord` payloads.
 
 Cache coherence under parallelism is by construction: the parent process
-plans the grid, dedupes attack jobs against its caches *before* any work
-is submitted, executes only the unique jobs (on the bus or in-process),
+plans the grid, dedupes jobs against its caches *before* any work is
+submitted, executes only the unique jobs (on the bus or in-process),
 and materializes every cell's record from the parent-side caches.
 Workers never see the caches, so serial and fanned-out runs perform the
 same unique computations in the same code path.
 
 Every cache layer is a **write-through view over the artifact store**
 (:class:`~repro.store.ArtifactStore`) when one is configured
-(``--store`` / ``REPRO_STORE``): locked netlists and trained attacks are
-probed in memory first, then on disk, and whatever gets computed is
+(``--store`` / ``REPRO_STORE``): locked netlists and attack artifacts
+are probed in memory first, then on disk, and whatever gets computed is
 persisted — so a second process resumes ``repro figures`` with zero lock
 and zero train jobs.  The scheduler boundary is store-shaped too: a
-pending MuxLink or baseline attack is one :class:`~repro.jobs.Job` — a
+pending attack of any kind is one :class:`~repro.jobs.Job` — a
 content-addressed store key plus the durable lock payload and config —
 and a worker ships back the encoded artifact, exactly the unit a remote
-host would return.  The runner keys, loads and queues both kinds through
-one path over one artifact cache, reading :data:`repro.jobs.KINDS`.
+host would return.  One plan and one record path serve every kind,
+reading :data:`repro.jobs.KINDS`; a baseline attack's code is imported
+only when a baseline cell is built or run.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.attacks.baseline import BaselineConfig, BaselineReport
 from repro.benchgen import load_benchmark
 from repro.core import MuxLinkConfig, rescore_key, score_key
 from repro.experiments.common import (
@@ -68,6 +69,7 @@ from repro.settings import SettingsError, parse_jobs, setting
 from repro.store import (
     ArtifactStore,
     circuit_digest,
+    codec,
     decode_lock_artifact,
     encode_circuit,
     encode_lock_artifact,
@@ -76,17 +78,13 @@ from repro.store import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.attacks.baseline import BaselineConfig
     from repro.experiments.socketbus import SocketBus
 
 __all__ = [
-    "BaselineCell",
     "Cell",
     "ExperimentRunner",
     "RunnerStats",
-    "cell_seed_sequence",
-    "derive_baseline_seed",
-    "derive_cell_seeds",
-    "derive_copy_seeds",
     "make_baseline_cell",
     "make_cell",
     "record_fingerprint",
@@ -113,7 +111,7 @@ def _stable_u32(text: str) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:4], "big")
 
 
-def cell_seed_sequence(
+def _cell_seed_sequence(
     seed: int, benchmark: str, scheme: str, key_size: int
 ) -> np.random.SeedSequence:
     """Root :class:`~numpy.random.SeedSequence` of one cell.
@@ -130,31 +128,17 @@ def cell_seed_sequence(
     )
 
 
-def derive_cell_seeds(
-    seed: int, benchmark: str, scheme: str, key_size: int
-) -> tuple[int, int]:
-    """Independent ``(lock_seed, train_seed)`` streams for one cell."""
-    lock_ss, train_ss = cell_seed_sequence(seed, benchmark, scheme, key_size).spawn(2)
-    return (
-        int(lock_ss.generate_state(1)[0]),
-        int(train_ss.generate_state(1)[0]),
-    )
-
-
-def derive_copy_seeds(
+def _derive_copy_seeds(
     seed: int, benchmark: str, scheme: str, key_size: int, copy: int = 0
 ) -> tuple[int, int]:
     """``(lock_seed, train_seed)`` for locked copy *copy* of one cell.
 
     Spawned children of a :class:`~numpy.random.SeedSequence` are keyed
-    by their index, so copy 0 is **bit-identical** to
-    :func:`derive_cell_seeds` — a baseline attack on copy 0 shares the
-    fig7 grid's locked netlist (and therefore its lock artifact) by
-    content address, while every further copy gets an independent
-    stream regardless of how many copies any particular figure asked
-    for.
+    by their index, so copy *c* gets the same pair however many copies
+    any figure asked for: copy 0 is the MuxLink grid's locked netlist,
+    which a baseline attack on copy 0 shares by content address.
     """
-    children = cell_seed_sequence(seed, benchmark, scheme, key_size).spawn(
+    children = _cell_seed_sequence(seed, benchmark, scheme, key_size).spawn(
         2 * (int(copy) + 1)
     )
     return (
@@ -163,7 +147,7 @@ def derive_copy_seeds(
     )
 
 
-def derive_baseline_seed(
+def _derive_baseline_seed(
     seed: int,
     benchmark: str,
     scheme: str,
@@ -194,20 +178,58 @@ def derive_baseline_seed(
 
 @dataclass(frozen=True)
 class Cell:
-    """One declarative attack job of a figure grid.
+    """One declarative job of a figure grid, of any attack kind.
 
-    ``lock_seed`` and ``config`` (whose sampling/train seeds are the
-    cell's derived streams) are precomputed by :func:`make_cell`, so a
-    ``Cell`` is a self-contained, hashable, picklable work item.
+    ``kind`` is a :data:`repro.jobs.KINDS` key and ``config`` that kind's
+    config, whose seeds are the cell's derived streams.  ``lock_seed``
+    locks the attacked instance, copy ``copy`` of the cell identity
+    (copy 0 is the one every MuxLink cell attacks);
+    ``train_lock_seeds`` lock a supervised attack's corpus, other copies
+    of the same identity, in order.  Everything is precomputed by
+    :func:`make_cell` / :func:`make_baseline_cell`, so a ``Cell`` is a
+    self-contained, hashable, picklable work item.
     """
 
+    kind: str
     benchmark: str
     scheme: str
     key_size: int
     circuit_scale: float
     seed: int
     lock_seed: int
-    config: MuxLinkConfig
+    config: MuxLinkConfig | BaselineConfig
+    copy: int = 0
+    train_lock_seeds: tuple[int, ...] = ()
+
+
+def _cell(
+    kind: str,
+    benchmark: str,
+    circuit_scale: float,
+    scheme: str,
+    key_size: int,
+    seed: int,
+    config,
+    copy: int = 0,
+    train_copies: tuple[int, ...] = (),
+) -> Cell:
+    """A :class:`Cell` whose lock seeds derive from its identity."""
+
+    def lock_seed(index: int) -> int:
+        return _derive_copy_seeds(seed, benchmark, scheme, key_size, index)[0]
+
+    return Cell(
+        kind=kind,
+        benchmark=benchmark,
+        scheme=scheme,
+        key_size=int(key_size),
+        circuit_scale=float(circuit_scale),
+        seed=int(seed),
+        lock_seed=lock_seed(int(copy)),
+        config=config,
+        copy=int(copy),
+        train_lock_seeds=tuple(lock_seed(int(j)) for j in train_copies),
+    )
 
 
 def make_cell(
@@ -221,47 +243,14 @@ def make_cell(
     h: int | None = None,
     threshold: float | None = None,
 ) -> Cell:
-    """Build a :class:`Cell` with per-cell RNG streams derived from *seed*."""
-    lock_seed, train_seed = derive_cell_seeds(seed, benchmark, scheme, key_size)
+    """A MuxLink :class:`Cell` on copy 0, trained on the cell's own stream."""
+    _, train_seed = _derive_copy_seeds(seed, benchmark, scheme, key_size)
     config = scale.attack_config(seed=train_seed)
     if h is not None:
         config = replace(config, h=h)
     if threshold is not None:
         config = replace(config, threshold=threshold)
-    return Cell(
-        benchmark=benchmark,
-        scheme=scheme,
-        key_size=int(key_size),
-        circuit_scale=float(circuit_scale),
-        seed=int(seed),
-        lock_seed=lock_seed,
-        config=config,
-    )
-
-
-@dataclass(frozen=True)
-class BaselineCell:
-    """One declarative baseline-attack job (SAAM/SCOPE/SWEEP/random).
-
-    The same self-contained shape as :class:`Cell`: lock seeds and the
-    attack config are precomputed by :func:`make_baseline_cell`, so a
-    grid is pure data.  ``copy`` indexes the locked instance under
-    attack (copy 0 shares the MuxLink grid's lock by construction);
-    ``train_copies``/``train_lock_seeds`` name SWEEP's supervised
-    corpus — other locked copies of the *same* cell identity, in order.
-    """
-
-    benchmark: str
-    scheme: str
-    key_size: int
-    circuit_scale: float
-    seed: int
-    copy: int
-    lock_seed: int
-    attack: str
-    config: BaselineConfig
-    train_copies: tuple[int, ...] = ()
-    train_lock_seeds: tuple[int, ...] = ()
+    return _cell("attack", benchmark, circuit_scale, scheme, key_size, seed, config)
 
 
 def make_baseline_cell(
@@ -278,32 +267,31 @@ def make_baseline_cell(
     threshold: float = 1e-9,
     margin: float = 1e-6,
     ridge: float = 1e-3,
-) -> BaselineCell:
-    """Build a :class:`BaselineCell` with per-cell derived RNG streams."""
-    lock_seed, _ = derive_copy_seeds(seed, benchmark, scheme, key_size, copy)
+) -> Cell:
+    """A baseline-attack :class:`Cell` on copy *copy*.
+
+    ``train_copies`` name SWEEP's supervised corpus by copy index.
+    """
+    from repro.attacks.baseline import BaselineConfig
+
     config = BaselineConfig(
         attack=attack,
         undecided=undecided,
-        seed=derive_baseline_seed(seed, benchmark, scheme, key_size, attack, copy),
+        seed=_derive_baseline_seed(seed, benchmark, scheme, key_size, attack, copy),
         threshold=threshold,
         margin=margin,
         ridge=ridge,
     )
-    return BaselineCell(
-        benchmark=benchmark,
-        scheme=scheme,
-        key_size=int(key_size),
-        circuit_scale=float(circuit_scale),
-        seed=int(seed),
-        copy=int(copy),
-        lock_seed=lock_seed,
-        attack=attack,
-        config=config,
-        train_copies=tuple(int(j) for j in train_copies),
-        train_lock_seeds=tuple(
-            derive_copy_seeds(seed, benchmark, scheme, key_size, j)[0]
-            for j in train_copies
-        ),
+    return _cell(
+        "baseline",
+        benchmark,
+        circuit_scale,
+        scheme,
+        key_size,
+        seed,
+        config,
+        copy,
+        train_copies,
     )
 
 
@@ -346,53 +334,26 @@ class RunnerStats:
 def record_fingerprint(record: AttackRecord) -> tuple:
     """Deterministic payload of a record, for bit-identity assertions.
 
-    Covers everything the attack *computed* — predicted key, metrics,
-    per-MUX likelihoods, training losses — and excludes only wall-clock
-    timing, which can never be identical between two runs.  Works for
-    both MuxLink records (``extras["result"]``) and baseline records
-    (``extras["report"]``).
+    Covers everything the attack *computed* — the record's cell identity,
+    predicted key, metrics and true key, and its artifact as the store
+    encodes it (a MuxLink run's per-MUX likelihoods, losses and weights;
+    a baseline's attack name, per-bit scores and blind count) — and
+    excludes only wall-clock timing, which can never be identical
+    between two runs.  The artifact enters as the digest of its codec
+    bytes, so a NaN loss compares equal to itself.
     """
-    if "report" in record.extras:
-        report: BaselineReport = record.extras["report"]
-        return (
-            record.benchmark,
-            record.scheme,
-            record.key_size,
-            report.attack,
-            record.extras.get("copy", 0),
-            record.predicted_key,
-            (
-                record.metrics.n_total,
-                record.metrics.n_correct,
-                record.metrics.n_wrong,
-                record.metrics.n_x,
-            ),
-            tuple(sorted(report.scores.items())),
-            report.n_blind,
-            record.extras["locked"].key,
-        )
-    result = record.extras["result"]
-    scored = tuple(
-        sorted(
-            (s.mux_name, s.key_index, s.load, s.likelihoods)
-            for s in result.scored
-        )
-    )
+    payload = KINDS[record.extras["kind"]].encode(record.extras["artifact"])
+    del payload["runtime_seconds"]
+    metrics = record.metrics
     return (
         record.benchmark,
         record.scheme,
         record.key_size,
+        record.extras["copy"],
         record.predicted_key,
-        (
-            record.metrics.n_total,
-            record.metrics.n_correct,
-            record.metrics.n_wrong,
-            record.metrics.n_x,
-        ),
-        scored,
-        tuple(result.history.train_loss),
-        tuple(result.history.val_loss),
+        (metrics.n_total, metrics.n_correct, metrics.n_wrong, metrics.n_x),
         record.extras["locked"].key,
+        hashlib.sha256(codec.dumps(payload, kind="fingerprint")).hexdigest(),
     )
 
 
@@ -492,7 +453,7 @@ class ExperimentRunner:
         self._digests[key] = circuit_digest(locked.circuit)
         return self._digests[key]
 
-    def _lock_instance(self, cell: "Cell | BaselineCell", lock_seed: int) -> tuple:
+    def _lock_instance(self, cell: Cell, lock_seed: int) -> tuple:
         """Lock (or reuse) one netlist instance; returns its cache key.
 
         Probe order: in-memory cache, then the artifact store (the
@@ -531,53 +492,34 @@ class ExperimentRunner:
             self.store.put("locks", store_key, encode_lock_artifact(locked))
         return key
 
-    def locked_circuit(self, cell: "Cell | BaselineCell") -> LockedCircuit:
-        """Lock (or reuse) the cell's netlist (see :meth:`_lock_instance`)."""
-        return self._locks[self._lock_instance(cell, cell.lock_seed)]
-
     # -- execution ----------------------------------------------------------
     def run(self, cells) -> list[AttackRecord]:
         """Execute a grid; returns one record per cell, in cell order.
 
-        Grids may freely mix MuxLink :class:`Cell`\\ s and
-        :class:`BaselineCell`\\ s — all pending unique jobs ride one bus
-        wave, so a leaderboard's GNN trainings and its SCOPE/SWEEP runs
-        fan out over the same workers.
+        Cells of every kind share one wave of pending unique jobs, so a
+        leaderboard's GNN trainings and its SCOPE/SWEEP runs fan out
+        over the same workers.
         """
         cells = list(cells)
-        plans: list[tuple] = []
-        pending: dict = {}
-        for cell in cells:
-            if isinstance(cell, BaselineCell):
-                plans.append(self._plan_baseline(cell, pending))
-            else:
-                plans.append(self._plan_attack(cell, pending))
-
+        pending: dict[str, Job] = {}
+        plans = [self._plan(cell, pending) for cell in cells]
         self._execute(pending)
         self.stats.cells_run += len(cells)
-        return [self._materialize(*plan) for plan in plans]
+        return [self._materialize(cell, *plan) for cell, plan in zip(cells, plans)]
 
-    def _plan_attack(self, cell: Cell, pending: dict) -> tuple:
+    def _plan(self, cell: Cell, pending: dict[str, Job]) -> tuple[tuple, str]:
+        """Lock the cell's instance and corpus, and key its job; reuse,
+        load or queue the artifact.  Returns ``(lock key, artifact key)``.
+
+        The artifact key is the on-disk store's content address: a
+        MuxLink key normalizes the threshold and the execution knobs out
+        (Fig. 9 rescores without retraining).
+        """
+        spec = KINDS[cell.kind]
         lock_key = self._lock_instance(cell, cell.lock_seed)
-        # Content address shared with the on-disk store: the threshold
-        # and the execution knobs are normalized out (Fig. 9 rescales
-        # without retraining).
-        key = self._plan_job("attack", lock_key, cell.config, pending)
-        return (cell, lock_key, key)
-
-    def _plan_baseline(self, cell: BaselineCell, pending: dict) -> tuple:
-        lock_key = self._lock_instance(cell, cell.lock_seed)
-        train_keys = [self._lock_instance(cell, seed) for seed in cell.train_lock_seeds]
-        key = self._plan_job("baseline", lock_key, cell.config, pending, train_keys)
-        return (cell, lock_key, key)
-
-    def _plan_job(
-        self, kind: str, lock_key: tuple, config, pending: dict, train_keys=()
-    ) -> str:
-        """Key one job on a cached lock; reuse, load or queue its artifact."""
-        spec = KINDS[kind]
+        train_keys = [self._lock_instance(cell, s) for s in cell.train_lock_seeds]
         train = tuple((self._digests[k], self._locks[k].key) for k in train_keys)
-        key = spec.key(self._digests[lock_key], config, train)
+        key = spec.key(self._digests[lock_key], cell.config, train)
         if key in self._artifacts or key in pending:
             event = "reused"
         elif self.store is not None and (
@@ -587,10 +529,10 @@ class ExperimentRunner:
             event = "loaded"
         else:
             pending[key] = Job(
-                kind=kind,
+                kind=cell.kind,
                 store_key=key,
                 circuit=encode_circuit(self._locks[lock_key].circuit),
-                config=config,
+                config=cell.config,
                 train=tuple(
                     encode_lock_artifact(self._locks[k]) for k in train_keys
                 ),
@@ -598,7 +540,7 @@ class ExperimentRunner:
             event = "computed"
         counter = f"{spec.store_kind}_{event}"
         setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-        return key
+        return lock_key, key
 
     def _execute(self, pending: dict[str, Job]) -> None:
         """Run the unique jobs through the configured bus.
@@ -624,52 +566,36 @@ class ExperimentRunner:
         if self.store is not None:
             self.store.put(job.spec.store_kind, job.store_key, payload)
 
-    def _materialize(self, cell, lock_key: tuple, artifact_key: str) -> AttackRecord:
-        if isinstance(cell, BaselineCell):
-            return self._materialize_baseline(cell, lock_key, artifact_key)
-        return self._materialize_attack(cell, lock_key, artifact_key)
-
-    def _materialize_baseline(
-        self, cell: BaselineCell, lock_key: tuple, baseline_key: str
+    def _materialize(
+        self, cell: Cell, lock_key: tuple, artifact_key: str
     ) -> AttackRecord:
-        report = self._artifacts[baseline_key]
+        """One cell's record from the cached lock and artifact.
+
+        The predicted key and the runtime are the only parts that depend
+        on the kind.  A MuxLink artifact is rescored at the cell's own
+        threshold, which keeps cached results exact across Fig. 9's
+        sweep (at the trained threshold it is the identity); a baseline
+        report's key is final.
+        """
+        artifact = self._artifacts[artifact_key]
         locked = self._locks[lock_key]
-        metrics = score_key(report.predicted_key, locked.key)
+        if cell.kind == "attack":
+            predicted = rescore_key(artifact, cell.config.threshold)
+            runtime = artifact.total_runtime
+        else:
+            predicted, runtime = artifact.predicted_key, artifact.runtime_seconds
         return AttackRecord(
             benchmark=cell.benchmark,
             scheme=cell.scheme,
             key_size=cell.key_size,
-            metrics=metrics,
-            runtime_seconds=report.runtime_seconds,
-            predicted_key=report.predicted_key,
-            extras={
-                "report": report,
-                "locked": locked,
-                "attack": cell.attack,
-                "copy": cell.copy,
-            },
-        )
-
-    def _materialize_attack(
-        self, cell: Cell, lock_key: tuple, attack_key: str
-    ) -> AttackRecord:
-        result = self._artifacts[attack_key]
-        locked = self._locks[lock_key]
-        # Rescoring at the cell's own threshold keeps cached results exact
-        # across Fig. 9's sweep; at the trained threshold it is the
-        # identity (post-processing is deterministic).
-        predicted = rescore_key(result, cell.config.threshold)
-        metrics = score_key(predicted, locked.key)
-        return AttackRecord(
-            benchmark=cell.benchmark,
-            scheme=cell.scheme,
-            key_size=cell.key_size,
-            metrics=metrics,
-            runtime_seconds=result.total_runtime,
+            metrics=score_key(predicted, locked.key),
+            runtime_seconds=runtime,
             predicted_key=predicted,
             extras={
-                "result": result,
+                "kind": cell.kind,
+                "artifact": artifact,
                 "locked": locked,
                 "base": self._bases[(cell.benchmark, cell.circuit_scale)],
+                "copy": cell.copy,
             },
         )

@@ -509,9 +509,9 @@ class AttackServer:
         path,
         kind: str,
     ) -> bytearray:
-        """The store tier's file reader: :func:`~repro.wire.load_frame`
-        of *path* open as *handle*, reading only its array bytes while
-        its header and manifest equal the memoized *header*'s.
+        """The store tier's file reader: the ``result`` frame of *path*
+        open as *handle*, reading only its array bytes while its header
+        and manifest equal the memoized *header*'s.
 
         Equal bytes at an equal size pass every check the first read
         made (:func:`~repro.store.codec.reread_wrapped`); no *header*, a

@@ -370,8 +370,9 @@ def resolve_store(
     an :class:`ArtifactStore` passes through — the scheme every entry
     point shares (:class:`~repro.experiments.runner.ExperimentRunner`,
     ``repro figures --store``, the bench suite).  A ``scheme://`` value
-    raises :class:`~repro.errors.ReproError`: a store is a local
-    directory, and a served artifact is read by key through
+    or a path that exists and is not a directory raises
+    :class:`~repro.errors.ReproError` before any work: a store is a
+    local directory, and a served artifact is read by key through
     :meth:`repro.client.ServeClient.result`.
     """
     if isinstance(store, ArtifactStore):
@@ -385,4 +386,6 @@ def resolve_store(
             f"store {text!r} is not a directory: a store is local, and a "
             "served artifact is read by key (ServeClient.result)"
         )
+    if os.path.exists(text) and not os.path.isdir(text):
+        raise ReproError(f"store {text!r} is not a directory")
     return ArtifactStore(text)

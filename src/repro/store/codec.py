@@ -41,7 +41,7 @@ twice.  :func:`loads` *adopts* a ``bytearray``: the arrays view it, so
 the caller hands it over and must not reuse it (``repro.wire`` receives
 each frame into its own).  Any other bytes-like blob is copied once into
 a private buffer, and :func:`load` reads a file straight into one.
-:func:`load_wrapped` serves a stored artifact inside another message
+:func:`read_wrapped` serves a stored artifact inside another message
 (``repro serve``'s store-tier ``result`` frame): it writes a new
 manifest and reads the file's data section into the same buffer, since
 array offsets are relative to that section.  It runs in two steps: a
@@ -84,7 +84,6 @@ __all__ = [
     "dump",
     "dumps",
     "load",
-    "load_wrapped",
     "loads",
     "opened",
     "read",
@@ -486,8 +485,18 @@ def read_wrapped(
     into: str,
     prefix: Callable[[int], bytes],
 ) -> tuple[bytearray, FrameHeader]:
-    """:func:`load_wrapped` of the file *path* open as *handle*, and the
-    header its frame was built behind (for :func:`reread_wrapped`)."""
+    """``dumps(wrap(load(path, kind)), into, prefix)``, built from the
+    file *path* open as *handle*, and the header its frame was built
+    behind (for :func:`reread_wrapped`).
+
+    *wrap* nests the artifact's tree in a new tree under a new manifest,
+    and the file's data section is read once, straight into the returned
+    buffer: array offsets are relative to that section, so it needs no
+    re-encoding.  Every check :func:`load` makes is made, and the same
+    errors are raised.  For any file :func:`dump` wrote the bytes equal
+    the ``dumps`` expression's; a hand-made blob keeps its own array
+    layout, which decodes to the same payload.
+    """
     with _reading(path):
         header, manifest = _read_header(
             handle, str(path), kind, wrap, into, prefix
@@ -523,24 +532,3 @@ def reread_wrapped(
         return None
     _read_fault(path)
     return frame
-
-
-def load_wrapped(
-    path: str | os.PathLike,
-    kind: str,
-    wrap: Callable[[Any], Any],
-    into: str,
-    prefix: Callable[[int], bytes],
-) -> bytearray:
-    """``dumps(wrap(load(path, kind)), into, prefix)``, built from the file.
-
-    *wrap* nests the artifact's tree in a new tree under a new manifest,
-    and the file's data section is read once, straight into the returned
-    buffer: array offsets are relative to that section, so it needs no
-    re-encoding.  Every check :func:`load` makes is made, and the same
-    errors are raised.  For any file :func:`dump` wrote the bytes equal
-    the ``dumps`` expression's; a hand-made blob keeps its own array
-    layout, which decodes to the same payload.
-    """
-    with opened(path) as handle:
-        return read_wrapped(handle, path, kind, wrap, into, prefix)[0]

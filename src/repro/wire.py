@@ -17,8 +17,8 @@ the server.  This module holds the pieces both ends need:
   ships live library objects and every topology is bit-identical to
   serial execution by construction;
 * the framing (:func:`encode_frame` / :func:`decode_frame`,
-  :func:`send_message` / :func:`recv_message`, and :func:`load_frame` /
-  :func:`read_frame` for a stored artifact's ``result`` frame) and
+  :func:`send_message` / :func:`recv_message`, and :func:`read_frame`
+  for a stored artifact's ``result`` frame) and
   :func:`parse_address`;
   each frame is one buffer on both sides, and a received one is the
   buffer its decoded arrays view;
@@ -59,7 +59,6 @@ __all__ = [
     "decode_job",
     "encode_frame",
     "encode_job",
-    "load_frame",
     "parse_address",
     "read_frame",
     "recv_message",
@@ -208,20 +207,13 @@ def encode_frame(payload: dict) -> bytes:
     return codec.dumps(payload, kind=BUS_MESSAGE_KIND, prefix=_length_prefix)
 
 
-def load_frame(path, kind: str, wrap) -> bytearray:
-    """``encode_frame(wrap(codec.load(path, kind)))``, built from the
-    stored file's bytes (:func:`repro.store.codec.load_wrapped`): the
-    artifact is read once and never decoded into a new encoding."""
-    return codec.load_wrapped(
-        path, kind, wrap, BUS_MESSAGE_KIND, _length_prefix
-    )
-
-
 def read_frame(
     handle, path, kind: str, wrap
 ) -> tuple[bytearray, codec.FrameHeader]:
-    """:func:`load_frame` of *path* open as *handle*, and the header its
-    frame was built behind (:func:`repro.store.codec.read_wrapped`)."""
+    """``encode_frame(wrap(codec.load(path, kind)))``, built from the
+    stored file *path* open as *handle*, and the header its frame was
+    built behind (:func:`repro.store.codec.read_wrapped`): the artifact
+    is read once and never decoded into a new encoding."""
     return codec.read_wrapped(
         handle, path, kind, wrap, BUS_MESSAGE_KIND, _length_prefix
     )

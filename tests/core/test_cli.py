@@ -283,6 +283,41 @@ def test_figures_command_with_store(tmp_path, capsys):
     assert "+2 store" in warm  # both artifacts rematerialized from disk
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["attack", "{locked}", "--h", "1", "--epochs", "1"],
+        ["scope", "{locked}"],
+        ["figures", "--figures", "7", "--scale", "smoke", "--jobs", "0"],
+    ],
+    ids=["attack", "scope", "figures"],
+)
+def test_store_that_is_a_file_exits_2_before_any_attack(
+    tmp_path, capsys, monkeypatch, command
+):
+    """A ``--store`` naming a regular file is a usage error, raised
+    before any attack runs, so no training is lost to a store write
+    that cannot succeed."""
+    import repro.attacks.baseline
+    import repro.core.muxlink
+
+    base = tmp_path / "b.bench"
+    locked = tmp_path / "l.bench"
+    main(["generate", "c1355", "--scale", "0.12", "-o", str(base)])
+    main(["lock", str(base), "--key-size", "6", "-o", str(locked)])
+    capsys.readouterr()
+
+    def no_attack(*args, **kwargs):
+        raise AssertionError("an attack ran")
+
+    monkeypatch.setattr(repro.core.muxlink, "run_muxlink", no_attack)
+    monkeypatch.setattr(repro.attacks.baseline, "run_baseline_attack", no_attack)
+    argv = [arg.format(locked=locked) for arg in command]
+    assert main(argv + ["--store", str(base)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: store {str(base)!r} is not a directory\n"
+
+
 def test_cache_command_requires_a_store(monkeypatch, capsys):
     monkeypatch.delenv("REPRO_STORE", raising=False)
     assert main(["cache", "stats"]) == 2

@@ -99,13 +99,15 @@ def test_cell_record(tmp_path):
     assert record.metrics.n_total == 6
     assert len(record.predicted_key) == 6
     assert record.runtime_seconds > 0
-    assert "result" in record.extras
+    assert record.extras["kind"] == "attack"
     table = format_records([record], "t")
     assert "c1355" in table
 
 
 def test_fig2_runner_smoke():
-    rows = run_fig2(scale=SMOKE_SCALE, n_copies=2, key_size=6, seed=1)
+    rows = run_fig2(
+        ExperimentRunner(jobs=0), scale=SMOKE_SCALE, n_copies=2, key_size=6, seed=1
+    )
     # 1 benchmark x 2 schemes x 2 attacks
     assert len(rows) == 4
     assert {r.attack for r in rows} == {"SCOPE", "SWEEP"}

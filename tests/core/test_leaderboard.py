@@ -37,7 +37,7 @@ def leaderboard_fingerprint(rows) -> tuple:
 
 # ------------------------------------------------------------ leaderboard
 def test_leaderboard_smoke_structure():
-    rows = run_leaderboard(scale=SMOKE_SCALE, seed=0)
+    rows = run_leaderboard(ExperimentRunner(jobs=0), scale=SMOKE_SCALE, seed=0)
     assert len(rows) == N_SMOKE_GRID * 5  # full default roster
     assert [r.attack for r in rows[:5]] == [
         "muxlink", "saam", "scope", "sweep", "random",
@@ -54,6 +54,7 @@ def test_leaderboard_smoke_structure():
 
 def test_leaderboard_ensemble_rows():
     rows = run_leaderboard(
+        ExperimentRunner(jobs=0),
         scale=SMOKE_SCALE,
         seed=0,
         attacks=("muxlink", "scope", "muxlink+scope"),
@@ -108,14 +109,17 @@ def test_fig2_cells_grid_shape():
     cells = fig2_cells(SMOKE_SCALE, n_copies=3, key_size=6, seed=1)
     # 2 schemes × 1 benchmark × 2 attacks × 3 copies
     assert len(cells) == 12
-    sweep = [c for c in cells if c.attack == "sweep"]
-    scope = [c for c in cells if c.attack == "scope"]
+    assert {c.kind for c in cells} == {"baseline"}
+    sweep = [c for c in cells if c.config.attack == "sweep"]
+    scope = [c for c in cells if c.config.attack == "scope"]
     assert len(sweep) == len(scope) == 6
+    lock_seeds = {(c.scheme, c.copy): c.lock_seed for c in cells}
     for cell in sweep:  # leave-one-out corpus, in index order
-        assert cell.copy not in cell.train_copies
-        assert len(cell.train_copies) == 2
+        assert cell.train_lock_seeds == tuple(
+            lock_seeds[(cell.scheme, j)] for j in range(3) if j != cell.copy
+        )
     for cell in scope:
-        assert cell.train_copies == ()
+        assert cell.train_lock_seeds == ()
 
 
 def test_fig2_copies_use_independent_rng_streams():
@@ -146,7 +150,9 @@ def test_fig2_serial_reordered_bit_parity():
 def test_fig2_flat_kpa_on_resilient_schemes():
     """The paper's Fig. 2 claim: SCOPE and SWEEP hover at coin-flip KPA
     on both learning-resilient schemes."""
-    rows = run_fig2(scale=SMOKE_SCALE, n_copies=6, key_size=6, seed=0)
+    rows = run_fig2(
+        ExperimentRunner(jobs=0), scale=SMOKE_SCALE, n_copies=6, key_size=6, seed=0
+    )
     assert len(rows) == 4
     kpas = [r.metrics.kpa for r in rows]
     for kpa in kpas:

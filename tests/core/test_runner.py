@@ -11,14 +11,14 @@ Covers the three guarantees the runner makes:
 """
 
 import random
+import re
 
 import pytest
 
 from repro.experiments import (
     SMOKE_SCALE,
     ExperimentRunner,
-    cell_seed_sequence,
-    derive_cell_seeds,
+    RunnerStats,
     fig7_cells,
     fig8_cells,
     fig9_cells,
@@ -58,18 +58,57 @@ def test_runner_honours_repro_jobs_env(monkeypatch):
     assert ExperimentRunner(jobs=0).jobs == 0
 
 
+#: perfbench's figures-ci parser of the ``runner:`` line, copied from
+#: ``perfbench/run.py:404`` (``_RUNNER``); keep the two in step.
+_PERFBENCH_RUNNER = re.compile(
+    r"^runner: cells=(\d+) .*attacks=(\d+) \(\+(\d+) cached", re.M
+)
+
+
+def test_runner_summary_line_is_pinned():
+    """``repro figures`` prints ``runner: <summary>`` and perfbench parses
+    it, so a change to the line fails here rather than in a figures run."""
+    stats = RunnerStats(
+        locks_computed=2,
+        locks_loaded=3,
+        locks_reused=4,
+        attacks_computed=5,
+        attacks_loaded=6,
+        attacks_reused=7,
+        baselines_computed=8,
+        baselines_loaded=9,
+        baselines_reused=10,
+        cells_run=11,
+    )
+    line = f"runner: {stats.summary()}"
+    assert line == (
+        "runner: cells=11 locks=2 (+4 cached, +3 store) "
+        "attacks=5 (+7 cached, +6 store) "
+        "baselines=8 (+10 cached, +9 store)"
+    )
+    match = _PERFBENCH_RUNNER.search(f"Fig. 8\n{line}\nstore: x\n")
+    assert match is not None
+    assert match.groups() == ("11", "5", "7")
+
+
 # ---------------------------------------------------------------------------
 # per-cell seeding
 # ---------------------------------------------------------------------------
+def _cell_seeds(seed, benchmark, scheme, key_size):
+    """``(lock seed, train seed)`` of one MuxLink cell."""
+    cell = make_cell(SMOKE_SCALE, benchmark, 0.1, scheme, key_size, seed=seed)
+    return cell.lock_seed, cell.config.train.seed
+
+
 def test_cell_seeds_keyed_on_identity_not_order():
-    a = derive_cell_seeds(0, "c1355", DMUX_SCHEME, 6)
-    b = derive_cell_seeds(0, "c1355", DMUX_SCHEME, 6)
+    a = _cell_seeds(0, "c1355", DMUX_SCHEME, 6)
+    b = _cell_seeds(0, "c1355", DMUX_SCHEME, 6)
     assert a == b  # pure function of (seed, identity)
     # Every component of the identity — and the base seed — moves the stream.
-    assert a != derive_cell_seeds(1, "c1355", DMUX_SCHEME, 6)
-    assert a != derive_cell_seeds(0, "c1908", DMUX_SCHEME, 6)
-    assert a != derive_cell_seeds(0, "c1355", SYMMETRIC_SCHEME, 6)
-    assert a != derive_cell_seeds(0, "c1355", DMUX_SCHEME, 8)
+    assert a != _cell_seeds(1, "c1355", DMUX_SCHEME, 6)
+    assert a != _cell_seeds(0, "c1908", DMUX_SCHEME, 6)
+    assert a != _cell_seeds(0, "c1355", SYMMETRIC_SCHEME, 6)
+    assert a != _cell_seeds(0, "c1355", DMUX_SCHEME, 8)
     # Lock and train streams are themselves independent.
     assert a[0] != a[1]
 
@@ -86,8 +125,6 @@ def test_cell_seed_sequence_ignores_h_and_threshold():
     # ... while the overrides themselves land in the config.
     assert hopped.config.h == 2
     assert swept.config.threshold == 0.5
-    ss = cell_seed_sequence(0, "c1355", DMUX_SCHEME, 6)
-    assert ss.spawn_key  # identity-derived, not iteration-order-derived
 
 
 def test_records_invariant_to_grid_order():
@@ -116,7 +153,7 @@ def test_store_backed_cell_matches_storeless_runner(tmp_path):
 # serial <-> parallel parity
 # ---------------------------------------------------------------------------
 def test_pooled_fig7_bit_identical_to_serial():
-    serial = run_fig7(scale=SMOKE_SCALE, seed=0, jobs=0)
+    serial = run_fig7(ExperimentRunner(jobs=0), scale=SMOKE_SCALE, seed=0)
     with ExperimentRunner(jobs=2) as pooled_runner:
         pooled = run_fig7(scale=SMOKE_SCALE, seed=0, runner=pooled_runner)
         assert pooled_runner.jobs == 2
@@ -196,6 +233,6 @@ def test_distinct_seeds_produce_distinct_locks():
         make_cell(SMOKE_SCALE, "c1355", 0.1, DMUX_SCHEME, 6, seed=s)
         for s in (0, 1)
     ]
-    keys = {runner.locked_circuit(c).key for c in cells}
+    keys = {r.extras["locked"].key for r in runner.run(cells)}
     assert runner.stats.locks_computed == 2
     assert len(keys) == 2 or cells[0].lock_seed != cells[1].lock_seed

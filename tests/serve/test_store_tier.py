@@ -1,5 +1,5 @@
 """The store tier of ``repro serve``: a hit's ``result`` frame is built
-from the stored file's bytes (:func:`repro.wire.load_frame`).
+from the stored file's bytes (:func:`repro.wire.read_frame`).
 
 It must be byte for byte the frame a decode and re-encode would send,
 keep the store's corruption policy and counters, and copy the artifact
@@ -36,11 +36,18 @@ from repro.store import (
     encode_attack_artifact,
     encode_baseline_artifact,
 )
-from repro.wire import decode_frame, encode_frame, encode_job, load_frame
+from repro.wire import decode_frame, encode_frame, encode_job, read_frame
 
 _FAST = RetryPolicy(base_delay=0.01, max_delay=0.05, connect_timeout=5.0,
                     read_timeout=20.0)
 KEY = "cd" * 32
+
+
+def _read_frame(path, kind, wrap) -> bytearray:
+    """The ``result`` frame :func:`read_frame` builds over a freshly
+    opened handle on *path*."""
+    with codec.opened(path) as handle:
+        return read_frame(handle, path, kind, wrap)[0]
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +131,7 @@ def test_hand_made_blob_is_served_as_its_payload(tmp_path, edit):
     edit(blob, -(-(16 + int.from_bytes(blob[8:16], "little")) // 64) * 64)
     path.write_bytes(bytes(blob))
     wrap = functools.partial(_result, KEY, "attacks")
-    served = decode_frame(load_frame(path, "attacks", wrap))
+    served = decode_frame(_read_frame(path, "attacks", wrap))
     # Re-encoding is canonical: equal bytes mean equal payloads.
     assert encode_frame(served) == encode_frame(
         wrap(codec.load(path, "attacks"))
@@ -221,7 +228,7 @@ def test_memoized_frame_is_load_frames(tmp_path, attack, kind, monkeypatch):
         frame = srv._lookup(kind, KEY)
         path = srv.store.path_for(kind, KEY)
         wrap = functools.partial(_result, KEY, kind)
-        assert bytes(frame) == bytes(load_frame(path, kind, wrap))
+        assert bytes(frame) == bytes(_read_frame(path, kind, wrap))
         assert (srv.stats.store_hits, srv.store.stats.hits) == (1, 1)
     finally:
         srv.close()
@@ -243,14 +250,14 @@ def test_store_put_under_a_memoized_key_is_served_fresh(tmp_path, fresh):
         assert np.array_equal(served["x"], fresh["x"])
         path = srv.store.path_for("attacks", KEY)
         wrap = functools.partial(_result, KEY, "attacks")
-        assert bytes(frame) == bytes(load_frame(path, "attacks", wrap))
+        assert bytes(frame) == bytes(_read_frame(path, "attacks", wrap))
     finally:
         srv.close()
 
 
 def test_memoized_file_that_grew_is_read_whole(tmp_path):
     """Same header and manifest bytes, longer file: the frame carries the
-    trailing bytes as :func:`load_frame`'s does."""
+    trailing bytes as :func:`read_frame`'s does."""
     srv = _server(tmp_path)
     try:
         srv.store.put("attacks", KEY, {"x": np.arange(4.0)})
@@ -259,7 +266,7 @@ def test_memoized_file_that_grew_is_read_whole(tmp_path):
         path.write_bytes(path.read_bytes() + b"junk")
         frame = srv._lookup("attacks", KEY)
         wrap = functools.partial(_result, KEY, "attacks")
-        assert bytes(frame) == bytes(load_frame(path, "attacks", wrap))
+        assert bytes(frame) == bytes(_read_frame(path, "attacks", wrap))
     finally:
         srv.close()
 

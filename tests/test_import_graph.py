@@ -10,7 +10,8 @@ of a second to every attack.  A local attack loads none of the
 serving layer (``repro.serve``, ``repro.wire``, ``repro.client`` or
 the ``repro.bus`` alias package) and none of the baseline attacks
 (``repro.attacks``, ``repro.benchgen.resilience_tests``), with or
-without ``--store``.  These tests
+without ``--store``; a serial MuxLink figure run loads no baseline
+attack either.  These tests
 pin that import graph, and that the direct and the fallback loads run
 the same kernels bit for bit.
 """
@@ -89,6 +90,25 @@ COLD_ATTACK = textwrap.dedent(
 )
 
 
+SERIAL_FIGURES = textwrap.dedent(
+    """
+    import contextlib
+    import io
+    import sys
+
+    import repro.cli
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = repro.cli.main(
+            ["figures", "--figures", "7", "8", "--scale", "smoke", "--jobs", "0"]
+        )
+    assert status == 0, status
+    loaded = sorted(name for name in sys.modules if name.startswith("repro.attacks"))
+    assert not loaded, loaded
+    """
+)
+
+
 def _src_path() -> str:
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     return os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -121,6 +141,21 @@ def test_stored_attack_imports_neither_scipy_nor_the_bus(tmp_path):
     assert len(written) == 1
     _cold_attack(tmp_path, "--store", str(store))
     assert sorted(store.rglob("*.npz")) == written
+
+
+def test_serial_muxlink_figures_load_no_baseline_attack(tmp_path):
+    """Fig. 7 and 8 build and run MuxLink cells only: the baseline
+    attacks are imported when a baseline cell is built, not with the
+    runner."""
+    result = subprocess.run(
+        [sys.executable, "-c", SERIAL_FIGURES],
+        env=dict(os.environ, PYTHONPATH=_src_path()),
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_failed_direct_load_falls_back_to_scipy_sparse(monkeypatch):
